@@ -30,15 +30,8 @@ from .exp_moment import (
     phi,
     solve_exp_moment,
 )
-from .lambertw import WValue, lambert_w_0, lambert_w_minus1
-from .newsvendor import (
-    ExponentialDemand,
-    NewsvendorInstance,
-    OrderDecision,
-    ground_truth_quantile,
-    optimize_order,
-    worst_case_objective,
-)
+from .lambertw import WValue, lambert_w_minus1
+from .newsvendor import NewsvendorInstance, OrderDecision, optimize_order
 from .oracle import GridSpec, OracleResult, RefineOutcome, oracle_solve, refine_until
 from .partial_moment import (
     PartialMomentInstance,
@@ -64,7 +57,6 @@ __all__ = [
     "ExpMomentAmbiguity",
     "ExpMomentInstance",
     "ExpMomentReport",
-    "ExponentialDemand",
     "GmpInstance",
     "GoldenResult",
     "GridSpec",
@@ -87,11 +79,9 @@ __all__ = [
     "enumerate_family",
     "expand_bracket",
     "golden_section",
-    "ground_truth_quantile",
     "h_derivative",
     "h_function",
     "kappa",
-    "lambert_w_0",
     "lambert_w_minus1",
     "moments_of",
     "optimize_order",
@@ -103,7 +93,6 @@ __all__ = [
     "solve_power_moment",
     "theta",
     "verify_optimality",
-    "worst_case_objective",
 ]
 
 __version__ = "0.1.0"

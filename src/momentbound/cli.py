@@ -14,10 +14,11 @@ import json
 import math
 import sys
 import time
+from dataclasses import fields
 
 import numpy as np
 
-from . import exp_moment, newsvendor, oracle, partial_moment, power_moment
+from . import newsvendor, oracle
 from .core import DualCertificate, ToleranceSet, VerificationReport, verify_optimality
 from .errors import (
     InfeasibleError,
@@ -26,6 +27,7 @@ from .errors import (
     SchemaError,
 )
 from .oracle import GridSpec
+from .problems import PROBLEMS, Problem
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -35,13 +37,17 @@ EXIT_SWEEP_FAILED = 5
 EXIT_DISAGREEMENT = 6
 
 _TOP_KEYS = {"problem", "params", "tolerance", "oracle"}
-_PARAM_KEYS = {
-    "mp1t": {"M1", "Mt", "t", "q"},
-    "upm": {"M1", "gamma", "Mplus", "v1"},
-    "mp1e": {"M1", "Me", "t", "q"},
-}
-_NEWSVENDOR_KEYS = {"ambiguity", "eta", "eps", "M1", "Mt", "Me", "t", "exponential_lambda"}
-_ORACLE_KEYS = {"base"}
+_AMBIGUITY_KINDS = [name for name, p in PROBLEMS.items() if p.ambiguity is not None]
+_NEWSVENDOR_KEYS = {"ambiguity", "eta", "eps", "exponential_lambda"}.union(
+    *({f.name for f in fields(PROBLEMS[name].ambiguity)} for name in _AMBIGUITY_KINDS)
+)
+
+
+def _one_of(names, conjunction: str) -> str:
+    """'a' or 'b'; 'a', 'b', and 'c' -- for error messages."""
+    quoted = [repr(n) for n in names]
+    comma = "," if len(quoted) > 2 else ""
+    return f"{', '.join(quoted[:-1])}{comma} {conjunction} {quoted[-1]}"
 
 
 def _reject_constant(token: str) -> float:
@@ -63,6 +69,8 @@ def _load_instance(path: str) -> dict:
         raise SchemaError(f"unknown top-level keys: {sorted(unknown)}")
     if "problem" not in doc or "params" not in doc:
         raise SchemaError("instance file needs 'problem' and 'params'")
+    if not isinstance(doc["problem"], str):
+        raise SchemaError(f"'problem' must be a string, got {doc['problem']!r}")
     if not isinstance(doc["params"], dict):
         raise SchemaError("'params' must be an object")
     return doc
@@ -94,62 +102,30 @@ def _tolerance(doc: dict) -> float:
     return float(v)
 
 
-def _moment_instance(problem: str, params: dict):
-    _check_keys(params, _PARAM_KEYS[problem], problem)
-    if problem == "mp1t":
-        return power_moment.PowerMomentInstance(
-            M1=_number(params, "M1"),
-            Mt=_number(params, "Mt"),
-            t=_number(params, "t"),
-            q=_number(params, "q"),
-        )
-    if problem == "upm":
-        return partial_moment.PartialMomentInstance(
-            M1=_number(params, "M1"),
-            gamma=_number(params, "gamma"),
-            Mplus=_number(params, "Mplus"),
-        )
-    return exp_moment.ExpMomentInstance(
-        M1=_number(params, "M1"),
-        Me=_number(params, "Me"),
-        t=_number(params, "t"),
-        q=_number(params, "q"),
-    )
+def _solve_moment_problem(name: str, params: dict, eps: float):
+    problem = PROBLEMS[name]
+    _check_keys(params, {*problem.keys, *problem.optional}, name)
+    inst = problem.instance(**{k: _number(params, k) for k in problem.keys})
+    extra = {k: _number(params, k) for k in problem.optional if k in params}
+    return inst, problem.solve(inst, eps, **extra)
 
 
-def _solve_moment_problem(problem: str, params: dict, eps: float):
-    inst = _moment_instance(problem, params)
-    if problem == "mp1t":
-        return inst, power_moment.solve_power_moment(inst, eps)
-    if problem == "upm":
-        v1 = _number(params, "v1") if "v1" in params else None
-        if v1 is not None and inst.is_two_point():
-            raise SchemaError("'v1' only applies to degenerate-family instances")
-        return inst, partial_moment.solve_partial_moment(inst, v1_choice=v1)
-    return inst, exp_moment.solve_exp_moment(inst, eps)
-
-
-def _newsvendor_instance(params: dict, eps: float) -> newsvendor.NewsvendorInstance:
+def _newsvendor_instance(params: dict, eps: float) -> tuple[Problem, newsvendor.NewsvendorInstance]:
     _check_keys(params, _NEWSVENDOR_KEYS, "newsvendor")
     kind = params.get("ambiguity")
-    if kind not in ("mp1t", "mp1e"):
-        raise SchemaError("newsvendor 'ambiguity' must be 'mp1t' or 'mp1e'")
+    if kind not in _AMBIGUITY_KINDS:
+        raise SchemaError(f"newsvendor 'ambiguity' must be {_one_of(_AMBIGUITY_KINDS, 'or')}")
+    problem = PROBLEMS[kind]
+    amb_type = problem.ambiguity
     eta = _number(params, "eta")
     search_eps = _number(params, "eps") if "eps" in params else eps
-    if kind == "mp1t":
-        amb = power_moment.PowerMomentAmbiguity(
-            M1=_number(params, "M1"), Mt=_number(params, "Mt"), t=_number(params, "t")
-        )
-    elif "exponential_lambda" in params:
-        amb = exp_moment.ExpMomentAmbiguity.from_exponential_demand(
-            lam=_number(params, "exponential_lambda"), t=_number(params, "t")
-        )
+    from_demand = getattr(amb_type, "from_exponential_demand", None)
+    if from_demand is not None and "exponential_lambda" in params:
+        amb = from_demand(lam=_number(params, "exponential_lambda"), t=_number(params, "t"))
     else:
-        amb = exp_moment.ExpMomentAmbiguity(
-            M1=_number(params, "M1"), Me=_number(params, "Me"), t=_number(params, "t")
-        )
+        amb = amb_type(**{f.name: _number(params, f.name) for f in fields(amb_type)})
     try:
-        return newsvendor.NewsvendorInstance(ambiguity=amb, eta=eta, eps=search_eps)
+        return problem, newsvendor.NewsvendorInstance(ambiguity=amb, eta=eta, eps=search_eps)
     except MomentBoundError as exc:
         raise SchemaError(str(exc)) from exc
 
@@ -176,7 +152,7 @@ def _envelope(
     root: float | None,
     iterations: int,
     verification: VerificationReport | None,
-    timing_ms: float,
+    started: float,
 ) -> dict:
     return {
         "problem": problem,
@@ -190,31 +166,8 @@ def _envelope(
         "iterations": iterations,
         "verification": _verification_block(verification),
         "verified": bool(verification.passed) if verification is not None else False,
-        "timing_ms": timing_ms,
+        "timing_ms": (time.perf_counter() - started) * 1000.0,
     }
-
-
-def _grid_for(problem: str, inst, report, n_points: int, seed: bool) -> GridSpec:
-    if problem == "mp1t":
-        t = inst.t
-        hi = 1.05 * inst.M1 * max(
-            t * inst.q_scaled / (t - 1.0), inst.mt_scaled ** (1.0 / (t - 1.0))
-        )
-    elif problem == "mp1e":
-        v1 = report.v1
-        hi = 1.5 * max(inst.q_scaled + 1.0 + math.log(inst.Me), v1) / inst.t
-    else:
-        hi = 2.1 * max(float(report.dist.xs[-1]), 1.0, inst.M1)
-    seeds = tuple(float(x) for x in report.dist.xs) if seed else ()
-    return GridSpec(lo=0.0, hi=hi, n_points=n_points, refine_around=seeds)
-
-
-def _gmp_for(problem: str, inst, report):
-    if problem == "mp1t":
-        return power_moment.gmp_instance(inst, report)
-    if problem == "mp1e":
-        return exp_moment.gmp_instance(inst, report)
-    return partial_moment.gmp_instance(inst, report)
 
 
 def _emit(doc: dict, stream) -> None:
@@ -236,37 +189,25 @@ def cmd_solve(args: argparse.Namespace) -> int:
         eps = args.tol if args.tol is not None else _tolerance(doc)
         problem = doc["problem"]
         started = time.perf_counter()
-        if problem in ("mp1t", "upm", "mp1e"):
+        if problem in PROBLEMS:
+            entry = PROBLEMS[problem]
             _, report = _solve_moment_problem(problem, doc["params"], eps)
-            timing = (time.perf_counter() - started) * 1000.0
             env = _envelope(
                 problem,
                 report.value,
                 report.dist,
                 report.cert.z,
                 report.branch,
-                report.root if problem != "upm" else report.family_v1,
-                report.bisect_iters if problem != "upm" else 0,
+                entry.root(report),
+                entry.iterations(report),
                 report.verification,
-                timing,
+                started,
             )
             summary = f"{problem}: value {report.value:.12g} [{report.branch}]"
         elif problem == "newsvendor":
-            inst = _newsvendor_instance(doc["params"], eps=1e-6)
+            entry, inst = _newsvendor_instance(doc["params"], eps=1e-6)
             decision = newsvendor.optimize_order(inst)
-            amb = inst.ambiguity
-            inner_problem = "mp1t" if isinstance(amb, power_moment.PowerMomentAmbiguity) else "mp1e"
-            _, inner = _solve_moment_problem(
-                inner_problem,
-                {
-                    "M1": amb.M1,
-                    **({"Mt": amb.Mt} if inner_problem == "mp1t" else {"Me": amb.Me}),
-                    "t": amb.t,
-                    "q": decision.q_star,
-                },
-                inst.eps / 100.0,
-            )
-            timing = (time.perf_counter() - started) * 1000.0
+            inner = entry.solve(inst.ambiguity.instance_at(decision.q_star), inst.eps / 100.0)
             env = _envelope(
                 "newsvendor",
                 decision.objective,
@@ -276,14 +217,14 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 decision.q_star,
                 decision.golden_iters,
                 inner.verification,
-                timing,
+                started,
             )
             summary = (
                 f"newsvendor: order {decision.q_star:.12g}, "
                 f"worst-case cost {decision.objective:.12g}"
             )
         elif problem == "oracle":
-            env, summary = _solve_oracle_problem(doc, args, started)
+            env, summary = _solve_oracle_problem(doc, args, eps, started)
         else:
             raise SchemaError(f"unknown problem type {doc['problem']!r}")
     except MomentBoundError as exc:
@@ -293,34 +234,39 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _solve_oracle_problem(doc: dict, args: argparse.Namespace, started: float):
+def _solve_oracle_problem(doc: dict, args: argparse.Namespace, eps: float, started: float):
     params = dict(doc["params"])
     base = params.pop("base", None)
-    if base not in ("mp1t", "upm", "mp1e"):
-        raise SchemaError("oracle 'params.base' must be 'mp1t', 'upm', or 'mp1e'")
-    eps = args.tol if args.tol is not None else _tolerance(doc)
+    if not isinstance(base, str) or base not in PROBLEMS:
+        raise SchemaError(f"oracle 'params.base' must be {_one_of(PROBLEMS, 'or')}")
+    entry = PROBLEMS[base]
     inst, report = _solve_moment_problem(base, params, eps)
-    grid = _grid_spec_from(doc.get("oracle"), base, inst, report, args)
-    result = oracle.oracle_solve(_gmp_for(base, inst, report), grid)
-    timing = (time.perf_counter() - started) * 1000.0
+    grid = _grid_spec_from(doc.get("oracle"), entry, inst, report, args)
+    result = oracle.oracle_solve(entry.gmp(inst, report.dist), grid)
+    value = result.value - entry.oracle_offset(inst)
     env = _envelope(
         "oracle",
-        result.value,
+        value,
         result.dist,
         result.duals,
         "oracle",
         None,
         0,
         None,
-        timing,
+        started,
     )
-    return env, f"oracle[{base}]: LP value {result.value:.12g} ({result.status})"
+    return env, f"oracle[{base}]: LP value {value:.12g} ({result.status})"
 
 
-def _grid_spec_from(overrides, problem: str, inst, report, args) -> GridSpec:
-    n_points = getattr(args, "grid_points", None) or 2001
-    seed = getattr(args, "seed_support", True)
-    grid = _grid_for(problem, inst, report, n_points, seed)
+def _grid_spec_from(overrides, problem: Problem, inst, report, args) -> GridSpec:
+    n_points = getattr(args, "grid_points", None)
+    seeds = report.dist.xs if getattr(args, "seed_support", True) else ()
+    grid = GridSpec(
+        lo=0.0,
+        hi=problem.grid_hi(inst, report),
+        n_points=2001 if n_points is None else n_points,
+        refine_around=tuple(float(x) for x in seeds),
+    )
     if overrides is None:
         return grid
     if not isinstance(overrides, dict):
@@ -344,9 +290,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     try:
         doc = _load_instance(args.instance)
         problem = doc["problem"]
-        if problem not in ("mp1t", "upm", "mp1e"):
-            raise SchemaError("sweep supports 'mp1t', 'upm', and 'mp1e' instances")
-        if args.param not in _PARAM_KEYS[problem] - {"v1"}:
+        if problem not in PROBLEMS:
+            raise SchemaError(f"sweep supports {_one_of(PROBLEMS, 'and')} instances")
+        entry = PROBLEMS[problem]
+        if args.param not in entry.keys:
             raise SchemaError(f"cannot sweep {args.param!r} for {problem!r}")
         if args.steps < 1:
             raise SchemaError("--steps must be at least 1")
@@ -366,8 +313,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         params[args.param] = float(v)
         try:
             _, report = _solve_moment_problem(problem, params, eps)
-            root = report.root if problem != "upm" else report.family_v1
-            iters = report.bisect_iters if problem != "upm" else 0
+            root, iters = entry.root(report), entry.iterations(report)
             rows.append((float(v), report.value, report.branch, root, iters))
         except MomentBoundError:
             any_failed = True
@@ -391,22 +337,21 @@ def cmd_check(args: argparse.Namespace) -> int:
     try:
         doc = _load_instance(args.instance)
         problem = doc["problem"]
-        if problem not in ("mp1t", "upm", "mp1e"):
-            raise SchemaError("check supports 'mp1t', 'upm', and 'mp1e' instances")
+        if problem not in PROBLEMS:
+            raise SchemaError(f"check supports {_one_of(PROBLEMS, 'and')} instances")
+        entry = PROBLEMS[problem]
         eps = args.tol if args.tol is not None else _tolerance(doc)
         inst, report = _solve_moment_problem(problem, doc["params"], eps)
-        gmp = _gmp_for(problem, inst, report)
+        gmp = entry.gmp(inst, report.dist)
 
         verification = report.verification
         if args.inject_dual_noise:
             noisy = DualCertificate(z=tuple(z + 1e-3 for z in report.cert.z))
             verification = verify_optimality(gmp, report.dist, noisy, ToleranceSet())
 
-        grid = _grid_spec_from(doc.get("oracle"), problem, inst, report, args)
+        grid = _grid_spec_from(doc.get("oracle"), entry, inst, report, args)
         outcome = oracle.refine_until(gmp, grid, target_tol=1e-9, max_rounds=3)
-        oracle_value = outcome.result.value
-        if problem == "upm":
-            oracle_value -= inst.Mplus**2  # LP optimizes E[(X-1)_+^2], report is the variance
+        oracle_value = outcome.result.value - entry.oracle_offset(inst)
         diff = abs(oracle_value - report.value)
         grid_bound = (
             abs(outcome.values[-1] - outcome.values[-2]) if len(outcome.values) > 1 else 1e-9

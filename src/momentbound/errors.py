@@ -49,10 +49,6 @@ class BranchError(MomentBoundError):
     """Raised when a family enumeration is requested on a non-degenerate instance."""
 
 
-class UnsupportedFamilyError(MomentBoundError):
-    """Raised when a demand-distribution family has no implemented formulas."""
-
-
 class RangeError(MomentBoundError):
     """Raised when inputs would overflow IEEE double arithmetic."""
 

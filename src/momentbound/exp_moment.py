@@ -200,8 +200,9 @@ def boundary_threshold(inst: ExpMomentInstance) -> float:
     return (v1 + m1 / (inst.Me - 1.0) - 1.0) / inst.t
 
 
-def _gmp_instance(inst: ExpMomentInstance, support_max: float) -> GmpInstance:
-    hi = min(10.0 * max(support_max, inst.q, inst.M1), (_EXP_ARG_LIMIT + 5.0) / inst.t)
+def gmp_instance(inst: ExpMomentInstance, dist: DiscreteDistribution) -> GmpInstance:
+    """The generic moment problem this instance describes, sized to a solution."""
+    hi = min(10.0 * max(dist.points[-1][0], inst.q, inst.M1), (_EXP_ARG_LIMIT + 5.0) / inst.t)
     return GmpInstance(
         g=core.positive_part(inst.q),
         hs=(core.constant(), core.monomial(1.0), core.exponential(inst.t)),
@@ -270,7 +271,6 @@ def solve_exp_moment(
             z=(-qs / den / t, (ev1 * (v1 - 1.0 - qs) + 1.0) / den, qs / den / t)
         )
         branch, root, iters = BOUNDARY, None, 0
-        support_max = v1 / t
     else:
         res = bisect(f, 0.0, b, eps)
         # Newton steps push the root to float resolution; the exponential
@@ -301,9 +301,8 @@ def solve_exp_moment(
         den = math.exp(v2) - eu
         cert = DualCertificate(z=((u - 1.0) * eu / den / t, -eu / den, 1.0 / den / t))
         branch, root, iters = INTERIOR, u, res.iterations
-        support_max = v2 / t
 
-    gmp = _gmp_instance(inst, support_max)
+    gmp = gmp_instance(inst, dist)
     verification = core.verify_optimality(gmp, dist, cert, tol)
     return ExpMomentReport(
         value=value,
@@ -315,17 +314,3 @@ def solve_exp_moment(
         bisect_iters=iters,
         verification=verification,
     )
-
-
-def gmp_instance(inst: ExpMomentInstance, report: ExpMomentReport) -> GmpInstance:
-    """The generic moment problem this instance describes, sized to its solution."""
-    return _gmp_instance(inst, float(report.dist.xs[-1]))
-
-
-def value_curve(
-    ambiguity: ExpMomentAmbiguity, q_grid: list[float], eps: float = 1e-10
-) -> list[tuple[float, float]]:
-    """Optimal value at each q of an ascending grid."""
-    if any(b <= a for a, b in zip(q_grid, q_grid[1:])):
-        raise DomainError("q grid must be strictly ascending")
-    return [(q, solve_exp_moment(ambiguity.instance_at(q), eps).value) for q in q_grid]

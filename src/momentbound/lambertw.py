@@ -1,8 +1,7 @@
-"""Real Lambert W on the two branches that solve w * exp(w) = x for x in [-1/e, 0).
+"""Real Lambert W, lower branch: the solution w <= -1 of w * exp(w) = x on [-1/e, 0).
 
-The lower branch (w <= -1) feeds the boundary-branch support point of the
-exponential-moment solver; the principal branch exists for validation.  Both
-use an asymptotic initial guess refined by Halley steps, with a bisection
+It gives the boundary-branch support point of the exponential-moment solver.
+An asymptotic initial guess is refined by Halley steps, with a bisection
 fallback so results are deterministic for any admissible input.
 """
 
@@ -85,31 +84,4 @@ def lambert_w_minus1(x: float) -> WValue:
             lo *= 2.0
         w = _halley(x, _bisect_w(x, lo, -1.0))
         w = min(w, -1.0)
-    return WValue(w=w, residual=_residual(w, x))
-
-
-def lambert_w_0(x: float) -> WValue:
-    """Principal real branch: the solution w >= -1 of w * exp(w) = x, x >= -1/e."""
-    if x < BRANCH_POINT:
-        raise DomainError(f"W_0 needs x >= -1/e, got {x}")
-    if x <= BRANCH_POINT + _BRANCH_WINDOW:
-        return WValue(w=-1.0, residual=_residual(-1.0, x))
-    if x == 0.0:
-        return WValue(w=0.0, residual=0.0)
-
-    if x < -0.25:
-        # series around the branch point: w = -1 + p - p^2/3 + ...
-        p = math.sqrt(2.0 * (math.e * x + 1.0))
-        w = -1.0 + p - p * p / 3.0
-    elif x < math.e:
-        w = x / (1.0 + x) if x > 0.0 else x
-    else:
-        w = math.log(x) - math.log(math.log(x))
-    w = _halley(x, w)
-    if not (w >= -1.0 and _residual(w, x) <= 1e-13 * max(1.0, abs(x))):
-        lo, hi = (-1.0, 0.0) if x < 0.0 else (0.0, max(1.0, math.log(x) + 1.0) if x >= math.e else 1.0)
-        while hi * math.exp(hi) - x < 0.0:
-            hi *= 2.0
-        w = _halley(x, _bisect_w(x, lo, hi))
-        w = max(w, -1.0)
     return WValue(w=w, residual=_residual(w, x))

@@ -9,31 +9,11 @@ tolerance so their noise cannot break unimodality at the search's scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log
 
-from .errors import DomainError, UnsupportedFamilyError
+from .errors import DomainError
 from .exp_moment import ExpMomentAmbiguity
 from .power_moment import PowerMomentAmbiguity
 from .rootfind import expand_bracket, golden_section
-
-
-@dataclass(frozen=True)
-class ExponentialDemand:
-    """Exponential demand with rate lam (mean 1/lam)."""
-
-    lam: float
-
-    def __post_init__(self) -> None:
-        if not self.lam > 0.0:
-            raise DomainError(f"rate must be positive, got {self.lam}")
-
-    def mean(self) -> float:
-        return 1.0 / self.lam
-
-    def quantile(self, eta: float) -> float:
-        if not 0.0 < eta < 1.0:
-            raise DomainError(f"eta must lie in (0, 1), got {eta}")
-        return -log(1.0 - eta) / self.lam
 
 
 @dataclass(frozen=True)
@@ -59,14 +39,6 @@ class OrderDecision:
     inner_solves: int
 
 
-def worst_case_objective(inst: NewsvendorInstance, q: float, eps: float | None = None) -> float:
-    """f(q): worst-case expected unmet demand plus the ordering cost term."""
-    if q < 0.0:
-        raise DomainError(f"q must be nonnegative, got {q}")
-    inner_eps = inst.eps / 100.0 if eps is None else eps
-    return inst.ambiguity.worst_case(q, inner_eps) + (1.0 - inst.eta) * q
-
-
 def optimize_order(inst: NewsvendorInstance) -> OrderDecision:
     """Bracket from q = 0 by doubling, then golden-section to inst.eps."""
     counter = {"n": 0}
@@ -85,12 +57,3 @@ def optimize_order(inst: NewsvendorInstance) -> OrderDecision:
         golden_iters=res.iterations,
         inner_solves=counter["n"],
     )
-
-
-def ground_truth_quantile(family: ExponentialDemand | None, eta: float) -> float:
-    """Classical newsvendor optimum for a known demand: its eta-quantile."""
-    if not 0.0 < eta < 1.0:
-        raise DomainError(f"eta must lie in (0, 1), got {eta}")
-    if isinstance(family, ExponentialDemand):
-        return family.quantile(eta)
-    raise UnsupportedFamilyError(f"no quantile formula for {family!r}")

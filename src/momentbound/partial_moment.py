@@ -93,7 +93,12 @@ def kappa(inst: PartialMomentInstance) -> float:
     return math.sqrt(radicand)
 
 
-def _gmp_instance(inst: PartialMomentInstance, support_max: float) -> GmpInstance:
+def gmp_instance(inst: PartialMomentInstance, dist: DiscreteDistribution) -> GmpInstance:
+    """The generic moment problem this instance describes, sized to a solution.
+
+    Note the generic objective is E[(X-1)_+^2]; the reported optimal variance
+    is that expectation minus Mplus^2.
+    """
     return GmpInstance(
         g=core.squared_positive_part(1.0),
         hs=(
@@ -104,7 +109,7 @@ def _gmp_instance(inst: PartialMomentInstance, support_max: float) -> GmpInstanc
         ),
         ms=(1.0, inst.M1, inst.gamma * inst.M1**2, inst.Mplus),
         sense="min",
-        support_hi=10.0 * max(support_max, 1.0, inst.M1),
+        support_hi=10.0 * max(dist.points[-1][0], 1.0, inst.M1),
     )
 
 
@@ -153,7 +158,6 @@ def solve_partial_moment(
         report_kappa: float | None = k
         family_v1: float | None = None
         branch = TWO_POINT
-        support_max = v
     else:
         lb = family_lower_bound(inst)
         if v1_choice is None:
@@ -174,9 +178,8 @@ def solve_partial_moment(
         report_kappa = None
         family_v1 = v1
         branch = DEGENERATE_FAMILY
-        support_max = v1
 
-    gmp = _gmp_instance(inst, support_max)
+    gmp = gmp_instance(inst, dist)
     verification = core.verify_optimality(gmp, dist, cert, tol)
     return PartialMomentReport(
         value=value,
@@ -187,15 +190,6 @@ def solve_partial_moment(
         family_v1=family_v1,
         verification=verification,
     )
-
-
-def gmp_instance(inst: PartialMomentInstance, report: PartialMomentReport) -> GmpInstance:
-    """The generic moment problem this instance describes, sized to its solution.
-
-    Note the generic objective is E[(X-1)_+^2]; the reported optimal variance
-    is that expectation minus Mplus^2.
-    """
-    return _gmp_instance(inst, float(report.dist.xs[-1]))
 
 
 def enumerate_family(

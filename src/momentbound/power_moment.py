@@ -238,8 +238,9 @@ def _pair_score(
     return max(abs(slack), abs(mismatch))
 
 
-def _gmp_instance(inst: PowerMomentInstance, support_max: float) -> GmpInstance:
-    hi = 10.0 * max(support_max, inst.q, inst.M1)
+def gmp_instance(inst: PowerMomentInstance, dist: DiscreteDistribution) -> GmpInstance:
+    """The generic moment problem this instance describes, sized to a solution."""
+    hi = 10.0 * max(dist.points[-1][0], inst.q, inst.M1)
     return GmpInstance(
         g=core.positive_part(inst.q),
         hs=(core.constant(), core.monomial(1.0), core.monomial(inst.t)),
@@ -269,7 +270,6 @@ def solve_power_moment(
         zt = (qs / (t - 1.0)) * mt ** (-t / (t - 1.0))
         cert = DualCertificate(z=(0.0, z1, zt / M1 ** (t - 1.0)))
         branch, root, iters = BOUNDARY, None, 0
-        support_max = M1 * edge
     else:
         # When qs <= edge, the bracket starts exactly on a zero of theta with
         # negative right slope, which bisect must be told about: a float
@@ -329,9 +329,8 @@ def solve_power_moment(
             )
         )
         branch, root, iters = INTERIOR, v, res.iterations
-        support_max = M1 * v
 
-    gmp = _gmp_instance(inst, support_max)
+    gmp = gmp_instance(inst, dist)
     verification = core.verify_optimality(gmp, dist, cert, tol)
     return PowerMomentReport(
         value=value,
@@ -342,28 +341,3 @@ def solve_power_moment(
         bisect_iters=iters,
         verification=verification,
     )
-
-
-def gmp_instance(inst: PowerMomentInstance, report: PowerMomentReport) -> GmpInstance:
-    """The generic moment problem this instance describes, sized to its solution."""
-    return _gmp_instance(inst, float(report.dist.xs[-1]))
-
-
-def value_curve(
-    ambiguity: PowerMomentAmbiguity, q_grid: list[float], eps: float = 1e-10
-) -> list[tuple[float, float]]:
-    """Optimal value at each q of an ascending grid."""
-    if any(b <= a for a, b in zip(q_grid, q_grid[1:])):
-        raise DomainError("q grid must be strictly ascending")
-    return [
-        (q, solve_power_moment(ambiguity.instance_at(q), eps).value) for q in q_grid
-    ]
-
-
-def scarf_value(M1: float, M2: float, q: float) -> float:
-    """Mean-variance bound 0.5*(sqrt(sigma^2 + (q-mu)^2) - (q-mu)).
-
-    Independent closed form for t = 2; used as a cross-check.
-    """
-    sigma2 = M2 - M1 * M1
-    return 0.5 * (np.sqrt(sigma2 + (q - M1) ** 2) - (q - M1))

@@ -1,0 +1,80 @@
+"""One table entry per certified moment problem, for the command-line front end.
+
+Everything the CLI needs to know about a problem lives in its `Problem`
+record: how to build and solve an instance from a parameter file, the generic
+moment problem behind it, the oracle grid, and how a report maps onto the
+output envelope.  Solvers are looked up on their modules at call time, so
+wrapping a module attribute also covers solves started from the CLI.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from typing import Any, Callable
+
+from . import exp_moment, partial_moment, power_moment
+from .errors import SchemaError
+
+
+@dataclass(frozen=True)
+class Problem:
+    instance: type
+    keys: tuple[str, ...]  # instance parameters, in the order they are checked; all sweepable
+    solve: Callable[..., Any]  # (instance, eps, **optional) -> report
+    gmp: Callable[[Any, Any], Any]  # (instance, distribution) -> GmpInstance
+    grid_hi: Callable[[Any, Any], float]  # (instance, report) -> oracle grid upper end
+    ambiguity: type | None = None  # newsvendor ambiguity set over the same moments
+    optional: tuple[str, ...] = ()  # extra solve arguments, passed by keyword
+    # envelope "root" and "iterations": the bisected root by default
+    root: Callable[[Any], float | None] = lambda report: report.root
+    iterations: Callable[[Any], int] = lambda report: report.bisect_iters
+    # LP objective value minus the reported value
+    oracle_offset: Callable[[Any], float] = lambda inst: 0.0
+
+
+def _power_grid_hi(inst, report) -> float:
+    t = inst.t
+    return 1.05 * inst.M1 * max(t * inst.q_scaled / (t - 1.0), inst.mt_scaled ** (1.0 / (t - 1.0)))
+
+
+def _exp_grid_hi(inst, report) -> float:
+    return 1.5 * max(inst.q_scaled + 1.0 + math.log(inst.Me), report.v1) / inst.t
+
+
+def _solve_upm(inst, eps: float, v1: float | None = None):
+    if v1 is not None and inst.is_two_point():
+        raise SchemaError("'v1' only applies to degenerate-family instances")
+    return partial_moment.solve_partial_moment(inst, v1_choice=v1)
+
+
+PROBLEMS = {
+    "mp1t": Problem(
+        instance=power_moment.PowerMomentInstance,
+        keys=("M1", "Mt", "t", "q"),
+        solve=lambda inst, eps: power_moment.solve_power_moment(inst, eps),
+        gmp=lambda inst, dist: power_moment.gmp_instance(inst, dist),
+        grid_hi=_power_grid_hi,
+        ambiguity=power_moment.PowerMomentAmbiguity,
+    ),
+    "upm": Problem(
+        instance=partial_moment.PartialMomentInstance,
+        keys=("M1", "gamma", "Mplus"),
+        solve=_solve_upm,
+        gmp=lambda inst, dist: partial_moment.gmp_instance(inst, dist),
+        grid_hi=lambda inst, report: 2.1 * max(float(report.dist.xs[-1]), 1.0, inst.M1),
+        optional=("v1",),
+        root=lambda report: report.family_v1,
+        iterations=lambda report: 0,
+        # the LP optimizes E[(X-1)_+^2]; the report is its variance
+        oracle_offset=lambda inst: inst.Mplus**2,
+    ),
+    "mp1e": Problem(
+        instance=exp_moment.ExpMomentInstance,
+        keys=("M1", "Me", "t", "q"),
+        solve=lambda inst, eps: exp_moment.solve_exp_moment(inst, eps),
+        gmp=lambda inst, dist: exp_moment.gmp_instance(inst, dist),
+        grid_hi=_exp_grid_hi,
+        ambiguity=exp_moment.ExpMomentAmbiguity,
+    ),
+}

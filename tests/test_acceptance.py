@@ -24,13 +24,7 @@ from momentbound.exp_moment import (
     solve_exp_moment,
 )
 from momentbound.lambertw import BRANCH_POINT, lambert_w_minus1
-from momentbound.newsvendor import (
-    ExponentialDemand,
-    NewsvendorInstance,
-    ground_truth_quantile,
-    optimize_order,
-    worst_case_objective,
-)
+from momentbound.newsvendor import NewsvendorInstance, optimize_order
 from momentbound.oracle import GridSpec, refine_until
 from momentbound.partial_moment import (
     PartialMomentInstance,
@@ -42,10 +36,10 @@ from momentbound.power_moment import (
     PowerMomentInstance,
     boundary_threshold as power_threshold,
     gmp_instance as power_gmp,
-    scarf_value,
     solve_power_moment,
     theta,
 )
+from references import ExponentialDemand, scarf_value, worst_case_objective
 
 T_VALUES = [1.5, 2.0, 2.5, 3.0, 5.0, math.pi]
 
@@ -161,7 +155,7 @@ def test_criterion_3_oracle_agreement_on_the_reference_sweep():
     for q in range(60, 141, 10):
         inst = PowerMomentInstance(M1=M1, Mt=Mt, t=t, q=float(q))
         rep = solve_power_moment(inst)
-        gmp = power_gmp(inst, rep)
+        gmp = power_gmp(inst, rep.dist)
         hi = 1.05 * M1 * max(t * inst.q_scaled / (t - 1.0), inst.mt_scaled ** (1.0 / (t - 1.0)))
         grid = GridSpec(lo=0.0, hi=hi, n_points=2001, refine_around=tuple(rep.dist.xs))
         out = refine_until(gmp, grid, target_tol=1e-9, max_rounds=3)
@@ -317,7 +311,7 @@ def test_criterion_8_newsvendor_reference_reproduction():
     for eta in (0.9999, 0.99995, 0.99999):
         inst = NewsvendorInstance(ambiguity=amb, eta=eta, eps=1e-6)
         decision = optimize_order(inst)
-        gt = ground_truth_quantile(demand, eta)
+        gt = demand.quantile(eta)
         if not (gt / 3.0 <= decision.q_star <= 3.0 * gt):
             ok, detail = False, f"q*={decision.q_star:.1f} vs quantile {gt:.1f}"
         q_stars.append(decision.q_star)
@@ -338,7 +332,7 @@ def test_criterion_8_newsvendor_reference_reproduction():
 def test_criterion_9_negative_controls():
     inst = PowerMomentInstance(M1=1.0, Mt=4.0, t=2.0, q=1.0)
     rep = solve_power_moment(inst)
-    gmp = power_gmp(inst, rep)
+    gmp = power_gmp(inst, rep.dist)
     tol = ToleranceSet()
 
     ok = True

@@ -15,6 +15,9 @@ from momentbound.cli import (
     EXIT_SWEEP_FAILED,
     main,
 )
+from momentbound.exp_moment import ExpMomentInstance, solve_exp_moment
+from momentbound.partial_moment import PartialMomentInstance, solve_partial_moment
+from momentbound.power_moment import PowerMomentInstance, solve_power_moment
 
 GOLDEN_MP1T = (
     '{"problem": "mp1t", "optimal_value": 0.75, '
@@ -256,3 +259,163 @@ class TestCheck:
         doc = json.loads(capsys.readouterr().out)
         assert code == EXIT_OK
         assert doc["difference"] <= 1e-6
+
+
+# One instance per certified problem, with the library call and the report
+# fields the CLI envelope must carry as `root` and `iterations`.
+PROBLEM_CASES = [
+    pytest.param(
+        (
+            "mp1t",
+            {"M1": 1, "Mt": 4, "t": 2, "q": 3},
+            lambda p: solve_power_moment(PowerMomentInstance(**p)),
+            lambda rep: (rep.root, rep.bisect_iters),
+        ),
+        id="mp1t",
+    ),
+    pytest.param(
+        (
+            "upm",
+            {"M1": 0.5, "gamma": 4, "Mplus": 0.2},
+            lambda p: solve_partial_moment(PartialMomentInstance(**p)),
+            lambda rep: (rep.family_v1, 0),
+        ),
+        id="upm",
+    ),
+    pytest.param(
+        (
+            "mp1e",
+            {"M1": 1, "Me": math.e**2, "t": 1, "q": 5},
+            lambda p: solve_exp_moment(ExpMomentInstance(**p)),
+            lambda rep: (rep.root, rep.bisect_iters),
+        ),
+        id="mp1e",
+    ),
+]
+
+
+@pytest.fixture(params=PROBLEM_CASES)
+def case(request):
+    """(problem, params, library solve, report -> (root, iterations))"""
+    return request.param
+
+
+class TestEveryProblem:
+    def test_solve_root_and_iterations(self, tmp_path, capsys, case):
+        problem, params, solve, envelope_fields = case
+        code = main(["solve", _write(tmp_path, {"problem": problem, "params": params})])
+        doc = json.loads(capsys.readouterr().out)
+        rep = solve(params)
+        assert code == EXIT_OK
+        assert doc["optimal_value"] == rep.value
+        assert doc["branch"] == rep.branch
+        assert (doc["root"], doc["iterations"]) == envelope_fields(rep)
+        assert doc["root"] is not None
+
+    def test_one_step_sweep_row_equals_solve(self, tmp_path, capsys, case):
+        problem, params = case[:2]
+        path = _write(tmp_path, {"problem": problem, "params": params})
+        main(["solve", path])
+        doc = json.loads(capsys.readouterr().out)
+        key = next(iter(params))
+        start = str(params[key])
+        code = main(
+            ["sweep", path, "--param", key, "--from", start, "--to", start, "--steps", "1"]
+        )
+        out = capsys.readouterr().out.splitlines()
+        assert code == EXIT_OK
+        assert out[1] == (
+            f"{float(params[key])!r},{doc['optimal_value']!r},{doc['branch']},"
+            f"{doc['root']!r},{doc['iterations']}"
+        )
+
+    def test_check_agrees(self, tmp_path, capsys, case):
+        problem, params = case[:2]
+        code = main(["check", _write(tmp_path, {"problem": problem, "params": params})])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == EXIT_OK
+        assert doc["problem"] == problem
+        assert doc["agree"] is True and doc["verified"] is True
+
+    def test_oracle_with_this_base(self, tmp_path, capsys, case):
+        problem, params = case[:2]
+        path = _write(tmp_path, {"problem": "oracle", "params": {"base": problem, **params}})
+        code = main(["solve", path])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == EXIT_OK
+        assert doc["problem"] == "oracle" and doc["branch"] == "oracle"
+        assert doc["verification"] is None and doc["verified"] is False
+        mean = sum(a["x"] * a["p"] for a in doc["distribution"])
+        assert mean == pytest.approx(params["M1"], rel=1e-9)
+
+
+class TestUpmV1:
+    def test_v1_passes_through_to_the_family_member(self, tmp_path, capsys):
+        params = {"M1": 0.5, "gamma": 4, "Mplus": 0.2, "v1": 3.0}
+        code = main(["solve", _write(tmp_path, {"problem": "upm", "params": params})])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == EXIT_OK
+        assert doc["branch"] == "degenerate_family"
+        assert doc["root"] == 3.0
+        assert doc["distribution"][-1]["x"] == 3.0
+        assert doc["optimal_value"] == pytest.approx(0.26, abs=1e-12)
+
+    def test_v1_on_two_point_instance_is_a_schema_error(self, tmp_path, capsys):
+        params = {"M1": 0.5, "gamma": 2, "Mplus": 0.1, "v1": 3.0}
+        code = main(["solve", _write(tmp_path, {"problem": "upm", "params": params})])
+        err = json.loads(capsys.readouterr().err.splitlines()[0])
+        assert code == EXIT_SCHEMA
+        assert err["error"] == "SchemaError"
+        assert "v1" in err["message"]
+
+    def test_v1_is_not_sweepable(self, tmp_path):
+        params = {"M1": 0.5, "gamma": 4, "Mplus": 0.2}
+        path = _write(tmp_path, {"problem": "upm", "params": params})
+        assert main(
+            ["sweep", path, "--param", "v1", "--from", "2", "--to", "3", "--steps", "2"]
+        ) == EXIT_SCHEMA
+
+
+class TestOracleValue:
+    def test_upm_oracle_reports_the_variance(self, tmp_path, capsys):
+        params = {"M1": 0.5, "gamma": 4, "Mplus": 0.2}
+        main(["solve", _write(tmp_path, {"problem": "upm", "params": params})])
+        solved = json.loads(capsys.readouterr().out)
+        oracle_path = _write(
+            tmp_path, {"problem": "oracle", "params": {"base": "upm", **params}}, "oracle.json"
+        )
+        code = main(["solve", oracle_path])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == EXIT_OK
+        assert solved["optimal_value"] == pytest.approx(0.26, abs=1e-12)
+        assert doc["optimal_value"] == pytest.approx(solved["optimal_value"], abs=1e-9)
+
+
+class TestSchemaGuards:
+    @pytest.mark.parametrize("points", ["0", "1"])
+    def test_grid_points_below_two_rejected(self, tmp_path, points):
+        assert main(["check", _mp1t(tmp_path), "--grid-points", points]) == EXIT_SCHEMA
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve"],
+            ["sweep", "--param", "q", "--from", "1", "--to", "2", "--steps", "2"],
+            ["check"],
+        ],
+        ids=["solve", "sweep", "check"],
+    )
+    def test_non_string_problem(self, tmp_path, capsys, argv):
+        params = {"M1": 1, "Mt": 4, "t": 2, "q": 1}
+        path = _write(tmp_path, {"problem": ["mp1t"], "params": params})
+        code = main([argv[0], path, *argv[1:]])
+        err = json.loads(capsys.readouterr().err.splitlines()[0])
+        assert code == EXIT_SCHEMA
+        assert err["error"] == "SchemaError"
+
+    def test_non_string_oracle_base(self, tmp_path, capsys):
+        params = {"base": ["upm"], "M1": 0.5, "gamma": 4, "Mplus": 0.2}
+        code = main(["solve", _write(tmp_path, {"problem": "oracle", "params": params})])
+        err = json.loads(capsys.readouterr().err.splitlines()[0])
+        assert code == EXIT_SCHEMA
+        assert err["error"] == "SchemaError"

@@ -19,7 +19,6 @@ from momentbound.exp_moment import (
     compute_v1,
     phi,
     solve_exp_moment,
-    value_curve,
 )
 
 
@@ -220,21 +219,19 @@ class TestAmbiguity:
             assert amb.worst_case(q) <= amb.tail_bound(q) + 1e-12
 
 
+def _values(amb, qs):
+    return [solve_exp_moment(amb.instance_at(q)).value for q in qs]
+
+
 class TestValueCurve:
     def test_boundary_branch_is_affine_in_q(self):
         amb = ExpMomentAmbiguity(M1=1.0, Me=math.e**2, t=1.0)
-        qs = [0.5, 1.0, 1.5]
-        curve = value_curve(amb, qs)
-        v = [val for _, val in curve]
+        v = _values(amb, [0.5, 1.0, 1.5])
         assert v[0] - 2.0 * v[1] + v[2] == pytest.approx(0.0, abs=1e-12)
-
-    def test_empty(self):
-        assert value_curve(ExpMomentAmbiguity(M1=1.0, Me=math.e**2, t=1.0), []) == []
 
     def test_monotone_nonincreasing_and_convex(self):
         amb = ExpMomentAmbiguity(M1=1.0, Me=math.e**2, t=1.0)
-        qs = list(np.linspace(0.2, 8.0, 40))
-        vals = [v for _, v in value_curve(amb, qs)]
+        vals = _values(amb, np.linspace(0.2, 8.0, 40))
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
         for i in range(1, len(vals) - 1):
             assert vals[i] <= 0.5 * (vals[i - 1] + vals[i + 1]) + 1e-9

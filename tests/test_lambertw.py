@@ -7,7 +7,7 @@ import pytest
 import scipy.special
 
 from momentbound.errors import DomainError
-from momentbound.lambertw import BRANCH_POINT, lambert_w_0, lambert_w_minus1
+from momentbound.lambertw import BRANCH_POINT, lambert_w_minus1
 
 
 def _bisect_lower_branch(x: float) -> float:
@@ -69,42 +69,8 @@ class TestLowerBranch:
         with pytest.raises(DomainError):
             lambert_w_minus1(0.1)
 
-
-class TestPrincipalBranch:
-    def test_zero(self):
-        assert lambert_w_0(0.0).w == 0.0
-
-    def test_e_maps_to_one(self):
-        assert lambert_w_0(math.e).w == pytest.approx(1.0, abs=1e-14)
-
-    def test_branch_point(self):
-        assert lambert_w_0(BRANCH_POINT).w == -1.0
-
-    def test_against_scipy(self):
-        rng = np.random.default_rng(29)
-        xs = np.concatenate(
-            [
-                rng.uniform(BRANCH_POINT + 1e-9, 0.0, size=100),
-                rng.uniform(0.0, 100.0, size=100),
-            ]
-        )
-        for x in xs:
-            mine = lambert_w_0(float(x)).w
-            ref = float(scipy.special.lambertw(float(x), 0).real)
-            assert mine == pytest.approx(ref, rel=1e-10, abs=1e-10)
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            lambert_w_0(-1.0)
-
-
-class TestBranchConsistency:
-    def test_ordering_on_common_domain(self):
+    def test_at_most_minus_one(self):
         rng = np.random.default_rng(31)
         xs = rng.uniform(BRANCH_POINT, -1e-12, size=300)
         for x in xs:
-            w0 = lambert_w_0(float(x)).w
-            wm = lambert_w_minus1(float(x)).w
-            assert w0 >= -1.0 >= wm
-            if x > BRANCH_POINT + 1e-12:
-                assert w0 > wm
+            assert lambert_w_minus1(float(x)).w <= -1.0

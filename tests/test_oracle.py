@@ -71,7 +71,7 @@ class TestOracleSolve:
     def test_exact_when_support_on_grid(self):
         pm = power_moment.PowerMomentInstance(M1=1.0, Mt=4.0, t=2.0, q=1.0)
         rep = power_moment.solve_power_moment(pm)
-        gmp = power_moment.gmp_instance(pm, rep)
+        gmp = power_moment.gmp_instance(pm, rep.dist)
         res = oracle_solve(gmp, GridSpec(lo=0.0, hi=8.0, n_points=4001, refine_around=(4.0,)))
         assert res.status == OPTIMAL
         assert res.value == pytest.approx(0.75, abs=1e-9)
@@ -164,7 +164,7 @@ class TestMaxProblemBounds:
                 M1=M1, Mt=float(rng.uniform(1.3, 2.5)) * M1**2, t=2.0, q=float(rng.uniform(0.5, 3.0)) * M1
             )
             rep = power_moment.solve_power_moment(inst)
-            gmp = power_moment.gmp_instance(inst, rep)
+            gmp = power_moment.gmp_instance(inst, rep.dist)
             hi = 1.05 * float(rep.dist.xs[-1]) + 2.0 * inst.q
             coarse = oracle_solve(gmp, GridSpec(lo=0.0, hi=hi, n_points=301))
             assert coarse.status == OPTIMAL
@@ -180,7 +180,7 @@ class TestRefineUntil:
     def test_values_increase_toward_analytic_optimum(self):
         inst = power_moment.PowerMomentInstance(M1=1.0, Mt=2.0, t=2.0, q=6.0)
         rep = power_moment.solve_power_moment(inst)
-        gmp = power_moment.gmp_instance(inst, rep)
+        gmp = power_moment.gmp_instance(inst, rep.dist)
         out = refine_until(
             gmp, GridSpec(lo=0.0, hi=18.0, n_points=500), target_tol=1e-12, max_rounds=5
         )
@@ -192,7 +192,7 @@ class TestRefineUntil:
     def test_seeded_grid_converges_immediately(self):
         inst = power_moment.PowerMomentInstance(M1=1.0, Mt=4.0, t=2.0, q=1.0)
         rep = power_moment.solve_power_moment(inst)
-        gmp = power_moment.gmp_instance(inst, rep)
+        gmp = power_moment.gmp_instance(inst, rep.dist)
         out = refine_until(
             gmp,
             GridSpec(lo=0.0, hi=8.0, n_points=501, refine_around=(0.0, 4.0)),
@@ -213,7 +213,7 @@ class TestRefineUntil:
     def test_exp_instance_agreement(self):
         em = exp_moment.ExpMomentInstance(M1=1.0, Me=math.e**2, t=1.0, q=5.0)
         rep = exp_moment.solve_exp_moment(em)
-        gmp = exp_moment.gmp_instance(em, rep)
+        gmp = exp_moment.gmp_instance(em, rep.dist)
         hi = 1.5 * max(em.q_scaled + 1.0 + math.log(em.Me), rep.v1) / em.t
         out = refine_until(
             gmp,

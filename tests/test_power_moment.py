@@ -12,11 +12,10 @@ from momentbound.power_moment import (
     PowerMomentAmbiguity,
     PowerMomentInstance,
     boundary_threshold,
-    scarf_value,
     solve_power_moment,
     theta,
-    value_curve,
 )
+from references import scarf_value
 
 
 def _random_instances(rng, n, interior_only=False):
@@ -202,27 +201,23 @@ class TestSolve:
             assert above.verification.passed and below.verification.passed
 
 
+def _values(amb, qs):
+    return [solve_power_moment(amb.instance_at(q)).value for q in qs]
+
+
 class TestValueCurve:
     def test_boundary_pair(self):
         amb = PowerMomentAmbiguity(M1=1.0, Mt=4.0, t=2.0)
-        curve = value_curve(amb, [1.0, 2.0])
-        assert curve[0] == (1.0, pytest.approx(0.75, abs=1e-12))
-        assert curve[1] == (2.0, pytest.approx(0.5, abs=1e-12))
-
-    def test_empty(self):
-        assert value_curve(PowerMomentAmbiguity(M1=1.0, Mt=4.0, t=2.0), []) == []
+        assert _values(amb, [1.0, 2.0]) == [
+            pytest.approx(0.75, abs=1e-12),
+            pytest.approx(0.5, abs=1e-12),
+        ]
 
     def test_monotone_and_continuous_across_threshold(self):
         amb = PowerMomentAmbiguity(M1=1.0, Mt=1.8, t=2.0)
         thr = boundary_threshold(amb.instance_at(1.0))
-        grid = list(np.linspace(0.4 * thr, 2.5 * thr, 41))
-        curve = value_curve(amb, grid)
-        vals = [v for _, v in curve]
+        vals = _values(amb, np.linspace(0.4 * thr, 2.5 * thr, 41))
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
         # no jump bigger than the local slope allows near the threshold
         diffs = [abs(b - a) for a, b in zip(vals, vals[1:])]
         assert max(diffs) < 0.2
-
-    def test_rejects_unsorted_grid(self):
-        with pytest.raises(DomainError):
-            value_curve(PowerMomentAmbiguity(M1=1.0, Mt=4.0, t=2.0), [2.0, 1.0])
