@@ -48,7 +48,7 @@ from .power_moment import (
     solve_power_moment,
     theta,
 )
-from .rootfind import BisectResult, GoldenResult, bisect, expand_bracket, golden_section
+from .rootfind import BisectResult, bisect
 
 __all__ = [
     "BisectResult",
@@ -58,7 +58,6 @@ __all__ = [
     "ExpMomentInstance",
     "ExpMomentReport",
     "GmpInstance",
-    "GoldenResult",
     "GridSpec",
     "MomentFunction",
     "NewsvendorInstance",
@@ -77,8 +76,6 @@ __all__ = [
     "boundary_threshold",
     "compute_v1",
     "enumerate_family",
-    "expand_bracket",
-    "golden_section",
     "h_derivative",
     "h_function",
     "kappa",

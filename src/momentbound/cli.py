@@ -110,13 +110,12 @@ def _solve_moment_problem(name: str, params: dict, eps: float):
     return inst, problem.solve(inst, eps, **extra)
 
 
-def _newsvendor_instance(params: dict, eps: float) -> tuple[Problem, newsvendor.NewsvendorInstance]:
+def _newsvendor_instance(params: dict, eps: float) -> newsvendor.NewsvendorInstance:
     _check_keys(params, _NEWSVENDOR_KEYS, "newsvendor")
     kind = params.get("ambiguity")
     if kind not in _AMBIGUITY_KINDS:
         raise SchemaError(f"newsvendor 'ambiguity' must be {_one_of(_AMBIGUITY_KINDS, 'or')}")
-    problem = PROBLEMS[kind]
-    amb_type = problem.ambiguity
+    amb_type = PROBLEMS[kind].ambiguity
     eta = _number(params, "eta")
     search_eps = _number(params, "eps") if "eps" in params else eps
     from_demand = getattr(amb_type, "from_exponential_demand", None)
@@ -125,7 +124,7 @@ def _newsvendor_instance(params: dict, eps: float) -> tuple[Problem, newsvendor.
     else:
         amb = amb_type(**{f.name: _number(params, f.name) for f in fields(amb_type)})
     try:
-        return problem, newsvendor.NewsvendorInstance(ambiguity=amb, eta=eta, eps=search_eps)
+        return newsvendor.NewsvendorInstance(ambiguity=amb, eta=eta, eps=search_eps)
     except MomentBoundError as exc:
         raise SchemaError(str(exc)) from exc
 
@@ -205,18 +204,16 @@ def cmd_solve(args: argparse.Namespace) -> int:
             )
             summary = f"{problem}: value {report.value:.12g} [{report.branch}]"
         elif problem == "newsvendor":
-            entry, inst = _newsvendor_instance(doc["params"], eps=1e-6)
-            decision = newsvendor.optimize_order(inst)
-            inner = entry.solve(inst.ambiguity.instance_at(decision.q_star), inst.eps / 100.0)
+            decision = newsvendor.optimize_order(_newsvendor_instance(doc["params"], eps=1e-6))
             env = _envelope(
                 "newsvendor",
                 decision.objective,
-                inner.dist,
-                inner.cert.z,
-                "golden_section",
+                decision.report.dist,
+                decision.report.cert.z,
+                "envelope_bisection",
                 decision.q_star,
-                decision.golden_iters,
-                inner.verification,
+                decision.iterations,
+                decision.report.verification,
                 started,
             )
             summary = (

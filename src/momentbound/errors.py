@@ -25,10 +25,6 @@ class NonFiniteError(MomentBoundError):
     """Raised when a callable returns NaN or infinity inside a search interval."""
 
 
-class ExpansionError(MomentBoundError):
-    """Raised when bracket expansion fails to enclose a minimizer."""
-
-
 class InfeasibleError(MomentBoundError):
     """Raised when moment parameters admit no distribution (or only degenerate ones)."""
 

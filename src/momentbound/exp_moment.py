@@ -94,6 +94,13 @@ class ExpMomentAmbiguity:
     def instance_at(self, q: float) -> ExpMomentInstance:
         return ExpMomentInstance(M1=self.M1, Me=self.Me, t=self.t, q=q)
 
+    def solve(self, q: float, eps: float = 1e-10) -> ExpMomentReport:
+        return solve_exp_moment(self.instance_at(q), eps)
+
+    def tail_cutoff(self, mass: float) -> float:
+        """The q at which Chernoff's bound Me*exp(-t*q) on every feasible P(X > q) falls to mass."""
+        return math.log(self.Me / mass) / self.t
+
     def tail_bound(self, q: float) -> float:
         """Exponential Markov bound Me * exp(-(t*q + 1)) / t on E[(X - q)_+].
 
@@ -111,7 +118,7 @@ class ExpMomentAmbiguity:
             # itself is the value to double precision.
             return bound
         try:
-            return solve_exp_moment(self.instance_at(q), eps).value
+            return self.solve(q, eps).value
         except RangeError:
             return bound  # same underflow regime, caught by the solver instead
 

@@ -78,10 +78,17 @@ class PowerMomentAmbiguity:
     def instance_at(self, q: float) -> PowerMomentInstance:
         return PowerMomentInstance(M1=self.M1, Mt=self.Mt, t=self.t, q=q)
 
+    def solve(self, q: float, eps: float = 1e-10) -> PowerMomentReport:
+        return solve_power_moment(self.instance_at(q), eps)
+
+    def tail_cutoff(self, mass: float) -> float:
+        """The q at which Markov's bound Mt/q^t on every feasible P(X > q) falls to mass."""
+        return (self.Mt / mass) ** (1.0 / self.t)
+
     def worst_case(self, q: float, eps: float = 1e-10) -> float:
         if q == 0.0:
             return self.M1  # E[(X - 0)_+] = E[X] for every feasible distribution
-        return solve_power_moment(self.instance_at(q), eps).value
+        return self.solve(q, eps).value
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
-"""Scalar search primitives: open-interval bisection, golden section, bracket growth.
+"""Scalar root search: open-interval bisection and guarded Newton polish.
 
-The bisection variant accepts a bracket whose left endpoint is itself a root,
-provided the function leaves that root with the sign opposite to f(b).  That
-case arises naturally when a solve bracket starts exactly on a known zero of
-the root function.
+Every search in the package is a root of a monotone or sign-changing scalar
+function on a known bracket: the solvers' support-point equations, and the
+newsvendor's optimality condition.  The bisection variant accepts a bracket
+whose left endpoint is itself a root, provided the function leaves that root
+with the sign opposite to f(b).  That case arises naturally when a solve
+bracket starts exactly on a known zero of the root function.
 """
 
 from __future__ import annotations
@@ -12,10 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import BracketError, DomainError, ExpansionError, NonFiniteError
+from .errors import BracketError, DomainError, NonFiniteError
 
 _ZERO_FLOOR = 1e-300  # |f| at or below this counts as an exact zero
-_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 EXACT_ZERO = "exact_zero"
 TOLERANCE_REACHED = "tolerance_reached"
@@ -27,13 +28,6 @@ class BisectResult:
     iterations: int
     width: float  # final half-interval
     status: str  # EXACT_ZERO or TOLERANCE_REACHED
-
-
-@dataclass(frozen=True)
-class GoldenResult:
-    minimizer: float
-    iterations: int
-    final_interval: tuple[float, float]
 
 
 def _checked(f: Callable[[float], float], x: float) -> float:
@@ -105,39 +99,6 @@ def bisect(
             a = c
 
 
-def golden_section(
-    f: Callable[[float], float], a: float, b: float, eps: float
-) -> GoldenResult:
-    """Minimize a unimodal f on [a, b] to within eps.
-
-    Each iteration shrinks the interval by the inverse golden ratio and costs
-    one function evaluation (the surviving interior point is reused).  Ties
-    drop the right subinterval.
-    """
-    if not a < b:
-        raise DomainError(f"need a < b, got ({a}, {b})")
-    if not eps > 0.0:
-        raise DomainError("eps must be positive")
-
-    d = _INV_PHI * (b - a)
-    x1, x2 = b - d, a + d
-    f1, f2 = _checked(f, x1), _checked(f, x2)
-    iterations = 0
-    while 0.5 * (b - a) > eps:
-        if f1 <= f2:
-            b = x2
-            x2, f2 = x1, f1
-            x1 = b - _INV_PHI * (b - a)
-            f1 = _checked(f, x1)
-        else:
-            a = x1
-            x1, f1 = x2, f2
-            x2 = a + _INV_PHI * (b - a)
-            f2 = _checked(f, x2)
-        iterations += 1
-    return GoldenResult(minimizer=0.5 * (a + b), iterations=iterations, final_interval=(a, b))
-
-
 def polish_root(
     f: Callable[[float], float],
     fprime: Callable[[float], float],
@@ -170,20 +131,3 @@ def polish_root(
             break
     return best_x
 
-
-def expand_bracket(
-    f: Callable[[float], float], a: float, *, max_doublings: int = 128
-) -> tuple[float, float]:
-    """Grow b from max(1, 2a) by doubling until f(a) < f(b).
-
-    For convex f with a minimizer above a this guarantees the minimizer lies
-    in [a, b].
-    """
-    fa = _checked(f, a)
-    b = max(1.0, 2.0 * a)
-    for _ in range(max_doublings + 1):
-        fb = _checked(f, b)
-        if fa < fb:
-            return (a, b)
-        b *= 2.0
-    raise ExpansionError(f"no ascent after {max_doublings} doublings from a={a}")

@@ -5,7 +5,7 @@ definition that a solver result must reproduce.
 """
 
 from dataclasses import dataclass
-from math import log
+from math import log, sqrt
 
 import numpy as np
 
@@ -18,6 +18,17 @@ def scarf_value(M1: float, M2: float, q: float) -> float:
     """
     sigma2 = M2 - M1 * M1
     return 0.5 * (np.sqrt(sigma2 + (q - M1) ** 2) - (q - M1))
+
+
+def mean_variance_order(M1: float, M2: float, eta: float) -> float:
+    """Robust newsvendor order mu + sigma/2 * (sqrt(eta/(1-eta)) - sqrt((1-eta)/eta)).
+
+    The minimizer of the Scarf bound plus (1 - eta) * q over q, given the mean
+    and the second moment (Scarf 1958; Gallego & Moon 1993), wherever it is
+    positive.
+    """
+    sigma = sqrt(M2 - M1 * M1)
+    return M1 + 0.5 * sigma * (sqrt(eta / (1.0 - eta)) - sqrt((1.0 - eta) / eta))
 
 
 @dataclass(frozen=True)
@@ -33,4 +44,4 @@ class ExponentialDemand:
 
 def worst_case_objective(inst, q: float) -> float:
     """f(q) = worst-case E[(X - q)_+] + (1 - eta) * q, as optimize_order evaluates it."""
-    return inst.ambiguity.worst_case(q, inst.eps / 100.0) + (1.0 - inst.eta) * q
+    return inst.ambiguity.worst_case(q) + (1.0 - inst.eta) * q

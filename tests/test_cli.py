@@ -121,7 +121,7 @@ class TestSolve:
         code = main(["solve", path])
         doc = json.loads(capsys.readouterr().out)
         assert code == EXIT_OK
-        assert doc["branch"] == "golden_section"
+        assert doc["branch"] == "envelope_bisection"
         assert 150.0 < doc["root"] < 1400.0  # order quantity
         assert doc["verified"] is True
 

@@ -5,11 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from momentbound.errors import DomainError
-from momentbound.exp_moment import ExpMomentAmbiguity
+from momentbound.errors import DomainError, InfeasibleError, MomentBoundError
+from momentbound.exp_moment import ExpMomentAmbiguity, boundary_threshold
 from momentbound.newsvendor import NewsvendorInstance, optimize_order
 from momentbound.power_moment import PowerMomentAmbiguity
-from references import ExponentialDemand, worst_case_objective
+from references import ExponentialDemand, mean_variance_order, worst_case_objective
 
 
 def _exp_instance(eta: float, eps: float = 1e-6) -> NewsvendorInstance:
@@ -36,6 +36,74 @@ class TestWorstCaseObjective:
             assert mid <= 0.5 * (
                 worst_case_objective(inst, q1) + worst_case_objective(inst, q2)
             ) + 1e-8
+
+
+def _upper_mass(amb, q: float) -> float:
+    return amb.solve(q).dist.points[-1][1]
+
+
+class TestEnvelopeIdentity:
+    """d/dq of the worst case is minus the extremal upper support mass."""
+
+    @pytest.mark.parametrize(
+        "amb",
+        [
+            PowerMomentAmbiguity(M1=1.0, Mt=2.0, t=1.5),
+            PowerMomentAmbiguity(M1=1.0, Mt=2.0, t=2.0),
+            PowerMomentAmbiguity(M1=1.0, Mt=4.0, t=3.0),
+            ExpMomentAmbiguity(M1=1.0, Me=math.e**2, t=1.0),
+        ],
+        ids=["mp1t-1.5", "mp1t-2", "mp1t-3", "mp1e"],
+    )
+    def test_central_difference_matches_upper_mass(self, amb):
+        if isinstance(amb, PowerMomentAmbiguity):
+            mt = amb.Mt / amb.M1**amb.t
+            threshold = amb.M1 * (amb.t - 1.0) / amb.t * mt ** (1.0 / (amb.t - 1.0))
+        else:
+            threshold = boundary_threshold(amb.instance_at(1.0))
+        h = 1e-4
+        branches = set()
+        # the worst case is affine below the branch threshold and curved
+        # above it; a central difference straddling the threshold is biased
+        for ratio in (0.25, 0.5, 0.8, 1.25, 2.0, 4.0, 10.0):
+            q = ratio * threshold
+            slope = (amb.worst_case(q + h) - amb.worst_case(q - h)) / (2.0 * h)
+            assert abs(slope + _upper_mass(amb, q)) <= 1e-8, (q, slope)
+            branches.add(amb.solve(q).branch)
+        assert branches == {"boundary", "interior"}
+
+
+class TestMeanVarianceOrder:
+    """At t = 2 the robust order has a closed form (Scarf; Gallego & Moon)."""
+
+    @pytest.mark.parametrize(
+        "mu,cv", [(50.0, 1.0), (50.0, 0.5), (20.0, 0.25), (100.0, 0.9), (1.0, 1.0)]
+    )
+    @pytest.mark.parametrize("eta", [0.6, 0.9, 0.99, 0.999, 0.9999])
+    def test_order_within_eps_of_closed_form(self, mu, cv, eta):
+        M2 = mu * mu * (1.0 + cv * cv)
+        inst = NewsvendorInstance(ambiguity=PowerMomentAmbiguity(M1=mu, Mt=M2, t=2.0), eta=eta)
+        d = optimize_order(inst)
+        assert abs(d.q_star - mean_variance_order(mu, M2, eta)) <= inst.eps
+        assert d.report.verification.passed
+
+
+class TestSubgradientCondition:
+    """p_hi(q* - eps) >= 1 - eta >= p_hi(q* + eps), unless the answer says it is uncertified."""
+
+    @pytest.mark.parametrize("eta", [0.9999, 0.99995, 0.99999, 1.0 - 1e-10])
+    def test_exponential_demand(self, eta):
+        amb = ExpMomentAmbiguity.from_exponential_demand(lam=1.0 / 50.0, t=0.01)
+        inst = NewsvendorInstance(ambiguity=amb, eta=eta)
+        try:
+            d = optimize_order(inst)
+        except MomentBoundError:
+            return
+        if not d.report.verification.passed:
+            return
+        mass = 1.0 - eta
+        assert _upper_mass(amb, d.q_star - inst.eps) >= mass
+        assert _upper_mass(amb, d.q_star + inst.eps) <= mass
 
 
 class TestOptimizeOrder:
@@ -77,7 +145,7 @@ class TestOptimizeOrder:
         inst = NewsvendorInstance(ambiguity=amb, eta=0.9, eps=1e-6)
         d = optimize_order(inst)
         assert d.q_star > 0.0
-        assert d.inner_solves > d.golden_iters
+        assert d.inner_solves > d.iterations
 
     def test_exponential_ground_truth_shape(self):
         # the moment data comes from an exponential demand with rate 1/50
@@ -90,6 +158,19 @@ class TestOptimizeOrder:
             assert gt / 3.0 <= d.q_star <= gt * 3.0
             qs.append(d.q_star)
         assert qs[0] <= qs[1] <= qs[2]
+
+    @pytest.mark.parametrize(
+        "amb",
+        [
+            PowerMomentAmbiguity(M1=1.0, Mt=-1.0, t=2.0),
+            ExpMomentAmbiguity(M1=1.0, Me=-1.0, t=1.0),
+            ExpMomentAmbiguity(M1=1.0, Me=3.0, t=0.0),
+        ],
+        ids=["negative-Mt", "negative-Me", "zero-t"],
+    )
+    def test_infeasible_moments_are_typed(self, amb):
+        with pytest.raises(InfeasibleError):
+            optimize_order(NewsvendorInstance(ambiguity=amb, eta=0.9))
 
     def test_eta_validation(self):
         amb = ExpMomentAmbiguity(M1=1.0, Me=math.e**2, t=1.0)

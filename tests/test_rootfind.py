@@ -1,19 +1,13 @@
-"""Bisection, golden section, and bracket expansion."""
+"""Bisection."""
 
 import math
 
 import numpy as np
 import pytest
 
-from momentbound.errors import BracketError, ExpansionError, NonFiniteError
+from momentbound.errors import BracketError, NonFiniteError
 from momentbound.power_moment import PowerMomentInstance, theta
-from momentbound.rootfind import (
-    EXACT_ZERO,
-    TOLERANCE_REACHED,
-    bisect,
-    expand_bracket,
-    golden_section,
-)
+from momentbound.rootfind import EXACT_ZERO, TOLERANCE_REACHED, bisect
 
 
 def _iteration_cap(width: float, eps: float) -> int:
@@ -92,68 +86,3 @@ class TestBisect:
         res = bisect(lambda x: x - 1e7 - 0.3, 1e7, 1e7 + 1.0, 1e-300)
         assert res.root == pytest.approx(1e7 + 0.3, rel=1e-12)
 
-
-class TestGoldenSection:
-    def test_quadratic(self):
-        res = golden_section(lambda q: (q - 3.0) ** 2, 0.0, 10.0, 1e-8)
-        assert res.minimizer == pytest.approx(3.0, abs=1e-8)
-        assert res.final_interval[1] - res.final_interval[0] <= 2e-8
-
-    def test_v_shape(self):
-        res = golden_section(lambda q: abs(q - 2.0), 0.0, 5.0, 1e-6)
-        assert res.minimizer == pytest.approx(2.0, abs=1e-6)
-
-    def test_local_optimality_probe(self):
-        rng = np.random.default_rng(5)
-        for _ in range(20):
-            m = rng.uniform(1.0, 9.0)
-            c = rng.uniform(0.5, 3.0)
-            f = lambda q: c * (q - m) ** 2 + 0.1 * abs(q - m)
-            res = golden_section(f, 0.0, 10.0, 1e-8)
-            fm = f(res.minimizer)
-            assert fm <= f(res.minimizer + 1e-7) + 1e-15
-            assert fm <= f(res.minimizer - 1e-7) + 1e-15
-
-    def test_shrink_factor(self):
-        calls = {"n": 0}
-
-        def f(q):
-            calls["n"] += 1
-            return (q - 1.0) ** 2
-
-        res = golden_section(f, 0.0, 10.0, 1e-6)
-        # one evaluation per iteration plus the two initial points
-        assert calls["n"] == res.iterations + 2
-        expected_iters = math.ceil(math.log(2e-6 / 10.0) / math.log((math.sqrt(5) - 1) / 2))
-        assert abs(res.iterations - expected_iters) <= 2
-
-    def test_non_finite(self):
-        with pytest.raises(NonFiniteError):
-            golden_section(lambda q: math.inf if q > 2 else q, 0.0, 10.0, 1e-6)
-
-
-class TestExpandBracket:
-    def test_doubling_trace(self):
-        seen = []
-
-        def f(q):
-            seen.append(q)
-            return (q - 3.0) ** 2
-
-        a, b = expand_bracket(f, 0.0)
-        assert (a, b) == (0.0, 8.0)
-        assert seen == [0.0, 1.0, 2.0, 4.0, 8.0]
-        assert f(a) < f(b)
-
-    def test_minimizer_at_left_endpoint(self):
-        assert expand_bracket(lambda q: q * q, 0.0) == (0.0, 1.0)
-
-    def test_decreasing_function_raises(self):
-        with pytest.raises(ExpansionError):
-            expand_bracket(lambda q: -q, 0.0)
-
-    def test_nonzero_start(self):
-        a, b = expand_bracket(lambda q: (q - 50.0) ** 2, 2.0)
-        assert a == 2.0
-        assert b >= 50.0
-        assert (b - 50.0) ** 2 > (2.0 - 50.0) ** 2
