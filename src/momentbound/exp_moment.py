@@ -109,6 +109,7 @@ class ExpMomentAmbiguity:
         return self.Me * math.exp(-min(self.t * q + 1.0, 1e4)) / self.t
 
     def worst_case(self, q: float, eps: float = 1e-10) -> float:
+        self.instance_at(self.M1)  # infeasible moments raise before either shortcut
         if q == 0.0:
             return self.M1  # E[(X - 0)_+] = E[X] for every feasible distribution
         bound = self.tail_bound(q)

@@ -6,9 +6,14 @@ bound that becomes exact as soon as the true optimal support lies on the
 grid, which is why callers can seed the grid with a solver's support points
 and demand agreement to near machine precision.
 
-The LP is solved by a dense two-phase simplex with Bland's rule (lowest
-eligible index enters; ratio ties leave by lowest basis index), so identical
-inputs give bit-identical results.
+The LP is solved by a dense two-phase simplex.  The column with the most
+negative reduced cost enters (Dantzig; lowest index on ties), which reaches
+the optimum in a few dozen pivots even on 10^5-point grids; after a run of
+degenerate pivots the first eligible column enters instead (Bland), which
+cannot cycle, until the objective moves again.  Ratio ties leave by lowest
+basis index.  No step is random, so identical inputs give bit-identical
+results.  The oracle shares no root functions or closed forms with the
+analytic solvers: it only evaluates the instance's g and h_i on the grid.
 """
 
 from __future__ import annotations
@@ -29,6 +34,10 @@ NO_CONVERGENCE = "no_convergence"
 _RC_TOL = 1e-9  # reduced-cost threshold for entering columns
 _PIVOT_TOL = 1e-11
 _PHASE1_TOL = 1e-9  # leftover artificial mass that still counts as feasible
+# pivots in a row that leave the objective unchanged (a zero step, or one
+# that rounds away) before Bland's rule takes over; a simplex cycle is at
+# least six pivots long, so Bland takes over by its second round
+_DEGENERATE_RUN = 8
 
 
 @dataclass(frozen=True)
@@ -72,6 +81,7 @@ class OracleResult:
     status: str
     grid: GridSpec
     duals: tuple[float, ...] | None
+    pivots: tuple[int, int]  # phase 1, phase 2
 
 
 @dataclass(frozen=True)
@@ -92,31 +102,47 @@ def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
     basis[row] = col
 
 
-def _run(T: np.ndarray, basis: list[int], n_enter: int) -> str:
-    """Minimize the last tableau row over the first n_enter columns (Bland)."""
+def _run(T: np.ndarray, basis: list[int], n_enter: int) -> tuple[str, int]:
+    """Minimize the last tableau row over the first n_enter columns.
+
+    Returns the status and the number of pivots taken.  The most negative
+    reduced cost enters (Dantzig); after _DEGENERATE_RUN pivots in a row that
+    leave the objective where it was, the first eligible column enters
+    instead (Bland), until a pivot moves the objective again.
+    """
+    pivots = 0
+    stalled = 0
     while True:
         rc = T[-1, :n_enter]
         candidates = np.flatnonzero(rc < -_RC_TOL)
         if candidates.size == 0:
-            return OPTIMAL
-        j = int(candidates[0])
+            return OPTIMAL, pivots
+        j = int(np.argmin(rc) if stalled < _DEGENERATE_RUN else candidates[0])
         col = T[:-1, j]
         eligible = np.flatnonzero(col > _PIVOT_TOL)
         if eligible.size == 0:
-            return UNBOUNDED
+            return UNBOUNDED, pivots
         ratios = T[:-1, -1][eligible] / col[eligible]
         best = np.min(ratios)
         tied = eligible[ratios == best]
         row = int(min(tied, key=lambda r: basis[r]))
+        objective = T[-1, -1]
         _pivot(T, basis, row, j)
+        pivots += 1
+        stalled = stalled + 1 if T[-1, -1] == objective else 0
         rhs = T[:-1, -1]
         rhs[(rhs < 0.0) & (rhs > -1e-11)] = 0.0  # scrub roundoff-degenerate rows
 
 
 def _two_phase_simplex(
-    A: np.ndarray, b: np.ndarray, c: np.ndarray
+    A: np.ndarray, b: np.ndarray, c: np.ndarray, pivots: list[int] | None = None
 ) -> tuple[str, np.ndarray | None, list[int], np.ndarray | None]:
-    """min c.x s.t. A x = b, x >= 0.  Returns (status, x, basis, duals)."""
+    """min c.x s.t. A x = b, x >= 0.  Returns (status, x, basis, duals).
+
+    The phase-1 and phase-2 pivot counts are appended to ``pivots`` when it
+    is given (phase 2 counts 0 when phase 1 finds no feasible point).
+    """
+    counts = [] if pivots is None else pivots
     m, n = A.shape
     sign = np.where(b < 0.0, -1.0, 1.0)
     A1 = A * sign[:, None]
@@ -130,8 +156,10 @@ def _two_phase_simplex(
     T[-1, -1] = -b1.sum()
     basis = list(range(n, n + m))
 
-    status = _run(T, basis, n)
+    status, phase1 = _run(T, basis, n)
+    counts.append(phase1)
     if status != OPTIMAL or -T[-1, -1] > _PHASE1_TOL:
+        counts.append(0)
         return INFEASIBLE, None, basis, None
 
     # pivot leftover artificials out; a row with no real pivot is redundant
@@ -153,7 +181,8 @@ def _two_phase_simplex(
     for i, bi in enumerate(basis2):
         T2[-1] -= T2[-1, bi] * T2[i]
 
-    status = _run(T2, basis2, n)
+    status, phase2 = _run(T2, basis2, n)
+    counts.append(phase2)
     if status != OPTIMAL:
         return status, None, basis2, None
 
@@ -162,7 +191,15 @@ def _two_phase_simplex(
     # re-solve on the final basis with one refinement step for clean residuals
     xb = np.linalg.solve(B, b[rows])
     xb += np.linalg.solve(B, b[rows] - B @ xb)
-    x[basis2] = xb
+    cols, Bc = np.asarray(basis2), B
+    while np.any(xb < 0.0):
+        # a degenerate basic variable can come out a hair below zero; drop it
+        # and refit the rest, so the masses left still meet every row
+        pos = xb > 0.0
+        cols, Bc = cols[pos], Bc[:, pos]
+        xb = np.linalg.lstsq(Bc, b[rows], rcond=None)[0]
+        xb += np.linalg.lstsq(Bc, b[rows] - Bc @ xb, rcond=None)[0]
+    x[cols] = xb
 
     y = np.zeros(m)
     y[rows] = np.linalg.solve(B.T, c[basis2])
@@ -183,9 +220,13 @@ def oracle_solve(inst: GmpInstance, grid: GridSpec) -> OracleResult:
         raise DomainError("moment functions are not finite on the grid")
 
     c = -g if inst.sense == "max" else g
-    status, x, _, duals = _two_phase_simplex(A, b, c)
+    counts: list[int] = []
+    status, x, _, duals = _two_phase_simplex(A, b, c, counts)
+    pivots = (counts[0], counts[1])
     if status != OPTIMAL:
-        return OracleResult(value=math.nan, dist=None, status=status, grid=grid, duals=None)
+        return OracleResult(
+            value=math.nan, dist=None, status=status, grid=grid, duals=None, pivots=pivots
+        )
 
     support = np.flatnonzero(x > 0.0)
     dist = DiscreteDistribution(
@@ -193,7 +234,12 @@ def oracle_solve(inst: GmpInstance, grid: GridSpec) -> OracleResult:
     )
     value = float(g[support] @ x[support])
     return OracleResult(
-        value=value, dist=dist, status=OPTIMAL, grid=grid, duals=tuple(float(v) for v in duals)
+        value=value,
+        dist=dist,
+        status=OPTIMAL,
+        grid=grid,
+        duals=tuple(float(v) for v in duals),
+        pivots=pivots,
     )
 
 

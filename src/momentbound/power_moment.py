@@ -86,6 +86,7 @@ class PowerMomentAmbiguity:
         return (self.Mt / mass) ** (1.0 / self.t)
 
     def worst_case(self, q: float, eps: float = 1e-10) -> float:
+        self.instance_at(self.M1)  # infeasible moments raise before the q = 0 shortcut
         if q == 0.0:
             return self.M1  # E[(X - 0)_+] = E[X] for every feasible distribution
         return self.solve(q, eps).value

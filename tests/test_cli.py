@@ -260,6 +260,21 @@ class TestCheck:
         assert code == EXIT_OK
         assert doc["difference"] <= 1e-6
 
+    @pytest.mark.parametrize(
+        "problem, params",
+        [
+            ("mp1t", {"M1": 1, "Mt": 2, "t": 2, "q": 6}),
+            ("mp1e", {"M1": 50, "Me": 2, "t": 0.01, "q": 60}),
+        ],
+    )
+    def test_degenerate_final_basis(self, tmp_path, capsys, problem, params):
+        # a degenerate basic mass re-solves to about -1e-12 on the refined
+        # grid; the oracle must still return a distribution, not a DomainError
+        code = main(["check", _write(tmp_path, {"problem": problem, "params": params})])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == EXIT_OK
+        assert doc["agree"] is True
+
 
 # One instance per certified problem, with the library call and the report
 # fields the CLI envelope must carry as `root` and `iterations`.

@@ -218,6 +218,13 @@ class TestAmbiguity:
         for q in (0.5, 2.0, 5.0, 9.0):
             assert amb.worst_case(q) <= amb.tail_bound(q) + 1e-12
 
+    # q = 0 shortcut, tail-floor shortcut (bound below 1e-10), interior solve
+    @pytest.mark.parametrize("q", [0.0, 30.0, 1.0])
+    @pytest.mark.parametrize("Me", [-1.0, 1.5])  # negative; at most exp(t*M1)
+    def test_worst_case_rejects_infeasible_moments(self, Me, q):
+        with pytest.raises(InfeasibleError):
+            ExpMomentAmbiguity(M1=1.0, Me=Me, t=1.0).worst_case(q)
+
 
 def _values(amb, qs):
     return [solve_exp_moment(amb.instance_at(q)).value for q in qs]

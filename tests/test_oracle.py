@@ -10,14 +10,17 @@ from momentbound import core, exp_moment, power_moment
 from momentbound.core import GmpInstance, moments_of
 from momentbound.errors import DomainError
 from momentbound.oracle import (
+    _DEGENERATE_RUN,
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
     GridSpec,
+    _run,
     _two_phase_simplex,
     oracle_solve,
     refine_until,
 )
+from momentbound.problems import PROBLEMS
 
 
 def _mean_instance(mean: float, hi: float, g=None) -> GmpInstance:
@@ -67,6 +70,7 @@ class TestOracleSolve:
         assert res.status == INFEASIBLE
         assert res.dist is None
         assert math.isnan(res.value)
+        assert res.pivots[0] > 0 and res.pivots[1] == 0  # phase 2 never ran
 
     def test_exact_when_support_on_grid(self):
         pm = power_moment.PowerMomentInstance(M1=1.0, Mt=4.0, t=2.0, q=1.0)
@@ -153,6 +157,67 @@ class TestOracleSolve:
         )
         res = oracle_solve(inst, GridSpec(lo=0.0, hi=2.0, n_points=3))
         assert res.value == pytest.approx(0.5, abs=1e-12)
+
+
+def _seeded_mp1t(M1, Mt, t, q, n_points):
+    """The moment LP `check` builds for mp1t, on its default grid seeded with the support."""
+    inst = power_moment.PowerMomentInstance(M1=M1, Mt=Mt, t=t, q=q)
+    rep = power_moment.solve_power_moment(inst)
+    grid = GridSpec(
+        lo=0.0,
+        hi=PROBLEMS["mp1t"].grid_hi(inst, rep),
+        n_points=n_points,
+        refine_around=tuple(float(x) for x in rep.dist.xs),
+    )
+    return power_moment.gmp_instance(inst, rep.dist), grid, rep
+
+
+class TestPricing:
+    def test_beale_cycling_lp_terminates(self):
+        # Beale's LP: min -3/4 x4 + 20 x5 - 1/2 x6 + 6 x7 from the slack basis
+        # {x1, x2, x3}.  Most-negative pricing with lowest-index ties cycles
+        # through six degenerate bases; the Bland fallback must break out.
+        T = np.array(
+            [
+                [1.0, 0.0, 0.0, 0.25, -8.0, -1.0, 9.0, 0.0],
+                [0.0, 1.0, 0.0, 0.5, -12.0, -0.5, 3.0, 0.0],
+                [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0],
+                [0.0, 0.0, 0.0, -0.75, 20.0, -0.5, 6.0, 0.0],
+            ]
+        )
+        basis = [0, 1, 2]
+        status, pivots = _run(T, basis, 7)
+        assert status == OPTIMAL
+        assert pivots > _DEGENERATE_RUN  # a full degenerate run came first
+        assert T[-1, -1] == pytest.approx(1.25, abs=1e-12)  # minus the optimum -5/4
+        assert sorted(basis) == [0, 3, 5]
+
+    def test_pivot_budget(self):
+        gmp, grid, _ = _seeded_mp1t(50.0, 1.5 * 50.0**1.5, 1.5, 100.0, 8001)
+        res = oracle_solve(gmp, grid)
+        assert res.status == OPTIMAL
+        assert sum(res.pivots) <= 64, res.pivots
+
+    def test_matches_highs_on_moment_lp(self):
+        gmp, grid, rep = _seeded_mp1t(50.0, 1.5 * 50.0**1.5, 1.5, 100.0, 8001)
+        xs = grid.points()
+        A = np.vstack([np.asarray(h.eval(xs), dtype=float) for h in gmp.hs])
+        c = -np.asarray(gmp.g.eval(xs), dtype=float)
+        ref = scipy.optimize.linprog(c, A_eq=A, b_eq=gmp.ms, bounds=(0, None), method="highs")
+        assert ref.status == 0
+        res = oracle_solve(gmp, grid)
+        assert res.value == pytest.approx(-ref.fun, rel=1e-9)
+        assert res.value == pytest.approx(rep.value, rel=1e-9)
+
+    def test_degenerate_basic_mass_is_dropped_and_refit(self):
+        # on this grid the final basis [3525, 286, 287] re-solves one
+        # degenerate mass to about -1.2e-12; dropping it alone would leave
+        # probabilities summing to 1 + 1.2e-12
+        gmp, grid, rep = _seeded_mp1t(1.0, 2.0, 2.0, 6.0, 4001)
+        res = oracle_solve(gmp, grid)
+        assert res.status == OPTIMAL
+        assert np.allclose(moments_of(res.dist, gmp.hs), gmp.ms, rtol=0.0, atol=1e-12)
+        assert res.value == pytest.approx(rep.value, rel=1e-9)
 
 
 class TestMaxProblemBounds:

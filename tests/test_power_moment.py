@@ -201,6 +201,15 @@ class TestSolve:
             assert above.verification.passed and below.verification.passed
 
 
+class TestAmbiguity:
+    # the q = 0 shortcut and the solve
+    @pytest.mark.parametrize("q", [0.0, 6.0])
+    @pytest.mark.parametrize("Mt", [-1.0, 0.5])  # negative; at most M1^t
+    def test_worst_case_rejects_infeasible_moments(self, Mt, q):
+        with pytest.raises(InfeasibleError):
+            PowerMomentAmbiguity(M1=1.0, Mt=Mt, t=2.0).worst_case(q)
+
+
 def _values(amb, qs):
     return [solve_power_moment(amb.instance_at(q)).value for q in qs]
 
