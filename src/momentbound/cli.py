@@ -10,6 +10,7 @@ solver/oracle disagreement or failed verification.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -377,7 +378,9 @@ def cmd_check(args: argparse.Namespace) -> int:
     return EXIT_OK if agree and verification.passed else EXIT_DISAGREEMENT
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process; parse_args leaves the parser unchanged
     parser = argparse.ArgumentParser(
         prog="momentbound",
         description="Solve moment-constrained worst-case expectation problems",

@@ -14,6 +14,15 @@ cannot cycle, until the objective moves again.  Ratio ties leave by lowest
 basis index.  No step is random, so identical inputs give bit-identical
 results.  The oracle shares no root functions or closed forms with the
 analytic solvers: it only evaluates the instance's g and h_i on the grid.
+
+Refinement warm-starts.  A doubled grid keeps every point of the coarser one
+bit for bit, so the coarser round's optimal basis is a feasible basis of the
+finer LP: phase 2 starts from its tableau B^-1 [A | b], with reduced costs
+c - c_B B^-1 A, phase 1 is skipped, and only the new points can price in.
+A start that is off the grid, short of one point per row (phase 1 dropped a
+redundant row), singular, or negative beyond roundoff falls back to the
+cold two-phase solve.  Only the oracle's own earlier basis is ever used as
+a start, never a solver's support or duals.
 """
 
 from __future__ import annotations
@@ -29,7 +38,6 @@ from .errors import DomainError
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
-NO_CONVERGENCE = "no_convergence"
 
 _RC_TOL = 1e-9  # reduced-cost threshold for entering columns
 _PIVOT_TOL = 1e-11
@@ -82,6 +90,7 @@ class OracleResult:
     grid: GridSpec
     duals: tuple[float, ...] | None
     pivots: tuple[int, int]  # phase 1, phase 2
+    basis: tuple[float, ...] = ()  # grid points of the final basis, one per row
 
 
 @dataclass(frozen=True)
@@ -180,7 +189,52 @@ def _two_phase_simplex(
     T2[-1, :n] = c
     for i, bi in enumerate(basis2):
         T2[-1] -= T2[-1, bi] * T2[i]
+    return _phase_two(A, b, c, T2, basis2, rows, counts)
 
+
+def _warm_tableau(
+    A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int]
+) -> np.ndarray | None:
+    """The phase-2 tableau of a basis, or None if the basis cannot be trusted.
+
+    The tableau is B^-1 [A | b] with reduced costs c - c_B B^-1 A.  It is
+    None unless ``basis`` holds one distinct column per row of A, B is
+    nonsingular and the basic solution B^-1 b is nonnegative up to roundoff.
+    """
+    m, n = A.shape
+    if len(basis) != m or len(set(basis)) != m:
+        return None
+    T = np.empty((m + 1, n + 1))
+    try:
+        # the m x m inverse times [A | b]: np.linalg.solve with thousands of
+        # right-hand sides is over an order of magnitude slower
+        T[:-1] = np.linalg.inv(A[:, basis]) @ np.column_stack([A, b])
+    except np.linalg.LinAlgError:
+        return None
+    if not np.all(np.isfinite(T[:-1])):
+        return None
+    rhs = T[:-1, -1]
+    rhs[(rhs < 0.0) & (rhs > -1e-11)] = 0.0  # the scrub _run applies
+    if np.any(rhs < 0.0):
+        return None
+    T[:-1, basis] = np.eye(m)
+    T[-1, :n] = c - c[basis] @ T[:-1, :n]
+    T[-1, basis] = 0.0
+    T[-1, -1] = -c[basis] @ rhs
+    return T
+
+
+def _phase_two(
+    A: np.ndarray,
+    b: np.ndarray,
+    c: np.ndarray,
+    T2: np.ndarray,
+    basis2: list[int],
+    rows: np.ndarray,
+    counts: list[int],
+) -> tuple[str, np.ndarray | None, list[int], np.ndarray | None]:
+    """Run phase 2 from a feasible tableau on ``rows`` of A, then re-solve."""
+    m, n = A.shape
     status, phase2 = _run(T2, basis2, n)
     counts.append(phase2)
     if status != OPTIMAL:
@@ -206,8 +260,17 @@ def _two_phase_simplex(
     return OPTIMAL, x, basis2, y
 
 
-def oracle_solve(inst: GmpInstance, grid: GridSpec) -> OracleResult:
-    """Solve the moment problem restricted to the grid's point masses."""
+def oracle_solve(
+    inst: GmpInstance, grid: GridSpec, *, start: tuple[float, ...] = ()
+) -> OracleResult:
+    """Solve the moment problem restricted to the grid's point masses.
+
+    ``start`` is the ``basis`` of an earlier result whose grid points all lie
+    on this grid.  Phase 2 then starts from that basis and phase 1 is
+    skipped (``pivots[0] == 0``).  A start that is off the grid, short of
+    one point per constraint, singular or infeasible here is ignored, and
+    the LP is solved from the artificial basis as without one.
+    """
     if grid.n_points < len(inst.hs) + 1:
         raise DomainError(
             f"grid needs at least {len(inst.hs) + 1} points for {len(inst.hs)} constraints"
@@ -220,8 +283,15 @@ def oracle_solve(inst: GmpInstance, grid: GridSpec) -> OracleResult:
         raise DomainError("moment functions are not finite on the grid")
 
     c = -g if inst.sense == "max" else g
-    counts: list[int] = []
-    status, x, _, duals = _two_phase_simplex(A, b, c, counts)
+    cols = np.searchsorted(xs, start).clip(max=xs.size - 1)
+    basis = cols.tolist() if np.array_equal(xs[cols], start) else []
+    T = _warm_tableau(A, b, c, basis)
+    if T is not None:
+        counts = [0]
+        status, x, basis, duals = _phase_two(A, b, c, T, basis, np.arange(b.size), counts)
+    else:
+        counts = []
+        status, x, basis, duals = _two_phase_simplex(A, b, c, counts)
     pivots = (counts[0], counts[1])
     if status != OPTIMAL:
         return OracleResult(
@@ -240,6 +310,7 @@ def oracle_solve(inst: GmpInstance, grid: GridSpec) -> OracleResult:
         grid=grid,
         duals=tuple(float(v) for v in duals),
         pivots=pivots,
+        basis=tuple(float(xs[j]) for j in basis),
     )
 
 
@@ -248,7 +319,11 @@ def refine_until(
 ) -> RefineOutcome:
     """Re-solve on ever denser grids until successive values stabilize.
 
-    Density roughly doubles each round.  Hitting max_rounds without meeting
+    Density roughly doubles each round.  The doubled grid keeps every point
+    of the last one, so each round after the first starts phase 2 from the
+    last round's optimal basis (``oracle_solve``'s ``start``); only the new
+    points can price in, and a start that cannot be trusted falls back to
+    the full two-phase solve.  Hitting max_rounds without meeting
     target_tol is reported through ``converged=False``, not an error.
     """
     if not target_tol > 0.0:
@@ -260,7 +335,7 @@ def refine_until(
     converged = False
     while rounds < max_rounds and result.status == OPTIMAL:
         grid = grid.doubled()
-        result = oracle_solve(inst, grid)
+        result = oracle_solve(inst, grid, start=result.basis)
         values.append(result.value)
         rounds += 1
         if abs(values[-1] - values[-2]) <= target_tol:

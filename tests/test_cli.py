@@ -434,3 +434,47 @@ class TestSchemaGuards:
         err = json.loads(capsys.readouterr().err.splitlines()[0])
         assert code == EXIT_SCHEMA
         assert err["error"] == "SchemaError"
+
+
+class TestOneProcess:
+    def test_repeated_commands_give_the_same_output(self, tmp_path, capsys):
+        # the parser is built once per process; reusing it, also after a
+        # rejected command line, must not change any later command's output
+        path = _mp1t(tmp_path)
+        runs = []
+        for argv in (["check", path], ["solve", path], ["solve"], ["check", path], ["solve", path]):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            runs.append((code, _normalize_timing(captured.out), captured.err))
+        check, solve, bad, check_again, solve_again = runs
+        assert check[0] == solve[0] == EXIT_OK
+        assert bad[0] == EXIT_SCHEMA and "instance" in bad[2]
+        assert check_again == check
+        assert solve_again == solve
+        assert json.loads(solve[1])["optimal_value"] == 0.75
+
+
+class TestOraclePivots:
+    def test_check_pivot_budget(self, tmp_path, capsys, monkeypatch):
+        # both rounds of the seeded acceptance-sweep check: 19 + 22 pivots
+        # solved cold, 19 + 1 with the second round warm-started
+        from momentbound import oracle
+
+        pivots = []
+        solve = oracle.oracle_solve
+
+        def counting(*args, **kwargs):
+            result = solve(*args, **kwargs)
+            pivots.append(result.pivots)
+            return result
+
+        monkeypatch.setattr(oracle, "oracle_solve", counting)
+        params = {"M1": 50, "Mt": 1.5 * 50.0**1.5, "t": 1.5, "q": 100}
+        code = main(["check", _write(tmp_path, {"problem": "mp1t", "params": params})])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == EXIT_OK and doc["oracle_rounds"] == 1
+        assert len(pivots) == 2 and pivots[1][0] == 0  # round 2 skips phase 1
+        assert sum(map(sum, pivots)) <= 30, pivots

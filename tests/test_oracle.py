@@ -159,17 +159,22 @@ class TestOracleSolve:
         assert res.value == pytest.approx(0.5, abs=1e-12)
 
 
-def _seeded_mp1t(M1, Mt, t, q, n_points):
-    """The moment LP `check` builds for mp1t, on its default grid seeded with the support."""
-    inst = power_moment.PowerMomentInstance(M1=M1, Mt=Mt, t=t, q=q)
-    rep = power_moment.solve_power_moment(inst)
+def _seeded(problem, params, n_points):
+    """The moment LP `check` builds for a problem, on its grid seeded with the support."""
+    entry = PROBLEMS[problem]
+    inst = entry.instance(**params)
+    rep = entry.solve(inst, 1e-10)
     grid = GridSpec(
         lo=0.0,
-        hi=PROBLEMS["mp1t"].grid_hi(inst, rep),
+        hi=entry.grid_hi(inst, rep),
         n_points=n_points,
         refine_around=tuple(float(x) for x in rep.dist.xs),
     )
-    return power_moment.gmp_instance(inst, rep.dist), grid, rep
+    return entry.gmp(inst, rep.dist), grid, rep
+
+
+def _seeded_mp1t(M1, Mt, t, q, n_points):
+    return _seeded("mp1t", {"M1": M1, "Mt": Mt, "t": t, "q": q}, n_points)
 
 
 class TestPricing:
@@ -288,3 +293,70 @@ class TestRefineUntil:
         )
         assert out.converged
         assert out.result.value == pytest.approx(rep.value, abs=1e-9)
+
+
+# The `check` instances of the test suite: the q sweep of acceptance
+# criterion 3, the check, oracle, exp-moment and partial-moment instances,
+# and the two whose refined grid once ended on a negative degenerate mass.
+_SWEEP = {"M1": 50.0, "Mt": 1.5 * 50.0**1.5, "t": 1.5}
+CHECK_INSTANCES = [
+    *(("mp1t", dict(_SWEEP, q=float(q))) for q in range(60, 141, 10)),
+    ("mp1t", {"M1": 1.0, "Mt": 4.0, "t": 2.0, "q": 1.0}),
+    ("mp1e", {"M1": 1.0, "Me": math.e**2, "t": 1.0, "q": 5.0}),
+    ("mp1e", {"M1": 1.0, "Me": math.e**2, "t": 1.0, "q": 1.0}),
+    ("upm", {"M1": 0.5, "gamma": 2.0, "Mplus": 0.1}),
+    ("upm", {"M1": 0.5, "gamma": 4.0, "Mplus": 0.2}),
+    ("mp1t", {"M1": 1.0, "Mt": 2.0, "t": 2.0, "q": 6.0}),
+    ("mp1e", {"M1": 50.0, "Me": 2.0, "t": 0.01, "q": 60.0}),
+]
+CHECK_IDS = [f"{problem}-{i}" for i, (problem, _) in enumerate(CHECK_INSTANCES)]
+
+
+class TestWarmStart:
+    @pytest.mark.parametrize("problem, params", CHECK_INSTANCES, ids=CHECK_IDS)
+    def test_second_round_matches_cold_solve(self, problem, params):
+        gmp, grid, _ = _seeded(problem, params, 2001)
+        coarse = oracle_solve(gmp, grid)
+        fine = grid.doubled()
+        warm = oracle_solve(gmp, fine, start=coarse.basis)
+        cold = oracle_solve(gmp, fine)
+        assert warm.status == cold.status == OPTIMAL
+        assert warm.value == pytest.approx(cold.value, rel=1e-11)
+        assert warm.pivots[0] == 0 and warm.pivots[1] <= 3, warm.pivots
+        # each basis is one grid point per row, and carries the masses
+        for res, spec in ((coarse, grid), (warm, fine)):
+            assert len(res.basis) == len(gmp.hs)
+            assert set(res.basis) <= set(spec.points())
+            assert set(res.dist.xs) <= set(res.basis)
+            assert np.allclose(moments_of(res.dist, gmp.hs), gmp.ms, rtol=1e-12, atol=1e-12)
+
+    def test_off_grid_start_solves_cold(self):
+        gmp, grid, _ = _seeded("mp1t", dict(_SWEEP, q=100.0), 2001)
+        coarse = oracle_solve(gmp, grid)
+        off = (np.nextafter(coarse.basis[0], math.inf), *coarse.basis[1:])
+        fine = grid.doubled()
+        assert oracle_solve(gmp, fine, start=off) == oracle_solve(gmp, fine)
+
+    def test_infeasible_start_solves_cold(self):
+        # masses on {0, 0.5} with mean 1 need p(0) = -1
+        inst = _mean_instance(1.0, 2.0)
+        grid = GridSpec(lo=0.0, hi=2.0, n_points=21)
+        res = oracle_solve(inst, grid, start=(0.0, 0.5))
+        assert res == oracle_solve(inst, grid)
+        assert res.pivots[0] > 0
+
+    def test_start_short_of_a_row_solves_cold(self):
+        # a repeated mean row is redundant: phase 1 drops it, so the final
+        # basis has one point fewer than the LP has rows
+        inst = GmpInstance(
+            g=core.positive_part(0.5),
+            hs=(core.constant(), core.monomial(1.0), core.monomial(1.0)),
+            ms=(1.0, 1.1, 1.1),
+            sense="max",
+            support_hi=2.0,
+        )
+        grid = GridSpec(lo=0.0, hi=2.0, n_points=21)
+        coarse = oracle_solve(inst, grid)
+        assert len(coarse.basis) == 2
+        fine = grid.doubled()
+        assert oracle_solve(inst, fine, start=coarse.basis) == oracle_solve(inst, fine)
