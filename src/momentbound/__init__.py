@@ -17,8 +17,6 @@ from .core import (
     MomentFunction,
     ToleranceSet,
     VerificationReport,
-    h_derivative,
-    h_function,
     moments_of,
     verify_optimality,
 )
@@ -76,8 +74,6 @@ __all__ = [
     "boundary_threshold",
     "compute_v1",
     "enumerate_family",
-    "h_derivative",
-    "h_function",
     "kappa",
     "lambert_w_minus1",
     "moments_of",

@@ -8,10 +8,24 @@ inducing H(x; z) = sum_i z_i h_i(x) - g(x).  The pair is optimal exactly when
   * the distribution reproduces every target moment,
   * H vanishes at every support point (complementary slackness),
   * H' vanishes at every differentiable interior support point (tangency),
-  * H has the feasible sign on the whole support domain.
+  * H has the feasible sign on the whole support domain [0, inf).
 
 ``verify_optimality`` measures all four as residuals and applies explicit
 tolerances, so every solver in this package can certify its own output.
+
+The sign condition is decided exactly when every function is one of the
+families built here (``constant``, ``monomial``, ``positive_part``,
+``squared_positive_part``, ``exponential``).  Between consecutive kinks and
+knots H' is then alpha + beta*x + gamma*psi'(x), psi a power x^p (p not 1
+or 2) or an exponential e^(rx).  When at most one of beta and gamma is
+nonzero, H' is monotone on the piece, so H has at most one stationary point
+there and its closed form is the inverse of psi' (the Chebyshev-system
+argument behind two- and three-point optima; Karlin & Studden,
+*Tchebycheff Systems*, 1966).  The minimum of H over [0, inf) is a minimum
+over the piece ends, the support and those points, and the sign of the
+leading coefficient settles x -> inf.  Any other instance falls back to a
+uniform-grid scan of [0, support_hi], which samples the condition rather
+than proving it.
 """
 
 from __future__ import annotations
@@ -22,11 +36,12 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionError, DomainError, NonDifferentiableError
+from .errors import DimensionError, DomainError
 
 Array = np.ndarray
 
 _NONDIFF_SNAP = 1e-12  # support points this close to a kink skip the tangent check
+_FAMILIES = ("constant", "monomial", "positive_part", "squared_positive_part", "exponential")
 
 
 @dataclass(frozen=True)
@@ -35,13 +50,18 @@ class MomentFunction:
 
     ``eval`` and ``deriv`` must accept scalars or numpy arrays.  ``deriv`` is
     trusted everywhere except at ``nondiff_points``, where callers must not
-    use it.
+    use it.  The constructors below also record ``family`` (their own name)
+    and ``param`` (the power, kink or rate), from which the verifier
+    evaluates the function in scalar arithmetic and inverts its derivative;
+    a function built any other way leaves ``family`` empty.
     """
 
     id: str
     eval: Callable[[Array | float], Array | float]
     deriv: Callable[[Array | float], Array | float]
     nondiff_points: tuple[float, ...] = ()
+    family: str = ""
+    param: float = 0.0
 
 
 def constant() -> MomentFunction:
@@ -50,6 +70,7 @@ def constant() -> MomentFunction:
         id="1",
         eval=lambda x: np.ones_like(np.asarray(x, dtype=float)),
         deriv=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
+        family="constant",
     )
 
 
@@ -62,11 +83,15 @@ def monomial(power: float) -> MomentFunction:
             id="x",
             eval=lambda x: np.asarray(x, dtype=float) + 0.0,
             deriv=lambda x: np.ones_like(np.asarray(x, dtype=float)),
+            family="monomial",
+            param=1.0,
         )
     return MomentFunction(
         id=f"x^{power:g}",
         eval=lambda x: np.power(np.asarray(x, dtype=float), power),
         deriv=lambda x: power * np.power(np.asarray(x, dtype=float), power - 1.0),
+        family="monomial",
+        param=float(power),
     )
 
 
@@ -77,6 +102,8 @@ def positive_part(kink: float) -> MomentFunction:
         eval=lambda x: np.maximum(np.asarray(x, dtype=float) - kink, 0.0),
         deriv=lambda x: np.where(np.asarray(x, dtype=float) > kink, 1.0, 0.0),
         nondiff_points=(float(kink),),
+        family="positive_part",
+        param=float(kink),
     )
 
 
@@ -86,6 +113,8 @@ def squared_positive_part(kink: float) -> MomentFunction:
         id=f"(x-{kink:g})+^2",
         eval=lambda x: np.maximum(np.asarray(x, dtype=float) - kink, 0.0) ** 2,
         deriv=lambda x: 2.0 * np.maximum(np.asarray(x, dtype=float) - kink, 0.0),
+        family="squared_positive_part",
+        param=float(kink),
     )
 
 
@@ -95,6 +124,8 @@ def exponential(rate: float) -> MomentFunction:
         id=f"e^{rate:g}x",
         eval=lambda x: np.exp(rate * np.asarray(x, dtype=float)),
         deriv=lambda x: rate * np.exp(rate * np.asarray(x, dtype=float)),
+        family="exponential",
+        param=float(rate),
     )
 
 
@@ -142,8 +173,9 @@ class DualCertificate:
 class GmpInstance:
     """One moment problem: optimize E[g(X)] subject to E[h_i(X)] = m_i.
 
-    ``support_hi`` truncates the (mathematically infinite) support domain for
-    numerical scans; solvers choose it large enough to cover any optimum.
+    Candidate support must lie in [0, ``support_hi``]; solvers choose it large
+    enough to cover any optimum.  The fallback dual-feasibility scan covers
+    the same interval.
     """
 
     g: MomentFunction
@@ -175,7 +207,7 @@ class ToleranceSet:
 
     ``primal`` is relative to max(1, |m|_inf) and ``gap`` to max(1, |value|);
     the others are absolute.  ``grid_points`` sets the density of the dual
-    feasibility scan.
+    feasibility scan, which runs only where the exact minimum does not apply.
     """
 
     primal: float = 1e-9
@@ -190,9 +222,14 @@ class ToleranceSet:
 class VerificationReport:
     """Residuals of the four optimality conditions plus the duality gap.
 
-    ``dual_min_on_grid`` is the scanned minimum of H for maximization
-    instances and of -H for minimization instances, so feasibility always
-    reads ``dual_min_on_grid >= -tol.dual``.
+    ``dual_min_on_grid`` is the minimum of H for maximization instances and
+    of -H for minimization instances, so feasibility always reads
+    ``dual_min_on_grid >= -tol.dual``.  Where the closed-form rule of this
+    module applies it is the exact minimum over [0, inf): ``-inf`` when that
+    function falls without bound as x -> inf, or reaches its minimum beyond
+    float range, or evaluates to NaN.  Otherwise it is the minimum over a
+    ``grid_points`` uniform grid of [0, support_hi], the support and the
+    kinks.
     """
 
     primal_residual: float
@@ -227,46 +264,122 @@ def _h_deriv_values(cert: DualCertificate, inst: GmpInstance, xs: Array) -> Arra
     return total
 
 
-def h_function(cert: DualCertificate, inst: GmpInstance, x: float) -> float:
-    """H(x; z) = sum_i z_i h_i(x) - g(x)."""
-    if len(cert.z) != len(inst.hs):
-        raise DimensionError(f"certificate length {len(cert.z)} vs {len(inst.hs)} functions")
-    if not (0.0 <= x <= inst.support_hi):
-        raise DomainError(f"x={x} outside [0, {inst.support_hi}]")
-    return float(_h_values(cert, inst, np.asarray([x]))[0])
+def _power(x: float, p: float) -> float:
+    try:
+        return x**p
+    except OverflowError:
+        return math.inf
 
 
-def h_derivative(cert: DualCertificate, inst: GmpInstance, x: float) -> float:
-    """d/dx H(x; z) where defined; raises at any declared kink."""
-    if len(cert.z) != len(inst.hs):
-        raise DimensionError(f"certificate length {len(cert.z)} vs {len(inst.hs)} functions")
-    if not (0.0 <= x <= inst.support_hi):
-        raise DomainError(f"x={x} outside [0, {inst.support_hi}]")
-    for pt in inst.nondiff_points():
-        if abs(x - pt) <= _NONDIFF_SNAP:
-            raise NonDifferentiableError(f"H is not differentiable at x={pt}")
-    return float(_h_deriv_values(cert, inst, np.asarray([x]))[0])
+def _exp(y: float) -> float:
+    try:
+        return math.exp(y)
+    except OverflowError:
+        return math.inf
 
 
-def verify_optimality(
-    inst: GmpInstance,
-    dist: DiscreteDistribution,
-    cert: DualCertificate,
-    tol: ToleranceSet = ToleranceSet(),
-) -> VerificationReport:
-    """Check the full optimality condition for a candidate primal-dual pair.
+def _value(f: MomentFunction, x: float) -> float:
+    """f(x) in scalar arithmetic, for a function built by this module."""
+    family, p = f.family, f.param
+    if family == "monomial":
+        return x if p == 1.0 else _power(x, p)
+    if family == "positive_part":
+        return max(x - p, 0.0)
+    if family == "squared_positive_part":
+        return max(x - p, 0.0) ** 2
+    if family == "exponential":
+        return _exp(p * x)
+    return 1.0
 
-    Tangency is tested only at support points strictly inside
-    (0, support_hi) and farther than 1e-12 from every declared kink.  Dual
-    feasibility is sampled on a uniform grid augmented with the support and
-    all kinks.
+
+def _slope(f: MomentFunction, x: float) -> float:
+    """f'(x) in scalar arithmetic, for a function built by this module."""
+    family, p = f.family, f.param
+    if family == "monomial":
+        return 1.0 if p == 1.0 else p * _power(x, p - 1.0)
+    if family == "positive_part":
+        return 1.0 if x > p else 0.0
+    if family == "squared_positive_part":
+        return 2.0 * max(x - p, 0.0)
+    if family == "exponential":
+        return p * _exp(p * x)
+    return 0.0
+
+
+def _largest(values) -> float:
+    """max |v| (0 when there are none), NaN as soon as any v is NaN."""
+    out = 0.0
+    for v in values:
+        a = abs(v)
+        if a != a:
+            return a
+        if a > out:
+            out = a
+    return out
+
+
+def _critical_points(
+    inst: GmpInstance, terms: tuple[tuple[float, MomentFunction], ...], sign: float
+) -> tuple[list[float], bool] | None:
+    """Where sign*H can reach its minimum over [0, inf), for H = sum of c*f over terms.
+
+    Returns the piece ends and the stationary point of every piece, plus
+    whether sign*H falls without bound as x -> inf or reaches its minimum
+    beyond float range.  Returns None when an exponential decays or when H'
+    on some piece has more than one nonlinear term; the caller then scans.
     """
-    if len(cert.z) != len(inst.hs):
-        raise DimensionError(f"certificate length {len(cert.z)} vs {len(inst.hs)} functions")
-    xs, ps = dist.xs, dist.ps
-    if xs[0] < 0.0 or xs[-1] > inst.support_hi:
-        raise DomainError("distribution support exceeds [0, support_hi]")
+    nonlinear: dict[tuple[str, float], float] = {}
+    for c, f in terms:
+        family, p = f.family, f.param
+        if family == "exponential" and p < 0.0:
+            return None
+        if (family == "monomial" and p not in (1.0, 2.0)) or (family == "exponential" and p > 0.0):
+            nonlinear[family, p] = nonlinear.get((family, p), 0.0) + c
+    curved = [(key, gamma) for key, gamma in nonlinear.items() if gamma != 0.0]
+    if len(curved) > 1:
+        return None
 
+    knots = [f.param for f in (inst.g, *inst.hs) if f.family == "squared_positive_part"]
+    starts = sorted({0.0, *(k for k in (*inst.nondiff_points(), *knots) if k > 0.0)})
+    points = list(starts)
+    for a, b in zip(starts, starts[1:] + [math.inf]):
+        # H' = alpha + beta*x + gamma*psi'(x) on (a, b)
+        alpha = beta = 0.0
+        for c, f in terms:
+            family, p = f.family, f.param
+            if family == "monomial" and p == 1.0 or family == "positive_part" and a >= p:
+                alpha += c
+            elif family == "monomial" and p == 2.0:
+                beta += 2.0 * c
+            elif family == "squared_positive_part" and a >= p:
+                alpha -= 2.0 * c * p
+                beta += 2.0 * c
+        if curved:
+            if beta != 0.0:
+                return None
+            (family, p), gamma = curved[0]
+            ratio = -alpha / gamma / p  # x^(p-1) or e^(px) at the stationary point
+            if not ratio > 0.0:
+                continue
+            x = _power(ratio, 1.0 / (p - 1.0)) if family == "monomial" else math.log(ratio) / p
+        elif beta != 0.0:
+            x = -alpha / beta
+        else:
+            continue
+        if x == math.inf == b:
+            return points, True
+        if a < x < b:
+            points.append(x)
+    # the leading term of the last piece decides the limit at infinity
+    lead = curved[0][1] if curved else (beta or alpha)
+    return points, sign * lead < 0.0
+
+
+def _scanned_residuals(
+    inst: GmpInstance, dist: DiscreteDistribution, cert: DualCertificate, tol: ToleranceSet
+) -> tuple[float, ...]:
+    """The residuals with H >= 0 sampled on a grid, for instances the exact rule does not fit."""
+    xs, ps = dist.xs, dist.ps
     ms = np.asarray(inst.ms, dtype=float)
     primal_residual = float(np.max(np.abs(moments_of(dist, inst.hs) - ms)))
     slack_residual = float(np.max(np.abs(_h_values(cert, inst, xs))))
@@ -294,22 +407,117 @@ def verify_optimality(
 
     primal_value = float(np.dot(np.asarray(inst.g.eval(xs), dtype=float), ps))
     dual_value = float(np.dot(np.asarray(cert.z, dtype=float), ms))
+    return (
+        primal_residual,
+        slack_residual,
+        tangent_residual,
+        dual_min_on_grid,
+        primal_value,
+        dual_value,
+    )
+
+
+def _exact_residuals(
+    inst: GmpInstance, dist: DiscreteDistribution, cert: DualCertificate
+) -> tuple[float, ...] | None:
+    """The residuals in scalar arithmetic, with the exact minimum of H over [0, inf).
+
+    None when the closed-form rule does not fit the instance.
+    """
+    if any(f.family not in _FAMILIES for f in (inst.g, *inst.hs)):
+        return None
+    terms = ((-1.0, inst.g),) + tuple((z, h) for z, h in zip(cert.z, inst.hs) if z != 0.0)
+    sign = 1.0 if inst.sense == "max" else -1.0
+    critical = _critical_points(inst, terms, sign)
+    if critical is None:
+        return None
+    xs = [x for x, _ in dist.points]
+    ps = [p for _, p in dist.points]
+    g_xs = [_value(inst.g, x) for x in xs]
+    rows = [[_value(h, x) for x in xs] for h in inst.hs]
+    primal_residual = _largest(
+        sum(v * p for v, p in zip(row, ps)) - m for row, m in zip(rows, inst.ms)
+    )
+    h_xs = []
+    for j, g in enumerate(g_xs):
+        total = -g
+        for z, row in zip(cert.z, rows):
+            if z != 0.0:
+                total += z * row[j]
+        h_xs.append(total)
+    slack_residual = _largest(h_xs)
+
+    kinks = inst.nondiff_points()
+    tangent_residual = _largest(
+        sum(c * _slope(f, x) for c, f in terms)
+        for x in xs
+        if 0.0 < x < inst.support_hi and all(abs(x - k) > _NONDIFF_SNAP for k in kinks)
+    )
+
+    points, unbounded = critical
+    signed = [sign * v for v in h_xs]
+    signed += [sign * sum(c * _value(f, x) for c, f in terms) for x in points]
+    if unbounded or any(v != v for v in signed):
+        dual_min_on_grid = -math.inf
+    else:
+        dual_min_on_grid = min(signed)
+
+    primal_value = sum(g * p for g, p in zip(g_xs, ps))
+    dual_value = sum(z * m for z, m in zip(cert.z, inst.ms))
+    return (
+        primal_residual,
+        slack_residual,
+        tangent_residual,
+        dual_min_on_grid,
+        primal_value,
+        dual_value,
+    )
+
+
+def verify_optimality(
+    inst: GmpInstance,
+    dist: DiscreteDistribution,
+    cert: DualCertificate,
+    tol: ToleranceSet = ToleranceSet(),
+) -> VerificationReport:
+    """Check the full optimality condition for a candidate primal-dual pair.
+
+    Tangency is tested only at support points strictly inside
+    (0, support_hi) and farther than 1e-12 from every declared kink.  Dual
+    feasibility is the exact minimum of H over [0, inf) when every function
+    is one of this module's families and H' has at most one nonlinear term
+    on every piece (see the module docstring); the residuals are then
+    computed in scalar arithmetic.  Any other instance keeps the sampled
+    check: H on a ``tol.grid_points`` uniform grid of [0, support_hi]
+    augmented with the support and all kinks, with numpy residuals.
+    """
+    if len(cert.z) != len(inst.hs):
+        raise DimensionError(f"certificate length {len(cert.z)} vs {len(inst.hs)} functions")
+    if dist.points[0][0] < 0.0 or dist.points[-1][0] > inst.support_hi:
+        raise DomainError("distribution support exceeds [0, support_hi]")
+
+    residuals = _exact_residuals(inst, dist, cert)
+    if residuals is None:
+        residuals = _scanned_residuals(inst, dist, cert, tol)
+    primal_residual, slack_residual, tangent_residual, dual_min, primal_value, dual_value = (
+        residuals
+    )
     duality_gap = abs(primal_value - dual_value)
 
-    m_scale = max(1.0, float(np.max(np.abs(ms))))
+    m_scale = max(1.0, max(abs(m) for m in inst.ms))
     v_scale = max(1.0, abs(primal_value))
     passed = (
         primal_residual <= tol.primal * m_scale
         and slack_residual <= tol.slack
         and tangent_residual <= tol.tangent
-        and dual_min_on_grid >= -tol.dual
+        and dual_min >= -tol.dual
         and duality_gap <= tol.gap * v_scale
     )
     return VerificationReport(
         primal_residual=primal_residual,
         slack_residual=slack_residual,
         tangent_residual=tangent_residual,
-        dual_min_on_grid=dual_min_on_grid,
+        dual_min_on_grid=dual_min,
         duality_gap=duality_gap,
         passed=passed,
         primal_value=primal_value,

@@ -28,6 +28,7 @@ from .errors import (
     DomainError,
     InfeasibleError,
     NonFiniteError,
+    RangeError,
     RootBracketError,
 )
 from .rootfind import BisectResult, bisect, polish_root
@@ -65,6 +66,16 @@ class PowerMomentInstance:
     @property
     def q_scaled(self) -> float:
         return self.q / self.M1
+
+    @property
+    def edge_scaled(self) -> float:
+        """mt^(1/(t-1)), the scaled upper support point of the boundary branch."""
+        try:
+            return self.mt_scaled ** (1.0 / (self.t - 1.0))
+        except OverflowError:
+            raise RangeError(
+                f"mt^(1/(t-1)) overflows at mt={self.mt_scaled:g}, t={self.t:g}"
+            ) from None
 
 
 @dataclass(frozen=True)
@@ -142,7 +153,7 @@ def _theta_prime(y: float, inst: PowerMomentInstance) -> float:
 def boundary_threshold(inst: PowerMomentInstance) -> float:
     """Largest q (original units) for which the closed-form branch applies."""
     t = inst.t
-    return inst.M1 * (t - 1.0) / t * inst.mt_scaled ** (1.0 / (t - 1.0))
+    return inst.M1 * (t - 1.0) / t * inst.edge_scaled
 
 
 def _stable_power_gap(v: float, inst: PowerMomentInstance, edge: float) -> float:
@@ -264,7 +275,7 @@ def solve_power_moment(
     """Solve the scaled problem, rescale, and certify the result."""
     M1, t = inst.M1, inst.t
     mt, qs = inst.mt_scaled, inst.q_scaled
-    edge = mt ** (1.0 / (t - 1.0))  # scaled upper support point of the boundary branch
+    edge = inst.edge_scaled
     a = max(edge, qs)
     b = t * qs / (t - 1.0)
 

@@ -35,7 +35,7 @@ class Problem:
 
 def _power_grid_hi(inst, report) -> float:
     t = inst.t
-    return 1.05 * inst.M1 * max(t * inst.q_scaled / (t - 1.0), inst.mt_scaled ** (1.0 / (t - 1.0)))
+    return 1.05 * inst.M1 * max(t * inst.q_scaled / (t - 1.0), inst.edge_scaled)
 
 
 def _exp_grid_hi(inst, report) -> float:

@@ -9,6 +9,9 @@ from math import log, sqrt
 
 import numpy as np
 
+from momentbound.core import GmpInstance, MomentFunction, VerificationReport
+from momentbound.errors import DimensionError, DomainError, NonDifferentiableError
+
 
 def scarf_value(M1: float, M2: float, q: float) -> float:
     """Mean-variance bound 0.5*(sqrt(sigma^2 + (q-mu)^2) - (q-mu)) (Scarf 1958).
@@ -45,3 +48,107 @@ class ExponentialDemand:
 def worst_case_objective(inst, q: float) -> float:
     """f(q) = worst-case E[(X - q)_+] + (1 - eta) * q, as optimize_order evaluates it."""
     return inst.ambiguity.worst_case(q) + (1.0 - inst.eta) * q
+
+
+def h_function(cert, inst, x: float) -> float:
+    """H(x; z) = sum_i z_i h_i(x) - g(x), from the functions' own `eval`."""
+    if len(cert.z) != len(inst.hs):
+        raise DimensionError(f"certificate length {len(cert.z)} vs {len(inst.hs)} functions")
+    if not (0.0 <= x <= inst.support_hi):
+        raise DomainError(f"x={x} outside [0, {inst.support_hi}]")
+    return float(sum(z * h.eval(x) for z, h in zip(cert.z, inst.hs)) - inst.g.eval(x))
+
+
+def h_derivative(cert, inst, x: float) -> float:
+    """d/dx H(x; z) where defined; raises within 1e-12 of any declared kink."""
+    if len(cert.z) != len(inst.hs):
+        raise DimensionError(f"certificate length {len(cert.z)} vs {len(inst.hs)} functions")
+    if not (0.0 <= x <= inst.support_hi):
+        raise DomainError(f"x={x} outside [0, {inst.support_hi}]")
+    for pt in inst.nondiff_points():
+        if abs(x - pt) <= 1e-12:
+            raise NonDifferentiableError(f"H is not differentiable at x={pt}")
+    return float(sum(z * h.deriv(x) for z, h in zip(cert.z, inst.hs)) - inst.g.deriv(x))
+
+
+def opaque(f: MomentFunction) -> MomentFunction:
+    """The same function without its recorded family, as a user would build it."""
+    return MomentFunction(id=f.id, eval=f.eval, deriv=f.deriv, nondiff_points=f.nondiff_points)
+
+
+def opaque_instance(inst: GmpInstance) -> GmpInstance:
+    """The same problem built from opaque functions, which the verifier can only scan."""
+    return GmpInstance(
+        g=opaque(inst.g),
+        hs=tuple(opaque(h) for h in inst.hs),
+        ms=inst.ms,
+        sense=inst.sense,
+        support_hi=inst.support_hi,
+    )
+
+
+def _h_on(cert, inst, xs):
+    total = -np.asarray(inst.g.eval(xs), dtype=float)
+    for z, h in zip(cert.z, inst.hs):
+        if z != 0.0:
+            total = total + z * np.asarray(h.eval(xs), dtype=float)
+    return total
+
+
+def dual_scan(inst, dist, cert, grid_points: int = 10_000) -> tuple[float, float]:
+    """Sampled minimum of H (of -H for "min" instances) and where it lies.
+
+    The grid is uniform on [0, support_hi], plus the support and the kinks.
+    """
+    grid = np.concatenate(
+        [
+            np.linspace(0.0, inst.support_hi, grid_points),
+            dist.xs,
+            np.asarray(inst.nondiff_points()),
+        ]
+    )
+    hg = _h_on(cert, inst, grid)
+    signed = hg if inst.sense == "max" else -hg
+    j = int(np.argmin(signed))
+    return float(signed[j]), float(grid[j])
+
+
+def scan_verification(inst, dist, cert, tol) -> VerificationReport:
+    """The optimality check with dual feasibility sampled by `dual_scan`, in numpy."""
+    xs, ps = dist.xs, dist.ps
+    ms = np.asarray(inst.ms, dtype=float)
+    moments = np.array([float(np.dot(np.asarray(h.eval(xs), dtype=float), ps)) for h in inst.hs])
+    primal_residual = float(np.max(np.abs(moments - ms)))
+    slack_residual = float(np.max(np.abs(_h_on(cert, inst, xs))))
+    kinks = inst.nondiff_points()
+    interior = [
+        x for x in xs if 0.0 < x < inst.support_hi and all(abs(x - k) > 1e-12 for k in kinks)
+    ]
+    tangent_residual = 0.0
+    if interior:
+        slope = -np.asarray(inst.g.deriv(np.asarray(interior)), dtype=float)
+        for z, h in zip(cert.z, inst.hs):
+            if z != 0.0:
+                slope = slope + z * np.asarray(h.deriv(np.asarray(interior)), dtype=float)
+        tangent_residual = float(np.max(np.abs(slope)))
+    dual_min, _ = dual_scan(inst, dist, cert, tol.grid_points)
+    primal_value = float(np.dot(np.asarray(inst.g.eval(xs), dtype=float), ps))
+    dual_value = float(np.dot(np.asarray(cert.z, dtype=float), ms))
+    duality_gap = abs(primal_value - dual_value)
+    passed = (
+        primal_residual <= tol.primal * max(1.0, float(np.max(np.abs(ms))))
+        and slack_residual <= tol.slack
+        and tangent_residual <= tol.tangent
+        and dual_min >= -tol.dual
+        and duality_gap <= tol.gap * max(1.0, abs(primal_value))
+    )
+    return VerificationReport(
+        primal_residual=primal_residual,
+        slack_residual=slack_residual,
+        tangent_residual=tangent_residual,
+        dual_min_on_grid=dual_min,
+        duality_gap=duality_gap,
+        passed=passed,
+        primal_value=primal_value,
+        dual_value=dual_value,
+    )

@@ -85,6 +85,11 @@ class TestSolve:
         )
         assert main(["solve", path]) == EXIT_RANGE
 
+    def test_power_overflow_is_a_range_rejection(self, tmp_path, capsys):
+        code = main(["solve", _mp1t(tmp_path, Mt=10, t=1.001)])
+        assert code == EXIT_RANGE
+        assert json.loads(capsys.readouterr().err.splitlines()[0])["error"] == "RangeError"
+
     def test_unknown_param_key(self, tmp_path):
         path = _mp1t(tmp_path, bogus=3)
         assert main(["solve", path]) == EXIT_SCHEMA

@@ -1,5 +1,7 @@
 """Domain types and the generic optimality verifier."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -9,8 +11,6 @@ from momentbound.core import (
     DualCertificate,
     GmpInstance,
     ToleranceSet,
-    h_derivative,
-    h_function,
     moments_of,
     verify_optimality,
 )
@@ -19,6 +19,7 @@ from momentbound.errors import (
     DomainError,
     NonDifferentiableError,
 )
+from references import h_derivative, h_function, opaque, opaque_instance, scan_verification
 
 
 def _mp1t_instance(M1=1.0, Mt=4.0, t=2.0, q=1.0, hi=40.0):
@@ -251,3 +252,115 @@ class TestVerifyOptimality:
             inst, dist, cert, ToleranceSet(slack=1.0, tangent=1.0, dual=1.0, gap=1.0)
         )
         assert lax.passed
+
+
+def _dip(x0, c, delta, hi=10.0, kink=1.0):
+    """A pair that is optimal except where H = c(x - x0)^2 - delta on [kink, inf).
+
+    g = 1 and a point mass at 0 meet every moment with zero gap; on [0, kink]
+    H = z1 x + c x^2 > 0, so H < 0 only within sqrt(delta/c) of x0.
+    """
+    z1 = (c * (x0 * x0 - 2.0 * x0 * kink) - delta) / kink
+    inst = GmpInstance(
+        g=core.constant(),
+        hs=(core.constant(), core.monomial(1.0), core.monomial(2.0), core.positive_part(kink)),
+        ms=(1.0, 0.0, 0.0, 0.0),
+        sense="max",
+        support_hi=hi,
+    )
+    dist = DiscreteDistribution(points=((0.0, 1.0),))
+    return inst, dist, DualCertificate(z=(1.0, z1, c, -(z1 + 2.0 * c * x0)))
+
+
+class TestExactDualFeasibility:
+    # midway between two points of the default 10 000-point grid of [0, 10]
+    NARROW = (5000.5 * 10.0 / 9999.0, 1e6, 1e-4)
+
+    @pytest.mark.parametrize(
+        "x0, c, delta",
+        [NARROW, (50.0, 1.0, 1.0)],  # a dip narrower than the grid; one beyond support_hi
+        ids=["between-grid-points", "beyond-support-hi"],
+    )
+    def test_negative_dip_the_scan_misses(self, x0, c, delta):
+        inst, dist, cert = _dip(x0, c, delta)
+        tol = ToleranceSet()
+        exact = verify_optimality(inst, dist, cert, tol)
+        assert exact.dual_min_on_grid == pytest.approx(-delta, rel=1e-3)
+        assert exact.dual_min_on_grid < -tol.dual
+        assert not exact.passed
+        scanned = verify_optimality(opaque_instance(inst), dist, cert, tol)
+        assert scanned.dual_min_on_grid >= -tol.dual
+        assert scanned.passed
+
+    def test_unbounded_tail_beyond_support_hi(self):
+        # H = x - 1e-3 x^2 >= 0 on [0, 10], falling without bound past x = 1000
+        inst, dist, _ = _dip(0.0, 0.0, 0.0)  # the instance and point mass only
+        cert = DualCertificate(z=(1.0, 1.0, -1e-3, 0.0))
+        exact = verify_optimality(inst, dist, cert)
+        assert exact.dual_min_on_grid == -math.inf
+        assert not exact.passed
+        assert verify_optimality(opaque_instance(inst), dist, cert).passed
+
+    def test_stationary_minimum_beyond_float_range(self):
+        # H = x^1.001 - 10.01 x decreases until x = 10^1000
+        inst = GmpInstance(
+            g=core.constant(),
+            hs=(core.constant(), core.monomial(1.0), core.monomial(1.001)),
+            ms=(1.0, 0.0, 0.0),
+            sense="max",
+            support_hi=10.0,
+        )
+        dist = DiscreteDistribution(points=((0.0, 1.0),))
+        rep = verify_optimality(inst, dist, DualCertificate(z=(1.0, -10.01, 1.0)))
+        assert rep.dual_min_on_grid == -math.inf
+        assert not rep.passed
+
+    def test_support_value_beyond_float_range(self):
+        inst = GmpInstance(
+            g=core.constant(),
+            hs=(core.constant(), core.monomial(400.0)),
+            ms=(1.0, 1.0),
+            sense="max",
+            support_hi=20.0,
+        )
+        dist = DiscreteDistribution(points=((10.0, 1.0),))
+        rep = verify_optimality(inst, dist, DualCertificate(z=(1.0, 0.0)))
+        assert rep.primal_residual == math.inf
+        assert not rep.passed
+
+
+def _fallback_cases():
+    """(instance, distribution, certificate) triples the exact rule does not fit."""
+    power = _mp1t_instance()
+    boundary = DiscreteDistribution(points=((0.0, 0.75), (4.0, 0.25)))
+    two_curves = GmpInstance(
+        g=core.positive_part(1.0),
+        hs=(core.constant(), core.monomial(3.0), core.exponential(0.5)),
+        ms=(1.0, 2.0, 1.5),
+        sense="max",
+        support_hi=8.0,
+    )
+    decaying = GmpInstance(
+        g=core.squared_positive_part(1.0),
+        hs=(core.constant(), core.monomial(1.0), core.exponential(-1.0)),
+        ms=(1.0, 0.5, 0.7),
+        sense="min",
+        support_hi=6.0,
+    )
+    spread = DiscreteDistribution(points=((0.2, 0.5), (1.7, 0.3), (3.1, 0.2)))
+    one_opaque = GmpInstance(  # its coefficient is zero, but its moment is still checked
+        g=power.g, hs=power.hs[:2] + (opaque(power.hs[2]),), ms=power.ms, sense="max", support_hi=40.0
+    )
+    return [
+        (one_opaque, boundary, DualCertificate(z=(0.0, 0.5, 0.0))),
+        (opaque_instance(power), boundary, DualCertificate(z=(0.0, 0.5, 1.0 / 16.0))),
+        (opaque_instance(power), boundary, DualCertificate(z=(1e-3, 0.5, 1.0 / 16.0))),
+        (two_curves, spread, DualCertificate(z=(0.3, -0.01, 0.4))),
+        (decaying, spread, DualCertificate(z=(-0.2, 0.8, 0.1))),
+    ]
+
+
+@pytest.mark.parametrize("inst, dist, cert", _fallback_cases())
+def test_fallback_is_the_scan_field_for_field(inst, dist, cert):
+    tol = ToleranceSet()
+    assert verify_optimality(inst, dist, cert, tol) == scan_verification(inst, dist, cert, tol)

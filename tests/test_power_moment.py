@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from momentbound import power_moment
-from momentbound.errors import DomainError, InfeasibleError, NonFiniteError
+from momentbound.errors import DomainError, InfeasibleError, NonFiniteError, RangeError
+from momentbound.problems import PROBLEMS
 from momentbound.power_moment import (
     PowerMomentAmbiguity,
     PowerMomentInstance,
@@ -199,6 +200,23 @@ class TestSolve:
             assert above.branch == power_moment.INTERIOR
             assert above.value == pytest.approx(below.value, rel=1e-6)
             assert above.verification.passed and below.verification.passed
+
+
+class TestRange:
+    # t - 1 = 1e-3 puts the boundary support point mt^(1/(t-1)) at 10^1000
+    INST = PowerMomentInstance(M1=1.0, Mt=10.0, t=1.001, q=1.0)
+
+    def test_solve_raises_range_error(self):
+        with pytest.raises(RangeError):
+            solve_power_moment(self.INST)
+
+    def test_threshold_raises_range_error(self):
+        with pytest.raises(RangeError):
+            boundary_threshold(self.INST)
+
+    def test_oracle_grid_raises_range_error(self):
+        with pytest.raises(RangeError):
+            PROBLEMS["mp1t"].grid_hi(self.INST, None)
 
 
 class TestAmbiguity:
