@@ -12,6 +12,8 @@ inducing H(x; z) = sum_i z_i h_i(x) - g(x).  The pair is optimal exactly when
 
 ``verify_optimality`` measures all four as residuals and applies explicit
 tolerances, so every solver in this package can certify its own output.
+``certify`` is the step every public solve ends with: it turns a solver's
+unverified candidate into a report that carries its verification.
 
 The sign condition is decided exactly when every function is one of the
 families built here (``constant``, ``monomial``, ``positive_part``,
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable, TypeVar
 
 import numpy as np
 
@@ -523,3 +525,24 @@ def verify_optimality(
         primal_value=primal_value,
         dual_value=dual_value,
     )
+
+
+R = TypeVar("R")
+
+
+def certify(
+    inst: Any,
+    candidate: dict[str, Any],
+    gmp_instance: Callable[[Any, DiscreteDistribution], GmpInstance],
+    report: Callable[..., R],
+    tol: ToleranceSet = ToleranceSet(),
+) -> R:
+    """Verify a solver's candidate answer and build its report, once.
+
+    ``candidate`` holds every field of ``report`` except ``verification``,
+    among them ``dist`` and ``cert``; ``gmp_instance(inst, dist)`` is the
+    generic moment problem the pair must be optimal for.
+    """
+    dist, cert = candidate["dist"], candidate["cert"]
+    verification = verify_optimality(gmp_instance(inst, dist), dist, cert, tol)
+    return report(**candidate, verification=verification)

@@ -41,7 +41,11 @@ _TAIL_FLOOR = 1e-10  # below this (times max(1, M1)) the tail escapes float reso
 
 @dataclass(frozen=True)
 class ExpMomentInstance:
-    """Moment data (M1, Me, t) and order quantity q, all in original units."""
+    """Moment data (M1, Me, t) and order quantity q, all in original units.
+
+    ``m1_scaled`` = t*M1 and ``q_scaled`` = t*q are set once here: the root
+    function reads both on every evaluation.
+    """
 
     M1: float
     Me: float
@@ -64,14 +68,8 @@ class ExpMomentInstance:
                 f"Me > exp(t*M1) required (single-point family otherwise): "
                 f"{self.Me} <= {math.exp(self.t * self.M1)}"
             )
-
-    @property
-    def m1_scaled(self) -> float:
-        return self.t * self.M1
-
-    @property
-    def q_scaled(self) -> float:
-        return self.t * self.q
+        object.__setattr__(self, "m1_scaled", self.t * self.M1)
+        object.__setattr__(self, "q_scaled", self.t * self.q)
 
 
 @dataclass(frozen=True)
@@ -96,6 +94,13 @@ class ExpMomentAmbiguity:
 
     def solve(self, q: float, eps: float = 1e-10) -> ExpMomentReport:
         return solve_exp_moment(self.instance_at(q), eps)
+
+    def _candidate(self, q: float, eps: float = 1e-10) -> dict:
+        """The unverified answer at q; `_certify` turns it into a report."""
+        return _candidate(self.instance_at(q), eps)
+
+    def _certify(self, q: float, candidate: dict) -> ExpMomentReport:
+        return core.certify(self.instance_at(q), candidate, gmp_instance, ExpMomentReport)
 
     def tail_cutoff(self, mass: float) -> float:
         """The q at which Chernoff's bound Me*exp(-t*q) on every feasible P(X > q) falls to mass."""
@@ -224,6 +229,11 @@ def solve_exp_moment(
     inst: ExpMomentInstance, eps: float = 1e-10, tol: ToleranceSet = ToleranceSet()
 ) -> ExpMomentReport:
     """Solve the rate-scaled problem, rescale, and certify the result."""
+    return core.certify(inst, _candidate(inst, eps), gmp_instance, ExpMomentReport, tol)
+
+
+def _candidate(inst: ExpMomentInstance, eps: float) -> dict:
+    """Every ExpMomentReport field but the verification, in original units."""
     t = inst.t
     m1, me, qs = inst.m1_scaled, inst.Me, inst.q_scaled
     v1 = compute_v1(m1, me)
@@ -310,15 +320,6 @@ def solve_exp_moment(
         cert = DualCertificate(z=((u - 1.0) * eu / den / t, -eu / den, 1.0 / den / t))
         branch, root, iters = INTERIOR, u, res.iterations
 
-    gmp = gmp_instance(inst, dist)
-    verification = core.verify_optimality(gmp, dist, cert, tol)
-    return ExpMomentReport(
-        value=value,
-        dist=dist,
-        cert=cert,
-        branch=branch,
-        v1=v1,
-        root=root,
-        bisect_iters=iters,
-        verification=verification,
+    return dict(
+        value=value, dist=dist, cert=cert, branch=branch, v1=v1, root=root, bisect_iters=iters
     )

@@ -8,6 +8,13 @@ p_hi(q) - (1 - eta), and one bisection finds it.  The ambiguity set's moment
 bound on P(X > q) (Markov for a power moment, Chernoff for an exponential
 one) gives the right end of the bracket, where p_hi <= 1 - eta holds without
 a solve.
+
+The bisection reads p_hi from unverified candidate solves.  What it returns
+is certified by the subgradient condition on its final bracket a < q* <= b:
+p_hi(a) >= 1 - eta >= p_hi(b) from verified worst cases at both ends, with
+b - a <= 2*eps, puts a minimizer of f within eps of q*.  A wrong midpoint can
+only move the bracket; the verified ends either catch it or prove it
+harmless.  An end that fails is a RootBracketError, never a decision.
 """
 
 from __future__ import annotations
@@ -15,10 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, RangeError
+from .errors import DomainError, RangeError, RootBracketError
 from .exp_moment import ExpMomentAmbiguity, ExpMomentReport
 from .power_moment import PowerMomentAmbiguity, PowerMomentReport
-from .rootfind import bisect
+from .rootfind import EXACT_ZERO, bisect
+
+Report = PowerMomentReport | ExpMomentReport
 
 
 @dataclass(frozen=True)
@@ -38,31 +47,61 @@ class NewsvendorInstance:
 
 @dataclass(frozen=True)
 class OrderDecision:
+    """The robust order q_star, its worst-case cost, and what certifies them.
+
+    ``report`` is the verified worst case at q_star, the distribution behind
+    ``objective``.  ``bracket`` is the search's final bracket (a, b),
+    a < q_star <= b, and ``bracket_reports`` the verified worst cases at its
+    ends.  Together they certify p_hi(a) >= 1 - eta >= p_hi(b) with
+    b - a <= 2*eps (or a and b adjacent floats), so a minimizer of the
+    worst-case cost lies in [a, b].  An end's report is None where no solve is
+    needed: a = 0 is the domain boundary, and at b >= the tail cutoff the
+    moment bound gives p_hi(b) <= 1 - eta.  When p_hi(q_star) = 1 - eta
+    exactly, q_star meets the subgradient condition itself and the bracket may
+    be wider.
+    """
+
     q_star: float
     objective: float
     iterations: int  # bisection steps
     inner_solves: int  # worst-case solves, the one at q_star included
-    report: PowerMomentReport | ExpMomentReport  # the worst case at q_star
+    report: Report  # the worst case at q_star
+    bracket: tuple[float, float]
+    bracket_reports: tuple[Report | None, Report | None]
 
 
 def optimize_order(inst: NewsvendorInstance) -> OrderDecision:
-    """Bisect p_hi(q) - (1 - eta) on (0, hi] to inst.eps."""
+    """Bisect p_hi(q) - (1 - eta) on (0, hi] to inst.eps, then certify the bracket."""
     amb = inst.ambiguity
     amb.instance_at(amb.M1)  # rejects infeasible moments before the tail bound uses them
     mass = 1.0 - inst.eta
     hi = amb.tail_cutoff(mass)
     if not math.isfinite(hi):
         raise RangeError(f"no finite q brings the moment bound on P(X > q) down to {mass:g}")
+    # the candidate at every midpoint, so the bracket ends are certified
+    # without a second solve
+    candidates: dict[float, dict] = {}
 
     def excess(q: float) -> float:
         if q >= hi:
             return -mass  # p_hi(q) <= P(X > q) <= mass by the moment bound
-        return amb.solve(q).dist.points[-1][1] - mass
+        candidates[q] = candidate = amb._candidate(q)
+        return candidate["dist"].points[-1][1] - mass
 
     # q = 0 admits no solve.  Declaring it the left root keeps it unevaluated;
     # if p_hi < 1 - eta on all of (0, hi], the search closes in on q = 0.
     res = bisect(excess, 0.0, hi, inst.eps, assume_left_root=True)
+    a, b = res.bracket
+    lo, up = (_certified_end(amb, q, candidates.get(q)) for q in (a, b))
+    if lo is not None and not lo.dist.points[-1][1] >= mass:
+        raise RootBracketError(f"p_hi at order bracket end {a:g} is below 1 - eta = {mass:g}")
+    if up is not None and not up.dist.points[-1][1] <= mass:
+        raise RootBracketError(f"p_hi at order bracket end {b:g} is above 1 - eta = {mass:g}")
     report = amb.solve(res.root)
+    # the search stops at width 2*eps, at float resolution, or on an exact root
+    exact = res.status == EXACT_ZERO and report.verification.passed
+    if not (b - a <= 2.0 * inst.eps or not a < 0.5 * (a + b) < b or exact):
+        raise RootBracketError(f"order bracket ({a:g}, {b:g}) is wider than 2*eps")
     return OrderDecision(
         q_star=res.root,
         objective=report.value + mass * res.root,
@@ -70,4 +109,16 @@ def optimize_order(inst: NewsvendorInstance) -> OrderDecision:
         # each bisection step solves at its midpoint (all below hi), then q* once more
         inner_solves=res.iterations + 1,
         report=report,
+        bracket=(a, b),
+        bracket_reports=(lo, up),
     )
+
+
+def _certified_end(amb, q: float, candidate: dict | None) -> Report | None:
+    """The verified worst case at a bracket end; None at 0 and at the tail cutoff."""
+    if candidate is None:
+        return None
+    report = amb._certify(q, candidate)
+    if not report.verification.passed:
+        raise RootBracketError(f"worst case at order bracket end q={q:g} failed verification")
+    return report

@@ -39,7 +39,12 @@ INTERIOR = "interior"
 
 @dataclass(frozen=True)
 class PowerMomentInstance:
-    """Moment data (M1, Mt, t) and order quantity q, all in original units."""
+    """Moment data (M1, Mt, t) and order quantity q, all in original units.
+
+    ``mt_scaled`` = Mt/M1^t, the t-th moment of X/M1 (always > 1), and
+    ``q_scaled`` = q/M1 are set once here: the root function reads both on
+    every evaluation.
+    """
 
     M1: float
     Mt: float
@@ -53,19 +58,13 @@ class PowerMomentInstance:
             raise InfeasibleError(f"t > 1 required, got {self.t}")
         if not self.q > 0.0:
             raise InfeasibleError(f"q > 0 required, got {self.q}")
-        if not self.Mt > self.M1**self.t:
+        m1t = self.M1**self.t
+        if not self.Mt > m1t:
             raise InfeasibleError(
-                f"Mt > M1^t required (single-point family otherwise): {self.Mt} <= {self.M1**self.t}"
+                f"Mt > M1^t required (single-point family otherwise): {self.Mt} <= {m1t}"
             )
-
-    @property
-    def mt_scaled(self) -> float:
-        """t-th moment of X/M1; always > 1."""
-        return self.Mt / self.M1**self.t
-
-    @property
-    def q_scaled(self) -> float:
-        return self.q / self.M1
+        object.__setattr__(self, "mt_scaled", self.Mt / m1t)
+        object.__setattr__(self, "q_scaled", self.q / self.M1)
 
     @property
     def edge_scaled(self) -> float:
@@ -91,6 +90,13 @@ class PowerMomentAmbiguity:
 
     def solve(self, q: float, eps: float = 1e-10) -> PowerMomentReport:
         return solve_power_moment(self.instance_at(q), eps)
+
+    def _candidate(self, q: float, eps: float = 1e-10) -> dict:
+        """The unverified answer at q; `_certify` turns it into a report."""
+        return _candidate(self.instance_at(q), eps)
+
+    def _certify(self, q: float, candidate: dict) -> PowerMomentReport:
+        return core.certify(self.instance_at(q), candidate, gmp_instance, PowerMomentReport)
 
     def tail_cutoff(self, mass: float) -> float:
         """The q at which Markov's bound Mt/q^t on every feasible P(X > q) falls to mass."""
@@ -273,6 +279,11 @@ def solve_power_moment(
     inst: PowerMomentInstance, eps: float = 1e-10, tol: ToleranceSet = ToleranceSet()
 ) -> PowerMomentReport:
     """Solve the scaled problem, rescale, and certify the result."""
+    return core.certify(inst, _candidate(inst, eps), gmp_instance, PowerMomentReport, tol)
+
+
+def _candidate(inst: PowerMomentInstance, eps: float) -> dict:
+    """Every PowerMomentReport field but the verification, in original units."""
     M1, t = inst.M1, inst.t
     mt, qs = inst.mt_scaled, inst.q_scaled
     edge = inst.edge_scaled
@@ -349,14 +360,4 @@ def solve_power_moment(
         )
         branch, root, iters = INTERIOR, v, res.iterations
 
-    gmp = gmp_instance(inst, dist)
-    verification = core.verify_optimality(gmp, dist, cert, tol)
-    return PowerMomentReport(
-        value=value,
-        dist=dist,
-        cert=cert,
-        branch=branch,
-        root=root,
-        bisect_iters=iters,
-        verification=verification,
-    )
+    return dict(value=value, dist=dist, cert=cert, branch=branch, root=root, bisect_iters=iters)

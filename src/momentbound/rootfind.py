@@ -26,8 +26,10 @@ TOLERANCE_REACHED = "tolerance_reached"
 class BisectResult:
     root: float
     iterations: int
-    width: float  # final half-interval
     status: str  # EXACT_ZERO or TOLERANCE_REACHED
+    # the bracket (a, b) that held the root when the search stopped,
+    # a < root <= b; root is its midpoint unless the search stopped at b
+    bracket: tuple[float, float]
 
 
 def _checked(f: Callable[[float], float], x: float) -> float:
@@ -62,7 +64,7 @@ def bisect(
 
     fb = _checked(f, b)
     if abs(fb) <= _ZERO_FLOOR:
-        return BisectResult(root=b, iterations=0, width=0.0, status=EXACT_ZERO)
+        return BisectResult(root=b, iterations=0, status=EXACT_ZERO, bracket=(a, b))
     sb = 1.0 if fb > 0.0 else -1.0
 
     if not assume_left_root:
@@ -83,15 +85,15 @@ def bisect(
             # interval has collapsed to float resolution; b keeps the
             # open-interval guarantee root > a
             return BisectResult(
-                root=b, iterations=iterations, width=0.5 * (b - a), status=TOLERANCE_REACHED
+                root=b, iterations=iterations, status=TOLERANCE_REACHED, bracket=(a, b)
             )
         fc = _checked(f, c)
         iterations += 1
         if abs(fc) <= _ZERO_FLOOR:
-            return BisectResult(root=c, iterations=iterations, width=0.5 * (b - a), status=EXACT_ZERO)
+            return BisectResult(root=c, iterations=iterations, status=EXACT_ZERO, bracket=(a, b))
         if 0.5 * (b - a) <= eps:
             return BisectResult(
-                root=c, iterations=iterations, width=0.5 * (b - a), status=TOLERANCE_REACHED
+                root=c, iterations=iterations, status=TOLERANCE_REACHED, bracket=(a, b)
             )
         if (fc > 0.0) == (fb > 0.0):
             b, fb = c, fc

@@ -11,6 +11,7 @@ import numpy as np
 
 from momentbound.core import GmpInstance, MomentFunction, VerificationReport
 from momentbound.errors import DimensionError, DomainError, NonDifferentiableError
+from momentbound.rootfind import bisect
 
 
 def scarf_value(M1: float, M2: float, q: float) -> float:
@@ -48,6 +49,26 @@ class ExponentialDemand:
 def worst_case_objective(inst, q: float) -> float:
     """f(q) = worst-case E[(X - q)_+] + (1 - eta) * q, as optimize_order evaluates it."""
     return inst.ambiguity.worst_case(q) + (1.0 - inst.eta) * q
+
+
+def verified_order_search(inst) -> tuple[float, float, int, int]:
+    """(q*, objective, iterations, inner solves) of the order search on verified solves.
+
+    The envelope-theorem bisection of p_hi(q) - (1 - eta) on (0, hi], hi the
+    moment-bound tail cutoff, with every midpoint read from the public,
+    verified `ambiguity.solve`: the search as it ran before midpoints were
+    left unverified.
+    """
+    amb = inst.ambiguity
+    mass = 1.0 - inst.eta
+    hi = amb.tail_cutoff(mass)
+
+    def excess(q: float) -> float:
+        return -mass if q >= hi else amb.solve(q).dist.points[-1][1] - mass
+
+    res = bisect(excess, 0.0, hi, inst.eps, assume_left_root=True)
+    value = amb.solve(res.root).value
+    return res.root, value + mass * res.root, res.iterations, res.iterations + 1
 
 
 def h_function(cert, inst, x: float) -> float:

@@ -1,15 +1,23 @@
 """Robust order-quantity optimization."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 
-from momentbound.errors import DomainError, InfeasibleError, MomentBoundError
+from momentbound import core
+from momentbound.cli import EXIT_SCHEMA, main
+from momentbound.errors import DomainError, InfeasibleError, MomentBoundError, RootBracketError
 from momentbound.exp_moment import ExpMomentAmbiguity, boundary_threshold
 from momentbound.newsvendor import NewsvendorInstance, optimize_order
 from momentbound.power_moment import PowerMomentAmbiguity
-from references import ExponentialDemand, mean_variance_order, worst_case_objective
+from references import (
+    ExponentialDemand,
+    mean_variance_order,
+    verified_order_search,
+    worst_case_objective,
+)
 
 
 def _exp_instance(eta: float, eps: float = 1e-6) -> NewsvendorInstance:
@@ -104,6 +112,149 @@ class TestSubgradientCondition:
         mass = 1.0 - eta
         assert _upper_mass(amb, d.q_star - inst.eps) >= mass
         assert _upper_mass(amb, d.q_star + inst.eps) <= mass
+
+
+# one fixed member of each ambiguity kind the benchmark's newsvendor stream draws
+AMBIGUITIES = {
+    "mp1t-1.5": PowerMomentAmbiguity(M1=50.0, Mt=2.0 * 50.0**1.5, t=1.5),
+    "mp1t-2": PowerMomentAmbiguity(M1=50.0, Mt=1.25 * 50.0**2, t=2.0),
+    "mp1t-3": PowerMomentAmbiguity(M1=50.0, Mt=1.5 * 50.0**3, t=3.0),
+    "mp1e-expdemand": ExpMomentAmbiguity.from_exponential_demand(lam=1.0 / 50.0, t=0.004),
+    "mp1e-general": ExpMomentAmbiguity(M1=3.0, Me=1.8 * math.exp(1.5), t=0.5),
+}
+ETAS = (0.5, 0.9, 0.99, 0.9999)
+DEEP_ETAS = (1.0 - 1e-8, 1.0 - 1e-10)
+CELLS = [(k, eta) for k in AMBIGUITIES for eta in ETAS]
+DEEP_CELLS = [(k, eta) for k in AMBIGUITIES for eta in DEEP_ETAS]
+# At p_hi = 1e-10 the mp1t t = 1.5 worst cases put their upper support near
+# 2e8, where the verifier's absolute slack tolerance (1e-8) is below the float
+# noise of H there (3e-8): the bracket ends fail verification, so the search
+# refuses instead of returning a decision steered by uncertified midpoints.
+DEEP_REFUSALS = {("mp1t-1.5", 1.0 - 1e-10)}
+
+
+def _decision(kind: str, eta: float):
+    return optimize_order(NewsvendorInstance(ambiguity=AMBIGUITIES[kind], eta=eta))
+
+
+def _loose_once(monkeypatch):
+    """Make the first midpoint at or above q = 2100 answer at root tolerance 1e-8.
+
+    The exp_moment solver's loose-tolerance answers on the lam = 1/50, t = 0.01
+    exponential-demand set read p_hi of about 3.4e-10 across q in 2075-2372,
+    where the certified p_hi falls from 1.3e-10 to 6.5e-12.  Right of the
+    certified order for 1 - eta = 1e-10 (q = 2097.97) that wrong p_hi steers
+    the search further right.
+    """
+    real = ExpMomentAmbiguity._candidate
+    wrong = []
+
+    def candidate(self, q, eps=1e-10):
+        if q >= 2100.0 and not wrong:
+            wrong.append(q)
+            return real(self, q, 1e-8)
+        return real(self, q, eps)
+
+    monkeypatch.setattr(ExpMomentAmbiguity, "_candidate", candidate)
+    return wrong
+
+
+class TestCertifiedOrder:
+    """Midpoints are unverified; the bracket ends and q* are certified."""
+
+    @pytest.mark.parametrize("kind,eta", CELLS + DEEP_CELLS)
+    def test_verification_budget(self, kind, eta, monkeypatch):
+        calls, inside = [0], []
+        real_verify, real_candidate = core.verify_optimality, type(AMBIGUITIES[kind])._candidate
+
+        def verify(*args, **kwargs):
+            calls[0] += 1
+            return real_verify(*args, **kwargs)
+
+        def candidate(self, q, eps=1e-10):
+            before = calls[0]
+            out = real_candidate(self, q, eps)
+            inside.append(calls[0] - before)
+            return out
+
+        monkeypatch.setattr(core, "verify_optimality", verify)
+        monkeypatch.setattr(type(AMBIGUITIES[kind]), "_candidate", candidate)
+        try:
+            d = _decision(kind, eta)
+        except RootBracketError:
+            assert (kind, eta) in DEEP_REFUSALS
+        else:
+            assert calls[0] == 1 + sum(r is not None for r in d.bracket_reports)
+            assert len(inside) == d.iterations
+        assert calls[0] <= 3
+        assert inside and not any(inside)
+
+    @pytest.mark.parametrize("kind,eta", CELLS + DEEP_CELLS)
+    def test_bit_identical_to_the_verified_search(self, kind, eta):
+        inst = NewsvendorInstance(ambiguity=AMBIGUITIES[kind], eta=eta)
+        if (kind, eta) in DEEP_REFUSALS:
+            with pytest.raises(RootBracketError):
+                optimize_order(inst)
+            return
+        d = optimize_order(inst)
+        assert (d.q_star, d.objective, d.iterations, d.inner_solves) == verified_order_search(inst)
+
+    @pytest.mark.parametrize("kind,eta", CELLS + DEEP_CELLS)
+    def test_subgradient_certificate(self, kind, eta):
+        if (kind, eta) in DEEP_REFUSALS:
+            return
+        inst = NewsvendorInstance(ambiguity=AMBIGUITIES[kind], eta=eta)
+        d = optimize_order(inst)
+        (a, b), (lo, up) = d.bracket, d.bracket_reports
+        mass = 1.0 - eta
+        assert a < d.q_star <= b
+        assert b - a <= 2.0 * inst.eps
+        assert (lo is None) == (a == 0.0)
+        assert (up is None) == (b >= inst.ambiguity.tail_cutoff(mass))
+        if lo is not None:
+            assert lo.verification.passed
+            assert lo.dist.points[-1][1] >= mass
+        if up is not None:
+            assert up.verification.passed
+            assert up.dist.points[-1][1] <= mass
+        assert d.report.verification.passed
+
+    def test_exact_root_needs_no_narrow_bracket(self):
+        # at t = 2 and Mt = 2*M1^2 the boundary branch has p_hi = 1/2 for every
+        # q up to the threshold 1: at eta = 1/2 the first midpoint is a root
+        amb = PowerMomentAmbiguity(M1=1.0, Mt=2.0, t=2.0)
+        d = optimize_order(NewsvendorInstance(ambiguity=amb, eta=0.5))
+        assert (d.q_star, d.iterations, d.bracket, d.bracket_reports) == (1.0, 1, (0.0, 2.0), (None, None))
+        assert d.report.dist.points[-1][1] == 0.5
+        assert d.report.verification.passed
+
+    def test_float_resolution_bracket(self):
+        amb = AMBIGUITIES["mp1t-2"]
+        d = optimize_order(NewsvendorInstance(ambiguity=amb, eta=0.9, eps=1e-15))
+        a, b = d.bracket
+        assert b == math.nextafter(a, math.inf) == d.q_star
+        assert all(r.verification.passed for r in d.bracket_reports)
+
+    def test_wrong_midpoint_is_refused(self, monkeypatch):
+        amb = ExpMomentAmbiguity.from_exponential_demand(lam=1.0 / 50.0, t=0.01)
+        inst = NewsvendorInstance(ambiguity=amb, eta=1.0 - 1e-10)
+        honest = optimize_order(inst)
+        wrong = _loose_once(monkeypatch)
+        with pytest.raises(RootBracketError):
+            optimize_order(inst)
+        # the wrong answer sent the search right of the certified order
+        assert wrong and wrong[0] > honest.q_star
+        assert amb._candidate(wrong[0], 1e-8)["dist"].points[-1][1] > 1e-10
+
+    def test_cli_refusal_exit_code(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "order.json"
+        params = {"ambiguity": "mp1e", "exponential_lambda": 0.02, "t": 0.01, "eta": 1.0 - 1e-10}
+        path.write_text(json.dumps({"problem": "newsvendor", "params": params}), encoding="utf-8")
+        _loose_once(monkeypatch)
+        assert main(["solve", str(path)]) == EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err.splitlines()[0])["error"] == "RootBracketError"
 
 
 class TestOptimizeOrder:

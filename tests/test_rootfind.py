@@ -68,8 +68,11 @@ class TestBisect:
     def test_exact_zero_status(self):
         res = bisect(lambda x: x - 1.0, 0.0, 2.0, 1e-10)
         assert res.status == EXACT_ZERO  # midpoint hits 1.0 exactly
+        assert res.bracket == (0.0, 2.0)
         res2 = bisect(lambda x: x - 1.1, 0.0, 2.0, 1e-6)
         assert res2.status == TOLERANCE_REACHED
+        a, b = res2.bracket  # the last sign change, with the root at its midpoint
+        assert a < 1.1 < b and b - a <= 2e-6 and res2.root == 0.5 * (a + b)
 
     def test_iteration_bound_random(self):
         rng = np.random.default_rng(11)
@@ -85,4 +88,6 @@ class TestBisect:
         # eps far below float resolution of the bracket must still terminate
         res = bisect(lambda x: x - 1e7 - 0.3, 1e7, 1e7 + 1.0, 1e-300)
         assert res.root == pytest.approx(1e7 + 0.3, rel=1e-12)
+        a, b = res.bracket
+        assert b == math.nextafter(a, math.inf) == res.root
 
