@@ -1,6 +1,7 @@
 """Tight worst/best-case expectation bounds over moment-constrained families.
 
-Three solved problems, each returning a certified primal-dual pair:
+Three solved problems, each returning a certified primal-dual pair as one
+``Report`` type:
 
   * ``power_moment``: max E[(X-q)_+] given E[X] and E[X^t], t > 1
   * ``partial_moment``: min Var[(X-1)_+] given E[X], E[X^2], E[(X-1)_+]
@@ -15,6 +16,7 @@ from .core import (
     DualCertificate,
     GmpInstance,
     MomentFunction,
+    Report,
     ToleranceSet,
     VerificationReport,
     moments_of,
@@ -23,7 +25,6 @@ from .core import (
 from .exp_moment import (
     ExpMomentAmbiguity,
     ExpMomentInstance,
-    ExpMomentReport,
     compute_v1,
     phi,
     solve_exp_moment,
@@ -33,7 +34,6 @@ from .newsvendor import NewsvendorInstance, OrderDecision, optimize_order
 from .oracle import GridSpec, OracleResult, RefineOutcome, oracle_solve, refine_until
 from .partial_moment import (
     PartialMomentInstance,
-    PartialMomentReport,
     enumerate_family,
     kappa,
     solve_partial_moment,
@@ -41,7 +41,6 @@ from .partial_moment import (
 from .power_moment import (
     PowerMomentAmbiguity,
     PowerMomentInstance,
-    PowerMomentReport,
     boundary_threshold,
     solve_power_moment,
     theta,
@@ -54,7 +53,6 @@ __all__ = [
     "DualCertificate",
     "ExpMomentAmbiguity",
     "ExpMomentInstance",
-    "ExpMomentReport",
     "GmpInstance",
     "GridSpec",
     "MomentFunction",
@@ -62,11 +60,10 @@ __all__ = [
     "OracleResult",
     "OrderDecision",
     "PartialMomentInstance",
-    "PartialMomentReport",
     "PowerMomentAmbiguity",
     "PowerMomentInstance",
-    "PowerMomentReport",
     "RefineOutcome",
+    "Report",
     "ToleranceSet",
     "VerificationReport",
     "WValue",

@@ -190,7 +190,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
         problem = doc["problem"]
         started = time.perf_counter()
         if problem in PROBLEMS:
-            entry = PROBLEMS[problem]
             _, report = _solve_moment_problem(problem, doc["params"], eps)
             env = _envelope(
                 problem,
@@ -198,8 +197,8 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 report.dist,
                 report.cert.z,
                 report.branch,
-                entry.root(report),
-                entry.iterations(report),
+                report.root,
+                report.bisect_iters,
                 report.verification,
                 started,
             )
@@ -311,8 +310,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         params[args.param] = float(v)
         try:
             _, report = _solve_moment_problem(problem, params, eps)
-            root, iters = entry.root(report), entry.iterations(report)
-            rows.append((float(v), report.value, report.branch, root, iters))
+            rows.append((float(v), report.value, report.branch, report.root, report.bisect_iters))
         except MomentBoundError:
             any_failed = True
             rows.append((float(v), math.nan, "", None, 0))

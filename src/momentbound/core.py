@@ -13,7 +13,8 @@ inducing H(x; z) = sum_i z_i h_i(x) - g(x).  The pair is optimal exactly when
 ``verify_optimality`` measures all four as residuals and applies explicit
 tolerances, so every solver in this package can certify its own output.
 ``certify`` is the step every public solve ends with: it turns a solver's
-unverified candidate into a report that carries its verification.
+unverified candidate into a ``Report``, the one answer type of all three
+problems, which carries its verification.
 
 The sign condition is decided exactly when every function is one of the
 families built here (``constant``, ``monomial``, ``positive_part``,
@@ -34,7 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, TypeVar
+from typing import Any, Callable
 
 import numpy as np
 
@@ -527,22 +528,39 @@ def verify_optimality(
     )
 
 
-R = TypeVar("R")
+@dataclass(frozen=True)
+class Report:
+    """A solver's answer: the optimal value, the primal-dual pair behind it, and its check.
+
+    ``branch`` names the regime the solver took.  ``root`` is the scalar that
+    fixes the answer on that branch, in the solver's scaled units: the
+    bisected upper (mp1t) or lower (mp1e) support point on the interior
+    branch, the degenerate family's parameter v1, its largest support point
+    (upm), and None on the closed-form branches.  ``bisect_iters`` counts
+    the bisection steps behind ``root``, 0 where nothing was bisected.
+    """
+
+    value: float
+    dist: DiscreteDistribution
+    cert: DualCertificate
+    branch: str
+    root: float | None
+    bisect_iters: int
+    verification: VerificationReport
 
 
 def certify(
     inst: Any,
     candidate: dict[str, Any],
     gmp_instance: Callable[[Any, DiscreteDistribution], GmpInstance],
-    report: Callable[..., R],
     tol: ToleranceSet = ToleranceSet(),
-) -> R:
+) -> Report:
     """Verify a solver's candidate answer and build its report, once.
 
-    ``candidate`` holds every field of ``report`` except ``verification``,
+    ``candidate`` holds every field of ``Report`` except ``verification``,
     among them ``dist`` and ``cert``; ``gmp_instance(inst, dist)`` is the
     generic moment problem the pair must be optimal for.
     """
     dist, cert = candidate["dist"], candidate["cert"]
     verification = verify_optimality(gmp_instance(inst, dist), dist, cert, tol)
-    return report(**candidate, verification=verification)
+    return Report(**candidate, verification=verification)

@@ -4,8 +4,11 @@ Rescaling X to t*X reduces everything to rate 1.  The boundary branch places
 mass on {0, v1} where v1 solves exp(v) = ((Me-1)/M1) * v + 1, obtained
 through the lower Lambert W branch.  Past the branch threshold the lower
 support point u is a root of a scalar equation on (0, min(M1, q)) and the
-upper point follows from it.  As with the power-moment solver, every answer
-carries a dual certificate that is re-verified generically.
+upper point follows from it.  As with the power-moment solver,
+``_candidate`` builds the unverified answer with its dual certificate, and
+``solve_exp_moment`` passes it through ``core.certify``, which returns a
+``core.Report`` (``root`` is u on the interior branch).  The boundary point
+v1 is ``compute_v1(inst.m1_scaled, inst.Me)``.
 """
 
 from __future__ import annotations
@@ -14,13 +17,7 @@ import math
 from dataclasses import dataclass
 
 from . import core
-from .core import (
-    DiscreteDistribution,
-    DualCertificate,
-    GmpInstance,
-    ToleranceSet,
-    VerificationReport,
-)
+from .core import DiscreteDistribution, DualCertificate, GmpInstance, Report, ToleranceSet
 from .errors import (
     DomainError,
     InfeasibleError,
@@ -92,15 +89,15 @@ class ExpMomentAmbiguity:
     def instance_at(self, q: float) -> ExpMomentInstance:
         return ExpMomentInstance(M1=self.M1, Me=self.Me, t=self.t, q=q)
 
-    def solve(self, q: float, eps: float = 1e-10) -> ExpMomentReport:
+    def solve(self, q: float, eps: float = 1e-10) -> Report:
         return solve_exp_moment(self.instance_at(q), eps)
 
     def _candidate(self, q: float, eps: float = 1e-10) -> dict:
         """The unverified answer at q; `_certify` turns it into a report."""
         return _candidate(self.instance_at(q), eps)
 
-    def _certify(self, q: float, candidate: dict) -> ExpMomentReport:
-        return core.certify(self.instance_at(q), candidate, gmp_instance, ExpMomentReport)
+    def _certify(self, q: float, candidate: dict) -> Report:
+        return core.certify(self.instance_at(q), candidate, gmp_instance)
 
     def tail_cutoff(self, mass: float) -> float:
         """The q at which Chernoff's bound Me*exp(-t*q) on every feasible P(X > q) falls to mass."""
@@ -127,18 +124,6 @@ class ExpMomentAmbiguity:
             return self.solve(q, eps).value
         except RangeError:
             return bound  # same underflow regime, caught by the solver instead
-
-
-@dataclass(frozen=True)
-class ExpMomentReport:
-    value: float
-    dist: DiscreteDistribution
-    cert: DualCertificate
-    branch: str
-    v1: float  # boundary support point of the rate-scaled problem
-    root: float | None  # lower support point of the scaled problem, interior only
-    bisect_iters: int
-    verification: VerificationReport
 
 
 def compute_v1(m1_scaled: float, Me: float) -> float:
@@ -227,13 +212,13 @@ def gmp_instance(inst: ExpMomentInstance, dist: DiscreteDistribution) -> GmpInst
 
 def solve_exp_moment(
     inst: ExpMomentInstance, eps: float = 1e-10, tol: ToleranceSet = ToleranceSet()
-) -> ExpMomentReport:
+) -> Report:
     """Solve the rate-scaled problem, rescale, and certify the result."""
-    return core.certify(inst, _candidate(inst, eps), gmp_instance, ExpMomentReport, tol)
+    return core.certify(inst, _candidate(inst, eps), gmp_instance, tol)
 
 
 def _candidate(inst: ExpMomentInstance, eps: float) -> dict:
-    """Every ExpMomentReport field but the verification, in original units."""
+    """Every Report field but the verification, in original units."""
     t = inst.t
     m1, me, qs = inst.m1_scaled, inst.Me, inst.q_scaled
     v1 = compute_v1(m1, me)
@@ -320,6 +305,4 @@ def _candidate(inst: ExpMomentInstance, eps: float) -> dict:
         cert = DualCertificate(z=((u - 1.0) * eu / den / t, -eu / den, 1.0 / den / t))
         branch, root, iters = INTERIOR, u, res.iterations
 
-    return dict(
-        value=value, dist=dist, cert=cert, branch=branch, v1=v1, root=root, bisect_iters=iters
-    )
+    return dict(value=value, dist=dist, cert=cert, branch=branch, root=root, bisect_iters=iters)

@@ -15,6 +15,7 @@ p_hi(a) >= 1 - eta >= p_hi(b) from verified worst cases at both ends, with
 b - a <= 2*eps, puts a minimizer of f within eps of q*.  A wrong midpoint can
 only move the bracket; the verified ends either catch it or prove it
 harmless.  An end that fails is a RootBracketError, never a decision.
+Every report here, at q* and at the bracket ends, is a ``core.Report``.
 """
 
 from __future__ import annotations
@@ -22,12 +23,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .core import Report
 from .errors import DomainError, RangeError, RootBracketError
-from .exp_moment import ExpMomentAmbiguity, ExpMomentReport
-from .power_moment import PowerMomentAmbiguity, PowerMomentReport
+from .exp_moment import ExpMomentAmbiguity
+from .power_moment import PowerMomentAmbiguity
 from .rootfind import EXACT_ZERO, bisect
-
-Report = PowerMomentReport | ExpMomentReport
 
 
 @dataclass(frozen=True)

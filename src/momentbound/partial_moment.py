@@ -9,7 +9,11 @@ as gamma * M1^2.  Two regimes:
     attains the same objective; the solver returns a representative
     three-point member and can enumerate others.
 
-Everything here is closed form; no root-finding is needed.
+Everything here is closed form; no root-finding is needed.  ``_candidate``
+builds the answer, and ``solve_partial_moment`` passes it through
+``core.certify`` like the other two solvers.  The report's ``root`` is the
+family's parameter v1, its largest support point, on the degenerate branch,
+and None on the two-point branch, whose kappa is ``kappa(inst)``.
 """
 
 from __future__ import annotations
@@ -18,13 +22,7 @@ import math
 from dataclasses import dataclass
 
 from . import core
-from .core import (
-    DiscreteDistribution,
-    DualCertificate,
-    GmpInstance,
-    ToleranceSet,
-    VerificationReport,
-)
+from .core import DiscreteDistribution, DualCertificate, GmpInstance, Report, ToleranceSet
 from .errors import BranchError, FamilyParamError, InfeasibleError
 
 TWO_POINT = "two_point"
@@ -73,17 +71,6 @@ class PartialMomentInstance:
         return self.M1 <= 1.0 / self.gamma + self.Mplus
 
 
-@dataclass(frozen=True)
-class PartialMomentReport:
-    value: float
-    dist: DiscreteDistribution
-    cert: DualCertificate
-    branch: str
-    kappa: float | None  # two-point branch only
-    family_v1: float | None  # degenerate branch only
-    verification: VerificationReport
-
-
 def kappa(inst: PartialMomentInstance) -> float:
     """sqrt((gamma-1) * ((gamma-1)*M1^2 + 4*Mplus*(M1-1) - 4*Mplus^2))."""
     m1, g, mp = inst.M1, inst.gamma, inst.Mplus
@@ -128,7 +115,7 @@ def _two_point_cert(inst: PartialMomentInstance, k: float) -> DualCertificate:
 
 
 def family_lower_bound(inst: PartialMomentInstance) -> float:
-    """Smallest admissible middle support point v1 on the degenerate branch."""
+    """Smallest admissible v1 (the largest support point) on the degenerate branch."""
     return max(1.0, (inst.gamma * inst.M1**2 - inst.M1) / inst.Mplus)
 
 
@@ -136,7 +123,13 @@ def solve_partial_moment(
     inst: PartialMomentInstance,
     v1_choice: float | None = None,
     tol: ToleranceSet = ToleranceSet(),
-) -> PartialMomentReport:
+) -> Report:
+    """Build the closed-form answer and certify it."""
+    return core.certify(inst, _candidate(inst, v1_choice), gmp_instance, tol)
+
+
+def _candidate(inst: PartialMomentInstance, v1_choice: float | None) -> dict:
+    """Every Report field but the verification."""
     m1, g, mp = inst.M1, inst.gamma, inst.Mplus
 
     if inst.is_two_point():
@@ -155,9 +148,7 @@ def solve_partial_moment(
         dist = DiscreteDistribution(points=((u, 1.0 - p_hi), (v, p_hi)))
         cert = _two_point_cert(inst, k)
         value = 0.5 * (2.0 * mp * (m1 - 1.0) + m1 * ((g - 1.0) * m1 - k)) - mp * mp
-        report_kappa: float | None = k
-        family_v1: float | None = None
-        branch = TWO_POINT
+        branch, root = TWO_POINT, None
     else:
         lb = family_lower_bound(inst)
         if v1_choice is None:
@@ -175,27 +166,15 @@ def solve_partial_moment(
         dist = DiscreteDistribution(points=((0.0, p0), (v2, p2), (v1, p1)))
         cert = DualCertificate(z=(0.0, -1.0, 1.0, -1.0))
         value = m1 * (g * m1 - 1.0) - mp - mp * mp
-        report_kappa = None
-        family_v1 = v1
-        branch = DEGENERATE_FAMILY
+        branch, root = DEGENERATE_FAMILY, v1
 
-    gmp = gmp_instance(inst, dist)
-    verification = core.verify_optimality(gmp, dist, cert, tol)
-    return PartialMomentReport(
-        value=value,
-        dist=dist,
-        cert=cert,
-        branch=branch,
-        kappa=report_kappa,
-        family_v1=family_v1,
-        verification=verification,
-    )
+    return dict(value=value, dist=dist, cert=cert, branch=branch, root=root, bisect_iters=0)
 
 
 def enumerate_family(
     inst: PartialMomentInstance, v1_list: list[float], tol: ToleranceSet = ToleranceSet()
-) -> list[PartialMomentReport]:
-    """One report per requested middle support point of the degenerate family."""
+) -> list[Report]:
+    """One report per requested v1 (the largest support point) of the degenerate family."""
     if inst.is_two_point():
         raise BranchError("instance is on the two-point branch; there is no family")
     return [solve_partial_moment(inst, v1_choice=v1, tol=tol) for v1 in v1_list]

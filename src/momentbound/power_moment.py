@@ -4,8 +4,10 @@ After normalizing the mean to 1 the answer is a two-point distribution.  When
 q is at most (t-1)/t * Mt^(1/(t-1)) the lower support point is 0 and
 everything is in closed form.  Above that threshold the upper support point v
 is a root of a scalar equation on a known open bracket, the lower point u and
-the dual certificate follow from v, and the certificate is re-verified
-against the generic optimality conditions.
+the dual certificate follow from v.  ``_candidate`` builds that unverified
+answer, and ``solve_power_moment`` passes it through ``core.certify``, which
+checks it against the generic optimality conditions and returns a
+``core.Report`` (``root`` is v on the interior branch).
 """
 
 from __future__ import annotations
@@ -16,13 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .core import (
-    DiscreteDistribution,
-    DualCertificate,
-    GmpInstance,
-    ToleranceSet,
-    VerificationReport,
-)
+from .core import DiscreteDistribution, DualCertificate, GmpInstance, Report, ToleranceSet
 from .errors import (
     BracketError,
     DomainError,
@@ -58,11 +54,16 @@ class PowerMomentInstance:
             raise InfeasibleError(f"t > 1 required, got {self.t}")
         if not self.q > 0.0:
             raise InfeasibleError(f"q > 0 required, got {self.q}")
-        m1t = self.M1**self.t
+        try:
+            m1t = self.M1**self.t
+        except OverflowError:
+            raise RangeError(f"M1^t overflows at M1={self.M1:g}, t={self.t:g}") from None
         if not self.Mt > m1t:
             raise InfeasibleError(
                 f"Mt > M1^t required (single-point family otherwise): {self.Mt} <= {m1t}"
             )
+        if m1t == 0.0:
+            raise RangeError(f"M1^t underflows to 0 at M1={self.M1:g}, t={self.t:g}")
         object.__setattr__(self, "mt_scaled", self.Mt / m1t)
         object.__setattr__(self, "q_scaled", self.q / self.M1)
 
@@ -88,15 +89,15 @@ class PowerMomentAmbiguity:
     def instance_at(self, q: float) -> PowerMomentInstance:
         return PowerMomentInstance(M1=self.M1, Mt=self.Mt, t=self.t, q=q)
 
-    def solve(self, q: float, eps: float = 1e-10) -> PowerMomentReport:
+    def solve(self, q: float, eps: float = 1e-10) -> Report:
         return solve_power_moment(self.instance_at(q), eps)
 
     def _candidate(self, q: float, eps: float = 1e-10) -> dict:
         """The unverified answer at q; `_certify` turns it into a report."""
         return _candidate(self.instance_at(q), eps)
 
-    def _certify(self, q: float, candidate: dict) -> PowerMomentReport:
-        return core.certify(self.instance_at(q), candidate, gmp_instance, PowerMomentReport)
+    def _certify(self, q: float, candidate: dict) -> Report:
+        return core.certify(self.instance_at(q), candidate, gmp_instance)
 
     def tail_cutoff(self, mass: float) -> float:
         """The q at which Markov's bound Mt/q^t on every feasible P(X > q) falls to mass."""
@@ -107,17 +108,6 @@ class PowerMomentAmbiguity:
         if q == 0.0:
             return self.M1  # E[(X - 0)_+] = E[X] for every feasible distribution
         return self.solve(q, eps).value
-
-
-@dataclass(frozen=True)
-class PowerMomentReport:
-    value: float
-    dist: DiscreteDistribution
-    cert: DualCertificate
-    branch: str
-    root: float | None  # upper support point of the scaled problem, interior only
-    bisect_iters: int
-    verification: VerificationReport
 
 
 def theta(y: float, inst: PowerMomentInstance) -> float:
@@ -277,13 +267,13 @@ def gmp_instance(inst: PowerMomentInstance, dist: DiscreteDistribution) -> GmpIn
 
 def solve_power_moment(
     inst: PowerMomentInstance, eps: float = 1e-10, tol: ToleranceSet = ToleranceSet()
-) -> PowerMomentReport:
+) -> Report:
     """Solve the scaled problem, rescale, and certify the result."""
-    return core.certify(inst, _candidate(inst, eps), gmp_instance, PowerMomentReport, tol)
+    return core.certify(inst, _candidate(inst, eps), gmp_instance, tol)
 
 
 def _candidate(inst: PowerMomentInstance, eps: float) -> dict:
-    """Every PowerMomentReport field but the verification, in original units."""
+    """Every Report field but the verification, in original units."""
     M1, t = inst.M1, inst.t
     mt, qs = inst.mt_scaled, inst.q_scaled
     edge = inst.edge_scaled

@@ -2,9 +2,10 @@
 
 Everything the CLI needs to know about a problem lives in its `Problem`
 record: how to build and solve an instance from a parameter file, the generic
-moment problem behind it, the oracle grid, and how a report maps onto the
-output envelope.  Solvers are looked up on their modules at call time, so
-wrapping a module attribute also covers solves started from the CLI.
+moment problem behind it, and the oracle grid.  Every solve returns a
+``core.Report``, whose fields map onto the output envelope directly.
+Solvers are looked up on their modules at call time, so wrapping a module
+attribute also covers solves started from the CLI.
 """
 
 from __future__ import annotations
@@ -26,9 +27,6 @@ class Problem:
     grid_hi: Callable[[Any, Any], float]  # (instance, report) -> oracle grid upper end
     ambiguity: type | None = None  # newsvendor ambiguity set over the same moments
     optional: tuple[str, ...] = ()  # extra solve arguments, passed by keyword
-    # envelope "root" and "iterations": the bisected root by default
-    root: Callable[[Any], float | None] = lambda report: report.root
-    iterations: Callable[[Any], int] = lambda report: report.bisect_iters
     # LP objective value minus the reported value
     oracle_offset: Callable[[Any], float] = lambda inst: 0.0
 
@@ -39,7 +37,8 @@ def _power_grid_hi(inst, report) -> float:
 
 
 def _exp_grid_hi(inst, report) -> float:
-    return 1.5 * max(inst.q_scaled + 1.0 + math.log(inst.Me), report.v1) / inst.t
+    v1 = exp_moment.compute_v1(inst.m1_scaled, inst.Me)
+    return 1.5 * max(inst.q_scaled + 1.0 + math.log(inst.Me), v1) / inst.t
 
 
 def _solve_upm(inst, eps: float, v1: float | None = None):
@@ -64,8 +63,6 @@ PROBLEMS = {
         gmp=lambda inst, dist: partial_moment.gmp_instance(inst, dist),
         grid_hi=lambda inst, report: 2.1 * max(float(report.dist.xs[-1]), 1.0, inst.M1),
         optional=("v1",),
-        root=lambda report: report.family_v1,
-        iterations=lambda report: 0,
         # the LP optimizes E[(X-1)_+^2]; the report is its variance
         oracle_offset=lambda inst: inst.Mplus**2,
     ),

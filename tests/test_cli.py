@@ -29,6 +29,93 @@ GOLDEN_MP1T = (
 )
 
 
+GOLDEN_MP1E_BOUNDARY = (
+    '{"problem": "mp1e", "optimal_value": 0.6673247154461621, '
+    '"distribution": [{"x": 0.0, "p": 0.6673247154461621}, '
+    '{"x": 3.0059341539036604, "p": 0.3326752845538378}], '
+    '"dual": [-0.02407894197689184, 0.5134830043529041, 0.02407894197689184], '
+    '"branch": "boundary", "root": null, "iterations": 0, '
+    '"verification": {"primal_residual": 8.881784197001252e-16, '
+    '"slack_residual": 1.6653345369377348e-16, '
+    '"tangent_residual": 5.551115123125783e-17, '
+    '"dual_min_on_grid": -1.6653345369377348e-16, "duality_gap": 0.0, '
+    '"passed": true}, "verified": true, "timing_ms": 0.0}'
+)
+
+GOLDEN_MP1E_INTERIOR = (
+    '{"problem": "mp1e", "optimal_value": 0.012059559745025546, '
+    '"distribution": [{"x": 0.9372675420809182, "p": 0.9875273849068539}, '
+    '{"x": 5.966883019716725, "p": 0.012472615093146134}], '
+    '"dual": [-0.0004130553481205896, -0.006584396049862852, '
+    '0.002579086000682405], "branch": "interior", "root": 0.9372675420809182, '
+    '"iterations": 34, "verification": {"primal_residual": 1.7763568394002505e-15, '
+    '"slack_residual": 4.440892098500626e-16, "tangent_residual": 0.0, '
+    '"dual_min_on_grid": 0.0, "duality_gap": 1.734723475976807e-18, '
+    '"passed": true}, "verified": true, "timing_ms": 0.0}'
+)
+
+GOLDEN_UPM_TWO_POINT = (
+    '{"problem": "upm", "optimal_value": 0.040000000000000015, '
+    '"distribution": [{"x": 0.25000000000000006, "p": 0.8}, '
+    '{"x": 1.5000000000000002, "p": 0.19999999999999993}], '
+    '"dual": [-0.050000000000000086, 0.40000000000000036, -0.8000000000000012, '
+    '3.000000000000003], "branch": "two_point", "root": null, "iterations": 0, '
+    '"verification": {"primal_residual": 0.0, '
+    '"slack_residual": 8.881784197001252e-16, '
+    '"tangent_residual": 8.881784197001252e-16, '
+    '"dual_min_on_grid": 6.245004513516506e-17, '
+    '"duality_gap": 2.0122792321330962e-16, "passed": true}, "verified": true, '
+    '"timing_ms": 0.0}'
+)
+
+GOLDEN_UPM_FAMILY = (
+    '{"problem": "upm", "optimal_value": 0.26, "distribution": [{"x": 0.0, '
+    '"p": 0.7}, {"x": 1.3636363636363635, "p": 0.25744680851063817}, {"x": 3.5, '
+    '"p": 0.0425531914893617}], "dual": [0.0, -1.0, 1.0, -1.0], '
+    '"branch": "degenerate_family", "root": 3.5, "iterations": 0, '
+    '"verification": {"primal_residual": 2.220446049250313e-16, '
+    '"slack_residual": 0.0, "tangent_residual": 0.0, "dual_min_on_grid": -0.0, '
+    '"duality_gap": 5.551115123125783e-17, "passed": true}, "verified": true, '
+    '"timing_ms": 0.0}'
+)
+
+GOLDEN_UPM_FAMILY_V1 = (
+    '{"problem": "upm", "optimal_value": 0.26, "distribution": [{"x": 0.0, '
+    '"p": 0.7}, {"x": 1.2500000000000002, "p": 0.22857142857142854}, {"x": 3.0, '
+    '"p": 0.07142857142857144}], "dual": [0.0, -1.0, 1.0, -1.0], '
+    '"branch": "degenerate_family", "root": 3.0, "iterations": 0, '
+    '"verification": {"primal_residual": 2.220446049250313e-16, '
+    '"slack_residual": 0.0, "tangent_residual": 0.0, "dual_min_on_grid": -0.0, '
+    '"duality_gap": 5.551115123125783e-17, "passed": true}, "verified": true, '
+    '"timing_ms": 0.0}'
+)
+
+GOLDEN_NEWSVENDOR = (
+    '{"problem": "newsvendor", "optimal_value": 0.6196152422706787, '
+    '"distribution": [{"x": 0.42264958971778804, "p": 0.8999999560116818}, '
+    '{"x": 6.196151152873665, "p": 0.10000004398831827}], '
+    '"dual": [0.015470046533682018, -0.0732050706307875, 0.08660255730955288], '
+    '"branch": "envelope_bisection", "root": 3.3094003712957276, "iterations": 23, '
+    '"verification": {"primal_residual": 0.0, '
+    '"slack_residual": 8.881784197001252e-16, "tangent_residual": 0.0, '
+    '"dual_min_on_grid": 1.734723475976807e-18, '
+    '"duality_gap": 1.1102230246251565e-16, "passed": true}, "verified": true, '
+    '"timing_ms": 0.0}'
+)
+
+GOLDEN_SWEEP = (
+    'param,value,branch,root,iters\n'
+    '0.5,0.875,boundary,,0\n'
+    '1.0,0.75,boundary,,0\n'
+    '1.5,0.625,boundary,,0\n'
+    '2.0,0.5,boundary,,0\n'
+    '2.5,0.39564392373895996,interior,4.79128784747792,34\n'
+    '3.0,0.3228756555322953,interior,5.645751311064592,35\n'
+    '3.5,0.2706906325745549,interior,6.541381265149108,35\n'
+    '4.0,0.2320508075688773,interior,7.464101615137754,36\n'
+)
+
+
 def _write(tmp_path, doc, name="inst.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -45,12 +132,40 @@ def _normalize_timing(line: str) -> str:
     return re.sub(r'"timing_ms": [0-9eE+.\-]+', '"timing_ms": 0.0', line)
 
 
+E2 = math.e**2
+MP1T = {"M1": 1, "Mt": 4, "t": 2, "q": 1}
+UPM_FAMILY = {"M1": 0.5, "gamma": 4, "Mplus": 0.2}
+NEWSVENDOR = {"ambiguity": "mp1t", "M1": 1, "Mt": 4, "t": 2, "eta": 0.9}
+SWEEP_Q = ["--param", "q", "--from", "0.5", "--to", "4", "--steps", "8"]
+
+# (problem, params, sweep arguments or None for `solve`, stdout with timing_ms
+# zeroed).  The strings pin the output byte for byte.
+GOLDEN = [
+    pytest.param("mp1t", MP1T, None, GOLDEN_MP1T, id="mp1t-boundary"),
+    pytest.param(
+        "mp1e", {"M1": 1, "Me": E2, "t": 1, "q": 1}, None, GOLDEN_MP1E_BOUNDARY, id="mp1e-boundary"
+    ),
+    pytest.param(
+        "mp1e", {"M1": 1, "Me": E2, "t": 1, "q": 5}, None, GOLDEN_MP1E_INTERIOR, id="mp1e-interior"
+    ),
+    pytest.param(
+        "upm", {"M1": 0.5, "gamma": 2, "Mplus": 0.1}, None, GOLDEN_UPM_TWO_POINT, id="upm-two-point"
+    ),
+    pytest.param("upm", UPM_FAMILY, None, GOLDEN_UPM_FAMILY, id="upm-family"),
+    pytest.param("upm", dict(UPM_FAMILY, v1=3), None, GOLDEN_UPM_FAMILY_V1, id="upm-family-v1"),
+    pytest.param("newsvendor", NEWSVENDOR, None, GOLDEN_NEWSVENDOR, id="newsvendor-mp1t"),
+    pytest.param("mp1t", MP1T, SWEEP_Q, GOLDEN_SWEEP, id="sweep-mp1t-q"),
+]
+
+
 class TestSolve:
-    def test_golden_envelope(self, tmp_path, capsys):
-        code = main(["solve", _mp1t(tmp_path)])
-        out = capsys.readouterr().out.strip()
+    @pytest.mark.parametrize("problem,params,sweep,golden", GOLDEN)
+    def test_golden_envelope(self, tmp_path, capsys, problem, params, sweep, golden):
+        path = _write(tmp_path, {"problem": problem, "params": params})
+        code = main(["solve", path] if sweep is None else ["sweep", path, *sweep])
+        out = capsys.readouterr().out
         assert code == EXIT_OK
-        assert _normalize_timing(out) == GOLDEN_MP1T
+        assert _normalize_timing(out).strip() == golden.strip()
 
     def test_envelope_round_trips(self, tmp_path, capsys):
         code = main(["solve", _mp1t(tmp_path)])
@@ -87,6 +202,12 @@ class TestSolve:
 
     def test_power_overflow_is_a_range_rejection(self, tmp_path, capsys):
         code = main(["solve", _mp1t(tmp_path, Mt=10, t=1.001)])
+        assert code == EXIT_RANGE
+        assert json.loads(capsys.readouterr().err.splitlines()[0])["error"] == "RangeError"
+
+    @pytest.mark.parametrize("M1,Mt", [(1e200, 1e300), (1e-200, 1)])  # M1^t over/underflows
+    def test_mean_power_out_of_range_is_a_range_rejection(self, tmp_path, capsys, M1, Mt):
+        code = main(["solve", _mp1t(tmp_path, M1=M1, Mt=Mt)])
         assert code == EXIT_RANGE
         assert json.loads(capsys.readouterr().err.splitlines()[0])["error"] == "RangeError"
 
@@ -298,7 +419,7 @@ PROBLEM_CASES = [
             "upm",
             {"M1": 0.5, "gamma": 4, "Mplus": 0.2},
             lambda p: solve_partial_moment(PartialMomentInstance(**p)),
-            lambda rep: (rep.family_v1, 0),
+            lambda rep: (rep.root, 0),
         ),
         id="upm",
     ),

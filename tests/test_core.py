@@ -19,6 +19,14 @@ from momentbound.errors import (
     DomainError,
     NonDifferentiableError,
 )
+from momentbound.exp_moment import ExpMomentAmbiguity, ExpMomentInstance, solve_exp_moment
+from momentbound.partial_moment import (
+    PartialMomentInstance,
+    enumerate_family,
+    solve_partial_moment,
+)
+from momentbound.power_moment import PowerMomentAmbiguity, PowerMomentInstance, solve_power_moment
+from momentbound.problems import PROBLEMS
 from references import h_derivative, h_function, opaque, opaque_instance, scan_verification
 
 
@@ -364,3 +372,47 @@ def _fallback_cases():
 def test_fallback_is_the_scan_field_for_field(inst, dist, cert):
     tol = ToleranceSet()
     assert verify_optimality(inst, dist, cert, tol) == scan_verification(inst, dist, cert, tol)
+
+
+E2 = math.e**2
+UPM_FAMILY = PartialMomentInstance(M1=0.5, gamma=4.0, Mplus=0.2)
+# every public way to an answer, each returning one report or a list of them
+ANSWERS = [
+    pytest.param(lambda: solve_power_moment(PowerMomentInstance(1.0, 4.0, 2.0, 1.0)), id="mp1t"),
+    pytest.param(lambda: solve_power_moment(PowerMomentInstance(1.0, 4.0, 2.0, 3.0)), id="mp1t-in"),
+    pytest.param(lambda: solve_exp_moment(ExpMomentInstance(1.0, E2, 1.0, 1.0)), id="mp1e"),
+    pytest.param(lambda: solve_exp_moment(ExpMomentInstance(1.0, E2, 1.0, 5.0)), id="mp1e-in"),
+    pytest.param(
+        lambda: solve_partial_moment(PartialMomentInstance(0.5, 2.0, 0.1)), id="upm-two-point"
+    ),
+    pytest.param(lambda: solve_partial_moment(UPM_FAMILY, v1_choice=3.0), id="upm-family"),
+    pytest.param(lambda: enumerate_family(UPM_FAMILY, [2.5, 3.0, 4.0]), id="enumerate_family"),
+    pytest.param(
+        lambda: PROBLEMS["mp1t"].solve(PowerMomentInstance(1.0, 4.0, 2.0, 3.0), 1e-10),
+        id="problem-mp1t",
+    ),
+    pytest.param(
+        lambda: PROBLEMS["mp1e"].solve(ExpMomentInstance(1.0, E2, 1.0, 5.0), 1e-10),
+        id="problem-mp1e",
+    ),
+    pytest.param(lambda: PROBLEMS["upm"].solve(UPM_FAMILY, 1e-10, v1=3.0), id="problem-upm"),
+    pytest.param(lambda: PowerMomentAmbiguity(1.0, 4.0, 2.0).solve(3.0), id="ambiguity-mp1t"),
+    pytest.param(lambda: ExpMomentAmbiguity(1.0, E2, 1.0).solve(5.0), id="ambiguity-mp1e"),
+]
+
+
+@pytest.mark.parametrize("answer", ANSWERS)
+def test_every_answer_is_a_report_verified_once(answer, monkeypatch):
+    real, verifications = core.verify_optimality, []
+
+    def verify(*args, **kwargs):
+        verifications.append(real(*args, **kwargs))
+        return verifications[-1]
+
+    monkeypatch.setattr(core, "verify_optimality", verify)
+    out = answer()
+    reports = out if isinstance(out, list) else [out]
+    assert all(type(r) is core.Report for r in reports)
+    assert len(verifications) == len(reports)
+    assert all(r.verification is v for r, v in zip(reports, verifications))
+    assert all(v.passed for v in verifications)

@@ -129,10 +129,13 @@ class TestPhi:
 
 class TestSolve:
     def test_boundary_reference(self):
-        rep = solve_exp_moment(ExpMomentInstance(M1=1.0, Me=math.e**2, t=1.0, q=1.0))
+        inst = ExpMomentInstance(M1=1.0, Me=math.e**2, t=1.0, q=1.0)
+        rep = solve_exp_moment(inst)
         assert rep.branch == exp_moment.BOUNDARY
         assert rep.value == pytest.approx(0.6673247154461622, abs=1e-11)
-        assert rep.v1 == pytest.approx(3.0059341539036604, abs=1e-11)
+        v1 = compute_v1(inst.m1_scaled, inst.Me)
+        assert v1 == pytest.approx(3.0059341539036604, abs=1e-11)
+        assert rep.dist.points[-1][0] == v1 / inst.t  # the boundary support is {0, v1}
         assert rep.verification.passed
 
     def test_boundary_threshold_reference(self):

@@ -284,7 +284,8 @@ class TestRefineUntil:
         em = exp_moment.ExpMomentInstance(M1=1.0, Me=math.e**2, t=1.0, q=5.0)
         rep = exp_moment.solve_exp_moment(em)
         gmp = exp_moment.gmp_instance(em, rep.dist)
-        hi = 1.5 * max(em.q_scaled + 1.0 + math.log(em.Me), rep.v1) / em.t
+        v1 = exp_moment.compute_v1(em.m1_scaled, em.Me)
+        hi = 1.5 * max(em.q_scaled + 1.0 + math.log(em.Me), v1) / em.t
         out = refine_until(
             gmp,
             GridSpec(lo=0.0, hi=hi, n_points=1001, refine_around=tuple(rep.dist.xs)),

@@ -89,7 +89,7 @@ class TestTwoPointBranch:
         rep = solve_partial_moment(inst)
         assert rep.branch == partial_moment.TWO_POINT
         assert rep.value == pytest.approx(0.04, abs=1e-12)
-        assert rep.kappa == pytest.approx(0.1, abs=1e-12)
+        assert kappa(inst) == pytest.approx(0.1, abs=1e-12)
         xs, ps = rep.dist.xs, rep.dist.ps
         assert xs == pytest.approx([0.25, 1.5], abs=1e-12)
         assert ps == pytest.approx([0.8, 0.2], abs=1e-12)
@@ -185,7 +185,7 @@ class TestDegenerateFamily:
         rep = solve_partial_moment(inst)
         assert rep.branch == partial_moment.DEGENERATE_FAMILY
         assert rep.value == pytest.approx(0.26, abs=1e-13)
-        assert rep.family_v1 == pytest.approx(3.5)  # lower bound 2.5 plus 1
+        assert rep.root == pytest.approx(3.5)  # lower bound 2.5 plus 1
         assert rep.verification.passed
 
     def test_hand_example_chosen_member(self):

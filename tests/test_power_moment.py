@@ -218,6 +218,14 @@ class TestRange:
         with pytest.raises(RangeError):
             PROBLEMS["mp1t"].grid_hi(self.INST, None)
 
+    # M1^t overflows float range, or underflows to 0 and would divide Mt by it
+    @pytest.mark.parametrize("M1,Mt", [(1e200, 1e300), (1e-200, 1.0)])
+    def test_mean_power_out_of_range(self, M1, Mt):
+        with pytest.raises(RangeError, match=r"M1\^t"):
+            PowerMomentInstance(M1=M1, Mt=Mt, t=2.0, q=1.0)
+        with pytest.raises(RangeError, match=r"M1\^t"):
+            PowerMomentAmbiguity(M1=M1, Mt=Mt, t=2.0).worst_case(0.0)
+
 
 class TestAmbiguity:
     # the q = 0 shortcut and the solve
