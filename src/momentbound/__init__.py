@@ -19,7 +19,6 @@ from .core import (
     Report,
     ToleranceSet,
     VerificationReport,
-    moments_of,
     verify_optimality,
 )
 from .exp_moment import (
@@ -73,7 +72,6 @@ __all__ = [
     "enumerate_family",
     "kappa",
     "lambert_w_minus1",
-    "moments_of",
     "optimize_order",
     "oracle_solve",
     "phi",

@@ -16,19 +16,19 @@ tolerances, so every solver in this package can certify its own output.
 unverified candidate into a ``Report``, the one answer type of all three
 problems, which carries its verification.
 
-The sign condition is decided exactly when every function is one of the
-families built here (``constant``, ``monomial``, ``positive_part``,
-``squared_positive_part``, ``exponential``).  Between consecutive kinks and
-knots H' is then alpha + beta*x + gamma*psi'(x), psi a power x^p (p not 1
+The sign condition is decided exactly, not sampled.  Every function is one
+of the families built here (``constant``, ``monomial``, ``positive_part``,
+``squared_positive_part``, ``exponential``), so between consecutive kinks
+and knots H' is alpha + beta*x + gamma*psi'(x), psi a power x^p (p not 1
 or 2) or an exponential e^(rx).  When at most one of beta and gamma is
 nonzero, H' is monotone on the piece, so H has at most one stationary point
 there and its closed form is the inverse of psi' (the Chebyshev-system
 argument behind two- and three-point optima; Karlin & Studden,
 *Tchebycheff Systems*, 1966).  The minimum of H over [0, inf) is a minimum
 over the piece ends, the support and those points, and the sign of the
-leading coefficient settles x -> inf.  Any other instance falls back to a
-uniform-grid scan of [0, support_hi], which samples the condition rather
-than proving it.
+leading coefficient settles x -> inf.  An instance outside that rule (a
+decaying exponential, or two nonlinear terms in H' on one piece) is refused
+with DomainError: a sampled scan could only pass it without proof.
 """
 
 from __future__ import annotations
@@ -49,87 +49,67 @@ _FAMILIES = ("constant", "monomial", "positive_part", "squared_positive_part", "
 
 @dataclass(frozen=True)
 class MomentFunction:
-    """A measurable function on [0, inf) with an optional derivative.
+    """One of this module's function families on [0, inf), with its parameter.
 
-    ``eval`` and ``deriv`` must accept scalars or numpy arrays.  ``deriv`` is
-    trusted everywhere except at ``nondiff_points``, where callers must not
-    use it.  The constructors below also record ``family`` (their own name)
-    and ``param`` (the power, kink or rate), from which the verifier
-    evaluates the function in scalar arithmetic and inverts its derivative;
-    a function built any other way leaves ``family`` empty.
+    ``family`` names the family and ``param`` holds its power, kink or rate
+    (unused by ``constant``).  ``eval`` evaluates the function on scalars or
+    numpy arrays; the verifier evaluates it and its derivative in scalar
+    arithmetic and inverts the derivative in closed form.  Build these with
+    the constructors below.
     """
 
-    id: str
-    eval: Callable[[Array | float], Array | float]
-    deriv: Callable[[Array | float], Array | float]
-    nondiff_points: tuple[float, ...] = ()
-    family: str = ""
+    family: str
     param: float = 0.0
+
+    def __post_init__(self) -> None:
+        if self.family not in _FAMILIES:
+            raise DomainError(f"unknown function family {self.family!r}")
+
+    @property
+    def nondiff_points(self) -> tuple[float, ...]:
+        """Where the derivative does not exist: the kink of ``positive_part``."""
+        return (self.param,) if self.family == "positive_part" else ()
+
+    def eval(self, x: Array | float) -> Array:
+        """f(x), elementwise on a scalar or a numpy array."""
+        x = np.asarray(x, dtype=float)
+        family, p = self.family, self.param
+        if family == "monomial":
+            return x + 0.0 if p == 1.0 else np.power(x, p)
+        if family == "positive_part":
+            return np.maximum(x - p, 0.0)
+        if family == "squared_positive_part":
+            return np.maximum(x - p, 0.0) ** 2
+        if family == "exponential":
+            return np.exp(p * x)
+        return np.ones_like(x)
 
 
 def constant() -> MomentFunction:
     """The normalization function h_0 = 1."""
-    return MomentFunction(
-        id="1",
-        eval=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-        deriv=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        family="constant",
-    )
+    return MomentFunction("constant")
 
 
 def monomial(power: float) -> MomentFunction:
     """x**power on [0, inf); power >= 1 so the derivative exists at 0."""
     if power < 1.0:
         raise DomainError(f"monomial power must be >= 1, got {power}")
-    if power == 1.0:
-        return MomentFunction(
-            id="x",
-            eval=lambda x: np.asarray(x, dtype=float) + 0.0,
-            deriv=lambda x: np.ones_like(np.asarray(x, dtype=float)),
-            family="monomial",
-            param=1.0,
-        )
-    return MomentFunction(
-        id=f"x^{power:g}",
-        eval=lambda x: np.power(np.asarray(x, dtype=float), power),
-        deriv=lambda x: power * np.power(np.asarray(x, dtype=float), power - 1.0),
-        family="monomial",
-        param=float(power),
-    )
+    return MomentFunction("monomial", float(power))
 
 
 def positive_part(kink: float) -> MomentFunction:
     """(x - kink)_+, non-differentiable exactly at the kink."""
-    return MomentFunction(
-        id=f"(x-{kink:g})+",
-        eval=lambda x: np.maximum(np.asarray(x, dtype=float) - kink, 0.0),
-        deriv=lambda x: np.where(np.asarray(x, dtype=float) > kink, 1.0, 0.0),
-        nondiff_points=(float(kink),),
-        family="positive_part",
-        param=float(kink),
-    )
+    return MomentFunction("positive_part", float(kink))
 
 
 def squared_positive_part(kink: float) -> MomentFunction:
     """(x - kink)_+^2; its derivative 2(x - kink)_+ is continuous everywhere."""
-    return MomentFunction(
-        id=f"(x-{kink:g})+^2",
-        eval=lambda x: np.maximum(np.asarray(x, dtype=float) - kink, 0.0) ** 2,
-        deriv=lambda x: 2.0 * np.maximum(np.asarray(x, dtype=float) - kink, 0.0),
-        family="squared_positive_part",
-        param=float(kink),
-    )
+    return MomentFunction("squared_positive_part", float(kink))
 
 
 def exponential(rate: float) -> MomentFunction:
     """exp(rate * x)."""
-    return MomentFunction(
-        id=f"e^{rate:g}x",
-        eval=lambda x: np.exp(rate * np.asarray(x, dtype=float)),
-        deriv=lambda x: rate * np.exp(rate * np.asarray(x, dtype=float)),
-        family="exponential",
-        param=float(rate),
-    )
+    return MomentFunction("exponential", float(rate))
 
 
 @dataclass(frozen=True)
@@ -177,8 +157,8 @@ class GmpInstance:
     """One moment problem: optimize E[g(X)] subject to E[h_i(X)] = m_i.
 
     Candidate support must lie in [0, ``support_hi``]; solvers choose it large
-    enough to cover any optimum.  The fallback dual-feasibility scan covers
-    the same interval.
+    enough to cover any optimum.  Dual feasibility is decided on all of
+    [0, inf), not only on that interval.
     """
 
     g: MomentFunction
@@ -209,8 +189,7 @@ class ToleranceSet:
     """Residual tolerances for certification.
 
     ``primal`` is relative to max(1, |m|_inf) and ``gap`` to max(1, |value|);
-    the others are absolute.  ``grid_points`` sets the density of the dual
-    feasibility scan, which runs only where the exact minimum does not apply.
+    the others are absolute.
     """
 
     primal: float = 1e-9
@@ -218,7 +197,6 @@ class ToleranceSet:
     tangent: float = 1e-6
     dual: float = 1e-7
     gap: float = 1e-8
-    grid_points: int = 10_000
 
 
 @dataclass(frozen=True)
@@ -227,12 +205,10 @@ class VerificationReport:
 
     ``dual_min_on_grid`` is the minimum of H for maximization instances and
     of -H for minimization instances, so feasibility always reads
-    ``dual_min_on_grid >= -tol.dual``.  Where the closed-form rule of this
-    module applies it is the exact minimum over [0, inf): ``-inf`` when that
-    function falls without bound as x -> inf, or reaches its minimum beyond
-    float range, or evaluates to NaN.  Otherwise it is the minimum over a
-    ``grid_points`` uniform grid of [0, support_hi], the support and the
-    kinks.
+    ``dual_min_on_grid >= -tol.dual``.  It is always the exact minimum over
+    [0, inf), found by the closed-form rule of this module (the name is the
+    CLI envelope's key): ``-inf`` when that function falls without bound as
+    x -> inf, or reaches its minimum beyond float range, or evaluates to NaN.
     """
 
     primal_residual: float
@@ -243,28 +219,6 @@ class VerificationReport:
     passed: bool
     primal_value: float
     dual_value: float
-
-
-def moments_of(dist: DiscreteDistribution, hs: tuple[MomentFunction, ...]) -> Array:
-    """Moment vector of a discrete distribution: component i is sum_j h_i(x_j) p_j."""
-    xs, ps = dist.xs, dist.ps
-    return np.array([float(np.dot(np.asarray(h.eval(xs), dtype=float), ps)) for h in hs])
-
-
-def _h_values(cert: DualCertificate, inst: GmpInstance, xs: Array) -> Array:
-    total = -np.asarray(inst.g.eval(xs), dtype=float)
-    for z, h in zip(cert.z, inst.hs):
-        if z != 0.0:
-            total = total + z * np.asarray(h.eval(xs), dtype=float)
-    return total
-
-
-def _h_deriv_values(cert: DualCertificate, inst: GmpInstance, xs: Array) -> Array:
-    total = -np.asarray(inst.g.deriv(xs), dtype=float)
-    for z, h in zip(cert.z, inst.hs):
-        if z != 0.0:
-            total = total + z * np.asarray(h.deriv(xs), dtype=float)
-    return total
 
 
 def _power(x: float, p: float) -> float:
@@ -282,7 +236,7 @@ def _exp(y: float) -> float:
 
 
 def _value(f: MomentFunction, x: float) -> float:
-    """f(x) in scalar arithmetic, for a function built by this module."""
+    """f(x) in scalar arithmetic."""
     family, p = f.family, f.param
     if family == "monomial":
         return x if p == 1.0 else _power(x, p)
@@ -296,7 +250,7 @@ def _value(f: MomentFunction, x: float) -> float:
 
 
 def _slope(f: MomentFunction, x: float) -> float:
-    """f'(x) in scalar arithmetic, for a function built by this module."""
+    """f'(x) in scalar arithmetic."""
     family, p = f.family, f.param
     if family == "monomial":
         return 1.0 if p == 1.0 else p * _power(x, p - 1.0)
@@ -323,24 +277,25 @@ def _largest(values) -> float:
 
 def _critical_points(
     inst: GmpInstance, terms: tuple[tuple[float, MomentFunction], ...], sign: float
-) -> tuple[list[float], bool] | None:
+) -> tuple[list[float], bool]:
     """Where sign*H can reach its minimum over [0, inf), for H = sum of c*f over terms.
 
     Returns the piece ends and the stationary point of every piece, plus
     whether sign*H falls without bound as x -> inf or reaches its minimum
-    beyond float range.  Returns None when an exponential decays or when H'
-    on some piece has more than one nonlinear term; the caller then scans.
+    beyond float range.  Raises DomainError when an exponential decays or
+    when H' on some piece has more than one nonlinear term: the stationary
+    points then have no closed form, and sampling H would prove nothing.
     """
     nonlinear: dict[tuple[str, float], float] = {}
     for c, f in terms:
         family, p = f.family, f.param
         if family == "exponential" and p < 0.0:
-            return None
+            raise DomainError(f"cannot decide H >= 0 with the decaying exponential e^({p:g}x)")
         if (family == "monomial" and p not in (1.0, 2.0)) or (family == "exponential" and p > 0.0):
             nonlinear[family, p] = nonlinear.get((family, p), 0.0) + c
     curved = [(key, gamma) for key, gamma in nonlinear.items() if gamma != 0.0]
     if len(curved) > 1:
-        return None
+        raise DomainError("cannot decide H >= 0: two nonlinear terms in H'")
 
     knots = [f.param for f in (inst.g, *inst.hs) if f.family == "squared_positive_part"]
     starts = sorted({0.0, *(k for k in (*inst.nondiff_points(), *knots) if k > 0.0)})
@@ -359,7 +314,7 @@ def _critical_points(
                 beta += 2.0 * c
         if curved:
             if beta != 0.0:
-                return None
+                raise DomainError(f"cannot decide H >= 0: two nonlinear terms in H' past x = {a:g}")
             (family, p), gamma = curved[0]
             ratio = -alpha / gamma / p  # x^(p-1) or e^(px) at the stationary point
             if not ratio > 0.0:
@@ -378,62 +333,13 @@ def _critical_points(
     return points, sign * lead < 0.0
 
 
-def _scanned_residuals(
-    inst: GmpInstance, dist: DiscreteDistribution, cert: DualCertificate, tol: ToleranceSet
-) -> tuple[float, ...]:
-    """The residuals with H >= 0 sampled on a grid, for instances the exact rule does not fit."""
-    xs, ps = dist.xs, dist.ps
-    ms = np.asarray(inst.ms, dtype=float)
-    primal_residual = float(np.max(np.abs(moments_of(dist, inst.hs) - ms)))
-    slack_residual = float(np.max(np.abs(_h_values(cert, inst, xs))))
-
-    kinks = inst.nondiff_points()
-    interior = [
-        x
-        for x in xs
-        if 0.0 < x < inst.support_hi
-        and all(abs(x - pt) > _NONDIFF_SNAP for pt in kinks)
-    ]
-    if interior:
-        tangent_residual = float(
-            np.max(np.abs(_h_deriv_values(cert, inst, np.asarray(interior))))
-        )
-    else:
-        tangent_residual = 0.0
-
-    grid = np.concatenate(
-        [np.linspace(0.0, inst.support_hi, tol.grid_points), xs, np.asarray(kinks)]
-    )
-    hg = _h_values(cert, inst, grid)
-    signed = hg if inst.sense == "max" else -hg
-    dual_min_on_grid = float(np.min(signed))
-
-    primal_value = float(np.dot(np.asarray(inst.g.eval(xs), dtype=float), ps))
-    dual_value = float(np.dot(np.asarray(cert.z, dtype=float), ms))
-    return (
-        primal_residual,
-        slack_residual,
-        tangent_residual,
-        dual_min_on_grid,
-        primal_value,
-        dual_value,
-    )
-
-
 def _exact_residuals(
     inst: GmpInstance, dist: DiscreteDistribution, cert: DualCertificate
-) -> tuple[float, ...] | None:
-    """The residuals in scalar arithmetic, with the exact minimum of H over [0, inf).
-
-    None when the closed-form rule does not fit the instance.
-    """
-    if any(f.family not in _FAMILIES for f in (inst.g, *inst.hs)):
-        return None
+) -> tuple[float, ...]:
+    """The residuals in scalar arithmetic, with the exact minimum of H over [0, inf)."""
     terms = ((-1.0, inst.g),) + tuple((z, h) for z, h in zip(cert.z, inst.hs) if z != 0.0)
     sign = 1.0 if inst.sense == "max" else -1.0
-    critical = _critical_points(inst, terms, sign)
-    if critical is None:
-        return None
+    points, unbounded = _critical_points(inst, terms, sign)
     xs = [x for x, _ in dist.points]
     ps = [p for _, p in dist.points]
     g_xs = [_value(inst.g, x) for x in xs]
@@ -457,7 +363,6 @@ def _exact_residuals(
         if 0.0 < x < inst.support_hi and all(abs(x - k) > _NONDIFF_SNAP for k in kinks)
     )
 
-    points, unbounded = critical
     signed = [sign * v for v in h_xs]
     signed += [sign * sum(c * _value(f, x) for c, f in terms) for x in points]
     if unbounded or any(v != v for v in signed):
@@ -487,23 +392,19 @@ def verify_optimality(
 
     Tangency is tested only at support points strictly inside
     (0, support_hi) and farther than 1e-12 from every declared kink.  Dual
-    feasibility is the exact minimum of H over [0, inf) when every function
-    is one of this module's families and H' has at most one nonlinear term
-    on every piece (see the module docstring); the residuals are then
-    computed in scalar arithmetic.  Any other instance keeps the sampled
-    check: H on a ``tol.grid_points`` uniform grid of [0, support_hi]
-    augmented with the support and all kinks, with numpy residuals.
+    feasibility is the exact minimum of H over [0, inf) (see the module
+    docstring), and every residual is computed in scalar arithmetic.  An
+    instance whose H' has a decaying exponential, or more than one nonlinear
+    term on some piece, has no closed-form stationary points and raises
+    DomainError.
     """
     if len(cert.z) != len(inst.hs):
         raise DimensionError(f"certificate length {len(cert.z)} vs {len(inst.hs)} functions")
     if dist.points[0][0] < 0.0 or dist.points[-1][0] > inst.support_hi:
         raise DomainError("distribution support exceeds [0, support_hi]")
 
-    residuals = _exact_residuals(inst, dist, cert)
-    if residuals is None:
-        residuals = _scanned_residuals(inst, dist, cert, tol)
     primal_residual, slack_residual, tangent_residual, dual_min, primal_value, dual_value = (
-        residuals
+        _exact_residuals(inst, dist, cert)
     )
     duality_gap = abs(primal_value - dual_value)
 

@@ -31,7 +31,7 @@ from .rootfind import bisect, polish_root
 BOUNDARY = "boundary"
 INTERIOR = "interior"
 
-_EXP_ARG_LIMIT = 700.0  # exp stays finite and the scan grid cannot overflow
+_EXP_ARG_LIMIT = 700.0  # exp(t*q), exp(t*M1) and exp(t*support_hi) stay finite
 _POLE_BACKOFF = 1e-9  # right bracket endpoint is evaluated at M1*(1 - this)
 _TAIL_FLOOR = 1e-10  # below this (times max(1, M1)) the tail escapes float resolution
 

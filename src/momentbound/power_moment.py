@@ -13,6 +13,7 @@ checks it against the generic optimality conditions and returns a
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,9 +63,12 @@ class PowerMomentInstance:
             raise InfeasibleError(
                 f"Mt > M1^t required (single-point family otherwise): {self.Mt} <= {m1t}"
             )
-        if m1t == 0.0:
-            raise RangeError(f"M1^t underflows to 0 at M1={self.M1:g}, t={self.t:g}")
-        object.__setattr__(self, "mt_scaled", self.Mt / m1t)
+        if m1t < sys.float_info.min:  # 0 or subnormal, with too few digits to divide by
+            raise RangeError(f"M1^t underflows to {m1t:g} at M1={self.M1:g}, t={self.t:g}")
+        mt_scaled = self.Mt / m1t
+        if not math.isfinite(mt_scaled):
+            raise RangeError(f"Mt/M1^t overflows at M1={self.M1:g}, Mt={self.Mt:g}, t={self.t:g}")
+        object.__setattr__(self, "mt_scaled", mt_scaled)
         object.__setattr__(self, "q_scaled", self.q / self.M1)
 
     @property

@@ -9,7 +9,7 @@ from math import log, sqrt
 
 import numpy as np
 
-from momentbound.core import GmpInstance, MomentFunction, VerificationReport
+from momentbound.core import MomentFunction, VerificationReport
 from momentbound.errors import DimensionError, DomainError, NonDifferentiableError
 from momentbound.rootfind import bisect
 
@@ -71,6 +71,27 @@ def verified_order_search(inst) -> tuple[float, float, int, int]:
     return res.root, value + mass * res.root, res.iterations, res.iterations + 1
 
 
+def moments_of(dist, hs) -> np.ndarray:
+    """Moment vector of a discrete distribution: component i is sum_j h_i(x_j) p_j."""
+    xs, ps = dist.xs, dist.ps
+    return np.array([float(np.dot(np.asarray(h.eval(xs), dtype=float), ps)) for h in hs])
+
+
+def deriv(f: MomentFunction, x):
+    """f'(x) on scalars or numpy arrays, from the family's textbook derivative."""
+    x = np.asarray(x, dtype=float)
+    family, p = f.family, f.param
+    if family == "monomial":
+        return np.ones_like(x) if p == 1.0 else p * np.power(x, p - 1.0)
+    if family == "positive_part":
+        return np.where(x > p, 1.0, 0.0)
+    if family == "squared_positive_part":
+        return 2.0 * np.maximum(x - p, 0.0)
+    if family == "exponential":
+        return p * np.exp(p * x)
+    return np.zeros_like(x)
+
+
 def h_function(cert, inst, x: float) -> float:
     """H(x; z) = sum_i z_i h_i(x) - g(x), from the functions' own `eval`."""
     if len(cert.z) != len(inst.hs):
@@ -89,23 +110,7 @@ def h_derivative(cert, inst, x: float) -> float:
     for pt in inst.nondiff_points():
         if abs(x - pt) <= 1e-12:
             raise NonDifferentiableError(f"H is not differentiable at x={pt}")
-    return float(sum(z * h.deriv(x) for z, h in zip(cert.z, inst.hs)) - inst.g.deriv(x))
-
-
-def opaque(f: MomentFunction) -> MomentFunction:
-    """The same function without its recorded family, as a user would build it."""
-    return MomentFunction(id=f.id, eval=f.eval, deriv=f.deriv, nondiff_points=f.nondiff_points)
-
-
-def opaque_instance(inst: GmpInstance) -> GmpInstance:
-    """The same problem built from opaque functions, which the verifier can only scan."""
-    return GmpInstance(
-        g=opaque(inst.g),
-        hs=tuple(opaque(h) for h in inst.hs),
-        ms=inst.ms,
-        sense=inst.sense,
-        support_hi=inst.support_hi,
-    )
+    return float(sum(z * deriv(h, x) for z, h in zip(cert.z, inst.hs)) - deriv(inst.g, x))
 
 
 def _h_on(cert, inst, xs):
@@ -135,11 +140,14 @@ def dual_scan(inst, dist, cert, grid_points: int = 10_000) -> tuple[float, float
 
 
 def scan_verification(inst, dist, cert, tol) -> VerificationReport:
-    """The optimality check with dual feasibility sampled by `dual_scan`, in numpy."""
+    """The optimality check with dual feasibility sampled by `dual_scan`, in numpy.
+
+    A sampled scan proves nothing about H between or beyond its grid points;
+    it is here to show what the exact check catches that a scan would pass.
+    """
     xs, ps = dist.xs, dist.ps
     ms = np.asarray(inst.ms, dtype=float)
-    moments = np.array([float(np.dot(np.asarray(h.eval(xs), dtype=float), ps)) for h in inst.hs])
-    primal_residual = float(np.max(np.abs(moments - ms)))
+    primal_residual = float(np.max(np.abs(moments_of(dist, inst.hs) - ms)))
     slack_residual = float(np.max(np.abs(_h_on(cert, inst, xs))))
     kinks = inst.nondiff_points()
     interior = [
@@ -147,12 +155,12 @@ def scan_verification(inst, dist, cert, tol) -> VerificationReport:
     ]
     tangent_residual = 0.0
     if interior:
-        slope = -np.asarray(inst.g.deriv(np.asarray(interior)), dtype=float)
+        slope = -deriv(inst.g, interior)
         for z, h in zip(cert.z, inst.hs):
             if z != 0.0:
-                slope = slope + z * np.asarray(h.deriv(np.asarray(interior)), dtype=float)
+                slope = slope + z * deriv(h, interior)
         tangent_residual = float(np.max(np.abs(slope)))
-    dual_min, _ = dual_scan(inst, dist, cert, tol.grid_points)
+    dual_min, _ = dual_scan(inst, dist, cert)
     primal_value = float(np.dot(np.asarray(inst.g.eval(xs), dtype=float), ps))
     dual_value = float(np.dot(np.asarray(cert.z, dtype=float), ms))
     duality_gap = abs(primal_value - dual_value)

@@ -352,7 +352,7 @@ def test_criterion_9_negative_controls():
     with pytest.raises(Exception):
         GmpInstance(g=gmp.g, hs=gmp.hs, ms=(1.001,) + gmp.ms[1:], sense="max", support_hi=1.0)
 
-    # dual noise must break slackness or scanned feasibility
+    # dual noise must break slackness or dual feasibility
     for i in range(len(rep.cert.z)):
         for sign in (+1.0, -1.0):
             z = list(rep.cert.z)

@@ -103,6 +103,65 @@ GOLDEN_NEWSVENDOR = (
     '"timing_ms": 0.0}'
 )
 
+GOLDEN_CHECK_MP1T_INTERIOR = (
+    '{"problem": "mp1t", "solver_value": 0.3228756555322953, '
+    '"oracle_value": 0.3228756555322953, "difference": 0.0, '
+    '"oracle_status": "optimal", "oracle_rounds": 1, '
+    '"verification": {"primal_residual": 8.881784197001252e-16, '
+    '"slack_residual": 4.440892098500626e-16, "tangent_residual": 0.0, '
+    '"dual_min_on_grid": -4.440892098500626e-16, '
+    '"duality_gap": 5.551115123125783e-17, "passed": true}, "verified": true, '
+    '"agree": true}'
+)
+
+GOLDEN_CHECK_MP1E_INTERIOR = (
+    '{"problem": "mp1e", "solver_value": 0.012059559745025546, '
+    '"oracle_value": 0.012059559745025535, "difference": 1.0408340855860843e-17, '
+    '"oracle_status": "optimal", "oracle_rounds": 1, '
+    '"verification": {"primal_residual": 1.7763568394002505e-15, '
+    '"slack_residual": 4.440892098500626e-16, "tangent_residual": 0.0, '
+    '"dual_min_on_grid": 0.0, "duality_gap": 1.734723475976807e-18, '
+    '"passed": true}, "verified": true, "agree": true}'
+)
+
+GOLDEN_CHECK_UPM_FAMILY = (
+    '{"problem": "upm", "solver_value": 0.26, "oracle_value": 0.26, '
+    '"difference": 0.0, "oracle_status": "optimal", "oracle_rounds": 1, '
+    '"verification": {"primal_residual": 2.220446049250313e-16, '
+    '"slack_residual": 0.0, "tangent_residual": 0.0, "dual_min_on_grid": -0.0, '
+    '"duality_gap": 5.551115123125783e-17, "passed": true}, "verified": true, '
+    '"agree": true}'
+)
+
+GOLDEN_ORACLE_MP1T = (
+    '{"problem": "oracle", "optimal_value": 0.3228756555322953, '
+    '"distribution": [{"x": 0.3542486889354095, "p": 0.8779644730092273}, '
+    '{"x": 5.644800000000001, "p": 6.109946335176915e-14}, '
+    '{"x": 5.645751311064592, "p": 0.12203552699071164}], '
+    '"dual": [-0.011891873541241401, 0.06704865402683832, -0.09450810900447305], '
+    '"branch": "oracle", "root": null, "iterations": 0, "verification": null, '
+    '"verified": false, "timing_ms": 0.0}'
+)
+
+GOLDEN_ORACLE_MP1E = (
+    '{"problem": "oracle", "optimal_value": 0.012059559745025535, '
+    '"distribution": [{"x": 0.936, "p": 2.790531943648837e-15}, '
+    '{"x": 0.9372675420809182, "p": 0.9875273849068511}, {"x": 5.966883019716725, '
+    '"p": 0.01247261509314613}], "dual": [0.00041695586588390515, '
+    '0.00658008203632559, -0.00257903004011472], "branch": "oracle", "root": null, '
+    '"iterations": 0, "verification": null, "verified": false, "timing_ms": 0.0}'
+)
+
+GOLDEN_ORACLE_UPM = (
+    '{"problem": "oracle", "optimal_value": 0.26, "distribution": [{"x": 0.0, '
+    '"p": 0.7000000000000001}, {"x": 1.0032750000000001, '
+    '"p": 0.08649147973619464}, {"x": 1.8375000000000001, '
+    '"p": 0.20971652848458952}, {"x": 7.3500000000000005, '
+    '"p": 0.003791991779215784}], "dual": [0.0, -0.9999999999999991, 1.0, '
+    '-1.000000000000001], "branch": "oracle", "root": null, "iterations": 0, '
+    '"verification": null, "verified": false, "timing_ms": 0.0}'
+)
+
 GOLDEN_SWEEP = (
     'param,value,branch,root,iters\n'
     '0.5,0.875,boundary,,0\n'
@@ -134,35 +193,46 @@ def _normalize_timing(line: str) -> str:
 
 E2 = math.e**2
 MP1T = {"M1": 1, "Mt": 4, "t": 2, "q": 1}
+MP1T_INTERIOR = dict(MP1T, q=3)
+MP1E_INTERIOR = {"M1": 1, "Me": E2, "t": 1, "q": 5}
 UPM_FAMILY = {"M1": 0.5, "gamma": 4, "Mplus": 0.2}
 NEWSVENDOR = {"ambiguity": "mp1t", "M1": 1, "Mt": 4, "t": 2, "eta": 0.9}
-SWEEP_Q = ["--param", "q", "--from", "0.5", "--to", "4", "--steps", "8"]
+SOLVE, CHECK = ["solve"], ["check"]
+SWEEP_Q = ["sweep", "--param", "q", "--from", "0.5", "--to", "4", "--steps", "8"]
 
-# (problem, params, sweep arguments or None for `solve`, stdout with timing_ms
-# zeroed).  The strings pin the output byte for byte.
+# (problem, params, command and its options, stdout with timing_ms zeroed).
+# The strings pin the output byte for byte.
 GOLDEN = [
-    pytest.param("mp1t", MP1T, None, GOLDEN_MP1T, id="mp1t-boundary"),
+    pytest.param("mp1t", MP1T, SOLVE, GOLDEN_MP1T, id="mp1t-boundary"),
     pytest.param(
-        "mp1e", {"M1": 1, "Me": E2, "t": 1, "q": 1}, None, GOLDEN_MP1E_BOUNDARY, id="mp1e-boundary"
+        "mp1e", {"M1": 1, "Me": E2, "t": 1, "q": 1}, SOLVE, GOLDEN_MP1E_BOUNDARY, id="mp1e-boundary"
     ),
+    pytest.param("mp1e", MP1E_INTERIOR, SOLVE, GOLDEN_MP1E_INTERIOR, id="mp1e-interior"),
     pytest.param(
-        "mp1e", {"M1": 1, "Me": E2, "t": 1, "q": 5}, None, GOLDEN_MP1E_INTERIOR, id="mp1e-interior"
+        "upm", {"M1": 0.5, "gamma": 2, "Mplus": 0.1}, SOLVE, GOLDEN_UPM_TWO_POINT, id="upm-two-point"
     ),
-    pytest.param(
-        "upm", {"M1": 0.5, "gamma": 2, "Mplus": 0.1}, None, GOLDEN_UPM_TWO_POINT, id="upm-two-point"
-    ),
-    pytest.param("upm", UPM_FAMILY, None, GOLDEN_UPM_FAMILY, id="upm-family"),
-    pytest.param("upm", dict(UPM_FAMILY, v1=3), None, GOLDEN_UPM_FAMILY_V1, id="upm-family-v1"),
-    pytest.param("newsvendor", NEWSVENDOR, None, GOLDEN_NEWSVENDOR, id="newsvendor-mp1t"),
+    pytest.param("upm", UPM_FAMILY, SOLVE, GOLDEN_UPM_FAMILY, id="upm-family"),
+    pytest.param("upm", dict(UPM_FAMILY, v1=3), SOLVE, GOLDEN_UPM_FAMILY_V1, id="upm-family-v1"),
+    pytest.param("newsvendor", NEWSVENDOR, SOLVE, GOLDEN_NEWSVENDOR, id="newsvendor-mp1t"),
     pytest.param("mp1t", MP1T, SWEEP_Q, GOLDEN_SWEEP, id="sweep-mp1t-q"),
+    pytest.param("mp1t", MP1T_INTERIOR, CHECK, GOLDEN_CHECK_MP1T_INTERIOR, id="check-mp1t-interior"),
+    pytest.param("mp1e", MP1E_INTERIOR, CHECK, GOLDEN_CHECK_MP1E_INTERIOR, id="check-mp1e-interior"),
+    pytest.param("upm", UPM_FAMILY, CHECK, GOLDEN_CHECK_UPM_FAMILY, id="check-upm-family"),
+    pytest.param(
+        "oracle", dict(MP1T_INTERIOR, base="mp1t"), SOLVE, GOLDEN_ORACLE_MP1T, id="oracle-mp1t"
+    ),
+    pytest.param(
+        "oracle", dict(MP1E_INTERIOR, base="mp1e"), SOLVE, GOLDEN_ORACLE_MP1E, id="oracle-mp1e"
+    ),
+    pytest.param("oracle", dict(UPM_FAMILY, base="upm"), SOLVE, GOLDEN_ORACLE_UPM, id="oracle-upm"),
 ]
 
 
 class TestSolve:
-    @pytest.mark.parametrize("problem,params,sweep,golden", GOLDEN)
-    def test_golden_envelope(self, tmp_path, capsys, problem, params, sweep, golden):
+    @pytest.mark.parametrize("problem,params,command,golden", GOLDEN)
+    def test_golden_envelope(self, tmp_path, capsys, problem, params, command, golden):
         path = _write(tmp_path, {"problem": problem, "params": params})
-        code = main(["solve", path] if sweep is None else ["sweep", path, *sweep])
+        code = main([command[0], path, *command[1:]])
         out = capsys.readouterr().out
         assert code == EXIT_OK
         assert _normalize_timing(out).strip() == golden.strip()
@@ -205,9 +275,20 @@ class TestSolve:
         assert code == EXIT_RANGE
         assert json.loads(capsys.readouterr().err.splitlines()[0])["error"] == "RangeError"
 
-    @pytest.mark.parametrize("M1,Mt", [(1e200, 1e300), (1e-200, 1)])  # M1^t over/underflows
-    def test_mean_power_out_of_range_is_a_range_rejection(self, tmp_path, capsys, M1, Mt):
-        code = main(["solve", _mp1t(tmp_path, M1=M1, Mt=Mt)])
+    # M1^t overflows, underflows to 0 or to a subnormal, or Mt/M1^t overflows
+    OUT_OF_RANGE = [
+        (1e200, 1e300, 1),
+        (1e-200, 1, 1),
+        (1e-160, 1, 1),
+        (1e-150, 1e10, 1),
+        (1e-160, 1e-319, 1e-160),
+    ]
+
+    @pytest.mark.parametrize(
+        "M1,Mt,q", OUT_OF_RANGE, ids=[f"{m1}-{mt}" for m1, mt, _ in OUT_OF_RANGE]
+    )
+    def test_mean_power_out_of_range_is_a_range_rejection(self, tmp_path, capsys, M1, Mt, q):
+        code = main(["solve", _mp1t(tmp_path, M1=M1, Mt=Mt, q=q)])
         assert code == EXIT_RANGE
         assert json.loads(capsys.readouterr().err.splitlines()[0])["error"] == "RangeError"
 

@@ -11,7 +11,6 @@ from momentbound.core import (
     DualCertificate,
     GmpInstance,
     ToleranceSet,
-    moments_of,
     verify_optimality,
 )
 from momentbound.errors import (
@@ -27,7 +26,7 @@ from momentbound.partial_moment import (
 )
 from momentbound.power_moment import PowerMomentAmbiguity, PowerMomentInstance, solve_power_moment
 from momentbound.problems import PROBLEMS
-from references import h_derivative, h_function, opaque, opaque_instance, scan_verification
+from references import h_derivative, h_function, moments_of, scan_verification
 
 
 def _mp1t_instance(M1=1.0, Mt=4.0, t=2.0, q=1.0, hi=40.0):
@@ -38,6 +37,12 @@ def _mp1t_instance(M1=1.0, Mt=4.0, t=2.0, q=1.0, hi=40.0):
         sense="max",
         support_hi=hi,
     )
+
+
+class TestMomentFunction:
+    def test_unknown_family_is_rejected(self):
+        with pytest.raises(DomainError, match="zero"):
+            core.MomentFunction("zero")
 
 
 class TestDiscreteDistribution:
@@ -110,20 +115,9 @@ class TestHFunction:
         assert h_function(cert, inst, 0.5) == pytest.approx(0.0, abs=1e-15)
 
     def test_constant_certificate_against_zero_objective(self):
-        inst = GmpInstance(
-            g=core.monomial(1.0),
-            hs=(core.constant(),),
-            ms=(1.0,),
-            sense="max",
-            support_hi=10.0,
-        )
-        # force g identically zero by subtracting itself: use a dedicated instance
-        zero_g = GmpInstance(
-            g=core.MomentFunction(
-                id="0",
-                eval=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                deriv=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            ),
+        # g = 1 against z = (1,): H = 1 - 1 vanishes identically
+        zero_h = GmpInstance(
+            g=core.constant(),
             hs=(core.constant(),),
             ms=(1.0,),
             sense="max",
@@ -131,8 +125,7 @@ class TestHFunction:
         )
         cert = DualCertificate(z=(1.0,))
         for x in (0.0, 1.0, 9.5):
-            assert h_function(cert, zero_g, x) == pytest.approx(1.0, abs=1e-15)
-        del inst
+            assert h_function(cert, zero_h, x) == 0.0
 
     def test_linearity_in_certificate(self):
         inst = _mp1t_instance()
@@ -174,20 +167,16 @@ class TestVerifyOptimality:
         assert rep.dual_value == pytest.approx(0.75, abs=1e-14)
 
     def test_zero_objective_zero_certificate(self):
-        zero = core.MomentFunction(
-            id="0",
-            eval=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-            deriv=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-        )
+        # g = 1 against z = (1,): H = 1 - 1 vanishes identically
         inst = GmpInstance(
-            g=zero,
+            g=core.constant(),
             hs=(core.constant(),),
             ms=(1.0,),
             sense="max",
             support_hi=5.0,
         )
         dist = DiscreteDistribution(points=((0.5, 0.25), (2.0, 0.75)))
-        rep = verify_optimality(inst, dist, DualCertificate(z=(0.0,)))
+        rep = verify_optimality(inst, dist, DualCertificate(z=(1.0,)))
         assert rep.passed
         assert rep.primal_residual == 0.0
         assert rep.slack_residual == 0.0
@@ -281,7 +270,7 @@ def _dip(x0, c, delta, hi=10.0, kink=1.0):
 
 
 class TestExactDualFeasibility:
-    # midway between two points of the default 10 000-point grid of [0, 10]
+    # midway between two points of the sampled scan's 10 000-point grid of [0, 10]
     NARROW = (5000.5 * 10.0 / 9999.0, 1e6, 1e-4)
 
     @pytest.mark.parametrize(
@@ -296,7 +285,7 @@ class TestExactDualFeasibility:
         assert exact.dual_min_on_grid == pytest.approx(-delta, rel=1e-3)
         assert exact.dual_min_on_grid < -tol.dual
         assert not exact.passed
-        scanned = verify_optimality(opaque_instance(inst), dist, cert, tol)
+        scanned = scan_verification(inst, dist, cert, tol)  # a sampled scan would pass it
         assert scanned.dual_min_on_grid >= -tol.dual
         assert scanned.passed
 
@@ -307,7 +296,7 @@ class TestExactDualFeasibility:
         exact = verify_optimality(inst, dist, cert)
         assert exact.dual_min_on_grid == -math.inf
         assert not exact.passed
-        assert verify_optimality(opaque_instance(inst), dist, cert).passed
+        assert scan_verification(inst, dist, cert, ToleranceSet()).passed  # so would a scan
 
     def test_stationary_minimum_beyond_float_range(self):
         # H = x^1.001 - 10.01 x decreases until x = 10^1000
@@ -337,10 +326,9 @@ class TestExactDualFeasibility:
         assert not rep.passed
 
 
-def _fallback_cases():
-    """(instance, distribution, certificate) triples the exact rule does not fit."""
-    power = _mp1t_instance()
-    boundary = DiscreteDistribution(points=((0.0, 0.75), (4.0, 0.25)))
+def _undecidable_cases():
+    """(instance, distribution, certificate) triples whose H' has no closed-form root."""
+    spread = DiscreteDistribution(points=((0.2, 0.5), (1.7, 0.3), (3.1, 0.2)))
     two_curves = GmpInstance(
         g=core.positive_part(1.0),
         hs=(core.constant(), core.monomial(3.0), core.exponential(0.5)),
@@ -355,23 +343,16 @@ def _fallback_cases():
         sense="min",
         support_hi=6.0,
     )
-    spread = DiscreteDistribution(points=((0.2, 0.5), (1.7, 0.3), (3.1, 0.2)))
-    one_opaque = GmpInstance(  # its coefficient is zero, but its moment is still checked
-        g=power.g, hs=power.hs[:2] + (opaque(power.hs[2]),), ms=power.ms, sense="max", support_hi=40.0
-    )
     return [
-        (one_opaque, boundary, DualCertificate(z=(0.0, 0.5, 0.0))),
-        (opaque_instance(power), boundary, DualCertificate(z=(0.0, 0.5, 1.0 / 16.0))),
-        (opaque_instance(power), boundary, DualCertificate(z=(1e-3, 0.5, 1.0 / 16.0))),
-        (two_curves, spread, DualCertificate(z=(0.3, -0.01, 0.4))),
-        (decaying, spread, DualCertificate(z=(-0.2, 0.8, 0.1))),
+        pytest.param(two_curves, spread, DualCertificate(z=(0.3, -0.01, 0.4)), id="two_curves"),
+        pytest.param(decaying, spread, DualCertificate(z=(-0.2, 0.8, 0.1)), id="decaying"),
     ]
 
 
-@pytest.mark.parametrize("inst, dist, cert", _fallback_cases())
-def test_fallback_is_the_scan_field_for_field(inst, dist, cert):
-    tol = ToleranceSet()
-    assert verify_optimality(inst, dist, cert, tol) == scan_verification(inst, dist, cert, tol)
+@pytest.mark.parametrize("inst, dist, cert", _undecidable_cases())
+def test_undecidable_instance_is_refused(inst, dist, cert):
+    with pytest.raises(DomainError, match="cannot decide"):
+        verify_optimality(inst, dist, cert)
 
 
 E2 = math.e**2

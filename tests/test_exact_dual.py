@@ -34,7 +34,7 @@ def _agrees_with_scan(module, inst, report):
     tol = ToleranceSet()
     exact = report.verification
     assert exact.passed == scan_verification(gmp, report.dist, report.cert, tol).passed
-    scan_min, x = dual_scan(gmp, report.dist, report.cert, tol.grid_points)
+    scan_min, x = dual_scan(gmp, report.dist, report.cert)
     scale = abs(float(gmp.g.eval(x))) + sum(
         abs(z * float(h.eval(x))) for z, h in zip(report.cert.z, gmp.hs)
     )

@@ -7,7 +7,7 @@ import pytest
 import scipy.optimize
 
 from momentbound import core, exp_moment, power_moment
-from momentbound.core import GmpInstance, moments_of
+from momentbound.core import GmpInstance
 from momentbound.errors import DomainError
 from momentbound.oracle import (
     _DEGENERATE_RUN,
@@ -21,6 +21,7 @@ from momentbound.oracle import (
     refine_until,
 )
 from momentbound.problems import PROBLEMS
+from references import moments_of
 
 
 def _mean_instance(mean: float, hi: float, g=None) -> GmpInstance:

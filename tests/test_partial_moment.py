@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from momentbound import core, partial_moment
-from momentbound.core import DiscreteDistribution, moments_of
+from momentbound.core import DiscreteDistribution
 from momentbound.errors import BranchError, FamilyParamError, InfeasibleError
 from momentbound.partial_moment import (
     PartialMomentInstance,
@@ -13,6 +13,7 @@ from momentbound.partial_moment import (
     kappa,
     solve_partial_moment,
 )
+from references import moments_of
 
 
 def _upm_moments(dist: DiscreteDistribution):

@@ -218,11 +218,22 @@ class TestRange:
         with pytest.raises(RangeError):
             PROBLEMS["mp1t"].grid_hi(self.INST, None)
 
-    # M1^t overflows float range, or underflows to 0 and would divide Mt by it
-    @pytest.mark.parametrize("M1,Mt", [(1e200, 1e300), (1e-200, 1.0)])
-    def test_mean_power_out_of_range(self, M1, Mt):
+    # M1^t overflows float range; underflows to 0 or to a subnormal with a few
+    # digits left and would divide Mt by it; or Mt/M1^t overflows
+    MEAN_POWER_OUT_OF_RANGE = [
+        (1e200, 1e300, 1.0),
+        (1e-200, 1.0, 1.0),
+        (1e-160, 1.0, 1.0),
+        (1e-150, 1e10, 1.0),
+        (1e-160, 1e-319, 1e-160),
+    ]
+
+    @pytest.mark.parametrize(
+        "M1,Mt,q", MEAN_POWER_OUT_OF_RANGE, ids=[f"{m1}-{mt}" for m1, mt, _ in MEAN_POWER_OUT_OF_RANGE]
+    )
+    def test_mean_power_out_of_range(self, M1, Mt, q):
         with pytest.raises(RangeError, match=r"M1\^t"):
-            PowerMomentInstance(M1=M1, Mt=Mt, t=2.0, q=1.0)
+            PowerMomentInstance(M1=M1, Mt=Mt, t=2.0, q=q)
         with pytest.raises(RangeError, match=r"M1\^t"):
             PowerMomentAmbiguity(M1=M1, Mt=Mt, t=2.0).worst_case(0.0)
 
