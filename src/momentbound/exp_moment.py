@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from . import core
 from .core import DiscreteDistribution, DualCertificate, GmpInstance, Report, ToleranceSet
@@ -102,6 +103,41 @@ class ExpMomentAmbiguity:
     def tail_cutoff(self, mass: float) -> float:
         """The q at which Chernoff's bound Me*exp(-t*q) on every feasible P(X > q) falls to mass."""
         return math.log(self.Me / mass) / self.t
+
+    def _order_side(self, mass: float) -> Callable[[float], float]:
+        """A function of q > 0 with the sign of p_hi(q) - mass, at one phi evaluation at most.
+
+        Along the two-point laws that match the moments the upper mass falls
+        strictly as the lower point rises (the upper point rises with it), so
+        p_hi(q) > mass exactly when the worst case's lower point u(q), phi's
+        root, lies left of the point u* whose law has upper mass `mass`.  u*
+        is solved for once here.  On the boundary branch the function is the
+        closed-form p_hi - mass itself.
+        """
+        base = self.instance_at(self.M1)
+        m1 = base.m1_scaled
+        v1 = compute_v1(m1, self.Me)
+        threshold = v1 + m1 / (self.Me - 1.0) - 1.0
+        # every interior worst case has less upper mass than the boundary's m1/v1;
+        # u* = 0 (gap m1) puts every interior root right of it
+        gap = _gap_at_mass(mass, base, v1) if mass < m1 / v1 else m1
+        u_star = m1 - gap
+
+        def side(q: float) -> float:
+            inst = self.instance_at(q)
+            qs = inst.q_scaled
+            if qs <= threshold:
+                return m1 / v1 - mass
+            if u_star <= 0.0:
+                return -1.0
+            if u_star >= qs:  # the root lies below min(m1, qs), and u* < m1
+                return 1.0
+            # phi is negative at 0 and positive at its right bracket end: its
+            # sign at u* says on which side of u* its root lies.  Near the
+            # pole, as in _candidate, the gap coordinate keeps it accurate.
+            return _phi_gap(gap, inst) if gap < 1e-5 * m1 else phi(u_star, inst)
+
+        return side
 
     def tail_bound(self, q: float) -> float:
         """Exponential Markov bound Me * exp(-(t*q + 1)) / t on E[(X - q)_+].
@@ -191,6 +227,30 @@ def _phi_gap_prime(g: float, inst: ExpMomentInstance) -> float:
     return d_a * (qs + 1.0 - m1) + eu + math.exp(qs + 1.0 - eu * g / den) * d_ratio
 
 
+def _gap_at_mass(p: float, inst: ExpMomentInstance, v1: float) -> float:
+    """m1 - u for the rate-1 two-point law {u, v} with mean m1, E[e^X] = Me and mass p at v.
+
+    Its lower point is u = (m1 - p*v)/(1 - p), so the mean is m1 for every v,
+    and the exponential moment (1 - p)*e^u + p*e^v rises strictly with v: its
+    slope is p*(e^v - e^u) > 0.  It is below Me at v = v1 and reaches Me by
+    the point where u falls to 0 or p*e^v alone reaches Me, which also keeps
+    every exp() finite.  Requires p < m1/v1, the boundary branch's upper mass.
+    """
+    m1, me = inst.m1_scaled, inst.Me
+    log_p = math.log(p)
+
+    def excess(v: float) -> float:
+        return (1.0 - p) * math.exp((m1 - p * v) / (1.0 - p)) + math.exp(v + log_p) - me
+
+    def slope(v: float) -> float:
+        return math.exp(v + log_p) - p * math.exp((m1 - p * v) / (1.0 - p))
+
+    hi = min(m1 / p, math.log(me) - log_p)
+    res = bisect(excess, v1, hi, 1e-10 * hi)
+    v = polish_root(excess, slope, res.root, v1, hi)
+    return p * (v - m1) / (1.0 - p)
+
+
 def boundary_threshold(inst: ExpMomentInstance) -> float:
     """Largest q (original units) for which the closed-form branch applies."""
     m1 = inst.m1_scaled
@@ -214,7 +274,22 @@ def solve_exp_moment(
     inst: ExpMomentInstance, eps: float = 1e-10, tol: ToleranceSet = ToleranceSet()
 ) -> Report:
     """Solve the rate-scaled problem, rescale, and certify the result."""
-    return core.certify(inst, _candidate(inst, eps), gmp_instance, tol)
+    report = core.certify(inst, _candidate(inst, eps), gmp_instance, tol)
+    if not report.verification.passed and report.branch == INTERIOR and _below_tail_floor(inst):
+        raise _tail_range_error(inst)
+    return report
+
+
+def _below_tail_floor(inst: ExpMomentInstance) -> bool:
+    """Whether the worst-case tail at q is below what a double can resolve beside the mean."""
+    return inst.Me * math.exp(-(inst.q_scaled + 1.0)) < _TAIL_FLOOR * max(1.0, inst.m1_scaled)
+
+
+def _tail_range_error(inst: ExpMomentInstance) -> RangeError:
+    return RangeError(
+        f"worst-case tail at q={inst.q:g} is unrepresentably small; "
+        "use ExpMomentAmbiguity.tail_bound"
+    )
 
 
 def _candidate(inst: ExpMomentInstance, eps: float) -> dict:
@@ -252,13 +327,10 @@ def _candidate(inst: ExpMomentInstance, eps: float) -> dict:
                 # q sits at the branch threshold to float resolution; the
                 # boundary construction is the exact limit there
                 use_boundary = True
-            elif fb <= 0.0 and me * math.exp(-(qs + 1.0)) < _TAIL_FLOOR * max(1.0, m1):
+            elif fb <= 0.0 and _below_tail_floor(inst):
                 # The root lies within one ulp of the scaled mean: the
                 # worst-case tail is below double-precision resolution.
-                raise RangeError(
-                    f"worst-case tail at q={inst.q:g} is unrepresentably small; "
-                    "use ExpMomentAmbiguity.tail_bound"
-                )
+                raise _tail_range_error(inst)
             else:
                 raise RootBracketError(
                     f"phi sign conditions failed: phi(0)={f0}, phi(right)={fb}"

@@ -9,22 +9,36 @@ bound on P(X > q) (Markov for a power moment, Chernoff for an exponential
 one) gives the right end of the bracket, where p_hi <= 1 - eta holds without
 a solve.
 
-The bisection reads p_hi from unverified candidate solves.  What it returns
-is certified by the subgradient condition on its final bracket a < q* <= b:
-p_hi(a) >= 1 - eta >= p_hi(b) from verified worst cases at both ends, with
-b - a <= 2*eps, puts a minimizer of f within eps of q*.  A wrong midpoint can
-only move the bracket; the verified ends either catch it or prove it
-harmless.  An end that fails is a RootBracketError, never a decision.
-Every report here, at q* and at the bracket ends, is a ``core.Report``.
+The bisection reads one bit per midpoint, the sign of p_hi(q) - (1 - eta),
+and gets it without a worst-case solve.  Along the two-point laws that match
+the moments the upper mass falls strictly as the support rises, so the bit
+is the side of one fixed support point, the one whose law has upper mass
+1 - eta, on which the midpoint's root lies.  The ambiguity's ``_order_side``
+solves for that point once per decision and then decides each midpoint with
+at most one evaluation of the solver's own root function (none on the
+boundary branch, whose closed-form p_hi it returns).
+
+What the search returns is certified by the subgradient condition on its
+final bracket a < q* <= b: p_hi(a) >= 1 - eta >= p_hi(b) from verified worst
+cases at both ends, with b - a <= 2*eps, puts a minimizer of f within eps of
+q*.  A wrong midpoint sign can only move the bracket; the verified ends
+either catch it or prove it harmless.  Where the one-evaluation search fails
+that certificate (in the deep tail the candidate solves' own p_hi is
+noise-limited) or refuses, the bisection runs once more with each midpoint's
+p_hi read from an unverified candidate solve, and its bracket is certified
+the same way.  An end that fails there is a RootBracketError, never a
+decision.  Every report here, at q* and at the bracket ends, is a
+``core.Report``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .core import Report
-from .errors import DomainError, RangeError, RootBracketError
+from .errors import DomainError, MomentBoundError, RangeError, RootBracketError
 from .exp_moment import ExpMomentAmbiguity
 from .power_moment import PowerMomentAmbiguity
 from .rootfind import EXACT_ZERO, bisect
@@ -64,7 +78,10 @@ class OrderDecision:
     q_star: float
     objective: float
     iterations: int  # bisection steps
-    inner_solves: int  # worst-case solves, the one at q_star included
+    # candidate worst-case solves made, the verified one at q_star included:
+    # at most 3 (the bracket ends and q_star) unless the full-candidate search
+    # ran, which adds one per bisection step and one more at q_star
+    inner_solves: int
     report: Report  # the worst case at q_star
     bracket: tuple[float, float]
     bracket_reports: tuple[Report | None, Report | None]
@@ -78,40 +95,57 @@ def optimize_order(inst: NewsvendorInstance) -> OrderDecision:
     hi = amb.tail_cutoff(mass)
     if not math.isfinite(hi):
         raise RangeError(f"no finite q brings the moment bound on P(X > q) down to {mass:g}")
-    # the candidate at every midpoint, so the bracket ends are certified
-    # without a second solve
-    candidates: dict[float, dict] = {}
+    solved: dict[float, dict] = {}  # every candidate solve, by q
+    solves = 0  # candidate solves and solves at q*, across both searches
 
-    def excess(q: float) -> float:
-        if q >= hi:
-            return -mass  # p_hi(q) <= P(X > q) <= mass by the moment bound
-        candidates[q] = candidate = amb._candidate(q)
-        return candidate["dist"].points[-1][1] - mass
+    def candidate(q: float) -> dict:
+        nonlocal solves
+        solves += 1
+        solved[q] = out = amb._candidate(q)
+        return out
 
-    # q = 0 admits no solve.  Declaring it the left root keeps it unevaluated;
-    # if p_hi < 1 - eta on all of (0, hi], the search closes in on q = 0.
-    res = bisect(excess, 0.0, hi, inst.eps, assume_left_root=True)
-    a, b = res.bracket
-    lo, up = (_certified_end(amb, q, candidates.get(q)) for q in (a, b))
-    if lo is not None and not lo.dist.points[-1][1] >= mass:
-        raise RootBracketError(f"p_hi at order bracket end {a:g} is below 1 - eta = {mass:g}")
-    if up is not None and not up.dist.points[-1][1] <= mass:
-        raise RootBracketError(f"p_hi at order bracket end {b:g} is above 1 - eta = {mass:g}")
-    report = amb.solve(res.root)
-    # the search stops at width 2*eps, at float resolution, or on an exact root
-    exact = res.status == EXACT_ZERO and report.verification.passed
-    if not (b - a <= 2.0 * inst.eps or not a < 0.5 * (a + b) < b or exact):
-        raise RootBracketError(f"order bracket ({a:g}, {b:g}) is wider than 2*eps")
-    return OrderDecision(
-        q_star=res.root,
-        objective=report.value + mass * res.root,
-        iterations=res.iterations,
-        # each bisection step solves at its midpoint (all below hi), then q* once more
-        inner_solves=res.iterations + 1,
-        report=report,
-        bracket=(a, b),
-        bracket_reports=(lo, up),
-    )
+    def search(side: Callable[[float], float]) -> OrderDecision:
+        nonlocal solves
+
+        def excess(q: float) -> float:
+            # p_hi(q) <= P(X > q) <= mass by the moment bound at and past hi
+            return -mass if q >= hi else side(q)
+
+        # q = 0 admits no solve.  Declaring it the left root keeps it
+        # unevaluated; if p_hi < 1 - eta on all of (0, hi], the search closes
+        # in on q = 0.
+        res = bisect(excess, 0.0, hi, inst.eps, assume_left_root=True)
+        a, b = res.bracket
+        ends = [solved.get(q) or candidate(q) if 0.0 < q < hi else None for q in (a, b)]
+        # the cheaper test first: an end on the wrong side costs no verification
+        if ends[0] is not None and not ends[0]["dist"].points[-1][1] >= mass:
+            raise RootBracketError(f"p_hi at order bracket end {a:g} is below 1 - eta = {mass:g}")
+        if ends[1] is not None and not ends[1]["dist"].points[-1][1] <= mass:
+            raise RootBracketError(f"p_hi at order bracket end {b:g} is above 1 - eta = {mass:g}")
+        lo, up = (_certified_end(amb, q, c) for q, c in zip((a, b), ends))
+        solves += 1
+        report = amb.solve(res.root)
+        # the search stops at width 2*eps, at float resolution, or on an exact root
+        exact = res.status == EXACT_ZERO and report.verification.passed
+        if not (b - a <= 2.0 * inst.eps or not a < 0.5 * (a + b) < b or exact):
+            raise RootBracketError(f"order bracket ({a:g}, {b:g}) is wider than 2*eps")
+        return OrderDecision(
+            q_star=res.root,
+            objective=report.value + mass * res.root,
+            iterations=res.iterations,
+            inner_solves=solves,
+            report=report,
+            bracket=(a, b),
+            bracket_reports=(lo, up),
+        )
+
+    try:
+        return search(amb._order_side(mass))
+    except MomentBoundError:
+        # The full-candidate search: each midpoint's p_hi from a candidate
+        # solve.  Its decision or refusal is final, so the one-evaluation
+        # search never turns a decision this one returns into a refusal.
+        return search(lambda q: candidate(q)["dist"].points[-1][1] - mass)
 
 
 def _certified_end(amb, q: float, candidate: dict | None) -> Report | None:

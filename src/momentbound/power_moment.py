@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -107,6 +108,36 @@ class PowerMomentAmbiguity:
         """The q at which Markov's bound Mt/q^t on every feasible P(X > q) falls to mass."""
         return (self.Mt / mass) ** (1.0 / self.t)
 
+    def _order_side(self, mass: float) -> Callable[[float], float]:
+        """A function of q > 0 with the sign of p_hi(q) - mass, at one theta evaluation at most.
+
+        Along the two-point laws that match the moments the upper mass falls
+        strictly as the upper point rises, so p_hi(q) > mass exactly when the
+        worst case's upper point v(q), theta's root, lies left of the point
+        v* whose upper mass is mass.  v* is solved for once here.  On the
+        boundary branch the function is the closed-form p_hi - mass itself.
+        """
+        base = self.instance_at(self.M1)
+        edge = base.edge_scaled
+        # every interior worst case has less upper mass than the boundary's 1/edge
+        v_star = _upper_point_at_mass(mass, base, edge) if mass < 1.0 / edge else edge
+
+        def side(q: float) -> float:
+            inst = self.instance_at(q)
+            bracket = _interior_bracket(inst, edge)
+            if bracket is None:
+                return 1.0 / edge - mass
+            a, b = bracket
+            if v_star <= a:
+                return -1.0
+            if v_star >= b:
+                return 1.0
+            # theta is negative right of a and positive at b: its sign at v*
+            # says on which side of v* its root lies
+            return theta(v_star, inst)
+
+        return side
+
     def worst_case(self, q: float, eps: float = 1e-10) -> float:
         self.instance_at(self.M1)  # infeasible moments raise before the q = 0 shortcut
         if q == 0.0:
@@ -148,6 +179,44 @@ def _theta_prime(y: float, inst: PowerMomentInstance) -> float:
     g3 = c * (yt1 - mt) / (yt - mt)
     g3p = c * ((t - 1.0) * y ** (t - 2.0) * (yt - mt) - (yt1 - mt) * t * yt1) / (yt - mt) ** 2
     return g2p * (1.0 - g3) - g2 * g3p + t * abs(g3) ** (t - 1.0) * g3p
+
+
+def _interior_bracket(inst: PowerMomentInstance, edge: float) -> tuple[float, float] | None:
+    """The open bracket (a, b) of theta's root at this q; None on the boundary branch."""
+    t, qs = inst.t, inst.q_scaled
+    a = max(edge, qs)
+    b = t * qs / (t - 1.0)
+    # b <= a can only happen when q sits at the branch threshold to float
+    # resolution, where the boundary construction is the exact limit
+    if qs <= (t - 1.0) / t * edge or b <= a:
+        return None
+    return a, b
+
+
+def _upper_point_at_mass(p: float, inst: PowerMomentInstance, edge: float) -> float:
+    """The upper point v of the two-point law with mean 1, t-th moment mt and mass p at v.
+
+    Its lower point is u = (1 - p*v)/(1 - p), so the mean is 1 for every v,
+    and the t-th moment (1 - p)*u^t + p*v^t rises strictly with v: its slope
+    is p*t*(v^(t-1) - u^(t-1)) > 0.  It is below mt at v = edge and reaches
+    mt by the point where u falls to 0 or p*v^t alone reaches mt.  Requires
+    p < 1/edge, the boundary branch's upper mass.
+    """
+    t, mt = inst.t, inst.mt_scaled
+    scale = p ** (1.0 / t)  # p*v^t as (scale*v)^t, finite wherever p*v^t <= mt is
+
+    def lower(v: float) -> float:
+        return max((1.0 - p * v) / (1.0 - p), 0.0)
+
+    def excess(v: float) -> float:
+        return (1.0 - p) * lower(v) ** t + (scale * v) ** t - mt
+
+    def slope(v: float) -> float:
+        return t * ((scale * v) ** t / v - p * lower(v) ** (t - 1.0))
+
+    hi = min(1.0 / p, mt ** (1.0 / t) / scale)
+    res = bisect(excess, edge, hi, 1e-10 * hi)
+    return polish_root(excess, slope, res.root, edge, hi)
 
 
 def boundary_threshold(inst: PowerMomentInstance) -> float:
@@ -281,20 +350,21 @@ def _candidate(inst: PowerMomentInstance, eps: float) -> dict:
     M1, t = inst.M1, inst.t
     mt, qs = inst.mt_scaled, inst.q_scaled
     edge = inst.edge_scaled
-    a = max(edge, qs)
-    b = t * qs / (t - 1.0)
+    bracket = _interior_bracket(inst, edge)
 
-    # b <= a can only happen when q sits at the branch threshold to float
-    # resolution, where the boundary construction is the exact limit
-    if qs <= (t - 1.0) / t * edge or b <= a:
+    if bracket is None:
         p_hi = 1.0 / edge
         value = M1 * (1.0 - qs / edge)
-        dist = DiscreteDistribution(points=((0.0, 1.0 - p_hi), (M1 * edge, p_hi)))
+        upper = M1 * edge
+        if upper == math.inf:
+            raise RangeError(f"upper support point M1*mt^(1/(t-1)) overflows at M1={M1:g}, t={t:g}")
+        dist = DiscreteDistribution(points=((0.0, 1.0 - p_hi), (upper, p_hi)))
         z1 = 1.0 - (t * qs / (t - 1.0)) / edge
         zt = (qs / (t - 1.0)) * mt ** (-t / (t - 1.0))
         cert = DualCertificate(z=(0.0, z1, zt / M1 ** (t - 1.0)))
         branch, root, iters = BOUNDARY, None, 0
     else:
+        a, b = bracket
         # When qs <= edge, the bracket starts exactly on a zero of theta with
         # negative right slope, which bisect must be told about: a float
         # evaluation of theta(a) is merely tiny, not zero.  A q a few ulp

@@ -51,8 +51,8 @@ def worst_case_objective(inst, q: float) -> float:
     return inst.ambiguity.worst_case(q) + (1.0 - inst.eta) * q
 
 
-def verified_order_search(inst) -> tuple[float, float, int, int]:
-    """(q*, objective, iterations, inner solves) of the order search on verified solves.
+def verified_order_search(inst) -> tuple[float, float, int]:
+    """(q*, objective, iterations) of the order search on verified solves.
 
     The envelope-theorem bisection of p_hi(q) - (1 - eta) on (0, hi], hi the
     moment-bound tail cutoff, with every midpoint read from the public,
@@ -68,7 +68,7 @@ def verified_order_search(inst) -> tuple[float, float, int, int]:
 
     res = bisect(excess, 0.0, hi, inst.eps, assume_left_root=True)
     value = amb.solve(res.root).value
-    return res.root, value + mass * res.root, res.iterations, res.iterations + 1
+    return res.root, value + mass * res.root, res.iterations
 
 
 def moments_of(dist, hs) -> np.ndarray:

@@ -292,6 +292,24 @@ class TestSolve:
         assert code == EXIT_RANGE
         assert json.loads(capsys.readouterr().err.splitlines()[0])["error"] == "RangeError"
 
+    def test_upper_support_point_overflow_is_a_range_rejection(self, tmp_path, capsys):
+        code = main(["solve", _mp1t(tmp_path, M1=1e300, Mt=1e308, t=1.02, q=1e300)])
+        captured = capsys.readouterr()
+        assert code == EXIT_RANGE
+        assert captured.out == ""
+        assert json.loads(captured.err.splitlines()[0])["error"] == "RangeError"
+
+    def test_uncertified_deep_tail_is_a_range_rejection(self, tmp_path, capsys):
+        path = _write(
+            tmp_path,
+            {"problem": "mp1e", "params": {"M1": 1, "Me": math.e**2, "t": 1, "q": 40}},
+        )
+        code = main(["solve", path])
+        captured = capsys.readouterr()
+        assert code == EXIT_RANGE
+        assert captured.out == ""
+        assert json.loads(captured.err.splitlines()[0])["error"] == "RangeError"
+
     def test_unknown_param_key(self, tmp_path):
         path = _mp1t(tmp_path, bogus=3)
         assert main(["solve", path]) == EXIT_SCHEMA

@@ -197,6 +197,25 @@ class TestSolve:
         with pytest.raises(RangeError):
             solve_exp_moment(inst)
 
+    def test_uncertified_tail_below_floor_raises_range_error(self):
+        # the interior root brackets cleanly here, but its answer is float
+        # noise: primal residual 9.3e5 for a tail of about 1e-17
+        inst = ExpMomentInstance(M1=1.0, Me=math.e**2, t=1.0, q=40.0)
+        assert exp_moment._below_tail_floor(inst)
+        with pytest.raises(RangeError, match="tail_bound"):
+            solve_exp_moment(inst)
+        amb = ExpMomentAmbiguity(M1=1.0, Me=math.e**2, t=1.0)
+        assert amb.worst_case(40.0) == amb.tail_bound(40.0)
+
+    def test_certified_tail_below_floor_is_answered(self):
+        inst = ExpMomentInstance(
+            M1=1146.6390110688826, Me=44999.53680668756, t=0.009291836773182524, q=3452.944594472857
+        )
+        assert exp_moment._below_tail_floor(inst)
+        report = solve_exp_moment(inst)
+        assert report.branch == exp_moment.INTERIOR
+        assert report.verification.passed
+
 
 class TestAmbiguity:
     def test_from_exponential_demand(self):

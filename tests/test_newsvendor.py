@@ -6,12 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from momentbound import core
+from momentbound import core, exp_moment, power_moment
 from momentbound.cli import EXIT_SCHEMA, main
 from momentbound.errors import DomainError, InfeasibleError, MomentBoundError, RootBracketError
 from momentbound.exp_moment import ExpMomentAmbiguity, boundary_threshold
 from momentbound.newsvendor import NewsvendorInstance, optimize_order
 from momentbound.power_moment import PowerMomentAmbiguity
+from momentbound.rootfind import bisect
 from references import (
     ExponentialDemand,
     mean_variance_order,
@@ -131,31 +132,59 @@ DEEP_CELLS = [(k, eta) for k in AMBIGUITIES for eta in DEEP_ETAS]
 # noise of H there (3e-8): the bracket ends fail verification, so the search
 # refuses instead of returning a decision steered by uncertified midpoints.
 DEEP_REFUSALS = {("mp1t-1.5", 1.0 - 1e-10)}
+# At p_hi = 1e-10 the candidate solves' own p_hi is noise-limited: at the ends
+# of the bracket the one-evaluation sides find, it reads on the wrong side of
+# 1 - eta, so these decisions come from the full-candidate search.
+DEEP_FALLBACKS = {("mp1t-2", 1.0 - 1e-10), ("mp1t-3", 1.0 - 1e-10)}
 
 
 def _decision(kind: str, eta: float):
     return optimize_order(NewsvendorInstance(ambiguity=AMBIGUITIES[kind], eta=eta))
 
 
-def _loose_once(monkeypatch):
-    """Make the first midpoint at or above q = 2100 answer at root tolerance 1e-8.
+def _loose_above(monkeypatch):
+    """Make every candidate solve at or above q = 2100 use root tolerance 1e-8.
 
     The exp_moment solver's loose-tolerance answers on the lam = 1/50, t = 0.01
     exponential-demand set read p_hi of about 3.4e-10 across q in 2075-2372,
     where the certified p_hi falls from 1.3e-10 to 6.5e-12.  Right of the
     certified order for 1 - eta = 1e-10 (q = 2097.97) that wrong p_hi steers
-    the search further right.
+    the full-candidate search further right.
     """
     real = ExpMomentAmbiguity._candidate
-    wrong = []
+    loose = []
 
     def candidate(self, q, eps=1e-10):
-        if q >= 2100.0 and not wrong:
-            wrong.append(q)
+        if q >= 2100.0:
+            loose.append(q)
             return real(self, q, 1e-8)
         return real(self, q, eps)
 
     monkeypatch.setattr(ExpMomentAmbiguity, "_candidate", candidate)
+    return loose
+
+
+def _wrong_side_once(monkeypatch):
+    """Make the first midpoint at or above q = 2100 read p_hi above 1 - eta.
+
+    On the set of `_loose_above` at 1 - eta = 1e-10 that sends the
+    one-evaluation search right of the certified order, q = 2097.97.
+    """
+    real = ExpMomentAmbiguity._order_side
+    wrong = []
+
+    def order_side(self, mass):
+        side = real(self, mass)
+
+        def wrong_side(q):
+            if q >= 2100.0 and not wrong:
+                wrong.append(q)
+                return 1.0
+            return side(q)
+
+        return wrong_side
+
+    monkeypatch.setattr(ExpMomentAmbiguity, "_order_side", order_side)
     return wrong
 
 
@@ -185,7 +214,8 @@ class TestCertifiedOrder:
             assert (kind, eta) in DEEP_REFUSALS
         else:
             assert calls[0] == 1 + sum(r is not None for r in d.bracket_reports)
-            assert len(inside) == d.iterations
+            # every candidate solve but the one inside the verified solve at q*
+            assert len(inside) == d.inner_solves - 1
         assert calls[0] <= 3
         assert inside and not any(inside)
 
@@ -197,7 +227,13 @@ class TestCertifiedOrder:
                 optimize_order(inst)
             return
         d = optimize_order(inst)
-        assert (d.q_star, d.objective, d.iterations, d.inner_solves) == verified_order_search(inst)
+        assert (d.q_star, d.objective, d.iterations) == verified_order_search(inst)
+        if (kind, eta) in DEEP_FALLBACKS:
+            # both ends of the one-evaluation bracket, every midpoint, and q*
+            assert d.inner_solves == 2 + d.iterations + 1
+        else:
+            # the bracket ends inside (0, tail cutoff), and q*
+            assert d.inner_solves == 1 + sum(r is not None for r in d.bracket_reports)
 
     @pytest.mark.parametrize("kind,eta", CELLS + DEEP_CELLS)
     def test_subgradient_certificate(self, kind, eta):
@@ -235,14 +271,33 @@ class TestCertifiedOrder:
         assert b == math.nextafter(a, math.inf) == d.q_star
         assert all(r.verification.passed for r in d.bracket_reports)
 
-    def test_wrong_midpoint_is_refused(self, monkeypatch):
+    def test_wrong_side_falls_back_to_the_honest_decision(self, monkeypatch):
         amb = ExpMomentAmbiguity.from_exponential_demand(lam=1.0 / 50.0, t=0.01)
         inst = NewsvendorInstance(ambiguity=amb, eta=1.0 - 1e-10)
         honest = optimize_order(inst)
-        wrong = _loose_once(monkeypatch)
+        wrong = _wrong_side_once(monkeypatch)
+        d = optimize_order(inst)
+        # the wrong side sent the search right of the certified order, where
+        # the bracket's p_hi test failed and the full-candidate search decided
+        assert wrong and wrong[0] > honest.q_star
+        assert (d.q_star, d.objective, d.iterations, d.bracket) == (
+            honest.q_star,
+            honest.objective,
+            honest.iterations,
+            honest.bracket,
+        )
+        assert d.inner_solves == 2 + d.iterations + 1
+        assert d.report.verification.passed
+
+    def test_wrong_midpoint_is_refused(self, monkeypatch):
+        amb = ExpMomentAmbiguity.from_exponential_demand(lam=1.0 / 50.0, t=0.01)
+        inst = NewsvendorInstance(ambiguity=amb, eta=1.0 - 1e-10)
+        loose = _loose_above(monkeypatch)
+        honest = optimize_order(inst)  # the one-evaluation bracket solves below q = 2100
+        assert not loose
+        wrong = _wrong_side_once(monkeypatch)
         with pytest.raises(RootBracketError):
             optimize_order(inst)
-        # the wrong answer sent the search right of the certified order
         assert wrong and wrong[0] > honest.q_star
         assert amb._candidate(wrong[0], 1e-8)["dist"].points[-1][1] > 1e-10
 
@@ -250,11 +305,111 @@ class TestCertifiedOrder:
         path = tmp_path / "order.json"
         params = {"ambiguity": "mp1e", "exponential_lambda": 0.02, "t": 0.01, "eta": 1.0 - 1e-10}
         path.write_text(json.dumps({"problem": "newsvendor", "params": params}), encoding="utf-8")
-        _loose_once(monkeypatch)
+        _loose_above(monkeypatch)
+        _wrong_side_once(monkeypatch)
         assert main(["solve", str(path)]) == EXIT_SCHEMA
         captured = capsys.readouterr()
         assert captured.out == ""
         assert json.loads(captured.err.splitlines()[0])["error"] == "RootBracketError"
+
+
+def _threshold(amb) -> float:
+    """The order quantity at which the worst case leaves the boundary branch."""
+    if isinstance(amb, PowerMomentAmbiguity):
+        return power_moment.boundary_threshold(amb.instance_at(amb.M1))
+    return boundary_threshold(amb.instance_at(amb.M1))
+
+
+def _cheap_order(amb, eta: float, eps: float = 1e-6) -> float:
+    """The root of the order bisection on the one-evaluation sides alone."""
+    mass = 1.0 - eta
+    hi = amb.tail_cutoff(mass)
+    side = amb._order_side(mass)
+    return bisect(lambda q: -mass if q >= hi else side(q), 0.0, hi, eps, assume_left_root=True).root
+
+
+class TestOrderSide:
+    """One root-function sign per midpoint in place of a full candidate solve."""
+
+    @pytest.mark.parametrize("kind", AMBIGUITIES)
+    def test_sign_matches_the_candidate_upper_mass(self, kind):
+        amb = AMBIGUITIES[kind]
+        threshold = _threshold(amb)
+        branches = set()
+        for eta in ETAS:
+            mass = 1.0 - eta
+            hi = amb.tail_cutoff(mass)
+            side = amb._order_side(mass)
+            grid = np.concatenate(
+                [np.linspace(0.0, hi, 101)[1:-1], threshold * np.geomspace(0.1, 10.0, 41)]
+            )
+            for q in grid[grid < hi]:
+                q = float(q)
+                candidate = amb._candidate(q)
+                branches.add(candidate["branch"])
+                p_hi = candidate["dist"].points[-1][1]
+                assert np.sign(side(q)) == np.sign(p_hi - mass), (eta, q, p_hi)
+        assert branches == {"boundary", "interior"}
+
+    def test_boundary_side_is_the_closed_form(self):
+        # at t = 2, Mt = 2*M1^2 the boundary p_hi is exactly 1/2 up to q = 1
+        side = PowerMomentAmbiguity(M1=1.0, Mt=2.0, t=2.0)._order_side(0.5)
+        assert [side(q) for q in (0.25, 0.5, 1.0)] == [0.0, 0.0, 0.0]
+        assert side(1.5) < 0.0
+
+    @pytest.mark.parametrize(
+        "mu,cv", [(50.0, 1.0), (50.0, 0.5), (20.0, 0.25), (100.0, 0.9), (1.0, 1.0)]
+    )
+    @pytest.mark.parametrize("eta", DEEP_ETAS)
+    def test_deep_tail_order_within_eps_of_closed_form(self, mu, cv, eta):
+        M2 = mu * mu * (1.0 + cv * cv)
+        q = _cheap_order(PowerMomentAmbiguity(M1=mu, Mt=M2, t=2.0), eta)
+        assert abs(q - mean_variance_order(mu, M2, eta)) <= 1e-6
+
+
+    def test_pole_side_keeps_the_one_evaluation_bracket(self):
+        # at 1 - eta = 1e-10 u* lies within 1e-5*m1 of the pole of phi, where
+        # phi(u*) is too coarse to place the bracket: the gap coordinate does
+        amb = ExpMomentAmbiguity.from_exponential_demand(lam=1.0 / 50.0, t=0.005)
+        inst = amb.instance_at(amb.M1)
+        v1 = exp_moment.compute_v1(inst.m1_scaled, amb.Me)
+        assert exp_moment._gap_at_mass(1e-10, inst, v1) < 1e-5 * inst.m1_scaled
+        d = optimize_order(NewsvendorInstance(ambiguity=amb, eta=1.0 - 1e-10))
+        assert d.inner_solves == 3
+        assert all(r.verification.passed for r in d.bracket_reports)
+
+
+class TestMomentMatchingFamily:
+    """Along the two-point laws matching the moments, upper mass falls as the upper point rises."""
+
+    MASSES = np.geomspace(0.99, 1e-12, 60)
+
+    @pytest.mark.parametrize("kind", ["mp1t-1.5", "mp1t-2", "mp1t-3"])
+    def test_power_moment(self, kind):
+        inst = AMBIGUITIES[kind].instance_at(1.0)
+        t, mt, edge = inst.t, inst.mt_scaled, inst.edge_scaled
+        masses = [float(p) for p in self.MASSES if p < 1.0 / edge]
+        uppers = [power_moment._upper_point_at_mass(p, inst, edge) for p in masses]
+        assert all(v0 < v1 for v0, v1 in zip(uppers, uppers[1:]))
+        for p, v in zip(masses, uppers):
+            u = (1.0 - p * v) / (1.0 - p)
+            assert 0.0 <= u < 1.0 < v
+            assert (1.0 - p) * u**t + p * v**t == pytest.approx(mt, rel=1e-12)
+
+    @pytest.mark.parametrize("kind", ["mp1e-expdemand", "mp1e-general"])
+    def test_exp_moment(self, kind):
+        inst = AMBIGUITIES[kind].instance_at(1.0)
+        m1, me = inst.m1_scaled, inst.Me
+        v1 = exp_moment.compute_v1(m1, me)
+        masses = [float(p) for p in self.MASSES if p < m1 / v1]
+        gaps = [exp_moment._gap_at_mass(p, inst, v1) for p in masses]
+        uppers = [m1 + (1.0 - p) * g / p for p, g in zip(masses, gaps)]
+        assert all(v0 < v1 for v0, v1 in zip(uppers, uppers[1:]))
+        assert all(g0 > g1 > 0.0 for g0, g1 in zip(gaps, gaps[1:]))
+        for p, g, v in zip(masses, gaps, uppers):
+            u = m1 - g
+            assert 0.0 <= u < m1 < v
+            assert (1.0 - p) * math.exp(u) + p * math.exp(v) == pytest.approx(me, rel=1e-12)
 
 
 class TestOptimizeOrder:
@@ -296,7 +451,8 @@ class TestOptimizeOrder:
         inst = NewsvendorInstance(ambiguity=amb, eta=0.9, eps=1e-6)
         d = optimize_order(inst)
         assert d.q_star > 0.0
-        assert d.inner_solves > d.iterations
+        # the two bracket ends and q*, where the search solved at every midpoint before
+        assert d.inner_solves == 3 < d.iterations
 
     def test_exponential_ground_truth_shape(self):
         # the moment data comes from an exponential demand with rate 1/50

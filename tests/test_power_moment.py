@@ -210,6 +210,12 @@ class TestRange:
         with pytest.raises(RangeError):
             solve_power_moment(self.INST)
 
+    def test_upper_support_point_overflow_raises_range_error(self):
+        # mt^(1/(t-1)) = 1e100 is finite, M1 times it is not
+        inst = PowerMomentInstance(M1=1e300, Mt=1e308, t=1.02, q=1e300)
+        with pytest.raises(RangeError, match="upper support point"):
+            solve_power_moment(inst)
+
     def test_threshold_raises_range_error(self):
         with pytest.raises(RangeError):
             boundary_threshold(self.INST)
