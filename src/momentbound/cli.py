@@ -17,8 +17,6 @@ import sys
 import time
 from dataclasses import fields
 
-import numpy as np
-
 from . import newsvendor, oracle
 from .core import DualCertificate, ToleranceSet, VerificationReport, verify_optimality
 from .errors import (
@@ -239,7 +237,7 @@ def _solve_oracle_problem(doc: dict, args: argparse.Namespace, eps: float, start
     entry = PROBLEMS[base]
     inst, report = _solve_moment_problem(base, params, eps)
     grid = _grid_spec_from(doc.get("oracle"), entry, inst, report, args)
-    result = oracle.oracle_solve(entry.gmp(inst, report.dist), grid)
+    result = oracle.oracle_solve(entry.gmp(inst), grid)
     value = result.value - entry.oracle_offset(inst)
     env = _envelope(
         "oracle",
@@ -257,12 +255,11 @@ def _solve_oracle_problem(doc: dict, args: argparse.Namespace, eps: float, start
 
 def _grid_spec_from(overrides, problem: Problem, inst, report, args) -> GridSpec:
     n_points = getattr(args, "grid_points", None)
-    seeds = report.dist.xs if getattr(args, "seed_support", True) else ()
     grid = GridSpec(
         lo=0.0,
         hi=problem.grid_hi(inst, report),
         n_points=2001 if n_points is None else n_points,
-        refine_around=tuple(float(x) for x in seeds),
+        refine_around=report.dist.xs if getattr(args, "seed_support", True) else (),
     )
     if overrides is None:
         return grid
@@ -298,22 +295,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     except MomentBoundError as exc:
         return _fail(exc)
 
-    values = (
-        [args.start]
-        if args.steps == 1
-        else list(np.linspace(args.start, args.stop, args.steps))
-    )
+    if args.steps == 1:
+        values = [args.start]
+    else:  # the points of numpy.linspace, bit for bit
+        step = (args.stop - args.start) / (args.steps - 1)
+        values = [args.start + i * step for i in range(args.steps - 1)] + [args.stop]
     rows = []
     any_failed = False
     for v in values:
         params = dict(doc["params"])
-        params[args.param] = float(v)
+        params[args.param] = v
         try:
             _, report = _solve_moment_problem(problem, params, eps)
-            rows.append((float(v), report.value, report.branch, report.root, report.bisect_iters))
+            rows.append((v, report.value, report.branch, report.root, report.bisect_iters))
         except MomentBoundError:
             any_failed = True
-            rows.append((float(v), math.nan, "", None, 0))
+            rows.append((v, math.nan, "", None, 0))
 
     lines = ["param,value,branch,root,iters"]
     for pv, val, branch, root, iters in rows:
@@ -338,7 +335,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         entry = PROBLEMS[problem]
         eps = args.tol if args.tol is not None else _tolerance(doc)
         inst, report = _solve_moment_problem(problem, doc["params"], eps)
-        gmp = entry.gmp(inst, report.dist)
+        gmp = entry.gmp(inst)
 
         verification = report.verification
         if args.inject_dual_noise:

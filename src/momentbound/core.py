@@ -35,13 +35,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable
-
-import numpy as np
+from typing import Any
 
 from .errors import DimensionError, DomainError
-
-Array = np.ndarray
 
 _NONDIFF_SNAP = 1e-12  # support points this close to a kink skip the tangent check
 _FAMILIES = ("constant", "monomial", "positive_part", "squared_positive_part", "exponential")
@@ -52,10 +48,9 @@ class MomentFunction:
     """One of this module's function families on [0, inf), with its parameter.
 
     ``family`` names the family and ``param`` holds its power, kink or rate
-    (unused by ``constant``).  ``eval`` evaluates the function on scalars or
-    numpy arrays; the verifier evaluates it and its derivative in scalar
-    arithmetic and inverts the derivative in closed form.  Build these with
-    the constructors below.
+    (unused by ``constant``).  The verifier evaluates it and its derivative
+    in scalar arithmetic and inverts the derivative in closed form.  Build
+    these with the constructors below.
     """
 
     family: str
@@ -69,20 +64,6 @@ class MomentFunction:
     def nondiff_points(self) -> tuple[float, ...]:
         """Where the derivative does not exist: the kink of ``positive_part``."""
         return (self.param,) if self.family == "positive_part" else ()
-
-    def eval(self, x: Array | float) -> Array:
-        """f(x), elementwise on a scalar or a numpy array."""
-        x = np.asarray(x, dtype=float)
-        family, p = self.family, self.param
-        if family == "monomial":
-            return x + 0.0 if p == 1.0 else np.power(x, p)
-        if family == "positive_part":
-            return np.maximum(x - p, 0.0)
-        if family == "squared_positive_part":
-            return np.maximum(x - p, 0.0) ** 2
-        if family == "exponential":
-            return np.exp(p * x)
-        return np.ones_like(x)
 
 
 def constant() -> MomentFunction:
@@ -133,12 +114,12 @@ class DiscreteDistribution:
             raise DomainError(f"probabilities sum to {math.fsum(ps)!r}, not 1")
 
     @property
-    def xs(self) -> Array:
-        return np.array([x for x, _ in self.points], dtype=float)
+    def xs(self) -> tuple[float, ...]:
+        return tuple(x for x, _ in self.points)
 
     @property
-    def ps(self) -> Array:
-        return np.array([p for _, p in self.points], dtype=float)
+    def ps(self) -> tuple[float, ...]:
+        return tuple(p for _, p in self.points)
 
 
 @dataclass(frozen=True)
@@ -154,18 +135,12 @@ class DualCertificate:
 
 @dataclass(frozen=True)
 class GmpInstance:
-    """One moment problem: optimize E[g(X)] subject to E[h_i(X)] = m_i.
-
-    Candidate support must lie in [0, ``support_hi``]; solvers choose it large
-    enough to cover any optimum.  Dual feasibility is decided on all of
-    [0, inf), not only on that interval.
-    """
+    """One moment problem on [0, inf): optimize E[g(X)] subject to E[h_i(X)] = m_i."""
 
     g: MomentFunction
     hs: tuple[MomentFunction, ...]
     ms: tuple[float, ...]
     sense: str  # "max" or "min"
-    support_hi: float
 
     def __post_init__(self) -> None:
         if len(self.hs) != len(self.ms):
@@ -174,8 +149,6 @@ class GmpInstance:
             raise DomainError("first target moment must be 1 (normalization)")
         if self.sense not in ("max", "min"):
             raise DomainError(f"sense must be 'max' or 'min', got {self.sense!r}")
-        if not (self.support_hi > 0.0):
-            raise DomainError("support_hi must be positive")
 
     def nondiff_points(self) -> tuple[float, ...]:
         pts: list[float] = list(self.g.nondiff_points)
@@ -360,7 +333,7 @@ def _exact_residuals(
     tangent_residual = _largest(
         sum(c * _slope(f, x) for c, f in terms)
         for x in xs
-        if 0.0 < x < inst.support_hi and all(abs(x - k) > _NONDIFF_SNAP for k in kinks)
+        if x > 0.0 and all(abs(x - k) > _NONDIFF_SNAP for k in kinks)
     )
 
     signed = [sign * v for v in h_xs]
@@ -390,18 +363,15 @@ def verify_optimality(
 ) -> VerificationReport:
     """Check the full optimality condition for a candidate primal-dual pair.
 
-    Tangency is tested only at support points strictly inside
-    (0, support_hi) and farther than 1e-12 from every declared kink.  Dual
-    feasibility is the exact minimum of H over [0, inf) (see the module
-    docstring), and every residual is computed in scalar arithmetic.  An
-    instance whose H' has a decaying exponential, or more than one nonlinear
-    term on some piece, has no closed-form stationary points and raises
-    DomainError.
+    Tangency is tested only at support points x > 0 farther than 1e-12
+    from every declared kink.  Dual feasibility is the exact minimum of H
+    over [0, inf) (see the module docstring), and every residual is computed
+    in scalar arithmetic.  An instance whose H' has a decaying exponential,
+    or more than one nonlinear term on some piece, has no closed-form
+    stationary points and raises DomainError.
     """
     if len(cert.z) != len(inst.hs):
         raise DimensionError(f"certificate length {len(cert.z)} vs {len(inst.hs)} functions")
-    if dist.points[0][0] < 0.0 or dist.points[-1][0] > inst.support_hi:
-        raise DomainError("distribution support exceeds [0, support_hi]")
 
     primal_residual, slack_residual, tangent_residual, dual_min, primal_value, dual_value = (
         _exact_residuals(inst, dist, cert)
@@ -450,18 +420,11 @@ class Report:
     verification: VerificationReport
 
 
-def certify(
-    inst: Any,
-    candidate: dict[str, Any],
-    gmp_instance: Callable[[Any, DiscreteDistribution], GmpInstance],
-    tol: ToleranceSet = ToleranceSet(),
-) -> Report:
-    """Verify a solver's candidate answer and build its report, once.
+def certify(inst: GmpInstance, candidate: dict[str, Any]) -> Report:
+    """Verify a solver's candidate answer for ``inst`` and build its report, once.
 
     ``candidate`` holds every field of ``Report`` except ``verification``,
-    among them ``dist`` and ``cert``; ``gmp_instance(inst, dist)`` is the
-    generic moment problem the pair must be optimal for.
+    among them ``dist`` and ``cert``.
     """
-    dist, cert = candidate["dist"], candidate["cert"]
-    verification = verify_optimality(gmp_instance(inst, dist), dist, cert, tol)
+    verification = verify_optimality(inst, candidate["dist"], candidate["cert"])
     return Report(**candidate, verification=verification)

@@ -13,10 +13,6 @@ class DimensionError(MomentBoundError):
     """Raised on a length mismatch between paired vectors (moments, certificates)."""
 
 
-class NonDifferentiableError(MomentBoundError):
-    """Raised when a derivative is requested at a declared non-differentiable point."""
-
-
 class BracketError(MomentBoundError):
     """Raised when a root bracket has the same nonzero sign at both endpoints."""
 

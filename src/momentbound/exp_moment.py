@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import core
-from .core import DiscreteDistribution, DualCertificate, GmpInstance, Report, ToleranceSet
+from .core import DiscreteDistribution, DualCertificate, GmpInstance, Report
 from .errors import (
     DomainError,
     InfeasibleError,
@@ -32,9 +32,9 @@ from .rootfind import bisect, polish_root
 BOUNDARY = "boundary"
 INTERIOR = "interior"
 
-_EXP_ARG_LIMIT = 700.0  # exp(t*q), exp(t*M1) and exp(t*support_hi) stay finite
+_EXP_ARG_LIMIT = 700.0  # exp(t*q) and exp(t*M1) stay finite
 _POLE_BACKOFF = 1e-9  # right bracket endpoint is evaluated at M1*(1 - this)
-_TAIL_FLOOR = 1e-10  # below this (times max(1, M1)) the tail escapes float resolution
+_TAIL_FLOOR = 1e-10  # a rate-scaled tail below this (times max(1, t*M1)) is float noise
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ class ExpMomentAmbiguity:
         return _candidate(self.instance_at(q), eps)
 
     def _certify(self, q: float, candidate: dict) -> Report:
-        return core.certify(self.instance_at(q), candidate, gmp_instance)
+        return core.certify(gmp_instance(self.instance_at(q)), candidate)
 
     def tail_cutoff(self, mass: float) -> float:
         """The q at which Chernoff's bound Me*exp(-t*q) on every feasible P(X > q) falls to mass."""
@@ -147,19 +147,18 @@ class ExpMomentAmbiguity:
         return self.Me * math.exp(-min(self.t * q + 1.0, 1e4)) / self.t
 
     def worst_case(self, q: float, eps: float = 1e-10) -> float:
-        self.instance_at(self.M1)  # infeasible moments raise before either shortcut
+        """The certified worst case, or the Markov bound where the solver refuses.
+
+        The solver refuses with RangeError below the tail floor, where the
+        bound is the value to double precision.
+        """
+        self.instance_at(self.M1)  # infeasible moments raise before the q = 0 shortcut
         if q == 0.0:
             return self.M1  # E[(X - 0)_+] = E[X] for every feasible distribution
-        bound = self.tail_bound(q)
-        if bound < _TAIL_FLOOR * max(1.0, self.M1):
-            # The interior root sits within one ulp of the scaled mean here,
-            # so the semi-closed form is unrepresentable; the Markov bound
-            # itself is the value to double precision.
-            return bound
         try:
             return self.solve(q, eps).value
         except RangeError:
-            return bound  # same underflow regime, caught by the solver instead
+            return self.tail_bound(q)
 
 
 def compute_v1(m1_scaled: float, Me: float) -> float:
@@ -258,23 +257,19 @@ def boundary_threshold(inst: ExpMomentInstance) -> float:
     return (v1 + m1 / (inst.Me - 1.0) - 1.0) / inst.t
 
 
-def gmp_instance(inst: ExpMomentInstance, dist: DiscreteDistribution) -> GmpInstance:
-    """The generic moment problem this instance describes, sized to a solution."""
-    hi = min(10.0 * max(dist.points[-1][0], inst.q, inst.M1), (_EXP_ARG_LIMIT + 5.0) / inst.t)
+def gmp_instance(inst: ExpMomentInstance) -> GmpInstance:
+    """The generic moment problem this instance describes."""
     return GmpInstance(
         g=core.positive_part(inst.q),
         hs=(core.constant(), core.monomial(1.0), core.exponential(inst.t)),
         ms=(1.0, inst.M1, inst.Me),
         sense="max",
-        support_hi=hi,
     )
 
 
-def solve_exp_moment(
-    inst: ExpMomentInstance, eps: float = 1e-10, tol: ToleranceSet = ToleranceSet()
-) -> Report:
+def solve_exp_moment(inst: ExpMomentInstance, eps: float = 1e-10) -> Report:
     """Solve the rate-scaled problem, rescale, and certify the result."""
-    report = core.certify(inst, _candidate(inst, eps), gmp_instance, tol)
+    report = core.certify(gmp_instance(inst), _candidate(inst, eps))
     if not report.verification.passed and report.branch == INTERIOR and _below_tail_floor(inst):
         raise _tail_range_error(inst)
     return report

@@ -23,12 +23,12 @@ final bracket a < q* <= b: p_hi(a) >= 1 - eta >= p_hi(b) from verified worst
 cases at both ends, with b - a <= 2*eps, puts a minimizer of f within eps of
 q*.  A wrong midpoint sign can only move the bracket; the verified ends
 either catch it or prove it harmless.  Where the one-evaluation search fails
-that certificate (in the deep tail the candidate solves' own p_hi is
-noise-limited) or refuses, the bisection runs once more with each midpoint's
-p_hi read from an unverified candidate solve, and its bracket is certified
-the same way.  An end that fails there is a RootBracketError, never a
-decision.  Every report here, at q* and at the bracket ends, is a
-``core.Report``.
+that certificate (with eps below about 1e-9*q the midpoint sign and a
+candidate solve's p_hi can disagree) or refuses, the bisection runs once more
+with each midpoint's p_hi read from an unverified candidate solve, and its
+bracket is certified the same way.  An end that fails there is a
+RootBracketError, never a decision.  Every report here, at q* and at the
+bracket ends, is a ``core.Report``.
 """
 
 from __future__ import annotations

@@ -13,7 +13,8 @@ degenerate pivots the first eligible column enters instead (Bland), which
 cannot cycle, until the objective moves again.  Ratio ties leave by lowest
 basis index.  No step is random, so identical inputs give bit-identical
 results.  The oracle shares no root functions or closed forms with the
-analytic solvers: it only evaluates the instance's g and h_i on the grid.
+analytic solvers, nor the verifier's scalar arithmetic: it evaluates the
+instance's g and h_i on the grid with its own numpy code.
 
 Refinement warm-starts.  A doubled grid keeps every point of the coarser one
 bit for bit, so the coarser round's optimal basis is a feasible basis of the
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiscreteDistribution, GmpInstance
+from .core import DiscreteDistribution, GmpInstance, MomentFunction
 from .errors import DomainError
 
 OPTIMAL = "optimal"
@@ -101,6 +102,20 @@ class RefineOutcome:
     values: tuple[float, ...]
     converged: bool
     rounds: int
+
+
+def _evaluate(f: MomentFunction, xs: np.ndarray) -> np.ndarray:
+    """f on every grid point."""
+    family, p = f.family, f.param
+    if family == "monomial":
+        return xs + 0.0 if p == 1.0 else np.power(xs, p)
+    if family == "positive_part":
+        return np.maximum(xs - p, 0.0)
+    if family == "squared_positive_part":
+        return np.maximum(xs - p, 0.0) ** 2
+    if family == "exponential":
+        return np.exp(p * xs)
+    return np.ones_like(xs)
 
 
 def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
@@ -276,9 +291,9 @@ def oracle_solve(
             f"grid needs at least {len(inst.hs) + 1} points for {len(inst.hs)} constraints"
         )
     xs = grid.points()
-    A = np.vstack([np.asarray(h.eval(xs), dtype=float) for h in inst.hs])
+    A = np.vstack([_evaluate(h, xs) for h in inst.hs])
     b = np.asarray(inst.ms, dtype=float)
-    g = np.asarray(inst.g.eval(xs), dtype=float)
+    g = _evaluate(inst.g, xs)
     if not (np.all(np.isfinite(A)) and np.all(np.isfinite(g))):
         raise DomainError("moment functions are not finite on the grid")
 

@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from . import core
-from .core import DiscreteDistribution, DualCertificate, GmpInstance, Report, ToleranceSet
+from .core import DiscreteDistribution, DualCertificate, GmpInstance, Report
 from .errors import BranchError, FamilyParamError, InfeasibleError
 
 TWO_POINT = "two_point"
@@ -80,8 +80,8 @@ def kappa(inst: PartialMomentInstance) -> float:
     return math.sqrt(radicand)
 
 
-def gmp_instance(inst: PartialMomentInstance, dist: DiscreteDistribution) -> GmpInstance:
-    """The generic moment problem this instance describes, sized to a solution.
+def gmp_instance(inst: PartialMomentInstance) -> GmpInstance:
+    """The generic moment problem this instance describes.
 
     Note the generic objective is E[(X-1)_+^2]; the reported optimal variance
     is that expectation minus Mplus^2.
@@ -96,7 +96,6 @@ def gmp_instance(inst: PartialMomentInstance, dist: DiscreteDistribution) -> Gmp
         ),
         ms=(1.0, inst.M1, inst.gamma * inst.M1**2, inst.Mplus),
         sense="min",
-        support_hi=10.0 * max(dist.points[-1][0], 1.0, inst.M1),
     )
 
 
@@ -119,13 +118,9 @@ def family_lower_bound(inst: PartialMomentInstance) -> float:
     return max(1.0, (inst.gamma * inst.M1**2 - inst.M1) / inst.Mplus)
 
 
-def solve_partial_moment(
-    inst: PartialMomentInstance,
-    v1_choice: float | None = None,
-    tol: ToleranceSet = ToleranceSet(),
-) -> Report:
+def solve_partial_moment(inst: PartialMomentInstance, v1_choice: float | None = None) -> Report:
     """Build the closed-form answer and certify it."""
-    return core.certify(inst, _candidate(inst, v1_choice), gmp_instance, tol)
+    return core.certify(gmp_instance(inst), _candidate(inst, v1_choice))
 
 
 def _candidate(inst: PartialMomentInstance, v1_choice: float | None) -> dict:
@@ -171,10 +166,8 @@ def _candidate(inst: PartialMomentInstance, v1_choice: float | None) -> dict:
     return dict(value=value, dist=dist, cert=cert, branch=branch, root=root, bisect_iters=0)
 
 
-def enumerate_family(
-    inst: PartialMomentInstance, v1_list: list[float], tol: ToleranceSet = ToleranceSet()
-) -> list[Report]:
+def enumerate_family(inst: PartialMomentInstance, v1_list: list[float]) -> list[Report]:
     """One report per requested v1 (the largest support point) of the degenerate family."""
     if inst.is_two_point():
         raise BranchError("instance is on the two-point branch; there is no family")
-    return [solve_partial_moment(inst, v1_choice=v1, tol=tol) for v1 in v1_list]
+    return [solve_partial_moment(inst, v1_choice=v1) for v1 in v1_list]

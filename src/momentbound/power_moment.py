@@ -17,10 +17,8 @@ import sys
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from . import core
-from .core import DiscreteDistribution, DualCertificate, GmpInstance, Report, ToleranceSet
+from .core import DiscreteDistribution, DualCertificate, GmpInstance, Report
 from .errors import (
     BracketError,
     DomainError,
@@ -102,7 +100,7 @@ class PowerMomentAmbiguity:
         return _candidate(self.instance_at(q), eps)
 
     def _certify(self, q: float, candidate: dict) -> Report:
-        return core.certify(self.instance_at(q), candidate, gmp_instance)
+        return core.certify(gmp_instance(self.instance_at(q)), candidate)
 
     def tail_cutoff(self, mass: float) -> float:
         """The q at which Markov's bound Mt/q^t on every feasible P(X > q) falls to mass."""
@@ -326,23 +324,19 @@ def _pair_score(
     return max(abs(slack), abs(mismatch))
 
 
-def gmp_instance(inst: PowerMomentInstance, dist: DiscreteDistribution) -> GmpInstance:
-    """The generic moment problem this instance describes, sized to a solution."""
-    hi = 10.0 * max(dist.points[-1][0], inst.q, inst.M1)
+def gmp_instance(inst: PowerMomentInstance) -> GmpInstance:
+    """The generic moment problem this instance describes."""
     return GmpInstance(
         g=core.positive_part(inst.q),
         hs=(core.constant(), core.monomial(1.0), core.monomial(inst.t)),
         ms=(1.0, inst.M1, inst.Mt),
         sense="max",
-        support_hi=hi,
     )
 
 
-def solve_power_moment(
-    inst: PowerMomentInstance, eps: float = 1e-10, tol: ToleranceSet = ToleranceSet()
-) -> Report:
+def solve_power_moment(inst: PowerMomentInstance, eps: float = 1e-10) -> Report:
     """Solve the scaled problem, rescale, and certify the result."""
-    return core.certify(inst, _candidate(inst, eps), gmp_instance, tol)
+    return core.certify(gmp_instance(inst), _candidate(inst, eps))
 
 
 def _candidate(inst: PowerMomentInstance, eps: float) -> dict:
@@ -402,7 +396,7 @@ def _candidate(inst: PowerMomentInstance, eps: float) -> dict:
                 candidates.append(
                     (v2, w2 ** (1.0 / (t - 1.0)), w2, w2 ** (t / (t - 1.0)))
                 )
-            v3 = float(np.nextafter(b, a))
+            v3 = math.nextafter(b, a)
             u3 = _u_from_v(v3, inst, edge)
             candidates.append((v3, u3, u3 ** (t - 1.0), u3**t))
             v, u, w, ut = min(
@@ -412,9 +406,14 @@ def _candidate(inst: PowerMomentInstance, eps: float) -> dict:
             raise RootBracketError(f"inconsistent support u={u}, v={v}")
         denom = v ** (t - 1.0) - w
         value = M1 * (v - qs) * (1.0 - u) / (v - u)
-        dist = DiscreteDistribution(
-            points=((M1 * u, (v - 1.0) / (v - u)), (M1 * v, (1.0 - u) / (v - u)))
-        )
+        if u > 0.5:
+            # 1 - u cancels as u -> 1 in the deep tail; the t-th moment row
+            # gives the upper mass at full relative precision
+            p_hi = (mt - ut) / (v**t - ut)
+            p_lo = 1.0 - p_hi
+        else:
+            p_lo, p_hi = (v - 1.0) / (v - u), (1.0 - u) / (v - u)
+        dist = DiscreteDistribution(points=((M1 * u, p_lo), (M1 * v, p_hi)))
         cert = DualCertificate(
             z=(
                 M1 * (t - 1.0) * ut / (t * denom),

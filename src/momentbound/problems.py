@@ -23,7 +23,7 @@ class Problem:
     instance: type
     keys: tuple[str, ...]  # instance parameters, in the order they are checked; all sweepable
     solve: Callable[..., Any]  # (instance, eps, **optional) -> report
-    gmp: Callable[[Any, Any], Any]  # (instance, distribution) -> GmpInstance
+    gmp: Callable[[Any], Any]  # instance -> GmpInstance
     grid_hi: Callable[[Any, Any], float]  # (instance, report) -> oracle grid upper end
     ambiguity: type | None = None  # newsvendor ambiguity set over the same moments
     optional: tuple[str, ...] = ()  # extra solve arguments, passed by keyword
@@ -52,7 +52,7 @@ PROBLEMS = {
         instance=power_moment.PowerMomentInstance,
         keys=("M1", "Mt", "t", "q"),
         solve=lambda inst, eps: power_moment.solve_power_moment(inst, eps),
-        gmp=lambda inst, dist: power_moment.gmp_instance(inst, dist),
+        gmp=power_moment.gmp_instance,
         grid_hi=_power_grid_hi,
         ambiguity=power_moment.PowerMomentAmbiguity,
     ),
@@ -60,8 +60,8 @@ PROBLEMS = {
         instance=partial_moment.PartialMomentInstance,
         keys=("M1", "gamma", "Mplus"),
         solve=_solve_upm,
-        gmp=lambda inst, dist: partial_moment.gmp_instance(inst, dist),
-        grid_hi=lambda inst, report: 2.1 * max(float(report.dist.xs[-1]), 1.0, inst.M1),
+        gmp=partial_moment.gmp_instance,
+        grid_hi=lambda inst, report: 2.1 * max(report.dist.xs[-1], 1.0, inst.M1),
         optional=("v1",),
         # the LP optimizes E[(X-1)_+^2]; the report is its variance
         oracle_offset=lambda inst: inst.Mplus**2,
@@ -70,7 +70,7 @@ PROBLEMS = {
         instance=exp_moment.ExpMomentInstance,
         keys=("M1", "Me", "t", "q"),
         solve=lambda inst, eps: exp_moment.solve_exp_moment(inst, eps),
-        gmp=lambda inst, dist: exp_moment.gmp_instance(inst, dist),
+        gmp=exp_moment.gmp_instance,
         grid_hi=_exp_grid_hi,
         ambiguity=exp_moment.ExpMomentAmbiguity,
     ),

@@ -10,8 +10,12 @@ from math import log, sqrt
 import numpy as np
 
 from momentbound.core import MomentFunction, VerificationReport
-from momentbound.errors import DimensionError, DomainError, NonDifferentiableError
+from momentbound.errors import DimensionError, DomainError, MomentBoundError
 from momentbound.rootfind import bisect
+
+
+class NonDifferentiableError(MomentBoundError):
+    """Raised when a derivative is requested at a declared non-differentiable point."""
 
 
 def scarf_value(M1: float, M2: float, q: float) -> float:
@@ -71,10 +75,25 @@ def verified_order_search(inst) -> tuple[float, float, int]:
     return res.root, value + mass * res.root, res.iterations
 
 
+def evaluate(f: MomentFunction, x):
+    """f(x) on scalars or numpy arrays, from the family's textbook definition."""
+    x = np.asarray(x, dtype=float)
+    family, p = f.family, f.param
+    if family == "monomial":
+        return x + 0.0 if p == 1.0 else np.power(x, p)
+    if family == "positive_part":
+        return np.maximum(x - p, 0.0)
+    if family == "squared_positive_part":
+        return np.maximum(x - p, 0.0) ** 2
+    if family == "exponential":
+        return np.exp(p * x)
+    return np.ones_like(x)
+
+
 def moments_of(dist, hs) -> np.ndarray:
     """Moment vector of a discrete distribution: component i is sum_j h_i(x_j) p_j."""
     xs, ps = dist.xs, dist.ps
-    return np.array([float(np.dot(np.asarray(h.eval(xs), dtype=float), ps)) for h in hs])
+    return np.array([float(np.dot(evaluate(h, xs), ps)) for h in hs])
 
 
 def deriv(f: MomentFunction, x):
@@ -93,20 +112,20 @@ def deriv(f: MomentFunction, x):
 
 
 def h_function(cert, inst, x: float) -> float:
-    """H(x; z) = sum_i z_i h_i(x) - g(x), from the functions' own `eval`."""
+    """H(x; z) = sum_i z_i h_i(x) - g(x), from `evaluate`."""
     if len(cert.z) != len(inst.hs):
         raise DimensionError(f"certificate length {len(cert.z)} vs {len(inst.hs)} functions")
-    if not (0.0 <= x <= inst.support_hi):
-        raise DomainError(f"x={x} outside [0, {inst.support_hi}]")
-    return float(sum(z * h.eval(x) for z, h in zip(cert.z, inst.hs)) - inst.g.eval(x))
+    if not x >= 0.0:
+        raise DomainError(f"x={x} outside [0, inf)")
+    return float(sum(z * evaluate(h, x) for z, h in zip(cert.z, inst.hs)) - evaluate(inst.g, x))
 
 
 def h_derivative(cert, inst, x: float) -> float:
     """d/dx H(x; z) where defined; raises within 1e-12 of any declared kink."""
     if len(cert.z) != len(inst.hs):
         raise DimensionError(f"certificate length {len(cert.z)} vs {len(inst.hs)} functions")
-    if not (0.0 <= x <= inst.support_hi):
-        raise DomainError(f"x={x} outside [0, {inst.support_hi}]")
+    if not x >= 0.0:
+        raise DomainError(f"x={x} outside [0, inf)")
     for pt in inst.nondiff_points():
         if abs(x - pt) <= 1e-12:
             raise NonDifferentiableError(f"H is not differentiable at x={pt}")
@@ -114,21 +133,21 @@ def h_derivative(cert, inst, x: float) -> float:
 
 
 def _h_on(cert, inst, xs):
-    total = -np.asarray(inst.g.eval(xs), dtype=float)
+    total = -evaluate(inst.g, xs)
     for z, h in zip(cert.z, inst.hs):
         if z != 0.0:
-            total = total + z * np.asarray(h.eval(xs), dtype=float)
+            total = total + z * evaluate(h, xs)
     return total
 
 
-def dual_scan(inst, dist, cert, grid_points: int = 10_000) -> tuple[float, float]:
+def dual_scan(inst, dist, cert, hi: float, grid_points: int = 10_000) -> tuple[float, float]:
     """Sampled minimum of H (of -H for "min" instances) and where it lies.
 
-    The grid is uniform on [0, support_hi], plus the support and the kinks.
+    The grid is uniform on [0, hi], plus the support and the kinks.
     """
     grid = np.concatenate(
         [
-            np.linspace(0.0, inst.support_hi, grid_points),
+            np.linspace(0.0, hi, grid_points),
             dist.xs,
             np.asarray(inst.nondiff_points()),
         ]
@@ -139,8 +158,8 @@ def dual_scan(inst, dist, cert, grid_points: int = 10_000) -> tuple[float, float
     return float(signed[j]), float(grid[j])
 
 
-def scan_verification(inst, dist, cert, tol) -> VerificationReport:
-    """The optimality check with dual feasibility sampled by `dual_scan`, in numpy.
+def scan_verification(inst, dist, cert, tol, hi: float) -> VerificationReport:
+    """The optimality check with dual feasibility sampled by `dual_scan` on [0, hi], in numpy.
 
     A sampled scan proves nothing about H between or beyond its grid points;
     it is here to show what the exact check catches that a scan would pass.
@@ -150,9 +169,7 @@ def scan_verification(inst, dist, cert, tol) -> VerificationReport:
     primal_residual = float(np.max(np.abs(moments_of(dist, inst.hs) - ms)))
     slack_residual = float(np.max(np.abs(_h_on(cert, inst, xs))))
     kinks = inst.nondiff_points()
-    interior = [
-        x for x in xs if 0.0 < x < inst.support_hi and all(abs(x - k) > 1e-12 for k in kinks)
-    ]
+    interior = [x for x in xs if x > 0.0 and all(abs(x - k) > 1e-12 for k in kinks)]
     tangent_residual = 0.0
     if interior:
         slope = -deriv(inst.g, interior)
@@ -160,8 +177,8 @@ def scan_verification(inst, dist, cert, tol) -> VerificationReport:
             if z != 0.0:
                 slope = slope + z * deriv(h, interior)
         tangent_residual = float(np.max(np.abs(slope)))
-    dual_min, _ = dual_scan(inst, dist, cert)
-    primal_value = float(np.dot(np.asarray(inst.g.eval(xs), dtype=float), ps))
+    dual_min, _ = dual_scan(inst, dist, cert, hi)
+    primal_value = float(np.dot(evaluate(inst.g, xs), ps))
     dual_value = float(np.dot(np.asarray(cert.z, dtype=float), ms))
     duality_gap = abs(primal_value - dual_value)
     passed = (

@@ -155,7 +155,7 @@ def test_criterion_3_oracle_agreement_on_the_reference_sweep():
     for q in range(60, 141, 10):
         inst = PowerMomentInstance(M1=M1, Mt=Mt, t=t, q=float(q))
         rep = solve_power_moment(inst)
-        gmp = power_gmp(inst, rep.dist)
+        gmp = power_gmp(inst)
         hi = 1.05 * M1 * max(t * inst.q_scaled / (t - 1.0), inst.mt_scaled ** (1.0 / (t - 1.0)))
         grid = GridSpec(lo=0.0, hi=hi, n_points=2001, refine_around=tuple(rep.dist.xs))
         out = refine_until(gmp, grid, target_tol=1e-9, max_rounds=3)
@@ -332,7 +332,7 @@ def test_criterion_8_newsvendor_reference_reproduction():
 def test_criterion_9_negative_controls():
     inst = PowerMomentInstance(M1=1.0, Mt=4.0, t=2.0, q=1.0)
     rep = solve_power_moment(inst)
-    gmp = power_gmp(inst, rep.dist)
+    gmp = power_gmp(inst)
     tol = ToleranceSet()
 
     ok = True
@@ -341,16 +341,14 @@ def test_criterion_9_negative_controls():
     for i in range(1, len(gmp.ms)):
         ms = list(gmp.ms)
         ms[i] += 1e-3
-        corrupted = GmpInstance(
-            g=gmp.g, hs=gmp.hs, ms=tuple(ms), sense=gmp.sense, support_hi=gmp.support_hi
-        )
+        corrupted = GmpInstance(g=gmp.g, hs=gmp.hs, ms=tuple(ms), sense=gmp.sense)
         v = verify_optimality(corrupted, rep.dist, rep.cert, tol)
         if v.passed or v.primal_residual < 1e-3 / 2.0:
             ok, detail = False, f"corrupted moment {i} not caught on the primal residual"
     # the normalization row cannot even be corrupted: both container types
     # validate it at construction time
     with pytest.raises(Exception):
-        GmpInstance(g=gmp.g, hs=gmp.hs, ms=(1.001,) + gmp.ms[1:], sense="max", support_hi=1.0)
+        GmpInstance(g=gmp.g, hs=gmp.hs, ms=(1.001,) + gmp.ms[1:], sense="max")
 
     # dual noise must break slackness or dual feasibility
     for i in range(len(rep.cert.z)):

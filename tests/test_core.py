@@ -13,11 +13,7 @@ from momentbound.core import (
     ToleranceSet,
     verify_optimality,
 )
-from momentbound.errors import (
-    DimensionError,
-    DomainError,
-    NonDifferentiableError,
-)
+from momentbound.errors import DimensionError, DomainError
 from momentbound.exp_moment import ExpMomentAmbiguity, ExpMomentInstance, solve_exp_moment
 from momentbound.partial_moment import (
     PartialMomentInstance,
@@ -26,16 +22,21 @@ from momentbound.partial_moment import (
 )
 from momentbound.power_moment import PowerMomentAmbiguity, PowerMomentInstance, solve_power_moment
 from momentbound.problems import PROBLEMS
-from references import h_derivative, h_function, moments_of, scan_verification
+from references import (
+    NonDifferentiableError,
+    h_derivative,
+    h_function,
+    moments_of,
+    scan_verification,
+)
 
 
-def _mp1t_instance(M1=1.0, Mt=4.0, t=2.0, q=1.0, hi=40.0):
+def _mp1t_instance(M1=1.0, Mt=4.0, t=2.0, q=1.0):
     return GmpInstance(
         g=core.positive_part(q),
         hs=(core.constant(), core.monomial(1.0), core.monomial(t)),
         ms=(1.0, M1, Mt),
         sense="max",
-        support_hi=hi,
     )
 
 
@@ -48,8 +49,8 @@ class TestMomentFunction:
 class TestDiscreteDistribution:
     def test_valid(self):
         d = DiscreteDistribution(points=((0.0, 0.75), (4.0, 0.25)))
-        assert np.allclose(d.xs, [0.0, 4.0])
-        assert np.allclose(d.ps, [0.75, 0.25])
+        assert d.xs == (0.0, 4.0)
+        assert d.ps == (0.75, 0.25)
 
     def test_rejects_bad_sum(self):
         with pytest.raises(DomainError):
@@ -121,7 +122,6 @@ class TestHFunction:
             hs=(core.constant(),),
             ms=(1.0,),
             sense="max",
-            support_hi=10.0,
         )
         cert = DualCertificate(z=(1.0,))
         for x in (0.0, 1.0, 9.5):
@@ -140,9 +140,9 @@ class TestHFunction:
             assert lhs == pytest.approx(g, abs=1e-9 * max(1.0, abs(g), x * x))
 
     def test_domain_and_dimension_errors(self):
-        inst = _mp1t_instance(hi=10.0)
+        inst = _mp1t_instance()
         with pytest.raises(DomainError):
-            h_function(DualCertificate(z=(0.0, 0.0, 0.0)), inst, 11.0)
+            h_function(DualCertificate(z=(0.0, 0.0, 0.0)), inst, -1.0)
         with pytest.raises(DimensionError):
             h_function(DualCertificate(z=(0.0, 0.0)), inst, 1.0)
 
@@ -173,7 +173,6 @@ class TestVerifyOptimality:
             hs=(core.constant(),),
             ms=(1.0,),
             sense="max",
-            support_hi=5.0,
         )
         dist = DiscreteDistribution(points=((0.5, 0.25), (2.0, 0.75)))
         rep = verify_optimality(inst, dist, DualCertificate(z=(1.0,)))
@@ -193,12 +192,6 @@ class TestVerifyOptimality:
         assert mean_row == pytest.approx(1.0, abs=1e-12)
         assert rep.primal_residual >= 1.0
 
-    def test_support_outside_domain(self):
-        inst = _mp1t_instance(hi=3.0)
-        dist = DiscreteDistribution(points=((0.0, 0.75), (4.0, 0.25)))
-        with pytest.raises(DomainError):
-            verify_optimality(inst, dist, DualCertificate(z=(0.0, 0.5, 1.0 / 16.0)))
-
     def test_tangent_skipped_at_kink(self):
         # support point exactly at the objective kink: the pair is optimal
         # even though H is not differentiable there
@@ -207,7 +200,6 @@ class TestVerifyOptimality:
             hs=(core.constant(), core.monomial(1.0)),
             ms=(1.0, 0.5),
             sense="max",
-            support_hi=10.0,
         )
         dist = DiscreteDistribution(points=((0.0, 0.5), (1.0, 0.5)))
         cert = DualCertificate(z=(0.0, 0.0))
@@ -222,7 +214,6 @@ class TestVerifyOptimality:
             hs=(core.constant(), core.monomial(1.0)),
             ms=(1.0, 2.0),
             sense="min",
-            support_hi=10.0,
         )
         dist = DiscreteDistribution(points=((2.0, 1.0),))
         cert = DualCertificate(z=(0.0, 1.0))  # H(x) = x - x = 0
@@ -251,7 +242,7 @@ class TestVerifyOptimality:
         assert lax.passed
 
 
-def _dip(x0, c, delta, hi=10.0, kink=1.0):
+def _dip(x0, c, delta, kink=1.0):
     """A pair that is optimal except where H = c(x - x0)^2 - delta on [kink, inf).
 
     g = 1 and a point mass at 0 meet every moment with zero gap; on [0, kink]
@@ -263,7 +254,6 @@ def _dip(x0, c, delta, hi=10.0, kink=1.0):
         hs=(core.constant(), core.monomial(1.0), core.monomial(2.0), core.positive_part(kink)),
         ms=(1.0, 0.0, 0.0, 0.0),
         sense="max",
-        support_hi=hi,
     )
     dist = DiscreteDistribution(points=((0.0, 1.0),))
     return inst, dist, DualCertificate(z=(1.0, z1, c, -(z1 + 2.0 * c * x0)))
@@ -275,7 +265,7 @@ class TestExactDualFeasibility:
 
     @pytest.mark.parametrize(
         "x0, c, delta",
-        [NARROW, (50.0, 1.0, 1.0)],  # a dip narrower than the grid; one beyond support_hi
+        [NARROW, (50.0, 1.0, 1.0)],  # a dip narrower than the grid; one beyond [0, 10]
         ids=["between-grid-points", "beyond-support-hi"],
     )
     def test_negative_dip_the_scan_misses(self, x0, c, delta):
@@ -285,7 +275,7 @@ class TestExactDualFeasibility:
         assert exact.dual_min_on_grid == pytest.approx(-delta, rel=1e-3)
         assert exact.dual_min_on_grid < -tol.dual
         assert not exact.passed
-        scanned = scan_verification(inst, dist, cert, tol)  # a sampled scan would pass it
+        scanned = scan_verification(inst, dist, cert, tol, 10.0)  # a sampled scan would pass it
         assert scanned.dual_min_on_grid >= -tol.dual
         assert scanned.passed
 
@@ -296,7 +286,7 @@ class TestExactDualFeasibility:
         exact = verify_optimality(inst, dist, cert)
         assert exact.dual_min_on_grid == -math.inf
         assert not exact.passed
-        assert scan_verification(inst, dist, cert, ToleranceSet()).passed  # so would a scan
+        assert scan_verification(inst, dist, cert, ToleranceSet(), 10.0).passed  # so would a scan
 
     def test_stationary_minimum_beyond_float_range(self):
         # H = x^1.001 - 10.01 x decreases until x = 10^1000
@@ -305,7 +295,6 @@ class TestExactDualFeasibility:
             hs=(core.constant(), core.monomial(1.0), core.monomial(1.001)),
             ms=(1.0, 0.0, 0.0),
             sense="max",
-            support_hi=10.0,
         )
         dist = DiscreteDistribution(points=((0.0, 1.0),))
         rep = verify_optimality(inst, dist, DualCertificate(z=(1.0, -10.01, 1.0)))
@@ -318,7 +307,6 @@ class TestExactDualFeasibility:
             hs=(core.constant(), core.monomial(400.0)),
             ms=(1.0, 1.0),
             sense="max",
-            support_hi=20.0,
         )
         dist = DiscreteDistribution(points=((10.0, 1.0),))
         rep = verify_optimality(inst, dist, DualCertificate(z=(1.0, 0.0)))
@@ -334,14 +322,12 @@ def _undecidable_cases():
         hs=(core.constant(), core.monomial(3.0), core.exponential(0.5)),
         ms=(1.0, 2.0, 1.5),
         sense="max",
-        support_hi=8.0,
     )
     decaying = GmpInstance(
         g=core.squared_positive_part(1.0),
         hs=(core.constant(), core.monomial(1.0), core.exponential(-1.0)),
         ms=(1.0, 0.5, 0.7),
         sense="min",
-        support_hi=6.0,
     )
     return [
         pytest.param(two_curves, spread, DualCertificate(z=(0.3, -0.01, 0.4)), id="two_curves"),

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from momentbound import exp_moment, partial_moment, power_moment
 from momentbound.core import ToleranceSet
-from references import dual_scan, scan_verification
+from references import dual_scan, evaluate, scan_verification
 
 SETTINGS = settings(
     max_examples=100,
@@ -30,13 +30,15 @@ def _unit(lo, hi):
 
 
 def _agrees_with_scan(module, inst, report):
-    gmp = module.gmp_instance(inst, report.dist)
+    gmp = module.gmp_instance(inst)
+    # scan ten times past the support, q and M1 (upm has no q; its kink is at 1)
+    hi = 10.0 * max(report.dist.xs[-1], getattr(inst, "q", 1.0), inst.M1)
     tol = ToleranceSet()
     exact = report.verification
-    assert exact.passed == scan_verification(gmp, report.dist, report.cert, tol).passed
-    scan_min, x = dual_scan(gmp, report.dist, report.cert)
-    scale = abs(float(gmp.g.eval(x))) + sum(
-        abs(z * float(h.eval(x))) for z, h in zip(report.cert.z, gmp.hs)
+    assert exact.passed == scan_verification(gmp, report.dist, report.cert, tol, hi).passed
+    scan_min, x = dual_scan(gmp, report.dist, report.cert, hi)
+    scale = abs(float(evaluate(gmp.g, x))) + sum(
+        abs(z * float(evaluate(h, x))) for z, h in zip(report.cert.z, gmp.hs)
     )
     assert exact.dual_min_on_grid <= scan_min + 1e-12 * scale
 

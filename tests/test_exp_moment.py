@@ -235,12 +235,20 @@ class TestAmbiguity:
         assert v == pytest.approx(amb.tail_bound(5000.0))
         assert v < 1e-10
 
+    def test_markov_bound_only_where_the_solver_refuses(self):
+        # the tail bound is 9.59e-11 here, three times the certified worst case
+        amb = ExpMomentAmbiguity(M1=0.25, Me=1.5 * math.exp(0.5), t=2.0)
+        rep = amb.solve(11.14)
+        assert rep.verification.passed
+        assert amb.worst_case(11.14) == rep.value == pytest.approx(3.1968e-11, rel=1e-4)
+        assert amb.tail_bound(11.14) > 2.9 * rep.value
+
     def test_tail_bound_dominates_solver(self):
         amb = ExpMomentAmbiguity(M1=1.0, Me=math.e**2, t=1.0)
         for q in (0.5, 2.0, 5.0, 9.0):
             assert amb.worst_case(q) <= amb.tail_bound(q) + 1e-12
 
-    # q = 0 shortcut, tail-floor shortcut (bound below 1e-10), interior solve
+    # the q = 0 shortcut, a q past the tail floor, an interior solve
     @pytest.mark.parametrize("q", [0.0, 30.0, 1.0])
     @pytest.mark.parametrize("Me", [-1.0, 1.5])  # negative; at most exp(t*M1)
     def test_worst_case_rejects_infeasible_moments(self, Me, q):

@@ -21,16 +21,15 @@ from momentbound.oracle import (
     refine_until,
 )
 from momentbound.problems import PROBLEMS
-from references import moments_of
+from references import evaluate, moments_of
 
 
-def _mean_instance(mean: float, hi: float, g=None) -> GmpInstance:
+def _mean_instance(mean: float, g=None) -> GmpInstance:
     return GmpInstance(
         g=g if g is not None else core.positive_part(0.5),
         hs=(core.constant(), core.monomial(1.0)),
         ms=(1.0, mean),
         sense="max",
-        support_hi=hi,
     )
 
 
@@ -59,14 +58,14 @@ class TestOracleSolve:
     def test_three_point_enumeration_example(self):
         # max sum (x-0.5)+ p over grid {0,1,2} with mean 1: vertices are
         # p = (0, 1, 0) and p = (0.5, 0, 0.5); the second wins with 0.75
-        inst = _mean_instance(1.0, 2.0)
+        inst = _mean_instance(1.0)
         res = oracle_solve(inst, GridSpec(lo=0.0, hi=2.0, n_points=3))
         assert res.status == OPTIMAL
         assert res.value == pytest.approx(0.75, abs=1e-12)
         assert res.dist.points == ((0.0, 0.5), (2.0, 0.5))
 
     def test_infeasible_moments(self):
-        inst = _mean_instance(5.0, 2.0)
+        inst = _mean_instance(5.0)
         res = oracle_solve(inst, GridSpec(lo=0.0, hi=2.0, n_points=21))
         assert res.status == INFEASIBLE
         assert res.dist is None
@@ -76,7 +75,7 @@ class TestOracleSolve:
     def test_exact_when_support_on_grid(self):
         pm = power_moment.PowerMomentInstance(M1=1.0, Mt=4.0, t=2.0, q=1.0)
         rep = power_moment.solve_power_moment(pm)
-        gmp = power_moment.gmp_instance(pm, rep.dist)
+        gmp = power_moment.gmp_instance(pm)
         res = oracle_solve(gmp, GridSpec(lo=0.0, hi=8.0, n_points=4001, refine_around=(4.0,)))
         assert res.status == OPTIMAL
         assert res.value == pytest.approx(0.75, abs=1e-9)
@@ -85,7 +84,7 @@ class TestOracleSolve:
         rng = np.random.default_rng(131)
         for _ in range(10):
             mean = float(rng.uniform(0.3, 1.7))
-            inst = _mean_instance(mean, 2.0)
+            inst = _mean_instance(mean)
             grid = GridSpec(lo=0.0, hi=2.0, n_points=41)
             res = oracle_solve(inst, grid)
             assert res.status == OPTIMAL
@@ -95,8 +94,8 @@ class TestOracleSolve:
             # complementary slackness against its own duals (minimization
             # form: c = -g), and dual feasibility of every column
             xs = grid.points()
-            A = np.vstack([np.asarray(h.eval(xs), dtype=float) for h in inst.hs])
-            c = -np.asarray(inst.g.eval(xs), dtype=float)
+            A = np.vstack([evaluate(h, xs) for h in inst.hs])
+            c = -evaluate(inst.g, xs)
             y = np.asarray(res.duals)
             reduced = c - y @ A
             assert np.min(reduced) >= -1e-9
@@ -134,7 +133,7 @@ class TestOracleSolve:
         assert status == UNBOUNDED
 
     def test_deterministic(self):
-        inst = _mean_instance(1.1, 2.0)
+        inst = _mean_instance(1.1)
         grid = GridSpec(lo=0.0, hi=2.0, n_points=101)
         r1 = oracle_solve(inst, grid)
         r2 = oracle_solve(inst, grid)
@@ -143,7 +142,7 @@ class TestOracleSolve:
         assert r1.duals == r2.duals
 
     def test_grid_too_small(self):
-        inst = _mean_instance(1.0, 2.0)
+        inst = _mean_instance(1.0)
         with pytest.raises(DomainError):
             oracle_solve(inst, GridSpec(lo=0.0, hi=2.0, n_points=2))
 
@@ -154,7 +153,6 @@ class TestOracleSolve:
             hs=(core.constant(), core.monomial(1.0)),
             ms=(1.0, 1.0),
             sense="min",
-            support_hi=2.0,
         )
         res = oracle_solve(inst, GridSpec(lo=0.0, hi=2.0, n_points=3))
         assert res.value == pytest.approx(0.5, abs=1e-12)
@@ -169,9 +167,9 @@ def _seeded(problem, params, n_points):
         lo=0.0,
         hi=entry.grid_hi(inst, rep),
         n_points=n_points,
-        refine_around=tuple(float(x) for x in rep.dist.xs),
+        refine_around=rep.dist.xs,
     )
-    return entry.gmp(inst, rep.dist), grid, rep
+    return entry.gmp(inst), grid, rep
 
 
 def _seeded_mp1t(M1, Mt, t, q, n_points):
@@ -207,8 +205,8 @@ class TestPricing:
     def test_matches_highs_on_moment_lp(self):
         gmp, grid, rep = _seeded_mp1t(50.0, 1.5 * 50.0**1.5, 1.5, 100.0, 8001)
         xs = grid.points()
-        A = np.vstack([np.asarray(h.eval(xs), dtype=float) for h in gmp.hs])
-        c = -np.asarray(gmp.g.eval(xs), dtype=float)
+        A = np.vstack([evaluate(h, xs) for h in gmp.hs])
+        c = -evaluate(gmp.g, xs)
         ref = scipy.optimize.linprog(c, A_eq=A, b_eq=gmp.ms, bounds=(0, None), method="highs")
         assert ref.status == 0
         res = oracle_solve(gmp, grid)
@@ -235,7 +233,7 @@ class TestMaxProblemBounds:
                 M1=M1, Mt=float(rng.uniform(1.3, 2.5)) * M1**2, t=2.0, q=float(rng.uniform(0.5, 3.0)) * M1
             )
             rep = power_moment.solve_power_moment(inst)
-            gmp = power_moment.gmp_instance(inst, rep.dist)
+            gmp = power_moment.gmp_instance(inst)
             hi = 1.05 * float(rep.dist.xs[-1]) + 2.0 * inst.q
             coarse = oracle_solve(gmp, GridSpec(lo=0.0, hi=hi, n_points=301))
             assert coarse.status == OPTIMAL
@@ -251,7 +249,7 @@ class TestRefineUntil:
     def test_values_increase_toward_analytic_optimum(self):
         inst = power_moment.PowerMomentInstance(M1=1.0, Mt=2.0, t=2.0, q=6.0)
         rep = power_moment.solve_power_moment(inst)
-        gmp = power_moment.gmp_instance(inst, rep.dist)
+        gmp = power_moment.gmp_instance(inst)
         out = refine_until(
             gmp, GridSpec(lo=0.0, hi=18.0, n_points=500), target_tol=1e-12, max_rounds=5
         )
@@ -263,7 +261,7 @@ class TestRefineUntil:
     def test_seeded_grid_converges_immediately(self):
         inst = power_moment.PowerMomentInstance(M1=1.0, Mt=4.0, t=2.0, q=1.0)
         rep = power_moment.solve_power_moment(inst)
-        gmp = power_moment.gmp_instance(inst, rep.dist)
+        gmp = power_moment.gmp_instance(inst)
         out = refine_until(
             gmp,
             GridSpec(lo=0.0, hi=8.0, n_points=501, refine_around=(0.0, 4.0)),
@@ -275,7 +273,7 @@ class TestRefineUntil:
         assert out.result.value == pytest.approx(0.75, abs=1e-10)
 
     def test_zero_rounds_reports_no_convergence(self):
-        inst = _mean_instance(1.0, 2.0)
+        inst = _mean_instance(1.0)
         out = refine_until(inst, GridSpec(lo=0.0, hi=2.0, n_points=11), 1e-9, 0)
         assert not out.converged
         assert out.rounds == 0
@@ -284,7 +282,7 @@ class TestRefineUntil:
     def test_exp_instance_agreement(self):
         em = exp_moment.ExpMomentInstance(M1=1.0, Me=math.e**2, t=1.0, q=5.0)
         rep = exp_moment.solve_exp_moment(em)
-        gmp = exp_moment.gmp_instance(em, rep.dist)
+        gmp = exp_moment.gmp_instance(em)
         v1 = exp_moment.compute_v1(em.m1_scaled, em.Me)
         hi = 1.5 * max(em.q_scaled + 1.0 + math.log(em.Me), v1) / em.t
         out = refine_until(
@@ -341,7 +339,7 @@ class TestWarmStart:
 
     def test_infeasible_start_solves_cold(self):
         # masses on {0, 0.5} with mean 1 need p(0) = -1
-        inst = _mean_instance(1.0, 2.0)
+        inst = _mean_instance(1.0)
         grid = GridSpec(lo=0.0, hi=2.0, n_points=21)
         res = oracle_solve(inst, grid, start=(0.0, 0.5))
         assert res == oracle_solve(inst, grid)
@@ -355,7 +353,6 @@ class TestWarmStart:
             hs=(core.constant(), core.monomial(1.0), core.monomial(1.0)),
             ms=(1.0, 1.1, 1.1),
             sense="max",
-            support_hi=2.0,
         )
         grid = GridSpec(lo=0.0, hi=2.0, n_points=21)
         coarse = oracle_solve(inst, grid)

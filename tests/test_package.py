@@ -1,5 +1,6 @@
 """The public namespace, and what importing it costs."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -27,3 +28,19 @@ def test_runtime_imports_stay_numpy_only():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_only_the_oracle_imports_numpy():
+    package = Path(momentbound.__file__).resolve().parent
+    importers = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.append(path.name)
+    assert sorted(set(importers)) == ["oracle.py"]

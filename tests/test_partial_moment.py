@@ -167,7 +167,7 @@ class TestOracleDominance:
         rng = np.random.default_rng(181)
         for inst in _random_feasible(rng, 6):
             rep = solve_partial_moment(inst)
-            gmp = gmp_instance(inst, rep.dist)
+            gmp = gmp_instance(inst)
             hi = 2.1 * max(float(rep.dist.xs[-1]), 1.0, inst.M1)
             coarse = oracle_solve(gmp, GridSpec(lo=0.0, hi=hi, n_points=301))
             target = rep.value + inst.Mplus**2  # LP optimizes the raw expectation
