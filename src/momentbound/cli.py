@@ -35,7 +35,7 @@ EXIT_RANGE = 4
 EXIT_SWEEP_FAILED = 5
 EXIT_DISAGREEMENT = 6
 
-_TOP_KEYS = {"problem", "params", "tolerance", "oracle"}
+_TOP_KEYS = {"problem", "params", "oracle"}
 _AMBIGUITY_KINDS = [name for name, p in PROBLEMS.items() if p.ambiguity is not None]
 _NEWSVENDOR_KEYS = {"ambiguity", "eta", "eps", "exponential_lambda"}.union(
     *({f.name for f in fields(PROBLEMS[name].ambiguity)} for name in _AMBIGUITY_KINDS)
@@ -92,38 +92,29 @@ def _check_keys(params: dict, allowed: set[str], problem: str) -> None:
         raise SchemaError(f"unknown keys for {problem!r}: {sorted(unknown)}")
 
 
-def _tolerance(doc: dict) -> float:
-    if "tolerance" not in doc:
-        return 1e-10
-    v = doc["tolerance"]
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0.0 < float(v) < 1.0:
-        raise SchemaError(f"'tolerance' must be a number in (0, 1), got {v!r}")
-    return float(v)
-
-
-def _solve_moment_problem(name: str, params: dict, eps: float):
+def _solve_moment_problem(name: str, params: dict):
     problem = PROBLEMS[name]
     _check_keys(params, {*problem.keys, *problem.optional}, name)
     inst = problem.instance(**{k: _number(params, k) for k in problem.keys})
     extra = {k: _number(params, k) for k in problem.optional if k in params}
-    return inst, problem.solve(inst, eps, **extra)
+    return inst, problem.solve(inst, **extra)
 
 
-def _newsvendor_instance(params: dict, eps: float) -> newsvendor.NewsvendorInstance:
+def _newsvendor_instance(params: dict) -> newsvendor.NewsvendorInstance:
     _check_keys(params, _NEWSVENDOR_KEYS, "newsvendor")
     kind = params.get("ambiguity")
     if kind not in _AMBIGUITY_KINDS:
         raise SchemaError(f"newsvendor 'ambiguity' must be {_one_of(_AMBIGUITY_KINDS, 'or')}")
     amb_type = PROBLEMS[kind].ambiguity
     eta = _number(params, "eta")
-    search_eps = _number(params, "eps") if "eps" in params else eps
+    search = {"eps": _number(params, "eps")} if "eps" in params else {}
     from_demand = getattr(amb_type, "from_exponential_demand", None)
     if from_demand is not None and "exponential_lambda" in params:
         amb = from_demand(lam=_number(params, "exponential_lambda"), t=_number(params, "t"))
     else:
         amb = amb_type(**{f.name: _number(params, f.name) for f in fields(amb_type)})
     try:
-        return newsvendor.NewsvendorInstance(ambiguity=amb, eta=eta, eps=search_eps)
+        return newsvendor.NewsvendorInstance(ambiguity=amb, eta=eta, **search)
     except MomentBoundError as exc:
         raise SchemaError(str(exc)) from exc
 
@@ -184,11 +175,10 @@ def _fail(exc: MomentBoundError) -> int:
 def cmd_solve(args: argparse.Namespace) -> int:
     try:
         doc = _load_instance(args.instance)
-        eps = args.tol if args.tol is not None else _tolerance(doc)
         problem = doc["problem"]
         started = time.perf_counter()
         if problem in PROBLEMS:
-            _, report = _solve_moment_problem(problem, doc["params"], eps)
+            _, report = _solve_moment_problem(problem, doc["params"])
             env = _envelope(
                 problem,
                 report.value,
@@ -202,7 +192,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             )
             summary = f"{problem}: value {report.value:.12g} [{report.branch}]"
         elif problem == "newsvendor":
-            decision = newsvendor.optimize_order(_newsvendor_instance(doc["params"], eps=1e-6))
+            decision = newsvendor.optimize_order(_newsvendor_instance(doc["params"]))
             env = _envelope(
                 "newsvendor",
                 decision.objective,
@@ -219,7 +209,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
                 f"worst-case cost {decision.objective:.12g}"
             )
         elif problem == "oracle":
-            env, summary = _solve_oracle_problem(doc, args, eps, started)
+            env, summary = _solve_oracle_problem(doc, args, started)
         else:
             raise SchemaError(f"unknown problem type {doc['problem']!r}")
     except MomentBoundError as exc:
@@ -229,13 +219,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _solve_oracle_problem(doc: dict, args: argparse.Namespace, eps: float, started: float):
+def _solve_oracle_problem(doc: dict, args: argparse.Namespace, started: float):
     params = dict(doc["params"])
     base = params.pop("base", None)
     if not isinstance(base, str) or base not in PROBLEMS:
         raise SchemaError(f"oracle 'params.base' must be {_one_of(PROBLEMS, 'or')}")
     entry = PROBLEMS[base]
-    inst, report = _solve_moment_problem(base, params, eps)
+    inst, report = _solve_moment_problem(base, params)
     grid = _grid_spec_from(doc.get("oracle"), entry, inst, report, args)
     result = oracle.oracle_solve(entry.gmp(inst), grid)
     value = result.value - entry.oracle_offset(inst)
@@ -291,7 +281,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise SchemaError(f"cannot sweep {args.param!r} for {problem!r}")
         if args.steps < 1:
             raise SchemaError("--steps must be at least 1")
-        eps = args.tol if args.tol is not None else _tolerance(doc)
     except MomentBoundError as exc:
         return _fail(exc)
 
@@ -306,7 +295,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         params = dict(doc["params"])
         params[args.param] = v
         try:
-            _, report = _solve_moment_problem(problem, params, eps)
+            _, report = _solve_moment_problem(problem, params)
             rows.append((v, report.value, report.branch, report.root, report.bisect_iters))
         except MomentBoundError:
             any_failed = True
@@ -333,8 +322,7 @@ def cmd_check(args: argparse.Namespace) -> int:
         if problem not in PROBLEMS:
             raise SchemaError(f"check supports {_one_of(PROBLEMS, 'and')} instances")
         entry = PROBLEMS[problem]
-        eps = args.tol if args.tol is not None else _tolerance(doc)
-        inst, report = _solve_moment_problem(problem, doc["params"], eps)
+        inst, report = _solve_moment_problem(problem, doc["params"])
         gmp = entry.gmp(inst)
 
         verification = report.verification
@@ -384,7 +372,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="solve one instance file")
     solve.add_argument("instance")
-    solve.add_argument("--tol", type=float, default=None, help="root-finder tolerance")
     solve.add_argument("--grid-points", type=int, default=None, help="oracle grid size")
     solve.set_defaults(fn=cmd_solve)
 
@@ -395,12 +382,10 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--to", dest="stop", type=float, required=True)
     sweep.add_argument("--steps", type=int, required=True)
     sweep.add_argument("--csv", default=None, help="output path (default stdout)")
-    sweep.add_argument("--tol", type=float, default=None)
     sweep.set_defaults(fn=cmd_sweep)
 
     check = sub.add_parser("check", help="solver vs grid-LP oracle vs verifier")
     check.add_argument("instance")
-    check.add_argument("--tol", type=float, default=None)
     check.add_argument("--grid-points", type=int, default=None)
     check.add_argument(
         "--seed-support", dest="seed_support", action="store_true", default=True

@@ -35,6 +35,7 @@ INTERIOR = "interior"
 _EXP_ARG_LIMIT = 700.0  # exp(t*q) and exp(t*M1) stay finite
 _POLE_BACKOFF = 1e-9  # right bracket endpoint is evaluated at M1*(1 - this)
 _TAIL_FLOOR = 1e-10  # a rate-scaled tail below this (times max(1, t*M1)) is float noise
+_ROOT_TOL = 1e-10  # where bisection on phi hands off to the Newton polish
 
 
 @dataclass(frozen=True)
@@ -90,12 +91,12 @@ class ExpMomentAmbiguity:
     def instance_at(self, q: float) -> ExpMomentInstance:
         return ExpMomentInstance(M1=self.M1, Me=self.Me, t=self.t, q=q)
 
-    def solve(self, q: float, eps: float = 1e-10) -> Report:
-        return solve_exp_moment(self.instance_at(q), eps)
+    def solve(self, q: float) -> Report:
+        return solve_exp_moment(self.instance_at(q))
 
-    def _candidate(self, q: float, eps: float = 1e-10) -> dict:
+    def _candidate(self, q: float) -> dict:
         """The unverified answer at q; `_certify` turns it into a report."""
-        return _candidate(self.instance_at(q), eps)
+        return _candidate(self.instance_at(q))
 
     def _certify(self, q: float, candidate: dict) -> Report:
         return core.certify(gmp_instance(self.instance_at(q)), candidate)
@@ -116,8 +117,7 @@ class ExpMomentAmbiguity:
         """
         base = self.instance_at(self.M1)
         m1 = base.m1_scaled
-        v1 = compute_v1(m1, self.Me)
-        threshold = v1 + m1 / (self.Me - 1.0) - 1.0
+        v1, threshold = _v1_and_threshold(m1, self.Me)
         # every interior worst case has less upper mass than the boundary's m1/v1;
         # u* = 0 (gap m1) puts every interior root right of it
         gap = _gap_at_mass(mass, base, v1) if mass < m1 / v1 else m1
@@ -146,7 +146,7 @@ class ExpMomentAmbiguity:
         """
         return self.Me * math.exp(-min(self.t * q + 1.0, 1e4)) / self.t
 
-    def worst_case(self, q: float, eps: float = 1e-10) -> float:
+    def worst_case(self, q: float) -> float:
         """The certified worst case, or the Markov bound where the solver refuses.
 
         The solver refuses with RangeError below the tail floor, where the
@@ -156,7 +156,7 @@ class ExpMomentAmbiguity:
         if q == 0.0:
             return self.M1  # E[(X - 0)_+] = E[X] for every feasible distribution
         try:
-            return self.solve(q, eps).value
+            return self.solve(q).value
         except RangeError:
             return self.tail_bound(q)
 
@@ -250,11 +250,15 @@ def _gap_at_mass(p: float, inst: ExpMomentInstance, v1: float) -> float:
     return p * (v - m1) / (1.0 - p)
 
 
+def _v1_and_threshold(m1: float, me: float) -> tuple[float, float]:
+    """The boundary support point v1 and the largest rate-scaled q of its branch."""
+    v1 = compute_v1(m1, me)
+    return v1, v1 + m1 / (me - 1.0) - 1.0
+
+
 def boundary_threshold(inst: ExpMomentInstance) -> float:
     """Largest q (original units) for which the closed-form branch applies."""
-    m1 = inst.m1_scaled
-    v1 = compute_v1(m1, inst.Me)
-    return (v1 + m1 / (inst.Me - 1.0) - 1.0) / inst.t
+    return _v1_and_threshold(inst.m1_scaled, inst.Me)[1] / inst.t
 
 
 def gmp_instance(inst: ExpMomentInstance) -> GmpInstance:
@@ -267,9 +271,9 @@ def gmp_instance(inst: ExpMomentInstance) -> GmpInstance:
     )
 
 
-def solve_exp_moment(inst: ExpMomentInstance, eps: float = 1e-10) -> Report:
+def solve_exp_moment(inst: ExpMomentInstance) -> Report:
     """Solve the rate-scaled problem, rescale, and certify the result."""
-    report = core.certify(gmp_instance(inst), _candidate(inst, eps))
+    report = core.certify(gmp_instance(inst), _candidate(inst))
     if not report.verification.passed and report.branch == INTERIOR and _below_tail_floor(inst):
         raise _tail_range_error(inst)
     return report
@@ -287,12 +291,11 @@ def _tail_range_error(inst: ExpMomentInstance) -> RangeError:
     )
 
 
-def _candidate(inst: ExpMomentInstance, eps: float) -> dict:
+def _candidate(inst: ExpMomentInstance) -> dict:
     """Every Report field but the verification, in original units."""
     t = inst.t
     m1, me, qs = inst.m1_scaled, inst.Me, inst.q_scaled
-    v1 = compute_v1(m1, me)
-    threshold = v1 + m1 / (me - 1.0) - 1.0
+    v1, threshold = _v1_and_threshold(m1, me)
     use_boundary = qs <= threshold
 
     if not use_boundary:
@@ -342,7 +345,7 @@ def _candidate(inst: ExpMomentInstance, eps: float) -> dict:
         )
         branch, root, iters = BOUNDARY, None, 0
     else:
-        res = bisect(f, 0.0, b, eps)
+        res = bisect(f, 0.0, b, _ROOT_TOL)
         # Newton steps push the root to float resolution; the exponential
         # moment row residual is proportional to phi at the reported root.
         u = polish_root(f, lambda y: _phi_prime(min(y, cap), inst), res.root, 0.0, cap)

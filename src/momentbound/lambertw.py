@@ -78,10 +78,9 @@ def lambert_w_minus1(x: float) -> WValue:
     w = _halley(x, w)
     if not (w <= -1.0 and _residual(w, x) <= 1e-13 * max(1.0, abs(x))):
         # Halley drifted toward the upper branch or stalled; fall back to a
-        # guaranteed bracket.  g(-1) < 0 and g(w) -> -x > 0 as w -> -inf.
+        # guaranteed bracket: g(-1) < 0, and g(lo) > 0 as lo is below the bound
+        # W_-1(x) > -1 - sqrt(2u) - u, u = -1 - lx (Chatzigeorgiou 2013).
         lo = min(2.0 * (lx - math.log(-lx)), -2.0)
-        while lo * math.exp(lo) - x <= 0.0 and lo > -745.0:
-            lo *= 2.0
         w = _halley(x, _bisect_w(x, lo, -1.0))
         w = min(w, -1.0)
     return WValue(w=w, residual=_residual(w, x))

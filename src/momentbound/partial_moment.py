@@ -74,8 +74,12 @@ class PartialMomentInstance:
 def kappa(inst: PartialMomentInstance) -> float:
     """sqrt((gamma-1) * ((gamma-1)*M1^2 + 4*Mplus*(M1-1) - 4*Mplus^2))."""
     m1, g, mp = inst.M1, inst.gamma, inst.Mplus
-    radicand = (g - 1.0) * ((g - 1.0) * m1 * m1 + 4.0 * mp * (m1 - 1.0) - 4.0 * mp * mp)
+    terms = ((g - 1.0) * m1 * m1, 4.0 * mp * (m1 - 1.0), -4.0 * mp * mp)
+    radicand = (g - 1.0) * sum(terms)
     if radicand < 0.0:
+        # zero, up to its rounding, on the feasibility boundary: two-point laws symmetric about 1
+        if radicand >= -8.0 * math.ulp(1.0) * (g - 1.0) * sum(map(abs, terms)):
+            return 0.0
         raise InfeasibleError(f"no two-point distribution matches these moments (radicand {radicand})")
     return math.sqrt(radicand)
 
@@ -157,8 +161,10 @@ def _candidate(inst: PartialMomentInstance, v1_choice: float | None) -> dict:
         p0 = 1.0 - m1 + mp
         p1 = m1 * m1 * (g * m1 - g * mp - 1.0) / den
         p2 = (m1 * v1 - mp * v1 - m1) ** 2 / den
-        # v2 < v1 always on this branch, so the sorted support is (0, v2, v1)
-        dist = DiscreteDistribution(points=((0.0, p0), (v2, p2), (v1, p1)))
+        # v2 < v1 always on this branch, so the sorted support is (0, v2, v1); where
+        # it meets the two-point branch p1 is 0 to rounding, and the law is on {0, v2}
+        points = ((0.0, p0), (v2, p2), (v1, p1))
+        dist = DiscreteDistribution(points=points if p1 > 0.0 else points[:2])
         cert = DualCertificate(z=(0.0, -1.0, 1.0, -1.0))
         value = m1 * (g * m1 - 1.0) - mp - mp * mp
         branch, root = DEGENERATE_FAMILY, v1

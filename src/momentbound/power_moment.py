@@ -31,6 +31,7 @@ from .rootfind import BisectResult, bisect, polish_root
 
 BOUNDARY = "boundary"
 INTERIOR = "interior"
+_ROOT_TOL = 1e-10  # where bisection on theta hands off to the Newton polish
 
 
 @dataclass(frozen=True)
@@ -92,12 +93,12 @@ class PowerMomentAmbiguity:
     def instance_at(self, q: float) -> PowerMomentInstance:
         return PowerMomentInstance(M1=self.M1, Mt=self.Mt, t=self.t, q=q)
 
-    def solve(self, q: float, eps: float = 1e-10) -> Report:
-        return solve_power_moment(self.instance_at(q), eps)
+    def solve(self, q: float) -> Report:
+        return solve_power_moment(self.instance_at(q))
 
-    def _candidate(self, q: float, eps: float = 1e-10) -> dict:
+    def _candidate(self, q: float) -> dict:
         """The unverified answer at q; `_certify` turns it into a report."""
-        return _candidate(self.instance_at(q), eps)
+        return _candidate(self.instance_at(q))
 
     def _certify(self, q: float, candidate: dict) -> Report:
         return core.certify(gmp_instance(self.instance_at(q)), candidate)
@@ -136,11 +137,11 @@ class PowerMomentAmbiguity:
 
         return side
 
-    def worst_case(self, q: float, eps: float = 1e-10) -> float:
+    def worst_case(self, q: float) -> float:
         self.instance_at(self.M1)  # infeasible moments raise before the q = 0 shortcut
         if q == 0.0:
             return self.M1  # E[(X - 0)_+] = E[X] for every feasible distribution
-        return self.solve(q, eps).value
+        return self.solve(q).value
 
 
 def theta(y: float, inst: PowerMomentInstance) -> float:
@@ -334,12 +335,12 @@ def gmp_instance(inst: PowerMomentInstance) -> GmpInstance:
     )
 
 
-def solve_power_moment(inst: PowerMomentInstance, eps: float = 1e-10) -> Report:
+def solve_power_moment(inst: PowerMomentInstance) -> Report:
     """Solve the scaled problem, rescale, and certify the result."""
-    return core.certify(gmp_instance(inst), _candidate(inst, eps))
+    return core.certify(gmp_instance(inst), _candidate(inst))
 
 
-def _candidate(inst: PowerMomentInstance, eps: float) -> dict:
+def _candidate(inst: PowerMomentInstance) -> dict:
     """Every Report field but the verification, in original units."""
     M1, t = inst.M1, inst.t
     mt, qs = inst.mt_scaled, inst.q_scaled
@@ -367,14 +368,14 @@ def _candidate(inst: PowerMomentInstance, eps: float) -> dict:
         assume = qs <= edge
         try:
             res: BisectResult = bisect(
-                lambda y: theta(y, inst), a, b, eps, assume_left_root=assume
+                lambda y: theta(y, inst), a, b, _ROOT_TOL, assume_left_root=assume
             )
         except BracketError:
             if assume or qs > edge * (1.0 + 1e-12):
                 raise RootBracketError(
                     f"theta sign conditions failed on ({a}, {b})"
                 ) from None
-            res = bisect(lambda y: theta(y, inst), a, b, eps, assume_left_root=True)
+            res = bisect(lambda y: theta(y, inst), a, b, _ROOT_TOL, assume_left_root=True)
         # Newton steps push the root to float resolution so the t-th moment
         # row and the duality gap land well inside verification tolerances.
         v = polish_root(
@@ -405,7 +406,6 @@ def _candidate(inst: PowerMomentInstance, eps: float) -> dict:
         if not 0.0 <= u < v:
             raise RootBracketError(f"inconsistent support u={u}, v={v}")
         denom = v ** (t - 1.0) - w
-        value = M1 * (v - qs) * (1.0 - u) / (v - u)
         if u > 0.5:
             # 1 - u cancels as u -> 1 in the deep tail; the t-th moment row
             # gives the upper mass at full relative precision
@@ -413,6 +413,8 @@ def _candidate(inst: PowerMomentInstance, eps: float) -> dict:
             p_lo = 1.0 - p_hi
         else:
             p_lo, p_hi = (v - 1.0) / (v - u), (1.0 - u) / (v - u)
+        # past u = 0.9, 1 - u carries u's error times u/(1 - u) > 9: the value takes p_hi too
+        value = M1 * (v - qs) * p_hi if u > 0.9 else M1 * (v - qs) * (1.0 - u) / (v - u)
         dist = DiscreteDistribution(points=((M1 * u, p_lo), (M1 * v, p_hi)))
         cert = DualCertificate(
             z=(

@@ -22,7 +22,7 @@ from .errors import SchemaError
 class Problem:
     instance: type
     keys: tuple[str, ...]  # instance parameters, in the order they are checked; all sweepable
-    solve: Callable[..., Any]  # (instance, eps, **optional) -> report
+    solve: Callable[..., Any]  # (instance, **optional) -> report
     gmp: Callable[[Any], Any]  # instance -> GmpInstance
     grid_hi: Callable[[Any, Any], float]  # (instance, report) -> oracle grid upper end
     ambiguity: type | None = None  # newsvendor ambiguity set over the same moments
@@ -41,7 +41,7 @@ def _exp_grid_hi(inst, report) -> float:
     return 1.5 * max(inst.q_scaled + 1.0 + math.log(inst.Me), v1) / inst.t
 
 
-def _solve_upm(inst, eps: float, v1: float | None = None):
+def _solve_upm(inst, v1: float | None = None):
     if v1 is not None and inst.is_two_point():
         raise SchemaError("'v1' only applies to degenerate-family instances")
     return partial_moment.solve_partial_moment(inst, v1_choice=v1)
@@ -51,7 +51,7 @@ PROBLEMS = {
     "mp1t": Problem(
         instance=power_moment.PowerMomentInstance,
         keys=("M1", "Mt", "t", "q"),
-        solve=lambda inst, eps: power_moment.solve_power_moment(inst, eps),
+        solve=lambda inst: power_moment.solve_power_moment(inst),
         gmp=power_moment.gmp_instance,
         grid_hi=_power_grid_hi,
         ambiguity=power_moment.PowerMomentAmbiguity,
@@ -69,7 +69,7 @@ PROBLEMS = {
     "mp1e": Problem(
         instance=exp_moment.ExpMomentInstance,
         keys=("M1", "Me", "t", "q"),
-        solve=lambda inst, eps: exp_moment.solve_exp_moment(inst, eps),
+        solve=lambda inst: exp_moment.solve_exp_moment(inst),
         gmp=exp_moment.gmp_instance,
         grid_hi=_exp_grid_hi,
         ambiguity=exp_moment.ExpMomentAmbiguity,

@@ -107,7 +107,6 @@ def polish_root(
     x0: float,
     lo: float,
     hi: float,
-    max_steps: int = 8,
 ) -> float:
     """Guarded Newton refinement of an already-localized root.
 
@@ -118,7 +117,7 @@ def polish_root(
     x = x0
     fx = _checked(f, x)
     best_x, best_f = x, abs(fx)
-    for _ in range(max_steps):
+    for _ in range(8):  # Newton steps at most
         d = fprime(x)
         if not math.isfinite(d) or d == 0.0:
             break

@@ -1,11 +1,13 @@
 """Command-line front end: envelopes, sweeps, checks, exit codes."""
 
+import argparse
 import json
 import math
 import re
 
 import pytest
 
+from momentbound import cli
 from momentbound.cli import (
     EXIT_DISAGREEMENT,
     EXIT_INFEASIBLE,
@@ -659,6 +661,47 @@ class TestSchemaGuards:
         err = json.loads(capsys.readouterr().err.splitlines()[0])
         assert code == EXIT_SCHEMA
         assert err["error"] == "SchemaError"
+
+
+class TestOptionSurface:
+    """Every option and instance key there is: adding one means changing this test."""
+
+    def test_subcommand_options(self):
+        parser = cli._build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        options = {
+            name: sorted(o for action in p._actions for o in action.option_strings)
+            for name, p in sub.choices.items()
+        }
+        assert options == {
+            "solve": ["--grid-points", "--help", "-h"],
+            "sweep": ["--csv", "--from", "--help", "--param", "--steps", "--to", "-h"],
+            "check": [
+                "--grid-points",
+                "--help",
+                "--inject-dual-noise",
+                "--no-seed-support",
+                "--seed-support",
+                "-h",
+            ],
+        }
+
+    def test_top_level_keys(self):
+        assert cli._TOP_KEYS == {"problem", "params", "oracle"}
+
+    @pytest.mark.parametrize("argv", [["solve"], SWEEP_Q, ["check"]], ids=["solve", "sweep", "check"])
+    def test_root_tolerance_is_not_an_option(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], _mp1t(tmp_path), *argv[1:], "--tol", "1e-8"])
+        assert exc.value.code == EXIT_SCHEMA
+        assert "unrecognized arguments: --tol" in capsys.readouterr().err
+
+    def test_root_tolerance_is_not_an_instance_key(self, tmp_path, capsys):
+        params = {"M1": 1, "Mt": 4, "t": 2, "q": 1}
+        path = _write(tmp_path, {"problem": "mp1t", "params": params, "tolerance": 1e-10})
+        assert main(["solve", path]) == EXIT_SCHEMA
+        err = json.loads(capsys.readouterr().err.splitlines()[0])
+        assert err == {"error": "SchemaError", "message": "unknown top-level keys: ['tolerance']"}
 
 
 class TestOneProcess:

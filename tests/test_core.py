@@ -355,14 +355,14 @@ ANSWERS = [
     pytest.param(lambda: solve_partial_moment(UPM_FAMILY, v1_choice=3.0), id="upm-family"),
     pytest.param(lambda: enumerate_family(UPM_FAMILY, [2.5, 3.0, 4.0]), id="enumerate_family"),
     pytest.param(
-        lambda: PROBLEMS["mp1t"].solve(PowerMomentInstance(1.0, 4.0, 2.0, 3.0), 1e-10),
+        lambda: PROBLEMS["mp1t"].solve(PowerMomentInstance(1.0, 4.0, 2.0, 3.0)),
         id="problem-mp1t",
     ),
     pytest.param(
-        lambda: PROBLEMS["mp1e"].solve(ExpMomentInstance(1.0, E2, 1.0, 5.0), 1e-10),
+        lambda: PROBLEMS["mp1e"].solve(ExpMomentInstance(1.0, E2, 1.0, 5.0)),
         id="problem-mp1e",
     ),
-    pytest.param(lambda: PROBLEMS["upm"].solve(UPM_FAMILY, 1e-10, v1=3.0), id="problem-upm"),
+    pytest.param(lambda: PROBLEMS["upm"].solve(UPM_FAMILY, v1=3.0), id="problem-upm"),
     pytest.param(lambda: PowerMomentAmbiguity(1.0, 4.0, 2.0).solve(3.0), id="ambiguity-mp1t"),
     pytest.param(lambda: ExpMomentAmbiguity(1.0, E2, 1.0).solve(5.0), id="ambiguity-mp1e"),
 ]

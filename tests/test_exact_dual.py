@@ -9,11 +9,12 @@ never lie above the scanned minimum by more than float cancellation allows:
 import math
 
 import numpy as np
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from momentbound import exp_moment, partial_moment, power_moment
 from momentbound.core import ToleranceSet
+from momentbound.errors import InfeasibleError
 from references import dual_scan, evaluate, scan_verification
 
 SETTINGS = settings(
@@ -67,8 +68,14 @@ def test_exp_moment(t, m1, ratio, tq):
     xs=st.lists(_unit(0.0, 4.0), min_size=3, max_size=5, unique=True),
     weights=st.lists(_unit(0.05, 1.0), min_size=5, max_size=5),
 )
+# the moments of {0 w.p. 2/3, 2 w.p. 1/3}, on the feasibility boundary
+@example(xs=[0.0, 2.0, 2.18e-243], weights=[0.5] * 5)
 def test_partial_moment(xs, weights):
-    """Moments of an explicit distribution, filtered as the acceptance sampler does."""
+    """Moments of an explicit distribution, filtered as the acceptance sampler does.
+
+    Moments on the feasibility boundary, where the two-point certificate is
+    undefined, may only end in the solver's boundary refusal.
+    """
     x = np.array(sorted(xs))
     p = np.array(weights[: len(x)])
     p = p / p.sum()
@@ -78,4 +85,10 @@ def test_partial_moment(xs, weights):
     assume(M1 > 1e-6 and Mp > 1e-3 and M2 / M1**2 > 1.01)
     assume(M1 <= 2.0 * M1**2 / M2 and Mp > M1 - 1.0)
     inst = partial_moment.PartialMomentInstance(M1=M1, gamma=M2 / M1**2, Mplus=Mp)
-    _agrees_with_scan(partial_moment, inst, partial_moment.solve_partial_moment(inst))
+    try:
+        report = partial_moment.solve_partial_moment(inst)
+    except InfeasibleError as exc:
+        assert "sits on the feasibility boundary" in str(exc)
+        assert inst.is_two_point() and partial_moment.kappa(inst) <= 1e-14
+        return
+    _agrees_with_scan(partial_moment, inst, report)

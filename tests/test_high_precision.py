@@ -56,6 +56,18 @@ def test_power_moment_matches_high_precision_system():
         checked += 1
 
 
+def test_power_moment_deep_tail_value_matches_scarf():
+    # q = 1e5 puts the lower support point at u = 1 - 5e-6, where 1 - u
+    # magnifies u's rounding error 2e5-fold; the value takes the upper mass
+    # from the t-th moment row instead
+    rep = solve_power_moment(PowerMomentInstance(M1=1.0, Mt=2.0, t=2.0, q=1e5))
+    d = mp.mpf(1e5) - 1
+    ref = (mp.sqrt(1 + d * d) - d) / 2  # Scarf's bound at mean 1, variance 1
+    assert rep.dist.xs[0] > 0.9
+    assert abs((rep.value - ref) / ref) <= 1e-14
+    assert rep.verification.passed
+
+
 def test_exp_moment_matches_high_precision_system():
     rng = np.random.default_rng(163)
     checked = 0

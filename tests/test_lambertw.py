@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import scipy.special
 
+from momentbound import lambertw
 from momentbound.errors import DomainError
 from momentbound.lambertw import BRANCH_POINT, lambert_w_minus1
 
@@ -68,6 +69,33 @@ class TestLowerBranch:
             lambert_w_minus1(0.0)
         with pytest.raises(DomainError):
             lambert_w_minus1(0.1)
+
+    # away from -1/e, where w*e^w - x is flat and 1e-12 is below its
+    # double-precision resolution, and from subnormal x, where e^w is
+    @pytest.mark.parametrize("x", [-0.35, -0.3, -0.1, -1e-5, -1e-100, -1e-300])
+    def test_bisection_fallback(self, x, monkeypatch):
+        # Halley's first pass lands on the upper branch W_0(x) > -1, so the
+        # fallback must bracket the lower root and bisect it
+        real_halley, real_bisect = lambertw._halley, lambertw._bisect_w
+        upper = float(scipy.special.lambertw(x, 0).real)
+        calls, brackets = [], []
+
+        def halley(x_, w):
+            calls.append(w)
+            return upper if len(calls) == 1 else real_halley(x_, w)
+
+        def bisect_w(x_, lo, hi):
+            brackets.append((lo, hi))
+            return real_bisect(x_, lo, hi)
+
+        monkeypatch.setattr(lambertw, "_halley", halley)
+        monkeypatch.setattr(lambertw, "_bisect_w", bisect_w)
+        w = lambert_w_minus1(x).w
+        assert len(calls) == 2 and len(brackets) == 1
+        (lo, hi), g = brackets[0], lambda v: v * math.exp(v) - x
+        assert g(lo) > 0.0 > g(hi)
+        assert w <= -1.0
+        assert w == pytest.approx(float(scipy.special.lambertw(x, -1).real), rel=1e-12, abs=0.0)
 
     def test_at_most_minus_one(self):
         rng = np.random.default_rng(31)

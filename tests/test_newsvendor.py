@@ -141,9 +141,9 @@ def _decision(kind: str, eta: float):
 
 
 def _loose_above(monkeypatch):
-    """Make every candidate solve at or above q = 2100 use root tolerance 1e-8.
+    """Make every candidate solve at or above q = 2100 bisect phi only to 1e-8.
 
-    The exp_moment solver's loose-tolerance answers on the lam = 1/50, t = 0.01
+    The exp_moment solver's answers at that loose root tolerance on the lam = 1/50, t = 0.01
     exponential-demand set read p_hi of about 3.4e-10 across q in 2075-2372,
     where the certified p_hi falls from 1.3e-10 to 6.5e-12.  Right of the
     certified order for 1 - eta = 1e-10 (q = 2097.97) that wrong p_hi steers
@@ -152,11 +152,13 @@ def _loose_above(monkeypatch):
     real = ExpMomentAmbiguity._candidate
     loose = []
 
-    def candidate(self, q, eps=1e-10):
+    def candidate(self, q):
         if q >= 2100.0:
             loose.append(q)
-            return real(self, q, 1e-8)
-        return real(self, q, eps)
+            with monkeypatch.context() as patch:
+                patch.setattr(exp_moment, "_ROOT_TOL", 1e-8)
+                return real(self, q)
+        return real(self, q)
 
     monkeypatch.setattr(ExpMomentAmbiguity, "_candidate", candidate)
     return loose
@@ -198,9 +200,9 @@ class TestCertifiedOrder:
             calls[0] += 1
             return real_verify(*args, **kwargs)
 
-        def candidate(self, q, eps=1e-10):
+        def candidate(self, q):
             before = calls[0]
-            out = real_candidate(self, q, eps)
+            out = real_candidate(self, q)
             inside.append(calls[0] - before)
             return out
 
@@ -293,7 +295,8 @@ class TestCertifiedOrder:
         with pytest.raises(RootBracketError):
             optimize_order(inst)
         assert wrong and wrong[0] > honest.q_star
-        assert amb._candidate(wrong[0], 1e-8)["dist"].points[-1][1] > 1e-10
+        assert wrong[0] >= 2100.0  # so the loose candidate solve reads p_hi there
+        assert amb._candidate(wrong[0])["dist"].points[-1][1] > 1e-10
 
     def test_cli_refusal_exit_code(self, monkeypatch, tmp_path, capsys):
         path = tmp_path / "order.json"

@@ -162,7 +162,7 @@ def _seeded(problem, params, n_points):
     """The moment LP `check` builds for a problem, on its grid seeded with the support."""
     entry = PROBLEMS[problem]
     inst = entry.instance(**params)
-    rep = entry.solve(inst, 1e-10)
+    rep = entry.solve(inst)
     grid = GridSpec(
         lo=0.0,
         hi=entry.grid_hi(inst, rep),

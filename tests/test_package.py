@@ -1,12 +1,15 @@
 """The public namespace, and what importing it costs."""
 
 import ast
+import inspect
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import momentbound
+from momentbound import exp_moment, partial_moment, power_moment, rootfind
+from momentbound.problems import PROBLEMS
 
 
 def test_every_exported_name_resolves():
@@ -44,3 +47,23 @@ def test_only_the_oracle_imports_numpy():
             if any(name.split(".")[0] == "numpy" for name in names):
                 importers.append(path.name)
     assert sorted(set(importers)) == ["oracle.py"]
+
+
+def test_solves_take_no_root_tolerance():
+    # the interior root searches bisect to a fixed 1e-10 and Newton-polish
+    # to float resolution; no caller chooses where that hand-off happens
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert params(power_moment.solve_power_moment) == ["inst"]
+    assert params(exp_moment.solve_exp_moment) == ["inst"]
+    assert params(partial_moment.solve_partial_moment) == ["inst", "v1_choice"]
+    for amb in (power_moment.PowerMomentAmbiguity, exp_moment.ExpMomentAmbiguity):
+        for method in (amb.solve, amb._candidate, amb.worst_case):
+            assert params(method) == ["self", "q"]
+    assert {name: params(p.solve) for name, p in PROBLEMS.items()} == {
+        "mp1t": ["inst"],
+        "upm": ["inst", "v1"],
+        "mp1e": ["inst"],
+    }
+    assert params(rootfind.polish_root) == ["f", "fprime", "x0", "lo", "hi"]

@@ -1,9 +1,12 @@
 """Upper-partial-moment variance minimization."""
 
+import json
+
 import numpy as np
 import pytest
 
 from momentbound import core, partial_moment
+from momentbound.cli import EXIT_INFEASIBLE, main
 from momentbound.core import DiscreteDistribution
 from momentbound.errors import BranchError, FamilyParamError, InfeasibleError
 from momentbound.partial_moment import (
@@ -64,6 +67,25 @@ class TestKappa:
     def test_second_hand_example(self):
         inst = PartialMomentInstance(M1=0.5, gamma=4.0, Mplus=0.2)
         assert kappa(inst) == pytest.approx(np.sqrt(0.57), abs=1e-13)
+
+    def test_boundary_moments_are_the_boundary_refusal(self, tmp_path, capsys):
+        # the moments of {0 w.p. 2/3, 2 w.p. 1/3}, a law symmetric about 1: the
+        # radicand evaluates to -1.1e-16, rounding error around its zero
+        inst = PartialMomentInstance(M1=2.0 / 3.0, gamma=3.0, Mplus=1.0 / 3.0)
+        assert kappa(inst) == 0.0
+        with pytest.raises(InfeasibleError, match="sits on the feasibility boundary"):
+            solve_partial_moment(inst)
+        path = tmp_path / "boundary.json"
+        params = {"M1": 2.0 / 3.0, "gamma": 3.0, "Mplus": 1.0 / 3.0}
+        path.write_text(json.dumps({"problem": "upm", "params": params}), encoding="utf-8")
+        assert main(["solve", str(path)]) == EXIT_INFEASIBLE
+        assert "feasibility boundary" in capsys.readouterr().err
+
+    def test_radicand_beyond_rounding_is_infeasible(self):
+        # Mplus one percent above the boundary value: no two-point law exists
+        inst = PartialMomentInstance(M1=2.0 / 3.0, gamma=3.0, Mplus=1.01 / 3.0)
+        with pytest.raises(InfeasibleError, match="no two-point distribution"):
+            kappa(inst)
 
 
 class TestInstanceValidation:
@@ -181,6 +203,21 @@ class TestOracleDominance:
 
 
 class TestDegenerateFamily:
+    def test_branch_boundary_is_the_one_two_point_law(self):
+        # the moments of {0 w.p. 6/7, x w.p. 1/7}, as hypothesis computed them:
+        # rounding puts them 2.8e-17 inside this branch, where the mass at v1
+        # computes to 0 and the family collapses to that law
+        x = 1.517831187035585
+        inst = PartialMomentInstance(
+            M1=0.21683302671936927, gamma=7.000000000000002, Mplus=0.07397588386222642
+        )
+        assert not inst.is_two_point()
+        rep = solve_partial_moment(inst)
+        assert rep.branch == partial_moment.DEGENERATE_FAMILY
+        assert rep.dist.xs == pytest.approx([0.0, x], rel=1e-14)
+        assert rep.dist.ps == pytest.approx([6.0 / 7.0, 1.0 / 7.0], rel=1e-14)
+        assert rep.verification.passed
+
     def test_hand_example_default_member(self):
         inst = PartialMomentInstance(M1=0.5, gamma=4.0, Mplus=0.2)
         rep = solve_partial_moment(inst)
