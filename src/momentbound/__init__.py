@@ -9,7 +9,10 @@ Three solved problems, each returning a certified primal-dual pair as one
 
 plus a discretized-LP oracle for independent ground truth, a generic
 optimality verifier, and a distributionally robust newsvendor optimizer.
+The oracle, and numpy with it, is imported on first use.
 """
+
+import importlib
 
 from .core import (
     DiscreteDistribution,
@@ -30,7 +33,6 @@ from .exp_moment import (
 )
 from .lambertw import WValue, lambert_w_minus1
 from .newsvendor import NewsvendorInstance, OrderDecision, optimize_order
-from .oracle import GridSpec, OracleResult, RefineOutcome, oracle_solve, refine_until
 from .partial_moment import (
     PartialMomentInstance,
     enumerate_family,
@@ -84,3 +86,14 @@ __all__ = [
 ]
 
 __version__ = "0.1.0"
+
+# The oracle is the only module that imports numpy, which takes most of the
+# package's import time; it loads on first use of one of these names.
+_ORACLE_NAMES = {"GridSpec", "OracleResult", "RefineOutcome", "oracle_solve", "refine_until"}
+
+
+def __getattr__(name: str):
+    if name == "oracle" or name in _ORACLE_NAMES:
+        oracle = importlib.import_module(".oracle", __name__)
+        return oracle if name == "oracle" else getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -16,8 +16,9 @@ import math
 import sys
 import time
 from dataclasses import fields
+from typing import TYPE_CHECKING
 
-from . import newsvendor, oracle
+from . import newsvendor
 from .core import DualCertificate, ToleranceSet, VerificationReport, verify_optimality
 from .errors import (
     InfeasibleError,
@@ -25,8 +26,10 @@ from .errors import (
     RangeError,
     SchemaError,
 )
-from .oracle import GridSpec
 from .problems import PROBLEMS, Problem
+
+if TYPE_CHECKING:
+    from .oracle import GridSpec
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -227,6 +230,8 @@ def _solve_oracle_problem(doc: dict, args: argparse.Namespace, started: float):
     entry = PROBLEMS[base]
     inst, report = _solve_moment_problem(base, params)
     grid = _grid_spec_from(doc.get("oracle"), entry, inst, report, args)
+    from . import oracle
+
     result = oracle.oracle_solve(entry.gmp(inst), grid)
     value = result.value - entry.oracle_offset(inst)
     env = _envelope(
@@ -244,8 +249,10 @@ def _solve_oracle_problem(doc: dict, args: argparse.Namespace, started: float):
 
 
 def _grid_spec_from(overrides, problem: Problem, inst, report, args) -> GridSpec:
+    from . import oracle  # numpy loads with the first command that runs the oracle
+
     n_points = getattr(args, "grid_points", None)
-    grid = GridSpec(
+    grid = oracle.GridSpec(
         lo=0.0,
         hi=problem.grid_hi(inst, report),
         n_points=2001 if n_points is None else n_points,
@@ -265,7 +272,9 @@ def _grid_spec_from(overrides, problem: Problem, inst, report, args) -> GridSpec
     ):
         raise SchemaError("'refine_around' must be a list of numbers")
     try:
-        return GridSpec(lo=lo, hi=hi, n_points=n, refine_around=tuple(float(v) for v in extra))
+        return oracle.GridSpec(
+            lo=lo, hi=hi, n_points=n, refine_around=tuple(float(v) for v in extra)
+        )
     except MomentBoundError as exc:
         raise SchemaError(str(exc)) from exc
 
@@ -331,6 +340,8 @@ def cmd_check(args: argparse.Namespace) -> int:
             verification = verify_optimality(gmp, report.dist, noisy, ToleranceSet())
 
         grid = _grid_spec_from(doc.get("oracle"), entry, inst, report, args)
+        from . import oracle
+
         outcome = oracle.refine_until(gmp, grid, target_tol=1e-9, max_rounds=3)
         oracle_value = outcome.result.value - entry.oracle_offset(inst)
         diff = abs(oracle_value - report.value)

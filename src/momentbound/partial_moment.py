@@ -23,10 +23,11 @@ from dataclasses import dataclass
 
 from . import core
 from .core import DiscreteDistribution, DualCertificate, GmpInstance, Report
-from .errors import BranchError, FamilyParamError, InfeasibleError
+from .errors import BranchError, DomainError, FamilyParamError, InfeasibleError
 
 TWO_POINT = "two_point"
 DEGENERATE_FAMILY = "degenerate_family"
+_ON_BOUNDARY = "moment vector sits on the feasibility boundary; the dual certificate is undefined"
 
 
 @dataclass(frozen=True)
@@ -71,15 +72,33 @@ class PartialMomentInstance:
         return self.M1 <= 1.0 / self.gamma + self.Mplus
 
 
-def kappa(inst: PartialMomentInstance) -> float:
-    """sqrt((gamma-1) * ((gamma-1)*M1^2 + 4*Mplus*(M1-1) - 4*Mplus^2))."""
+def _radicand(inst: PartialMomentInstance) -> tuple[float, float]:
+    """kappa^2 and how far rounding may have moved it off its exact value.
+
+    The band holds the radicand's own rounding (8 ulp of the sum of its
+    terms' magnitudes) and the first-order change of the bracket when each
+    of M1, gamma and Mplus moves by 4 ulp, the rounding of moments computed
+    in floating point.  On the feasibility boundary, where the moments are
+    those of a two-point law symmetric about 1, the exact radicand is 0.
+    """
     m1, g, mp = inst.M1, inst.gamma, inst.Mplus
     terms = ((g - 1.0) * m1 * m1, 4.0 * mp * (m1 - 1.0), -4.0 * mp * mp)
-    radicand = (g - 1.0) * sum(terms)
+    # M1, gamma and Mplus times the bracket's partial derivatives in them
+    moves = (
+        m1 * (2.0 * (g - 1.0) * m1 + 4.0 * mp),
+        g * m1 * m1,
+        mp * (4.0 * (m1 - 1.0) - 8.0 * mp),
+    )
+    band = math.ulp(1.0) * (8.0 * sum(map(abs, terms)) + 4.0 * sum(map(abs, moves)))
+    return (g - 1.0) * sum(terms), (g - 1.0) * band
+
+
+def kappa(inst: PartialMomentInstance) -> float:
+    """sqrt((gamma-1) * ((gamma-1)*M1^2 + 4*Mplus*(M1-1) - 4*Mplus^2))."""
+    radicand, band = _radicand(inst)
     if radicand < 0.0:
-        # zero, up to its rounding, on the feasibility boundary: two-point laws symmetric about 1
-        if radicand >= -8.0 * math.ulp(1.0) * (g - 1.0) * sum(map(abs, terms)):
-            return 0.0
+        if radicand >= -band:
+            return 0.0  # zero up to rounding: the feasibility boundary
         raise InfeasibleError(f"no two-point distribution matches these moments (radicand {radicand})")
     return math.sqrt(radicand)
 
@@ -123,8 +142,27 @@ def family_lower_bound(inst: PartialMomentInstance) -> float:
 
 
 def solve_partial_moment(inst: PartialMomentInstance, v1_choice: float | None = None) -> Report:
-    """Build the closed-form answer and certify it."""
-    return core.certify(gmp_instance(inst), _candidate(inst, v1_choice))
+    """Build the closed-form answer and certify it.
+
+    Within rounding of the feasibility boundary kappa is rounding noise, and
+    the two-point certificate divides by it: an answer there that does not
+    certify, or whose support or masses leave their range, is the boundary
+    refusal.
+    """
+    try:
+        report = core.certify(gmp_instance(inst), _candidate(inst, v1_choice))
+    except DomainError:
+        if not _near_boundary(inst):
+            raise
+    else:
+        if report.verification.passed or not _near_boundary(inst):
+            return report
+    raise InfeasibleError(_ON_BOUNDARY)
+
+
+def _near_boundary(inst: PartialMomentInstance) -> bool:
+    radicand, band = _radicand(inst)
+    return inst.is_two_point() and radicand <= band
 
 
 def _candidate(inst: PartialMomentInstance, v1_choice: float | None) -> dict:
@@ -136,9 +174,7 @@ def _candidate(inst: PartialMomentInstance, v1_choice: float | None) -> dict:
             raise BranchError("v1_choice only applies to the degenerate family branch")
         k = kappa(inst)
         if k <= 1e-14:
-            raise InfeasibleError(
-                "moment vector sits on the feasibility boundary; the dual certificate is undefined"
-            )
+            raise InfeasibleError(_ON_BOUNDARY)
         u = m1 * (1.0 - ((g - 1.0) * m1 + k) / (2.0 * (1.0 - m1 + mp)))
         v = m1 * (1.0 + ((g - 1.0) * m1 - k) / (2.0 * mp))
         if -1e-12 < u < 0.0:

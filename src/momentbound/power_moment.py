@@ -32,6 +32,17 @@ from .rootfind import BisectResult, bisect, polish_root
 BOUNDARY = "boundary"
 INTERIOR = "interior"
 _ROOT_TOL = 1e-10  # where bisection on theta hands off to the Newton polish
+# Near-threshold pair search (``_refine_near_threshold``).  psi's root and the
+# moment mismatch's root are the same v, and both functions are evaluated
+# without cancellation, so their float sign changes sit within an ulp of it
+# (they coincide or are one ulp apart on 28 480 measured fallbacks).  The
+# window reaches 8 ulp either side; a miss costs the full-bracket search.
+_WINDOW_ULPS = 8
+# Relative widening of the w window for the rounding error of w itself:
+# w is g's root to within g's rounding error over its slope, about
+# 3 ulp * qs/(qs - u), and 2^-40 (4096 ulp) covers that up to u = 0.999 qs.
+# A window without a sign change of g falls back to [0, qs^(t-1)].
+_W_MARGIN = 2.0**-40
 
 
 @dataclass(frozen=True)
@@ -253,13 +264,21 @@ def _certificate_slack(w: float, ut: float, v: float, t: float, qs: float) -> fl
     return ((t - 1.0) * ut / t - w * v + v**t / t) / d - (v - qs)
 
 
-def _det_consistent_w(v: float, inst: PowerMomentInstance) -> float:
+def _det_consistent_w(
+    v: float, inst: PowerMomentInstance, window: tuple[float, float] | None = None
+) -> float:
     """Solve the dual tangency system for w = u^(t-1) at a given v.
 
     The system reads t*qs*w - (t-1)*w^(t/(t-1)) = v^(t-1) * (t*qs - (t-1)*v)
     and has exactly one root with u < qs; the left side is increasing there.
     Parametrizing by w rather than u keeps the equation solvable even when u
     itself is many orders of magnitude below ulp(v).
+
+    ``window`` is an optional guess (lo, hi) at the root, such as the range
+    w takes over the few-ulp v window of the near-threshold pair search.
+    Where g changes sign across it, the bisection runs there instead of on
+    all of [0, qs^(t-1)], to the same absolute tolerance; elsewhere it runs
+    on the whole range as without a window.
     """
     t, qs = inst.t, inst.q_scaled
     k = v ** (t - 1.0) * (t * qs - (t - 1.0) * v)
@@ -273,7 +292,12 @@ def _det_consistent_w(v: float, inst: PowerMomentInstance) -> float:
 
     if g(whi) <= 0.0:
         return whi
-    res = bisect(g, 0.0, whi, whi * 1e-18)
+    lo, hi = 0.0, whi
+    if window is not None:
+        w_lo, w_hi = max(window[0], 0.0), min(window[1], whi)
+        if w_lo < w_hi and g(w_lo) < 0.0 < g(w_hi):
+            lo, hi = w_lo, w_hi
+    res = bisect(g, lo, hi, whi * 1e-18)
     return polish_root(
         g, lambda w: t * (qs - w ** (1.0 / (t - 1.0))), res.root, 0.0, whi
     )
@@ -291,27 +315,69 @@ def _moment_mismatch(
     return (1.0 - u) * v * _stable_power_gap(v, inst, edge) - (v - 1.0) * u * (mt - w)
 
 
+def _psi(y: float, inst: PowerMomentInstance, edge: float) -> float:
+    """theta(y) * (y - 1)/(y^(t-1) - mt): theta with its root at the edge divided out.
+
+    With c = t*qs/(t-1), G = y^(t-1) - mt and D = y*G + mt*(y - 1) = y^t - mt,
+    u = c*G/D and theta = G*(y - c)/(y - 1) + u^t, so
+
+      psi(y) = (y - c) + c*(y - 1)*u^(t-1)/D.
+
+    No term cancels: G comes from ``_stable_power_gap``, and mt, which theta
+    adds and subtracts, is gone.  psi has theta's sign right of the edge,
+    psi(edge) = edge - c < 0 and psi(c) > 0.
+    """
+    t, mt = inst.t, inst.mt_scaled
+    c = t * inst.q_scaled / (t - 1.0)
+    gap = _stable_power_gap(y, inst, edge)
+    d = y * gap + mt * (y - 1.0)
+    return (y - c) + c * (y - 1.0) * (c * gap / d) ** (t - 1.0) / d
+
+
 def _refine_near_threshold(
     inst: PowerMomentInstance, edge: float, a: float, b: float
 ) -> tuple[float, float] | None:
     """Joint re-solve of (support, tangency) when theta is noise-limited.
 
     Near the branch threshold theta flattens below float noise, so the
-    certificate built from its root violates dual slackness.  The moment
-    mismatch above keeps a clean sign change across (a, b) there; bisecting
-    it and back-solving w gives a pair exact to float resolution.
+    certificate built from its root violates dual slackness.  ``_psi`` has
+    theta's root without that noise, and one bisection of it locates v to
+    float resolution.  The exact pair comes from the moment mismatch above,
+    whose sign change is clean: it is bisected to float resolution on the
+    window of _WINDOW_ULPS ulp either side of psi's root, and each of its
+    evaluations back-solves w only across the range w takes on that window.
+    Where the window holds no sign change of the mismatch, the mismatch is
+    bisected across all of (a, b).  A mismatch that changes sign once
+    collapses onto the same pair of adjacent floats either way, so the
+    window changes the cost and not the result.
     """
-    t = inst.t
+    t, qs = inst.t, inst.q_scaled
+    eps = (b - a) * 1e-18  # below one ulp of (a, b): the bisections run to collapse
 
-    def f(y: float) -> float:
-        w = _det_consistent_w(y, inst)
+    def mismatch(y: float, window: tuple[float, float] | None = None) -> float:
+        w = _det_consistent_w(y, inst, window)
         return _moment_mismatch(y, w ** (1.0 / (t - 1.0)), w, inst, edge)
 
     try:
-        res = bisect(f, a, b, (b - a) * 1e-18)
+        r = bisect(lambda y: _psi(y, inst, edge), a, b, eps).root
+        w_r = _det_consistent_w(r, inst)
+        half = _WINDOW_ULPS * math.ulp(r)
+        lo, hi = max(a, r - half), min(b, r + half)
+        # dw/dv = (t-1) v^(t-2) (qs - v)/(qs - u) from the tangency equation:
+        # across the window w stays within |dw/dv| * (hi - lo) of w_r, at
+        # least twice its reach to either side, which absorbs the change of
+        # dw/dv over a few ulp
+        u_r = w_r ** (1.0 / (t - 1.0))
+        reach = (t - 1.0) * r ** (t - 2.0) * (r - qs) * (hi - lo) / (qs - u_r)
+        spread = reach + _W_MARGIN * w_r
+        v = bisect(lambda y: mismatch(y, (w_r - spread, w_r + spread)), lo, hi, eps).root
+        return v, w_r if v == r else _det_consistent_w(v, inst)
+    except (BracketError, NonFiniteError, ZeroDivisionError):
+        pass
+    try:
+        v = bisect(mismatch, a, b, eps).root
     except (BracketError, NonFiniteError):
         return None
-    v = res.root
     return v, _det_consistent_w(v, inst)
 
 

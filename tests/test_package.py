@@ -12,6 +12,16 @@ from momentbound import exp_moment, partial_moment, power_moment, rootfind
 from momentbound.problems import PROBLEMS
 
 
+def _fresh_interpreter(code: str) -> str:
+    """The last line that `code` prints, run in a new interpreter on this source tree."""
+    src = str(Path(momentbound.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return out.stdout.splitlines()[-1]
+
+
 def test_every_exported_name_resolves():
     missing = [name for name in momentbound.__all__ if not hasattr(momentbound, name)]
     assert missing == []
@@ -21,16 +31,34 @@ def test_every_exported_name_resolves():
 def test_runtime_imports_stay_numpy_only():
     # scipy, mpmath and hypothesis are test dependencies; the package and its
     # command-line front end must load without them
-    src = str(Path(momentbound.__file__).resolve().parents[1])
     code = (
         "import sys, momentbound, momentbound.cli; "
         "print(sorted(m for m in ('scipy', 'mpmath', 'hypothesis') if m in sys.modules))"
     )
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    assert _fresh_interpreter(code) == "[]"
+
+
+def test_solve_loads_no_numpy(tmp_path):
+    # numpy is the oracle's alone, and the oracle loads on first use: a solve
+    # through the command line never imports it
+    path = tmp_path / "mp1t.json"
+    path.write_text('{"problem": "mp1t", "params": {"M1": 1, "Mt": 4, "t": 2, "q": 1.5}}')
+    code = (
+        "import sys, momentbound, momentbound.cli; "
+        f"code = momentbound.cli.main(['solve', {str(path)!r}]); "
+        "print(code, 'numpy' in sys.modules)"
     )
-    assert out.stdout.strip() == "[]"
+    assert _fresh_interpreter(code) == "0 False"
+
+
+def test_oracle_names_load_on_first_use():
+    code = (
+        "import sys, momentbound; before = 'numpy' in sys.modules; "
+        "from momentbound import GridSpec, oracle; "
+        "print(before, 'numpy' in sys.modules, GridSpec is oracle.GridSpec, "
+        "momentbound.refine_until is oracle.refine_until)"
+    )
+    assert _fresh_interpreter(code) == "False True True True"
 
 
 def test_only_the_oracle_imports_numpy():

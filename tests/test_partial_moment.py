@@ -1,6 +1,7 @@
 """Upper-partial-moment variance minimization."""
 
 import json
+import random
 
 import numpy as np
 import pytest
@@ -86,6 +87,63 @@ class TestKappa:
         inst = PartialMomentInstance(M1=2.0 / 3.0, gamma=3.0, Mplus=1.01 / 3.0)
         with pytest.raises(InfeasibleError, match="no two-point distribution"):
             kappa(inst)
+
+
+def _symmetric_law_moments(d: float, p: float) -> PartialMomentInstance:
+    """The moments of {1 - d w.p. 1 - p, 1 + d w.p. p}, rounded as a caller computes them."""
+    lo, hi = 1.0 - d, 1.0 + d
+    M1 = (1.0 - p) * lo + p * hi
+    M2 = (1.0 - p) * lo * lo + p * hi * hi
+    return PartialMomentInstance(M1=M1, gamma=M2 / M1**2, Mplus=p * d)
+
+
+class TestFeasibilityBoundary:
+    """Moments of two-point laws symmetric about 1 sit on the feasibility boundary.
+
+    There kappa is rounding noise, so the certificate, which divides by it,
+    may not hold: each such input ends in a certified answer or the
+    boundary refusal, never an uncertified answer or a DomainError.
+    """
+
+    @staticmethod
+    def _certified_or_boundary_refusal(inst):
+        try:
+            report = solve_partial_moment(inst)
+        except InfeasibleError as exc:
+            assert "sits on the feasibility boundary" in str(exc)
+            return "refused"
+        assert report.verification.passed, report.verification
+        return "certified"
+
+    @pytest.mark.parametrize(
+        "moments",
+        [
+            # an uncertified answer (slack residual 1.3e-8) before the rounding band
+            (1.1379436261094829, 1.3569134515124768, 0.41581517630889037),
+            # DomainError: support points must be nonnegative, before the band
+            (1.2464117960517858, 1.6046061232213373, 0.6232058980258929),
+        ],
+    )
+    def test_pinned_boundary_moments_are_refused(self, moments):
+        inst = PartialMomentInstance(*moments)
+        assert self._certified_or_boundary_refusal(inst) == "refused"
+
+    def test_symmetric_laws_certify_or_are_refused(self):
+        rng = random.Random(12)
+        outcomes = {"certified": 0, "refused": 0}
+        for _ in range(2000):
+            inst = _symmetric_law_moments(rng.uniform(0.01, 1.0), rng.uniform(0.01, 0.99))
+            outcomes[self._certified_or_boundary_refusal(inst)] += 1
+        # both outcomes occur: the band refuses only what does not certify
+        assert min(outcomes.values()) > 0
+
+    def test_moments_beyond_the_band_keep_their_refusal(self):
+        # rounding of the inputs moves the bracket by at most a few ulp of its
+        # terms; 1e-9 of Mplus is far outside that, and no two-point law exists
+        inst = _symmetric_law_moments(0.5, 0.3)
+        shifted = PartialMomentInstance(inst.M1, inst.gamma, inst.Mplus * (1.0 + 1e-9))
+        with pytest.raises(InfeasibleError, match="no two-point distribution"):
+            solve_partial_moment(shifted)
 
 
 class TestInstanceValidation:

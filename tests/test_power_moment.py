@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -200,6 +201,113 @@ class TestSolve:
             assert above.branch == power_moment.INTERIOR
             assert above.value == pytest.approx(below.value, rel=1e-6)
             assert above.verification.passed and below.verification.passed
+
+
+_T_VALUES = (1.5, 2.0, 2.5, 3.0, 5.0, math.pi)
+
+
+def _near_threshold_instances(rng, n, lo, hi):
+    """mp1t instances with q a relative 10^lo to 10^hi above the branch threshold."""
+    out = []
+    for i in range(n):
+        t = _T_VALUES[i % len(_T_VALUES)]
+        M1 = float(rng.uniform(0.5, 5.0))
+        probe = PowerMomentInstance(M1=M1, Mt=float(rng.uniform(1.05, 3.0)) * M1**t, t=t, q=M1)
+        q = boundary_threshold(probe) * (1.0 + 10.0 ** float(rng.uniform(lo, hi)))
+        out.append(PowerMomentInstance(M1=M1, Mt=probe.Mt, t=t, q=q))
+    return out
+
+
+def _reference_value(inst):
+    """The optimal value at 50 digits, from the float inputs taken as exact.
+
+    Past the exact threshold, theta's root right of the edge is bisected
+    with theta divided by v^(t-1) - mt, which removes its root at the edge;
+    at 50 digits theta's cancellation costs nothing.  At or below the exact
+    threshold the boundary closed form holds.
+    """
+    with mp.workdps(50):
+        M1, t = mp.mpf(inst.M1), mp.mpf(inst.t)
+        mt, qs = mp.mpf(inst.Mt) / M1**t, mp.mpf(inst.q) / M1
+        edge = mt ** (1 / (t - 1))
+        if qs <= (t - 1) / t * edge:
+            return M1 * (1 - qs / edge)
+        c = t * qs / (t - 1)
+
+        def lower(v):
+            return c * (v ** (t - 1) - mt) / (v**t - mt)
+
+        def theta(v):
+            u = lower(v)
+            return (v**t - mt) / (v - 1) * (1 - u) + u**t - mt
+
+        lo, hi = edge, c  # the divided theta is negative at the edge and positive at c
+        for _ in range(180):
+            mid = (lo + hi) / 2
+            if theta(mid) * (mid - 1) / (mid ** (t - 1) - mt) < 0:
+                lo = mid
+            else:
+                hi = mid
+        u = lower(hi)
+        return M1 * (hi - qs) * (1 - u) / (hi - u)
+
+
+class TestNearThreshold:
+    """q from a few ulp to 1e-9 above the threshold, where theta is noise-flat.
+
+    About a third of these solves take the near-threshold fallback, which
+    locates the upper point with one bisection of psi and then fixes the
+    exact pair in a few-ulp window.
+    """
+
+    def test_values_match_high_precision(self):
+        rng = np.random.default_rng(2013)
+        instances = _near_threshold_instances(rng, 60, -15.5, -9.0)
+        for inst in instances:
+            rep = solve_power_moment(inst)
+            assert rep.verification.passed, inst
+            ref = _reference_value(inst)
+            assert abs(rep.value - ref) <= 1e-12 * abs(ref), inst
+
+    def test_fallback_cost(self, monkeypatch):
+        # the fallback bisects psi once and then the moment mismatch over a
+        # 16-ulp window: it back-solves w at psi's root, at the window's two
+        # ends, at log2(16) = 4 midpoints and for the final pair, 8 times at
+        # most, each but the first over a narrow range.  A mismatch bisection
+        # over all of (a, b), each step re-solving w over [0, qs^(t-1)],
+        # takes up to 26 back-solves and 1467 bisection steps on these.
+        counts = {"fallback": 0, "w": 0, "steps": 0}
+        real_refine, real_w = power_moment._refine_near_threshold, power_moment._det_consistent_w
+        real_bisect = power_moment.bisect
+
+        def refine(*args):
+            counts["fallback"] += 1
+            return real_refine(*args)
+
+        def w_solve(*args, **kwargs):
+            counts["w"] += 1
+            return real_w(*args, **kwargs)
+
+        def bisect(*args, **kwargs):
+            res = real_bisect(*args, **kwargs)
+            counts["steps"] += res.iterations
+            return res
+
+        monkeypatch.setattr(power_moment, "_refine_near_threshold", refine)
+        monkeypatch.setattr(power_moment, "_det_consistent_w", w_solve)
+        monkeypatch.setattr(power_moment, "bisect", bisect)
+        rng = np.random.default_rng(5)
+        fallbacks = 0
+        for inst in _near_threshold_instances(rng, 120, -12.0, -9.0):
+            for key in counts:
+                counts[key] = 0
+            rep = solve_power_moment(inst)
+            assert rep.verification.passed
+            if counts["fallback"]:
+                fallbacks += 1
+                assert counts["w"] <= 10, inst
+                assert counts["steps"] <= 300, inst
+        assert fallbacks >= 40
 
 
 class TestRange:
