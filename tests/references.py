@@ -11,6 +11,7 @@ import numpy as np
 
 from momentbound.core import MomentFunction, VerificationReport
 from momentbound.errors import DimensionError, DomainError, MomentBoundError
+from momentbound.oracle import _DEGENERATE_RUN, _PIVOT_TOL, _RC_TOL, OPTIMAL, UNBOUNDED
 from momentbound.rootfind import bisect
 
 
@@ -198,3 +199,57 @@ def scan_verification(inst, dist, cert, tol, hi: float) -> VerificationReport:
         primal_value=primal_value,
         dual_value=dual_value,
     )
+
+
+def grid_points(spec) -> np.ndarray:
+    """A GridSpec's points as the sorted union of the uniform grid and the extras at or above lo."""
+    base = np.linspace(spec.lo, spec.hi, spec.n_points)
+    if spec.refine_around:
+        extra = np.asarray([p for p in spec.refine_around if p >= spec.lo], dtype=float)
+        base = np.unique(np.concatenate([base, extra]))
+    return base
+
+
+# The oracle's simplex loop as numpy array operations throughout.  The oracle
+# must take exactly these pivots: a faster loop that stops at another vertex
+# within the reduced-cost tolerance changes its distribution and duals.
+
+
+def simplex_pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
+    T[row] = T[row] / T[row, col]
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    T -= np.outer(factors, T[row])
+    basis[row] = col
+
+
+def simplex_run(T: np.ndarray, basis: list[int], n_enter: int) -> tuple[str, int]:
+    """Minimize the last tableau row over the first n_enter columns.
+
+    Returns the status and the number of pivots taken.  The most negative
+    reduced cost enters (Dantzig); after _DEGENERATE_RUN pivots in a row that
+    leave the objective where it was, the first eligible column enters
+    instead (Bland), until a pivot moves the objective again.
+    """
+    pivots = 0
+    stalled = 0
+    while True:
+        rc = T[-1, :n_enter]
+        candidates = np.flatnonzero(rc < -_RC_TOL)
+        if candidates.size == 0:
+            return OPTIMAL, pivots
+        j = int(np.argmin(rc) if stalled < _DEGENERATE_RUN else candidates[0])
+        col = T[:-1, j]
+        eligible = np.flatnonzero(col > _PIVOT_TOL)
+        if eligible.size == 0:
+            return UNBOUNDED, pivots
+        ratios = T[:-1, -1][eligible] / col[eligible]
+        best = np.min(ratios)
+        tied = eligible[ratios == best]
+        row = int(min(tied, key=lambda r: basis[r]))
+        objective = T[-1, -1]
+        simplex_pivot(T, basis, row, j)
+        pivots += 1
+        stalled = stalled + 1 if T[-1, -1] == objective else 0
+        rhs = T[:-1, -1]
+        rhs[(rhs < 0.0) & (rhs > -1e-11)] = 0.0  # scrub roundoff-degenerate rows

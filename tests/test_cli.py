@@ -265,6 +265,24 @@ class TestSolve:
         err = json.loads(captured.err.splitlines()[0])
         assert "Mt > M1^t" in err["message"]
 
+    def test_infeasible_oracle_grid_exit_and_message(self, tmp_path, capsys):
+        # the moments need mass above x = 1, where this grid has no point
+        params = {"M1": 50, "Mt": 530.33, "t": 1.5, "q": 100}
+        grid = {"hi": 1.0, "refine_around": []}
+        doc = {"problem": "oracle", "params": dict(params, base="mp1t"), "oracle": grid}
+        code = main(["solve", _write(tmp_path, doc)])
+        captured = capsys.readouterr()
+        assert code == EXIT_INFEASIBLE
+        assert captured.out == ""
+        err = json.loads(captured.err.splitlines()[0])
+        assert err["error"] == "InfeasibleError"
+        assert err["message"] == (
+            "the grid LP is infeasible on the oracle grid of 2001 points over [0.0, 1.0]"
+        )
+        # check reports the same grid as a disagreement with the solver
+        doc = {"problem": "mp1t", "params": params, "oracle": grid}
+        assert main(["check", _write(tmp_path, doc)]) == EXIT_DISAGREEMENT
+
     def test_range_rejection(self, tmp_path):
         path = _write(
             tmp_path,
@@ -654,6 +672,22 @@ class TestSchemaGuards:
         err = json.loads(capsys.readouterr().err.splitlines()[0])
         assert code == EXIT_SCHEMA
         assert err["error"] == "SchemaError"
+
+    @pytest.mark.parametrize("command", ["solve", "check"])
+    def test_non_finite_refine_around(self, tmp_path, capsys, command):
+        # 1e400 parses as inf; a non-finite extra point is a schema error, as
+        # a non-finite lo, hi or n_points is
+        params = {"M1": 50, "Mt": 530.33, "t": 1.5, "q": 100}
+        if command == "solve":
+            doc = {"problem": "oracle", "params": dict(params, base="mp1t")}
+        else:
+            doc = {"problem": "mp1t", "params": params}
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(dict(doc, oracle={"refine_around": [1]})).replace("[1]", "[1e400]"))
+        code = main([command, str(path)])
+        err = json.loads(capsys.readouterr().err.splitlines()[0])
+        assert code == EXIT_SCHEMA
+        assert err == {"error": "SchemaError", "message": "'refine_around' entries must be finite"}
 
     def test_non_string_oracle_base(self, tmp_path, capsys):
         params = {"base": ["upm"], "M1": 0.5, "gamma": 4, "Mplus": 0.2}

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from momentbound import core, exp_moment, power_moment
+from momentbound import core, exp_moment, oracle, power_moment
 from momentbound.core import GmpInstance
 from momentbound.errors import DomainError
 from momentbound.oracle import (
@@ -21,7 +21,7 @@ from momentbound.oracle import (
     refine_until,
 )
 from momentbound.problems import PROBLEMS
-from references import evaluate, moments_of
+from references import evaluate, grid_points, moments_of, simplex_pivot, simplex_run
 
 
 def _mean_instance(mean: float, g=None) -> GmpInstance:
@@ -46,6 +46,34 @@ class TestGridSpec:
         assert 4.0 in pts
         assert 3.3333 in pts
         assert np.all(np.diff(pts) > 0)
+
+    def test_points_are_the_sorted_union(self):
+        # byte for byte against np.unique of the uniform points and the
+        # extras, on grids with extras on the grid, below lo (dropped), above
+        # hi (kept), repeated, and 0.0 with lo = 0; every 50th grid has 2001
+        # points between an lo and hi too close for distinct uniform points
+        rng = np.random.default_rng(14)
+        for k in range(5000):
+            n = (2, 3, 2001, 4001, int(rng.integers(4, 60)))[k % 5]
+            lo = 0.0 if k % 2 else float(rng.uniform(0.0, 10.0))
+            hi = lo * (1.0 + 1e-13) if k % 50 == 2 else lo + float(rng.uniform(1e-3, 1e3))
+            uniform = np.linspace(lo, hi, n)
+            extra = []
+            for kind in rng.integers(0, 6, size=int(rng.integers(1, 7))):
+                if kind == 0:
+                    extra.append(float(uniform[rng.integers(n)]))
+                elif kind == 1:
+                    extra.append(lo - float(rng.uniform(0.0, 5.0)))
+                elif kind == 2:
+                    extra.append(hi + float(rng.uniform(0.0, 5.0)))
+                elif kind == 3:
+                    extra.append(0.0)
+                elif kind == 4:
+                    extra.append(extra[0] if extra else lo)
+                else:
+                    extra.append(float(rng.uniform(lo, hi)))
+            spec = GridSpec(lo=lo, hi=hi, n_points=n, refine_around=tuple(extra))
+            assert spec.points().tobytes() == grid_points(spec).tobytes(), spec
 
     def test_doubled_keeps_old_points(self):
         spec = GridSpec(lo=0.0, hi=1.0, n_points=5)
@@ -176,19 +204,24 @@ def _seeded_mp1t(M1, Mt, t, q, n_points):
     return _seeded("mp1t", {"M1": M1, "Mt": Mt, "t": t, "q": q}, n_points)
 
 
+def _beale_tableau() -> np.ndarray:
+    """Beale's cycling LP from the slack basis {x1, x2, x3}, as a tableau."""
+    return np.array(
+        [
+            [1.0, 0.0, 0.0, 0.25, -8.0, -1.0, 9.0, 0.0],
+            [0.0, 1.0, 0.0, 0.5, -12.0, -0.5, 3.0, 0.0],
+            [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0],
+            [0.0, 0.0, 0.0, -0.75, 20.0, -0.5, 6.0, 0.0],
+        ]
+    )
+
+
 class TestPricing:
     def test_beale_cycling_lp_terminates(self):
         # Beale's LP: min -3/4 x4 + 20 x5 - 1/2 x6 + 6 x7 from the slack basis
         # {x1, x2, x3}.  Most-negative pricing with lowest-index ties cycles
         # through six degenerate bases; the Bland fallback must break out.
-        T = np.array(
-            [
-                [1.0, 0.0, 0.0, 0.25, -8.0, -1.0, 9.0, 0.0],
-                [0.0, 1.0, 0.0, 0.5, -12.0, -0.5, 3.0, 0.0],
-                [0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 1.0],
-                [0.0, 0.0, 0.0, -0.75, 20.0, -0.5, 6.0, 0.0],
-            ]
-        )
+        T = _beale_tableau()
         basis = [0, 1, 2]
         status, pivots = _run(T, basis, 7)
         assert status == OPTIMAL
@@ -359,3 +392,71 @@ class TestWarmStart:
         assert len(coarse.basis) == 2
         fine = grid.doubled()
         assert oracle_solve(inst, fine, start=coarse.basis) == oracle_solve(inst, fine)
+
+
+def _lp_outcome(A, b, c):
+    counts = []
+    status, x, basis, duals = _two_phase_simplex(A, b, c, counts)
+    if x is None:
+        return status, basis, counts
+    return status, x.tobytes(), basis, duals.tobytes(), counts
+
+
+class TestPivotPath:
+    """The simplex takes the pivots of references.simplex_run, bit for bit.
+
+    Every vertex within _RC_TOL of the optimum counts as optimal, so a loop
+    that orders or rounds its tests differently can stop at another vertex
+    and report another distribution and other duals.
+    """
+
+    @staticmethod
+    def _use_reference_loop(monkeypatch):
+        monkeypatch.setattr(oracle, "_run", simplex_run)
+        monkeypatch.setattr(oracle, "_pivot", simplex_pivot)
+
+    @pytest.mark.parametrize("problem, params", CHECK_INSTANCES, ids=CHECK_IDS)
+    def test_check_instances_cold_and_warm(self, monkeypatch, problem, params):
+        gmp, grid, _ = _seeded(problem, params, 2001)
+
+        def cold_then_warm():
+            cold = oracle_solve(gmp, grid)
+            return cold, oracle_solve(gmp, grid.doubled(), start=cold.basis)
+
+        ours = cold_then_warm()
+        self._use_reference_loop(monkeypatch)
+        assert cold_then_warm() == ours
+
+    def test_random_lps(self, monkeypatch):
+        # a normalization row plus 1-4 random rows; b from a sparse mix of
+        # columns (degenerate vertices), a dense mix, or at random (mostly
+        # infeasible).  Every fifth LP drops the normalization row, so its
+        # feasible set can be unbounded.
+        rng = np.random.default_rng(1414)
+        lps = []
+        for k in range(150):
+            n = int(rng.integers(3, 60))
+            A = np.vstack([np.ones(n), rng.normal(size=(int(rng.integers(1, 5)), n))])
+            A = A[1:] if k % 5 == 4 else A
+            if k % 3 == 0:
+                p = np.zeros(n)
+                p[rng.choice(n, size=min(n, 2), replace=False)] = 0.5
+                b = A @ p
+            elif k % 3 == 1:
+                b = A @ rng.dirichlet(np.ones(n))
+            else:
+                b = rng.normal(size=A.shape[0])
+            lps.append((A, b, rng.normal(size=n)))
+        ours = [_lp_outcome(*lp) for lp in lps]
+        assert {o[0] for o in ours} == {OPTIMAL, INFEASIBLE, UNBOUNDED}
+        self._use_reference_loop(monkeypatch)
+        assert [_lp_outcome(*lp) for lp in lps] == ours
+
+    def test_bland_fallback_on_beale_lp(self):
+        # the cycling LP of TestPricing, which needs the Bland branch
+        T, ref_T, ref_basis = _beale_tableau(), _beale_tableau(), [0, 1, 2]
+        ref_status = simplex_run(ref_T, ref_basis, 7)
+        basis = [0, 1, 2]
+        assert _run(T, basis, 7) == ref_status
+        assert basis == ref_basis
+        assert T.tobytes() == ref_T.tobytes()
