@@ -1,10 +1,12 @@
 """Command-line front end: solve instance files, sweep parameters, cross-check.
 
-One JSON document per instance.  Results go to stdout as a fixed-field-order
-JSON envelope (floats serialized with shortest round-trip precision); a human
-summary goes to stderr.  Exit codes: 0 success, 2 schema violation, 3
-infeasible moments (or an infeasible oracle grid), 4 numeric-range rejection,
-5 sweep row failure, 6 solver/oracle disagreement or failed verification.
+One JSON document per instance.  Every answer, the oracle's LP included, is a
+``core.Report`` printed to stdout as a fixed-field-order JSON envelope (floats
+serialized with shortest round-trip precision); a human summary goes to
+stderr.  Exit codes: 0 success, 2 schema violation, 3 infeasible moments (or
+an oracle grid LP with no optimum, for `solve` and `check` alike), 4
+numeric-range rejection, 5 sweep row failure, 6 solver/oracle disagreement or
+failed verification.
 """
 
 from __future__ import annotations
@@ -15,21 +17,16 @@ import json
 import math
 import sys
 import time
-from dataclasses import fields
+from dataclasses import fields, replace
 from typing import TYPE_CHECKING
 
 from . import newsvendor
-from .core import DualCertificate, ToleranceSet, VerificationReport, verify_optimality
-from .errors import (
-    InfeasibleError,
-    MomentBoundError,
-    RangeError,
-    SchemaError,
-)
+from .core import DualCertificate, Report, ToleranceSet, VerificationReport, verify_optimality
+from .errors import InfeasibleError, MomentBoundError, RangeError, SchemaError
 from .problems import PROBLEMS, Problem
 
 if TYPE_CHECKING:
-    from .oracle import GridSpec
+    from .oracle import GridSpec, RefineOutcome
 
 EXIT_OK = 0
 EXIT_SCHEMA = 2
@@ -56,10 +53,16 @@ def _reject_constant(token: str) -> float:
     raise SchemaError(f"non-finite number {token!r} not allowed in instance files")
 
 
+def _parse_int(token: str) -> int | float:
+    """An int beyond float range reads +-inf, as a float literal beyond it does."""
+    x = float(token)
+    return int(token) if math.isfinite(x) else x
+
+
 def _load_instance(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, parse_constant=_reject_constant)
+            doc = json.load(fh, parse_constant=_reject_constant, parse_int=_parse_int)
     except OSError as exc:
         raise SchemaError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -135,29 +138,18 @@ def _verification_block(v: VerificationReport | None) -> dict | None:
     }
 
 
-def _envelope(
-    problem: str,
-    value: float,
-    dist,
-    dual,
-    branch: str,
-    root: float | None,
-    iterations: int,
-    verification: VerificationReport | None,
-    started: float,
-) -> dict:
+def _envelope(problem: str, report: Report, started: float) -> dict:
+    verification = report.verification
     return {
         "problem": problem,
-        "optimal_value": value,
-        "distribution": (
-            [{"x": float(x), "p": float(p)} for x, p in dist.points] if dist else []
-        ),
-        "dual": [float(z) for z in dual] if dual is not None else [],
-        "branch": branch,
-        "root": root,
-        "iterations": iterations,
+        "optimal_value": report.value,
+        "distribution": [{"x": float(x), "p": float(p)} for x, p in report.dist.points],
+        "dual": [float(z) for z in report.cert.z],
+        "branch": report.branch,
+        "root": report.root,
+        "iterations": report.bisect_iters,
         "verification": _verification_block(verification),
-        "verified": bool(verification.passed) if verification is not None else False,
+        "verified": verification is not None and verification.passed,
         "timing_ms": (time.perf_counter() - started) * 1000.0,
     }
 
@@ -182,39 +174,25 @@ def cmd_solve(args: argparse.Namespace) -> int:
         started = time.perf_counter()
         if problem in PROBLEMS:
             _, report = _solve_moment_problem(problem, doc["params"])
-            env = _envelope(
-                problem,
-                report.value,
-                report.dist,
-                report.cert.z,
-                report.branch,
-                report.root,
-                report.bisect_iters,
-                report.verification,
-                started,
-            )
             summary = f"{problem}: value {report.value:.12g} [{report.branch}]"
         elif problem == "newsvendor":
             decision = newsvendor.optimize_order(_newsvendor_instance(doc["params"]))
-            env = _envelope(
-                "newsvendor",
-                decision.objective,
-                decision.report.dist,
-                decision.report.cert.z,
-                "envelope_bisection",
-                decision.q_star,
-                decision.iterations,
-                decision.report.verification,
-                started,
+            report = replace(
+                decision.report,
+                value=decision.objective,
+                branch="envelope_bisection",
+                root=decision.q_star,
+                bisect_iters=decision.iterations,
             )
             summary = (
                 f"newsvendor: order {decision.q_star:.12g}, "
                 f"worst-case cost {decision.objective:.12g}"
             )
         elif problem == "oracle":
-            env, summary = _solve_oracle_problem(doc, args, started)
+            report, summary = _solve_oracle_problem(doc, args)
         else:
             raise SchemaError(f"unknown problem type {doc['problem']!r}")
+        env = _envelope(problem, report, started)
     except MomentBoundError as exc:
         return _fail(exc)
     _emit(env, sys.stdout)
@@ -222,45 +200,45 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _solve_oracle_problem(doc: dict, args: argparse.Namespace, started: float):
+def _solve_oracle_problem(doc: dict, args: argparse.Namespace) -> tuple[Report, str]:
     params = dict(doc["params"])
     base = params.pop("base", None)
     if not isinstance(base, str) or base not in PROBLEMS:
         raise SchemaError(f"oracle 'params.base' must be {_one_of(PROBLEMS, 'or')}")
     entry = PROBLEMS[base]
     inst, report = _solve_moment_problem(base, params)
-    grid = _grid_spec_from(doc.get("oracle"), entry, inst, report, args)
+    # max_rounds=0: one cold solve on the requested grid
+    outcome, value = _run_oracle(doc, args, entry, inst, report, entry.gmp(inst), max_rounds=0)
+    lp = outcome.result
+    cert = DualCertificate(z=lp.duals)
+    answer = Report(value, lp.dist, cert, "oracle", root=None, bisect_iters=0, verification=None)
+    return answer, f"oracle[{base}]: LP value {value:.12g} ({lp.status})"
+
+
+def _run_oracle(
+    doc: dict, args, problem: Problem, inst, report: Report, gmp, max_rounds: int
+) -> tuple[RefineOutcome, float]:
+    """The grid LP refined up to max_rounds times; a final LP that is not optimal is refused."""
+    grid = _grid_spec_from(doc.get("oracle"), problem, inst, report, args)
     from . import oracle
 
-    result = oracle.oracle_solve(entry.gmp(inst), grid)
+    outcome = oracle.refine_until(gmp, grid, target_tol=1e-9, max_rounds=max_rounds)
+    result = outcome.result
     if result.status != oracle.OPTIMAL:
         raise InfeasibleError(
-            f"the grid LP is {result.status} on the oracle grid of {grid.n_points} "
-            f"points over [{grid.lo!r}, {grid.hi!r}]"
+            f"the grid LP is {result.status} on the oracle grid of {result.grid.n_points} "
+            f"points over [{result.grid.lo!r}, {result.grid.hi!r}]"
         )
-    value = result.value - entry.oracle_offset(inst)
-    env = _envelope(
-        "oracle",
-        value,
-        result.dist,
-        result.duals,
-        "oracle",
-        None,
-        0,
-        None,
-        started,
-    )
-    return env, f"oracle[{base}]: LP value {value:.12g} ({result.status})"
+    return outcome, result.value - problem.oracle_offset(inst)
 
 
 def _grid_spec_from(overrides, problem: Problem, inst, report, args) -> GridSpec:
     from . import oracle  # numpy loads with the first command that runs the oracle
 
-    n_points = getattr(args, "grid_points", None)
     grid = oracle.GridSpec(
         lo=0.0,
         hi=problem.grid_hi(inst, report),
-        n_points=2001 if n_points is None else n_points,
+        n_points=args.grid_points,
         refine_around=report.dist.xs if getattr(args, "seed_support", True) else (),
     )
     if overrides is None:
@@ -305,27 +283,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:  # the points of numpy.linspace, bit for bit
         step = (args.stop - args.start) / (args.steps - 1)
         values = [args.start + i * step for i in range(args.steps - 1)] + [args.stop]
-    rows = []
+    lines = ["param,value,branch,root,iters"]
     any_failed = False
     for v in values:
-        params = dict(doc["params"])
-        params[args.param] = v
         try:
-            _, report = _solve_moment_problem(problem, params)
-            rows.append((v, report.value, report.branch, report.root, report.bisect_iters))
+            _, report = _solve_moment_problem(problem, {**doc["params"], args.param: v})
         except MomentBoundError:
             any_failed = True
-            rows.append((v, math.nan, "", None, 0))
-
-    lines = ["param,value,branch,root,iters"]
-    for pv, val, branch, root, iters in rows:
-        root_s = "" if root is None else repr(float(root))
-        lines.append(f"{pv!r},{val!r},{branch},{root_s},{iters}")
+            lines.append(f"{v!r},nan,,,0")
+            continue
+        root = "" if report.root is None else repr(float(report.root))
+        lines.append(f"{v!r},{report.value!r},{report.branch},{root},{report.bisect_iters}")
     text = "\n".join(lines) + "\n"
     if args.csv:
         with open(args.csv, "w", encoding="utf-8") as fh:
             fh.write(text)
-        print(f"wrote {len(rows)} rows to {args.csv}", file=sys.stderr)
+        print(f"wrote {len(values)} rows to {args.csv}", file=sys.stderr)
     else:
         sys.stdout.write(text)
     return EXIT_SWEEP_FAILED if any_failed else EXIT_OK
@@ -346,16 +319,10 @@ def cmd_check(args: argparse.Namespace) -> int:
             noisy = DualCertificate(z=tuple(z + 1e-3 for z in report.cert.z))
             verification = verify_optimality(gmp, report.dist, noisy, ToleranceSet())
 
-        grid = _grid_spec_from(doc.get("oracle"), entry, inst, report, args)
-        from . import oracle
-
-        outcome = oracle.refine_until(gmp, grid, target_tol=1e-9, max_rounds=3)
-        oracle_value = outcome.result.value - entry.oracle_offset(inst)
+        outcome, oracle_value = _run_oracle(doc, args, entry, inst, report, gmp, max_rounds=3)
         diff = abs(oracle_value - report.value)
-        grid_bound = (
-            abs(outcome.values[-1] - outcome.values[-2]) if len(outcome.values) > 1 else 1e-9
-        )
-        agree = diff <= max(1e-6, grid_bound)
+        last_step = outcome.values[-2:]  # the last refinement's change, 0 without one
+        agree = diff <= max(1e-6, abs(last_step[-1] - last_step[0]))
     except MomentBoundError as exc:
         return _fail(exc)
 
@@ -390,7 +357,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="solve one instance file")
     solve.add_argument("instance")
-    solve.add_argument("--grid-points", type=int, default=None, help="oracle grid size")
+    solve.add_argument("--grid-points", type=int, default=2001, help="oracle grid size")
     solve.set_defaults(fn=cmd_solve)
 
     sweep = sub.add_parser("sweep", help="solve along a parameter grid, emit CSV")
@@ -404,7 +371,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="solver vs grid-LP oracle vs verifier")
     check.add_argument("instance")
-    check.add_argument("--grid-points", type=int, default=None)
+    check.add_argument("--grid-points", type=int, default=2001)
     check.add_argument(
         "--seed-support", dest="seed_support", action="store_true", default=True
     )

@@ -169,7 +169,10 @@ def theta(y: float, inst: PowerMomentInstance) -> float:
     if y <= 1.0:
         raise DomainError(f"theta needs y > 1, got {y}")
     t, mt, qs = inst.t, inst.mt_scaled, inst.q_scaled
-    yt = y**t
+    try:
+        yt = y**t
+    except OverflowError:
+        raise RangeError(f"y^t overflows at y={y:g}, t={t:g}") from None
     if yt == mt:
         raise NonFiniteError(f"theta pole at y={y}: y^t equals the scaled moment")
     u = (t * qs / (t - 1.0)) * (y ** (t - 1.0) - mt) / (yt - mt)
@@ -185,9 +188,11 @@ def _theta_prime(y: float, inst: PowerMomentInstance) -> float:
     c = t * qs / (t - 1.0)
     yt, yt1 = y**t, y ** (t - 1.0)
     g2 = (yt - mt) / (y - 1.0)
-    g2p = ((t - 1.0) * yt - t * yt1 + mt) / (y - 1.0) ** 2
+    # squares as products: past float range they give inf, where ** raises
+    g2p = ((t - 1.0) * yt - t * yt1 + mt) / ((y - 1.0) * (y - 1.0))
     g3 = c * (yt1 - mt) / (yt - mt)
-    g3p = c * ((t - 1.0) * y ** (t - 2.0) * (yt - mt) - (yt1 - mt) * t * yt1) / (yt - mt) ** 2
+    d3 = yt - mt
+    g3p = c * ((t - 1.0) * y ** (t - 2.0) * d3 - (yt1 - mt) * t * yt1) / (d3 * d3)
     return g2p * (1.0 - g3) - g2 * g3p + t * abs(g3) ** (t - 1.0) * g3p
 
 

@@ -11,7 +11,8 @@ attribute also covers solves started from the CLI.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Any, Callable
 
 from . import exp_moment, partial_moment, power_moment
@@ -21,7 +22,6 @@ from .errors import SchemaError
 @dataclass(frozen=True)
 class Problem:
     instance: type
-    keys: tuple[str, ...]  # instance parameters, in the order they are checked; all sweepable
     solve: Callable[..., Any]  # (instance, **optional) -> report
     gmp: Callable[[Any], Any]  # instance -> GmpInstance
     grid_hi: Callable[[Any, Any], float]  # (instance, report) -> oracle grid upper end
@@ -29,6 +29,11 @@ class Problem:
     optional: tuple[str, ...] = ()  # extra solve arguments, passed by keyword
     # LP objective value minus the reported value
     oracle_offset: Callable[[Any], float] = lambda inst: 0.0
+
+    @cached_property
+    def keys(self) -> tuple[str, ...]:
+        """The instance's parameters, in the order they are checked; all sweepable."""
+        return tuple(f.name for f in fields(self.instance))
 
 
 def _power_grid_hi(inst, report) -> float:
@@ -50,7 +55,6 @@ def _solve_upm(inst, v1: float | None = None):
 PROBLEMS = {
     "mp1t": Problem(
         instance=power_moment.PowerMomentInstance,
-        keys=("M1", "Mt", "t", "q"),
         solve=lambda inst: power_moment.solve_power_moment(inst),
         gmp=power_moment.gmp_instance,
         grid_hi=_power_grid_hi,
@@ -58,7 +62,6 @@ PROBLEMS = {
     ),
     "upm": Problem(
         instance=partial_moment.PartialMomentInstance,
-        keys=("M1", "gamma", "Mplus"),
         solve=_solve_upm,
         gmp=partial_moment.gmp_instance,
         grid_hi=lambda inst, report: 2.1 * max(report.dist.xs[-1], 1.0, inst.M1),
@@ -68,7 +71,6 @@ PROBLEMS = {
     ),
     "mp1e": Problem(
         instance=exp_moment.ExpMomentInstance,
-        keys=("M1", "Me", "t", "q"),
         solve=lambda inst: exp_moment.solve_exp_moment(inst),
         gmp=exp_moment.gmp_instance,
         grid_hi=_exp_grid_hi,

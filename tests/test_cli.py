@@ -189,6 +189,19 @@ def _mp1t(tmp_path, **overrides):
     return _write(tmp_path, {"problem": "mp1t", "params": params})
 
 
+def _infeasible_grid_doc(command: str) -> dict:
+    """An instance whose moments need mass above x = 1, on an oracle grid over [0, 1]."""
+    params = {"M1": 50, "Mt": 530.33, "t": 1.5, "q": 100}
+    grid = {"hi": 1.0, "refine_around": []}
+    if command == "solve":
+        return {"problem": "oracle", "params": dict(params, base="mp1t"), "oracle": grid}
+    return {"problem": "mp1t", "params": params, "oracle": grid}
+
+
+def _reject_constant(token: str):
+    raise ValueError(f"{token} is not JSON")
+
+
 def _normalize_timing(line: str) -> str:
     return re.sub(r'"timing_ms": [0-9eE+.\-]+', '"timing_ms": 0.0', line)
 
@@ -239,6 +252,26 @@ class TestSolve:
         assert code == EXIT_OK
         assert _normalize_timing(out).strip() == golden.strip()
 
+    STRICT_JSON_RUNS = [
+        pytest.param(problem, params, command, id=case.id)
+        for case in GOLDEN
+        for problem, params, command, _ in [case.values]
+        if command != SWEEP_Q  # sweep writes CSV
+    ] + [
+        pytest.param("mp1t", MP1T, ["check", "--inject-dual-noise"], id="check-noise"),
+        pytest.param(None, None, ["check"], id="check-infeasible-grid"),
+    ]
+
+    @pytest.mark.parametrize("problem,params,command", STRICT_JSON_RUNS)
+    def test_stdout_is_strict_json(self, tmp_path, capsys, problem, params, command):
+        if problem is None:
+            doc = _infeasible_grid_doc(command[0])
+        else:
+            doc = {"problem": problem, "params": params}
+        main([command[0], _write(tmp_path, doc), *command[1:]])
+        for line in capsys.readouterr().out.splitlines():
+            json.loads(line, parse_constant=_reject_constant)
+
     def test_envelope_round_trips(self, tmp_path, capsys):
         code = main(["solve", _mp1t(tmp_path)])
         out = capsys.readouterr().out.strip()
@@ -266,22 +299,29 @@ class TestSolve:
         assert "Mt > M1^t" in err["message"]
 
     def test_infeasible_oracle_grid_exit_and_message(self, tmp_path, capsys):
-        # the moments need mass above x = 1, where this grid has no point
-        params = {"M1": 50, "Mt": 530.33, "t": 1.5, "q": 100}
-        grid = {"hi": 1.0, "refine_around": []}
-        doc = {"problem": "oracle", "params": dict(params, base="mp1t"), "oracle": grid}
-        code = main(["solve", _write(tmp_path, doc)])
-        captured = capsys.readouterr()
-        assert code == EXIT_INFEASIBLE
-        assert captured.out == ""
-        err = json.loads(captured.err.splitlines()[0])
-        assert err["error"] == "InfeasibleError"
-        assert err["message"] == (
-            "the grid LP is infeasible on the oracle grid of 2001 points over [0.0, 1.0]"
-        )
-        # check reports the same grid as a disagreement with the solver
-        doc = {"problem": "mp1t", "params": params, "oracle": grid}
-        assert main(["check", _write(tmp_path, doc)]) == EXIT_DISAGREEMENT
+        # solve and check refuse the grid alike
+        for command in ("solve", "check"):
+            code = main([command, _write(tmp_path, _infeasible_grid_doc(command))])
+            captured = capsys.readouterr()
+            assert code == EXIT_INFEASIBLE, command
+            assert captured.out == ""
+            err = json.loads(captured.err.splitlines()[0])
+            assert err["error"] == "InfeasibleError"
+            assert err["message"] == (
+                "the grid LP is infeasible on the oracle grid of 2001 points over [0.0, 1.0]"
+            )
+
+    def test_theta_power_overflow_is_a_range_rejection(self, tmp_path, capsys):
+        # just above the threshold at t near 1: y^t overflows at the bracket's right end
+        params = {
+            "M1": 4.1253095591400495,
+            "Mt": 11.390850888585272,
+            "t": 1.0014282806319683,
+            "q": 9.700530357896013e305,
+        }
+        code = main(["solve", _write(tmp_path, {"problem": "mp1t", "params": params})])
+        assert code == EXIT_RANGE
+        assert json.loads(capsys.readouterr().err.splitlines()[0])["error"] == "RangeError"
 
     def test_range_rejection(self, tmp_path):
         path = _write(
@@ -651,6 +691,50 @@ class TestOracleValue:
         assert doc["optimal_value"] == pytest.approx(solved["optimal_value"], abs=1e-9)
 
 
+HUGE_INT = 10**400  # a JSON integer beyond float range
+MP1E_DOC = {"problem": "mp1e", "params": {"M1": 1, "Me": 8, "t": 1, "q": 5}}
+UPM_DOC = {"problem": "upm", "params": dict(UPM_FAMILY, v1=3)}
+NEWSVENDOR_MP1E = {"ambiguity": "mp1e", "M1": 1, "Me": 8, "t": 1, "eta": 0.9}
+NEWSVENDOR_LAMBDA = {"ambiguity": "mp1e", "exponential_lambda": 0.02, "t": 0.01, "eta": 0.9}
+# (command, document, where the huge number goes: a params key, an oracle
+# override key, or the one entry of refine_around)
+HUGE_NUMBER_SITES = [
+    *[("solve", {"problem": "mp1t", "params": MP1T}, ("params", k)) for k in MP1T],
+    *[("solve", MP1E_DOC, ("params", k)) for k in MP1E_DOC["params"]],
+    *[("solve", UPM_DOC, ("params", k)) for k in UPM_DOC["params"]],
+    *[
+        ("solve", {"problem": "newsvendor", "params": dict(NEWSVENDOR, eps=1e-9)}, ("params", k))
+        for k in ("eta", "eps", "M1", "Mt", "t")
+    ],
+    *[
+        ("solve", {"problem": "newsvendor", "params": NEWSVENDOR_MP1E}, ("params", k))
+        for k in ("M1", "Me", "t")
+    ],
+    *[
+        ("solve", {"problem": "newsvendor", "params": NEWSVENDOR_LAMBDA}, ("params", k))
+        for k in ("exponential_lambda", "t")
+    ],
+    *[
+        (command, doc, ("oracle", k))
+        for k in ("lo", "hi", "n_points", "refine_around")
+        for command, doc in [
+            ("solve", {"problem": "oracle", "params": dict(MP1T, base="mp1t")}),
+            ("check", {"problem": "mp1t", "params": MP1T}),
+        ]
+    ],
+]
+
+
+
+
+def _site_id(command: str, doc: dict, where: tuple[str, str]) -> str:
+    params = doc["params"]
+    variant = "lambda" if "exponential_lambda" in params else params.get("ambiguity")
+    problem = doc["problem"] if variant is None else f"{doc['problem']}-{variant}"
+    key = where[1] if where[0] == "params" else f"oracle.{where[1]}"
+    return f"{command}-{problem}-{key}"
+
+
 class TestSchemaGuards:
     @pytest.mark.parametrize("points", ["0", "1"])
     def test_grid_points_below_two_rejected(self, tmp_path, points):
@@ -688,6 +772,24 @@ class TestSchemaGuards:
         err = json.loads(capsys.readouterr().err.splitlines()[0])
         assert code == EXIT_SCHEMA
         assert err == {"error": "SchemaError", "message": "'refine_around' entries must be finite"}
+
+    @pytest.mark.parametrize(
+        "command,doc,where",
+        HUGE_NUMBER_SITES,
+        ids=[_site_id(*site) for site in HUGE_NUMBER_SITES],
+    )
+    def test_integer_beyond_float_range(self, tmp_path, capsys, command, doc, where):
+        section, key = where
+        doc = json.loads(json.dumps(doc))
+        if section == "params":
+            doc["params"][key] = HUGE_INT
+        else:
+            doc["oracle"] = {key: [HUGE_INT] if key == "refine_around" else HUGE_INT}
+        code = main([command, _write(tmp_path, doc)])
+        err = json.loads(capsys.readouterr().err.splitlines()[0])
+        assert code == EXIT_SCHEMA
+        assert err["error"] == "SchemaError"
+        assert "must be finite" in err["message"]
 
     def test_non_string_oracle_base(self, tmp_path, capsys):
         params = {"base": ["upm"], "M1": 0.5, "gamma": 4, "Mplus": 0.2}

@@ -352,6 +352,56 @@ class TestRange:
             PowerMomentAmbiguity(M1=M1, Mt=Mt, t=2.0).worst_case(0.0)
 
 
+class TestNearThresholdPowerOverflow:
+    """q just above the threshold with t close to 1, where q/M1 passes 1e150.
+
+    Squaring y - 1 or y^t - mt in theta's slope leaves float range there, and
+    bisecting theta itself can take y^t past it.
+    """
+
+    # (M1, Mt, t, q); the slope's (y - 1)^2 or (y^t - mt)^2 overflows in the polish
+    SLOPE_OVERFLOW = [
+        (0.7605878737271132, 1.848105841335521, 1.0024504566107748, 5.462691530418538e154),
+        (3.865399625286006, 11.060303893137206, 1.0029513132828953, 1.479988778702879e152),
+        (2.920542241800814, 8.572613746648189, 1.0015497385115069, 8.91289626454005e298),
+    ]
+    # certified before the slope overflow was handled, and after
+    CERTIFIED = [
+        (4.536883074869121, 8.063275242416486, 1.0010522374519941, 2.380843519275736e234),
+        (1.5159656061102316, 2.6511679924507328, 1.0011023201793023, 1.8082056391940842e217),
+        (1.9863229470872676, 4.192123043449728, 1.0012121408895585, 4.9615310709694285e264),
+        (0.7937694088186432, 1.7696575116067914, 1.001720278400348, 4.374882988873703e199),
+        (4.421278893393854, 12.217941218891566, 1.001855571964497, 1.4887417761216375e235),
+        (3.7208681061035542, 9.481113252659059, 1.0026433934334578, 1.2383038006504508e151),
+        (4.2043995124154785, 7.390859166705805, 1.0010646923947324, 1.3541725582816184e227),
+    ]
+
+    @pytest.mark.parametrize("M1,Mt,t,q", SLOPE_OVERFLOW)
+    def test_slope_overflow_ends_in_a_report(self, M1, Mt, t, q):
+        rep = solve_power_moment(PowerMomentInstance(M1=M1, Mt=Mt, t=t, q=q))
+        assert rep.branch == power_moment.INTERIOR
+        assert 0.0 < rep.value < M1
+
+    def test_slope_overflow_can_certify(self):
+        rep = solve_power_moment(PowerMomentInstance(*self.SLOPE_OVERFLOW[2]))
+        assert rep.verification.passed
+
+    @pytest.mark.parametrize("M1,Mt,t,q", CERTIFIED)
+    def test_large_q_stays_certified(self, M1, Mt, t, q):
+        assert solve_power_moment(PowerMomentInstance(M1=M1, Mt=Mt, t=t, q=q)).verification.passed
+
+    def test_theta_power_overflow_is_a_range_error(self):
+        # the bracket's right end t*qs/(t-1) is about 1.6e308: its t-th power overflows
+        inst = PowerMomentInstance(
+            M1=4.1253095591400495,
+            Mt=11.390850888585272,
+            t=1.0014282806319683,
+            q=9.700530357896013e305,
+        )
+        with pytest.raises(RangeError, match=r"y\^t overflows"):
+            solve_power_moment(inst)
+
+
 class TestAmbiguity:
     # the q = 0 shortcut and the solve
     @pytest.mark.parametrize("q", [0.0, 6.0])
