@@ -235,21 +235,16 @@ def _run_oracle(
 def _grid_spec_from(overrides, problem: Problem, inst, report, args) -> GridSpec:
     from . import oracle  # numpy loads with the first command that runs the oracle
 
-    grid = oracle.GridSpec(
-        lo=0.0,
-        hi=problem.grid_hi(inst, report),
-        n_points=args.grid_points,
-        refine_around=report.dist.xs if getattr(args, "seed_support", True) else (),
-    )
-    if overrides is None:
-        return grid
+    # the document's overrides first, then the defaults: one grid is built
+    overrides = {} if overrides is None else overrides
     if not isinstance(overrides, dict):
         raise SchemaError("'oracle' must be an object")
     _check_keys(overrides, {"lo", "hi", "n_points", "refine_around"}, "oracle")
-    lo = _number(overrides, "lo") if "lo" in overrides else grid.lo
-    hi = _number(overrides, "hi") if "hi" in overrides else grid.hi
-    n = int(_number(overrides, "n_points")) if "n_points" in overrides else grid.n_points
-    extra = overrides.get("refine_around", list(grid.refine_around))
+    lo = _number(overrides, "lo") if "lo" in overrides else 0.0
+    hi = _number(overrides, "hi") if "hi" in overrides else problem.grid_hi(inst, report)
+    n = int(_number(overrides, "n_points")) if "n_points" in overrides else args.grid_points
+    seeded = report.dist.xs if getattr(args, "seed_support", True) else ()
+    extra = overrides.get("refine_around", list(seeded))
     if not isinstance(extra, list) or any(
         isinstance(v, bool) or not isinstance(v, (int, float)) for v in extra
     ):

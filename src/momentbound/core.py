@@ -12,9 +12,14 @@ inducing H(x; z) = sum_i z_i h_i(x) - g(x).  The pair is optimal exactly when
 
 ``verify_optimality`` measures all four as residuals and applies explicit
 tolerances, so every solver in this package can certify its own output.
-``certify`` is the step every public solve ends with: it turns a solver's
-unverified candidate into a ``Report``, the one answer type of all three
-problems, which carries its verification.
+Slackness and the sign condition pass within a float-error allowance
+proportional to S(x) = |g(x)| + sum |z_i h_i(x)|, the size of the terms
+that cancel in H(x) (see ``ToleranceSet``); the residuals are reported raw.
+One scalar pass evaluates every function once per support point and every
+term of H once per candidate minimum, with the family dispatch on a small
+integer code.  ``certify`` is the step every public solve ends with: it
+turns a solver's unverified candidate into a ``Report``, the one answer
+type of all three problems, which carries its verification.
 
 The sign condition is decided exactly, not sampled.  Every function is one
 of the families built here (``constant``, ``monomial``, ``positive_part``,
@@ -41,6 +46,8 @@ from .errors import DimensionError, DomainError
 
 _NONDIFF_SNAP = 1e-12  # support points this close to a kink skip the tangent check
 _FAMILIES = ("constant", "monomial", "positive_part", "squared_positive_part", "exponential")
+_CODE = {family: code for code, family in enumerate(_FAMILIES)}  # the verifier's dispatch key
+_CONSTANT, _MONOMIAL, _KINK, _SQUARED, _EXPONENTIAL = range(len(_FAMILIES))
 
 
 @dataclass(frozen=True)
@@ -59,11 +66,6 @@ class MomentFunction:
     def __post_init__(self) -> None:
         if self.family not in _FAMILIES:
             raise DomainError(f"unknown function family {self.family!r}")
-
-    @property
-    def nondiff_points(self) -> tuple[float, ...]:
-        """Where the derivative does not exist: the kink of ``positive_part``."""
-        return (self.param,) if self.family == "positive_part" else ()
 
 
 def constant() -> MomentFunction:
@@ -150,19 +152,20 @@ class GmpInstance:
         if self.sense not in ("max", "min"):
             raise DomainError(f"sense must be 'max' or 'min', got {self.sense!r}")
 
-    def nondiff_points(self) -> tuple[float, ...]:
-        pts: list[float] = list(self.g.nondiff_points)
-        for h in self.hs:
-            pts.extend(h.nondiff_points)
-        return tuple(sorted(set(pts)))
-
 
 @dataclass(frozen=True)
 class ToleranceSet:
     """Residual tolerances for certification.
 
     ``primal`` is relative to max(1, |m|_inf) and ``gap`` to max(1, |value|);
-    the others are absolute.
+    ``tangent`` is absolute.  ``slack`` and ``dual`` are absolute plus the
+    float-error allowance ``gamma*S(x)``, S(x) = |g(x)| + sum |z_i h_i(x)|
+    the size of the terms that cancel in H(x): slackness passes where
+    |H(x)| <= slack + gamma*S(x) at every support point, dual feasibility
+    where sign*H(x) >= -(dual + gamma*S(x)) at every point the minimum of H
+    is taken over.  gamma = 16u bounds the rounding of such a sum (Higham,
+    *Accuracy and Stability of Numerical Algorithms*, 2002, section 3.1).
+    The reported residuals stay raw.
     """
 
     primal: float = 1e-9
@@ -170,6 +173,7 @@ class ToleranceSet:
     tangent: float = 1e-6
     dual: float = 1e-7
     gap: float = 1e-8
+    gamma: float = 16 * 2**-53
 
 
 @dataclass(frozen=True)
@@ -177,11 +181,13 @@ class VerificationReport:
     """Residuals of the four optimality conditions plus the duality gap.
 
     ``dual_min_on_grid`` is the minimum of H for maximization instances and
-    of -H for minimization instances, so feasibility always reads
-    ``dual_min_on_grid >= -tol.dual``.  It is always the exact minimum over
+    of -H for minimization instances.  It is always the exact minimum over
     [0, inf), found by the closed-form rule of this module (the name is the
     CLI envelope's key): ``-inf`` when that function falls without bound as
     x -> inf, or reaches its minimum beyond float range, or evaluates to NaN.
+    Every residual is raw; ``passed`` reads the slack and dual ones with the
+    float-error allowance of ``ToleranceSet``, so a pass implies
+    ``dual_min_on_grid >= -(tol.dual + tol.gamma*S)`` at the minimizing point.
     """
 
     primal_residual: float
@@ -208,34 +214,6 @@ def _exp(y: float) -> float:
         return math.inf
 
 
-def _value(f: MomentFunction, x: float) -> float:
-    """f(x) in scalar arithmetic."""
-    family, p = f.family, f.param
-    if family == "monomial":
-        return x if p == 1.0 else _power(x, p)
-    if family == "positive_part":
-        return max(x - p, 0.0)
-    if family == "squared_positive_part":
-        return max(x - p, 0.0) ** 2
-    if family == "exponential":
-        return _exp(p * x)
-    return 1.0
-
-
-def _slope(f: MomentFunction, x: float) -> float:
-    """f'(x) in scalar arithmetic."""
-    family, p = f.family, f.param
-    if family == "monomial":
-        return 1.0 if p == 1.0 else p * _power(x, p - 1.0)
-    if family == "positive_part":
-        return 1.0 if x > p else 0.0
-    if family == "squared_positive_part":
-        return 2.0 * max(x - p, 0.0)
-    if family == "exponential":
-        return p * _exp(p * x)
-    return 0.0
-
-
 def _largest(values) -> float:
     """max |v| (0 when there are none), NaN as soon as any v is NaN."""
     out = 0.0
@@ -249,50 +227,48 @@ def _largest(values) -> float:
 
 
 def _critical_points(
-    inst: GmpInstance, terms: tuple[tuple[float, MomentFunction], ...], sign: float
+    terms: list[tuple[float, int, float]], starts: list[float], sign: float
 ) -> tuple[list[float], bool]:
     """Where sign*H can reach its minimum over [0, inf), for H = sum of c*f over terms.
 
-    Returns the piece ends and the stationary point of every piece, plus
-    whether sign*H falls without bound as x -> inf or reaches its minimum
-    beyond float range.  Raises DomainError when an exponential decays or
-    when H' on some piece has more than one nonlinear term: the stationary
-    points then have no closed form, and sampling H would prove nothing.
+    ``terms`` holds (c, family code, param) triples and ``starts`` the sorted
+    piece starts: 0 and every positive kink and knot.  Returns the piece
+    ends and the stationary point of every piece, plus whether sign*H falls
+    without bound as x -> inf or reaches its minimum beyond float range.
+    Raises DomainError when an exponential decays or when H' on some piece
+    has more than one nonlinear term: the stationary points then have no
+    closed form, and sampling H would prove nothing.
     """
-    nonlinear: dict[tuple[str, float], float] = {}
-    for c, f in terms:
-        family, p = f.family, f.param
-        if family == "exponential" and p < 0.0:
+    nonlinear: dict[tuple[int, float], float] = {}
+    for c, code, p in terms:
+        if code == _EXPONENTIAL and p < 0.0:
             raise DomainError(f"cannot decide H >= 0 with the decaying exponential e^({p:g}x)")
-        if (family == "monomial" and p not in (1.0, 2.0)) or (family == "exponential" and p > 0.0):
-            nonlinear[family, p] = nonlinear.get((family, p), 0.0) + c
+        if code == _MONOMIAL and p != 1.0 and p != 2.0 or code == _EXPONENTIAL and p > 0.0:
+            nonlinear[code, p] = nonlinear.get((code, p), 0.0) + c
     curved = [(key, gamma) for key, gamma in nonlinear.items() if gamma != 0.0]
     if len(curved) > 1:
         raise DomainError("cannot decide H >= 0: two nonlinear terms in H'")
 
-    knots = [f.param for f in (inst.g, *inst.hs) if f.family == "squared_positive_part"]
-    starts = sorted({0.0, *(k for k in (*inst.nondiff_points(), *knots) if k > 0.0)})
     points = list(starts)
     for a, b in zip(starts, starts[1:] + [math.inf]):
         # H' = alpha + beta*x + gamma*psi'(x) on (a, b)
         alpha = beta = 0.0
-        for c, f in terms:
-            family, p = f.family, f.param
-            if family == "monomial" and p == 1.0 or family == "positive_part" and a >= p:
+        for c, code, p in terms:
+            if code == _MONOMIAL and p == 1.0 or code == _KINK and a >= p:
                 alpha += c
-            elif family == "monomial" and p == 2.0:
+            elif code == _MONOMIAL and p == 2.0:
                 beta += 2.0 * c
-            elif family == "squared_positive_part" and a >= p:
+            elif code == _SQUARED and a >= p:
                 alpha -= 2.0 * c * p
                 beta += 2.0 * c
         if curved:
             if beta != 0.0:
                 raise DomainError(f"cannot decide H >= 0: two nonlinear terms in H' past x = {a:g}")
-            (family, p), gamma = curved[0]
+            (code, p), gamma = curved[0]
             ratio = -alpha / gamma / p  # x^(p-1) or e^(px) at the stationary point
             if not ratio > 0.0:
                 continue
-            x = _power(ratio, 1.0 / (p - 1.0)) if family == "monomial" else math.log(ratio) / p
+            x = _power(ratio, 1.0 / (p - 1.0)) if code == _MONOMIAL else math.log(ratio) / p
         elif beta != 0.0:
             x = -alpha / beta
         else:
@@ -307,51 +283,81 @@ def _critical_points(
 
 
 def _exact_residuals(
-    inst: GmpInstance, dist: DiscreteDistribution, cert: DualCertificate
-) -> tuple[float, ...]:
-    """The residuals in scalar arithmetic, with the exact minimum of H over [0, inf)."""
-    terms = ((-1.0, inst.g),) + tuple((z, h) for z, h in zip(cert.z, inst.hs) if z != 0.0)
+    inst: GmpInstance, dist: DiscreteDistribution, cert: DualCertificate, tol: ToleranceSet
+) -> tuple[float, float, float, float, float, float, bool]:
+    """The residuals in one scalar pass, with the exact minimum of H over [0, inf).
+
+    Each function is evaluated once per support point, and each term of H
+    once per critical point; that pass yields the moment rows, H, H', S and
+    E[g].  Returns the primal, slack and tangent residuals, the minimum of
+    sign*H, the primal and dual values, and whether H meets slackness and
+    dual feasibility within ``tol``'s float-error allowance.
+    """
+    fs = [(-1.0, _CODE[inst.g.family], inst.g.param)]
+    fs += [(z, _CODE[h.family], h.param) for z, h in zip(cert.z, inst.hs)]
+    terms = [f for f in fs if f[0] != 0.0]
+    kinks = [p for _, code, p in fs if code == _KINK]
+    starts = sorted({0.0, *(p for _, code, p in fs if code in (_KINK, _SQUARED) and p > 0.0)})
     sign = 1.0 if inst.sense == "max" else -1.0
-    points, unbounded = _critical_points(inst, terms, sign)
-    xs = [x for x, _ in dist.points]
+    points, unbounded = _critical_points(terms, starts, sign)
+
     ps = [p for _, p in dist.points]
-    g_xs = [_value(inst.g, x) for x in xs]
-    rows = [[_value(h, x) for x in xs] for h in inst.hs]
-    primal_residual = _largest(
-        sum(v * p for v, p in zip(row, ps)) - m for row, m in zip(rows, inst.ms)
-    )
-    h_xs = []
-    for j, g in enumerate(g_xs):
-        total = -g
-        for z, row in zip(cert.z, rows):
-            if z != 0.0:
-                total += z * row[j]
-        h_xs.append(total)
-    slack_residual = _largest(h_xs)
+    n = len(ps)
+    gamma, slack, dual = tol.gamma, tol.slack, tol.dual
+    sums = [0.0] * len(fs)  # E[g], then E[h_i]
+    h_xs, slopes = [], []
+    dual_min = math.inf
+    fits = not unbounded
+    for j, x in enumerate([x for x, _ in dist.points] + points):
+        support = j < n
+        tangent = support and x > 0.0 and all(abs(x - k) > _NONDIFF_SNAP for k in kinks)
+        h = -0.0 if support else 0.0  # H starts from -g(x) on the support, 0 - g(x) elsewhere
+        s = d = 0.0
+        for i, (c, code, p) in enumerate(fs if support else terms):
+            if code == _MONOMIAL:
+                if p == 1.0:
+                    v, slope = x, 1.0
+                else:
+                    v = _power(x, p)
+                    slope = p * _power(x, p - 1.0) if tangent else 0.0
+            elif code == _EXPONENTIAL:
+                v = _exp(p * x)
+                slope = p * v
+            elif code == _CONSTANT:
+                v, slope = 1.0, 0.0
+            else:
+                u = x - p
+                if u < 0.0:  # max(x - p, 0.0), NaN and -0.0 kept
+                    u = 0.0
+                v, slope = (u, 1.0 if x > p else 0.0) if code == _KINK else (u**2, 2.0 * u)
+            if support:
+                sums[i] += v * ps[j]
+            if c != 0.0:
+                cv = c * v
+                h += cv
+                s += cv if cv > 0.0 else -cv
+                d += c * slope
+        allowance = gamma * s
+        if support:
+            h_xs.append(h)
+            fits = fits and abs(h) <= slack + allowance
+            if tangent:
+                slopes.append(d)
+        h *= sign
+        if h < dual_min:  # min(), first of equals kept; -inf once any is NaN
+            dual_min = h
+        elif h != h:
+            dual_min = -math.inf
+        fits = fits and h >= -(dual + allowance)
 
-    kinks = inst.nondiff_points()
-    tangent_residual = _largest(
-        sum(c * _slope(f, x) for c, f in terms)
-        for x in xs
-        if x > 0.0 and all(abs(x - k) > _NONDIFF_SNAP for k in kinks)
-    )
-
-    signed = [sign * v for v in h_xs]
-    signed += [sign * sum(c * _value(f, x) for c, f in terms) for x in points]
-    if unbounded or any(v != v for v in signed):
-        dual_min_on_grid = -math.inf
-    else:
-        dual_min_on_grid = min(signed)
-
-    primal_value = sum(g * p for g, p in zip(g_xs, ps))
-    dual_value = sum(z * m for z, m in zip(cert.z, inst.ms))
     return (
-        primal_residual,
-        slack_residual,
-        tangent_residual,
-        dual_min_on_grid,
-        primal_value,
-        dual_value,
+        _largest([e - m for e, m in zip(sums[1:], inst.ms)]),
+        _largest(h_xs),
+        _largest(slopes),
+        -math.inf if unbounded else dual_min,
+        sums[0],
+        sum(z * m for z, m in zip(cert.z, inst.ms)),
+        fits,
     )
 
 
@@ -366,15 +372,17 @@ def verify_optimality(
     Tangency is tested only at support points x > 0 farther than 1e-12
     from every declared kink.  Dual feasibility is the exact minimum of H
     over [0, inf) (see the module docstring), and every residual is computed
-    in scalar arithmetic.  An instance whose H' has a decaying exponential,
-    or more than one nonlinear term on some piece, has no closed-form
-    stationary points and raises DomainError.
+    in scalar arithmetic, in one pass over the support and the critical
+    points.  Slackness and dual feasibility pass within ``tol.gamma`` times
+    the size of the terms of H (see ``ToleranceSet``).  An instance whose
+    H' has a decaying exponential, or more than one nonlinear term on some
+    piece, has no closed-form stationary points and raises DomainError.
     """
     if len(cert.z) != len(inst.hs):
         raise DimensionError(f"certificate length {len(cert.z)} vs {len(inst.hs)} functions")
 
-    primal_residual, slack_residual, tangent_residual, dual_min, primal_value, dual_value = (
-        _exact_residuals(inst, dist, cert)
+    primal_residual, slack_residual, tangent_residual, dual_min, primal_value, dual_value, fits = (
+        _exact_residuals(inst, dist, cert, tol)
     )
     duality_gap = abs(primal_value - dual_value)
 
@@ -382,9 +390,8 @@ def verify_optimality(
     v_scale = max(1.0, abs(primal_value))
     passed = (
         primal_residual <= tol.primal * m_scale
-        and slack_residual <= tol.slack
+        and fits
         and tangent_residual <= tol.tangent
-        and dual_min >= -tol.dual
         and duality_gap <= tol.gap * v_scale
     )
     return VerificationReport(

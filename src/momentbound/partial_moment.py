@@ -57,17 +57,6 @@ class PartialMomentInstance:
                 f"feasibility requires Mplus > M1 - 1: {self.Mplus} <= {self.M1 - 1.0}"
             )
 
-    @classmethod
-    def from_raw(cls, M1: float, M2: float, Mplus: float, q: float) -> "PartialMomentInstance":
-        """Normalize general (M1, M2, Mplus, q) by scaling X down by q.
-
-        The normalized optimal variance is the raw one divided by q^2.
-        """
-        if not q > 0.0:
-            raise InfeasibleError(f"q > 0 required, got {q}")
-        m1 = M1 / q
-        return cls(M1=m1, gamma=(M2 / q**2) / m1**2, Mplus=Mplus / q)
-
     def is_two_point(self) -> bool:
         return self.M1 <= 1.0 / self.gamma + self.Mplus
 

@@ -87,7 +87,9 @@ def bisect(
             return BisectResult(
                 root=b, iterations=iterations, status=TOLERANCE_REACHED, bracket=(a, b)
             )
-        fc = _checked(f, c)
+        fc = float(f(c))
+        if not math.isfinite(fc):
+            raise NonFiniteError(f"f({c}) = {fc}")
         iterations += 1
         if abs(fc) <= _ZERO_FLOOR:
             return BisectResult(root=c, iterations=iterations, status=EXACT_ZERO, bracket=(a, b))
@@ -124,7 +126,9 @@ def polish_root(
         x_next = x - fx / d
         if not math.isfinite(x_next) or not (lo < x_next < hi):
             break
-        fx = _checked(f, x_next)
+        fx = float(f(x_next))
+        if not math.isfinite(fx):
+            raise NonFiniteError(f"f({x_next}) = {fx}")
         x = x_next
         if abs(fx) < best_f:
             best_x, best_f = x, abs(fx)

@@ -1,18 +1,36 @@
 """Independent references the tests compare the package against.
 
 None of these is part of the package: each is a closed form or a plain
-definition that a solver result must reproduce.
+definition that a solver result must reproduce, or an earlier version of a
+package loop that its faster successor must match bit for bit.
 """
 
+import math
 from dataclasses import dataclass
 from math import log, sqrt
+from typing import Callable
 
 import numpy as np
 
-from momentbound.core import MomentFunction, VerificationReport
-from momentbound.errors import DimensionError, DomainError, MomentBoundError
+from momentbound.core import (
+    _NONDIFF_SNAP,
+    DiscreteDistribution,
+    DualCertificate,
+    GmpInstance,
+    MomentFunction,
+    VerificationReport,
+    _exp,
+    _power,
+)
+from momentbound.errors import (
+    BracketError,
+    DimensionError,
+    DomainError,
+    MomentBoundError,
+    NonFiniteError,
+)
 from momentbound.oracle import _DEGENERATE_RUN, _PIVOT_TOL, _RC_TOL, OPTIMAL, UNBOUNDED
-from momentbound.rootfind import bisect
+from momentbound.rootfind import _ZERO_FLOOR, EXACT_ZERO, TOLERANCE_REACHED, BisectResult, bisect
 
 
 class NonDifferentiableError(MomentBoundError):
@@ -127,7 +145,7 @@ def h_derivative(cert, inst, x: float) -> float:
         raise DimensionError(f"certificate length {len(cert.z)} vs {len(inst.hs)} functions")
     if not x >= 0.0:
         raise DomainError(f"x={x} outside [0, inf)")
-    for pt in inst.nondiff_points():
+    for pt in nondiff_points(inst):
         if abs(x - pt) <= 1e-12:
             raise NonDifferentiableError(f"H is not differentiable at x={pt}")
     return float(sum(z * deriv(h, x) for z, h in zip(cert.z, inst.hs)) - deriv(inst.g, x))
@@ -150,7 +168,7 @@ def dual_scan(inst, dist, cert, hi: float, grid_points: int = 10_000) -> tuple[f
         [
             np.linspace(0.0, hi, grid_points),
             dist.xs,
-            np.asarray(inst.nondiff_points()),
+            np.asarray(nondiff_points(inst)),
         ]
     )
     hg = _h_on(cert, inst, grid)
@@ -169,7 +187,7 @@ def scan_verification(inst, dist, cert, tol, hi: float) -> VerificationReport:
     ms = np.asarray(inst.ms, dtype=float)
     primal_residual = float(np.max(np.abs(moments_of(dist, inst.hs) - ms)))
     slack_residual = float(np.max(np.abs(_h_on(cert, inst, xs))))
-    kinks = inst.nondiff_points()
+    kinks = nondiff_points(inst)
     interior = [x for x in xs if x > 0.0 and all(abs(x - k) > 1e-12 for k in kinks)]
     tangent_residual = 0.0
     if interior:
@@ -253,3 +271,280 @@ def simplex_run(T: np.ndarray, basis: list[int], n_enter: int) -> tuple[str, int
         stalled = stalled + 1 if T[-1, -1] == objective else 0
         rhs = T[:-1, -1]
         rhs[(rhs < 0.0) & (rhs > -1e-11)] = 0.0  # scrub roundoff-degenerate rows
+
+
+def nondiff_points(inst) -> tuple[float, ...]:
+    """The sorted kinks of the positive_part functions among g and the h_i."""
+    fs = (inst.g, *inst.hs)
+    return tuple(sorted({f.param for f in fs if f.family == "positive_part"}))
+
+
+# The verifier's evaluation before it became one pass: every function
+# evaluated through a dispatch on its family name, the kinks rebuilt per
+# use, H summed once per kind of point.  The package's pass must return the
+# same residuals, bit for bit, signed zeros, NaN and -inf included.
+
+
+def _value(f: MomentFunction, x: float) -> float:
+    """f(x) in scalar arithmetic."""
+    family, p = f.family, f.param
+    if family == "monomial":
+        return x if p == 1.0 else _power(x, p)
+    if family == "positive_part":
+        return max(x - p, 0.0)
+    if family == "squared_positive_part":
+        return max(x - p, 0.0) ** 2
+    if family == "exponential":
+        return _exp(p * x)
+    return 1.0
+
+
+def _slope(f: MomentFunction, x: float) -> float:
+    """f'(x) in scalar arithmetic."""
+    family, p = f.family, f.param
+    if family == "monomial":
+        return 1.0 if p == 1.0 else p * _power(x, p - 1.0)
+    if family == "positive_part":
+        return 1.0 if x > p else 0.0
+    if family == "squared_positive_part":
+        return 2.0 * max(x - p, 0.0)
+    if family == "exponential":
+        return p * _exp(p * x)
+    return 0.0
+
+
+def _largest(values) -> float:
+    """max |v| (0 when there are none), NaN as soon as any v is NaN."""
+    out = 0.0
+    for v in values:
+        a = abs(v)
+        if a != a:
+            return a
+        if a > out:
+            out = a
+    return out
+
+
+def critical_points(
+    inst: GmpInstance, terms: tuple[tuple[float, MomentFunction], ...], sign: float
+) -> tuple[list[float], bool]:
+    """Where sign*H can reach its minimum over [0, inf), for H = sum of c*f over terms.
+
+    Returns the piece ends and the stationary point of every piece, plus
+    whether sign*H falls without bound as x -> inf or reaches its minimum
+    beyond float range.  Raises DomainError when an exponential decays or
+    when H' on some piece has more than one nonlinear term: the stationary
+    points then have no closed form, and sampling H would prove nothing.
+    """
+    nonlinear: dict[tuple[str, float], float] = {}
+    for c, f in terms:
+        family, p = f.family, f.param
+        if family == "exponential" and p < 0.0:
+            raise DomainError(f"cannot decide H >= 0 with the decaying exponential e^({p:g}x)")
+        if (family == "monomial" and p not in (1.0, 2.0)) or (family == "exponential" and p > 0.0):
+            nonlinear[family, p] = nonlinear.get((family, p), 0.0) + c
+    curved = [(key, gamma) for key, gamma in nonlinear.items() if gamma != 0.0]
+    if len(curved) > 1:
+        raise DomainError("cannot decide H >= 0: two nonlinear terms in H'")
+
+    knots = [f.param for f in (inst.g, *inst.hs) if f.family == "squared_positive_part"]
+    starts = sorted({0.0, *(k for k in (*nondiff_points(inst), *knots) if k > 0.0)})
+    points = list(starts)
+    for a, b in zip(starts, starts[1:] + [math.inf]):
+        # H' = alpha + beta*x + gamma*psi'(x) on (a, b)
+        alpha = beta = 0.0
+        for c, f in terms:
+            family, p = f.family, f.param
+            if family == "monomial" and p == 1.0 or family == "positive_part" and a >= p:
+                alpha += c
+            elif family == "monomial" and p == 2.0:
+                beta += 2.0 * c
+            elif family == "squared_positive_part" and a >= p:
+                alpha -= 2.0 * c * p
+                beta += 2.0 * c
+        if curved:
+            if beta != 0.0:
+                raise DomainError(f"cannot decide H >= 0: two nonlinear terms in H' past x = {a:g}")
+            (family, p), gamma = curved[0]
+            ratio = -alpha / gamma / p  # x^(p-1) or e^(px) at the stationary point
+            if not ratio > 0.0:
+                continue
+            x = _power(ratio, 1.0 / (p - 1.0)) if family == "monomial" else math.log(ratio) / p
+        elif beta != 0.0:
+            x = -alpha / beta
+        else:
+            continue
+        if x == math.inf == b:
+            return points, True
+        if a < x < b:
+            points.append(x)
+    # the leading term of the last piece decides the limit at infinity
+    lead = curved[0][1] if curved else (beta or alpha)
+    return points, sign * lead < 0.0
+
+
+def exact_residuals(
+    inst: GmpInstance, dist: DiscreteDistribution, cert: DualCertificate
+) -> tuple[float, ...]:
+    """The residuals in scalar arithmetic, with the exact minimum of H over [0, inf)."""
+    terms = ((-1.0, inst.g),) + tuple((z, h) for z, h in zip(cert.z, inst.hs) if z != 0.0)
+    sign = 1.0 if inst.sense == "max" else -1.0
+    points, unbounded = critical_points(inst, terms, sign)
+    xs = [x for x, _ in dist.points]
+    ps = [p for _, p in dist.points]
+    g_xs = [_value(inst.g, x) for x in xs]
+    rows = [[_value(h, x) for x in xs] for h in inst.hs]
+    primal_residual = _largest(
+        sum(v * p for v, p in zip(row, ps)) - m for row, m in zip(rows, inst.ms)
+    )
+    h_xs = []
+    for j, g in enumerate(g_xs):
+        total = -g
+        for z, row in zip(cert.z, rows):
+            if z != 0.0:
+                total += z * row[j]
+        h_xs.append(total)
+    slack_residual = _largest(h_xs)
+
+    kinks = nondiff_points(inst)
+    tangent_residual = _largest(
+        sum(c * _slope(f, x) for c, f in terms)
+        for x in xs
+        if x > 0.0 and all(abs(x - k) > _NONDIFF_SNAP for k in kinks)
+    )
+
+    signed = [sign * v for v in h_xs]
+    signed += [sign * sum(c * _value(f, x) for c, f in terms) for x in points]
+    if unbounded or any(v != v for v in signed):
+        dual_min_on_grid = -math.inf
+    else:
+        dual_min_on_grid = min(signed)
+
+    primal_value = sum(g * p for g, p in zip(g_xs, ps))
+    dual_value = sum(z * m for z, m in zip(cert.z, inst.ms))
+    return (
+        primal_residual,
+        slack_residual,
+        tangent_residual,
+        dual_min_on_grid,
+        primal_value,
+        dual_value,
+    )
+
+
+def absolute_verdict(inst, residuals, tol) -> bool:
+    """``passed`` from exact_residuals' output under the absolute slack and dual rule."""
+    primal, slack, tangent, dual_min, primal_value, dual_value = residuals
+    m_scale = max(1.0, max(abs(m) for m in inst.ms))
+    return (
+        primal <= tol.primal * m_scale
+        and slack <= tol.slack
+        and tangent <= tol.tangent
+        and dual_min >= -tol.dual
+        and abs(primal_value - dual_value) <= tol.gap * max(1.0, abs(primal_value))
+    )
+
+
+# The root searches before the finiteness check moved into their loops.
+
+
+def _checked(f: Callable[[float], float], x: float) -> float:
+    v = f(x)
+    if not math.isfinite(v):
+        raise NonFiniteError(f"f({x}) = {v}")
+    return float(v)
+
+
+def reference_bisect(
+    f: Callable[[float], float],
+    a: float,
+    b: float,
+    eps: float,
+    *,
+    assume_left_root: bool = False,
+) -> BisectResult:
+    """Find a root of f in the open interval (a, b).
+
+    Requires either a sign change between the endpoints, or f(a) = 0 with f
+    taking the sign opposite to f(b) immediately right of a.  The latter is
+    detected by probing f(a + delta) with delta = min(eps, (b-a)*1e-6), or
+    asserted outright via ``assume_left_root`` when the caller knows it
+    analytically (a float evaluation of f(a) may then be tiny but nonzero).
+
+    The returned point is always strictly greater than a.
+    """
+    if not a < b:
+        raise DomainError(f"need a < b, got ({a}, {b})")
+    if not eps > 0.0:
+        raise DomainError("eps must be positive")
+
+    fb = _checked(f, b)
+    if abs(fb) <= _ZERO_FLOOR:
+        return BisectResult(root=b, iterations=0, status=EXACT_ZERO, bracket=(a, b))
+    sb = 1.0 if fb > 0.0 else -1.0
+
+    if not assume_left_root:
+        fa = _checked(f, a)
+        if abs(fa) <= _ZERO_FLOOR:
+            delta = min(eps, (b - a) * 1e-6)
+            fp = _checked(f, a + delta)
+            sa = math.copysign(1.0, fp) if abs(fp) > _ZERO_FLOOR else -sb
+        else:
+            sa = 1.0 if fa > 0.0 else -1.0
+        if sa == sb:
+            raise BracketError(f"f({a}) and f({b}) do not bracket a root")
+
+    iterations = 0
+    while True:
+        c = 0.5 * (a + b)
+        if c <= a or c >= b:
+            # interval has collapsed to float resolution; b keeps the
+            # open-interval guarantee root > a
+            return BisectResult(
+                root=b, iterations=iterations, status=TOLERANCE_REACHED, bracket=(a, b)
+            )
+        fc = _checked(f, c)
+        iterations += 1
+        if abs(fc) <= _ZERO_FLOOR:
+            return BisectResult(root=c, iterations=iterations, status=EXACT_ZERO, bracket=(a, b))
+        if 0.5 * (b - a) <= eps:
+            return BisectResult(
+                root=c, iterations=iterations, status=TOLERANCE_REACHED, bracket=(a, b)
+            )
+        if (fc > 0.0) == (fb > 0.0):
+            b, fb = c, fc
+        else:
+            a = c
+
+
+def reference_polish_root(
+    f: Callable[[float], float],
+    fprime: Callable[[float], float],
+    x0: float,
+    lo: float,
+    hi: float,
+) -> float:
+    """Guarded Newton refinement of an already-localized root.
+
+    Keeps the iterate inside (lo, hi), keeps the point with the smallest |f|
+    seen, and stops once |f| no longer improves.  Used by solvers to push a
+    bisection root to float resolution so certificate residuals vanish.
+    """
+    x = x0
+    fx = _checked(f, x)
+    best_x, best_f = x, abs(fx)
+    for _ in range(8):  # Newton steps at most
+        d = fprime(x)
+        if not math.isfinite(d) or d == 0.0:
+            break
+        x_next = x - fx / d
+        if not math.isfinite(x_next) or not (lo < x_next < hi):
+            break
+        fx = _checked(f, x_next)
+        x = x_next
+        if abs(fx) < best_f:
+            best_x, best_f = x, abs(fx)
+        else:
+            break
+    return best_x
+

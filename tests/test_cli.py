@@ -740,6 +740,25 @@ class TestSchemaGuards:
     def test_grid_points_below_two_rejected(self, tmp_path, points):
         assert main(["check", _mp1t(tmp_path), "--grid-points", points]) == EXIT_SCHEMA
 
+    def test_document_n_points_overrides_the_option(self, tmp_path, capsys):
+        # the grid the document asks for is the one built: --grid-points 1
+        # never becomes a grid of its own
+        params = {"M1": 1, "Mt": 4, "t": 2, "q": 1}
+        doc = {"problem": "mp1t", "params": params, "oracle": {"n_points": 2001}}
+        assert main(["check", _write(tmp_path, doc), "--grid-points", "1"]) == EXIT_OK
+        overridden = json.loads(capsys.readouterr().out)
+        assert main(["check", _mp1t(tmp_path)]) == EXIT_OK  # 2001 points by default
+        assert overridden["oracle_value"] == json.loads(capsys.readouterr().out)["oracle_value"]
+
+    @pytest.mark.parametrize("points", ["1", "2001"])
+    def test_bad_n_points_override_is_a_schema_error(self, tmp_path, capsys, points):
+        params = {"M1": 1, "Mt": 4, "t": 2, "q": 1}
+        doc = {"problem": "mp1t", "params": params, "oracle": {"n_points": 1}}
+        code = main(["check", _write(tmp_path, doc), "--grid-points", points])
+        err = json.loads(capsys.readouterr().err.splitlines()[0])
+        assert code == EXIT_SCHEMA
+        assert err == {"error": "SchemaError", "message": "n_points must be at least 2"}
+
     @pytest.mark.parametrize(
         "argv",
         [

