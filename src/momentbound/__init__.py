@@ -9,91 +9,43 @@ Three solved problems, each returning a certified primal-dual pair as one
 
 plus a discretized-LP oracle for independent ground truth, a generic
 optimality verifier, and a distributionally robust newsvendor optimizer.
-The oracle, and numpy with it, is imported on first use.
+
+Every module loads the first time one of its names, or the module itself, is
+used: ``import momentbound`` loads no submodule, a solve loads only the
+modules it runs, and numpy loads with the oracle alone.
 """
 
 import importlib
 
-from .core import (
-    DiscreteDistribution,
-    DualCertificate,
-    GmpInstance,
-    MomentFunction,
-    Report,
-    ToleranceSet,
-    VerificationReport,
-    verify_optimality,
-)
-from .exp_moment import (
-    ExpMomentAmbiguity,
-    ExpMomentInstance,
-    compute_v1,
-    phi,
-    solve_exp_moment,
-)
-from .lambertw import WValue, lambert_w_minus1
-from .newsvendor import NewsvendorInstance, OrderDecision, optimize_order
-from .partial_moment import (
-    PartialMomentInstance,
-    enumerate_family,
-    kappa,
-    solve_partial_moment,
-)
-from .power_moment import (
-    PowerMomentAmbiguity,
-    PowerMomentInstance,
-    boundary_threshold,
-    solve_power_moment,
-    theta,
-)
-from .rootfind import BisectResult, bisect
+# each public name by its home module; __all__ and the lazy lookup both read it
+_EXPORTS = {
+    "core": "DiscreteDistribution DualCertificate GmpInstance MomentFunction Report "
+    "ToleranceSet VerificationReport verify_optimality",
+    "exp_moment": "ExpMomentAmbiguity ExpMomentInstance compute_v1 phi solve_exp_moment",
+    "lambertw": "WValue lambert_w_minus1",
+    "newsvendor": "NewsvendorInstance OrderDecision optimize_order",
+    "oracle": "GridSpec OracleResult RefineOutcome oracle_solve refine_until",
+    "partial_moment": "PartialMomentInstance enumerate_family kappa solve_partial_moment",
+    "power_moment": "PowerMomentAmbiguity PowerMomentInstance boundary_threshold "
+    "solve_power_moment theta",
+    "rootfind": "BisectResult bisect",
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
+_MODULES = {*_EXPORTS, "cli", "errors", "problems"}
 
-__all__ = [
-    "BisectResult",
-    "DiscreteDistribution",
-    "DualCertificate",
-    "ExpMomentAmbiguity",
-    "ExpMomentInstance",
-    "GmpInstance",
-    "GridSpec",
-    "MomentFunction",
-    "NewsvendorInstance",
-    "OracleResult",
-    "OrderDecision",
-    "PartialMomentInstance",
-    "PowerMomentAmbiguity",
-    "PowerMomentInstance",
-    "RefineOutcome",
-    "Report",
-    "ToleranceSet",
-    "VerificationReport",
-    "WValue",
-    "bisect",
-    "boundary_threshold",
-    "compute_v1",
-    "enumerate_family",
-    "kappa",
-    "lambert_w_minus1",
-    "optimize_order",
-    "oracle_solve",
-    "phi",
-    "refine_until",
-    "solve_exp_moment",
-    "solve_partial_moment",
-    "solve_power_moment",
-    "theta",
-    "verify_optimality",
-]
+__all__ = sorted(_HOME)
 
 __version__ = "0.1.0"
 
-# The oracle is the only module that imports numpy, which takes most of the
-# package's import time; it loads on first use of one of these names.
-_ORACLE_NAMES = {"GridSpec", "OracleResult", "RefineOutcome", "oracle_solve", "refine_until"}
-
 
 def __getattr__(name: str):
-    if name == "oracle" or name in _ORACLE_NAMES:
-        oracle = importlib.import_module(".oracle", __name__)
-        return oracle if name == "oracle" else getattr(oracle, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _HOME and name not in _MODULES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_HOME.get(name, name)}", __name__)
+    value = module if name in _MODULES else getattr(module, name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_HOME, *_MODULES})

@@ -20,12 +20,12 @@ import time
 from dataclasses import fields, replace
 from typing import TYPE_CHECKING
 
-from . import newsvendor
 from .core import DualCertificate, Report, ToleranceSet, VerificationReport, verify_optimality
 from .errors import InfeasibleError, MomentBoundError, RangeError, SchemaError
 from .problems import PROBLEMS, Problem
 
 if TYPE_CHECKING:
+    from .newsvendor import OrderDecision
     from .oracle import GridSpec, RefineOutcome
 
 EXIT_OK = 0
@@ -36,10 +36,6 @@ EXIT_SWEEP_FAILED = 5
 EXIT_DISAGREEMENT = 6
 
 _TOP_KEYS = {"problem", "params", "oracle"}
-_AMBIGUITY_KINDS = [name for name, p in PROBLEMS.items() if p.ambiguity is not None]
-_NEWSVENDOR_KEYS = {"ambiguity", "eta", "eps", "exponential_lambda"}.union(
-    *({f.name for f in fields(PROBLEMS[name].ambiguity)} for name in _AMBIGUITY_KINDS)
-)
 
 
 def _one_of(names, conjunction: str) -> str:
@@ -106,23 +102,29 @@ def _solve_moment_problem(name: str, params: dict):
     return inst, problem.solve(inst, **extra)
 
 
-def _newsvendor_instance(params: dict) -> newsvendor.NewsvendorInstance:
-    _check_keys(params, _NEWSVENDOR_KEYS, "newsvendor")
+def _newsvendor_decision(params: dict) -> OrderDecision:
+    from . import newsvendor  # loads with the first newsvendor document
+
     kind = params.get("ambiguity")
-    if kind not in _AMBIGUITY_KINDS:
-        raise SchemaError(f"newsvendor 'ambiguity' must be {_one_of(_AMBIGUITY_KINDS, 'or')}")
-    amb_type = PROBLEMS[kind].ambiguity
-    eta = _number(params, "eta")
-    search = {"eps": _number(params, "eps")} if "eps" in params else {}
+    amb_type = PROBLEMS[kind].ambiguity if isinstance(kind, str) and kind in PROBLEMS else None
+    if amb_type is None:
+        kinds = [name for name, p in PROBLEMS.items() if p.ambiguity is not None]
+        raise SchemaError(f"newsvendor 'ambiguity' must be {_one_of(kinds, 'or')}")
+    # the ambiguity's moments, or an exponential demand's rate and t: never both
     from_demand = getattr(amb_type, "from_exponential_demand", None)
     if from_demand is not None and "exponential_lambda" in params:
-        amb = from_demand(lam=_number(params, "exponential_lambda"), t=_number(params, "t"))
+        keys, build = ("exponential_lambda", "t"), from_demand
     else:
-        amb = amb_type(**{f.name: _number(params, f.name) for f in fields(amb_type)})
+        keys, build = tuple(f.name for f in fields(amb_type)), amb_type
+    _check_keys(params, {"ambiguity", "eta", "eps", *keys}, "newsvendor")
+    eta = _number(params, "eta")
+    search = {"eps": _number(params, "eps")} if "eps" in params else {}
+    amb = build(*(_number(params, k) for k in keys))
     try:
-        return newsvendor.NewsvendorInstance(ambiguity=amb, eta=eta, **search)
+        inst = newsvendor.NewsvendorInstance(ambiguity=amb, eta=eta, **search)
     except MomentBoundError as exc:
         raise SchemaError(str(exc)) from exc
+    return newsvendor.optimize_order(inst)
 
 
 def _verification_block(v: VerificationReport | None) -> dict | None:
@@ -176,7 +178,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             _, report = _solve_moment_problem(problem, doc["params"])
             summary = f"{problem}: value {report.value:.12g} [{report.branch}]"
         elif problem == "newsvendor":
-            decision = newsvendor.optimize_order(_newsvendor_instance(doc["params"]))
+            decision = _newsvendor_decision(doc["params"])
             report = replace(
                 decision.report,
                 value=decision.objective,
@@ -270,6 +272,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             raise SchemaError(f"cannot sweep {args.param!r} for {problem!r}")
         if args.steps < 1:
             raise SchemaError("--steps must be at least 1")
+        if not (math.isfinite(args.start) and math.isfinite(args.stop)):
+            raise SchemaError("--from and --to must be finite")
     except MomentBoundError as exc:
         return _fail(exc)
 

@@ -35,13 +35,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 from .core import Report
 from .errors import DomainError, MomentBoundError, RangeError, RootBracketError
-from .exp_moment import ExpMomentAmbiguity
-from .power_moment import PowerMomentAmbiguity
 from .rootfind import EXACT_ZERO, bisect
+
+if TYPE_CHECKING:  # annotations only: a decision loads its own ambiguity's module alone
+    from .exp_moment import ExpMomentAmbiguity
+    from .power_moment import PowerMomentAmbiguity
 
 
 @dataclass(frozen=True)

@@ -817,6 +817,44 @@ class TestSchemaGuards:
         assert code == EXIT_SCHEMA
         assert err["error"] == "SchemaError"
 
+    def test_newsvendor_rate_on_a_power_moment_set(self, tmp_path, capsys):
+        # mp1t has no exponential-demand form: the rate would be ignored
+        params = {"ambiguity": "mp1t", "M1": 50, "Mt": 5000, "t": 2, "eta": 0.9}
+        doc = {"problem": "newsvendor", "params": dict(params, exponential_lambda=0.02)}
+        code = main(["solve", _write(tmp_path, doc)])
+        err = json.loads(capsys.readouterr().err.splitlines()[0])
+        assert code == EXIT_SCHEMA
+        assert err == {
+            "error": "SchemaError",
+            "message": "unknown keys for 'newsvendor': ['exponential_lambda']",
+        }
+
+    def test_newsvendor_moments_beside_a_rate(self, tmp_path, capsys):
+        # the rate sets M1 and Me; infeasible ones given beside it would be ignored
+        params = {"M1": 1e9, "Me": -5, "exponential_lambda": 0.02}
+        doc = {"problem": "newsvendor", "params": dict(NEWSVENDOR_LAMBDA, **params)}
+        code = main(["solve", _write(tmp_path, doc)])
+        err = json.loads(capsys.readouterr().err.splitlines()[0])
+        assert code == EXIT_SCHEMA
+        assert err == {
+            "error": "SchemaError",
+            "message": "unknown keys for 'newsvendor': ['M1', 'Me']",
+        }
+
+    @pytest.mark.parametrize(
+        "start,stop", [("10", "nan"), ("10", "inf"), ("-inf", "10")], ids=["nan", "inf", "-inf"]
+    )
+    def test_non_finite_sweep_range(self, tmp_path, capsys, start, stop):
+        argv = ["sweep", _mp1t(tmp_path), "--param", "q", f"--from={start}", f"--to={stop}"]
+        code = main([*argv, "--steps", "3"])
+        captured = capsys.readouterr()
+        assert code == EXIT_SCHEMA
+        assert captured.out == ""  # refused before any row is solved
+        assert json.loads(captured.err.splitlines()[0]) == {
+            "error": "SchemaError",
+            "message": "--from and --to must be finite",
+        }
+
 
 class TestOptionSurface:
     """Every option and instance key there is: adding one means changing this test."""

@@ -128,12 +128,10 @@ AMBIGUITIES = {
 ETAS = (0.5, 0.9, 0.99, 0.9999)
 DEEP_ETAS = (1.0 - 1e-8, 1.0 - 1e-10)
 CELLS = [(k, eta) for k in AMBIGUITIES for eta in ETAS]
-DEEP_CELLS = [(k, eta) for k in AMBIGUITIES for eta in DEEP_ETAS]
-# Cells the search refuses instead of returning a decision steered by
-# uncertified midpoints.  None is left: the mp1t t = 1.5 worst cases at
+# Every cell decides, the deep ones included: the mp1t t = 1.5 worst cases at
 # p_hi = 1e-10, whose upper support near 2e8 puts float noise of 3e-8 in H,
 # certify within the verifier's float-error allowance.
-DEEP_REFUSALS: set[tuple[str, float]] = set()
+DEEP_CELLS = [(k, eta) for k in AMBIGUITIES for eta in DEEP_ETAS]
 
 
 def _decision(kind: str, eta: float):
@@ -208,24 +206,16 @@ class TestCertifiedOrder:
 
         monkeypatch.setattr(core, "verify_optimality", verify)
         monkeypatch.setattr(type(AMBIGUITIES[kind]), "_candidate", candidate)
-        try:
-            d = _decision(kind, eta)
-        except RootBracketError:
-            assert (kind, eta) in DEEP_REFUSALS
-        else:
-            assert calls[0] == 1 + sum(r is not None for r in d.bracket_reports)
-            # every candidate solve but the one inside the verified solve at q*
-            assert len(inside) == d.inner_solves - 1
+        d = _decision(kind, eta)
+        assert calls[0] == 1 + sum(r is not None for r in d.bracket_reports)
+        # every candidate solve but the one inside the verified solve at q*
+        assert len(inside) == d.inner_solves - 1
         assert calls[0] <= 3
         assert inside and not any(inside)
 
     @pytest.mark.parametrize("kind,eta", CELLS + DEEP_CELLS)
     def test_bit_identical_to_the_verified_search(self, kind, eta):
         inst = NewsvendorInstance(ambiguity=AMBIGUITIES[kind], eta=eta)
-        if (kind, eta) in DEEP_REFUSALS:
-            with pytest.raises(RootBracketError):
-                optimize_order(inst)
-            return
         d = optimize_order(inst)
         assert (d.q_star, d.objective, d.iterations) == verified_order_search(inst)
         # the bracket ends inside (0, tail cutoff), and q*
@@ -233,8 +223,6 @@ class TestCertifiedOrder:
 
     @pytest.mark.parametrize("kind,eta", CELLS + DEEP_CELLS)
     def test_subgradient_certificate(self, kind, eta):
-        if (kind, eta) in DEEP_REFUSALS:
-            return
         inst = NewsvendorInstance(ambiguity=AMBIGUITIES[kind], eta=eta)
         d = optimize_order(inst)
         (a, b), (lo, up) = d.bracket, d.bracket_reports

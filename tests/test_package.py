@@ -7,6 +7,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import momentbound
 from momentbound import exp_moment, partial_moment, power_moment, rootfind
 from momentbound.problems import PROBLEMS
@@ -29,13 +31,95 @@ def test_every_exported_name_resolves():
 
 
 def test_runtime_imports_stay_numpy_only():
-    # scipy, mpmath and hypothesis are test dependencies; the package and its
-    # command-line front end must load without them
+    # scipy, mpmath and hypothesis are test dependencies; no module of the
+    # package, its command-line front end included, may load them.  Modules
+    # load on first use, so each is imported here by name.
     code = (
-        "import sys, momentbound, momentbound.cli; "
+        "import importlib, pkgutil, sys, momentbound; "
+        "names = [m.name for m in pkgutil.iter_modules(momentbound.__path__)]; "
+        "[importlib.import_module(f'momentbound.{name}') for name in names]; "
+        "assert 'cli' in names and 'oracle' in names, names; "
         "print(sorted(m for m in ('scipy', 'mpmath', 'hypothesis') if m in sys.modules))"
     )
     assert _fresh_interpreter(code) == "[]"
+
+
+def _loaded_after(code: str) -> list[str]:
+    """The package's modules in sys.modules once `code` has run in a new interpreter."""
+    report = (
+        "; import sys; print(sorted(m.partition('.')[2] for m in sys.modules "
+        "if m.startswith('momentbound.')))"
+    )
+    return ast.literal_eval(_fresh_interpreter(code + report))
+
+
+SOLVE_MODULES = ["core", "errors", "power_moment", "rootfind"]
+
+
+def test_bare_import_loads_no_submodule():
+    assert _loaded_after("import momentbound") == []
+
+
+def test_library_solve_loads_its_modules_alone():
+    code = (
+        "import momentbound as mb; "
+        "mb.solve_power_moment(mb.PowerMomentInstance(M1=1, Mt=4, t=2, q=1.5))"
+    )
+    assert _loaded_after(code) == SOLVE_MODULES
+
+
+def test_newsvendor_decision_loads_its_ambiguity_alone():
+    code = (
+        "import momentbound as mb; "
+        "amb = mb.PowerMomentAmbiguity(M1=1, Mt=4, t=2); "
+        "mb.optimize_order(mb.NewsvendorInstance(ambiguity=amb, eta=0.9))"
+    )
+    assert _loaded_after(code) == sorted([*SOLVE_MODULES, "newsvendor"])
+
+
+@pytest.mark.parametrize(
+    "command,extra", [("solve", []), ("check", ["oracle"])], ids=["solve", "check"]
+)
+def test_cli_loads_the_modules_its_command_runs(tmp_path, command, extra):
+    path = tmp_path / "mp1t.json"
+    path.write_text('{"problem": "mp1t", "params": {"M1": 1, "Mt": 4, "t": 2, "q": 1.5}}')
+    code = f"import momentbound.cli; assert momentbound.cli.main([{command!r}, {str(path)!r}]) == 0"
+    assert _loaded_after(code) == sorted([*SOLVE_MODULES, "cli", "problems", *extra])
+
+
+def test_problem_table_builds_an_entry_on_lookup():
+    # membership, key iteration and length read the names alone
+    code = (
+        "from momentbound.problems import PROBLEMS; "
+        "assert 'mp1e' in PROBLEMS and 'oracle' not in PROBLEMS; "
+        "assert list(PROBLEMS) == ['mp1t', 'upm', 'mp1e'] and len(PROBLEMS) == 3; "
+        "PROBLEMS['upm']"
+    )
+    assert _loaded_after(code) == ["core", "errors", "partial_moment", "problems"]
+
+
+def test_exported_names_are_their_home_objects():
+    # each name resolves to the object its defining module holds, the star
+    # import binds every name, and dir() lists every name and module
+    code = (
+        "import importlib, pkgutil, momentbound as mb; "
+        "homes = {n: importlib.import_module(getattr(mb, n).__module__) for n in mb.__all__}; "
+        "wrong = [n for n, m in homes.items() "
+        "if not m.__name__.startswith('momentbound.') or getattr(m, n) is not getattr(mb, n)]; "
+        "star = {}; exec('from momentbound import *', star); "
+        "modules = [m.name for m in pkgutil.iter_modules(mb.__path__)]; "
+        "print(wrong, sorted(set(mb.__all__) - set(star)), "
+        "sorted(set(mb.__all__ + modules) - set(dir(mb))))"
+    )
+    assert _fresh_interpreter(code) == "[] [] []"
+
+
+def test_dir_lists_names_before_they_load():
+    code = (
+        "import sys, momentbound as mb; names = dir(mb); "
+        "print('oracle_solve' in names, 'cli' in names, 'momentbound.oracle' in sys.modules)"
+    )
+    assert _fresh_interpreter(code) == "True True False"
 
 
 def test_solve_loads_no_numpy(tmp_path):
