@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
+from types import SimpleNamespace
 from typing import Callable
 
 from . import core
@@ -36,6 +38,7 @@ _EXP_ARG_LIMIT = 700.0  # exp(t*q) and exp(t*M1) stay finite
 _POLE_BACKOFF = 1e-9  # right bracket endpoint is evaluated at M1*(1 - this)
 _TAIL_FLOOR = 1e-10  # a rate-scaled tail below this (times max(1, t*M1)) is float noise
 _ROOT_TOL = 1e-10  # where bisection on phi hands off to the Newton polish
+_ARG_RANGE = f"t*q and t*M1 must stay below {_EXP_ARG_LIMIT:g} to avoid overflow"
 
 
 @dataclass(frozen=True)
@@ -59,9 +62,7 @@ class ExpMomentInstance:
         if not self.q > 0.0:
             raise InfeasibleError(f"q > 0 required, got {self.q}")
         if self.t * self.q > _EXP_ARG_LIMIT or self.t * self.M1 > _EXP_ARG_LIMIT:
-            raise RangeError(
-                f"t*q and t*M1 must stay below {_EXP_ARG_LIMIT:g} to avoid overflow"
-            )
+            raise RangeError(_ARG_RANGE)
         if not self.Me > math.exp(self.t * self.M1):
             raise InfeasibleError(
                 f"Me > exp(t*M1) required (single-point family otherwise): "
@@ -69,6 +70,8 @@ class ExpMomentInstance:
             )
         object.__setattr__(self, "m1_scaled", self.t * self.M1)
         object.__setattr__(self, "q_scaled", self.t * self.q)
+        # (v1, threshold) where an ExpMomentAmbiguity hands its own over; None: a solve computes it
+        object.__setattr__(self, "_boundary", None)
 
 
 @dataclass(frozen=True)
@@ -91,12 +94,25 @@ class ExpMomentAmbiguity:
     def instance_at(self, q: float) -> ExpMomentInstance:
         return ExpMomentInstance(M1=self.M1, Me=self.Me, t=self.t, q=q)
 
+    @cached_property
+    def _base(self) -> ExpMomentInstance:
+        """The moments validated at q = M1, holding the set's one (v1, threshold)."""
+        base = self.instance_at(self.M1)
+        object.__setattr__(base, "_boundary", _v1_and_threshold(base.m1_scaled, self.Me))
+        return base
+
+    def _solvable_at(self, q: float) -> ExpMomentInstance:
+        """instance_at(q) holding the set's (v1, threshold), which q does not change."""
+        inst = self.instance_at(q)  # q's checks come before any Lambert W, as in a plain solve
+        object.__setattr__(inst, "_boundary", self._base._boundary)
+        return inst
+
     def solve(self, q: float) -> Report:
-        return solve_exp_moment(self.instance_at(q))
+        return solve_exp_moment(self._solvable_at(q))
 
     def _candidate(self, q: float) -> dict:
         """The unverified answer at q; `_certify` turns it into a report."""
-        return _candidate(self.instance_at(q))
+        return _candidate(self._solvable_at(q))
 
     def _certify(self, q: float, candidate: dict) -> Report:
         return core.certify(gmp_instance(self.instance_at(q)), candidate)
@@ -112,20 +128,23 @@ class ExpMomentAmbiguity:
         strictly as the lower point rises (the upper point rises with it), so
         p_hi(q) > mass exactly when the worst case's lower point u(q), phi's
         root, lies left of the point u* whose law has upper mass `mass`.  u*
-        is solved for once here.  On the boundary branch the function is the
+        is solved for once here, v1 and the branch threshold once per set
+        (its candidate solves reuse them); a midpoint reads t*q against them
+        and builds no instance.  On the boundary branch the function is the
         closed-form p_hi - mass itself.
         """
-        base = self.instance_at(self.M1)
-        m1 = base.m1_scaled
-        v1, threshold = _v1_and_threshold(m1, self.Me)
+        base = self._base
+        t, m1, me = self.t, base.m1_scaled, base.Me
+        v1, threshold = base._boundary
         # every interior worst case has less upper mass than the boundary's m1/v1;
         # u* = 0 (gap m1) puts every interior root right of it
         gap = _gap_at_mass(mass, base, v1) if mass < m1 / v1 else m1
         u_star = m1 - gap
 
         def side(q: float) -> float:
-            inst = self.instance_at(q)
-            qs = inst.q_scaled
+            qs = t * q
+            if qs > _EXP_ARG_LIMIT:
+                raise RangeError(_ARG_RANGE)
             if qs <= threshold:
                 return m1 / v1 - mass
             if u_star <= 0.0:
@@ -135,6 +154,7 @@ class ExpMomentAmbiguity:
             # phi is negative at 0 and positive at its right bracket end: its
             # sign at u* says on which side of u* its root lies.  Near the
             # pole, as in _candidate, the gap coordinate keeps it accurate.
+            inst = SimpleNamespace(m1_scaled=m1, Me=me, q_scaled=qs)
             return _phi_gap(gap, inst) if gap < 1e-5 * m1 else phi(u_star, inst)
 
         return side
@@ -184,6 +204,7 @@ def phi(y: float, inst: ExpMomentInstance) -> float:
                - exp(qs + 1 - e^y * (m1 - y)/(Me - e^y)) + Me.
 
     Defined on [0, m1); the pole at y = m1 is approached from the left.
+    ``inst`` is read for ``m1_scaled``, ``Me`` and ``q_scaled`` only.
     """
     if y < 0.0:
         raise DomainError(f"phi needs y >= 0, got {y}")
@@ -198,10 +219,10 @@ def phi(y: float, inst: ExpMomentInstance) -> float:
 def _phi_prime(y: float, inst: ExpMomentInstance) -> float:
     m1, me, qs = inst.m1_scaled, inst.Me, inst.q_scaled
     ey = math.exp(y)
-    a = (me - ey) / (m1 - y)
     a_prime = (me - ey * (1.0 + m1 - y)) / (m1 - y) ** 2
     ratio = ey * (m1 - y) / (me - ey)
-    ratio_prime = (ey * (m1 - y - 1.0) * (me - ey) + ey * ey * (m1 - y)) / (me - ey) ** 2
+    # the square as a product: past float range it gives inf, where ** raises
+    ratio_prime = (ey * (m1 - y - 1.0) * (me - ey) + ey * ey * (m1 - y)) / ((me - ey) * (me - ey))
     return a_prime * (qs + 1.0 - m1) - ey + math.exp(qs + 1.0 - ratio) * ratio_prime
 
 
@@ -295,7 +316,7 @@ def _candidate(inst: ExpMomentInstance) -> dict:
     """Every Report field but the verification, in original units."""
     t = inst.t
     m1, me, qs = inst.m1_scaled, inst.Me, inst.q_scaled
-    v1, threshold = _v1_and_threshold(m1, me)
+    v1, threshold = inst._boundary or _v1_and_threshold(m1, me)
     use_boundary = qs <= threshold
 
     if not use_boundary:

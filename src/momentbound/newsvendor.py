@@ -14,9 +14,12 @@ and gets it without a worst-case solve.  Along the two-point laws that match
 the moments the upper mass falls strictly as the support rises, so the bit
 is the side of one fixed support point, the one whose law has upper mass
 1 - eta, on which the midpoint's root lies.  The ambiguity's ``_order_side``
-solves for that point once per decision and then decides each midpoint with
-at most one evaluation of the solver's own root function (none on the
-boundary branch, whose closed-form p_hi it returns).
+solves for that point once per decision, with all else q does not change
+(the scaled moments and branch threshold; for mp1e v1, whose one Lambert W
+the solves at the bracket ends and at q* reuse), and then decides each
+midpoint from q/M1 or t*q with at most one evaluation of the solver's own
+root function (none on the boundary branch, whose closed-form p_hi it
+returns), building no instance.
 
 What the search returns is certified by the subgradient condition on its
 final bracket a < q* <= b: p_hi(a) >= 1 - eta >= p_hi(b) from verified worst

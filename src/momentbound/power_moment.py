@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable
 
 from . import core
@@ -124,17 +125,20 @@ class PowerMomentAmbiguity:
         Along the two-point laws that match the moments the upper mass falls
         strictly as the upper point rises, so p_hi(q) > mass exactly when the
         worst case's upper point v(q), theta's root, lies left of the point
-        v* whose upper mass is mass.  v* is solved for once here.  On the
-        boundary branch the function is the closed-form p_hi - mass itself.
+        v* whose upper mass is mass.  v* is solved for once here with the
+        scaled moment, the boundary edge and the branch line; a midpoint reads
+        q/M1 against them and builds no instance.  On the boundary branch the
+        function is the closed-form p_hi - mass itself.
         """
         base = self.instance_at(self.M1)
-        edge = base.edge_scaled
+        M1, t, mt, edge = self.M1, self.t, base.mt_scaled, base.edge_scaled
+        line = (t - 1.0) / t * edge
         # every interior worst case has less upper mass than the boundary's 1/edge
         v_star = _upper_point_at_mass(mass, base, edge) if mass < 1.0 / edge else edge
 
         def side(q: float) -> float:
-            inst = self.instance_at(q)
-            bracket = _interior_bracket(inst, edge)
+            qs = q / M1
+            bracket = _interior_bracket(qs, t, edge, line)
             if bracket is None:
                 return 1.0 / edge - mass
             a, b = bracket
@@ -144,7 +148,7 @@ class PowerMomentAmbiguity:
                 return 1.0
             # theta is negative right of a and positive at b: its sign at v*
             # says on which side of v* its root lies
-            return theta(v_star, inst)
+            return theta(v_star, SimpleNamespace(t=t, mt_scaled=mt, q_scaled=qs))
 
         return side
 
@@ -164,7 +168,7 @@ def theta(y: float, inst: PowerMomentInstance) -> float:
       u(y) = (t*qs/(t-1)) * (y^(t-1) - mt) / (y^t - mt).
 
     Defined for y > 1 away from the pole y^t = mt; solve brackets stay right
-    of both.
+    of both.  ``inst`` is read for ``t``, ``mt_scaled`` and ``q_scaled`` only.
     """
     if y <= 1.0:
         raise DomainError(f"theta needs y > 1, got {y}")
@@ -196,14 +200,16 @@ def _theta_prime(y: float, inst: PowerMomentInstance) -> float:
     return g2p * (1.0 - g3) - g2 * g3p + t * abs(g3) ** (t - 1.0) * g3p
 
 
-def _interior_bracket(inst: PowerMomentInstance, edge: float) -> tuple[float, float] | None:
-    """The open bracket (a, b) of theta's root at this q; None on the boundary branch."""
-    t, qs = inst.t, inst.q_scaled
+def _interior_bracket(qs: float, t: float, edge: float, line: float) -> tuple[float, float] | None:
+    """The open bracket (a, b) of theta's root at qs = q/M1; None on the boundary branch.
+
+    ``line`` is the branch threshold (t-1)/t*edge in the same scaled units.
+    """
     a = max(edge, qs)
     b = t * qs / (t - 1.0)
     # b <= a can only happen when q sits at the branch threshold to float
     # resolution, where the boundary construction is the exact limit
-    if qs <= (t - 1.0) / t * edge or b <= a:
+    if qs <= line or b <= a:
         return None
     return a, b
 
@@ -416,7 +422,7 @@ def _candidate(inst: PowerMomentInstance) -> dict:
     M1, t = inst.M1, inst.t
     mt, qs = inst.mt_scaled, inst.q_scaled
     edge = inst.edge_scaled
-    bracket = _interior_bracket(inst, edge)
+    bracket = _interior_bracket(qs, t, edge, (t - 1.0) / t * edge)
 
     if bracket is None:
         p_hi = 1.0 / edge

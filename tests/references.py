@@ -12,6 +12,7 @@ from typing import Callable
 
 import numpy as np
 
+from momentbound import exp_moment, power_moment
 from momentbound.core import (
     _NONDIFF_SNAP,
     DiscreteDistribution,
@@ -548,3 +549,86 @@ def reference_polish_root(
             break
     return best_x
 
+
+
+# The newsvendor's order sides and the exp_moment derivative as they were
+# before the q-independent data moved out of the midpoints: every midpoint
+# built and validated an instance, and every exp_moment solve (the order
+# side's and each candidate's) ran its own Lambert W.  ``parent_methods``
+# maps each ambiguity class to the methods that restore that behaviour.
+
+
+def reference_power_order_side(self, mass: float) -> Callable[[float], float]:
+    """`PowerMomentAmbiguity._order_side`, an instance per midpoint."""
+    base = self.instance_at(self.M1)
+    edge = base.edge_scaled
+    v_star = (
+        power_moment._upper_point_at_mass(mass, base, edge) if mass < 1.0 / edge else edge
+    )
+
+    def side(q: float) -> float:
+        inst = self.instance_at(q)
+        t, qs = inst.t, inst.q_scaled
+        a = max(edge, qs)
+        b = t * qs / (t - 1.0)
+        if qs <= (t - 1.0) / t * edge or b <= a:
+            return 1.0 / edge - mass
+        if v_star <= a:
+            return -1.0
+        if v_star >= b:
+            return 1.0
+        return power_moment.theta(v_star, inst)
+
+    return side
+
+
+def _reference_v1_and_threshold(m1: float, me: float) -> tuple[float, float]:
+    v1 = exp_moment.compute_v1(m1, me)
+    return v1, v1 + m1 / (me - 1.0) - 1.0
+
+
+def reference_exp_order_side(self, mass: float) -> Callable[[float], float]:
+    """`ExpMomentAmbiguity._order_side`, an instance per midpoint and its own Lambert W."""
+    base = self.instance_at(self.M1)
+    m1 = base.m1_scaled
+    v1, threshold = _reference_v1_and_threshold(m1, self.Me)
+    gap = exp_moment._gap_at_mass(mass, base, v1) if mass < m1 / v1 else m1
+    u_star = m1 - gap
+
+    def side(q: float) -> float:
+        inst = self.instance_at(q)
+        qs = inst.q_scaled
+        if qs <= threshold:
+            return m1 / v1 - mass
+        if u_star <= 0.0:
+            return -1.0
+        if u_star >= qs:
+            return 1.0
+        if gap < 1e-5 * m1:
+            return exp_moment._phi_gap(gap, inst)
+        return exp_moment.phi(u_star, inst)
+
+    return side
+
+
+def reference_phi_prime(y: float, inst) -> float:
+    """`exp_moment._phi_prime` with its squares written as ``**``, which raises past float range."""
+    m1, me, qs = inst.m1_scaled, inst.Me, inst.q_scaled
+    ey = math.exp(y)
+    a_prime = (me - ey * (1.0 + m1 - y)) / (m1 - y) ** 2
+    ratio = ey * (m1 - y) / (me - ey)
+    ratio_prime = (ey * (m1 - y - 1.0) * (me - ey) + ey * ey * (m1 - y)) / (me - ey) ** 2
+    return a_prime * (qs + 1.0 - m1) - ey + math.exp(qs + 1.0 - ratio) * ratio_prime
+
+
+def parent_methods() -> dict[type, dict[str, Callable]]:
+    """The ambiguity methods that restore the per-midpoint instances and per-solve Lambert W."""
+    return {
+        power_moment.PowerMomentAmbiguity: {"_order_side": reference_power_order_side},
+        exp_moment.ExpMomentAmbiguity: {
+            "_order_side": reference_exp_order_side,
+            # each solve's instance computes its own (v1, threshold)
+            "_candidate": lambda self, q: exp_moment._candidate(self.instance_at(q)),
+            "solve": lambda self, q: exp_moment.solve_exp_moment(self.instance_at(q)),
+        },
+    }

@@ -370,6 +370,19 @@ class TestSolve:
         assert captured.out == ""
         assert json.loads(captured.err.splitlines()[0])["error"] == "RangeError"
 
+    def test_huge_exponential_moment_is_a_range_rejection(self, tmp_path, capsys):
+        # (Me - e^y)^2 passes float range in the Newton polish's derivative
+        path = _write(
+            tmp_path,
+            {"problem": "mp1e", "params": {"M1": 300, "Me": 1e160, "t": 1, "q": 400}},
+        )
+        code = main(["solve", path])
+        captured = capsys.readouterr()
+        assert code == EXIT_RANGE
+        assert captured.out == ""
+        err = json.loads(captured.err.splitlines()[0])
+        assert err["error"] == "RangeError" and "unrepresentably small" in err["message"]
+
     def test_unknown_param_key(self, tmp_path):
         path = _mp1t(tmp_path, bogus=3)
         assert main(["solve", path]) == EXIT_SCHEMA

@@ -20,6 +20,7 @@ from momentbound.exp_moment import (
     phi,
     solve_exp_moment,
 )
+from references import reference_phi_prime
 
 
 def _bisect_v1(m1: float, me: float) -> float:
@@ -206,6 +207,16 @@ class TestSolve:
             solve_exp_moment(inst)
         amb = ExpMomentAmbiguity(M1=1.0, Me=math.e**2, t=1.0)
         assert amb.worst_case(40.0) == amb.tail_bound(40.0)
+
+    def test_square_past_float_range_is_no_overflow(self):
+        # Me above about 1.3e154 puts (Me - e^y)^2 past float range, where
+        # ** raises a bare OverflowError and a product gives inf
+        inst = ExpMomentInstance(M1=300.0, Me=1e160, t=1.0, q=400.0)
+        with pytest.raises(OverflowError):
+            reference_phi_prime(100.0, inst)
+        assert math.isfinite(exp_moment._phi_prime(100.0, inst))
+        with pytest.raises(RangeError, match="unrepresentably small"):
+            solve_exp_moment(inst)
 
     def test_certified_tail_below_floor_is_answered(self):
         inst = ExpMomentInstance(

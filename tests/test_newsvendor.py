@@ -2,13 +2,22 @@
 
 import json
 import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import momentbound
 from momentbound import core, exp_moment, power_moment
 from momentbound.cli import EXIT_SCHEMA, main
-from momentbound.errors import DomainError, InfeasibleError, MomentBoundError, RootBracketError
+from momentbound.errors import (
+    DomainError,
+    InfeasibleError,
+    MomentBoundError,
+    RangeError,
+    RootBracketError,
+)
 from momentbound.exp_moment import ExpMomentAmbiguity, boundary_threshold
 from momentbound.newsvendor import NewsvendorInstance, optimize_order
 from momentbound.power_moment import PowerMomentAmbiguity
@@ -16,9 +25,12 @@ from momentbound.rootfind import bisect
 from references import (
     ExponentialDemand,
     mean_variance_order,
+    parent_methods,
+    reference_phi_prime,
     verified_order_search,
     worst_case_objective,
 )
+from test_stream_pins import _workloads
 
 
 def _exp_instance(eta: float, eps: float = 1e-6) -> NewsvendorInstance:
@@ -362,6 +374,132 @@ class TestOrderSide:
         d = optimize_order(NewsvendorInstance(ambiguity=amb, eta=1.0 - 1e-10))
         assert d.inner_solves == 3
         assert all(r.verification.passed for r in d.bracket_reports)
+
+
+def _fresh(kind: str):
+    """A new copy of a cell's ambiguity, with nothing computed on it yet."""
+    return replace(AMBIGUITIES[kind])
+
+
+def _parent_sides(patch) -> None:
+    """Order sides that build an instance per midpoint, and a Lambert W per exp_moment solve."""
+    for cls, methods in parent_methods().items():
+        for name, method in methods.items():
+            patch.setattr(cls, name, method)
+
+
+def _outcome(inst: NewsvendorInstance):
+    """repr of everything a decision reports, or the type and message of what it raised."""
+    try:
+        d = optimize_order(inst)
+    except Exception as exc:  # compared by the caller, not swallowed
+        return type(exc).__name__, str(exc)
+    fields = (d.q_star, d.objective, d.iterations, d.inner_solves, d.bracket)
+    return repr(fields + (d.report, d.bracket_reports))
+
+
+def _against_parent(monkeypatch, makers) -> tuple[list, list]:
+    """The outcomes of fresh decisions here and under the parent's sides and _phi_prime."""
+    new = [_outcome(make()) for make in makers]
+    with monkeypatch.context() as patch:
+        _parent_sides(patch)
+        patch.setattr(exp_moment, "_phi_prime", reference_phi_prime)
+        old = [_outcome(make()) for make in makers]
+    return new, old
+
+
+PIN_SEEDS = (5, 6)
+PIN_DECISIONS = 200  # the first decisions of each seed's benchmark stream
+
+
+class TestParentPin:
+    """Decisions are bit-identical to those of midpoints that built their own instances."""
+
+    @pytest.mark.parametrize("seed", PIN_SEEDS)
+    def test_stream_decisions(self, seed, monkeypatch):
+        workloads = _workloads()
+        stream = workloads.make_stream("newsvendor", seed)
+        runner = workloads.Runner("newsvendor", momentbound, "")
+        ops = [stream.next() for _ in range(PIN_DECISIONS)]
+        makers = [
+            lambda op=op: NewsvendorInstance(ambiguity=runner.ambiguity(op), eta=op.eta)
+            for op in ops
+        ]
+        new, old = _against_parent(monkeypatch, makers)
+        assert [i for i, (a, b) in enumerate(zip(new, old)) if a != b] == []
+
+    @pytest.mark.parametrize("kind,eta", CELLS + DEEP_CELLS)
+    def test_cells(self, kind, eta, monkeypatch):
+        make = lambda: NewsvendorInstance(ambiguity=_fresh(kind), eta=eta)
+        new, old = _against_parent(monkeypatch, [make])
+        assert new == old
+
+
+class TestDecisionCost:
+    """What q does not change is paid for once per decision."""
+
+    @pytest.mark.parametrize("kind,eta", CELLS)
+    def test_budget(self, kind, eta, monkeypatch):
+        counts = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for module, name in (
+            (exp_moment, "lambert_w_minus1"),
+            (power_moment, "theta"),
+            (exp_moment, "phi"),
+        ):
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        for cls in (power_moment.PowerMomentInstance, exp_moment.ExpMomentInstance):
+            monkeypatch.setattr(cls, "__post_init__", counted("instances", cls.__post_init__))
+        optimize_order(NewsvendorInstance(ambiguity=_fresh(kind), eta=eta))
+        new = counts.copy()
+        counts.clear()
+        with monkeypatch.context() as patch:
+            _parent_sides(patch)
+            optimize_order(NewsvendorInstance(ambiguity=_fresh(kind), eta=eta))
+        assert new["lambert_w_minus1"] == (1 if kind.startswith("mp1e") else 0)
+        assert new["instances"] <= 7 < counts["instances"]
+        assert (new["theta"], new["phi"]) == (counts["theta"], counts["phi"])
+
+    def test_midpoints_past_the_exponent_limit_are_refused(self, monkeypatch):
+        # the Chernoff cutoff 704.5 puts midpoints past t*q = 700, where the
+        # side refuses as an instance there would
+        amb = ExpMomentAmbiguity(M1=690.0, Me=2.0 * math.exp(690.0), t=1.0)
+        limit = ("RangeError", "t*q and t*M1 must stay below 700 to avoid overflow")
+        with pytest.raises(RangeError) as refused:
+            amb._order_side(1e-6)(701.0)
+        assert (type(refused.value).__name__, str(refused.value)) == limit
+        midpoints, real = [], ExpMomentAmbiguity._order_side
+
+        def order_side(self, mass):
+            side = real(self, mass)
+            return lambda q: midpoints.append(q) or side(q)
+
+        monkeypatch.setattr(ExpMomentAmbiguity, "_order_side", order_side)
+        assert _outcome(NewsvendorInstance(ambiguity=amb, eta=1.0 - 1e-6)) == limit
+        assert max(midpoints) > 700.0
+        with monkeypatch.context() as patch:
+            _parent_sides(patch)
+            assert _outcome(NewsvendorInstance(ambiguity=replace(amb), eta=1.0 - 1e-6)) == limit
+
+    def test_huge_exponential_moment_decides(self, monkeypatch):
+        # Me = 2e^690 puts (Me - e^u)^2 past float range in the Newton polish
+        inst = NewsvendorInstance(
+            ambiguity=ExpMomentAmbiguity(M1=690.0, Me=2.0 * math.exp(690.0), t=1.0), eta=0.5
+        )
+        d = optimize_order(inst)
+        assert d.q_star == 690.5206914464652
+        assert d.report.verification.passed
+        assert all(r.verification.passed for r in d.bracket_reports)
+        monkeypatch.setattr(exp_moment, "_phi_prime", reference_phi_prime)
+        with pytest.raises(OverflowError):
+            optimize_order(replace(inst, ambiguity=replace(inst.ambiguity)))
 
 
 class TestMomentMatchingFamily:
