@@ -8,14 +8,14 @@ upper point follows from it.  As with the power-moment solver,
 ``_candidate`` builds the unverified answer with its dual certificate, and
 ``solve_exp_moment`` passes it through ``core.certify``, which returns a
 ``core.Report`` (``root`` is u on the interior branch).  The boundary point
-v1 is ``compute_v1(inst.m1_scaled, inst.Me)``.
+v1 is ``compute_v1(inst.m1_scaled, inst.Me)``, which keeps its last result.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from types import SimpleNamespace
 from typing import Callable
 
@@ -42,26 +42,23 @@ _ARG_RANGE = f"t*q and t*M1 must stay below {_EXP_ARG_LIMIT:g} to avoid overflow
 
 
 @dataclass(frozen=True)
-class ExpMomentInstance:
-    """Moment data (M1, Me, t) and order quantity q, all in original units.
+class ExpMomentAmbiguity:
+    """Moment data (M1, Me, t) in original units: every law on X >= 0 with these moments.
 
-    ``m1_scaled`` = t*M1 and ``q_scaled`` = t*q are set once here: the root
-    function reads both on every evaluation.
+    The moments are checked here, and ``m1_scaled`` = t*M1 is set once: the
+    root function reads it on every evaluation.
     """
 
     M1: float
     Me: float
     t: float
-    q: float
 
     def __post_init__(self) -> None:
         if not self.M1 > 0.0:
             raise InfeasibleError(f"M1 > 0 required, got {self.M1}")
         if not self.t > 0.0:
             raise InfeasibleError(f"t > 0 required, got {self.t}")
-        if not self.q > 0.0:
-            raise InfeasibleError(f"q > 0 required, got {self.q}")
-        if self.t * self.q > _EXP_ARG_LIMIT or self.t * self.M1 > _EXP_ARG_LIMIT:
+        if self.t * self.M1 > _EXP_ARG_LIMIT:
             raise RangeError(_ARG_RANGE)
         if not self.Me > math.exp(self.t * self.M1):
             raise InfeasibleError(
@@ -69,18 +66,6 @@ class ExpMomentInstance:
                 f"{self.Me} <= {math.exp(self.t * self.M1)}"
             )
         object.__setattr__(self, "m1_scaled", self.t * self.M1)
-        object.__setattr__(self, "q_scaled", self.t * self.q)
-        # (v1, threshold) where an ExpMomentAmbiguity hands its own over; None: a solve computes it
-        object.__setattr__(self, "_boundary", None)
-
-
-@dataclass(frozen=True)
-class ExpMomentAmbiguity:
-    """ExpMomentInstance without q, for sweeps and the newsvendor outer loop."""
-
-    M1: float
-    Me: float
-    t: float
 
     @classmethod
     def from_exponential_demand(cls, lam: float, t: float) -> "ExpMomentAmbiguity":
@@ -94,25 +79,12 @@ class ExpMomentAmbiguity:
     def instance_at(self, q: float) -> ExpMomentInstance:
         return ExpMomentInstance(M1=self.M1, Me=self.Me, t=self.t, q=q)
 
-    @cached_property
-    def _base(self) -> ExpMomentInstance:
-        """The moments validated at q = M1, holding the set's one (v1, threshold)."""
-        base = self.instance_at(self.M1)
-        object.__setattr__(base, "_boundary", _v1_and_threshold(base.m1_scaled, self.Me))
-        return base
-
-    def _solvable_at(self, q: float) -> ExpMomentInstance:
-        """instance_at(q) holding the set's (v1, threshold), which q does not change."""
-        inst = self.instance_at(q)  # q's checks come before any Lambert W, as in a plain solve
-        object.__setattr__(inst, "_boundary", self._base._boundary)
-        return inst
-
     def solve(self, q: float) -> Report:
-        return solve_exp_moment(self._solvable_at(q))
+        return solve_exp_moment(self.instance_at(q))
 
     def _candidate(self, q: float) -> dict:
         """The unverified answer at q; `_certify` turns it into a report."""
-        return _candidate(self._solvable_at(q))
+        return _candidate(self.instance_at(q))
 
     def _certify(self, q: float, candidate: dict) -> Report:
         return core.certify(gmp_instance(self.instance_at(q)), candidate)
@@ -128,17 +100,16 @@ class ExpMomentAmbiguity:
         strictly as the lower point rises (the upper point rises with it), so
         p_hi(q) > mass exactly when the worst case's lower point u(q), phi's
         root, lies left of the point u* whose law has upper mass `mass`.  u*
-        is solved for once here, v1 and the branch threshold once per set
-        (its candidate solves reuse them); a midpoint reads t*q against them
-        and builds no instance.  On the boundary branch the function is the
-        closed-form p_hi - mass itself.
+        is solved for once here, v1 and the branch threshold come from the
+        memo of ``compute_v1`` that the solves share; a midpoint reads t*q
+        against them and builds no instance.  On the boundary branch the
+        function is the closed-form p_hi - mass itself.
         """
-        base = self._base
-        t, m1, me = self.t, base.m1_scaled, base.Me
-        v1, threshold = base._boundary
+        t, m1, me = self.t, self.m1_scaled, self.Me
+        v1, threshold = _v1_and_threshold(m1, me)
         # every interior worst case has less upper mass than the boundary's m1/v1;
         # u* = 0 (gap m1) puts every interior root right of it
-        gap = _gap_at_mass(mass, base, v1) if mass < m1 / v1 else m1
+        gap = _gap_at_mass(mass, self, v1) if mass < m1 / v1 else m1
         u_star = m1 - gap
 
         def side(q: float) -> float:
@@ -172,7 +143,6 @@ class ExpMomentAmbiguity:
         The solver refuses with RangeError below the tail floor, where the
         bound is the value to double precision.
         """
-        self.instance_at(self.M1)  # infeasible moments raise before the q = 0 shortcut
         if q == 0.0:
             return self.M1  # E[(X - 0)_+] = E[X] for every feasible distribution
         try:
@@ -181,11 +151,28 @@ class ExpMomentAmbiguity:
             return self.tail_bound(q)
 
 
+@dataclass(frozen=True)
+class ExpMomentInstance(ExpMomentAmbiguity):
+    """The ambiguity set at order quantity q; ``q_scaled`` = t*q is set once here."""
+
+    q: float
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not self.q > 0.0:
+            raise InfeasibleError(f"q > 0 required, got {self.q}")
+        if self.t * self.q > _EXP_ARG_LIMIT:
+            raise RangeError(_ARG_RANGE)
+        object.__setattr__(self, "q_scaled", self.t * self.q)
+
+
+@functools.lru_cache(maxsize=1)
 def compute_v1(m1_scaled: float, Me: float) -> float:
     """Boundary support point: the positive solution of exp(v) = ((Me-1)/m1)*v + 1.
 
     Expressed through the lower Lambert W branch; its argument lies strictly
-    inside (-1/e, 0) whenever Me > exp(m1_scaled).
+    inside (-1/e, 0) whenever Me > exp(m1_scaled).  Kept for the last set:
+    the order side, solves and oracle grid of one set share one Lambert W.
     """
     r = m1_scaled / (Me - 1.0)
     arg = -r * math.exp(-r)
@@ -316,7 +303,7 @@ def _candidate(inst: ExpMomentInstance) -> dict:
     """Every Report field but the verification, in original units."""
     t = inst.t
     m1, me, qs = inst.m1_scaled, inst.Me, inst.q_scaled
-    v1, threshold = inst._boundary or _v1_and_threshold(m1, me)
+    v1, threshold = _v1_and_threshold(m1, me)
     use_boundary = qs <= threshold
 
     if not use_boundary:
@@ -336,6 +323,11 @@ def _candidate(inst: ExpMomentInstance) -> dict:
                 if val > 0.0:
                     cap, fb = c_try, val
                     break
+            backoff = _POLE_BACKOFF  # phi overflows here when Me nears float range: back away
+            while fb == math.inf and backoff < 0.01:
+                backoff *= 100.0
+                cap = m1 * (1.0 - backoff)
+                fb = phi(cap, inst)
 
         def f(y: float) -> float:
             return phi(min(y, cap), inst)

@@ -14,12 +14,12 @@ and gets it without a worst-case solve.  Along the two-point laws that match
 the moments the upper mass falls strictly as the support rises, so the bit
 is the side of one fixed support point, the one whose law has upper mass
 1 - eta, on which the midpoint's root lies.  The ambiguity's ``_order_side``
-solves for that point once per decision, with all else q does not change
-(the scaled moments and branch threshold; for mp1e v1, whose one Lambert W
-the solves at the bracket ends and at q* reuse), and then decides each
-midpoint from q/M1 or t*q with at most one evaluation of the solver's own
-root function (none on the boundary branch, whose closed-form p_hi it
-returns), building no instance.
+solves for that point once per decision, with the branch threshold and,
+for mp1e, v1 (one Lambert W, which the solves at the bracket ends and at q*
+share through ``compute_v1``'s memo); the ambiguity set holds its scaled
+moments from construction.  It then decides each midpoint from q/M1 or t*q
+with at most one evaluation of the solver's own root function (none on the
+boundary branch, whose closed-form p_hi it returns), building no instance.
 
 What the search returns is certified by the subgradient condition on its
 final bracket a < q* <= b: p_hi(a) >= 1 - eta >= p_hi(b) from verified worst
@@ -95,7 +95,6 @@ class OrderDecision:
 def optimize_order(inst: NewsvendorInstance) -> OrderDecision:
     """Bisect p_hi(q) - (1 - eta) on (0, hi] to inst.eps, then certify the bracket."""
     amb = inst.ambiguity
-    amb.instance_at(amb.M1)  # rejects infeasible moments before the tail bound uses them
     mass = 1.0 - inst.eta
     hi = amb.tail_cutoff(mass)
     if not math.isfinite(hi):

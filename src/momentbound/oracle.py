@@ -324,7 +324,8 @@ def oracle_solve(
             f"grid needs at least {len(inst.hs) + 1} points for {len(inst.hs)} constraints"
         )
     xs = grid.points()
-    Ag = np.vstack([_evaluate(f, xs) for f in (*inst.hs, inst.g)])
+    with np.errstate(over="ignore"):  # an overflow is refused just below
+        Ag = np.vstack([_evaluate(f, xs) for f in (*inst.hs, inst.g)])
     if not np.isfinite(Ag).all():
         raise DomainError("moment functions are not finite on the grid")
     A, g = Ag[:-1], Ag[-1]

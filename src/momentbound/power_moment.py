@@ -47,26 +47,23 @@ _W_MARGIN = 2.0**-40
 
 
 @dataclass(frozen=True)
-class PowerMomentInstance:
-    """Moment data (M1, Mt, t) and order quantity q, all in original units.
+class PowerMomentAmbiguity:
+    """Moment data (M1, Mt, t) in original units: every law on X >= 0 with these moments.
 
-    ``mt_scaled`` = Mt/M1^t, the t-th moment of X/M1 (always > 1), and
-    ``q_scaled`` = q/M1 are set once here: the root function reads both on
+    The moments are checked here, and ``mt_scaled`` = Mt/M1^t, the t-th
+    moment of X/M1 (always > 1), is set once: the root functions read it on
     every evaluation.
     """
 
     M1: float
     Mt: float
     t: float
-    q: float
 
     def __post_init__(self) -> None:
         if not self.M1 > 0.0:
             raise InfeasibleError(f"M1 > 0 required, got {self.M1}")
         if not self.t > 1.0:
             raise InfeasibleError(f"t > 1 required, got {self.t}")
-        if not self.q > 0.0:
-            raise InfeasibleError(f"q > 0 required, got {self.q}")
         try:
             m1t = self.M1**self.t
         except OverflowError:
@@ -81,7 +78,6 @@ class PowerMomentInstance:
         if not math.isfinite(mt_scaled):
             raise RangeError(f"Mt/M1^t overflows at M1={self.M1:g}, Mt={self.Mt:g}, t={self.t:g}")
         object.__setattr__(self, "mt_scaled", mt_scaled)
-        object.__setattr__(self, "q_scaled", self.q / self.M1)
 
     @property
     def edge_scaled(self) -> float:
@@ -92,15 +88,6 @@ class PowerMomentInstance:
             raise RangeError(
                 f"mt^(1/(t-1)) overflows at mt={self.mt_scaled:g}, t={self.t:g}"
             ) from None
-
-
-@dataclass(frozen=True)
-class PowerMomentAmbiguity:
-    """The same moment data without an order quantity, for sweeps and outer loops."""
-
-    M1: float
-    Mt: float
-    t: float
 
     def instance_at(self, q: float) -> PowerMomentInstance:
         return PowerMomentInstance(M1=self.M1, Mt=self.Mt, t=self.t, q=q)
@@ -130,11 +117,10 @@ class PowerMomentAmbiguity:
         q/M1 against them and builds no instance.  On the boundary branch the
         function is the closed-form p_hi - mass itself.
         """
-        base = self.instance_at(self.M1)
-        M1, t, mt, edge = self.M1, self.t, base.mt_scaled, base.edge_scaled
+        M1, t, mt, edge = self.M1, self.t, self.mt_scaled, self.edge_scaled
         line = (t - 1.0) / t * edge
         # every interior worst case has less upper mass than the boundary's 1/edge
-        v_star = _upper_point_at_mass(mass, base, edge) if mass < 1.0 / edge else edge
+        v_star = _upper_point_at_mass(mass, self, edge) if mass < 1.0 / edge else edge
 
         def side(q: float) -> float:
             qs = q / M1
@@ -153,10 +139,22 @@ class PowerMomentAmbiguity:
         return side
 
     def worst_case(self, q: float) -> float:
-        self.instance_at(self.M1)  # infeasible moments raise before the q = 0 shortcut
         if q == 0.0:
             return self.M1  # E[(X - 0)_+] = E[X] for every feasible distribution
         return self.solve(q).value
+
+
+@dataclass(frozen=True)
+class PowerMomentInstance(PowerMomentAmbiguity):
+    """The ambiguity set at order quantity q; ``q_scaled`` = q/M1 is set once here."""
+
+    q: float
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        if not self.q > 0.0:
+            raise InfeasibleError(f"q > 0 required, got {self.q}")
+        object.__setattr__(self, "q_scaled", self.q / self.M1)
 
 
 def theta(y: float, inst: PowerMomentInstance) -> float:

@@ -555,7 +555,8 @@ def reference_polish_root(
 # before the q-independent data moved out of the midpoints: every midpoint
 # built and validated an instance, and every exp_moment solve (the order
 # side's and each candidate's) ran its own Lambert W.  ``parent_methods``
-# maps each ambiguity class to the methods that restore that behaviour.
+# maps each ambiguity class to the methods that restore that behaviour; the
+# Lambert W is now shared by ``compute_v1``'s memo in either case.
 
 
 def reference_power_order_side(self, mass: float) -> Callable[[float], float]:
@@ -622,12 +623,12 @@ def reference_phi_prime(y: float, inst) -> float:
 
 
 def parent_methods() -> dict[type, dict[str, Callable]]:
-    """The ambiguity methods that restore the per-midpoint instances and per-solve Lambert W."""
+    """The ambiguity methods that restore the per-midpoint instances and per-solve instances."""
     return {
         power_moment.PowerMomentAmbiguity: {"_order_side": reference_power_order_side},
         exp_moment.ExpMomentAmbiguity: {
             "_order_side": reference_exp_order_side,
-            # each solve's instance computes its own (v1, threshold)
+            # each solve's instance asks for its own (v1, threshold)
             "_candidate": lambda self, q: exp_moment._candidate(self.instance_at(q)),
             "solve": lambda self, q: exp_moment.solve_exp_moment(self.instance_at(q)),
         },

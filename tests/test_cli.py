@@ -370,6 +370,16 @@ class TestSolve:
         assert captured.out == ""
         assert json.loads(captured.err.splitlines()[0])["error"] == "RangeError"
 
+    def test_phi_overflow_beside_the_pole_is_answered(self, tmp_path, capsys):
+        path = _write(
+            tmp_path, {"problem": "mp1e", "params": {"M1": 1, "Me": 1e297, "t": 1, "q": 695}}
+        )
+        code = main(["solve", path])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == EXIT_OK
+        assert doc["verified"] is True
+        assert doc["optimal_value"] == 5.383200992144761e-06
+
     def test_huge_exponential_moment_is_a_range_rejection(self, tmp_path, capsys):
         # (Me - e^y)^2 passes float range in the Newton polish's derivative
         path = _write(
@@ -536,6 +546,22 @@ class TestCheck:
         doc = json.loads(capsys.readouterr().out)
         assert code == EXIT_OK
         assert doc["difference"] <= 1e-9
+
+    def test_grid_overflow_is_one_json_refusal(self, tmp_path, capsys):
+        # the default grid reaches t*x of about 969, past exp()'s range: the
+        # refusal is the only thing written, with no numpy warning before it
+        path = _write(
+            tmp_path, {"problem": "mp1e", "params": {"M1": 1, "Me": 1e150, "t": 1, "q": 300}}
+        )
+        code = main(["check", path])
+        captured = capsys.readouterr()
+        assert code == EXIT_SCHEMA
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert json.loads(line) == {
+            "error": "DomainError",
+            "message": "moment functions are not finite on the grid",
+        }
 
     def test_upm_agreement(self, tmp_path, capsys):
         path = _write(

@@ -80,6 +80,15 @@ class TestComputeV1:
         resid = abs(math.exp(v1) - (2.0 * math.e - 2.0) * v1 - 1.0)
         assert resid <= 1e-9 * (2.0 * math.e - 1.0)
 
+    def test_distinct_solves_run_one_lambert_w_each(self, monkeypatch):
+        # the memo keeps one set's v1 and never stands in for another's
+        calls = []
+        real = exp_moment.lambert_w_minus1
+        monkeypatch.setattr(exp_moment, "lambert_w_minus1", lambda x: calls.append(x) or real(x))
+        for k, inst in enumerate(_random_instances(np.random.default_rng(19), 12), 1):
+            solve_exp_moment(inst)
+            assert len(calls) == k
+
 
 class TestPhi:
     def test_negative_at_zero_on_interior_instances(self):
@@ -217,6 +226,15 @@ class TestSolve:
         assert math.isfinite(exp_moment._phi_prime(100.0, inst))
         with pytest.raises(RangeError, match="unrepresentably small"):
             solve_exp_moment(inst)
+
+    def test_phi_overflow_beside_the_pole_backs_away(self):
+        # Me = 1e297 puts phi past float range within 1e-9 of the pole, where
+        # its root is not: the bracket end steps back until phi is finite
+        inst = ExpMomentInstance(M1=1.0, Me=1e297, t=1.0, q=695.0)
+        assert phi(inst.m1_scaled * (1.0 - 1e-9), inst) == math.inf
+        report = solve_exp_moment(inst)
+        assert (report.value, report.bisect_iters) == (5.383200992144761e-06, 34)
+        assert report.branch == exp_moment.INTERIOR and report.verification.passed
 
     def test_certified_tail_below_floor_is_answered(self):
         inst = ExpMomentInstance(

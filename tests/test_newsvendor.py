@@ -382,7 +382,7 @@ def _fresh(kind: str):
 
 
 def _parent_sides(patch) -> None:
-    """Order sides that build an instance per midpoint, and a Lambert W per exp_moment solve."""
+    """Order sides that build and validate an instance per midpoint."""
     for cls, methods in parent_methods().items():
         for name, method in methods.items():
             patch.setattr(cls, name, method)
@@ -440,6 +440,7 @@ class TestDecisionCost:
 
     @pytest.mark.parametrize("kind,eta", CELLS)
     def test_budget(self, kind, eta, monkeypatch):
+        exp_moment.compute_v1.cache_clear()  # an earlier test's last v1 would be a free hit
         counts = Counter()
 
         def counted(name, fn):
@@ -467,6 +468,17 @@ class TestDecisionCost:
         assert new["instances"] <= 7 < counts["instances"]
         assert (new["theta"], new["phi"]) == (counts["theta"], counts["phi"])
 
+    def test_one_lambert_w_per_moment_set(self, monkeypatch):
+        calls = []
+        real = exp_moment.lambert_w_minus1
+        monkeypatch.setattr(exp_moment, "lambert_w_minus1", lambda x: calls.append(x) or real(x))
+        exp_moment.compute_v1.cache_clear()
+        optimize_order(NewsvendorInstance(ambiguity=_fresh("mp1e-general"), eta=0.9))
+        assert len(calls) == 1
+        # an equal set is the memo's key: its decisions run none
+        optimize_order(NewsvendorInstance(ambiguity=_fresh("mp1e-general"), eta=0.99))
+        assert len(calls) == 1
+
     def test_midpoints_past_the_exponent_limit_are_refused(self, monkeypatch):
         # the Chernoff cutoff 704.5 puts midpoints past t*q = 700, where the
         # side refuses as an instance there would
@@ -487,6 +499,22 @@ class TestDecisionCost:
         with monkeypatch.context() as patch:
             _parent_sides(patch)
             assert _outcome(NewsvendorInstance(ambiguity=replace(amb), eta=1.0 - 1e-6)) == limit
+
+    @pytest.mark.parametrize(
+        "moments,eta,q_star",
+        [
+            ((0.6879090472390929, 7.954349947865794e296, 1.0), 0.999999, 696.454),
+            ((280.68208008413967, 1.152371179246346e302, 1.0), 0.9, 696.825),
+        ],
+    )
+    def test_phi_overflow_beside_the_pole_decides(self, moments, eta, q_star):
+        # phi overflows within 1e-9 of the pole for these Me; the bracket-end
+        # and q* solves step back from it instead of refusing
+        amb = ExpMomentAmbiguity(*moments)
+        d = optimize_order(NewsvendorInstance(ambiguity=amb, eta=eta))
+        assert d.q_star == pytest.approx(q_star, abs=1e-3)
+        assert d.report.verification.passed
+        assert all(r is None or r.verification.passed for r in d.bracket_reports)
 
     def test_huge_exponential_moment_decides(self, monkeypatch):
         # Me = 2e^690 puts (Me - e^u)^2 past float range in the Newton polish
@@ -590,17 +618,18 @@ class TestOptimizeOrder:
         assert qs[0] <= qs[1] <= qs[2]
 
     @pytest.mark.parametrize(
-        "amb",
+        "build",
         [
-            PowerMomentAmbiguity(M1=1.0, Mt=-1.0, t=2.0),
-            ExpMomentAmbiguity(M1=1.0, Me=-1.0, t=1.0),
-            ExpMomentAmbiguity(M1=1.0, Me=3.0, t=0.0),
+            lambda: PowerMomentAmbiguity(M1=1.0, Mt=-1.0, t=2.0),
+            lambda: ExpMomentAmbiguity(M1=1.0, Me=-1.0, t=1.0),
+            lambda: ExpMomentAmbiguity(M1=1.0, Me=3.0, t=0.0),
         ],
         ids=["negative-Mt", "negative-Me", "zero-t"],
     )
-    def test_infeasible_moments_are_typed(self, amb):
+    def test_infeasible_moments_are_typed(self, build):
+        # an ambiguity set checks its moments when it is built
         with pytest.raises(InfeasibleError):
-            optimize_order(NewsvendorInstance(ambiguity=amb, eta=0.9))
+            optimize_order(NewsvendorInstance(ambiguity=build(), eta=0.9))
 
     def test_eta_validation(self):
         amb = ExpMomentAmbiguity(M1=1.0, Me=math.e**2, t=1.0)
