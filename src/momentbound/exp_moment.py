@@ -3,12 +3,22 @@
 Rescaling X to t*X reduces everything to rate 1.  The boundary branch places
 mass on {0, v1} where v1 solves exp(v) = ((Me-1)/M1) * v + 1, obtained
 through the lower Lambert W branch.  Past the branch threshold the lower
-support point u is a root of a scalar equation on (0, min(M1, q)) and the
-upper point follows from it.  As with the power-moment solver,
-``_candidate`` builds the unverified answer with its dual certificate, and
-``solve_exp_moment`` passes it through ``core.certify``, which returns a
-``core.Report`` (``root`` is u on the interior branch).  The boundary point
-v1 is ``compute_v1(inst.m1_scaled, inst.Me)``, which keeps its last result.
+support point u is a root of a scalar equation on (0, min(M1, q)), searched
+for in its gap g = t*M1 - u, which keeps full relative precision where u
+rounds to t*M1; the upper point follows from g.  As with the power-moment
+solver, ``_candidate`` builds the unverified answer with its dual
+certificate, and ``solve_exp_moment`` passes it through ``core.certify``,
+which returns a ``core.Report`` (``root`` is u on the interior branch).  The
+boundary point v1 is ``compute_v1(inst.m1_scaled, inst.Me)``, which keeps
+its last result.
+
+RangeError is raised only where an exponent leaves float range (t*q, t*M1 or
+v1 above 700); the deep tail has no floor.  The bisection evaluates phi in g
+only above half its root, where phi's terms stay below 2*exp(t*q + 1), and
+the Newton steps work on g*phi, which has no pole, so no evaluation
+overflows.  On wide draws up to t*q = 700 no interior search was refused,
+down to tails of 1e-313; below the normal float range (a tail under about
+2.2e-308 * t) the value keeps only a subnormal's precision.
 """
 
 from __future__ import annotations
@@ -35,8 +45,6 @@ BOUNDARY = "boundary"
 INTERIOR = "interior"
 
 _EXP_ARG_LIMIT = 700.0  # exp(t*q) and exp(t*M1) stay finite
-_POLE_BACKOFF = 1e-9  # right bracket endpoint is evaluated at M1*(1 - this)
-_TAIL_FLOOR = 1e-10  # a rate-scaled tail below this (times max(1, t*M1)) is float noise
 _ROOT_TOL = 1e-10  # where bisection on phi hands off to the Newton polish
 _ARG_RANGE = f"t*q and t*M1 must stay below {_EXP_ARG_LIMIT:g} to avoid overflow"
 
@@ -124,31 +132,16 @@ class ExpMomentAmbiguity:
                 return 1.0
             # phi is negative at 0 and positive at its right bracket end: its
             # sign at u* says on which side of u* its root lies.  Near the
-            # pole, as in _candidate, the gap coordinate keeps it accurate.
+            # pole the gap coordinate keeps it accurate.
             inst = SimpleNamespace(m1_scaled=m1, Me=me, q_scaled=qs)
             return _phi_gap(gap, inst) if gap < 1e-5 * m1 else phi(u_star, inst)
 
         return side
 
-    def tail_bound(self, q: float) -> float:
-        """Exponential Markov bound Me * exp(-(t*q + 1)) / t on E[(X - q)_+].
-
-        Valid for every feasible distribution since (x-q)_+ <= e^(t(x-q)-1)/t.
-        """
-        return self.Me * math.exp(-min(self.t * q + 1.0, 1e4)) / self.t
-
     def worst_case(self, q: float) -> float:
-        """The certified worst case, or the Markov bound where the solver refuses.
-
-        The solver refuses with RangeError below the tail floor, where the
-        bound is the value to double precision.
-        """
         if q == 0.0:
             return self.M1  # E[(X - 0)_+] = E[X] for every feasible distribution
-        try:
-            return self.solve(q).value
-        except RangeError:
-            return self.tail_bound(q)
+        return self.solve(q).value
 
 
 @dataclass(frozen=True)
@@ -203,16 +196,6 @@ def phi(y: float, inst: ExpMomentInstance) -> float:
     return (me - ey) / (m1 - y) * (qs + 1.0 - m1) - ey - math.exp(qs + 1.0 - ratio) + me
 
 
-def _phi_prime(y: float, inst: ExpMomentInstance) -> float:
-    m1, me, qs = inst.m1_scaled, inst.Me, inst.q_scaled
-    ey = math.exp(y)
-    a_prime = (me - ey * (1.0 + m1 - y)) / (m1 - y) ** 2
-    ratio = ey * (m1 - y) / (me - ey)
-    # the square as a product: past float range it gives inf, where ** raises
-    ratio_prime = (ey * (m1 - y - 1.0) * (me - ey) + ey * ey * (m1 - y)) / ((me - ey) * (me - ey))
-    return a_prime * (qs + 1.0 - m1) - ey + math.exp(qs + 1.0 - ratio) * ratio_prime
-
-
 def _phi_gap(g: float, inst: ExpMomentInstance) -> float:
     """phi evaluated at y = m1 - g without ever forming that subtraction.
 
@@ -225,13 +208,20 @@ def _phi_gap(g: float, inst: ExpMomentInstance) -> float:
     return (den / g) * (qs + 1.0 - m1) - eu - math.exp(qs + 1.0 - eu * g / den) + me
 
 
-def _phi_gap_prime(g: float, inst: ExpMomentInstance) -> float:
+def _gap_times_phi(g: float, inst: ExpMomentInstance) -> float:
+    """g * _phi_gap(g) with the division cleared: finite down to g = 0, nearly linear near it."""
     m1, me, qs = inst.m1_scaled, inst.Me, inst.q_scaled
     eu = math.exp(m1 - g)
     den = me - eu
-    d_a = (eu * g - den) / (g * g)
-    d_ratio = (eu * (1.0 - g) * den - eu * g * eu) / (den * den)
-    return d_a * (qs + 1.0 - m1) + eu + math.exp(qs + 1.0 - eu * g / den) * d_ratio
+    return den * (qs + 1.0 - m1) - g * (eu + math.exp(qs + 1.0 - eu * g / den) - me)
+
+
+def _gap_times_phi_slope(g: float, inst: ExpMomentInstance) -> float:
+    m1, me, qs = inst.m1_scaled, inst.Me, inst.q_scaled
+    eu = math.exp(m1 - g)
+    den = me - eu
+    d_ratio = eu * ((1.0 - g) - g * eu / den) / den  # den once at a time: den**2 can overflow
+    return eu * (qs + g - m1) + me - math.exp(qs + 1.0 - eu * g / den) * (1.0 - g * d_ratio)
 
 
 def _gap_at_mass(p: float, inst: ExpMomentInstance, v1: float) -> float:
@@ -281,22 +271,7 @@ def gmp_instance(inst: ExpMomentInstance) -> GmpInstance:
 
 def solve_exp_moment(inst: ExpMomentInstance) -> Report:
     """Solve the rate-scaled problem, rescale, and certify the result."""
-    report = core.certify(gmp_instance(inst), _candidate(inst))
-    if not report.verification.passed and report.branch == INTERIOR and _below_tail_floor(inst):
-        raise _tail_range_error(inst)
-    return report
-
-
-def _below_tail_floor(inst: ExpMomentInstance) -> bool:
-    """Whether the worst-case tail at q is below what a double can resolve beside the mean."""
-    return inst.Me * math.exp(-(inst.q_scaled + 1.0)) < _TAIL_FLOOR * max(1.0, inst.m1_scaled)
-
-
-def _tail_range_error(inst: ExpMomentInstance) -> RangeError:
-    return RangeError(
-        f"worst-case tail at q={inst.q:g} is unrepresentably small; "
-        "use ExpMomentAmbiguity.tail_bound"
-    )
+    return core.certify(gmp_instance(inst), _candidate(inst))
 
 
 def _candidate(inst: ExpMomentInstance) -> dict:
@@ -304,48 +279,14 @@ def _candidate(inst: ExpMomentInstance) -> dict:
     t = inst.t
     m1, me, qs = inst.m1_scaled, inst.Me, inst.q_scaled
     v1, threshold = _v1_and_threshold(m1, me)
+    f = lambda g: _phi_gap(g, inst)
     use_boundary = qs <= threshold
-
-    if not use_boundary:
-        b = min(m1, qs)
-        if qs < m1:
-            cap = b
-            fb = phi(b, inst)
-        else:
-            # phi blows up at m1; probe just left of the pole, stepping
-            # closer until the guaranteed positive side becomes visible
-            cap, fb = m1 * (1.0 - _POLE_BACKOFF), -1.0
-            for backoff in (_POLE_BACKOFF, 1e-11, 1e-13, 1e-15, 0.0):
-                c_try = m1 * (1.0 - backoff) if backoff else math.nextafter(m1, 0.0)
-                if not c_try < m1:
-                    continue
-                val = phi(c_try, inst)
-                if val > 0.0:
-                    cap, fb = c_try, val
-                    break
-            backoff = _POLE_BACKOFF  # phi overflows here when Me nears float range: back away
-            while fb == math.inf and backoff < 0.01:
-                backoff *= 100.0
-                cap = m1 * (1.0 - backoff)
-                fb = phi(cap, inst)
-
-        def f(y: float) -> float:
-            return phi(min(y, cap), inst)
-
-        f0 = f(0.0)
-        if not (f0 < 0.0 < fb):
-            if f0 >= 0.0 and qs <= threshold * (1.0 + 1e-9) + 1e-12:
-                # q sits at the branch threshold to float resolution; the
-                # boundary construction is the exact limit there
-                use_boundary = True
-            elif fb <= 0.0 and _below_tail_floor(inst):
-                # The root lies within one ulp of the scaled mean: the
-                # worst-case tail is below double-precision resolution.
-                raise _tail_range_error(inst)
-            else:
-                raise RootBracketError(
-                    f"phi sign conditions failed: phi(0)={f0}, phi(right)={fb}"
-                )
+    if not use_boundary and not f(m1) < 0.0:  # phi(0)
+        if qs > threshold * (1.0 + 1e-9) + 1e-12:
+            raise RootBracketError(f"phi sign condition failed: phi(0)={f(m1)}")
+        # q sits at the branch threshold to float resolution; the boundary
+        # construction is the exact limit there
+        use_boundary = True
 
     if use_boundary:
         p_hi = m1 / v1
@@ -358,23 +299,20 @@ def _candidate(inst: ExpMomentInstance) -> dict:
         )
         branch, root, iters = BOUNDARY, None, 0
     else:
-        res = bisect(f, 0.0, b, _ROOT_TOL)
-        # Newton steps push the root to float resolution; the exponential
-        # moment row residual is proportional to phi at the reported root.
-        u = polish_root(f, lambda y: _phi_prime(min(y, cap), inst), res.root, 0.0, cap)
-        u = min(u, cap)
-        gap = m1 - u
-        if 0.0 < gap < 1e-5 * m1:
-            # the root hugs the pole: refine in the gap coordinate, where
-            # Newton arithmetic preserves relative precision
-            gap = polish_root(
-                lambda x: _phi_gap(x, inst),
-                lambda x: _phi_gap_prime(x, inst),
-                gap,
-                0.0,
-                m1,
-            )
-            u = m1 - gap
+        # phi in the gap g = m1 - u is positive at the lower end of g's range
+        # (phi(qs), or the pole) and negative at g = m1.  Newton steps on
+        # g*phi, which has no pole, take the bisection's root to float
+        # resolution.  Where the bracket closes on the pole the root may lie
+        # anywhere below its absolute width, so the steps start left of it:
+        # at the root phi's first term is below exp(qs + 1), and with den at
+        # its least, Me - e^m1, that puts the root above g0.
+        res = bisect(f, m1 - min(m1, qs), m1, _ROOT_TOL, assume_left_root=True)
+        lo, hi = res.bracket
+        g0 = res.root if lo > 0.0 else (me - math.exp(m1)) * (qs + 1.0 - m1) / math.exp(qs + 1.0)
+        gap = polish_root(
+            lambda g: _gap_times_phi(g, inst), lambda g: _gap_times_phi_slope(g, inst), g0, lo, hi
+        )
+        u = m1 - gap
         eu = math.exp(u)
         ratio = eu * gap / (me - eu)
         v2 = qs + 1.0 - ratio

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 from math import log, sqrt
 from typing import Callable
 
+import mpmath as mp
 import numpy as np
 
 from momentbound import exp_moment, power_moment
@@ -73,6 +74,49 @@ class ExponentialDemand:
 def worst_case_objective(inst, q: float) -> float:
     """f(q) = worst-case E[(X - q)_+] + (1 - eta) * q, as optimize_order evaluates it."""
     return inst.ambiguity.worst_case(q) + (1.0 - inst.eta) * q
+
+
+def chernoff_tail_bound(Me: float, t: float, q: float) -> float:
+    """Me * exp(-(t*q + 1)) / t, an upper bound on E[(X - q)_+] given E[exp(t*X)] = Me.
+
+    (x - q)_+ <= exp(t*(x - q) - 1)/t for every x, so every feasible law
+    has E[(X - q)_+] <= Me * exp(-(t*q + 1))/t.
+    """
+    return Me * math.exp(-(t * q + 1.0)) / t
+
+
+def exp_moment_value_50(M1: float, Me: float, t: float, q: float) -> float:
+    """The interior mp1e worst case at 50 digits, from phi's root bisected in log g.
+
+    phi in the gap g = t*M1 - u of the lower support point u is positive
+    toward g = t*M1 - min(t*M1, t*q) and negative at g = t*M1.  When the
+    root hugs the pole it lies above (Me - e^(t*M1)) * (t*q + 1 - t*M1) /
+    e^(t*q + 1), where phi's first term reaches e^(t*q + 1).
+    """
+    with mp.workdps(50):
+        t_ = mp.mpf(t)
+        m1, me, qs = t_ * mp.mpf(M1), mp.mpf(Me), t_ * mp.mpf(q)
+
+        def phi_gap(g):
+            eu = mp.exp(m1 - g)
+            den = me - eu
+            return den / g * (qs + 1 - m1) - eu - mp.exp(qs + 1 - eu * g / den) + me
+
+        if qs < m1:
+            lo = mp.log(m1 - qs)
+        else:
+            lo = mp.log((me - mp.exp(m1)) * (qs + 1 - m1)) - (qs + 1) - 1
+        hi = mp.log(m1)
+        for _ in range(400):
+            mid = (lo + hi) / 2
+            if phi_gap(mp.exp(mid)) > 0:
+                lo = mid
+            else:
+                hi = mid
+        g = mp.exp(hi)
+        eu = mp.exp(m1 - g)
+        ratio = eu * g / (me - eu)
+        return float((1 - ratio) * g / (((qs + 1 - m1) + g - ratio) * t_))
 
 
 def verified_order_search(inst) -> tuple[float, float, int]:
@@ -610,16 +654,6 @@ def reference_exp_order_side(self, mass: float) -> Callable[[float], float]:
         return exp_moment.phi(u_star, inst)
 
     return side
-
-
-def reference_phi_prime(y: float, inst) -> float:
-    """`exp_moment._phi_prime` with its squares written as ``**``, which raises past float range."""
-    m1, me, qs = inst.m1_scaled, inst.Me, inst.q_scaled
-    ey = math.exp(y)
-    a_prime = (me - ey * (1.0 + m1 - y)) / (m1 - y) ** 2
-    ratio = ey * (m1 - y) / (me - ey)
-    ratio_prime = (ey * (m1 - y - 1.0) * (me - ey) + ey * ey * (m1 - y)) / (me - ey) ** 2
-    return a_prime * (qs + 1.0 - m1) - ey + math.exp(qs + 1.0 - ratio) * ratio_prime
 
 
 def parent_methods() -> dict[type, dict[str, Callable]]:

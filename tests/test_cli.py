@@ -20,6 +20,7 @@ from momentbound.cli import (
 from momentbound.exp_moment import ExpMomentInstance, solve_exp_moment
 from momentbound.partial_moment import PartialMomentInstance, solve_partial_moment
 from momentbound.power_moment import PowerMomentInstance, solve_power_moment
+from references import chernoff_tail_bound, exp_moment_value_50
 
 GOLDEN_MP1T = (
     '{"problem": "mp1t", "optimal_value": 0.75, '
@@ -45,14 +46,14 @@ GOLDEN_MP1E_BOUNDARY = (
 )
 
 GOLDEN_MP1E_INTERIOR = (
-    '{"problem": "mp1e", "optimal_value": 0.012059559745025546, '
+    '{"problem": "mp1e", "optimal_value": 0.012059559745025542, '
     '"distribution": [{"x": 0.9372675420809182, "p": 0.9875273849068539}, '
-    '{"x": 5.966883019716725, "p": 0.012472615093146134}], '
+    '{"x": 5.966883019716725, "p": 0.012472615093146133}], '
     '"dual": [-0.0004130553481205896, -0.006584396049862852, '
     '0.002579086000682405], "branch": "interior", "root": 0.9372675420809182, '
-    '"iterations": 34, "verification": {"primal_residual": 1.7763568394002505e-15, '
+    '"iterations": 34, "verification": {"primal_residual": 8.881784197001252e-16, '
     '"slack_residual": 4.440892098500626e-16, "tangent_residual": 0.0, '
-    '"dual_min_on_grid": 0.0, "duality_gap": 1.734723475976807e-18, '
+    '"dual_min_on_grid": 0.0, "duality_gap": 3.469446951953614e-18, '
     '"passed": true}, "verified": true, "timing_ms": 0.0}'
 )
 
@@ -117,12 +118,12 @@ GOLDEN_CHECK_MP1T_INTERIOR = (
 )
 
 GOLDEN_CHECK_MP1E_INTERIOR = (
-    '{"problem": "mp1e", "solver_value": 0.012059559745025546, '
-    '"oracle_value": 0.012059559745025535, "difference": 1.0408340855860843e-17, '
+    '{"problem": "mp1e", "solver_value": 0.012059559745025542, '
+    '"oracle_value": 0.012059559745025535, "difference": 6.938893903907228e-18, '
     '"oracle_status": "optimal", "oracle_rounds": 1, '
-    '"verification": {"primal_residual": 1.7763568394002505e-15, '
+    '"verification": {"primal_residual": 8.881784197001252e-16, '
     '"slack_residual": 4.440892098500626e-16, "tangent_residual": 0.0, '
-    '"dual_min_on_grid": 0.0, "duality_gap": 1.734723475976807e-18, '
+    '"dual_min_on_grid": 0.0, "duality_gap": 3.469446951953614e-18, '
     '"passed": true}, "verified": true, "agree": true}'
 )
 
@@ -359,16 +360,21 @@ class TestSolve:
         assert captured.out == ""
         assert json.loads(captured.err.splitlines()[0])["error"] == "RangeError"
 
-    def test_uncertified_deep_tail_is_a_range_rejection(self, tmp_path, capsys):
-        path = _write(
-            tmp_path,
-            {"problem": "mp1e", "params": {"M1": 1, "Me": math.e**2, "t": 1, "q": 40}},
-        )
-        code = main(["solve", path])
-        captured = capsys.readouterr()
-        assert code == EXIT_RANGE
-        assert captured.out == ""
-        assert json.loads(captured.err.splitlines()[0])["error"] == "RangeError"
+    def _assert_deep_tail_answered(self, tmp_path, capsys, params):
+        code = main(["solve", _write(tmp_path, {"problem": "mp1e", "params": params})])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == EXIT_OK
+        assert doc["verified"] is True and doc["branch"] == "interior"
+        M1, Me, t, q = (params[k] for k in ("M1", "Me", "t", "q"))
+        ref = exp_moment_value_50(M1, Me, t, q)
+        assert doc["optimal_value"] == pytest.approx(ref, rel=1e-11, abs=0.0)
+        # the bound's own rounding aside: at Me = 1e160 the value meets it
+        assert doc["optimal_value"] <= chernoff_tail_bound(Me, t, q) * (1.0 + 1e-15)
+        return doc
+
+    def test_deep_tail_is_answered(self, tmp_path, capsys):
+        # a tail of about 1e-17: the lower support point is three ulps below the mean
+        self._assert_deep_tail_answered(tmp_path, capsys, {"M1": 1, "Me": E2, "t": 1, "q": 40})
 
     def test_phi_overflow_beside_the_pole_is_answered(self, tmp_path, capsys):
         path = _write(
@@ -378,20 +384,12 @@ class TestSolve:
         doc = json.loads(capsys.readouterr().out)
         assert code == EXIT_OK
         assert doc["verified"] is True
-        assert doc["optimal_value"] == 5.383200992144761e-06
+        assert doc["optimal_value"] == 5.38320099214469e-06
 
-    def test_huge_exponential_moment_is_a_range_rejection(self, tmp_path, capsys):
-        # (Me - e^y)^2 passes float range in the Newton polish's derivative
-        path = _write(
-            tmp_path,
-            {"problem": "mp1e", "params": {"M1": 300, "Me": 1e160, "t": 1, "q": 400}},
-        )
-        code = main(["solve", path])
-        captured = capsys.readouterr()
-        assert code == EXIT_RANGE
-        assert captured.out == ""
-        err = json.loads(captured.err.splitlines()[0])
-        assert err["error"] == "RangeError" and "unrepresentably small" in err["message"]
+    def test_huge_exponential_moment_is_answered(self, tmp_path, capsys):
+        # (Me - e^u)^2 passes float range in the Newton slope, which divides twice instead
+        params = {"M1": 300, "Me": 1e160, "t": 1, "q": 400}
+        self._assert_deep_tail_answered(tmp_path, capsys, params)
 
     def test_unknown_param_key(self, tmp_path):
         path = _mp1t(tmp_path, bogus=3)

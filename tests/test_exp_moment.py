@@ -20,7 +20,7 @@ from momentbound.exp_moment import (
     phi,
     solve_exp_moment,
 )
-from references import reference_phi_prime
+from references import chernoff_tail_bound, exp_moment_value_50
 
 
 def _bisect_v1(m1: float, me: float) -> float:
@@ -37,6 +37,17 @@ def _bisect_v1(m1: float, me: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _assert_deep_tail_answered(inst: ExpMomentInstance):
+    """A certified interior answer within 1e-11 of the 50-digit value, under Chernoff's bound."""
+    report = solve_exp_moment(inst)
+    assert report.branch == exp_moment.INTERIOR and report.verification.passed
+    ref = exp_moment_value_50(inst.M1, inst.Me, inst.t, inst.q)
+    assert report.value == pytest.approx(ref, rel=1e-11, abs=0.0)
+    # the bound is exact to about 1e-30 at the largest Me here; 1e-15 is its own rounding
+    assert report.value <= chernoff_tail_bound(inst.Me, inst.t, inst.q) * (1.0 + 1e-15)
+    return report
 
 
 def _random_instances(rng, n):
@@ -202,48 +213,49 @@ class TestSolve:
         with pytest.raises(RangeError):
             ExpMomentInstance(M1=1.0, Me=10.0, t=1.0, q=800.0)
 
-    def test_far_tail_raises_range_error(self):
+    def test_far_tail_is_answered(self):
         inst = ExpMomentInstance(M1=50.0, Me=2.0, t=0.01, q=5000.0)
-        with pytest.raises(RangeError):
-            solve_exp_moment(inst)
+        report = _assert_deep_tail_answered(inst)
+        # the lower support point's gap to the scaled mean, about 1.3e-21, is
+        # far below one ulp of it: u rounds to it, and the value is read from g
+        assert report.root == inst.m1_scaled
+        assert ExpMomentAmbiguity(M1=50.0, Me=2.0, t=0.01).worst_case(5000.0) == report.value
 
-    def test_uncertified_tail_below_floor_raises_range_error(self):
-        # the interior root brackets cleanly here, but its answer is float
-        # noise: primal residual 9.3e5 for a tail of about 1e-17
+    def test_tail_below_double_resolution_is_answered(self):
+        # the tail is about 1e-17, and the lower support point lies three ulps
+        # below the scaled mean: in u its gap would keep one significant digit
         inst = ExpMomentInstance(M1=1.0, Me=math.e**2, t=1.0, q=40.0)
-        assert exp_moment._below_tail_floor(inst)
-        with pytest.raises(RangeError, match="tail_bound"):
-            solve_exp_moment(inst)
-        amb = ExpMomentAmbiguity(M1=1.0, Me=math.e**2, t=1.0)
-        assert amb.worst_case(40.0) == amb.tail_bound(40.0)
+        report = _assert_deep_tail_answered(inst)
+        assert 0.0 < inst.m1_scaled - report.root < 4e-16
+        assert ExpMomentAmbiguity(M1=1.0, Me=math.e**2, t=1.0).worst_case(40.0) == report.value
 
     def test_square_past_float_range_is_no_overflow(self):
-        # Me above about 1.3e154 puts (Me - e^y)^2 past float range, where
-        # ** raises a bare OverflowError and a product gives inf
+        # Me above about 1.3e154 puts (Me - e^u)^2 past float range, where **
+        # raises a bare OverflowError: the Newton slope divides twice instead
         inst = ExpMomentInstance(M1=300.0, Me=1e160, t=1.0, q=400.0)
         with pytest.raises(OverflowError):
-            reference_phi_prime(100.0, inst)
-        assert math.isfinite(exp_moment._phi_prime(100.0, inst))
-        with pytest.raises(RangeError, match="unrepresentably small"):
-            solve_exp_moment(inst)
+            (inst.Me - math.exp(299.0)) ** 2
+        assert math.isfinite(exp_moment._gap_times_phi_slope(1e-12, inst))
+        _assert_deep_tail_answered(inst)
 
-    def test_phi_overflow_beside_the_pole_backs_away(self):
+    def test_phi_overflow_beside_the_pole_is_answered(self):
         # Me = 1e297 puts phi past float range within 1e-9 of the pole, where
-        # its root is not: the bracket end steps back until phi is finite
+        # its root is not: the search in the gap never evaluates phi there
         inst = ExpMomentInstance(M1=1.0, Me=1e297, t=1.0, q=695.0)
         assert phi(inst.m1_scaled * (1.0 - 1e-9), inst) == math.inf
         report = solve_exp_moment(inst)
-        assert (report.value, report.bisect_iters) == (5.383200992144761e-06, 34)
+        assert (report.value, report.bisect_iters) == (5.38320099214469e-06, 34)
         assert report.branch == exp_moment.INTERIOR and report.verification.passed
+        ref = exp_moment_value_50(1.0, 1e297, 1.0, 695.0)
+        assert report.value == pytest.approx(ref, rel=1e-15, abs=0.0)
 
-    def test_certified_tail_below_floor_is_answered(self):
+    def test_deep_tail_beside_a_large_mean_is_answered(self):
         inst = ExpMomentInstance(
             M1=1146.6390110688826, Me=44999.53680668756, t=0.009291836773182524, q=3452.944594472857
         )
-        assert exp_moment._below_tail_floor(inst)
-        report = solve_exp_moment(inst)
-        assert report.branch == exp_moment.INTERIOR
-        assert report.verification.passed
+        # the tail is below 1e-10 times the scaled mean
+        assert inst.Me * math.exp(-(inst.q_scaled + 1.0)) < 1e-10 * inst.m1_scaled
+        _assert_deep_tail_answered(inst)
 
 
 class TestAmbiguity:
@@ -258,26 +270,12 @@ class TestAmbiguity:
         amb = ExpMomentAmbiguity(M1=1.0, Me=math.e**2, t=1.0)
         assert amb.worst_case(0.0) == 1.0
 
-    def test_far_tail_uses_markov_bound(self):
-        amb = ExpMomentAmbiguity.from_exponential_demand(lam=0.02, t=0.01)
-        v = amb.worst_case(5000.0)
-        assert v == pytest.approx(amb.tail_bound(5000.0))
-        assert v < 1e-10
-
-    def test_markov_bound_only_where_the_solver_refuses(self):
-        # the tail bound is 9.59e-11 here, three times the certified worst case
-        amb = ExpMomentAmbiguity(M1=0.25, Me=1.5 * math.exp(0.5), t=2.0)
-        rep = amb.solve(11.14)
-        assert rep.verification.passed
-        assert amb.worst_case(11.14) == rep.value == pytest.approx(3.1968e-11, rel=1e-4)
-        assert amb.tail_bound(11.14) > 2.9 * rep.value
-
-    def test_tail_bound_dominates_solver(self):
+    def test_chernoff_bound_dominates_worst_case(self):
         amb = ExpMomentAmbiguity(M1=1.0, Me=math.e**2, t=1.0)
-        for q in (0.5, 2.0, 5.0, 9.0):
-            assert amb.worst_case(q) <= amb.tail_bound(q) + 1e-12
+        for q in (0.5, 2.0, 5.0, 9.0, 40.0):
+            assert amb.worst_case(q) <= chernoff_tail_bound(amb.Me, amb.t, q)
 
-    # the q = 0 shortcut, a q past the tail floor, an interior solve
+    # the q = 0 shortcut, a deep-tail q, an interior solve
     @pytest.mark.parametrize("q", [0.0, 30.0, 1.0])
     @pytest.mark.parametrize("Me", [-1.0, 1.5])  # negative; at most exp(t*M1)
     def test_worst_case_rejects_infeasible_moments(self, Me, q):

@@ -23,6 +23,7 @@ from momentbound.power_moment import (
     boundary_threshold as power_threshold,
     solve_power_moment,
 )
+from references import exp_moment_value_50
 
 mp.mp.dps = 50
 
@@ -93,6 +94,39 @@ def test_exp_moment_matches_high_precision_system():
         ref = float((v_s - qss) * (m1s - u_s) / (v_s - u_s)) / t
         assert rep.value == pytest.approx(ref, rel=1e-12)
         checked += 1
+
+
+@pytest.mark.parametrize(
+    "M1,Me,t,q,rel",
+    [
+        # the lower support point lies 2.2e-5 below t*M1 = 2.103: its gap
+        # read off u would be good to 1e-11 only
+        (9.502933861922534, 22.818063657826368, 0.22130073992893218, 68.03057712041037, 1e-13),
+        # a tail of 1.2e-15 with Me only 2.2e-5 above exp(t*M1): rounding
+        # exp(t*M1) to a double moves the answer by about 5e-12
+        (102.14146300275411, 1.0579316136372, 5.511345951573997e-4, 54742.50786228612, 1e-11),
+        # the lower support point rounds to t*M1: its gap is 1.3e-21
+        (50.0, 2.0, 0.01, 5000.0, 1e-13),
+        # (Me - e^u)^2 is past float range
+        (300.0, 1e160, 1.0, 400.0, 1e-13),
+    ],
+)
+def test_exp_moment_deep_and_near_pole_values_match_high_precision(M1, Me, t, q, rel):
+    rep = solve_exp_moment(ExpMomentInstance(M1=M1, Me=Me, t=t, q=q))
+    assert rep.verification.passed
+    assert rep.value == pytest.approx(exp_moment_value_50(M1, Me, t, q), rel=rel, abs=0.0)
+
+
+def test_exp_moment_50_digit_reference():
+    # the reference's own values against the ones quoted for these instances
+    assert exp_moment_value_50(
+        9.502933861922534, 22.818063657826368, 0.22130073992893218, 68.03057712041037
+    ) == pytest.approx(7.03874122074082e-6, rel=1e-14, abs=0.0)
+    assert exp_moment_value_50(
+        102.14146300275411, 1.0579316136372, 5.511345951573997e-4, 54742.50786228612
+    ) == pytest.approx(1.22587977968e-15, rel=1e-11, abs=0.0)
+    golden = exp_moment_value_50(1.0, math.e**2, 1.0, 5.0)
+    assert golden == pytest.approx(0.0120595597450255343, rel=1e-15, abs=0.0)
 
 
 def test_partial_moment_matches_high_precision_system():

@@ -11,6 +11,7 @@ import pytest
 import momentbound
 from momentbound import core, exp_moment, power_moment
 from momentbound.cli import EXIT_SCHEMA, main
+from momentbound.core import DiscreteDistribution
 from momentbound.errors import (
     DomainError,
     InfeasibleError,
@@ -26,7 +27,6 @@ from references import (
     ExponentialDemand,
     mean_variance_order,
     parent_methods,
-    reference_phi_prime,
     verified_order_search,
     worst_case_objective,
 )
@@ -150,34 +150,34 @@ def _decision(kind: str, eta: float):
     return optimize_order(NewsvendorInstance(ambiguity=AMBIGUITIES[kind], eta=eta))
 
 
-def _loose_above(monkeypatch):
-    """Make every candidate solve at or above q = 2100 bisect phi only to 1e-8.
+def _wrong_mass_above(monkeypatch):
+    """Make every candidate solve at or above q = 2100 report an upper mass of 3.4e-10.
 
-    The exp_moment solver's answers at that loose root tolerance on the lam = 1/50, t = 0.01
-    exponential-demand set read p_hi of about 3.4e-10 across q in 2075-2372,
-    where the certified p_hi falls from 1.3e-10 to 6.5e-12.  Right of the
+    On the lam = 1/50, t = 0.01 exponential-demand set the certified p_hi
+    falls from 1.3e-10 to 6.5e-12 across q in 2075-2372, so right of the
     certified order for 1 - eta = 1e-10 (q = 2097.97) that wrong p_hi steers
-    the full-candidate search further right.
+    the full-candidate search further right, and the worst case it reports
+    fails its certificate.
     """
     real = ExpMomentAmbiguity._candidate
-    loose = []
+    wrong = []
 
     def candidate(self, q):
+        out = real(self, q)
         if q >= 2100.0:
-            loose.append(q)
-            with monkeypatch.context() as patch:
-                patch.setattr(exp_moment, "_ROOT_TOL", 1e-8)
-                return real(self, q)
-        return real(self, q)
+            wrong.append(q)
+            (u, _), (v, _) = out["dist"].points
+            out = dict(out, dist=DiscreteDistribution(points=((u, 1.0 - 3.4e-10), (v, 3.4e-10))))
+        return out
 
     monkeypatch.setattr(ExpMomentAmbiguity, "_candidate", candidate)
-    return loose
+    return wrong
 
 
 def _wrong_side_once(monkeypatch):
     """Make the first midpoint at or above q = 2100 read p_hi above 1 - eta.
 
-    On the set of `_loose_above` at 1 - eta = 1e-10 that sends the
+    On the set of `_wrong_mass_above` at 1 - eta = 1e-10 that sends the
     one-evaluation search right of the certified order, q = 2097.97.
     """
     real = ExpMomentAmbiguity._order_side
@@ -288,21 +288,21 @@ class TestCertifiedOrder:
     def test_wrong_midpoint_is_refused(self, monkeypatch):
         amb = ExpMomentAmbiguity.from_exponential_demand(lam=1.0 / 50.0, t=0.01)
         inst = NewsvendorInstance(ambiguity=amb, eta=1.0 - 1e-10)
-        loose = _loose_above(monkeypatch)
+        wrong_mass = _wrong_mass_above(monkeypatch)
         honest = optimize_order(inst)  # the one-evaluation bracket solves below q = 2100
-        assert not loose
+        assert not wrong_mass
         wrong = _wrong_side_once(monkeypatch)
         with pytest.raises(RootBracketError):
             optimize_order(inst)
         assert wrong and wrong[0] > honest.q_star
-        assert wrong[0] >= 2100.0  # so the loose candidate solve reads p_hi there
+        assert wrong[0] >= 2100.0  # so the candidate solve there reads the wrong p_hi
         assert amb._candidate(wrong[0])["dist"].points[-1][1] > 1e-10
 
     def test_cli_refusal_exit_code(self, monkeypatch, tmp_path, capsys):
         path = tmp_path / "order.json"
         params = {"ambiguity": "mp1e", "exponential_lambda": 0.02, "t": 0.01, "eta": 1.0 - 1e-10}
         path.write_text(json.dumps({"problem": "newsvendor", "params": params}), encoding="utf-8")
-        _loose_above(monkeypatch)
+        _wrong_mass_above(monkeypatch)
         _wrong_side_once(monkeypatch)
         assert main(["solve", str(path)]) == EXIT_SCHEMA
         captured = capsys.readouterr()
@@ -399,11 +399,10 @@ def _outcome(inst: NewsvendorInstance):
 
 
 def _against_parent(monkeypatch, makers) -> tuple[list, list]:
-    """The outcomes of fresh decisions here and under the parent's sides and _phi_prime."""
+    """The outcomes of fresh decisions here and under the parent's sides."""
     new = [_outcome(make()) for make in makers]
     with monkeypatch.context() as patch:
         _parent_sides(patch)
-        patch.setattr(exp_moment, "_phi_prime", reference_phi_prime)
         old = [_outcome(make()) for make in makers]
     return new, old
 
@@ -516,7 +515,7 @@ class TestDecisionCost:
         assert d.report.verification.passed
         assert all(r is None or r.verification.passed for r in d.bracket_reports)
 
-    def test_huge_exponential_moment_decides(self, monkeypatch):
+    def test_huge_exponential_moment_decides(self):
         # Me = 2e^690 puts (Me - e^u)^2 past float range in the Newton polish
         inst = NewsvendorInstance(
             ambiguity=ExpMomentAmbiguity(M1=690.0, Me=2.0 * math.exp(690.0), t=1.0), eta=0.5
@@ -525,9 +524,6 @@ class TestDecisionCost:
         assert d.q_star == 690.5206914464652
         assert d.report.verification.passed
         assert all(r.verification.passed for r in d.bracket_reports)
-        monkeypatch.setattr(exp_moment, "_phi_prime", reference_phi_prime)
-        with pytest.raises(OverflowError):
-            optimize_order(replace(inst, ambiguity=replace(inst.ambiguity)))
 
 
 class TestMomentMatchingFamily:
