@@ -182,7 +182,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
             report = replace(
                 decision.report,
                 value=decision.objective,
-                branch="envelope_bisection",
+                branch="closed_form",
                 root=decision.q_star,
                 bisect_iters=decision.iterations,
             )

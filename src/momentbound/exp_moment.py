@@ -26,8 +26,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
-from typing import Callable
 
 from . import core
 from .core import DiscreteDistribution, DualCertificate, GmpInstance, Report
@@ -101,42 +99,23 @@ class ExpMomentAmbiguity:
         """The q at which Chernoff's bound Me*exp(-t*q) on every feasible P(X > q) falls to mass."""
         return math.log(self.Me / mass) / self.t
 
-    def _order_side(self, mass: float) -> Callable[[float], float]:
-        """A function of q > 0 with the sign of p_hi(q) - mass, at one phi evaluation at most.
+    def _order_at_mass(self, mass: float) -> float:
+        """The order q whose worst case has upper mass `mass`; 0 where the boundary's is no more.
 
-        Along the two-point laws that match the moments the upper mass falls
-        strictly as the lower point rises (the upper point rises with it), so
-        p_hi(q) > mass exactly when the worst case's lower point u(q), phi's
-        root, lies left of the point u* whose law has upper mass `mass`.  u*
-        is solved for once here, v1 and the branch threshold come from the
-        memo of ``compute_v1`` that the solves share; a midpoint reads t*q
-        against them and builds no instance.  On the boundary branch the
-        function is the closed-form p_hi - mass itself.
+        The worst case at q is the two-point law {u, v} (rate-scaled) with
+        upper mass p_hi(q), and p_hi falls as q rises past the branch
+        threshold.  So the q with p_hi(q) = mass takes the law with that
+        mass, u = m1 - g and v = m1 + g*(1 - mass)/mass, and the dual's
+        tangency at u and at v gives it: ``_candidate``'s v2 relation read
+        backwards, t*q = v - 1 + e^u*g/(Me - e^u).
         """
-        t, m1, me = self.t, self.m1_scaled, self.Me
-        v1, threshold = _v1_and_threshold(m1, me)
-        # every interior worst case has less upper mass than the boundary's m1/v1;
-        # u* = 0 (gap m1) puts every interior root right of it
-        gap = _gap_at_mass(mass, self, v1) if mass < m1 / v1 else m1
-        u_star = m1 - gap
-
-        def side(q: float) -> float:
-            qs = t * q
-            if qs > _EXP_ARG_LIMIT:
-                raise RangeError(_ARG_RANGE)
-            if qs <= threshold:
-                return m1 / v1 - mass
-            if u_star <= 0.0:
-                return -1.0
-            if u_star >= qs:  # the root lies below min(m1, qs), and u* < m1
-                return 1.0
-            # phi is negative at 0 and positive at its right bracket end: its
-            # sign at u* says on which side of u* its root lies.  Near the
-            # pole the gap coordinate keeps it accurate.
-            inst = SimpleNamespace(m1_scaled=m1, Me=me, q_scaled=qs)
-            return _phi_gap(gap, inst) if gap < 1e-5 * m1 else phi(u_star, inst)
-
-        return side
+        m1, me = self.m1_scaled, self.Me
+        v1 = compute_v1(m1, me)
+        if mass >= m1 / v1:  # the boundary law's upper mass
+            return 0.0
+        gap = _gap_at_mass(mass, self, v1)
+        eu = math.exp(m1 - gap)
+        return (m1 + gap * (1.0 - mass) / mass - 1.0 + eu * gap / (me - eu)) / self.t
 
     def worst_case(self, q: float) -> float:
         if q == 0.0:
@@ -164,8 +143,9 @@ def compute_v1(m1_scaled: float, Me: float) -> float:
     """Boundary support point: the positive solution of exp(v) = ((Me-1)/m1)*v + 1.
 
     Expressed through the lower Lambert W branch; its argument lies strictly
-    inside (-1/e, 0) whenever Me > exp(m1_scaled).  Kept for the last set:
-    the order side, solves and oracle grid of one set share one Lambert W.
+    inside (-1/e, 0) whenever Me > exp(m1_scaled).  Kept for the last set: a
+    newsvendor decision's closed-form order, its solves and the oracle grid of
+    one set share one Lambert W.
     """
     r = m1_scaled / (Me - 1.0)
     arg = -r * math.exp(-r)
@@ -232,6 +212,8 @@ def _gap_at_mass(p: float, inst: ExpMomentInstance, v1: float) -> float:
     slope is p*(e^v - e^u) > 0.  It is below Me at v = v1 and reaches Me by
     the point where u falls to 0 or p*e^v alone reaches Me, which also keeps
     every exp() finite.  Requires p < m1/v1, the boundary branch's upper mass.
+    Where (1 - p)*e^u is below the rounding of p*e^v - Me at that point,
+    the excess reads <= 0 there, and the root lies within a few ulp of it.
     """
     m1, me = inst.m1_scaled, inst.Me
     log_p = math.log(p)
@@ -243,8 +225,9 @@ def _gap_at_mass(p: float, inst: ExpMomentInstance, v1: float) -> float:
         return math.exp(v + log_p) - p * math.exp((m1 - p * v) / (1.0 - p))
 
     hi = min(m1 / p, math.log(me) - log_p)
-    res = bisect(excess, v1, hi, 1e-10 * hi)
-    v = polish_root(excess, slope, res.root, v1, hi)
+    v = hi
+    if excess(hi) > 0.0:
+        v = polish_root(excess, slope, bisect(excess, v1, hi, 1e-10 * hi).root, v1, hi)
     return p * (v - m1) / (1.0 - p)
 
 
@@ -282,10 +265,11 @@ def _candidate(inst: ExpMomentInstance) -> dict:
     f = lambda g: _phi_gap(g, inst)
     use_boundary = qs <= threshold
     if not use_boundary and not f(m1) < 0.0:  # phi(0)
-        if qs > threshold * (1.0 + 1e-9) + 1e-12:
+        if f(m1) != 0.0 and qs > threshold * (1.0 + 1e-9) + 1e-12:
             raise RootBracketError(f"phi sign condition failed: phi(0)={f(m1)}")
-        # q sits at the branch threshold to float resolution; the boundary
-        # construction is the exact limit there
+        # q sits at the branch threshold to float resolution, or phi(0)
+        # rounds to 0 and the interior root u = 0 is the boundary law
+        # {0, v1}: the boundary construction is the exact limit either way
         use_boundary = True
 
     if use_boundary:

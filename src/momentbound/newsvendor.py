@@ -3,55 +3,47 @@
 The objective f(q) = (worst-case E[(X - q)_+]) + (1 - eta) * q is convex.  By
 the envelope theorem the worst case has slope -P(X > q) under its extremal
 distribution, which is minus that distribution's upper support mass p_hi(q).
-So the optimal order is the root of the nonincreasing function
-p_hi(q) - (1 - eta), and one bisection finds it.  The ambiguity set's moment
-bound on P(X > q) (Markov for a power moment, Chernoff for an exponential
-one) gives the right end of the bracket, where p_hi <= 1 - eta holds without
-a solve.
+So the optimal order q* solves p_hi(q) = 1 - eta, and p_hi does not rise
+with q.  The worst case at q* is the two-point law that matches the moments
+with upper mass 1 - eta, and the dual's tangency conditions at its two
+support points give q* in closed form (Scarf 1958 at t = 2).  The
+ambiguity's ``_order_at_mass`` solves for that law once, for mp1e with the
+v1 (one Lambert W) that the solves share through ``compute_v1``'s memo, and
+returns q*; it is 0 where the boundary branch's upper mass is already at most
+1 - eta.
 
-The bisection reads one bit per midpoint, the sign of p_hi(q) - (1 - eta),
-and gets it without a worst-case solve.  Along the two-point laws that match
-the moments the upper mass falls strictly as the support rises, so the bit
-is the side of one fixed support point, the one whose law has upper mass
-1 - eta, on which the midpoint's root lies.  The ambiguity's ``_order_side``
-solves for that point once per decision, with the branch threshold and,
-for mp1e, v1 (one Lambert W, which the solves at the bracket ends and at q*
-share through ``compute_v1``'s memo); the ambiguity set holds its scaled
-moments from construction.  It then decides each midpoint from q/M1 or t*q
-with at most one evaluation of the solver's own root function (none on the
-boundary branch, whose closed-form p_hi it returns), building no instance.
-
-What the search returns is certified by the subgradient condition on its
-final bracket a < q* <= b: p_hi(a) >= 1 - eta >= p_hi(b) from verified worst
-cases at both ends, with b - a <= 2*eps, puts a minimizer of f within eps of
-q*.  A wrong midpoint sign can only move the bracket; the verified ends
-either catch it or prove it harmless.  Where the one-evaluation search fails
-that certificate (with eps below about 1e-9*q the midpoint sign and a
-candidate solve's p_hi can disagree) or refuses, the bisection runs once more
-with each midpoint's p_hi read from an unverified candidate solve, and its
-bracket is certified the same way.  An end that fails there is a
-RootBracketError, never a decision.  Every report here, at q* and at the
-bracket ends, is a ``core.Report``.
+What is returned is certified by the subgradient condition on a bracket
+a <= q* <= b: p_hi(a) >= 1 - eta >= p_hi(b) from verified worst cases at both
+ends puts a minimizer of f in [a, b].  The ends are q* - eps and q* + eps,
+clipped to 0 and to the tail cutoff, where the moment bound on P(X > q)
+(Markov for a power moment, Chernoff for an exponential one) gives
+p_hi <= 1 - eta without a solve.  An end that rounds to q* itself or whose
+p_hi reads on the wrong side of 1 - eta (eps near the float resolution of
+q*) steps outward, its offset doubling, while the offset stays within
+max(eps, 1e-9*q*); past that, as for a wrong closed form, the decision is a
+RootBracketError.  Every report here, at q*
+and at the bracket ends, is a ``core.Report``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 from .core import Report
-from .errors import DomainError, MomentBoundError, RangeError, RootBracketError
-from .rootfind import EXACT_ZERO, bisect
+from .errors import DomainError, RangeError, RootBracketError
 
 if TYPE_CHECKING:  # annotations only: a decision loads its own ambiguity's module alone
     from .exp_moment import ExpMomentAmbiguity
     from .power_moment import PowerMomentAmbiguity
 
+_MAX_OFFSET = 1e-9  # times q*: how far a bracket end may step out from q* past eps
+
 
 @dataclass(frozen=True)
 class NewsvendorInstance:
-    """An ambiguity set, a critical ratio eta = 1 - c/p, and a search tolerance."""
+    """An ambiguity set, a critical ratio eta = 1 - c/p, and a bracket half-width."""
 
     ambiguity: PowerMomentAmbiguity | ExpMomentAmbiguity
     eta: float
@@ -69,23 +61,22 @@ class OrderDecision:
     """The robust order q_star, its worst-case cost, and what certifies them.
 
     ``report`` is the verified worst case at q_star, the distribution behind
-    ``objective``.  ``bracket`` is the search's final bracket (a, b),
-    a < q_star <= b, and ``bracket_reports`` the verified worst cases at its
-    ends.  Together they certify p_hi(a) >= 1 - eta >= p_hi(b) with
-    b - a <= 2*eps (or a and b adjacent floats), so a minimizer of the
-    worst-case cost lies in [a, b].  An end's report is None where no solve is
-    needed: a = 0 is the domain boundary, and at b >= the tail cutoff the
-    moment bound gives p_hi(b) <= 1 - eta.  When p_hi(q_star) = 1 - eta
-    exactly, q_star meets the subgradient condition itself and the bracket may
-    be wider.
+    ``objective``; at q_star = 0 it is the worst case at b, which is a worst
+    case at 0 too (every feasible law is: E[X] = M1 there).
+    ``bracket`` is (a, b), a <= q_star <= b, and ``bracket_reports`` the
+    verified worst cases at its ends.  Together they certify
+    p_hi(a) >= 1 - eta >= p_hi(b), so a minimizer of the worst-case cost lies
+    in [a, b].  An end's report is None where no solve is needed: a = 0 is
+    the domain boundary, and at b = the tail cutoff the moment bound gives
+    p_hi(b) <= 1 - eta.  Each end lies eps from q_star unless it is clipped
+    there, or its p_hi rounded to the wrong side and it stepped out.
     """
 
     q_star: float
     objective: float
-    iterations: int  # bisection steps
-    # candidate worst-case solves made, the verified one at q_star included:
-    # at most 3 (the bracket ends and q_star) unless the full-candidate search
-    # ran, which adds one per bisection step and one more at q_star
+    iterations: int  # doublings of an end's offset from q_star, both ends together
+    # candidate worst-case solves made: one per end tried inside (0, tail
+    # cutoff), plus the verified one behind ``report`` unless it is b's
     inner_solves: int
     report: Report  # the worst case at q_star
     bracket: tuple[float, float]
@@ -93,70 +84,56 @@ class OrderDecision:
 
 
 def optimize_order(inst: NewsvendorInstance) -> OrderDecision:
-    """Bisect p_hi(q) - (1 - eta) on (0, hi] to inst.eps, then certify the bracket."""
+    """q* in closed form, bracketed by verified worst cases within eps of it."""
     amb = inst.ambiguity
     mass = 1.0 - inst.eta
     hi = amb.tail_cutoff(mass)
     if not math.isfinite(hi):
         raise RangeError(f"no finite q brings the moment bound on P(X > q) down to {mass:g}")
-    solved: dict[float, dict] = {}  # every candidate solve, by q
-    solves = 0  # candidate solves and solves at q*, across both searches
+    q = amb._order_at_mass(mass)
+    if not 0.0 <= q < hi:
+        raise RootBracketError(f"closed-form order {q:g} lies outside [0, tail cutoff {hi:g})")
+    cap = max(inst.eps, _MAX_OFFSET * q)
+    solves = doublings = 0
 
-    def candidate(q: float) -> dict:
-        nonlocal solves
-        solves += 1
-        solved[q] = out = amb._candidate(q)
-        return out
-
-    def search(side: Callable[[float], float]) -> OrderDecision:
-        nonlocal solves
-
-        def excess(q: float) -> float:
-            # p_hi(q) <= P(X > q) <= mass by the moment bound at and past hi
-            return -mass if q >= hi else side(q)
-
-        # q = 0 admits no solve.  Declaring it the left root keeps it
-        # unevaluated; if p_hi < 1 - eta on all of (0, hi], the search closes
-        # in on q = 0.
-        res = bisect(excess, 0.0, hi, inst.eps, assume_left_root=True)
-        a, b = res.bracket
-        ends = [solved.get(q) or candidate(q) if 0.0 < q < hi else None for q in (a, b)]
-        # the cheaper test first: an end on the wrong side costs no verification
-        if ends[0] is not None and not ends[0]["dist"].points[-1][1] >= mass:
-            raise RootBracketError(f"p_hi at order bracket end {a:g} is below 1 - eta = {mass:g}")
-        if ends[1] is not None and not ends[1]["dist"].points[-1][1] <= mass:
-            raise RootBracketError(f"p_hi at order bracket end {b:g} is above 1 - eta = {mass:g}")
-        lo, up = (_certified_end(amb, q, c) for q, c in zip((a, b), ends))
-        solves += 1
-        report = amb.solve(res.root)
-        # the search stops at width 2*eps, at float resolution, or on an exact root
-        exact = res.status == EXACT_ZERO and report.verification.passed
-        if not (b - a <= 2.0 * inst.eps or not a < 0.5 * (a + b) < b or exact):
-            raise RootBracketError(f"order bracket ({a:g}, {b:g}) is wider than 2*eps")
-        return OrderDecision(
-            q_star=res.root,
-            objective=report.value + mass * res.root,
-            iterations=res.iterations,
-            inner_solves=solves,
-            report=report,
-            bracket=(a, b),
-            bracket_reports=(lo, up),
+    def end(side: float) -> tuple[float, Report | None]:
+        """The bracket end on `side` of q* (-1 or 1) and its verified worst case."""
+        nonlocal solves, doublings
+        offset = inst.eps
+        while offset <= cap:
+            x = min(max(q + side * offset, 0.0), hi)
+            if x in (0.0, hi):
+                return x, None
+            if x != q:
+                solves += 1
+                candidate = amb._candidate(x)
+                # p_hi(a) >= 1 - eta >= p_hi(b); the cheaper test first
+                if side * (candidate["dist"].points[-1][1] - mass) <= 0.0:
+                    report = amb._certify(x, candidate)
+                    if not report.verification.passed:
+                        raise RootBracketError(
+                            f"worst case at order bracket end q={x:g} failed verification"
+                        )
+                    return x, report
+            offset *= 2.0
+            doublings += 1
+        raise RootBracketError(
+            f"p_hi within {cap:g} on the {'left' if side < 0.0 else 'right'} of the "
+            f"closed-form order {q:g} is on the wrong side of 1 - eta = {mass:g}"
         )
 
-    try:
-        return search(amb._order_side(mass))
-    except MomentBoundError:
-        # The full-candidate search: each midpoint's p_hi from a candidate
-        # solve.  Its decision or refusal is final, so the one-evaluation
-        # search never turns a decision this one returns into a refusal.
-        return search(lambda q: candidate(q)["dist"].points[-1][1] - mass)
-
-
-def _certified_end(amb, q: float, candidate: dict | None) -> Report | None:
-    """The verified worst case at a bracket end; None at 0 and at the tail cutoff."""
-    if candidate is None:
-        return None
-    report = amb._certify(q, candidate)
-    if not report.verification.passed:
-        raise RootBracketError(f"worst case at order bracket end q={q:g} failed verification")
-    return report
+    (a, lo), (b, up) = end(-1.0), end(1.0)
+    if q == 0.0 and up is not None:
+        report = up  # at q = 0 every feasible law is a worst case, so b's serves
+    else:
+        solves += 1
+        report = amb.solve(q or b)
+    return OrderDecision(
+        q_star=q,
+        objective=report.value + mass * q if q > 0.0 else amb.M1,
+        iterations=doublings,
+        inner_solves=solves,
+        report=report,
+        bracket=(a, b),
+        bracket_reports=(lo, up),
+    )

@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from types import SimpleNamespace
-from typing import Callable
 
 from . import core
 from .core import DiscreteDistribution, DualCertificate, GmpInstance, Report
@@ -106,37 +104,22 @@ class PowerMomentAmbiguity:
         """The q at which Markov's bound Mt/q^t on every feasible P(X > q) falls to mass."""
         return (self.Mt / mass) ** (1.0 / self.t)
 
-    def _order_side(self, mass: float) -> Callable[[float], float]:
-        """A function of q > 0 with the sign of p_hi(q) - mass, at one theta evaluation at most.
+    def _order_at_mass(self, mass: float) -> float:
+        """The order q whose worst case has upper mass `mass`; 0 where the boundary's is no more.
 
-        Along the two-point laws that match the moments the upper mass falls
-        strictly as the upper point rises, so p_hi(q) > mass exactly when the
-        worst case's upper point v(q), theta's root, lies left of the point
-        v* whose upper mass is mass.  v* is solved for once here with the
-        scaled moment, the boundary edge and the branch line; a midpoint reads
-        q/M1 against them and builds no instance.  On the boundary branch the
-        function is the closed-form p_hi - mass itself.
+        The worst case at q is the two-point law {u, v} (mean-scaled) with
+        upper mass p_hi(q), and p_hi falls as q rises past the branch
+        threshold.  So the q with p_hi(q) = mass takes the law with that
+        mass, and the dual's tangency at u and at v gives it:
+        q/M1 = (t-1)/t * (v^t - u^t)/(v^(t-1) - u^(t-1)), here with r = u/v
+        so no power of v overflows.
         """
-        M1, t, mt, edge = self.M1, self.t, self.mt_scaled, self.edge_scaled
-        line = (t - 1.0) / t * edge
-        # every interior worst case has less upper mass than the boundary's 1/edge
-        v_star = _upper_point_at_mass(mass, self, edge) if mass < 1.0 / edge else edge
-
-        def side(q: float) -> float:
-            qs = q / M1
-            bracket = _interior_bracket(qs, t, edge, line)
-            if bracket is None:
-                return 1.0 / edge - mass
-            a, b = bracket
-            if v_star <= a:
-                return -1.0
-            if v_star >= b:
-                return 1.0
-            # theta is negative right of a and positive at b: its sign at v*
-            # says on which side of v* its root lies
-            return theta(v_star, SimpleNamespace(t=t, mt_scaled=mt, q_scaled=qs))
-
-        return side
+        t, edge = self.t, self.edge_scaled
+        if mass >= 1.0 / edge:  # the boundary law's upper mass
+            return 0.0
+        v = _upper_point_at_mass(mass, self, edge)
+        r = max((1.0 - mass * v) / (1.0 - mass), 0.0) / v
+        return self.M1 * (t - 1.0) / t * v * (1.0 - r**t) / (1.0 - r ** (t - 1.0))
 
     def worst_case(self, q: float) -> float:
         if q == 0.0:
@@ -219,7 +202,9 @@ def _upper_point_at_mass(p: float, inst: PowerMomentInstance, edge: float) -> fl
     and the t-th moment (1 - p)*u^t + p*v^t rises strictly with v: its slope
     is p*t*(v^(t-1) - u^(t-1)) > 0.  It is below mt at v = edge and reaches
     mt by the point where u falls to 0 or p*v^t alone reaches mt.  Requires
-    p < 1/edge, the boundary branch's upper mass.
+    p < 1/edge, the boundary branch's upper mass.  Where (1 - p)*u^t is below
+    the rounding of p*v^t - mt at that point, the excess reads <= 0 there, and
+    the root lies within a few ulp of it.
     """
     t, mt = inst.t, inst.mt_scaled
     scale = p ** (1.0 / t)  # p*v^t as (scale*v)^t, finite wherever p*v^t <= mt is
@@ -234,8 +219,9 @@ def _upper_point_at_mass(p: float, inst: PowerMomentInstance, edge: float) -> fl
         return t * ((scale * v) ** t / v - p * lower(v) ** (t - 1.0))
 
     hi = min(1.0 / p, mt ** (1.0 / t) / scale)
-    res = bisect(excess, edge, hi, 1e-10 * hi)
-    return polish_root(excess, slope, res.root, edge, hi)
+    if not excess(hi) > 0.0:
+        return hi
+    return polish_root(excess, slope, bisect(excess, edge, hi, 1e-10 * hi).root, edge, hi)
 
 
 def boundary_threshold(inst: PowerMomentInstance) -> float:

@@ -13,7 +13,6 @@ from typing import Callable
 import mpmath as mp
 import numpy as np
 
-from momentbound import exp_moment, power_moment
 from momentbound.core import (
     _NONDIFF_SNAP,
     DiscreteDistribution,
@@ -124,8 +123,8 @@ def verified_order_search(inst) -> tuple[float, float, int]:
 
     The envelope-theorem bisection of p_hi(q) - (1 - eta) on (0, hi], hi the
     moment-bound tail cutoff, with every midpoint read from the public,
-    verified `ambiguity.solve`: the search as it ran before midpoints were
-    left unverified.
+    verified `ambiguity.solve`: an independent search for the order that
+    the closed form must land within eps of.
     """
     amb = inst.ambiguity
     mass = 1.0 - inst.eta
@@ -592,78 +591,3 @@ def reference_polish_root(
         else:
             break
     return best_x
-
-
-
-# The newsvendor's order sides and the exp_moment derivative as they were
-# before the q-independent data moved out of the midpoints: every midpoint
-# built and validated an instance, and every exp_moment solve (the order
-# side's and each candidate's) ran its own Lambert W.  ``parent_methods``
-# maps each ambiguity class to the methods that restore that behaviour; the
-# Lambert W is now shared by ``compute_v1``'s memo in either case.
-
-
-def reference_power_order_side(self, mass: float) -> Callable[[float], float]:
-    """`PowerMomentAmbiguity._order_side`, an instance per midpoint."""
-    base = self.instance_at(self.M1)
-    edge = base.edge_scaled
-    v_star = (
-        power_moment._upper_point_at_mass(mass, base, edge) if mass < 1.0 / edge else edge
-    )
-
-    def side(q: float) -> float:
-        inst = self.instance_at(q)
-        t, qs = inst.t, inst.q_scaled
-        a = max(edge, qs)
-        b = t * qs / (t - 1.0)
-        if qs <= (t - 1.0) / t * edge or b <= a:
-            return 1.0 / edge - mass
-        if v_star <= a:
-            return -1.0
-        if v_star >= b:
-            return 1.0
-        return power_moment.theta(v_star, inst)
-
-    return side
-
-
-def _reference_v1_and_threshold(m1: float, me: float) -> tuple[float, float]:
-    v1 = exp_moment.compute_v1(m1, me)
-    return v1, v1 + m1 / (me - 1.0) - 1.0
-
-
-def reference_exp_order_side(self, mass: float) -> Callable[[float], float]:
-    """`ExpMomentAmbiguity._order_side`, an instance per midpoint and its own Lambert W."""
-    base = self.instance_at(self.M1)
-    m1 = base.m1_scaled
-    v1, threshold = _reference_v1_and_threshold(m1, self.Me)
-    gap = exp_moment._gap_at_mass(mass, base, v1) if mass < m1 / v1 else m1
-    u_star = m1 - gap
-
-    def side(q: float) -> float:
-        inst = self.instance_at(q)
-        qs = inst.q_scaled
-        if qs <= threshold:
-            return m1 / v1 - mass
-        if u_star <= 0.0:
-            return -1.0
-        if u_star >= qs:
-            return 1.0
-        if gap < 1e-5 * m1:
-            return exp_moment._phi_gap(gap, inst)
-        return exp_moment.phi(u_star, inst)
-
-    return side
-
-
-def parent_methods() -> dict[type, dict[str, Callable]]:
-    """The ambiguity methods that restore the per-midpoint instances and per-solve instances."""
-    return {
-        power_moment.PowerMomentAmbiguity: {"_order_side": reference_power_order_side},
-        exp_moment.ExpMomentAmbiguity: {
-            "_order_side": reference_exp_order_side,
-            # each solve's instance asks for its own (v1, threshold)
-            "_candidate": lambda self, q: exp_moment._candidate(self.instance_at(q)),
-            "solve": lambda self, q: exp_moment.solve_exp_moment(self.instance_at(q)),
-        },
-    }

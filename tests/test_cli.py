@@ -94,15 +94,15 @@ GOLDEN_UPM_FAMILY_V1 = (
 )
 
 GOLDEN_NEWSVENDOR = (
-    '{"problem": "newsvendor", "optimal_value": 0.6196152422706787, '
-    '"distribution": [{"x": 0.42264958971778804, "p": 0.8999999560116818}, '
-    '{"x": 6.196151152873665, "p": 0.10000004398831827}], '
-    '"dual": [0.015470046533682018, -0.0732050706307875, 0.08660255730955288], '
-    '"branch": "envelope_bisection", "root": 3.3094003712957276, "iterations": 23, '
+    '{"problem": "newsvendor", "optimal_value": 0.6196152422706631, '
+    '"distribution": [{"x": 0.4226497308103743, "p": 0.9}, '
+    '{"x": 6.196152422706632, "p": 0.1}], '
+    '"dual": [0.01547005383792516, -0.07320508075688775, 0.08660254037844387], '
+    '"branch": "closed_form", "root": 3.3094010767585034, "iterations": 0, '
     '"verification": {"primal_residual": 0.0, '
-    '"slack_residual": 8.881784197001252e-16, "tangent_residual": 0.0, '
-    '"dual_min_on_grid": 1.734723475976807e-18, '
-    '"duality_gap": 1.1102230246251565e-16, "passed": true}, "verified": true, '
+    '"slack_residual": 4.440892098500626e-16, "tangent_residual": 1.3877787807814457e-17, '
+    '"dual_min_on_grid": -1.734723475976807e-18, '
+    '"duality_gap": 0.0, "passed": true}, "verified": true, '
     '"timing_ms": 0.0}'
 )
 
@@ -427,7 +427,7 @@ class TestSolve:
         code = main(["solve", path])
         doc = json.loads(capsys.readouterr().out)
         assert code == EXIT_OK
-        assert doc["branch"] == "envelope_bisection"
+        assert doc["branch"] == "closed_form"
         assert 150.0 < doc["root"] < 1400.0  # order quantity
         assert doc["verified"] is True
 

@@ -11,6 +11,7 @@ from momentbound.errors import (
     InfeasibleError,
     NonFiniteError,
     RangeError,
+    RootBracketError,
 )
 from momentbound.exp_moment import (
     ExpMomentAmbiguity,
@@ -204,6 +205,25 @@ class TestSolve:
             )
             assert above.branch == exp_moment.INTERIOR
             assert above.value == pytest.approx(at.value, rel=1e-6)
+
+    def test_phi_at_zero_rounding_to_zero_is_the_boundary_law(self):
+        # Me within about 1e-9 of exp(t*M1): just above the branch threshold
+        # (farther than its 1e-9 allowance) phi(0) rounds to 0, so the interior
+        # root is u = 0 to float precision, and that law is the boundary's {0, v1}
+        inst = ExpMomentInstance(
+            M1=5.441104533302357, Me=1.0002286783569323, t=4.2023111705481786e-05, q=2.7279857228959643
+        )
+        assert inst.q > boundary_threshold(inst) * (1.0 + 1e-9)
+        assert exp_moment._phi_gap(inst.m1_scaled, inst) == 0.0
+        report = solve_exp_moment(inst)
+        assert report.branch == exp_moment.BOUNDARY and report.verification.passed
+        assert report.value == pytest.approx(2.720448255808885, rel=1e-12, abs=0.0)
+
+    def test_positive_phi_at_zero_is_refused(self, monkeypatch):
+        inst = ExpMomentInstance(M1=1.0, Me=math.e**2, t=1.0, q=5.0)
+        monkeypatch.setattr(exp_moment, "_phi_gap", lambda g, inst: 1e-300)
+        with pytest.raises(RootBracketError, match="phi sign condition failed"):
+            solve_exp_moment(inst)
 
     def test_infeasible(self):
         with pytest.raises(InfeasibleError):

@@ -11,7 +11,6 @@ import pytest
 import momentbound
 from momentbound import core, exp_moment, power_moment
 from momentbound.cli import EXIT_SCHEMA, main
-from momentbound.core import DiscreteDistribution
 from momentbound.errors import (
     DomainError,
     InfeasibleError,
@@ -22,11 +21,9 @@ from momentbound.errors import (
 from momentbound.exp_moment import ExpMomentAmbiguity, boundary_threshold
 from momentbound.newsvendor import NewsvendorInstance, optimize_order
 from momentbound.power_moment import PowerMomentAmbiguity
-from momentbound.rootfind import bisect
 from references import (
     ExponentialDemand,
     mean_variance_order,
-    parent_methods,
     verified_order_search,
     worst_case_objective,
 )
@@ -100,14 +97,13 @@ class TestMeanVarianceOrder:
     @pytest.mark.parametrize(
         "mu,cv", [(50.0, 1.0), (50.0, 0.5), (20.0, 0.25), (100.0, 0.9), (1.0, 1.0)]
     )
-    # in the deep tail the worst cases' lower point u nears 1, where the upper
-    # mass (1 - u)/(v - u) cancels; its relative error moves q* by about q* times it
     @pytest.mark.parametrize("eta", [0.6, 0.9, 0.99, 0.999, 0.9999, 1.0 - 1e-8, 1.0 - 1e-10])
-    def test_order_within_eps_of_closed_form(self, mu, cv, eta):
+    def test_order_matches_the_closed_form(self, mu, cv, eta):
         M2 = mu * mu * (1.0 + cv * cv)
         inst = NewsvendorInstance(ambiguity=PowerMomentAmbiguity(M1=mu, Mt=M2, t=2.0), eta=eta)
         d = optimize_order(inst)
-        assert abs(d.q_star - mean_variance_order(mu, M2, eta)) <= inst.eps
+        ref = mean_variance_order(mu, M2, eta)
+        assert abs(d.q_star - ref) <= 1e-12 * ref
         assert d.report.verification.passed
 
 
@@ -144,303 +140,47 @@ CELLS = [(k, eta) for k in AMBIGUITIES for eta in ETAS]
 # p_hi = 1e-10, whose upper support near 2e8 puts float noise of 3e-8 in H,
 # certify within the verifier's float-error allowance.
 DEEP_CELLS = [(k, eta) for k in AMBIGUITIES for eta in DEEP_ETAS]
+STREAM_SEEDS = (5, 6, 7)
+STREAM_DECISIONS = 200  # the first decisions of each seed's benchmark stream
 
 
-def _decision(kind: str, eta: float):
-    return optimize_order(NewsvendorInstance(ambiguity=AMBIGUITIES[kind], eta=eta))
+def _decision(kind: str, eta: float, eps: float = 1e-6):
+    return optimize_order(NewsvendorInstance(ambiguity=AMBIGUITIES[kind], eta=eta, eps=eps))
 
 
-def _wrong_mass_above(monkeypatch):
-    """Make every candidate solve at or above q = 2100 report an upper mass of 3.4e-10.
-
-    On the lam = 1/50, t = 0.01 exponential-demand set the certified p_hi
-    falls from 1.3e-10 to 6.5e-12 across q in 2075-2372, so right of the
-    certified order for 1 - eta = 1e-10 (q = 2097.97) that wrong p_hi steers
-    the full-candidate search further right, and the worst case it reports
-    fails its certificate.
-    """
-    real = ExpMomentAmbiguity._candidate
-    wrong = []
-
-    def candidate(self, q):
-        out = real(self, q)
-        if q >= 2100.0:
-            wrong.append(q)
-            (u, _), (v, _) = out["dist"].points
-            out = dict(out, dist=DiscreteDistribution(points=((u, 1.0 - 3.4e-10), (v, 3.4e-10))))
-        return out
-
-    monkeypatch.setattr(ExpMomentAmbiguity, "_candidate", candidate)
-    return wrong
-
-
-def _wrong_side_once(monkeypatch):
-    """Make the first midpoint at or above q = 2100 read p_hi above 1 - eta.
-
-    On the set of `_wrong_mass_above` at 1 - eta = 1e-10 that sends the
-    one-evaluation search right of the certified order, q = 2097.97.
-    """
-    real = ExpMomentAmbiguity._order_side
-    wrong = []
-
-    def order_side(self, mass):
-        side = real(self, mass)
-
-        def wrong_side(q):
-            if q >= 2100.0 and not wrong:
-                wrong.append(q)
-                return 1.0
-            return side(q)
-
-        return wrong_side
-
-    monkeypatch.setattr(ExpMomentAmbiguity, "_order_side", order_side)
-    return wrong
+def _check_certificate(inst: NewsvendorInstance, d) -> None:
+    """Verified ends a <= q* <= b with p_hi(a) >= 1 - eta >= p_hi(b), each within its offset of q*."""
+    (a, b), (lo, up) = d.bracket, d.bracket_reports
+    mass = 1.0 - inst.eta
+    hi = inst.ambiguity.tail_cutoff(mass)
+    q = d.q_star
+    assert 0.0 <= a <= q < b <= hi
+    assert a < q or a == 0.0  # q* itself is never an end, but 0 may be
+    assert (lo is None) == (a == 0.0)
+    assert (up is None) == (b == hi)
+    if lo is not None:
+        assert lo.verification.passed
+        assert lo.dist.points[-1][1] >= mass
+    if up is not None:
+        assert up.verification.passed
+        assert up.dist.points[-1][1] <= mass
+    if d.iterations == 0:
+        assert (a, b) == (max(q - inst.eps, 0.0), min(q + inst.eps, hi))
+    cap = max(inst.eps, 1e-9 * q)  # the largest offset an end may take
+    assert q - a <= cap + math.ulp(q) and b - q <= cap + math.ulp(q)
+    assert d.report.verification.passed
 
 
 class TestCertifiedOrder:
-    """Midpoints are unverified; the bracket ends and q* are certified."""
+    """q* comes in closed form; the worst cases at the bracket ends and at q* are verified."""
 
     @pytest.mark.parametrize("kind,eta", CELLS + DEEP_CELLS)
-    def test_verification_budget(self, kind, eta, monkeypatch):
-        calls, inside = [0], []
-        real_verify, real_candidate = core.verify_optimality, type(AMBIGUITIES[kind])._candidate
-
-        def verify(*args, **kwargs):
-            calls[0] += 1
-            return real_verify(*args, **kwargs)
-
-        def candidate(self, q):
-            before = calls[0]
-            out = real_candidate(self, q)
-            inside.append(calls[0] - before)
-            return out
-
-        monkeypatch.setattr(core, "verify_optimality", verify)
-        monkeypatch.setattr(type(AMBIGUITIES[kind]), "_candidate", candidate)
-        d = _decision(kind, eta)
-        assert calls[0] == 1 + sum(r is not None for r in d.bracket_reports)
-        # every candidate solve but the one inside the verified solve at q*
-        assert len(inside) == d.inner_solves - 1
-        assert calls[0] <= 3
-        assert inside and not any(inside)
-
-    @pytest.mark.parametrize("kind,eta", CELLS + DEEP_CELLS)
-    def test_bit_identical_to_the_verified_search(self, kind, eta):
-        inst = NewsvendorInstance(ambiguity=AMBIGUITIES[kind], eta=eta)
-        d = optimize_order(inst)
-        assert (d.q_star, d.objective, d.iterations) == verified_order_search(inst)
-        # the bracket ends inside (0, tail cutoff), and q*
-        assert d.inner_solves == 1 + sum(r is not None for r in d.bracket_reports)
-
-    @pytest.mark.parametrize("kind,eta", CELLS + DEEP_CELLS)
-    def test_subgradient_certificate(self, kind, eta):
-        inst = NewsvendorInstance(ambiguity=AMBIGUITIES[kind], eta=eta)
-        d = optimize_order(inst)
-        (a, b), (lo, up) = d.bracket, d.bracket_reports
-        mass = 1.0 - eta
-        assert a < d.q_star <= b
-        assert b - a <= 2.0 * inst.eps
-        assert (lo is None) == (a == 0.0)
-        assert (up is None) == (b >= inst.ambiguity.tail_cutoff(mass))
-        if lo is not None:
-            assert lo.verification.passed
-            assert lo.dist.points[-1][1] >= mass
-        if up is not None:
-            assert up.verification.passed
-            assert up.dist.points[-1][1] <= mass
-        assert d.report.verification.passed
-
-    def test_exact_root_needs_no_narrow_bracket(self):
-        # at t = 2 and Mt = 2*M1^2 the boundary branch has p_hi = 1/2 for every
-        # q up to the threshold 1: at eta = 1/2 the first midpoint is a root
-        amb = PowerMomentAmbiguity(M1=1.0, Mt=2.0, t=2.0)
-        d = optimize_order(NewsvendorInstance(ambiguity=amb, eta=0.5))
-        assert (d.q_star, d.iterations, d.bracket, d.bracket_reports) == (1.0, 1, (0.0, 2.0), (None, None))
-        assert d.report.dist.points[-1][1] == 0.5
-        assert d.report.verification.passed
-
-    def test_float_resolution_bracket(self):
-        amb = AMBIGUITIES["mp1t-2"]
-        d = optimize_order(NewsvendorInstance(ambiguity=amb, eta=0.9, eps=1e-15))
-        a, b = d.bracket
-        assert b == math.nextafter(a, math.inf) == d.q_star
-        assert all(r.verification.passed for r in d.bracket_reports)
-
-    def test_wrong_side_falls_back_to_the_honest_decision(self, monkeypatch):
-        amb = ExpMomentAmbiguity.from_exponential_demand(lam=1.0 / 50.0, t=0.01)
-        inst = NewsvendorInstance(ambiguity=amb, eta=1.0 - 1e-10)
-        honest = optimize_order(inst)
-        wrong = _wrong_side_once(monkeypatch)
-        d = optimize_order(inst)
-        # the wrong side sent the search right of the certified order, where
-        # the bracket's p_hi test failed and the full-candidate search decided
-        assert wrong and wrong[0] > honest.q_star
-        assert (d.q_star, d.objective, d.iterations, d.bracket) == (
-            honest.q_star,
-            honest.objective,
-            honest.iterations,
-            honest.bracket,
-        )
-        assert d.inner_solves == 2 + d.iterations + 1
-        assert d.report.verification.passed
-
-    def test_wrong_midpoint_is_refused(self, monkeypatch):
-        amb = ExpMomentAmbiguity.from_exponential_demand(lam=1.0 / 50.0, t=0.01)
-        inst = NewsvendorInstance(ambiguity=amb, eta=1.0 - 1e-10)
-        wrong_mass = _wrong_mass_above(monkeypatch)
-        honest = optimize_order(inst)  # the one-evaluation bracket solves below q = 2100
-        assert not wrong_mass
-        wrong = _wrong_side_once(monkeypatch)
-        with pytest.raises(RootBracketError):
-            optimize_order(inst)
-        assert wrong and wrong[0] > honest.q_star
-        assert wrong[0] >= 2100.0  # so the candidate solve there reads the wrong p_hi
-        assert amb._candidate(wrong[0])["dist"].points[-1][1] > 1e-10
-
-    def test_cli_refusal_exit_code(self, monkeypatch, tmp_path, capsys):
-        path = tmp_path / "order.json"
-        params = {"ambiguity": "mp1e", "exponential_lambda": 0.02, "t": 0.01, "eta": 1.0 - 1e-10}
-        path.write_text(json.dumps({"problem": "newsvendor", "params": params}), encoding="utf-8")
-        _wrong_mass_above(monkeypatch)
-        _wrong_side_once(monkeypatch)
-        assert main(["solve", str(path)]) == EXIT_SCHEMA
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert json.loads(captured.err.splitlines()[0])["error"] == "RootBracketError"
-
-
-def _threshold(amb) -> float:
-    """The order quantity at which the worst case leaves the boundary branch."""
-    if isinstance(amb, PowerMomentAmbiguity):
-        return power_moment.boundary_threshold(amb.instance_at(amb.M1))
-    return boundary_threshold(amb.instance_at(amb.M1))
-
-
-def _cheap_order(amb, eta: float, eps: float = 1e-6) -> float:
-    """The root of the order bisection on the one-evaluation sides alone."""
-    mass = 1.0 - eta
-    hi = amb.tail_cutoff(mass)
-    side = amb._order_side(mass)
-    return bisect(lambda q: -mass if q >= hi else side(q), 0.0, hi, eps, assume_left_root=True).root
-
-
-class TestOrderSide:
-    """One root-function sign per midpoint in place of a full candidate solve."""
-
-    @pytest.mark.parametrize("kind", AMBIGUITIES)
-    def test_sign_matches_the_candidate_upper_mass(self, kind):
-        amb = AMBIGUITIES[kind]
-        threshold = _threshold(amb)
-        branches = set()
-        for eta in ETAS:
-            mass = 1.0 - eta
-            hi = amb.tail_cutoff(mass)
-            side = amb._order_side(mass)
-            grid = np.concatenate(
-                [np.linspace(0.0, hi, 101)[1:-1], threshold * np.geomspace(0.1, 10.0, 41)]
-            )
-            for q in grid[grid < hi]:
-                q = float(q)
-                candidate = amb._candidate(q)
-                branches.add(candidate["branch"])
-                p_hi = candidate["dist"].points[-1][1]
-                assert np.sign(side(q)) == np.sign(p_hi - mass), (eta, q, p_hi)
-        assert branches == {"boundary", "interior"}
-
-    def test_boundary_side_is_the_closed_form(self):
-        # at t = 2, Mt = 2*M1^2 the boundary p_hi is exactly 1/2 up to q = 1
-        side = PowerMomentAmbiguity(M1=1.0, Mt=2.0, t=2.0)._order_side(0.5)
-        assert [side(q) for q in (0.25, 0.5, 1.0)] == [0.0, 0.0, 0.0]
-        assert side(1.5) < 0.0
-
-    @pytest.mark.parametrize(
-        "mu,cv", [(50.0, 1.0), (50.0, 0.5), (20.0, 0.25), (100.0, 0.9), (1.0, 1.0)]
-    )
-    @pytest.mark.parametrize("eta", DEEP_ETAS)
-    def test_deep_tail_order_within_eps_of_closed_form(self, mu, cv, eta):
-        M2 = mu * mu * (1.0 + cv * cv)
-        q = _cheap_order(PowerMomentAmbiguity(M1=mu, Mt=M2, t=2.0), eta)
-        assert abs(q - mean_variance_order(mu, M2, eta)) <= 1e-6
-
-
-    def test_pole_side_keeps_the_one_evaluation_bracket(self):
-        # at 1 - eta = 1e-10 u* lies within 1e-5*m1 of the pole of phi, where
-        # phi(u*) is too coarse to place the bracket: the gap coordinate does
-        amb = ExpMomentAmbiguity.from_exponential_demand(lam=1.0 / 50.0, t=0.005)
-        inst = amb.instance_at(amb.M1)
-        v1 = exp_moment.compute_v1(inst.m1_scaled, amb.Me)
-        assert exp_moment._gap_at_mass(1e-10, inst, v1) < 1e-5 * inst.m1_scaled
-        d = optimize_order(NewsvendorInstance(ambiguity=amb, eta=1.0 - 1e-10))
-        assert d.inner_solves == 3
-        assert all(r.verification.passed for r in d.bracket_reports)
-
-
-def _fresh(kind: str):
-    """A new copy of a cell's ambiguity, with nothing computed on it yet."""
-    return replace(AMBIGUITIES[kind])
-
-
-def _parent_sides(patch) -> None:
-    """Order sides that build and validate an instance per midpoint."""
-    for cls, methods in parent_methods().items():
-        for name, method in methods.items():
-            patch.setattr(cls, name, method)
-
-
-def _outcome(inst: NewsvendorInstance):
-    """repr of everything a decision reports, or the type and message of what it raised."""
-    try:
-        d = optimize_order(inst)
-    except Exception as exc:  # compared by the caller, not swallowed
-        return type(exc).__name__, str(exc)
-    fields = (d.q_star, d.objective, d.iterations, d.inner_solves, d.bracket)
-    return repr(fields + (d.report, d.bracket_reports))
-
-
-def _against_parent(monkeypatch, makers) -> tuple[list, list]:
-    """The outcomes of fresh decisions here and under the parent's sides."""
-    new = [_outcome(make()) for make in makers]
-    with monkeypatch.context() as patch:
-        _parent_sides(patch)
-        old = [_outcome(make()) for make in makers]
-    return new, old
-
-
-PIN_SEEDS = (5, 6)
-PIN_DECISIONS = 200  # the first decisions of each seed's benchmark stream
-
-
-class TestParentPin:
-    """Decisions are bit-identical to those of midpoints that built their own instances."""
-
-    @pytest.mark.parametrize("seed", PIN_SEEDS)
-    def test_stream_decisions(self, seed, monkeypatch):
-        workloads = _workloads()
-        stream = workloads.make_stream("newsvendor", seed)
-        runner = workloads.Runner("newsvendor", momentbound, "")
-        ops = [stream.next() for _ in range(PIN_DECISIONS)]
-        makers = [
-            lambda op=op: NewsvendorInstance(ambiguity=runner.ambiguity(op), eta=op.eta)
-            for op in ops
-        ]
-        new, old = _against_parent(monkeypatch, makers)
-        assert [i for i, (a, b) in enumerate(zip(new, old)) if a != b] == []
-
-    @pytest.mark.parametrize("kind,eta", CELLS + DEEP_CELLS)
-    def test_cells(self, kind, eta, monkeypatch):
-        make = lambda: NewsvendorInstance(ambiguity=_fresh(kind), eta=eta)
-        new, old = _against_parent(monkeypatch, [make])
-        assert new == old
-
-
-class TestDecisionCost:
-    """What q does not change is paid for once per decision."""
-
-    @pytest.mark.parametrize("kind,eta", CELLS)
-    def test_budget(self, kind, eta, monkeypatch):
+    def test_solve_budget(self, kind, eta, monkeypatch):
+        # 3 solves, each verified once: 2 where an end is 0 or the tail cutoff,
+        # 1 at q* = 0, whose report is the one at b.  One Lambert W per mp1e set.
         exp_moment.compute_v1.cache_clear()  # an earlier test's last v1 would be a free hit
         counts = Counter()
+        module = power_moment if kind.startswith("mp1t") else exp_moment
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -449,23 +189,147 @@ class TestDecisionCost:
 
             return wrapper
 
-        for module, name in (
-            (exp_moment, "lambert_w_minus1"),
-            (power_moment, "theta"),
-            (exp_moment, "phi"),
-        ):
-            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-        for cls in (power_moment.PowerMomentInstance, exp_moment.ExpMomentInstance):
-            monkeypatch.setattr(cls, "__post_init__", counted("instances", cls.__post_init__))
-        optimize_order(NewsvendorInstance(ambiguity=_fresh(kind), eta=eta))
-        new = counts.copy()
-        counts.clear()
-        with monkeypatch.context() as patch:
-            _parent_sides(patch)
-            optimize_order(NewsvendorInstance(ambiguity=_fresh(kind), eta=eta))
-        assert new["lambert_w_minus1"] == (1 if kind.startswith("mp1e") else 0)
-        assert new["instances"] <= 7 < counts["instances"]
-        assert (new["theta"], new["phi"]) == (counts["theta"], counts["phi"])
+        monkeypatch.setattr(core, "verify_optimality", counted("verify", core.verify_optimality))
+        monkeypatch.setattr(module, "_candidate", counted("solves", module._candidate))
+        monkeypatch.setattr(
+            exp_moment, "lambert_w_minus1", counted("lambert", exp_moment.lambert_w_minus1)
+        )
+        d = optimize_order(NewsvendorInstance(ambiguity=_fresh(kind), eta=eta))
+        ends = sum(r is not None for r in d.bracket_reports)
+        assert counts["solves"] == counts["verify"] == d.inner_solves == ends + (d.q_star > 0.0)
+        assert d.inner_solves == (3 if 0.0 < d.bracket[0] else 2 if d.q_star > 0.0 else 1)
+        assert d.iterations == 0
+        assert counts["lambert"] == (1 if kind.startswith("mp1e") else 0)
+
+    @pytest.mark.parametrize("kind,eta", CELLS + DEEP_CELLS)
+    def test_within_eps_of_the_verified_search(self, kind, eta):
+        inst = NewsvendorInstance(ambiguity=AMBIGUITIES[kind], eta=eta)
+        q_ref, objective_ref, _ = verified_order_search(inst)
+        d = optimize_order(inst)
+        assert abs(d.q_star - q_ref) <= inst.eps
+        assert d.objective <= objective_ref * (1.0 + 1e-12)
+        _check_certificate(inst, d)
+
+    @pytest.mark.parametrize("seed", STREAM_SEEDS)
+    def test_stream_decisions(self, seed):
+        workloads = _workloads()
+        stream = workloads.make_stream("newsvendor", seed)
+        runner = workloads.Runner("newsvendor", momentbound, "")
+        far = []
+        for i in range(STREAM_DECISIONS):
+            op = stream.next()
+            inst = NewsvendorInstance(ambiguity=runner.ambiguity(op), eta=op.eta)
+            d = optimize_order(inst)
+            _check_certificate(inst, d)
+            if abs(d.q_star - verified_order_search(inst)[0]) > inst.eps:
+                far.append(i)
+            if op.kind == "mp1t-2":
+                ref = mean_variance_order(op.params["M1"], op.params["Mt"], op.eta)
+                assert abs(d.q_star - ref) <= 1e-12 * ref
+        assert far == []
+
+    def test_tie_orders_nothing(self):
+        # at t = 2 and Mt = 2*M1^2 the boundary branch has p_hi = 1/2 for every
+        # q up to the threshold 1: at eta = 1/2 every q in [0, 1] is optimal
+        amb = PowerMomentAmbiguity(M1=1.0, Mt=2.0, t=2.0)
+        inst = NewsvendorInstance(ambiguity=amb, eta=0.5)
+        d = optimize_order(inst)
+        assert (d.q_star, d.objective, d.iterations, d.inner_solves) == (0.0, 1.0, 0, 1)
+        assert d.bracket == (0.0, inst.eps)
+        assert d.bracket_reports == (None, d.report)
+        assert d.report.dist.points[-1][1] == 0.5
+        _check_certificate(inst, d)
+
+    def test_tail_cutoff_inside_eps(self):
+        # the Markov cutoff 2.01e-9 lies below eps: b is the cutoff, where no
+        # end solve is needed, so q* = 0 takes its report from a solve there
+        amb = PowerMomentAmbiguity(M1=1e-9, Mt=4e-18, t=2.0)
+        inst = NewsvendorInstance(ambiguity=amb, eta=0.01)
+        d = optimize_order(inst)
+        assert (d.q_star, d.objective, d.inner_solves) == (0.0, amb.M1, 1)
+        assert d.bracket == (0.0, amb.tail_cutoff(0.99))
+        assert d.bracket_reports == (None, None)
+        _check_certificate(inst, d)
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-11, 1e-13, 1e-15])
+    def test_eps_near_float_resolution(self, eps):
+        # an end at q* -+ eps that rounds to q* itself, or whose p_hi rounds to
+        # the wrong side of 1 - eta, steps outward; on these cells that takes
+        # an eps below 1e-14*q*, a few dozen ulp of q*
+        widened = []
+        for kind, eta in CELLS + DEEP_CELLS:
+            inst = NewsvendorInstance(ambiguity=AMBIGUITIES[kind], eta=eta, eps=eps)
+            d = optimize_order(inst)
+            _check_certificate(inst, d)
+            assert d.q_star == _decision(kind, eta).q_star  # the closed form reads no eps
+            if d.iterations:
+                widened.append(d.q_star)
+        assert widened
+        assert all(eps < 1e-14 * q for q in widened)
+
+    @pytest.mark.parametrize("eps", [1e-6, 1e-15])
+    @pytest.mark.parametrize("factor", [1.0 - 1e-6, 1.0 + 1e-6])
+    @pytest.mark.parametrize("kind,eta", [c for c in CELLS + DEEP_CELLS if c[1] > 0.5])
+    def test_wrong_closed_form_is_refused(self, kind, eta, factor, eps, monkeypatch):
+        cls = type(AMBIGUITIES[kind])
+        real = cls._order_at_mass
+        monkeypatch.setattr(cls, "_order_at_mass", lambda self, mass: real(self, mass) * factor)
+        with pytest.raises(RootBracketError, match="wrong side of 1 - eta"):
+            _decision(kind, eta, eps)
+
+    def test_cli_refuses_a_wrong_closed_form(self, monkeypatch, tmp_path, capsys):
+        path = tmp_path / "order.json"
+        params = {"ambiguity": "mp1e", "exponential_lambda": 0.02, "t": 0.01, "eta": 1.0 - 1e-10}
+        path.write_text(json.dumps({"problem": "newsvendor", "params": params}), encoding="utf-8")
+        real = ExpMomentAmbiguity._order_at_mass
+        monkeypatch.setattr(
+            ExpMomentAmbiguity, "_order_at_mass", lambda self, mass: real(self, mass) * (1.0 + 1e-6)
+        )
+        assert main(["solve", str(path)]) == EXIT_SCHEMA
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err.splitlines()[0])["error"] == "RootBracketError"
+
+    @pytest.mark.parametrize(
+        "amb,mass",
+        [
+            (PowerMomentAmbiguity(M1=1.0, Mt=1e15, t=3.0), 1e-8),
+            (ExpMomentAmbiguity(M1=2.0, Me=math.exp(2.0) * 1e30, t=1.0), 1e-6),
+            (ExpMomentAmbiguity(M1=10.0, Me=math.exp(10.0) * 1e60, t=1.0), 1e-2),
+        ],
+        ids=["mp1t", "mp1e-1e30", "mp1e-1e60"],
+    )
+    def test_law_at_the_moment_bound_end(self, amb, mass):
+        # the law with upper mass `mass` puts all but a rounding error of the
+        # moment on its upper point: the right end of that point's search,
+        # where mass*v^t (or mass*e^v) alone reaches the moment, reads an
+        # excess <= 0 and is the point to float resolution
+        inst = NewsvendorInstance(ambiguity=amb, eta=1.0 - mass)
+        d = optimize_order(inst)
+        assert abs(d.q_star - verified_order_search(inst)[0]) <= inst.eps
+        assert d.inner_solves == 3
+        _check_certificate(inst, d)
+
+    def test_order_beside_the_pole(self):
+        # at 1 - eta = 1e-10 the worst case's lower point lies within 1e-5*m1 of
+        # the scaled mean, the pole of phi; the gap coordinate keeps q* exact
+        amb = ExpMomentAmbiguity.from_exponential_demand(lam=1.0 / 50.0, t=0.005)
+        v1 = exp_moment.compute_v1(amb.m1_scaled, amb.Me)
+        assert exp_moment._gap_at_mass(1e-10, amb, v1) < 1e-5 * amb.m1_scaled
+        inst = NewsvendorInstance(ambiguity=amb, eta=1.0 - 1e-10)
+        d = optimize_order(inst)
+        assert d.inner_solves == 3
+        assert abs(d.q_star - verified_order_search(inst)[0]) <= inst.eps
+        _check_certificate(inst, d)
+
+
+def _fresh(kind: str):
+    """A new copy of a cell's ambiguity, with nothing computed on it yet."""
+    return replace(AMBIGUITIES[kind])
+
+
+class TestDecisionCost:
+    """What q does not change is paid for once per decision."""
 
     def test_one_lambert_w_per_moment_set(self, monkeypatch):
         calls = []
@@ -478,26 +342,14 @@ class TestDecisionCost:
         optimize_order(NewsvendorInstance(ambiguity=_fresh("mp1e-general"), eta=0.99))
         assert len(calls) == 1
 
-    def test_midpoints_past_the_exponent_limit_are_refused(self, monkeypatch):
-        # the Chernoff cutoff 704.5 puts midpoints past t*q = 700, where the
-        # side refuses as an instance there would
+    def test_order_past_the_exponent_limit_is_refused(self):
+        # the closed-form order lies past t*q = 700, below the Chernoff cutoff
+        # 704.5, and is refused as a solve there would be
         amb = ExpMomentAmbiguity(M1=690.0, Me=2.0 * math.exp(690.0), t=1.0)
-        limit = ("RangeError", "t*q and t*M1 must stay below 700 to avoid overflow")
+        assert 700.0 < amb._order_at_mass(1e-6) < amb.tail_cutoff(1e-6)
         with pytest.raises(RangeError) as refused:
-            amb._order_side(1e-6)(701.0)
-        assert (type(refused.value).__name__, str(refused.value)) == limit
-        midpoints, real = [], ExpMomentAmbiguity._order_side
-
-        def order_side(self, mass):
-            side = real(self, mass)
-            return lambda q: midpoints.append(q) or side(q)
-
-        monkeypatch.setattr(ExpMomentAmbiguity, "_order_side", order_side)
-        assert _outcome(NewsvendorInstance(ambiguity=amb, eta=1.0 - 1e-6)) == limit
-        assert max(midpoints) > 700.0
-        with monkeypatch.context() as patch:
-            _parent_sides(patch)
-            assert _outcome(NewsvendorInstance(ambiguity=replace(amb), eta=1.0 - 1e-6)) == limit
+            optimize_order(NewsvendorInstance(ambiguity=amb, eta=1.0 - 1e-6))
+        assert str(refused.value) == "t*q and t*M1 must stay below 700 to avoid overflow"
 
     @pytest.mark.parametrize(
         "moments,eta,q_star",
@@ -521,7 +373,7 @@ class TestDecisionCost:
             ambiguity=ExpMomentAmbiguity(M1=690.0, Me=2.0 * math.exp(690.0), t=1.0), eta=0.5
         )
         d = optimize_order(inst)
-        assert d.q_star == 690.5206914464652
+        assert d.q_star == 690.5206919926019
         assert d.report.verification.passed
         assert all(r.verification.passed for r in d.bracket_reports)
 
@@ -562,7 +414,11 @@ class TestMomentMatchingFamily:
 class TestOptimizeOrder:
     def test_cheap_service_orders_nothing(self):
         decision = optimize_order(_exp_instance(0.01))
-        assert decision.q_star <= 1e-5
+        assert decision.q_star == 0.0
+        assert decision.objective == 1.0  # M1
+        # the worst case at b, whose boundary law is a worst case at q = 0 too
+        assert decision.report is decision.bracket_reports[1]
+        assert decision.report.branch == "boundary"
 
     def test_eta_sweep_monotone(self):
         qs = [optimize_order(_exp_instance(eta)).q_star for eta in (0.9, 0.99, 0.999)]
@@ -598,8 +454,8 @@ class TestOptimizeOrder:
         inst = NewsvendorInstance(ambiguity=amb, eta=0.9, eps=1e-6)
         d = optimize_order(inst)
         assert d.q_star > 0.0
-        # the two bracket ends and q*, where the search solved at every midpoint before
-        assert d.inner_solves == 3 < d.iterations
+        # the two bracket ends and q*, and no end stepped out
+        assert (d.inner_solves, d.iterations) == (3, 0)
 
     def test_exponential_ground_truth_shape(self):
         # the moment data comes from an exponential demand with rate 1/50

@@ -161,6 +161,18 @@ def test_only_the_oracle_imports_numpy():
     assert sorted(set(importers)) == ["oracle.py"]
 
 
+def test_newsvendor_imports_no_root_search():
+    # the order comes in closed form: newsvendor.py searches for nothing
+    path = Path(momentbound.__file__).resolve().parent / "newsvendor.py"
+    imported = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported += [node.module or ""] + [alias.name for alias in node.names]
+    assert [name for name in imported if "rootfind" in name.split(".")] == []
+
+
 def test_solves_take_no_root_tolerance():
     # the interior root searches bisect to a fixed 1e-10 and Newton-polish
     # to float resolution; no caller chooses where that hand-off happens
