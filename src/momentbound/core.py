@@ -412,10 +412,11 @@ class Report:
 
     ``branch`` names the regime the solver took.  ``root`` is the scalar that
     fixes the answer on that branch, in the solver's scaled units: the
-    bisected upper (mp1t) or lower (mp1e) support point on the interior
+    searched upper (mp1t) or lower (mp1e) support point on the interior
     branch, the degenerate family's parameter v1, its largest support point
     (upm), and None on the closed-form branches.  ``bisect_iters`` counts
-    the bisection steps behind ``root``, 0 where nothing was bisected.
+    the root-function evaluations of the interior search behind ``root``,
+    beyond the bracket ends' values, and is 0 where nothing was searched.
     """
 
     value: float

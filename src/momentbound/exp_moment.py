@@ -13,10 +13,9 @@ boundary point v1 is ``compute_v1(inst.m1_scaled, inst.Me)``, which keeps
 its last result.
 
 RangeError is raised only where an exponent leaves float range (t*q, t*M1 or
-v1 above 700); the deep tail has no floor.  The bisection evaluates phi in g
-only above half its root, where phi's terms stay below 2*exp(t*q + 1), and
-the Newton steps work on g*phi, which has no pole, so no evaluation
-overflows.  On wide draws up to t*q = 700 no interior search was refused,
+v1 above 700); the deep tail has no floor.  The search works on g*phi, which
+has no pole and whose exponents stay at most max(t*M1, t*q + 1), so no
+exponential overflows.  On wide draws up to t*q = 700 no interior search was refused,
 down to tails of 1e-313; below the normal float range (a tail under about
 2.2e-308 * t) the value keeps only a subnormal's precision.
 """
@@ -37,13 +36,12 @@ from .errors import (
     RootBracketError,
 )
 from .lambertw import lambert_w_minus1
-from .rootfind import bisect, polish_root
+from .rootfind import brent
 
 BOUNDARY = "boundary"
 INTERIOR = "interior"
 
 _EXP_ARG_LIMIT = 700.0  # exp(t*q) and exp(t*M1) stay finite
-_ROOT_TOL = 1e-10  # where bisection on phi hands off to the Newton polish
 _ARG_RANGE = f"t*q and t*M1 must stay below {_EXP_ARG_LIMIT:g} to avoid overflow"
 
 
@@ -196,14 +194,6 @@ def _gap_times_phi(g: float, inst: ExpMomentInstance) -> float:
     return den * (qs + 1.0 - m1) - g * (eu + math.exp(qs + 1.0 - eu * g / den) - me)
 
 
-def _gap_times_phi_slope(g: float, inst: ExpMomentInstance) -> float:
-    m1, me, qs = inst.m1_scaled, inst.Me, inst.q_scaled
-    eu = math.exp(m1 - g)
-    den = me - eu
-    d_ratio = eu * ((1.0 - g) - g * eu / den) / den  # den once at a time: den**2 can overflow
-    return eu * (qs + g - m1) + me - math.exp(qs + 1.0 - eu * g / den) * (1.0 - g * d_ratio)
-
-
 def _gap_at_mass(p: float, inst: ExpMomentInstance, v1: float) -> float:
     """m1 - u for the rate-1 two-point law {u, v} with mean m1, E[e^X] = Me and mass p at v.
 
@@ -221,13 +211,10 @@ def _gap_at_mass(p: float, inst: ExpMomentInstance, v1: float) -> float:
     def excess(v: float) -> float:
         return (1.0 - p) * math.exp((m1 - p * v) / (1.0 - p)) + math.exp(v + log_p) - me
 
-    def slope(v: float) -> float:
-        return math.exp(v + log_p) - p * math.exp((m1 - p * v) / (1.0 - p))
-
     hi = min(m1 / p, math.log(me) - log_p)
-    v = hi
-    if excess(hi) > 0.0:
-        v = polish_root(excess, slope, bisect(excess, v1, hi, 1e-10 * hi).root, v1, hi)
+    v, f_hi = hi, excess(hi)
+    if f_hi > 0.0:
+        v = brent(excess, v1, hi, excess(v1), f_hi)[0]
     return p * (v - m1) / (1.0 - p)
 
 
@@ -283,19 +270,12 @@ def _candidate(inst: ExpMomentInstance) -> dict:
         )
         branch, root, iters = BOUNDARY, None, 0
     else:
-        # phi in the gap g = m1 - u is positive at the lower end of g's range
-        # (phi(qs), or the pole) and negative at g = m1.  Newton steps on
-        # g*phi, which has no pole, take the bisection's root to float
-        # resolution.  Where the bracket closes on the pole the root may lie
-        # anywhere below its absolute width, so the steps start left of it:
-        # at the root phi's first term is below exp(qs + 1), and with den at
-        # its least, Me - e^m1, that puts the root above g0.
-        res = bisect(f, m1 - min(m1, qs), m1, _ROOT_TOL, assume_left_root=True)
-        lo, hi = res.bracket
-        g0 = res.root if lo > 0.0 else (me - math.exp(m1)) * (qs + 1.0 - m1) / math.exp(qs + 1.0)
-        gap = polish_root(
-            lambda g: _gap_times_phi(g, inst), lambda g: _gap_times_phi_slope(g, inst), g0, lo, hi
-        )
+        # g*phi in the gap g = m1 - u has no pole: it is positive at the
+        # lower end of g's range (at y = qs, or at g = 0 where it is
+        # (Me - e^m1)*(qs + 1 - m1)) and has phi(0)'s sign at g = m1
+        gphi = lambda g: _gap_times_phi(g, inst)
+        lo = m1 - min(m1, qs)
+        gap, iters = brent(gphi, lo, m1, gphi(lo), gphi(m1))
         u = m1 - gap
         eu = math.exp(u)
         ratio = eu * gap / (me - eu)
@@ -308,6 +288,6 @@ def _candidate(inst: ExpMomentInstance) -> dict:
         dist = DiscreteDistribution(points=((u / t, 1.0 - p_hi), (v2 / t, p_hi)))
         den = math.exp(v2) - eu
         cert = DualCertificate(z=((u - 1.0) * eu / den / t, -eu / den, 1.0 / den / t))
-        branch, root, iters = INTERIOR, u, res.iterations
+        branch, root = INTERIOR, u
 
     return dict(value=value, dist=dist, cert=cert, branch=branch, root=root, bisect_iters=iters)

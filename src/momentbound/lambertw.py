@@ -1,8 +1,8 @@
 """Real Lambert W, lower branch: the solution w <= -1 of w * exp(w) = x on [-1/e, 0).
 
 It gives the boundary-branch support point of the exponential-moment solver.
-An asymptotic initial guess is refined by Halley steps, with a bisection
-fallback so results are deterministic for any admissible input.
+An asymptotic initial guess is refined by Halley steps, with a bracketed
+search as fallback, so results are deterministic for any admissible input.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
+from .rootfind import brent
 
 BRANCH_POINT = -math.exp(-1.0)  # -1/e, where the two real branches meet
 
@@ -49,23 +50,6 @@ def _halley(x: float, w: float) -> float:
     return w
 
 
-def _bisect_w(x: float, lo: float, hi: float) -> float:
-    # sign convention: g(w) = w e^w - x changes sign on (lo, hi)
-    g_lo = lo * math.exp(lo) - x
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        g_mid = mid * math.exp(mid) - x
-        if g_mid == 0.0:
-            return mid
-        if (g_mid > 0.0) == (g_lo > 0.0):
-            lo, g_lo = mid, g_mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-16 * max(1.0, abs(lo)):
-            break
-    return 0.5 * (lo + hi)
-
-
 def lambert_w_minus1(x: float) -> WValue:
     """Lower real branch: the solution w <= -1 of w * exp(w) = x, x in [-1/e, 0)."""
     if not (BRANCH_POINT <= x < 0.0):
@@ -81,6 +65,7 @@ def lambert_w_minus1(x: float) -> WValue:
         # guaranteed bracket: g(-1) < 0, and g(lo) > 0 as lo is below the bound
         # W_-1(x) > -1 - sqrt(2u) - u, u = -1 - lx (Chatzigeorgiou 2013).
         lo = min(2.0 * (lx - math.log(-lx)), -2.0)
-        w = _halley(x, _bisect_w(x, lo, -1.0))
+        g = lambda v: v * math.exp(v) - x
+        w = _halley(x, brent(g, lo, -1.0, g(lo), g(-1.0))[0])
         w = min(w, -1.0)
     return WValue(w=w, residual=_residual(w, x))

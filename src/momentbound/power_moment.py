@@ -26,11 +26,10 @@ from .errors import (
     RangeError,
     RootBracketError,
 )
-from .rootfind import BisectResult, bisect, polish_root
+from .rootfind import bisect, brent, polish_root
 
 BOUNDARY = "boundary"
 INTERIOR = "interior"
-_ROOT_TOL = 1e-10  # where bisection on theta hands off to the Newton polish
 # Near-threshold pair search (``_refine_near_threshold``).  psi's root and the
 # moment mismatch's root are the same v, and both functions are evaluated
 # without cancellation, so their float sign changes sit within an ulp of it
@@ -168,33 +167,6 @@ def theta(y: float, inst: PowerMomentInstance) -> float:
     return (yt - mt) / (y - 1.0) * (1.0 - u) + u_pow - mt
 
 
-def _theta_prime(y: float, inst: PowerMomentInstance) -> float:
-    t, mt, qs = inst.t, inst.mt_scaled, inst.q_scaled
-    c = t * qs / (t - 1.0)
-    yt, yt1 = y**t, y ** (t - 1.0)
-    g2 = (yt - mt) / (y - 1.0)
-    # squares as products: past float range they give inf, where ** raises
-    g2p = ((t - 1.0) * yt - t * yt1 + mt) / ((y - 1.0) * (y - 1.0))
-    g3 = c * (yt1 - mt) / (yt - mt)
-    d3 = yt - mt
-    g3p = c * ((t - 1.0) * y ** (t - 2.0) * d3 - (yt1 - mt) * t * yt1) / (d3 * d3)
-    return g2p * (1.0 - g3) - g2 * g3p + t * abs(g3) ** (t - 1.0) * g3p
-
-
-def _interior_bracket(qs: float, t: float, edge: float, line: float) -> tuple[float, float] | None:
-    """The open bracket (a, b) of theta's root at qs = q/M1; None on the boundary branch.
-
-    ``line`` is the branch threshold (t-1)/t*edge in the same scaled units.
-    """
-    a = max(edge, qs)
-    b = t * qs / (t - 1.0)
-    # b <= a can only happen when q sits at the branch threshold to float
-    # resolution, where the boundary construction is the exact limit
-    if qs <= line or b <= a:
-        return None
-    return a, b
-
-
 def _upper_point_at_mass(p: float, inst: PowerMomentInstance, edge: float) -> float:
     """The upper point v of the two-point law with mean 1, t-th moment mt and mass p at v.
 
@@ -215,13 +187,11 @@ def _upper_point_at_mass(p: float, inst: PowerMomentInstance, edge: float) -> fl
     def excess(v: float) -> float:
         return (1.0 - p) * lower(v) ** t + (scale * v) ** t - mt
 
-    def slope(v: float) -> float:
-        return t * ((scale * v) ** t / v - p * lower(v) ** (t - 1.0))
-
     hi = min(1.0 / p, mt ** (1.0 / t) / scale)
-    if not excess(hi) > 0.0:
+    f_hi = excess(hi)
+    if not f_hi > 0.0:
         return hi
-    return polish_root(excess, slope, bisect(excess, edge, hi, 1e-10 * hi).root, edge, hi)
+    return brent(excess, edge, hi, excess(edge), f_hi)[0]
 
 
 def boundary_threshold(inst: PowerMomentInstance) -> float:
@@ -406,9 +376,12 @@ def _candidate(inst: PowerMomentInstance) -> dict:
     M1, t = inst.M1, inst.t
     mt, qs = inst.mt_scaled, inst.q_scaled
     edge = inst.edge_scaled
-    bracket = _interior_bracket(qs, t, edge, (t - 1.0) / t * edge)
+    # theta's root lies in (a, b) past the branch threshold; b <= a only where
+    # q sits at the threshold to float resolution, and there the boundary
+    # construction is the exact limit
+    a, b = max(edge, qs), t * qs / (t - 1.0)
 
-    if bracket is None:
+    if qs <= (t - 1.0) / t * edge or b <= a:
         p_hi = 1.0 / edge
         value = M1 * (1.0 - qs / edge)
         upper = M1 * edge
@@ -420,31 +393,24 @@ def _candidate(inst: PowerMomentInstance) -> dict:
         cert = DualCertificate(z=(0.0, z1, zt / M1 ** (t - 1.0)))
         branch, root, iters = BOUNDARY, None, 0
     else:
-        a, b = bracket
+        f = lambda y: theta(y, inst)
+        fb = f(b)
         # When qs <= edge, the bracket starts exactly on a zero of theta with
-        # negative right slope, which bisect must be told about: a float
-        # evaluation of theta(a) is merely tiny, not zero.  A q a few ulp
-        # above the edge has the same fuzz-zero left endpoint, so a failed
-        # sign check there falls back to the left-root semantics too.
-        assume = qs <= edge
-        try:
-            res: BisectResult = bisect(
-                lambda y: theta(y, inst), a, b, _ROOT_TOL, assume_left_root=assume
-            )
-        except BracketError:
-            if assume or qs > edge * (1.0 + 1e-12):
-                raise RootBracketError(
-                    f"theta sign conditions failed on ({a}, {b})"
-                ) from None
-            res = bisect(lambda y: theta(y, inst), a, b, _ROOT_TOL, assume_left_root=True)
-        # Newton steps push the root to float resolution so the t-th moment
-        # row and the duality gap land well inside verification tolerances.
-        v = polish_root(
-            lambda y: theta(y, inst), lambda y: _theta_prime(y, inst), res.root, a, b
-        )
+        # negative right slope, which a float evaluation of theta(a) gives
+        # as noise: brent is told theta(a) = 0 and steps past a.  A q a few
+        # ulp above the edge has the same fuzz-zero left end, so a failed
+        # sign check there is treated the same way.
+        fa = f(a) if qs > edge else 0.0
+        if fa != 0.0 and (fa > 0.0) == (fb > 0.0):
+            if qs > edge * (1.0 + 1e-12):
+                raise RootBracketError(f"theta sign conditions failed on ({a}, {b})")
+            fa = 0.0
+        v, iters = brent(f, a, b, fa, fb)
         u = _u_from_v(v, inst, edge)
         w, ut = u ** (t - 1.0), u**t
-        if qs <= edge and _pair_score(v, u, w, ut, inst, edge) > 1e-11 * max(1.0, v):
+        # the score is in mean-scaled units; the verifier's absolute slack
+        # tolerance reads it M1 times larger
+        if qs <= edge and _pair_score(v, u, w, ut, inst, edge) > 1e-11 * max(1.0, v) / max(1.0, M1):
             # theta is noise-flat across the whole bracket here, so the root
             # it reports cannot support an accurate certificate.  Score the
             # alternative representable pairs and keep the best: the joint
@@ -484,6 +450,6 @@ def _candidate(inst: PowerMomentInstance) -> dict:
                 1.0 / (t * denom) / M1 ** (t - 1.0),
             )
         )
-        branch, root, iters = INTERIOR, v, res.iterations
+        branch, root = INTERIOR, v
 
     return dict(value=value, dist=dist, cert=cert, branch=branch, root=root, bisect_iters=iters)

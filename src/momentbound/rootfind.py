@@ -1,11 +1,9 @@
-"""Scalar root search: open-interval bisection and guarded Newton polish.
+"""Scalar root search on a known bracket: Brent's method, bisection and Newton polish.
 
-Every search in the package is a root of a monotone or sign-changing scalar
-function on a known bracket: the solvers' support-point equations, and the
-newsvendor's optimality condition.  The bisection variant accepts a bracket
-whose left endpoint is itself a root, provided the function leaves that root
-with the sign opposite to f(b).  That case arises naturally when a solve
-bracket starts exactly on a known zero of the root function.
+The solvers' support-point equations are searched with ``brent``.  Its
+bracket may start exactly on a known zero of the root function, which the
+function leaves with the sign opposite to f(b); ``bisect`` accepts that case
+too.  The mp1t near-threshold re-solve bisects and polishes with Newton.
 """
 
 from __future__ import annotations
@@ -17,6 +15,8 @@ from typing import Callable
 from .errors import BracketError, DomainError, NonFiniteError
 
 _ZERO_FLOOR = 1e-300  # |f| at or below this counts as an exact zero
+_EPS = 2.0**-52  # ulp(x) <= _EPS*|x|, so Brent's least step _EPS*|x| always moves x
+_TINY = 5e-324  # the least positive float: keeps that step nonzero at x = 0
 
 EXACT_ZERO = "exact_zero"
 TOLERANCE_REACHED = "tolerance_reached"
@@ -39,21 +39,91 @@ def _checked(f: Callable[[float], float], x: float) -> float:
     return float(v)
 
 
+def brent(
+    f: Callable[[float], float], a: float, b: float, fa: float, fb: float
+) -> tuple[float, int]:
+    """A root of f in (a, b] from fa = f(a) and fb = f(b), and the evaluations of f it made.
+
+    fa and fb differ in sign, or fa = 0 is a root to step over, which f
+    leaves with the sign opposite to fb.  Values near that root may be
+    noise, so the search steps from b toward a, by the secant through its
+    last two points where that at least halves the distance to a and by
+    halving otherwise, until f changes sign; if that collapses onto a, the
+    least point found with fb's sign is the root.  Then Brent's method
+    (*Algorithms for Minimization without Derivatives*, 1973, ch. 4)
+    interpolates inside the sign change, bisecting wherever that shrinks it
+    too slowly, until it is 2 to 4 ulp wide, and returns the end with the
+    smaller |f|.
+    """
+    for x, v in ((a, fa), (b, fb)):
+        if not math.isfinite(v):
+            raise NonFiniteError(f"f({x}) = {v}")
+    evals, prev = 0, None
+    while fa == 0.0 and fb != 0.0:
+        x = 0.5 * (a + b)
+        if prev is not None and fb != prev[1]:
+            s = b - fb * (b - prev[0]) / (fb - prev[1])
+            if a < s < x:
+                x = s
+        if x <= a or x >= b:
+            return b, evals
+        fx = _checked(f, x)
+        evals += 1
+        if (fx > 0.0) != (fb > 0.0) or fx == 0.0:
+            a, fa = x, fx
+            break
+        prev, b, fb = (b, fb), x, fx
+    if fa == 0.0 or fb == 0.0:
+        return (b if fb == 0.0 else a), evals
+    if (fa > 0.0) == (fb > 0.0):
+        raise BracketError(f"f({a}) and f({b}) do not bracket a root")
+    c, fc = a, fa  # b is the best point so far, a the previous one; c keeps the sign change
+    d = e = b - a
+    while True:
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = _EPS * abs(b) + _TINY
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
+            return b, evals
+        if abs(e) < tol or abs(fa) <= abs(fb):
+            d = e = m
+        else:
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = _checked(f, b)
+        evals += 1
+
+
 def bisect(
     f: Callable[[float], float],
     a: float,
     b: float,
     eps: float,
-    *,
-    assume_left_root: bool = False,
 ) -> BisectResult:
     """Find a root of f in the open interval (a, b).
 
     Requires either a sign change between the endpoints, or f(a) = 0 with f
-    taking the sign opposite to f(b) immediately right of a.  The latter is
-    detected by probing f(a + delta) with delta = min(eps, (b-a)*1e-6), or
-    asserted outright via ``assume_left_root`` when the caller knows it
-    analytically (a float evaluation of f(a) may then be tiny but nonzero).
+    taking the sign opposite to f(b) immediately right of a, which is
+    detected by probing f(a + delta) with delta = min(eps, (b-a)*1e-6).
 
     The returned point is always strictly greater than a.
     """
@@ -67,16 +137,14 @@ def bisect(
         return BisectResult(root=b, iterations=0, status=EXACT_ZERO, bracket=(a, b))
     sb = 1.0 if fb > 0.0 else -1.0
 
-    if not assume_left_root:
-        fa = _checked(f, a)
-        if abs(fa) <= _ZERO_FLOOR:
-            delta = min(eps, (b - a) * 1e-6)
-            fp = _checked(f, a + delta)
-            sa = math.copysign(1.0, fp) if abs(fp) > _ZERO_FLOOR else -sb
-        else:
-            sa = 1.0 if fa > 0.0 else -1.0
-        if sa == sb:
-            raise BracketError(f"f({a}) and f({b}) do not bracket a root")
+    fa = _checked(f, a)
+    if abs(fa) <= _ZERO_FLOOR:
+        fp = _checked(f, a + min(eps, (b - a) * 1e-6))
+        sa = math.copysign(1.0, fp) if abs(fp) > _ZERO_FLOOR else -sb
+    else:
+        sa = 1.0 if fa > 0.0 else -1.0
+    if sa == sb:
+        raise BracketError(f"f({a}) and f({b}) do not bracket a root")
 
     iterations = 0
     while True:

@@ -31,7 +31,7 @@ from momentbound.errors import (
     NonFiniteError,
 )
 from momentbound.oracle import _DEGENERATE_RUN, _PIVOT_TOL, _RC_TOL, OPTIMAL, UNBOUNDED
-from momentbound.rootfind import _ZERO_FLOOR, EXACT_ZERO, TOLERANCE_REACHED, BisectResult, bisect
+from momentbound.rootfind import _ZERO_FLOOR, EXACT_ZERO, TOLERANCE_REACHED, BisectResult
 
 
 class NonDifferentiableError(MomentBoundError):
@@ -133,7 +133,7 @@ def verified_order_search(inst) -> tuple[float, float, int]:
     def excess(q: float) -> float:
         return -mass if q >= hi else amb.solve(q).dist.points[-1][1] - mass
 
-    res = bisect(excess, 0.0, hi, inst.eps, assume_left_root=True)
+    res = reference_bisect(excess, 0.0, hi, inst.eps, assume_left_root=True)
     value = amb.solve(res.root).value
     return res.root, value + mass * res.root, res.iterations
 

@@ -75,8 +75,8 @@ class TestLowerBranch:
     @pytest.mark.parametrize("x", [-0.35, -0.3, -0.1, -1e-5, -1e-100, -1e-300])
     def test_bisection_fallback(self, x, monkeypatch):
         # Halley's first pass lands on the upper branch W_0(x) > -1, so the
-        # fallback must bracket the lower root and bisect it
-        real_halley, real_bisect = lambertw._halley, lambertw._bisect_w
+        # fallback must bracket the lower root and search it
+        real_halley, real_brent = lambertw._halley, lambertw.brent
         upper = float(scipy.special.lambertw(x, 0).real)
         calls, brackets = [], []
 
@@ -84,12 +84,12 @@ class TestLowerBranch:
             calls.append(w)
             return upper if len(calls) == 1 else real_halley(x_, w)
 
-        def bisect_w(x_, lo, hi):
+        def brent(f, lo, hi, f_lo, f_hi):
             brackets.append((lo, hi))
-            return real_bisect(x_, lo, hi)
+            return real_brent(f, lo, hi, f_lo, f_hi)
 
         monkeypatch.setattr(lambertw, "_halley", halley)
-        monkeypatch.setattr(lambertw, "_bisect_w", bisect_w)
+        monkeypatch.setattr(lambertw, "brent", brent)
         w = lambert_w_minus1(x).w
         assert len(calls) == 2 and len(brackets) == 1
         (lo, hi), g = brackets[0], lambda v: v * math.exp(v) - x

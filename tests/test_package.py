@@ -174,8 +174,8 @@ def test_newsvendor_imports_no_root_search():
 
 
 def test_solves_take_no_root_tolerance():
-    # the interior root searches bisect to a fixed 1e-10 and Newton-polish
-    # to float resolution; no caller chooses where that hand-off happens
+    # the interior root searches run Brent's method to a bracket of a few
+    # ulp; no caller chooses a tolerance
     def params(fn):
         return list(inspect.signature(fn).parameters)
 
@@ -191,3 +191,4 @@ def test_solves_take_no_root_tolerance():
         "mp1e": ["inst"],
     }
     assert params(rootfind.polish_root) == ["f", "fprime", "x0", "lo", "hi"]
+    assert params(rootfind.brent) == ["f", "a", "b", "fa", "fb"]

@@ -309,6 +309,22 @@ class TestNearThreshold:
                 assert counts["steps"] <= 300, inst
         assert fallbacks >= 40
 
+    # wide draws of the benchmark's solve_stream probe (seeds 7, 13 and 53)
+    # with t near 1, where theta is float noise across hundreds of ulp
+    # around its root: a pair whose mean-scaled score is under 1e-11 can
+    # still miss the verifier's absolute slack tolerance, which reads the
+    # score M1 times larger
+    @pytest.mark.parametrize(
+        "M1, Mt, t, q",
+        [
+            (9391.679532775262, 9796.238817434021, 1.0046094452875527, 6438.166973922991),
+            (6722.8281646879705, 15460.4119018824, 1.0944849176339675, 2374.0762855755065),
+            (7.666832829851819, 7.736555520965843, 1.0011860985611671, 140.14481439657436),
+        ],
+    )
+    def test_re_solve_threshold_follows_the_mean(self, M1, Mt, t, q):
+        assert solve_power_moment(PowerMomentInstance(M1=M1, Mt=Mt, t=t, q=q)).verification.passed
+
 
 class TestRange:
     # t - 1 = 1e-3 puts the boundary support point mt^(1/(t-1)) at 10^1000

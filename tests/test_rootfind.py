@@ -1,4 +1,4 @@
-"""Bisection."""
+"""Bisection and Brent's bracketed search."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 
 from momentbound.errors import BracketError, NonFiniteError
 from momentbound.power_moment import PowerMomentInstance, theta
-from momentbound.rootfind import EXACT_ZERO, TOLERANCE_REACHED, bisect
+from momentbound.rootfind import EXACT_ZERO, TOLERANCE_REACHED, bisect, brent
 
 
 def _iteration_cap(width: float, eps: float) -> int:
@@ -41,13 +41,6 @@ class TestBisect:
         res = bisect(f, a, b, 1e-10)
         assert res.root == pytest.approx(mid, abs=1e-9)
         assert res.root > a
-
-    def test_assume_left_root_skips_probe(self):
-        # f(a) is tiny but nonzero; the caller asserts the left-root case
-        a, b = 1.0, 3.0
-        f = lambda x: (x - a - 1e-18) * (x - 2.0)
-        res = bisect(f, a, b, 1e-10, assume_left_root=True)
-        assert res.root == pytest.approx(2.0, abs=1e-9)
 
     def test_bracket_error(self):
         with pytest.raises(BracketError):
@@ -91,3 +84,99 @@ class TestBisect:
         a, b = res.bracket
         assert b == math.nextafter(a, math.inf) == res.root
 
+
+def _brent(f, a, b):
+    return brent(f, a, b, f(a), f(b))
+
+
+class TestBracketedSearch:
+    def test_linear(self):
+        root, evals = _brent(lambda x: x - 1.1, 0.0, 2.0)
+        assert abs(root - 1.1) <= 2.0 * math.ulp(1.1)
+        assert evals <= 3  # the first secant step lands on the root
+
+    def test_theta_bracket_recovers_mean_variance_bound(self):
+        # scaled instance with t = 2 has the classical closed form as oracle
+        inst = PowerMomentInstance(M1=1.0, Mt=2.0, t=2.0, q=6.0)
+        v, evals = _brent(lambda y: theta(y, inst), 6.0, 12.0)
+        assert 6.0 < v < 12.0 and evals <= 12
+        assert abs(theta(v, inst)) < 1e-13
+        u = (2.0 * 6.0 / 1.0) * (v - 2.0) / (v * v - 2.0)
+        value = (v - 6.0) * (1.0 - u) / (v - u)
+        assert value == pytest.approx((math.sqrt(26.0) - 5.0) / 2.0, rel=1e-14)
+
+    def test_end_values_are_taken_as_given(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return x - 0.3
+
+        root, evals = brent(f, 0.0, 1.0, -0.3, 0.7)
+        assert evals == len(calls) and 0.0 not in calls and 1.0 not in calls
+        assert brent(f, 0.0, 1.0, -0.3, 0.0) == (1.0, 0)  # an exact zero at b
+        with pytest.raises(BracketError):
+            brent(f, 0.0, 1.0, 0.3, 0.7)
+
+    def test_left_root_is_stepped_over(self):
+        # f(a) = 0, f < 0 just right of a, and f(b) > 0: the search must
+        # reach the interior root, never return a itself
+        a, b = 1.0, 3.0
+        for mid in (2.0, 1.0 + 1e-3, 1.0 + 1e-12):
+            f = lambda x: (x - a) * (x - mid)
+            root, evals = brent(f, a, b, 0.0, f(b))
+            assert root > a
+            assert abs(root - mid) <= 4.0 * math.ulp(mid)
+            assert evals <= _iteration_cap(b - a, mid - a) + 12
+
+    def test_left_root_noise_at_a(self):
+        # f(a) is tiny but nonzero, with f(b)'s sign: the caller passes 0
+        f = lambda x: (x - 1.0 - 1e-18) * (x - 2.0)
+        assert f(1.0) > 0.0
+        root, _ = brent(f, 1.0, 3.0, 0.0, f(3.0))
+        assert root == pytest.approx(2.0, rel=1e-15)
+
+    def test_left_root_collapse_keeps_root_right_of_a(self):
+        # f never takes the opposite sign: the steps collapse onto a and the
+        # least point with f(b)'s sign comes back
+        root, evals = brent(lambda x: 1.0, 1.0, 3.0, 0.0, 1.0)
+        assert root == math.nextafter(1.0, math.inf) and evals < 60
+        # an exact zero met on the way is the root
+        assert brent(lambda x: 0.0 if x < 2.5 else 1.0, 1.0, 3.0, 0.0, 1.0) == (2.0, 1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_message(self, bad):
+        f = lambda x: bad if 0.2 < x < 0.3 else x - 0.25  # at the first secant step
+        with pytest.raises(NonFiniteError, match=r"^f\(0\.25\) = (nan|inf|-inf)$"):
+            brent(f, 0.0, 1.0, -0.25, 0.75)
+        with pytest.raises(NonFiniteError, match=r"^f\(1\.0\) = "):
+            brent(f, 0.0, 1.0, -0.25, bad)
+
+    def test_resolution_stall_terminates(self):
+        # the root is not a float and f jumps across it: the bracket closes
+        # to a few ulp, and the search stops there
+        r = 1e7 + 0.3
+        root, evals = _brent(lambda x: -1.0 if x < r else 1.0, 1e7, 1e7 + 1.0)
+        assert abs(root - r) <= 4.0 * math.ulp(r)
+        assert evals <= 2 * _iteration_cap(1.0, math.ulp(r))
+        root, _ = _brent(lambda x: x - 1e-310, 0.0, 1.0)  # subnormal root
+        assert abs(root - 1e-310) <= 4.0 * math.ulp(1e-310)
+
+    def test_random_brackets_within_bisection_bound(self):
+        rng = np.random.default_rng(11)
+        families = [
+            lambda x, r: x - r,
+            lambda x, r: x**3 - r**3,
+            lambda x, r: math.exp(x) - math.exp(r),
+            lambda x, r: math.tanh(20.0 * (x - r)),
+            lambda x, r: (x - r) * (1.0 + 100.0 * (x - r) ** 2),
+        ]
+        for _ in range(200):
+            f0 = families[rng.integers(len(families))]
+            r = rng.uniform(0.2, 0.8)
+            a, b = rng.uniform(-2.0, r - 1e-3), rng.uniform(r + 1e-3, 3.0)
+            root, evals = _brent(lambda x: f0(x, r), a, b)
+            assert abs(root - r) <= 4.0 * math.ulp(r)
+            # no more evaluations than bisection would need to reach float
+            # resolution of the root
+            assert evals <= _iteration_cap(b - a, math.ulp(r))

@@ -3,11 +3,13 @@
 `core._exact_residuals` evaluates every term once per point, and `bisect` and
 `polish_root` check finiteness inside their loops.  Neither may change a
 reported number: the residuals, signed zeros, NaN and -inf included, must be
-those of `references.exact_residuals`, and every root search must return
-what `references.reference_bisect` and `reference_polish_root` return.  The
-only change allowed is the float-error allowance of `ToleranceSet.gamma`,
-which can turn a failed verification into a passed one and never the
-reverse.
+those of `references.exact_residuals`, and every bisection and polish must
+return what `references.reference_bisect` and `reference_polish_root`
+return.  The only change allowed is the float-error allowance of
+`ToleranceSet.gamma`, which can turn a failed verification into a passed one
+and never the reverse.  The interior searches' `rootfind.brent` is pinned
+to within 4 ulp of scipy's `brentq` on the same bracket, and its cost to a
+median of 10 root-function evaluations per interior solve.
 
 The inputs are the candidates of two seeds of the benchmark's `solve_stream`
 (its timed instances and its wide mp1t/mp1e probe draws) and
@@ -21,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -183,13 +186,91 @@ class _SearchPin:
 
 
 def test_stream_root_searches_bit_identical(monkeypatch):
+    # only the mp1t near-threshold re-solve bisects and polishes
     bisects = _SearchPin(rootfind.bisect, reference_bisect)
     polishes = _SearchPin(rootfind.polish_root, reference_polish_root)
-    for module in (power_moment, exp_moment):
-        monkeypatch.setattr(module, "bisect", bisects)
-        monkeypatch.setattr(module, "polish_root", polishes)
+    monkeypatch.setattr(power_moment, "bisect", bisects)
+    monkeypatch.setattr(power_moment, "polish_root", polishes)
     _run_stream(STREAM_SEEDS[0])
-    assert bisects.calls > STREAM_OPS and polishes.calls > STREAM_OPS // 2
+    assert bisects.calls > STREAM_OPS // 10 and polishes.calls > STREAM_OPS // 10
+
+
+def test_stream_brent_roots_match_brentq(monkeypatch):
+    """Every interior search's root is within 4 ulp of brentq's on the bracket it searched.
+
+    Where the search steps past a root at a, the bracket is the first sign
+    change it met.  Where f rounds to 0 over a run of floats, both searches
+    stop at the first exact zero they meet, and those may lie further apart:
+    there both roots must be exact zeros.
+    """
+    real, plateaus, calls = rootfind.brent, [], []
+
+    def pinned(f, a, b, fa, fb):
+        seen = []
+
+        def logged(x):
+            seen.append((x, f(x)))
+            return seen[-1][1]
+
+        root, evals = real(logged, a, b, fa, fb)
+        calls.append(evals)
+        if fa == 0.0:
+            for x, fx in seen:
+                if fx == 0.0 or (fx > 0.0) != (fb > 0.0):
+                    a, fa = x, fx
+                    break
+                b, fb = x, fx
+            else:  # no sign change before the steps collapsed onto a
+                assert root == b
+                return root, evals
+        ref = brentq(f, a, b, xtol=5e-324, rtol=4.0 * np.finfo(float).eps)
+        if abs(root - ref) > 4.0 * math.ulp(ref):
+            assert f(root) == 0.0 == f(ref), (a, b, root, ref)
+            plateaus.append(root)
+        return root, evals
+
+    for module in (power_moment, exp_moment):
+        monkeypatch.setattr(module, "brent", pinned)
+    _run_stream(STREAM_SEEDS[0])
+    assert len(calls) > STREAM_OPS // 2 and len(plateaus) < len(calls) // 100
+
+
+def test_stream_interior_search_budget(monkeypatch):
+    """A median of at most 10 root-function evaluations per interior mp1t and mp1e solve.
+
+    The count includes the bracket ends' values, and the report's
+    `bisect_iters` counts the evaluations the search itself made.
+    """
+    evals = [0]
+
+    def counted(module, name):
+        real = getattr(module, name)
+
+        def f(*args):
+            evals[0] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, f)
+
+    counted(power_moment, "theta")
+    counted(exp_moment, "_phi_gap")
+    counted(exp_moment, "_gap_times_phi")
+    workloads = _workloads()
+    stream = workloads.make_stream("solve_stream", STREAM_SEEDS[0])
+    runner = workloads.Runner("solve_stream", momentbound, "")
+    ops = [stream.next() for _ in range(STREAM_OPS)]
+    counts = {"mp1t": [], "mp1e": []}
+    for op in ops + stream.wide_solves(workloads.PROBE_WIDE_SOLVES):
+        evals[0] = 0
+        try:
+            rep = runner.run(op)
+        except MomentBoundError:
+            continue
+        if op.kind in counts and rep.branch == "interior":
+            assert rep.bisect_iters <= evals[0]
+            counts[op.kind].append(evals[0])
+    for kind, n in counts.items():
+        assert len(n) > STREAM_OPS // 10 and np.median(n) <= 10, kind
 
 
 def _gap(x):
