@@ -26,7 +26,7 @@ from .errors import (
     RangeError,
     RootBracketError,
 )
-from .rootfind import bisect, brent, polish_root
+from .rootfind import bisect, brent
 
 BOUNDARY = "boundary"
 INTERIOR = "interior"
@@ -37,9 +37,10 @@ INTERIOR = "interior"
 # window reaches 8 ulp either side; a miss costs the full-bracket search.
 _WINDOW_ULPS = 8
 # Relative widening of the w window for the rounding error of w itself:
-# w is g's root to within g's rounding error over its slope, about
-# 3 ulp * qs/(qs - u), and 2^-40 (4096 ulp) covers that up to u = 0.999 qs.
-# A window without a sign change of g falls back to [0, qs^(t-1)].
+# brent stops within a few ulp of g's float sign change, which lies within
+# g's rounding error over its slope of g's root, about 3 ulp * qs/(qs - u);
+# 2^-40 (4096 ulp) covers both up to u = 0.999 qs.  A window without a
+# sign change of g falls back to [0, qs^(t-1)].
 _W_MARGIN = 2.0**-40
 
 
@@ -241,9 +242,9 @@ def _det_consistent_w(
 
     ``window`` is an optional guess (lo, hi) at the root, such as the range
     w takes over the few-ulp v window of the near-threshold pair search.
-    Where g changes sign across it, the bisection runs there instead of on
-    all of [0, qs^(t-1)], to the same absolute tolerance; elsewhere it runs
-    on the whole range as without a window.
+    Where g changes sign across it, ``brent`` searches there instead of on
+    all of [0, qs^(t-1)]; elsewhere it searches the whole range, from
+    g(0) = -k, as without a window.
     """
     t, qs = inst.t, inst.q_scaled
     k = v ** (t - 1.0) * (t * qs - (t - 1.0) * v)
@@ -255,17 +256,16 @@ def _det_consistent_w(
     def g(w: float) -> float:
         return t * qs * w - (t - 1.0) * w**expo - k
 
-    if g(whi) <= 0.0:
+    g_whi = g(whi)
+    if g_whi <= 0.0:
         return whi
-    lo, hi = 0.0, whi
     if window is not None:
         w_lo, w_hi = max(window[0], 0.0), min(window[1], whi)
-        if w_lo < w_hi and g(w_lo) < 0.0 < g(w_hi):
-            lo, hi = w_lo, w_hi
-    res = bisect(g, lo, hi, whi * 1e-18)
-    return polish_root(
-        g, lambda w: t * (qs - w ** (1.0 / (t - 1.0))), res.root, 0.0, whi
-    )
+        if w_lo < w_hi:
+            g_lo, g_hi = g(w_lo), g(w_hi)
+            if g_lo < 0.0 < g_hi:
+                return brent(g, w_lo, w_hi, g_lo, g_hi)[0]
+    return brent(g, 0.0, whi, -k, g_whi)[0]
 
 
 def _moment_mismatch(
@@ -306,15 +306,16 @@ def _refine_near_threshold(
 
     Near the branch threshold theta flattens below float noise, so the
     certificate built from its root violates dual slackness.  ``_psi`` has
-    theta's root without that noise, and one bisection of it locates v to
-    float resolution.  The exact pair comes from the moment mismatch above,
-    whose sign change is clean: it is bisected to float resolution on the
-    window of _WINDOW_ULPS ulp either side of psi's root, and each of its
-    evaluations back-solves w only across the range w takes on that window.
-    Where the window holds no sign change of the mismatch, the mismatch is
-    bisected across all of (a, b).  A mismatch that changes sign once
-    collapses onto the same pair of adjacent floats either way, so the
-    window changes the cost and not the result.
+    theta's root without that noise, and one ``brent`` search of it locates
+    v to a few ulp; that root only centres the window below.  The exact pair
+    comes from the moment mismatch above, whose sign change is clean: it is
+    bisected to collapse on the window of _WINDOW_ULPS ulp either side of
+    psi's root, and each of its evaluations back-solves w with ``brent``
+    only across the range w takes on that window.  Where the window holds
+    no sign change of the mismatch, the mismatch is bisected across all of
+    (a, b).  A mismatch that changes sign once collapses onto the same pair
+    of adjacent floats either way, so the window changes the cost and not
+    the result.
     """
     t, qs = inst.t, inst.q_scaled
     eps = (b - a) * 1e-18  # below one ulp of (a, b): the bisections run to collapse
@@ -324,7 +325,8 @@ def _refine_near_threshold(
         return _moment_mismatch(y, w ** (1.0 / (t - 1.0)), w, inst, edge)
 
     try:
-        r = bisect(lambda y: _psi(y, inst, edge), a, b, eps).root
+        psi = lambda y: _psi(y, inst, edge)
+        r = brent(psi, a, b, psi(a), psi(b))[0]
         w_r = _det_consistent_w(r, inst)
         half = _WINDOW_ULPS * math.ulp(r)
         lo, hi = max(a, r - half), min(b, r + half)

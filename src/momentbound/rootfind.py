@@ -1,9 +1,10 @@
-"""Scalar root search on a known bracket: Brent's method, bisection and Newton polish.
+"""Scalar root search on a known bracket: Brent's method and bisection.
 
-The solvers' support-point equations are searched with ``brent``.  Its
-bracket may start exactly on a known zero of the root function, which the
-function leaves with the sign opposite to f(b); ``bisect`` accepts that case
-too.  The mp1t near-threshold re-solve bisects and polishes with Newton.
+The solvers' root equations are searched with ``brent``.  Its bracket may
+start exactly on a known zero of the root function, which the function
+leaves with the sign opposite to f(b); ``bisect`` accepts that case too.
+Only the mp1t near-threshold re-solve bisects: it needs the pair of adjacent
+floats across which the moment mismatch changes sign.
 """
 
 from __future__ import annotations
@@ -169,38 +170,3 @@ def bisect(
             b, fb = c, fc
         else:
             a = c
-
-
-def polish_root(
-    f: Callable[[float], float],
-    fprime: Callable[[float], float],
-    x0: float,
-    lo: float,
-    hi: float,
-) -> float:
-    """Guarded Newton refinement of an already-localized root.
-
-    Keeps the iterate inside (lo, hi), keeps the point with the smallest |f|
-    seen, and stops once |f| no longer improves.  Used by solvers to push a
-    bisection root to float resolution so certificate residuals vanish.
-    """
-    x = x0
-    fx = _checked(f, x)
-    best_x, best_f = x, abs(fx)
-    for _ in range(8):  # Newton steps at most
-        d = fprime(x)
-        if not math.isfinite(d) or d == 0.0:
-            break
-        x_next = x - fx / d
-        if not math.isfinite(x_next) or not (lo < x_next < hi):
-            break
-        fx = float(f(x_next))
-        if not math.isfinite(fx):
-            raise NonFiniteError(f"f({x_next}) = {fx}")
-        x = x_next
-        if abs(fx) < best_f:
-            best_x, best_f = x, abs(fx)
-        else:
-            break
-    return best_x
-

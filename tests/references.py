@@ -489,7 +489,7 @@ def absolute_verdict(inst, residuals, tol) -> bool:
     )
 
 
-# The root searches before the finiteness check moved into their loops.
+# The bisection before its finiteness check moved into its loop.
 
 
 def _checked(f: Callable[[float], float], x: float) -> float:
@@ -560,34 +560,3 @@ def reference_bisect(
         else:
             a = c
 
-
-def reference_polish_root(
-    f: Callable[[float], float],
-    fprime: Callable[[float], float],
-    x0: float,
-    lo: float,
-    hi: float,
-) -> float:
-    """Guarded Newton refinement of an already-localized root.
-
-    Keeps the iterate inside (lo, hi), keeps the point with the smallest |f|
-    seen, and stops once |f| no longer improves.  Used by solvers to push a
-    bisection root to float resolution so certificate residuals vanish.
-    """
-    x = x0
-    fx = _checked(f, x)
-    best_x, best_f = x, abs(fx)
-    for _ in range(8):  # Newton steps at most
-        d = fprime(x)
-        if not math.isfinite(d) or d == 0.0:
-            break
-        x_next = x - fx / d
-        if not math.isfinite(x_next) or not (lo < x_next < hi):
-            break
-        fx = _checked(f, x_next)
-        x = x_next
-        if abs(fx) < best_f:
-            best_x, best_f = x, abs(fx)
-        else:
-            break
-    return best_x

@@ -190,5 +190,25 @@ def test_solves_take_no_root_tolerance():
         "upm": ["inst", "v1"],
         "mp1e": ["inst"],
     }
-    assert params(rootfind.polish_root) == ["f", "fprime", "x0", "lo", "hi"]
     assert params(rootfind.brent) == ["f", "a", "b", "fa", "fb"]
+
+
+def test_every_root_search_has_a_caller_in_the_package():
+    # a search that only the tests call is dead code kept alive by its tests
+    package = Path(momentbound.__file__).resolve().parent
+    tree = ast.parse((package / "rootfind.py").read_text(encoding="utf-8"))
+    public = {
+        node.name
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    called = set()
+    for path in package.glob("*.py"):
+        if path.name == "rootfind.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                called.add(node.func.attr)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                called.add(node.func.id)
+    assert public and sorted(public - called) == []

@@ -1,6 +1,7 @@
 """Mean plus t-th power moment solver."""
 
 import math
+import sys
 from fractions import Fraction
 
 import mpmath as mp
@@ -256,8 +257,9 @@ class TestNearThreshold:
     """q from a few ulp to 1e-9 above the threshold, where theta is noise-flat.
 
     About a third of these solves take the near-threshold fallback, which
-    locates the upper point with one bisection of psi and then fixes the
-    exact pair in a few-ulp window.
+    locates the upper point with one ``brent`` search of psi and then fixes
+    the exact pair by bisection in a few-ulp window, back-solving the
+    tangency point w with ``brent`` at each step.
     """
 
     def test_values_match_high_precision(self):
@@ -269,45 +271,75 @@ class TestNearThreshold:
             ref = _reference_value(inst)
             assert abs(rep.value - ref) <= 1e-12 * abs(ref), inst
 
-    def test_fallback_cost(self, monkeypatch):
-        # the fallback bisects psi once and then the moment mismatch over a
-        # 16-ulp window: it back-solves w at psi's root, at the window's two
-        # ends, at log2(16) = 4 midpoints and for the final pair, 8 times at
-        # most, each but the first over a narrow range.  A mismatch bisection
-        # over all of (a, b), each step re-solving w over [0, qs^(t-1)],
-        # takes up to 26 back-solves and 1467 bisection steps on these.
-        counts = {"fallback": 0, "w": 0, "steps": 0}
-        real_refine, real_w = power_moment._refine_near_threshold, power_moment._det_consistent_w
-        real_bisect = power_moment.bisect
+    def test_fallback_cost(self):
+        # the fallback searches psi once with brent, then bisects the moment
+        # mismatch over a 16-ulp window: it back-solves w at psi's root, at
+        # the window's two ends, at log2(16) = 4 midpoints and for the final
+        # pair, 8 times at most, each a brent search of g.  Every evaluation
+        # of psi, of the mismatch and of g counts, the search ends' included:
+        # 52 at most on these (bisection of psi and of w, with a Newton
+        # polish of w, took up to 287).
+        root_functions = {"_psi", "mismatch", "g"}
+        counts = {"re_solves": 0, "back_solves": 0, "evals": 0}
 
-        def refine(*args):
-            counts["fallback"] += 1
-            return real_refine(*args)
+        def profile(frame, event, arg):
+            code = frame.f_code
+            if event != "call" or code.co_filename != power_moment.__file__:
+                return
+            if code.co_name == "_refine_near_threshold":
+                counts["re_solves"] += 1
+            elif code.co_name == "_det_consistent_w":
+                counts["back_solves"] += 1
+            elif code.co_name in root_functions:
+                counts["evals"] += 1
 
-        def w_solve(*args, **kwargs):
-            counts["w"] += 1
-            return real_w(*args, **kwargs)
-
-        def bisect(*args, **kwargs):
-            res = real_bisect(*args, **kwargs)
-            counts["steps"] += res.iterations
-            return res
-
-        monkeypatch.setattr(power_moment, "_refine_near_threshold", refine)
-        monkeypatch.setattr(power_moment, "_det_consistent_w", w_solve)
-        monkeypatch.setattr(power_moment, "bisect", bisect)
         rng = np.random.default_rng(5)
         fallbacks = 0
         for inst in _near_threshold_instances(rng, 120, -12.0, -9.0):
             for key in counts:
                 counts[key] = 0
-            rep = solve_power_moment(inst)
+            sys.setprofile(profile)
+            try:
+                rep = solve_power_moment(inst)
+            finally:
+                sys.setprofile(None)
             assert rep.verification.passed
-            if counts["fallback"]:
+            if counts["re_solves"]:
                 fallbacks += 1
-                assert counts["w"] <= 10, inst
-                assert counts["steps"] <= 300, inst
+                assert counts["back_solves"] <= 8, inst
+                assert counts["evals"] <= 60, inst
         assert fallbacks >= 40
+
+    def test_back_solved_w_matches_high_precision(self, monkeypatch):
+        # every w of the fallbacks, searched in its window and over all of
+        # [0, qs^(t-1)], against g's root at 50 digits with the float k
+        calls, real = [], power_moment._det_consistent_w
+
+        def w_solve(v, inst, window=None):
+            calls.append((v, inst, window))
+            return real(v, inst, window)
+
+        monkeypatch.setattr(power_moment, "_det_consistent_w", w_solve)
+        for inst in _near_threshold_instances(np.random.default_rng(5), 120, -12.0, -9.0):
+            solve_power_moment(inst)
+        checked = {"window": 0, "full": 0}
+        for v, inst, window in calls:
+            t, qs = inst.t, inst.q_scaled
+            k = v ** (t - 1.0) * (t * qs - (t - 1.0) * v)
+            if k <= 0.0:
+                continue  # w = 0 without a search
+            searches = {"full": None} if window is None else {"window": window, "full": None}
+            for kind, search_window in searches.items():
+                w = real(v, inst, search_window)
+                with mp.workdps(50):
+                    mt, mq, mk, root = mp.mpf(t), mp.mpf(qs), mp.mpf(k), mp.mpf(w)
+                    for _ in range(8):  # Newton from w converges quadratically
+                        g = mt * mq * root - (mt - 1) * root ** (mt / (mt - 1)) - mk
+                        root -= g / (mt * (mq - root ** (1 / (mt - 1))))
+                    ulps = float(abs(w - root)) / math.ulp(float(root))
+                assert ulps <= 4.0, (v, inst, search_window)
+                checked[kind] += 1
+        assert min(checked.values()) >= 300, checked
 
     # wide draws of the benchmark's solve_stream probe (seeds 7, 13 and 53)
     # with t near 1, where theta is float noise across hundreds of ulp
