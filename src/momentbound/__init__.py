@@ -28,10 +28,9 @@ _EXPORTS = {
     "partial_moment": "PartialMomentInstance enumerate_family kappa solve_partial_moment",
     "power_moment": "PowerMomentAmbiguity PowerMomentInstance boundary_threshold "
     "solve_power_moment theta",
-    "rootfind": "BisectResult bisect",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
-_MODULES = {*_EXPORTS, "cli", "errors", "problems"}
+_MODULES = {*_EXPORTS, "cli", "errors", "problems", "rootfind"}
 
 __all__ = sorted(_HOME)
 

@@ -86,13 +86,6 @@ class ExpMomentAmbiguity:
     def solve(self, q: float) -> Report:
         return solve_exp_moment(self.instance_at(q))
 
-    def _candidate(self, q: float) -> dict:
-        """The unverified answer at q; `_certify` turns it into a report."""
-        return _candidate(self.instance_at(q))
-
-    def _certify(self, q: float, candidate: dict) -> Report:
-        return core.certify(gmp_instance(self.instance_at(q)), candidate)
-
     def tail_cutoff(self, mass: float) -> float:
         """The q at which Chernoff's bound Me*exp(-t*q) on every feasible P(X > q) falls to mass."""
         return math.log(self.Me / mass) / self.t
@@ -114,11 +107,6 @@ class ExpMomentAmbiguity:
         gap = _gap_at_mass(mass, self, v1)
         eu = math.exp(m1 - gap)
         return (m1 + gap * (1.0 - mass) / mass - 1.0 + eu * gap / (me - eu)) / self.t
-
-    def worst_case(self, q: float) -> float:
-        if q == 0.0:
-            return self.M1  # E[(X - 0)_+] = E[X] for every feasible distribution
-        return self.solve(q).value
 
 
 @dataclass(frozen=True)

@@ -75,8 +75,8 @@ class OrderDecision:
     q_star: float
     objective: float
     iterations: int  # doublings of an end's offset from q_star, both ends together
-    # candidate worst-case solves made: one per end tried inside (0, tail
-    # cutoff), plus the verified one behind ``report`` unless it is b's
+    # worst-case solves made: one per end tried inside (0, tail cutoff),
+    # plus the one behind ``report`` unless it is b's
     inner_solves: int
     report: Report  # the worst case at q_star
     bracket: tuple[float, float]
@@ -106,10 +106,9 @@ def optimize_order(inst: NewsvendorInstance) -> OrderDecision:
                 return x, None
             if x != q:
                 solves += 1
-                candidate = amb._candidate(x)
-                # p_hi(a) >= 1 - eta >= p_hi(b); the cheaper test first
-                if side * (candidate["dist"].points[-1][1] - mass) <= 0.0:
-                    report = amb._certify(x, candidate)
+                report = amb.solve(x)
+                # p_hi(a) >= 1 - eta >= p_hi(b)
+                if side * (report.dist.points[-1][1] - mass) <= 0.0:
                     if not report.verification.passed:
                         raise RootBracketError(
                             f"worst case at order bracket end q={x:g} failed verification"

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from typing import Callable
 
 from . import core
 from .core import DiscreteDistribution, DualCertificate, GmpInstance, Report
@@ -26,7 +27,7 @@ from .errors import (
     RangeError,
     RootBracketError,
 )
-from .rootfind import bisect, brent
+from .rootfind import _checked, brent
 
 BOUNDARY = "boundary"
 INTERIOR = "interior"
@@ -93,13 +94,6 @@ class PowerMomentAmbiguity:
     def solve(self, q: float) -> Report:
         return solve_power_moment(self.instance_at(q))
 
-    def _candidate(self, q: float) -> dict:
-        """The unverified answer at q; `_certify` turns it into a report."""
-        return _candidate(self.instance_at(q))
-
-    def _certify(self, q: float, candidate: dict) -> Report:
-        return core.certify(gmp_instance(self.instance_at(q)), candidate)
-
     def tail_cutoff(self, mass: float) -> float:
         """The q at which Markov's bound Mt/q^t on every feasible P(X > q) falls to mass."""
         return (self.Mt / mass) ** (1.0 / self.t)
@@ -120,11 +114,6 @@ class PowerMomentAmbiguity:
         v = _upper_point_at_mass(mass, self, edge)
         r = max((1.0 - mass * v) / (1.0 - mass), 0.0) / v
         return self.M1 * (t - 1.0) / t * v * (1.0 - r**t) / (1.0 - r ** (t - 1.0))
-
-    def worst_case(self, q: float) -> float:
-        if q == 0.0:
-            return self.M1  # E[(X - 0)_+] = E[X] for every feasible distribution
-        return self.solve(q).value
 
 
 @dataclass(frozen=True)
@@ -299,6 +288,32 @@ def _psi(y: float, inst: PowerMomentInstance, edge: float) -> float:
     return (y - c) + c * (y - 1.0) * (c * gap / d) ** (t - 1.0) / d
 
 
+def _collapse(f: Callable[[float], float], a: float, b: float) -> float:
+    """The right float of the adjacent pair across which f changes sign in (a, b].
+
+    f(a) = 0 is a root to step over, as in ``brent``.  The bracket is halved
+    until its midpoint rounds onto an end; an exact zero met first is the
+    root.
+    """
+    fb = _checked(f, b)
+    if fb == 0.0:
+        return b
+    fa = _checked(f, a)
+    if fa != 0.0 and (fa > 0.0) == (fb > 0.0):
+        raise BracketError(f"f({a}) and f({b}) do not bracket a root")
+    while True:
+        c = 0.5 * (a + b)
+        if c <= a or c >= b:
+            return b
+        fc = _checked(f, c)
+        if fc == 0.0:
+            return c
+        if (fc > 0.0) == (fb > 0.0):
+            b = c
+        else:
+            a = c
+
+
 def _refine_near_threshold(
     inst: PowerMomentInstance, edge: float, a: float, b: float
 ) -> tuple[float, float] | None:
@@ -308,17 +323,16 @@ def _refine_near_threshold(
     certificate built from its root violates dual slackness.  ``_psi`` has
     theta's root without that noise, and one ``brent`` search of it locates
     v to a few ulp; that root only centres the window below.  The exact pair
-    comes from the moment mismatch above, whose sign change is clean: it is
-    bisected to collapse on the window of _WINDOW_ULPS ulp either side of
-    psi's root, and each of its evaluations back-solves w with ``brent``
-    only across the range w takes on that window.  Where the window holds
-    no sign change of the mismatch, the mismatch is bisected across all of
-    (a, b).  A mismatch that changes sign once collapses onto the same pair
-    of adjacent floats either way, so the window changes the cost and not
-    the result.
+    comes from the moment mismatch above, whose sign change is clean:
+    ``_collapse`` halves the window of _WINDOW_ULPS ulp either side of psi's
+    root down to two adjacent floats, and each of its evaluations back-solves
+    w with ``brent`` only across the range w takes on that window.  Where
+    the window holds no sign change of the mismatch, the mismatch is
+    collapsed across all of (a, b).  A mismatch that changes sign once
+    collapses onto the same pair of adjacent floats either way, so the
+    window changes the cost and not the result.
     """
     t, qs = inst.t, inst.q_scaled
-    eps = (b - a) * 1e-18  # below one ulp of (a, b): the bisections run to collapse
 
     def mismatch(y: float, window: tuple[float, float] | None = None) -> float:
         w = _det_consistent_w(y, inst, window)
@@ -337,12 +351,12 @@ def _refine_near_threshold(
         u_r = w_r ** (1.0 / (t - 1.0))
         reach = (t - 1.0) * r ** (t - 2.0) * (r - qs) * (hi - lo) / (qs - u_r)
         spread = reach + _W_MARGIN * w_r
-        v = bisect(lambda y: mismatch(y, (w_r - spread, w_r + spread)), lo, hi, eps).root
+        v = _collapse(lambda y: mismatch(y, (w_r - spread, w_r + spread)), lo, hi)
         return v, w_r if v == r else _det_consistent_w(v, inst)
     except (BracketError, NonFiniteError, ZeroDivisionError):
         pass
     try:
-        v = bisect(mismatch, a, b, eps).root
+        v = _collapse(mismatch, a, b)
     except (BracketError, NonFiniteError):
         return None
     return v, _det_consistent_w(v, inst)

@@ -1,36 +1,19 @@
-"""Scalar root search on a known bracket: Brent's method and bisection.
+"""Scalar root search on a known bracket: Brent's method.
 
 The solvers' root equations are searched with ``brent``.  Its bracket may
 start exactly on a known zero of the root function, which the function
-leaves with the sign opposite to f(b); ``bisect`` accepts that case too.
-Only the mp1t near-threshold re-solve bisects: it needs the pair of adjacent
-floats across which the moment mismatch changes sign.
+leaves with the sign opposite to f(b).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
-from .errors import BracketError, DomainError, NonFiniteError
+from .errors import BracketError, NonFiniteError
 
-_ZERO_FLOOR = 1e-300  # |f| at or below this counts as an exact zero
 _EPS = 2.0**-52  # ulp(x) <= _EPS*|x|, so Brent's least step _EPS*|x| always moves x
 _TINY = 5e-324  # the least positive float: keeps that step nonzero at x = 0
-
-EXACT_ZERO = "exact_zero"
-TOLERANCE_REACHED = "tolerance_reached"
-
-
-@dataclass(frozen=True)
-class BisectResult:
-    root: float
-    iterations: int
-    status: str  # EXACT_ZERO or TOLERANCE_REACHED
-    # the bracket (a, b) that held the root when the search stopped,
-    # a < root <= b; root is its midpoint unless the search stopped at b
-    bracket: tuple[float, float]
 
 
 def _checked(f: Callable[[float], float], x: float) -> float:
@@ -113,60 +96,3 @@ def brent(
         fb = _checked(f, b)
         evals += 1
 
-
-def bisect(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    eps: float,
-) -> BisectResult:
-    """Find a root of f in the open interval (a, b).
-
-    Requires either a sign change between the endpoints, or f(a) = 0 with f
-    taking the sign opposite to f(b) immediately right of a, which is
-    detected by probing f(a + delta) with delta = min(eps, (b-a)*1e-6).
-
-    The returned point is always strictly greater than a.
-    """
-    if not a < b:
-        raise DomainError(f"need a < b, got ({a}, {b})")
-    if not eps > 0.0:
-        raise DomainError("eps must be positive")
-
-    fb = _checked(f, b)
-    if abs(fb) <= _ZERO_FLOOR:
-        return BisectResult(root=b, iterations=0, status=EXACT_ZERO, bracket=(a, b))
-    sb = 1.0 if fb > 0.0 else -1.0
-
-    fa = _checked(f, a)
-    if abs(fa) <= _ZERO_FLOOR:
-        fp = _checked(f, a + min(eps, (b - a) * 1e-6))
-        sa = math.copysign(1.0, fp) if abs(fp) > _ZERO_FLOOR else -sb
-    else:
-        sa = 1.0 if fa > 0.0 else -1.0
-    if sa == sb:
-        raise BracketError(f"f({a}) and f({b}) do not bracket a root")
-
-    iterations = 0
-    while True:
-        c = 0.5 * (a + b)
-        if c <= a or c >= b:
-            # interval has collapsed to float resolution; b keeps the
-            # open-interval guarantee root > a
-            return BisectResult(
-                root=b, iterations=iterations, status=TOLERANCE_REACHED, bracket=(a, b)
-            )
-        fc = float(f(c))
-        if not math.isfinite(fc):
-            raise NonFiniteError(f"f({c}) = {fc}")
-        iterations += 1
-        if abs(fc) <= _ZERO_FLOOR:
-            return BisectResult(root=c, iterations=iterations, status=EXACT_ZERO, bracket=(a, b))
-        if 0.5 * (b - a) <= eps:
-            return BisectResult(
-                root=c, iterations=iterations, status=TOLERANCE_REACHED, bracket=(a, b)
-            )
-        if (fc > 0.0) == (fb > 0.0):
-            b, fb = c, fc
-        else:
-            a = c

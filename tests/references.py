@@ -31,7 +31,6 @@ from momentbound.errors import (
     NonFiniteError,
 )
 from momentbound.oracle import _DEGENERATE_RUN, _PIVOT_TOL, _RC_TOL, OPTIMAL, UNBOUNDED
-from momentbound.rootfind import _ZERO_FLOOR, EXACT_ZERO, TOLERANCE_REACHED, BisectResult
 
 
 class NonDifferentiableError(MomentBoundError):
@@ -71,8 +70,12 @@ class ExponentialDemand:
 
 
 def worst_case_objective(inst, q: float) -> float:
-    """f(q) = worst-case E[(X - q)_+] + (1 - eta) * q, as optimize_order evaluates it."""
-    return inst.ambiguity.worst_case(q) + (1.0 - inst.eta) * q
+    """f(q) = worst-case E[(X - q)_+] + (1 - eta) * q, as optimize_order evaluates it.
+
+    At q = 0 every feasible law is a worst case, with E[(X - 0)_+] = M1.
+    """
+    amb = inst.ambiguity
+    return (amb.M1 if q == 0.0 else amb.solve(q).value) + (1.0 - inst.eta) * q
 
 
 def chernoff_tail_bound(Me: float, t: float, q: float) -> float:
@@ -489,7 +492,22 @@ def absolute_verdict(inst, residuals, tol) -> bool:
     )
 
 
-# The bisection before its finiteness check moved into its loop.
+# The package's bisection as it was before it became the mp1t re-solve's
+# collapse; the order search above reads it too.
+
+_ZERO_FLOOR = 1e-300  # |f| at or below this counts as an exact zero
+EXACT_ZERO = "exact_zero"
+TOLERANCE_REACHED = "tolerance_reached"
+
+
+@dataclass(frozen=True)
+class BisectResult:
+    root: float
+    iterations: int
+    status: str  # EXACT_ZERO or TOLERANCE_REACHED
+    # the bracket (a, b) that held the root when the search stopped,
+    # a < root <= b; root is its midpoint unless the search stopped at b
+    bracket: tuple[float, float]
 
 
 def _checked(f: Callable[[float], float], x: float) -> float:

@@ -239,7 +239,7 @@ class TestSolve:
         # the lower support point's gap to the scaled mean, about 1.3e-21, is
         # far below one ulp of it: u rounds to it, and the value is read from g
         assert report.root == inst.m1_scaled
-        assert ExpMomentAmbiguity(M1=50.0, Me=2.0, t=0.01).worst_case(5000.0) == report.value
+        assert ExpMomentAmbiguity(M1=50.0, Me=2.0, t=0.01).solve(5000.0).value == report.value
 
     def test_tail_below_double_resolution_is_answered(self):
         # the tail is about 1e-17, and the lower support point lies three ulps
@@ -247,7 +247,7 @@ class TestSolve:
         inst = ExpMomentInstance(M1=1.0, Me=math.e**2, t=1.0, q=40.0)
         report = _assert_deep_tail_answered(inst)
         assert 0.0 < inst.m1_scaled - report.root < 4e-16
-        assert ExpMomentAmbiguity(M1=1.0, Me=math.e**2, t=1.0).worst_case(40.0) == report.value
+        assert ExpMomentAmbiguity(M1=1.0, Me=math.e**2, t=1.0).solve(40.0).value == report.value
 
     def test_square_past_float_range_is_no_overflow(self):
         # Me above about 1.3e154 puts (Me - e^u)^2 past float range, where **
@@ -286,21 +286,15 @@ class TestAmbiguity:
         with pytest.raises(DomainError):
             ExpMomentAmbiguity.from_exponential_demand(lam=0.02, t=0.03)
 
-    def test_worst_case_at_zero_is_mean(self):
-        amb = ExpMomentAmbiguity(M1=1.0, Me=math.e**2, t=1.0)
-        assert amb.worst_case(0.0) == 1.0
-
     def test_chernoff_bound_dominates_worst_case(self):
         amb = ExpMomentAmbiguity(M1=1.0, Me=math.e**2, t=1.0)
         for q in (0.5, 2.0, 5.0, 9.0, 40.0):
-            assert amb.worst_case(q) <= chernoff_tail_bound(amb.Me, amb.t, q)
+            assert amb.solve(q).value <= chernoff_tail_bound(amb.Me, amb.t, q)
 
-    # the q = 0 shortcut, a deep-tail q, an interior solve
-    @pytest.mark.parametrize("q", [0.0, 30.0, 1.0])
-    @pytest.mark.parametrize("Me", [-1.0, 1.5])  # negative; at most exp(t*M1)
-    def test_worst_case_rejects_infeasible_moments(self, Me, q):
+    @pytest.mark.parametrize("Me", [-1.0, 1.5, math.e])  # negative; below or at exp(t*M1)
+    def test_rejects_infeasible_moments(self, Me):
         with pytest.raises(InfeasibleError):
-            ExpMomentAmbiguity(M1=1.0, Me=Me, t=1.0).worst_case(q)
+            ExpMomentAmbiguity(M1=1.0, Me=Me, t=1.0)
 
 
 def _values(amb, qs):

@@ -85,7 +85,7 @@ class TestEnvelopeIdentity:
         # above it; a central difference straddling the threshold is biased
         for ratio in (0.25, 0.5, 0.8, 1.25, 2.0, 4.0, 10.0):
             q = ratio * threshold
-            slope = (amb.worst_case(q + h) - amb.worst_case(q - h)) / (2.0 * h)
+            slope = (amb.solve(q + h).value - amb.solve(q - h).value) / (2.0 * h)
             assert abs(slope + _upper_mass(amb, q)) <= 1e-8, (q, slope)
             branches.add(amb.solve(q).branch)
         assert branches == {"boundary", "interior"}

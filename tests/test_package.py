@@ -183,8 +183,7 @@ def test_solves_take_no_root_tolerance():
     assert params(exp_moment.solve_exp_moment) == ["inst"]
     assert params(partial_moment.solve_partial_moment) == ["inst", "v1_choice"]
     for amb in (power_moment.PowerMomentAmbiguity, exp_moment.ExpMomentAmbiguity):
-        for method in (amb.solve, amb._candidate, amb.worst_case):
-            assert params(method) == ["self", "q"]
+        assert params(amb.solve) == ["self", "q"]
     assert {name: params(p.solve) for name, p in PROBLEMS.items()} == {
         "mp1t": ["inst"],
         "upm": ["inst", "v1"],
@@ -194,21 +193,31 @@ def test_solves_take_no_root_tolerance():
 
 
 def test_every_root_search_has_a_caller_in_the_package():
-    # a search that only the tests call is dead code kept alive by its tests
-    package = Path(momentbound.__file__).resolve().parent
-    tree = ast.parse((package / "rootfind.py").read_text(encoding="utf-8"))
-    public = {
+    # a search or an ambiguity method that only the tests call is dead code
+    # kept alive by its tests; for the methods the benchmark's callers count
+    def trees(directory):
+        return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in directory.glob("*.py")}
+
+    package = trees(Path(momentbound.__file__).resolve().parent)
+    benchmark = trees(Path(__file__).resolve().parents[1] / "perfbench")
+    searches = {
         node.name
-        for node in tree.body
+        for node in package["rootfind.py"].body
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
     }
-    called = set()
-    for path in package.glob("*.py"):
-        if path.name == "rootfind.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+    called, read = set(), set()
+    for name, tree in [*package.items(), *(("perfbench", tree) for tree in benchmark.values())]:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                read.add(node.attr)
+            if name in ("rootfind.py", "perfbench") or not isinstance(node, ast.Call):
+                continue
+            if isinstance(node.func, ast.Attribute):
                 called.add(node.func.attr)
-            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            elif isinstance(node.func, ast.Name):
                 called.add(node.func.id)
-    assert public and sorted(public - called) == []
+    assert searches and sorted(searches - called) == []
+    for amb in (power_moment.PowerMomentAmbiguity, exp_moment.ExpMomentAmbiguity):
+        methods = {name for name in vars(amb) if not name.startswith("__")}
+        assert {"instance_at", "solve", "tail_cutoff", "_order_at_mass"} <= methods
+        assert sorted(methods - read) == [], amb.__name__

@@ -1,12 +1,13 @@
 """The verifier's one pass and the root searches against their earlier versions.
 
-`core._exact_residuals` evaluates every term once per point, and `bisect`
-checks finiteness inside its loop.  Neither may change a reported number:
-the residuals, signed zeros, NaN and -inf included, must be those of
-`references.exact_residuals`, and every bisection must return what
-`references.reference_bisect` returns.  The only change allowed is the
-float-error allowance of `ToleranceSet.gamma`, which can turn a failed
-verification into a passed one and never the reverse.  The interior
+`core._exact_residuals` evaluates every term once per point, and the mp1t
+re-solve's `power_moment._collapse` is a bisection stripped to what that
+re-solve uses.  Neither may change a reported number: the residuals, signed
+zeros, NaN and -inf included, must be those of `references.exact_residuals`,
+and every collapse must return the root `references.reference_bisect`
+returns with its tolerance below one ulp of the bracket.  The only change
+allowed is the float-error allowance of `ToleranceSet.gamma`, which can turn
+a failed verification into a passed one and never the reverse.  The interior
 searches' `rootfind.brent` is pinned to within 4 ulp of scipy's `brentq` on
 the same bracket, and its cost to a median of 10 root-function evaluations
 per interior solve.
@@ -162,6 +163,11 @@ def test_drawn_certificates_bit_identical(data):
     _assert_pinned(inst, dist, cert)
 
 
+def _reference_collapse(f, a, b):
+    """reference_bisect as the mp1t re-solve ran it: to collapse, below one ulp of (a, b)."""
+    return reference_bisect(f, a, b, (b - a) * 1e-18).root
+
+
 class _SearchPin:
     """Wraps a root search: the package's and the reference's must agree on every call."""
 
@@ -181,19 +187,59 @@ class _SearchPin:
 
 
 def test_stream_root_searches_bit_identical(monkeypatch):
-    # only the mp1t near-threshold re-solve bisects, the moment mismatch at
-    # least once per re-solve
-    bisects = _SearchPin(rootfind.bisect, reference_bisect)
+    # only the mp1t near-threshold re-solve collapses a bracket, the moment
+    # mismatch's, at least once per re-solve
+    collapses = _SearchPin(power_moment._collapse, _reference_collapse)
     re_solves, real_refine = [0], power_moment._refine_near_threshold
 
     def refine(*args):
         re_solves[0] += 1
         return real_refine(*args)
 
-    monkeypatch.setattr(power_moment, "bisect", bisects)
+    monkeypatch.setattr(power_moment, "_collapse", collapses)
     monkeypatch.setattr(power_moment, "_refine_near_threshold", refine)
     _run_stream(STREAM_SEEDS[0])
-    assert bisects.calls >= re_solves[0] > STREAM_OPS // 50
+    assert collapses.calls >= re_solves[0] > STREAM_OPS // 50
+
+
+def _pin(f, a, b):
+    assert _outcome(lambda: power_moment._collapse(f, a, b)) == _outcome(
+        lambda: _reference_collapse(f, a, b)
+    )
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        lambda x, r: x - r,
+        lambda x, r: x**3 - r**3,
+        lambda x, r: math.exp(x) - math.exp(r),
+        lambda x, r: math.tanh(20.0 * (x / r - 1.0)),
+    ],
+    ids=["linear", "cubic", "exp", "tanh"],
+)
+def test_collapse_matches_reference_on_random_brackets(family):
+    rng = np.random.default_rng(23)
+    for _ in range(100):
+        r = rng.uniform(0.2, 0.8) * 10.0 ** rng.integers(-3, 2)
+        a, b = r * rng.uniform(0.1, 1.0), r * rng.uniform(1.0, 10.0)
+        sign = rng.choice([-1.0, 1.0])
+        _pin(lambda x: sign * family(x, r), a, b)
+
+
+@pytest.mark.parametrize(
+    "f,a,b",
+    [
+        (lambda x: (x - 1.0) * (x - 2.3), 1.0, 3.0),  # f < 0 just right of a: a is stepped over
+        (lambda x: x - 1.0, 0.0, 2.0),
+        (lambda x: x - 0.375, 0.0, 1.0),
+        (lambda x: x - 1.0, 0.0, 1.0),
+        (lambda x: x * x + 1.0, 0.0, 1.0),  # BracketError from both
+    ],
+    ids=["left-end", "first-midpoint", "later-midpoint", "right-end", "same-sign"],
+)
+def test_collapse_matches_reference_at_bracket_edge_cases(f, a, b):
+    _pin(f, a, b)
 
 
 def test_stream_brent_roots_match_brentq(monkeypatch):
@@ -293,6 +339,4 @@ def _slow_tail(x):
 )
 def test_loop_checks_like_reference(f):
     """NonFiniteError text and the float coercion of f's values, inside the loop."""
-    assert _outcome(lambda: rootfind.bisect(f, 0.0, 1.0, 1e-10)) == _outcome(
-        lambda: reference_bisect(f, 0.0, 1.0, 1e-10)
-    )
+    _pin(f, 0.0, 1.0)
