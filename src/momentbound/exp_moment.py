@@ -162,20 +162,12 @@ def phi(y: float, inst: ExpMomentInstance) -> float:
     return (me - ey) / (m1 - y) * (qs + 1.0 - m1) - ey - math.exp(qs + 1.0 - ratio) + me
 
 
-def _phi_gap(g: float, inst: ExpMomentInstance) -> float:
-    """phi evaluated at y = m1 - g without ever forming that subtraction.
+def _gap_times_phi(g: float, inst: ExpMomentInstance) -> float:
+    """g * phi(m1 - g) with the division cleared: finite down to g = 0, nearly linear near it.
 
     When the root sits within a few ulp of the scaled mean, g is the only
     coordinate in which it is representable to full relative precision.
     """
-    m1, me, qs = inst.m1_scaled, inst.Me, inst.q_scaled
-    eu = math.exp(m1 - g)
-    den = me - eu
-    return (den / g) * (qs + 1.0 - m1) - eu - math.exp(qs + 1.0 - eu * g / den) + me
-
-
-def _gap_times_phi(g: float, inst: ExpMomentInstance) -> float:
-    """g * _phi_gap(g) with the division cleared: finite down to g = 0, nearly linear near it."""
     m1, me, qs = inst.m1_scaled, inst.Me, inst.q_scaled
     eu = math.exp(m1 - g)
     den = me - eu
@@ -237,15 +229,15 @@ def _candidate(inst: ExpMomentInstance) -> dict:
     t = inst.t
     m1, me, qs = inst.m1_scaled, inst.Me, inst.q_scaled
     v1, threshold = _v1_and_threshold(m1, me)
-    f = lambda g: _phi_gap(g, inst)
     use_boundary = qs <= threshold
-    if not use_boundary and not f(m1) < 0.0:  # phi(0)
-        if f(m1) != 0.0 and qs > threshold * (1.0 + 1e-9) + 1e-12:
-            raise RootBracketError(f"phi sign condition failed: phi(0)={f(m1)}")
+    if not use_boundary:
+        phi0 = phi(0.0, inst)
+        if phi0 != 0.0 and not phi0 < 0.0 and qs > threshold * (1.0 + 1e-9) + 1e-12:
+            raise RootBracketError(f"phi sign condition failed: phi(0)={phi0}")
         # q sits at the branch threshold to float resolution, or phi(0)
         # rounds to 0 and the interior root u = 0 is the boundary law
         # {0, v1}: the boundary construction is the exact limit either way
-        use_boundary = True
+        use_boundary = not phi0 < 0.0
 
     if use_boundary:
         p_hi = m1 / v1

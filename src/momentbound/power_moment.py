@@ -3,11 +3,14 @@
 After normalizing the mean to 1 the answer is a two-point distribution.  When
 q is at most (t-1)/t * Mt^(1/(t-1)) the lower support point is 0 and
 everything is in closed form.  Above that threshold the upper support point v
-is a root of a scalar equation on a known open bracket, the lower point u and
-the dual certificate follow from v.  ``_candidate`` builds that unverified
-answer, and ``solve_power_moment`` passes it through ``core.certify``, which
-checks it against the generic optimality conditions and returns a
-``core.Report`` (``root`` is v on the interior branch).
+is the root of ``_psi`` on a known open bracket, found by one ``brent``
+search; the lower point u and the dual certificate follow from v.
+``_candidate`` builds that unverified answer, and ``solve_power_moment``
+passes it through ``core.certify``, which checks it against the generic
+optimality conditions and returns a ``core.Report`` (``root`` is v on the
+interior branch).  Only an interior answer whose certificate fails is
+re-solved, by ``_refine_near_threshold`` in a few-ulp window around the same
+v; the re-solved pair is returned where it certifies.
 """
 
 from __future__ import annotations
@@ -31,11 +34,11 @@ from .rootfind import _checked, brent
 
 BOUNDARY = "boundary"
 INTERIOR = "interior"
-# Near-threshold pair search (``_refine_near_threshold``).  psi's root and the
-# moment mismatch's root are the same v, and both functions are evaluated
+# Near-threshold pair re-solve (``_refine_near_threshold``).  psi's root and
+# the moment mismatch's root are the same v, and both functions are evaluated
 # without cancellation, so their float sign changes sit within an ulp of it
-# (they coincide or are one ulp apart on 28 480 measured fallbacks).  The
-# window reaches 8 ulp either side; a miss costs the full-bracket search.
+# (they coincide or are one ulp apart on 28 480 measured re-solves).  The
+# window reaches 8 ulp either side; a miss keeps the first answer.
 _WINDOW_ULPS = 8
 # Relative widening of the w window for the rounding error of w itself:
 # brent stops within a few ulp of g's float sign change, which lies within
@@ -43,6 +46,8 @@ _WINDOW_ULPS = 8
 # 2^-40 (4096 ulp) covers both up to u = 0.999 qs.  A window without a
 # sign change of g falls back to [0, qs^(t-1)].
 _W_MARGIN = 2.0**-40
+# |mismatch| at or below this is an exact zero: the collapse stops there
+_ZERO_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -137,8 +142,10 @@ def theta(y: float, inst: PowerMomentInstance) -> float:
       theta(y) = (y^t - mt)/(y - 1) * (1 - u(y)) + u(y)^t - mt,
       u(y) = (t*qs/(t-1)) * (y^(t-1) - mt) / (y^t - mt).
 
-    Defined for y > 1 away from the pole y^t = mt; solve brackets stay right
-    of both.  ``inst`` is read for ``t``, ``mt_scaled`` and ``q_scaled`` only.
+    Defined for y > 1 away from the pole y^t = mt.  The solver searches
+    ``_psi`` instead, which has theta's root right of the edge without its
+    cancelling terms.  ``inst`` is read for ``t``, ``mt_scaled`` and
+    ``q_scaled`` only.
     """
     if y <= 1.0:
         raise DomainError(f"theta needs y > 1, got {y}")
@@ -150,9 +157,9 @@ def theta(y: float, inst: PowerMomentInstance) -> float:
     if yt == mt:
         raise NonFiniteError(f"theta pole at y={y}: y^t equals the scaled moment")
     u = (t * qs / (t - 1.0)) * (y ** (t - 1.0) - mt) / (yt - mt)
-    # u is nonnegative wherever solve brackets evaluate; roundoff can push it
-    # a few ulp negative right at the bracket edge, where an odd extension of
-    # u^t keeps the expression real and continuous
+    # u is nonnegative right of the edge; roundoff can push it a few ulp
+    # negative right at the edge, where an odd extension of u^t keeps the
+    # expression real and continuous
     u_pow = abs(u) ** t if u >= 0.0 else -(abs(u) ** t)
     return (yt - mt) / (y - 1.0) * (1.0 - u) + u_pow - mt
 
@@ -206,17 +213,6 @@ def _u_from_v(v: float, inst: PowerMomentInstance, edge: float) -> float:
     t, mt, qs = inst.t, inst.mt_scaled, inst.q_scaled
     num = _stable_power_gap(v, inst, edge)
     return (t * qs / (t - 1.0)) * num / (v * num + mt * (v - 1.0))
-
-
-def _certificate_slack(w: float, ut: float, v: float, t: float, qs: float) -> float:
-    """H(v; z) for the closed-form certificate, in mean-scaled units.
-
-    w is the lower support point raised to t-1 and ut the same point raised
-    to t; keeping both explicit lets the near-threshold path supply them at
-    full precision even when the point itself underflows.
-    """
-    d = v ** (t - 1.0) - w
-    return ((t - 1.0) * ut / t - w * v + v**t / t) / d - (v - qs)
 
 
 def _det_consistent_w(
@@ -278,35 +274,39 @@ def _psi(y: float, inst: PowerMomentInstance, edge: float) -> float:
       psi(y) = (y - c) + c*(y - 1)*u^(t-1)/D.
 
     No term cancels: G comes from ``_stable_power_gap``, and mt, which theta
-    adds and subtracts, is gone.  psi has theta's sign right of the edge,
-    psi(edge) = edge - c < 0 and psi(c) > 0.
+    adds and subtracts, is gone.  The products are taken in ratios to y,
+    r = (y - 1)/y, D/y = G + mt*r and u = (c/y)*G/(D/y), so every
+    intermediate stays finite with G, up to y near the float maximum.  psi
+    has theta's sign right of the edge, psi(edge) = edge - c < 0 and
+    psi(c) > 0.
     """
     t, mt = inst.t, inst.mt_scaled
     c = t * inst.q_scaled / (t - 1.0)
     gap = _stable_power_gap(y, inst, edge)
-    d = y * gap + mt * (y - 1.0)
-    return (y - c) + c * (y - 1.0) * (c * gap / d) ** (t - 1.0) / d
+    r = (y - 1.0) / y
+    d = gap + mt * r
+    return (y - c) + c * r * (((c / y) * gap / d) ** (t - 1.0) / d)
 
 
 def _collapse(f: Callable[[float], float], a: float, b: float) -> float:
     """The right float of the adjacent pair across which f changes sign in (a, b].
 
-    f(a) = 0 is a root to step over, as in ``brent``.  The bracket is halved
-    until its midpoint rounds onto an end; an exact zero met first is the
-    root.
+    f(a) = 0 is a root to step over.  The bracket is halved until its
+    midpoint rounds onto an end; a zero met first (|f| at most _ZERO_FLOOR)
+    is the root.
     """
     fb = _checked(f, b)
-    if fb == 0.0:
+    if abs(fb) <= _ZERO_FLOOR:
         return b
     fa = _checked(f, a)
-    if fa != 0.0 and (fa > 0.0) == (fb > 0.0):
+    if abs(fa) > _ZERO_FLOOR and (fa > 0.0) == (fb > 0.0):
         raise BracketError(f"f({a}) and f({b}) do not bracket a root")
     while True:
         c = 0.5 * (a + b)
         if c <= a or c >= b:
             return b
         fc = _checked(f, c)
-        if fc == 0.0:
+        if abs(fc) <= _ZERO_FLOOR:
             return c
         if (fc > 0.0) == (fb > 0.0):
             b = c
@@ -315,35 +315,24 @@ def _collapse(f: Callable[[float], float], a: float, b: float) -> float:
 
 
 def _refine_near_threshold(
-    inst: PowerMomentInstance, edge: float, a: float, b: float
+    inst: PowerMomentInstance, edge: float, r: float
 ) -> tuple[float, float] | None:
-    """Joint re-solve of (support, tangency) when theta is noise-limited.
+    """Joint re-solve of (support, tangency) around psi's root r: (v, w = u^(t-1)), or None.
 
-    Near the branch threshold theta flattens below float noise, so the
-    certificate built from its root violates dual slackness.  ``_psi`` has
-    theta's root without that noise, and one ``brent`` search of it locates
-    v to a few ulp; that root only centres the window below.  The exact pair
-    comes from the moment mismatch above, whose sign change is clean:
-    ``_collapse`` halves the window of _WINDOW_ULPS ulp either side of psi's
-    root down to two adjacent floats, and each of its evaluations back-solves
-    w with ``brent`` only across the range w takes on that window.  Where
-    the window holds no sign change of the mismatch, the mismatch is
-    collapsed across all of (a, b).  A mismatch that changes sign once
-    collapses onto the same pair of adjacent floats either way, so the
-    window changes the cost and not the result.
+    Near the branch threshold, and with t near 1, the pair that
+    ``_u_from_v`` builds from psi's root can miss dual slackness by more
+    than the verifier allows, though r is within a few ulp of v.  The exact
+    pair comes from the moment mismatch, whose sign change is clean:
+    ``_collapse`` halves the window of _WINDOW_ULPS ulp either side of r
+    down to two adjacent floats, and each of its evaluations back-solves w
+    with ``brent`` only across the range w takes on that window.  None
+    where the window holds no sign change of the mismatch.
     """
     t, qs = inst.t, inst.q_scaled
-
-    def mismatch(y: float, window: tuple[float, float] | None = None) -> float:
-        w = _det_consistent_w(y, inst, window)
-        return _moment_mismatch(y, w ** (1.0 / (t - 1.0)), w, inst, edge)
-
     try:
-        psi = lambda y: _psi(y, inst, edge)
-        r = brent(psi, a, b, psi(a), psi(b))[0]
         w_r = _det_consistent_w(r, inst)
         half = _WINDOW_ULPS * math.ulp(r)
-        lo, hi = max(a, r - half), min(b, r + half)
+        lo, hi = r - half, r + half
         # dw/dv = (t-1) v^(t-2) (qs - v)/(qs - u) from the tangency equation:
         # across the window w stays within |dw/dv| * (hi - lo) of w_r, at
         # least twice its reach to either side, which absorbs the change of
@@ -351,25 +340,16 @@ def _refine_near_threshold(
         u_r = w_r ** (1.0 / (t - 1.0))
         reach = (t - 1.0) * r ** (t - 2.0) * (r - qs) * (hi - lo) / (qs - u_r)
         spread = reach + _W_MARGIN * w_r
-        v = _collapse(lambda y: mismatch(y, (w_r - spread, w_r + spread)), lo, hi)
-        return v, w_r if v == r else _det_consistent_w(v, inst)
+        window = (w_r - spread, w_r + spread)
+
+        def mismatch(y: float) -> float:
+            w = _det_consistent_w(y, inst, window)
+            return _moment_mismatch(y, w ** (1.0 / (t - 1.0)), w, inst, edge)
+
+        v = _collapse(mismatch, lo, hi)
     except (BracketError, NonFiniteError, ZeroDivisionError):
-        pass
-    try:
-        v = _collapse(mismatch, a, b)
-    except (BracketError, NonFiniteError):
         return None
-    return v, _det_consistent_w(v, inst)
-
-
-def _pair_score(
-    v: float, u: float, w: float, ut: float, inst: PowerMomentInstance, edge: float
-) -> float:
-    """Worst certification residual of a candidate pair, in scaled units."""
-    t, qs = inst.t, inst.q_scaled
-    slack = _certificate_slack(w, ut, v, t, qs)
-    mismatch = _moment_mismatch(v, u, w, inst, edge) / (v - u)
-    return max(abs(slack), abs(mismatch))
+    return v, w_r if v == r else _det_consistent_w(v, inst)
 
 
 def gmp_instance(inst: PowerMomentInstance) -> GmpInstance:
@@ -383,8 +363,22 @@ def gmp_instance(inst: PowerMomentInstance) -> GmpInstance:
 
 
 def solve_power_moment(inst: PowerMomentInstance) -> Report:
-    """Solve the scaled problem, rescale, and certify the result."""
-    return core.certify(gmp_instance(inst), _candidate(inst))
+    """Solve the scaled problem, rescale, and certify the result.
+
+    An interior answer whose certificate fails is re-solved once around the
+    same upper point; the re-solved pair replaces it only if it certifies.
+    """
+    gmp = gmp_instance(inst)
+    report = core.certify(gmp, _candidate(inst))
+    if report.verification.passed or report.branch == BOUNDARY:
+        return report
+    refined = _refine_near_threshold(inst, inst.edge_scaled, report.root)
+    if refined is None:
+        return report
+    v, w = refined
+    u, ut = w ** (1.0 / (inst.t - 1.0)), w ** (inst.t / (inst.t - 1.0))
+    retry = core.certify(gmp, _interior(inst, v, u, w, ut, report.bisect_iters))
+    return retry if retry.verification.passed else report
 
 
 def _candidate(inst: PowerMomentInstance) -> dict:
@@ -392,7 +386,7 @@ def _candidate(inst: PowerMomentInstance) -> dict:
     M1, t = inst.M1, inst.t
     mt, qs = inst.mt_scaled, inst.q_scaled
     edge = inst.edge_scaled
-    # theta's root lies in (a, b) past the branch threshold; b <= a only where
+    # psi's root lies in (a, b) past the branch threshold; b <= a only where
     # q sits at the threshold to float resolution, and there the boundary
     # construction is the exact limit
     a, b = max(edge, qs), t * qs / (t - 1.0)
@@ -407,65 +401,51 @@ def _candidate(inst: PowerMomentInstance) -> dict:
         z1 = 1.0 - (t * qs / (t - 1.0)) / edge
         zt = (qs / (t - 1.0)) * mt ** (-t / (t - 1.0))
         cert = DualCertificate(z=(0.0, z1, zt / M1 ** (t - 1.0)))
-        branch, root, iters = BOUNDARY, None, 0
-    else:
-        f = lambda y: theta(y, inst)
-        fb = f(b)
-        # When qs <= edge, the bracket starts exactly on a zero of theta with
-        # negative right slope, which a float evaluation of theta(a) gives
-        # as noise: brent is told theta(a) = 0 and steps past a.  A q a few
-        # ulp above the edge has the same fuzz-zero left end, so a failed
-        # sign check there is treated the same way.
-        fa = f(a) if qs > edge else 0.0
-        if fa != 0.0 and (fa > 0.0) == (fb > 0.0):
-            if qs > edge * (1.0 + 1e-12):
-                raise RootBracketError(f"theta sign conditions failed on ({a}, {b})")
-            fa = 0.0
-        v, iters = brent(f, a, b, fa, fb)
-        u = _u_from_v(v, inst, edge)
-        w, ut = u ** (t - 1.0), u**t
-        # the score is in mean-scaled units; the verifier's absolute slack
-        # tolerance reads it M1 times larger
-        if qs <= edge and _pair_score(v, u, w, ut, inst, edge) > 1e-11 * max(1.0, v) / max(1.0, M1):
-            # theta is noise-flat across the whole bracket here, so the root
-            # it reports cannot support an accurate certificate.  Score the
-            # alternative representable pairs and keep the best: the joint
-            # tangency re-solve covers roots hugging the left endpoint, the
-            # moment-consistent pair at the right endpoint covers roots that
-            # sit within one ulp of it.
-            candidates = [(v, u, w, ut)]
-            refined = _refine_near_threshold(inst, edge, a, b)
-            if refined is not None:
-                v2, w2 = refined
-                candidates.append(
-                    (v2, w2 ** (1.0 / (t - 1.0)), w2, w2 ** (t / (t - 1.0)))
-                )
-            v3 = math.nextafter(b, a)
-            u3 = _u_from_v(v3, inst, edge)
-            candidates.append((v3, u3, u3 ** (t - 1.0), u3**t))
-            v, u, w, ut = min(
-                candidates, key=lambda c: _pair_score(c[0], c[1], c[2], c[3], inst, edge)
-            )
-        if not 0.0 <= u < v:
-            raise RootBracketError(f"inconsistent support u={u}, v={v}")
-        denom = v ** (t - 1.0) - w
-        if u > 0.5:
-            # 1 - u cancels as u -> 1 in the deep tail; the t-th moment row
-            # gives the upper mass at full relative precision
-            p_hi = (mt - ut) / (v**t - ut)
-            p_lo = 1.0 - p_hi
-        else:
-            p_lo, p_hi = (v - 1.0) / (v - u), (1.0 - u) / (v - u)
-        # past u = 0.9, 1 - u carries u's error times u/(1 - u) > 9: the value takes p_hi too
-        value = M1 * (v - qs) * p_hi if u > 0.9 else M1 * (v - qs) * (1.0 - u) / (v - u)
-        dist = DiscreteDistribution(points=((M1 * u, p_lo), (M1 * v, p_hi)))
-        cert = DualCertificate(
-            z=(
-                M1 * (t - 1.0) * ut / (t * denom),
-                -w / denom,
-                1.0 / (t * denom) / M1 ** (t - 1.0),
-            )
-        )
-        branch, root = INTERIOR, v
+        return dict(value=value, dist=dist, cert=cert, branch=BOUNDARY, root=None, bisect_iters=0)
 
-    return dict(value=value, dist=dist, cert=cert, branch=branch, root=root, bisect_iters=iters)
+    psi = lambda y: _psi(y, inst, edge)
+    try:
+        fb = psi(b)
+    except OverflowError:  # raised by expm1 in the power gap
+        fb = math.inf
+    if not math.isfinite(fb):  # the power gap, or mt times it, left float range
+        raise RangeError(f"y^(t-1) overflows at the search's right end y={b:g}, t={t:g}")
+    v, iters = brent(psi, a, b, psi(a), fb)
+    u = _u_from_v(v, inst, edge)
+    return _interior(inst, v, u, u ** (t - 1.0), u**t, iters)
+
+
+def _interior(
+    inst: PowerMomentInstance, v: float, u: float, w: float, ut: float, iters: int
+) -> dict:
+    """The interior answer on the scaled support pair {u, v}, with w = u^(t-1) and ut = u^t."""
+    M1, t, mt, qs = inst.M1, inst.t, inst.mt_scaled, inst.q_scaled
+    try:
+        vt = v**t
+    except OverflowError:
+        vt = math.inf
+    if M1 * v == math.inf or vt == math.inf:
+        raise RangeError(
+            f"upper support point M1*v or v^t overflows at M1={M1:g}, v={v:g}, t={t:g}"
+        )
+    if not 0.0 <= u < v:
+        raise RootBracketError(f"inconsistent support u={u}, v={v}")
+    denom = v ** (t - 1.0) - w
+    if u > 0.5:
+        # 1 - u cancels as u -> 1 in the deep tail; the t-th moment row
+        # gives the upper mass at full relative precision
+        p_hi = (mt - ut) / (vt - ut)
+        p_lo = 1.0 - p_hi
+    else:
+        p_lo, p_hi = (v - 1.0) / (v - u), (1.0 - u) / (v - u)
+    # past u = 0.9, 1 - u carries u's error times u/(1 - u) > 9: the value takes p_hi too
+    value = M1 * (v - qs) * p_hi if u > 0.9 else M1 * (v - qs) * (1.0 - u) / (v - u)
+    dist = DiscreteDistribution(points=((M1 * u, p_lo), (M1 * v, p_hi)))
+    cert = DualCertificate(
+        z=(
+            M1 * (t - 1.0) * ut / (t * denom),
+            -w / denom,
+            1.0 / (t * denom) / M1 ** (t - 1.0),
+        )
+    )
+    return dict(value=value, dist=dist, cert=cert, branch=INTERIOR, root=v, bisect_iters=iters)

@@ -1,8 +1,7 @@
 """Scalar root search on a known bracket: Brent's method.
 
-The solvers' root equations are searched with ``brent``.  Its bracket may
-start exactly on a known zero of the root function, which the function
-leaves with the sign opposite to f(b).
+The solvers' root equations are searched with ``brent``, from the values of
+the root function at both bracket ends, which the caller supplies.
 """
 
 from __future__ import annotations
@@ -26,41 +25,22 @@ def _checked(f: Callable[[float], float], x: float) -> float:
 def brent(
     f: Callable[[float], float], a: float, b: float, fa: float, fb: float
 ) -> tuple[float, int]:
-    """A root of f in (a, b] from fa = f(a) and fb = f(b), and the evaluations of f it made.
+    """A root of f in [a, b] from fa = f(a) and fb = f(b), and the evaluations of f it made.
 
-    fa and fb differ in sign, or fa = 0 is a root to step over, which f
-    leaves with the sign opposite to fb.  Values near that root may be
-    noise, so the search steps from b toward a, by the secant through its
-    last two points where that at least halves the distance to a and by
-    halving otherwise, until f changes sign; if that collapses onto a, the
-    least point found with fb's sign is the root.  Then Brent's method
-    (*Algorithms for Minimization without Derivatives*, 1973, ch. 4)
-    interpolates inside the sign change, bisecting wherever that shrinks it
-    too slowly, until it is 2 to 4 ulp wide, and returns the end with the
-    smaller |f|.
+    fa and fb differ in sign, or one of them is 0 and that end is the root.
+    Brent's method (*Algorithms for Minimization without Derivatives*, 1973,
+    ch. 4) interpolates inside the sign change, bisecting wherever that
+    shrinks it too slowly, until it is 2 to 4 ulp wide, and returns the end
+    with the smaller |f|.
     """
     for x, v in ((a, fa), (b, fb)):
         if not math.isfinite(v):
             raise NonFiniteError(f"f({x}) = {v}")
-    evals, prev = 0, None
-    while fa == 0.0 and fb != 0.0:
-        x = 0.5 * (a + b)
-        if prev is not None and fb != prev[1]:
-            s = b - fb * (b - prev[0]) / (fb - prev[1])
-            if a < s < x:
-                x = s
-        if x <= a or x >= b:
-            return b, evals
-        fx = _checked(f, x)
-        evals += 1
-        if (fx > 0.0) != (fb > 0.0) or fx == 0.0:
-            a, fa = x, fx
-            break
-        prev, b, fb = (b, fb), x, fx
     if fa == 0.0 or fb == 0.0:
-        return (b if fb == 0.0 else a), evals
+        return (b if fb == 0.0 else a), 0
     if (fa > 0.0) == (fb > 0.0):
         raise BracketError(f"f({a}) and f({b}) do not bracket a root")
+    evals = 0
     c, fc = a, fa  # b is the best point so far, a the previous one; c keeps the sign change
     d = e = b - a
     while True:

@@ -95,24 +95,24 @@ GOLDEN_UPM_FAMILY_V1 = (
 
 GOLDEN_NEWSVENDOR = (
     '{"problem": "newsvendor", "optimal_value": 0.6196152422706631, '
-    '"distribution": [{"x": 0.4226497308103744, "p": 0.9000000000000001}, '
-    '{"x": 6.196152422706634, "p": 0.09999999999999995}], '
-    '"dual": [0.01547005383792516, -0.07320508075688774, 0.08660254037844384], '
+    '"distribution": [{"x": 0.42264973081037427, "p": 0.9000000000000001}, '
+    '{"x": 6.196152422706633, "p": 0.09999999999999998}], '
+    '"dual": [0.015470053837925154, -0.07320508075688772, 0.08660254037844385], '
     '"branch": "closed_form", "root": 3.3094010767585034, "iterations": 0, '
-    '"verification": {"primal_residual": 8.881784197001252e-16, '
-    '"slack_residual": 8.881784197001252e-16, "tangent_residual": 1.3877787807814457e-17, '
-    '"dual_min_on_grid": -8.881784197001252e-16, '
-    '"duality_gap": 1.6653345369377348e-16, "passed": true}, "verified": true, '
+    '"verification": {"primal_residual": 0.0, '
+    '"slack_residual": 4.440892098500626e-16, "tangent_residual": 0.0, '
+    '"dual_min_on_grid": -1.734723475976807e-18, '
+    '"duality_gap": 0.0, "passed": true}, "verified": true, '
     '"timing_ms": 0.0}'
 )
 
 GOLDEN_CHECK_MP1T_INTERIOR = (
-    '{"problem": "mp1t", "solver_value": 0.3228756555322953, '
-    '"oracle_value": 0.3228756555322953, "difference": 0.0, '
+    '{"problem": "mp1t", "solver_value": 0.32287565553229525, '
+    '"oracle_value": 0.3228756555322953, "difference": 5.551115123125783e-17, '
     '"oracle_status": "optimal", "oracle_rounds": 1, '
-    '"verification": {"primal_residual": 0.0, '
-    '"slack_residual": 3.469446951953614e-18, "tangent_residual": 0.0, '
-    '"dual_min_on_grid": -3.469446951953614e-18, '
+    '"verification": {"primal_residual": 4.440892098500626e-16, '
+    '"slack_residual": 4.440892098500626e-16, "tangent_residual": 1.3877787807814457e-17, '
+    '"dual_min_on_grid": -4.440892098500626e-16, '
     '"duality_gap": 0.0, "passed": true}, "verified": true, '
     '"agree": true}'
 )
@@ -138,10 +138,9 @@ GOLDEN_CHECK_UPM_FAMILY = (
 
 GOLDEN_ORACLE_MP1T = (
     '{"problem": "oracle", "optimal_value": 0.3228756555322953, '
-    '"distribution": [{"x": 0.35424868893540934, "p": 0.8779644730092271}, '
-    '{"x": 5.644800000000001, "p": 6.745630861412499e-14}, '
-    '{"x": 5.64575131106459, "p": 0.12203552699070537}], '
-    '"dual": [-0.011891873541286086, 0.06704865402697237, -0.0945081090044954], '
+    '"distribution": [{"x": 0.35424868893540945, "p": 0.8779644730092273}, '
+    '{"x": 5.645751311064591, "p": 0.12203552699077277}], '
+    '"dual": [-0.0118918735412721, 0.06704865402693042, -0.0945081090044884], '
     '"branch": "oracle", "root": null, "iterations": 0, "verification": null, '
     '"verified": false, "timing_ms": 0.0}'
 )
@@ -171,10 +170,10 @@ GOLDEN_SWEEP = (
     '1.0,0.75,boundary,,0\n'
     '1.5,0.625,boundary,,0\n'
     '2.0,0.5,boundary,,0\n'
-    '2.5,0.39564392373895996,interior,4.791287847477919,7\n'
-    '3.0,0.3228756555322953,interior,5.64575131106459,7\n'
-    '3.5,0.27069063257455495,interior,6.54138126514911,8\n'
-    '4.0,0.2320508075688773,interior,7.464101615137754,7\n'
+    '2.5,0.39564392373895996,interior,4.79128784747792,6\n'
+    '3.0,0.32287565553229525,interior,5.645751311064591,6\n'
+    '3.5,0.27069063257455495,interior,6.54138126514911,6\n'
+    '4.0,0.23205080756887728,interior,7.464101615137755,6\n'
 )
 
 

@@ -214,14 +214,14 @@ class TestSolve:
             M1=5.441104533302357, Me=1.0002286783569323, t=4.2023111705481786e-05, q=2.7279857228959643
         )
         assert inst.q > boundary_threshold(inst) * (1.0 + 1e-9)
-        assert exp_moment._phi_gap(inst.m1_scaled, inst) == 0.0
+        assert exp_moment.phi(0.0, inst) == 0.0
         report = solve_exp_moment(inst)
         assert report.branch == exp_moment.BOUNDARY and report.verification.passed
         assert report.value == pytest.approx(2.720448255808885, rel=1e-12, abs=0.0)
 
     def test_positive_phi_at_zero_is_refused(self, monkeypatch):
         inst = ExpMomentInstance(M1=1.0, Me=math.e**2, t=1.0, q=5.0)
-        monkeypatch.setattr(exp_moment, "_phi_gap", lambda g, inst: 1e-300)
+        monkeypatch.setattr(exp_moment, "phi", lambda y, inst: 1e-300)
         with pytest.raises(RootBracketError, match="phi sign condition failed"):
             solve_exp_moment(inst)
 

@@ -193,30 +193,39 @@ def test_solves_take_no_root_tolerance():
 
 
 def test_every_root_search_has_a_caller_in_the_package():
-    # a search or an ambiguity method that only the tests call is dead code
-    # kept alive by its tests; for the methods the benchmark's callers count
+    # a search, a private helper of the solver modules or an ambiguity
+    # method that only the tests call is dead code kept alive by its tests;
+    # for the methods the benchmark's callers count
     def trees(directory):
         return {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in directory.glob("*.py")}
 
+    def functions(tree, private):
+        return {
+            node.name
+            for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name.startswith("_") == private
+        }
+
     package = trees(Path(momentbound.__file__).resolve().parent)
     benchmark = trees(Path(__file__).resolve().parents[1] / "perfbench")
-    searches = {
-        node.name
-        for node in package["rootfind.py"].body
-        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
-    }
-    called, read = set(), set()
+    calls, read = {}, set()
     for name, tree in [*package.items(), *(("perfbench", tree) for tree in benchmark.values())]:
         for node in ast.walk(tree):
             if isinstance(node, ast.Attribute):
                 read.add(node.attr)
-            if name in ("rootfind.py", "perfbench") or not isinstance(node, ast.Call):
+            if name == "perfbench" or not isinstance(node, ast.Call):
                 continue
             if isinstance(node.func, ast.Attribute):
-                called.add(node.func.attr)
+                calls.setdefault(name, set()).add(node.func.attr)
             elif isinstance(node.func, ast.Name):
-                called.add(node.func.id)
-    assert searches and sorted(searches - called) == []
+                calls.setdefault(name, set()).add(node.func.id)
+    called = set().union(*calls.values())
+    searches = functions(package["rootfind.py"], private=False)
+    outside = set().union(*(names for name, names in calls.items() if name != "rootfind.py"))
+    assert searches and sorted(searches - outside) == []
+    for module in ("power_moment.py", "exp_moment.py", "rootfind.py"):
+        helpers = functions(package[module], private=True)
+        assert helpers and sorted(helpers - called) == [], module
     for amb in (power_moment.PowerMomentAmbiguity, exp_moment.ExpMomentAmbiguity):
         methods = {name for name in vars(amb) if not name.startswith("__")}
         assert {"instance_at", "solve", "tail_cutoff", "_order_at_mass"} <= methods

@@ -207,11 +207,18 @@ class TestSolve:
 _T_VALUES = (1.5, 2.0, 2.5, 3.0, 5.0, math.pi)
 
 
-def _near_threshold_instances(rng, n, lo, hi):
-    """mp1t instances with q a relative 10^lo to 10^hi above the branch threshold."""
+def _near_threshold_instances(rng, n, lo, hi, t_near_one=False):
+    """mp1t instances with q a relative 10^lo to 10^hi above the branch threshold.
+
+    t cycles through _T_VALUES, or with ``t_near_one`` t - 1 is log-uniform
+    on (0.01, 0.5), where about half of such solves take the re-solve.
+    """
     out = []
     for i in range(n):
-        t = _T_VALUES[i % len(_T_VALUES)]
+        if t_near_one:
+            t = 1.0 + 10.0 ** float(rng.uniform(-2.0, math.log10(0.5)))
+        else:
+            t = _T_VALUES[i % len(_T_VALUES)]
         M1 = float(rng.uniform(0.5, 5.0))
         probe = PowerMomentInstance(M1=M1, Mt=float(rng.uniform(1.05, 3.0)) * M1**t, t=t, q=M1)
         q = boundary_threshold(probe) * (1.0 + 10.0 ** float(rng.uniform(lo, hi)))
@@ -256,10 +263,11 @@ def _reference_value(inst):
 class TestNearThreshold:
     """q from a few ulp to 1e-9 above the threshold, where theta is noise-flat.
 
-    About a third of these solves take the near-threshold fallback, which
-    locates the upper point with one ``brent`` search of psi and then fixes
-    the exact pair by bisection in a few-ulp window, back-solving the
-    tangency point w with ``brent`` at each step.
+    One ``brent`` search of psi locates the upper point.  Where the pair
+    built from it fails its certificate (about half of such solves with
+    t - 1 below 0.5, almost none past t = 1.5), the re-solve fixes the exact
+    pair by bisection in a few-ulp window around that point, back-solving
+    the tangency point w with ``brent`` at each step.
     """
 
     def test_values_match_high_precision(self):
@@ -272,13 +280,11 @@ class TestNearThreshold:
             assert abs(rep.value - ref) <= 1e-12 * abs(ref), inst
 
     def test_fallback_cost(self):
-        # the fallback searches psi once with brent, then bisects the moment
-        # mismatch over a 16-ulp window: it back-solves w at psi's root, at
-        # the window's two ends, at log2(16) = 4 midpoints and for the final
-        # pair, 8 times at most, each a brent search of g.  Every evaluation
-        # of psi, of the mismatch and of g counts, the search ends' included:
-        # 52 at most on these (bisection of psi and of w, with a Newton
-        # polish of w, took up to 287).
+        # the re-solve bisects the moment mismatch over a 16-ulp window: it
+        # back-solves w at psi's root, at the window's two ends, at
+        # log2(16) = 4 midpoints and for the final pair, 8 times at most,
+        # each a brent search of g.  Every evaluation of psi, of the
+        # mismatch and of g in the solve counts, the search ends' included
         root_functions = {"_psi", "mismatch", "g"}
         counts = {"re_solves": 0, "back_solves": 0, "evals": 0}
 
@@ -295,7 +301,7 @@ class TestNearThreshold:
 
         rng = np.random.default_rng(5)
         fallbacks = 0
-        for inst in _near_threshold_instances(rng, 120, -12.0, -9.0):
+        for inst in _near_threshold_instances(rng, 120, -12.0, -9.0, t_near_one=True):
             for key in counts:
                 counts[key] = 0
             sys.setprofile(profile)
@@ -311,7 +317,7 @@ class TestNearThreshold:
         assert fallbacks >= 40
 
     def test_back_solved_w_matches_high_precision(self, monkeypatch):
-        # every w of the fallbacks, searched in its window and over all of
+        # every w of the re-solves, searched in its window and over all of
         # [0, qs^(t-1)], against g's root at 50 digits with the float k
         calls, real = [], power_moment._det_consistent_w
 
@@ -320,7 +326,8 @@ class TestNearThreshold:
             return real(v, inst, window)
 
         monkeypatch.setattr(power_moment, "_det_consistent_w", w_solve)
-        for inst in _near_threshold_instances(np.random.default_rng(5), 120, -12.0, -9.0):
+        rng = np.random.default_rng(5)
+        for inst in _near_threshold_instances(rng, 160, -12.0, -9.0, t_near_one=True):
             solve_power_moment(inst)
         checked = {"window": 0, "full": 0}
         for v, inst, window in calls:
@@ -343,9 +350,8 @@ class TestNearThreshold:
 
     # wide draws of the benchmark's solve_stream probe (seeds 7, 13 and 53)
     # with t near 1, where theta is float noise across hundreds of ulp
-    # around its root: a pair whose mean-scaled score is under 1e-11 can
-    # still miss the verifier's absolute slack tolerance, which reads the
-    # score M1 times larger
+    # around its root and the verifier's absolute slack tolerance reads
+    # a mean-scaled residual M1 times larger
     @pytest.mark.parametrize(
         "M1, Mt, t, q",
         [
@@ -370,6 +376,24 @@ class TestRange:
         # mt^(1/(t-1)) = 1e100 is finite, M1 times it is not
         inst = PowerMomentInstance(M1=1e300, Mt=1e308, t=1.02, q=1e300)
         with pytest.raises(RangeError, match="upper support point"):
+            solve_power_moment(inst)
+
+    # past the threshold: M1*v overflows though q/M1 = 1e297 and v (near
+    # 5e299) do not; v^t overflows though M1*v (3e110) does not, where the
+    # upper mass would underflow; y^(t-1) at the search's right end
+    # 1.5*q/M1 overflows, once only as mt times expm1 and once in expm1
+    INTERIOR_OUT_OF_RANGE = [
+        (1e10, 1.5 * 1e10**1.001, 1.001, 1e307, r"upper support point M1\*v"),
+        (1e-100, 2.0 * 1e-100**1.5, 1.5, 1e110, r"v\^t overflows"),
+        (1.0, 2.0, 3.0, 1e154, r"y\^\(t-1\) overflows"),
+        (1.0, 2.0, 3.0, 1e155, r"y\^\(t-1\) overflows"),
+    ]
+
+    @pytest.mark.parametrize("M1,Mt,t,q,match", INTERIOR_OUT_OF_RANGE)
+    def test_interior_overflow_raises_range_error(self, M1, Mt, t, q, match):
+        inst = PowerMomentInstance(M1=M1, Mt=Mt, t=t, q=q)
+        assert inst.q > boundary_threshold(inst)
+        with pytest.raises(RangeError, match=match):
             solve_power_moment(inst)
 
     def test_threshold_raises_range_error(self):
@@ -404,7 +428,8 @@ class TestNearThresholdPowerOverflow:
     """q just above the threshold with t close to 1, where q/M1 passes 1e150.
 
     Squaring y - 1 or y^t - mt in theta's slope leaves float range there, and
-    bisecting theta itself can take y^t past it.
+    psi's products c*(y - 1) and y*(y^(t-1) - mt) do too unless they are
+    taken in ratios to y.
     """
 
     # (M1, Mt, t, q); the slope's (y - 1)^2 or (y^t - mt)^2 overflows in the polish
@@ -439,15 +464,39 @@ class TestNearThresholdPowerOverflow:
         assert solve_power_moment(PowerMomentInstance(M1=M1, Mt=Mt, t=t, q=q)).verification.passed
 
     def test_theta_power_overflow_is_a_range_error(self):
-        # the bracket's right end t*qs/(t-1) is about 1.6e308: its t-th power overflows
+        # the bracket's right end t*qs/(t-1) is about 1.6e308, and M1 times
+        # the upper point found below it overflows
         inst = PowerMomentInstance(
             M1=4.1253095591400495,
             Mt=11.390850888585272,
             t=1.0014282806319683,
             q=9.700530357896013e305,
         )
-        with pytest.raises(RangeError, match=r"y\^t overflows"):
+        with pytest.raises(RangeError, match=r"upper support point M1\*v"):
             solve_power_moment(inst)
+
+
+class TestLowerPointNearOne:
+    """Wide draws with t near 10, where the lower point u rounds to 1.
+
+    theta's (1 - u) and u^t - mt terms cancel there, and its sign at q/M1
+    came out wrong, so these were refused; psi has neither term.
+    """
+
+    @pytest.mark.parametrize(
+        "M1, Mt, t, q",
+        [
+            (0.05357099723947925, 3.235239133708779e-11, 9.631247302827017, 17.434022353438294),
+            (0.7113063327656711, 0.08548061429891077, 10.90008673191663, 107.26603634865559),
+            (0.5831344234918705, 0.00764993443363204, 9.041056317730689, 88.90684502597726),
+        ],
+    )
+    def test_certified_at_high_precision(self, M1, Mt, t, q):
+        inst = PowerMomentInstance(M1=M1, Mt=Mt, t=t, q=q)
+        rep = solve_power_moment(inst)
+        assert rep.branch == power_moment.INTERIOR and rep.verification.passed
+        ref = _reference_value(inst)
+        assert abs(rep.value - ref) <= 1e-9 * abs(ref)
 
 
 class TestAmbiguity:

@@ -13,8 +13,10 @@ the same bracket, and its cost to a median of 10 root-function evaluations
 per interior solve.
 
 The inputs are the candidates of two seeds of the benchmark's `solve_stream`
-(its timed instances and its wide mp1t/mp1e probe draws) and
-hypothesis-drawn certificates over all five function families.
+(its timed instances and its wide mp1t/mp1e probe draws),
+hypothesis-drawn certificates over all five function families and, for the
+collapses, which the stream never makes, mp1t draws just above the branch
+threshold with t near 1.
 """
 
 import importlib.util
@@ -34,6 +36,7 @@ from momentbound.core import DiscreteDistribution, DualCertificate, GmpInstance,
 from momentbound.errors import MomentBoundError
 from references import absolute_verdict, exact_residuals, reference_bisect
 from test_core import _undecidable_cases
+from test_power_moment import _near_threshold_instances
 
 # The reference adds its rows and values with sum(), which adds floats left
 # to right only before Python 3.12; the one pass does on every version.
@@ -186,9 +189,11 @@ class _SearchPin:
         return result
 
 
-def test_stream_root_searches_bit_identical(monkeypatch):
-    # only the mp1t near-threshold re-solve collapses a bracket, the moment
-    # mismatch's, at least once per re-solve
+def test_re_solve_collapses_bit_identical(monkeypatch):
+    # only the mp1t re-solve collapses a bracket, the moment mismatch's, at
+    # least once per re-solve.  The stream makes no re-solve, so the draws
+    # sit just above the branch threshold with t near 1, where about half
+    # of the solves take it
     collapses = _SearchPin(power_moment._collapse, _reference_collapse)
     re_solves, real_refine = [0], power_moment._refine_near_threshold
 
@@ -198,8 +203,10 @@ def test_stream_root_searches_bit_identical(monkeypatch):
 
     monkeypatch.setattr(power_moment, "_collapse", collapses)
     monkeypatch.setattr(power_moment, "_refine_near_threshold", refine)
-    _run_stream(STREAM_SEEDS[0])
-    assert collapses.calls >= re_solves[0] > STREAM_OPS // 50
+    rng = np.random.default_rng(5)
+    for inst in _near_threshold_instances(rng, 120, -12.0, -9.0, t_near_one=True):
+        power_moment.solve_power_moment(inst)
+    assert collapses.calls >= re_solves[0] >= 40
 
 
 def _pin(f, a, b):
@@ -243,33 +250,17 @@ def test_collapse_matches_reference_at_bracket_edge_cases(f, a, b):
 
 
 def test_stream_brent_roots_match_brentq(monkeypatch):
-    """Every interior search's root is within 4 ulp of brentq's on the bracket it searched.
+    """Every interior search's root is within 4 ulp of brentq's on the same bracket.
 
-    Where the search steps past a root at a, the bracket is the first sign
-    change it met.  Where f rounds to 0 over a run of floats, both searches
-    stop at the first exact zero they meet, and those may lie further apart:
-    there both roots must be exact zeros.
+    Where f rounds to 0 over a run of floats, both searches stop at the
+    first exact zero they meet, and those may lie further apart: there both
+    roots must be exact zeros.
     """
     real, plateaus, calls = rootfind.brent, [], []
 
     def pinned(f, a, b, fa, fb):
-        seen = []
-
-        def logged(x):
-            seen.append((x, f(x)))
-            return seen[-1][1]
-
-        root, evals = real(logged, a, b, fa, fb)
+        root, evals = real(f, a, b, fa, fb)
         calls.append(evals)
-        if fa == 0.0:
-            for x, fx in seen:
-                if fx == 0.0 or (fx > 0.0) != (fb > 0.0):
-                    a, fa = x, fx
-                    break
-                b, fb = x, fx
-            else:  # no sign change before the steps collapsed onto a
-                assert root == b
-                return root, evals
         ref = brentq(f, a, b, xtol=5e-324, rtol=4.0 * np.finfo(float).eps)
         if abs(root - ref) > 4.0 * math.ulp(ref):
             assert f(root) == 0.0 == f(ref), (a, b, root, ref)
@@ -299,8 +290,8 @@ def test_stream_interior_search_budget(monkeypatch):
 
         monkeypatch.setattr(module, name, f)
 
-    counted(power_moment, "theta")
-    counted(exp_moment, "_phi_gap")
+    counted(power_moment, "_psi")
+    counted(exp_moment, "phi")
     counted(exp_moment, "_gap_times_phi")
     workloads = _workloads()
     stream = workloads.make_stream("solve_stream", STREAM_SEEDS[0])
