@@ -27,7 +27,7 @@ _EXPORTS = {
     "oracle": "GridSpec OracleResult RefineOutcome oracle_solve refine_until",
     "partial_moment": "PartialMomentInstance enumerate_family kappa solve_partial_moment",
     "power_moment": "PowerMomentAmbiguity PowerMomentInstance boundary_threshold "
-    "solve_power_moment theta",
+    "solve_power_moment",
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 _MODULES = {*_EXPORTS, "cli", "errors", "problems", "rootfind"}

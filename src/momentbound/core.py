@@ -416,7 +416,7 @@ class Report:
     branch, the degenerate family's parameter v1, its largest support point
     (upm), and None on the closed-form branches.  ``bisect_iters`` counts
     the root-function evaluations of the interior search behind ``root``
-    (psi for mp1t, whose re-solved answers keep the first search's count;
+    (psi for mp1t, whose retried answers keep that search's count;
     phi in the mean gap for mp1e), beyond the bracket ends' values, and is 0
     where nothing was searched.
     """

@@ -244,10 +244,18 @@ def _candidate(inst: ExpMomentInstance) -> dict:
         value = inst.M1 * (1.0 - qs / v1)
         dist = DiscreteDistribution(points=((0.0, 1.0 - p_hi), (v1 / t, p_hi)))
         ev1 = math.exp(v1)
-        den = ev1 * (v1 - 1.0) + 1.0
-        cert = DualCertificate(
-            z=(-qs / den / t, (ev1 * (v1 - 1.0 - qs) + 1.0) / den, qs / den / t)
-        )
+        if v1 < 0.5:
+            # e^v1*(v1 - 1) + 1 cancels for small v1: take it as
+            # v1*(e^v1 - 1) - (e^v1 - 1 - v1), the last term as its series
+            k, term, tail = 2, 0.5 * v1 * v1, 0.0
+            while tail + term != tail:
+                tail += term
+                k += 1
+                term *= v1 / k
+            den = v1 * math.expm1(v1) - tail
+        else:
+            den = ev1 * (v1 - 1.0) + 1.0
+        cert = DualCertificate(z=(-qs / den / t, (den - qs * ev1) / den, qs / den / t))
         branch, root, iters = BOUNDARY, None, 0
     else:
         # g*phi in the gap g = m1 - u has no pole: it is positive at the

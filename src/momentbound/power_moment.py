@@ -9,8 +9,9 @@ search; the lower point u and the dual certificate follow from v.
 passes it through ``core.certify``, which checks it against the generic
 optimality conditions and returns a ``core.Report`` (``root`` is v on the
 interior branch).  Only an interior answer whose certificate fails is
-re-solved, by ``_refine_near_threshold`` in a few-ulp window around the same
-v; the re-solved pair is returned where it certifies.
+retried: v stays, and w = u^(t-1) is back-solved from the dual's tangency
+equation by ``_det_consistent_w``; the retried pair is returned where it
+certifies.
 """
 
 from __future__ import annotations
@@ -18,36 +19,14 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable
 
 from . import core
 from .core import DiscreteDistribution, DualCertificate, GmpInstance, Report
-from .errors import (
-    BracketError,
-    DomainError,
-    InfeasibleError,
-    NonFiniteError,
-    RangeError,
-    RootBracketError,
-)
-from .rootfind import _checked, brent
+from .errors import InfeasibleError, MomentBoundError, RangeError, RootBracketError
+from .rootfind import brent
 
 BOUNDARY = "boundary"
 INTERIOR = "interior"
-# Near-threshold pair re-solve (``_refine_near_threshold``).  psi's root and
-# the moment mismatch's root are the same v, and both functions are evaluated
-# without cancellation, so their float sign changes sit within an ulp of it
-# (they coincide or are one ulp apart on 28 480 measured re-solves).  The
-# window reaches 8 ulp either side; a miss keeps the first answer.
-_WINDOW_ULPS = 8
-# Relative widening of the w window for the rounding error of w itself:
-# brent stops within a few ulp of g's float sign change, which lies within
-# g's rounding error over its slope of g's root, about 3 ulp * qs/(qs - u);
-# 2^-40 (4096 ulp) covers both up to u = 0.999 qs.  A window without a
-# sign change of g falls back to [0, qs^(t-1)].
-_W_MARGIN = 2.0**-40
-# |mismatch| at or below this is an exact zero: the collapse stops there
-_ZERO_FLOOR = 1e-300
 
 
 @dataclass(frozen=True)
@@ -134,36 +113,6 @@ class PowerMomentInstance(PowerMomentAmbiguity):
         object.__setattr__(self, "q_scaled", self.q / self.M1)
 
 
-def theta(y: float, inst: PowerMomentInstance) -> float:
-    """Root function for the interior upper support point, in mean-scaled units.
-
-    With mt = Mt/M1^t and qs = q/M1:
-
-      theta(y) = (y^t - mt)/(y - 1) * (1 - u(y)) + u(y)^t - mt,
-      u(y) = (t*qs/(t-1)) * (y^(t-1) - mt) / (y^t - mt).
-
-    Defined for y > 1 away from the pole y^t = mt.  The solver searches
-    ``_psi`` instead, which has theta's root right of the edge without its
-    cancelling terms.  ``inst`` is read for ``t``, ``mt_scaled`` and
-    ``q_scaled`` only.
-    """
-    if y <= 1.0:
-        raise DomainError(f"theta needs y > 1, got {y}")
-    t, mt, qs = inst.t, inst.mt_scaled, inst.q_scaled
-    try:
-        yt = y**t
-    except OverflowError:
-        raise RangeError(f"y^t overflows at y={y:g}, t={t:g}") from None
-    if yt == mt:
-        raise NonFiniteError(f"theta pole at y={y}: y^t equals the scaled moment")
-    u = (t * qs / (t - 1.0)) * (y ** (t - 1.0) - mt) / (yt - mt)
-    # u is nonnegative right of the edge; roundoff can push it a few ulp
-    # negative right at the edge, where an odd extension of u^t keeps the
-    # expression real and continuous
-    u_pow = abs(u) ** t if u >= 0.0 else -(abs(u) ** t)
-    return (yt - mt) / (y - 1.0) * (1.0 - u) + u_pow - mt
-
-
 def _upper_point_at_mass(p: float, inst: PowerMomentInstance, edge: float) -> float:
     """The upper point v of the two-point law with mean 1, t-th moment mt and mass p at v.
 
@@ -215,21 +164,13 @@ def _u_from_v(v: float, inst: PowerMomentInstance, edge: float) -> float:
     return (t * qs / (t - 1.0)) * num / (v * num + mt * (v - 1.0))
 
 
-def _det_consistent_w(
-    v: float, inst: PowerMomentInstance, window: tuple[float, float] | None = None
-) -> float:
+def _det_consistent_w(v: float, inst: PowerMomentInstance) -> float:
     """Solve the dual tangency system for w = u^(t-1) at a given v.
 
     The system reads t*qs*w - (t-1)*w^(t/(t-1)) = v^(t-1) * (t*qs - (t-1)*v)
     and has exactly one root with u < qs; the left side is increasing there.
     Parametrizing by w rather than u keeps the equation solvable even when u
     itself is many orders of magnitude below ulp(v).
-
-    ``window`` is an optional guess (lo, hi) at the root, such as the range
-    w takes over the few-ulp v window of the near-threshold pair search.
-    Where g changes sign across it, ``brent`` searches there instead of on
-    all of [0, qs^(t-1)]; elsewhere it searches the whole range, from
-    g(0) = -k, as without a window.
     """
     t, qs = inst.t, inst.q_scaled
     k = v ** (t - 1.0) * (t * qs - (t - 1.0) * v)
@@ -244,25 +185,7 @@ def _det_consistent_w(
     g_whi = g(whi)
     if g_whi <= 0.0:
         return whi
-    if window is not None:
-        w_lo, w_hi = max(window[0], 0.0), min(window[1], whi)
-        if w_lo < w_hi:
-            g_lo, g_hi = g(w_lo), g(w_hi)
-            if g_lo < 0.0 < g_hi:
-                return brent(g, w_lo, w_hi, g_lo, g_hi)[0]
     return brent(g, 0.0, whi, -k, g_whi)[0]
-
-
-def _moment_mismatch(
-    v: float, u: float, w: float, inst: PowerMomentInstance, edge: float
-) -> float:
-    """t-th moment violation (times v - u) of a support pair, w = u^(t-1).
-
-    Written as a balance of two accurately computable terms so its root can
-    be located to float resolution regardless of how small u is.
-    """
-    mt = inst.mt_scaled
-    return (1.0 - u) * v * _stable_power_gap(v, inst, edge) - (v - 1.0) * u * (mt - w)
 
 
 def _psi(y: float, inst: PowerMomentInstance, edge: float) -> float:
@@ -288,70 +211,6 @@ def _psi(y: float, inst: PowerMomentInstance, edge: float) -> float:
     return (y - c) + c * r * (((c / y) * gap / d) ** (t - 1.0) / d)
 
 
-def _collapse(f: Callable[[float], float], a: float, b: float) -> float:
-    """The right float of the adjacent pair across which f changes sign in (a, b].
-
-    f(a) = 0 is a root to step over.  The bracket is halved until its
-    midpoint rounds onto an end; a zero met first (|f| at most _ZERO_FLOOR)
-    is the root.
-    """
-    fb = _checked(f, b)
-    if abs(fb) <= _ZERO_FLOOR:
-        return b
-    fa = _checked(f, a)
-    if abs(fa) > _ZERO_FLOOR and (fa > 0.0) == (fb > 0.0):
-        raise BracketError(f"f({a}) and f({b}) do not bracket a root")
-    while True:
-        c = 0.5 * (a + b)
-        if c <= a or c >= b:
-            return b
-        fc = _checked(f, c)
-        if abs(fc) <= _ZERO_FLOOR:
-            return c
-        if (fc > 0.0) == (fb > 0.0):
-            b = c
-        else:
-            a = c
-
-
-def _refine_near_threshold(
-    inst: PowerMomentInstance, edge: float, r: float
-) -> tuple[float, float] | None:
-    """Joint re-solve of (support, tangency) around psi's root r: (v, w = u^(t-1)), or None.
-
-    Near the branch threshold, and with t near 1, the pair that
-    ``_u_from_v`` builds from psi's root can miss dual slackness by more
-    than the verifier allows, though r is within a few ulp of v.  The exact
-    pair comes from the moment mismatch, whose sign change is clean:
-    ``_collapse`` halves the window of _WINDOW_ULPS ulp either side of r
-    down to two adjacent floats, and each of its evaluations back-solves w
-    with ``brent`` only across the range w takes on that window.  None
-    where the window holds no sign change of the mismatch.
-    """
-    t, qs = inst.t, inst.q_scaled
-    try:
-        w_r = _det_consistent_w(r, inst)
-        half = _WINDOW_ULPS * math.ulp(r)
-        lo, hi = r - half, r + half
-        # dw/dv = (t-1) v^(t-2) (qs - v)/(qs - u) from the tangency equation:
-        # across the window w stays within |dw/dv| * (hi - lo) of w_r, at
-        # least twice its reach to either side, which absorbs the change of
-        # dw/dv over a few ulp
-        u_r = w_r ** (1.0 / (t - 1.0))
-        reach = (t - 1.0) * r ** (t - 2.0) * (r - qs) * (hi - lo) / (qs - u_r)
-        spread = reach + _W_MARGIN * w_r
-        window = (w_r - spread, w_r + spread)
-
-        def mismatch(y: float) -> float:
-            w = _det_consistent_w(y, inst, window)
-            return _moment_mismatch(y, w ** (1.0 / (t - 1.0)), w, inst, edge)
-
-        v = _collapse(mismatch, lo, hi)
-    except (BracketError, NonFiniteError, ZeroDivisionError):
-        return None
-    return v, w_r if v == r else _det_consistent_w(v, inst)
-
-
 def gmp_instance(inst: PowerMomentInstance) -> GmpInstance:
     """The generic moment problem this instance describes."""
     return GmpInstance(
@@ -365,19 +224,25 @@ def gmp_instance(inst: PowerMomentInstance) -> GmpInstance:
 def solve_power_moment(inst: PowerMomentInstance) -> Report:
     """Solve the scaled problem, rescale, and certify the result.
 
-    An interior answer whose certificate fails is re-solved once around the
-    same upper point; the re-solved pair replaces it only if it certifies.
+    Near the branch threshold, and with t near 1, the lower point that
+    ``_u_from_v`` builds from psi's root can miss the dual's tangency at u by
+    more than the verifier allows, though v itself is right.  So an interior
+    answer whose certificate fails is retried once at the same v, with w =
+    u^(t-1) back-solved from the tangency equation.  The retry replaces the
+    first answer only where it certifies; where it raises, the first answer
+    stands.
     """
     gmp = gmp_instance(inst)
     report = core.certify(gmp, _candidate(inst))
     if report.verification.passed or report.branch == BOUNDARY:
         return report
-    refined = _refine_near_threshold(inst, inst.edge_scaled, report.root)
-    if refined is None:
+    t, v = inst.t, report.root
+    try:
+        w = _det_consistent_w(v, inst)
+        u, ut = w ** (1.0 / (t - 1.0)), w ** (t / (t - 1.0))
+        retry = core.certify(gmp, _interior(inst, v, u, w, ut, report.bisect_iters))
+    except (MomentBoundError, ArithmeticError):
         return report
-    v, w = refined
-    u, ut = w ** (1.0 / (inst.t - 1.0)), w ** (inst.t / (inst.t - 1.0))
-    retry = core.certify(gmp, _interior(inst, v, u, w, ut, report.bisect_iters))
     return retry if retry.verification.passed else report
 
 
@@ -395,8 +260,15 @@ def _candidate(inst: PowerMomentInstance) -> dict:
         p_hi = 1.0 / edge
         value = M1 * (1.0 - qs / edge)
         upper = M1 * edge
-        if upper == math.inf:
-            raise RangeError(f"upper support point M1*mt^(1/(t-1)) overflows at M1={M1:g}, t={t:g}")
+        try:
+            upper_t = upper**t
+        except OverflowError:
+            upper_t = math.inf
+        if upper_t == math.inf:
+            raise RangeError(
+                f"upper support point M1*mt^(1/(t-1)) or its t-th power overflows "
+                f"at M1={M1:g}, t={t:g}"
+            )
         dist = DiscreteDistribution(points=((0.0, 1.0 - p_hi), (upper, p_hi)))
         z1 = 1.0 - (t * qs / (t - 1.0)) / edge
         zt = (qs / (t - 1.0)) * mt ** (-t / (t - 1.0))

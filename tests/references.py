@@ -29,6 +29,7 @@ from momentbound.errors import (
     DomainError,
     MomentBoundError,
     NonFiniteError,
+    RangeError,
 )
 from momentbound.oracle import _DEGENERATE_RUN, _PIVOT_TOL, _RC_TOL, OPTIMAL, UNBOUNDED
 
@@ -45,6 +46,36 @@ def scarf_value(M1: float, M2: float, q: float) -> float:
     """
     sigma2 = M2 - M1 * M1
     return 0.5 * (np.sqrt(sigma2 + (q - M1) ** 2) - (q - M1))
+
+
+def theta(y: float, inst) -> float:
+    """The mp1t interior root function in its original form, in mean-scaled units.
+
+    With mt = Mt/M1^t and qs = q/M1 of a ``PowerMomentInstance``:
+
+      theta(y) = (y^t - mt)/(y - 1) * (1 - u(y)) + u(y)^t - mt,
+      u(y) = (t*qs/(t-1)) * (y^(t-1) - mt) / (y^t - mt).
+
+    Defined for y > 1 away from the pole y^t = mt.  The solver searches
+    ``power_moment._psi``, which has theta's root right of the edge without
+    its cancelling terms; the sign conditions of the paper are stated on
+    theta.
+    """
+    if y <= 1.0:
+        raise DomainError(f"theta needs y > 1, got {y}")
+    t, mt, qs = inst.t, inst.mt_scaled, inst.q_scaled
+    try:
+        yt = y**t
+    except OverflowError:
+        raise RangeError(f"y^t overflows at y={y:g}, t={t:g}") from None
+    if yt == mt:
+        raise NonFiniteError(f"theta pole at y={y}: y^t equals the scaled moment")
+    u = (t * qs / (t - 1.0)) * (y ** (t - 1.0) - mt) / (yt - mt)
+    # u is nonnegative right of the edge; roundoff can push it a few ulp
+    # negative right at the edge, where an odd extension of u^t keeps the
+    # expression real and continuous
+    u_pow = abs(u) ** t if u >= 0.0 else -(abs(u) ** t)
+    return (yt - mt) / (y - 1.0) * (1.0 - u) + u_pow - mt
 
 
 def mean_variance_order(M1: float, M2: float, eta: float) -> float:

@@ -37,9 +37,8 @@ from momentbound.power_moment import (
     boundary_threshold as power_threshold,
     gmp_instance as power_gmp,
     solve_power_moment,
-    theta,
 )
-from references import ExponentialDemand, scarf_value, worst_case_objective
+from references import ExponentialDemand, scarf_value, theta, worst_case_objective
 
 T_VALUES = [1.5, 2.0, 2.5, 3.0, 5.0, math.pi]
 

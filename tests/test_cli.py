@@ -323,6 +323,20 @@ class TestSolve:
         assert code == EXIT_RANGE
         assert json.loads(capsys.readouterr().err.splitlines()[0])["error"] == "RangeError"
 
+    def test_boundary_power_overflow_is_a_range_rejection(self, tmp_path, capsys):
+        # on the boundary branch the upper support point's t-th power overflows
+        params = {
+            "M1": 208.39960338468364,
+            "Mt": 15002.964352317631,
+            "t": 1.0060517443252834,
+            "q": 507.2393697531986,
+        }
+        code = main(["solve", _write(tmp_path, {"problem": "mp1t", "params": params})])
+        assert code == EXIT_RANGE
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err.splitlines()[0])["error"] == "RangeError"
+
     def test_range_rejection(self, tmp_path):
         path = _write(
             tmp_path,

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -159,6 +160,23 @@ class TestSolve:
         assert v1 == pytest.approx(3.0059341539036604, abs=1e-11)
         assert rep.dist.points[-1][0] == v1 / inst.t  # the boundary support is {0, v1}
         assert rep.verification.passed
+
+    def test_boundary_dual_with_small_v1_is_certified(self):
+        # v1 = 0.039: e^v1*(v1 - 1) + 1, the dual's denominator, is about
+        # v1^2/2 and cancelled to 7 digits in that form, which failed slackness
+        inst = ExpMomentInstance(
+            M1=1352.5429369425033, Me=1.001876606395388, t=1.3802026336293119e-06, q=1.5839214958046188
+        )
+        rep = solve_exp_moment(inst)
+        assert rep.branch == exp_moment.BOUNDARY and rep.verification.passed
+        v1 = compute_v1(inst.m1_scaled, inst.Me)
+        assert v1 < 0.5
+        with mp.workdps(50):
+            ev1, qs, t = mp.exp(mp.mpf(v1)), mp.mpf(inst.q_scaled), mp.mpf(inst.t)
+            den = ev1 * (v1 - 1) + 1
+            z = (-qs / den / t, (den - qs * ev1) / den, qs / den / t)
+        for ours, ref in zip(rep.cert.z, z):
+            assert ours == pytest.approx(float(ref), rel=1e-14, abs=0.0)
 
     def test_boundary_threshold_reference(self):
         inst = ExpMomentInstance(M1=1.0, Me=math.e**2, t=1.0, q=1.0)

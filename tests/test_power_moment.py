@@ -8,17 +8,22 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from momentbound import power_moment
-from momentbound.errors import DomainError, InfeasibleError, NonFiniteError, RangeError
+from momentbound import core, power_moment
+from momentbound.errors import (
+    DomainError,
+    InfeasibleError,
+    NonFiniteError,
+    RangeError,
+    RootBracketError,
+)
 from momentbound.problems import PROBLEMS
 from momentbound.power_moment import (
     PowerMomentAmbiguity,
     PowerMomentInstance,
     boundary_threshold,
     solve_power_moment,
-    theta,
 )
-from references import scarf_value
+from references import scarf_value, theta
 
 
 def _random_instances(rng, n, interior_only=False):
@@ -263,11 +268,11 @@ def _reference_value(inst):
 class TestNearThreshold:
     """q from a few ulp to 1e-9 above the threshold, where theta is noise-flat.
 
-    One ``brent`` search of psi locates the upper point.  Where the pair
+    One ``brent`` search of psi locates the upper point v.  Where the pair
     built from it fails its certificate (about half of such solves with
-    t - 1 below 0.5, almost none past t = 1.5), the re-solve fixes the exact
-    pair by bisection in a few-ulp window around that point, back-solving
-    the tangency point w with ``brent`` at each step.
+    t - 1 below 0.5, almost none past t = 1.5), the retry keeps v and
+    back-solves the tangency point w = u^(t-1) with one ``brent`` search of
+    the tangency equation over all of [0, qs^(t-1)].
     """
 
     def test_values_match_high_precision(self):
@@ -280,27 +285,19 @@ class TestNearThreshold:
             assert abs(rep.value - ref) <= 1e-12 * abs(ref), inst
 
     def test_fallback_cost(self):
-        # the re-solve bisects the moment mismatch over a 16-ulp window: it
-        # back-solves w at psi's root, at the window's two ends, at
-        # log2(16) = 4 midpoints and for the final pair, 8 times at most,
-        # each a brent search of g.  Every evaluation of psi, of the
-        # mismatch and of g in the solve counts, the search ends' included
-        root_functions = {"_psi", "mismatch", "g"}
-        counts = {"re_solves": 0, "back_solves": 0, "evals": 0}
+        # a retry builds a second interior pair from exactly one back-solve,
+        # a brent search of the tangency equation g; every evaluation of g
+        # counts, the search's right end included
+        counts = {"_interior": 0, "_det_consistent_w": 0, "g": 0}
 
         def profile(frame, event, arg):
             code = frame.f_code
-            if event != "call" or code.co_filename != power_moment.__file__:
-                return
-            if code.co_name == "_refine_near_threshold":
-                counts["re_solves"] += 1
-            elif code.co_name == "_det_consistent_w":
-                counts["back_solves"] += 1
-            elif code.co_name in root_functions:
-                counts["evals"] += 1
+            if event == "call" and code.co_filename == power_moment.__file__:
+                if code.co_name in counts:
+                    counts[code.co_name] += 1
 
         rng = np.random.default_rng(5)
-        fallbacks = 0
+        retries = 0
         for inst in _near_threshold_instances(rng, 120, -12.0, -9.0, t_near_one=True):
             for key in counts:
                 counts[key] = 0
@@ -310,43 +307,41 @@ class TestNearThreshold:
             finally:
                 sys.setprofile(None)
             assert rep.verification.passed
-            if counts["re_solves"]:
-                fallbacks += 1
-                assert counts["back_solves"] <= 8, inst
-                assert counts["evals"] <= 60, inst
-        assert fallbacks >= 40
+            if counts["_interior"] == 1:
+                assert counts["_det_consistent_w"] == 0, inst
+                continue
+            retries += 1
+            assert counts["_interior"] == 2 and counts["_det_consistent_w"] == 1, inst
+            assert counts["g"] <= 10, inst
+        assert retries >= 40
 
     def test_back_solved_w_matches_high_precision(self, monkeypatch):
-        # every w of the re-solves, searched in its window and over all of
-        # [0, qs^(t-1)], against g's root at 50 digits with the float k
+        # every w of the retries against g's root at 50 digits with the float k
         calls, real = [], power_moment._det_consistent_w
 
-        def w_solve(v, inst, window=None):
-            calls.append((v, inst, window))
-            return real(v, inst, window)
+        def w_solve(v, inst):
+            calls.append((v, inst, real(v, inst)))
+            return calls[-1][2]
 
         monkeypatch.setattr(power_moment, "_det_consistent_w", w_solve)
         rng = np.random.default_rng(5)
-        for inst in _near_threshold_instances(rng, 160, -12.0, -9.0, t_near_one=True):
+        for inst in _near_threshold_instances(rng, 400, -12.0, -9.0, t_near_one=True):
             solve_power_moment(inst)
-        checked = {"window": 0, "full": 0}
-        for v, inst, window in calls:
+        checked = 0
+        for v, inst, w in calls:
             t, qs = inst.t, inst.q_scaled
             k = v ** (t - 1.0) * (t * qs - (t - 1.0) * v)
             if k <= 0.0:
                 continue  # w = 0 without a search
-            searches = {"full": None} if window is None else {"window": window, "full": None}
-            for kind, search_window in searches.items():
-                w = real(v, inst, search_window)
-                with mp.workdps(50):
-                    mt, mq, mk, root = mp.mpf(t), mp.mpf(qs), mp.mpf(k), mp.mpf(w)
-                    for _ in range(8):  # Newton from w converges quadratically
-                        g = mt * mq * root - (mt - 1) * root ** (mt / (mt - 1)) - mk
-                        root -= g / (mt * (mq - root ** (1 / (mt - 1))))
-                    ulps = float(abs(w - root)) / math.ulp(float(root))
-                assert ulps <= 4.0, (v, inst, search_window)
-                checked[kind] += 1
-        assert min(checked.values()) >= 300, checked
+            with mp.workdps(50):
+                mt, mq, mk, root = mp.mpf(t), mp.mpf(qs), mp.mpf(k), mp.mpf(w)
+                for _ in range(8):  # Newton from w converges quadratically
+                    g = mt * mq * root - (mt - 1) * root ** (mt / (mt - 1)) - mk
+                    root -= g / (mt * (mq - root ** (1 / (mt - 1))))
+                ulps = float(abs(w - root)) / math.ulp(float(root))
+            assert ulps <= 4.0, (v, inst)
+            checked += 1
+        assert checked >= 150, checked
 
     # wide draws of the benchmark's solve_stream probe (seeds 7, 13 and 53)
     # with t near 1, where theta is float noise across hundreds of ulp
@@ -364,6 +359,69 @@ class TestNearThreshold:
         assert solve_power_moment(PowerMomentInstance(M1=M1, Mt=Mt, t=t, q=q)).verification.passed
 
 
+class TestRetryKeepsFirst:
+    """A retry that raises or does not certify leaves the first answer standing."""
+
+    @pytest.fixture
+    def draw(self, monkeypatch):
+        """(instance, first report, reports built after) for a draw whose first answer fails.
+
+        The draw is near the threshold with t near 1, and every report
+        ``core.certify`` builds from then on is kept, in order.
+        """
+        rng = np.random.default_rng(5)
+        for inst in _near_threshold_instances(rng, 120, -12.0, -9.0, t_near_one=True):
+            first = core.certify(power_moment.gmp_instance(inst), power_moment._candidate(inst))
+            if not first.verification.passed:
+                break
+        else:
+            raise AssertionError("no draw fails its first certificate")
+        reports, real = [], core.certify
+
+        def certify(gmp, candidate):
+            reports.append(real(gmp, candidate))
+            return reports[-1]
+
+        monkeypatch.setattr(core, "certify", certify)
+        return inst, first, reports
+
+    @pytest.mark.parametrize(
+        "name, error",
+        [
+            ("_det_consistent_w", NonFiniteError("f(0.5) = nan")),
+            ("_det_consistent_w", ZeroDivisionError("float division by zero")),
+            ("_interior", RootBracketError("inconsistent support")),
+        ],
+    )
+    def test_raising_retry_returns_the_first_report(self, monkeypatch, draw, name, error):
+        inst, first, reports = draw
+        real, calls = getattr(power_moment, name), []
+
+        def raising(*args):
+            calls.append(args)
+            if name == "_interior" and len(calls) == 1:
+                return real(*args)  # the first answer's pair
+            raise error
+
+        monkeypatch.setattr(power_moment, name, raising)
+        rep = solve_power_moment(inst)
+        assert rep is reports[0] and len(reports) == 1
+        assert rep == first and not rep.verification.passed
+        assert len(calls) == (2 if name == "_interior" else 1)
+
+    def test_uncertified_retry_returns_the_first_report(self, monkeypatch, draw):
+        # the retry rebuilds the first answer's pair, w = u^(t-1) at _u_from_v's u
+        inst, first, reports = draw
+
+        def first_w(v, inst):
+            return power_moment._u_from_v(v, inst, inst.edge_scaled) ** (inst.t - 1.0)
+
+        monkeypatch.setattr(power_moment, "_det_consistent_w", first_w)
+        rep = solve_power_moment(inst)
+        assert len(reports) == 2 and not reports[1].verification.passed
+        assert rep is reports[0] and rep == first
+
+
 class TestRange:
     # t - 1 = 1e-3 puts the boundary support point mt^(1/(t-1)) at 10^1000
     INST = PowerMomentInstance(M1=1.0, Mt=10.0, t=1.001, q=1.0)
@@ -376,6 +434,23 @@ class TestRange:
         # mt^(1/(t-1)) = 1e100 is finite, M1 times it is not
         inst = PowerMomentInstance(M1=1e300, Mt=1e308, t=1.02, q=1e300)
         with pytest.raises(RangeError, match="upper support point"):
+            solve_power_moment(inst)
+
+    # a wide fuzz draw on the boundary branch: M1 times the upper point
+    # mt^(1/(t-1)) is about 2e306, and its t-th power, which the t-th moment
+    # row takes, overflows
+    BOUNDARY_POWER_OVERFLOW = (
+        208.39960338468364,
+        15002.964352317631,
+        1.0060517443252834,
+        507.2393697531986,
+    )
+
+    def test_upper_support_point_power_overflow_raises_range_error(self):
+        inst = PowerMomentInstance(*self.BOUNDARY_POWER_OVERFLOW)
+        assert inst.q <= boundary_threshold(inst)
+        assert math.isfinite(inst.M1 * inst.edge_scaled)
+        with pytest.raises(RangeError, match="upper support point .* t-th power overflows"):
             solve_power_moment(inst)
 
     # past the threshold: M1*v overflows though q/M1 = 1e297 and v (near

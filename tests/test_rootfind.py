@@ -1,4 +1,4 @@
-"""Brent's bracketed search and the near-threshold re-solve's collapse."""
+"""Brent's bracketed search."""
 
 import math
 
@@ -6,57 +6,13 @@ import numpy as np
 import pytest
 
 from momentbound.errors import BracketError, NonFiniteError
-from momentbound.power_moment import PowerMomentInstance, _collapse, theta
+from momentbound.power_moment import PowerMomentInstance
 from momentbound.rootfind import brent
+from references import theta
 
 
 def _iteration_cap(width: float, eps: float) -> int:
     return math.ceil(math.log2(width / eps)) + 2
-
-
-class TestCollapse:
-    """The mp1t re-solve's halving search, down to two adjacent floats."""
-
-    def test_linear(self):
-        assert _collapse(lambda x: x - 1.0, 0.0, 2.0) == 1.0  # the first midpoint is a zero
-        root = _collapse(lambda x: x - 1.1, 0.0, 2.0)
-        assert math.nextafter(root, -math.inf) < 1.1 <= root
-
-    def test_theta_bracket_recovers_mean_variance_bound(self):
-        # scaled instance with t = 2 has the classical closed form as oracle
-        inst = PowerMomentInstance(M1=1.0, Mt=2.0, t=2.0, q=6.0)
-        v = _collapse(lambda y: theta(y, inst), 6.0, 12.0)
-        assert 6.0 < v < 12.0
-        assert abs(theta(v, inst)) < 1e-13
-        u = (2.0 * 6.0 / 1.0) * (v - 2.0) / (v * v - 2.0)
-        value = (v - 6.0) * (1.0 - u) / (v - u)
-        assert value == pytest.approx((math.sqrt(26.0) - 5.0) / 2.0, rel=1e-14)
-
-    def test_left_endpoint_root_converges_interior(self):
-        # f(a) = 0, f < 0 just right of a, and f(b) > 0: the search must go
-        # to the interior root, never return a itself
-        a, b = 1.0, 3.0
-        mid = 0.5 * (a + b) + 0.1
-        root = _collapse(lambda x: (x - a) * (x - mid), a, b)
-        assert root > a and abs(root - mid) <= math.ulp(mid)
-
-    def test_bracket_error(self):
-        with pytest.raises(BracketError):
-            _collapse(lambda x: x * x + 1.0, 0.0, 1.0)
-
-    def test_non_finite(self):
-        def f(x):
-            return math.nan if 0.4 < x < 0.6 else x - 0.25
-
-        with pytest.raises(NonFiniteError, match=r"^f\(0\.5\) = nan$"):
-            _collapse(f, 0.0, 1.0)
-
-    def test_resolution_stall_terminates(self):
-        # the root is not a float: the bracket closes onto the two floats
-        # around it, and the right one comes back
-        r = 1e7 + 0.3
-        root = _collapse(lambda x: x - r, 1e7, 1e7 + 1.0)
-        assert math.nextafter(root, -math.inf) < r <= root
 
 
 def _brent(f, a, b):

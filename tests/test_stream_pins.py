@@ -1,11 +1,8 @@
-"""The verifier's one pass and the root searches against their earlier versions.
+"""The verifier's one pass and the interior root searches against references.
 
-`core._exact_residuals` evaluates every term once per point, and the mp1t
-re-solve's `power_moment._collapse` is a bisection stripped to what that
-re-solve uses.  Neither may change a reported number: the residuals, signed
-zeros, NaN and -inf included, must be those of `references.exact_residuals`,
-and every collapse must return the root `references.reference_bisect`
-returns with its tolerance below one ulp of the bracket.  The only change
+`core._exact_residuals` evaluates every term once per point, and may not
+change a reported number: the residuals, signed zeros, NaN and -inf
+included, must be those of `references.exact_residuals`.  The only change
 allowed is the float-error allowance of `ToleranceSet.gamma`, which can turn
 a failed verification into a passed one and never the reverse.  The interior
 searches' `rootfind.brent` is pinned to within 4 ulp of scipy's `brentq` on
@@ -13,10 +10,8 @@ the same bracket, and its cost to a median of 10 root-function evaluations
 per interior solve.
 
 The inputs are the candidates of two seeds of the benchmark's `solve_stream`
-(its timed instances and its wide mp1t/mp1e probe draws),
-hypothesis-drawn certificates over all five function families and, for the
-collapses, which the stream never makes, mp1t draws just above the branch
-threshold with t near 1.
+(its timed instances and its wide mp1t/mp1e probe draws) and
+hypothesis-drawn certificates over all five function families.
 """
 
 import importlib.util
@@ -34,9 +29,8 @@ import momentbound
 from momentbound import core, exp_moment, power_moment, rootfind
 from momentbound.core import DiscreteDistribution, DualCertificate, GmpInstance, ToleranceSet
 from momentbound.errors import MomentBoundError
-from references import absolute_verdict, exact_residuals, reference_bisect
+from references import absolute_verdict, exact_residuals
 from test_core import _undecidable_cases
-from test_power_moment import _near_threshold_instances
 
 # The reference adds its rows and values with sum(), which adds floats left
 # to right only before Python 3.12; the one pass does on every version.
@@ -166,89 +160,6 @@ def test_drawn_certificates_bit_identical(data):
     _assert_pinned(inst, dist, cert)
 
 
-def _reference_collapse(f, a, b):
-    """reference_bisect as the mp1t re-solve ran it: to collapse, below one ulp of (a, b)."""
-    return reference_bisect(f, a, b, (b - a) * 1e-18).root
-
-
-class _SearchPin:
-    """Wraps a root search: the package's and the reference's must agree on every call."""
-
-    def __init__(self, ours, reference):
-        self.ours, self.reference, self.calls = ours, reference, 0
-
-    def __call__(self, *args, **kwargs):
-        self.calls += 1
-        expected = _outcome(lambda: self.reference(*args, **kwargs))
-        try:
-            result = self.ours(*args, **kwargs)
-        except Exception as exc:
-            assert (type(exc).__name__, str(exc)) == expected
-            raise
-        assert repr(result) == expected
-        return result
-
-
-def test_re_solve_collapses_bit_identical(monkeypatch):
-    # only the mp1t re-solve collapses a bracket, the moment mismatch's, at
-    # least once per re-solve.  The stream makes no re-solve, so the draws
-    # sit just above the branch threshold with t near 1, where about half
-    # of the solves take it
-    collapses = _SearchPin(power_moment._collapse, _reference_collapse)
-    re_solves, real_refine = [0], power_moment._refine_near_threshold
-
-    def refine(*args):
-        re_solves[0] += 1
-        return real_refine(*args)
-
-    monkeypatch.setattr(power_moment, "_collapse", collapses)
-    monkeypatch.setattr(power_moment, "_refine_near_threshold", refine)
-    rng = np.random.default_rng(5)
-    for inst in _near_threshold_instances(rng, 120, -12.0, -9.0, t_near_one=True):
-        power_moment.solve_power_moment(inst)
-    assert collapses.calls >= re_solves[0] >= 40
-
-
-def _pin(f, a, b):
-    assert _outcome(lambda: power_moment._collapse(f, a, b)) == _outcome(
-        lambda: _reference_collapse(f, a, b)
-    )
-
-
-@pytest.mark.parametrize(
-    "family",
-    [
-        lambda x, r: x - r,
-        lambda x, r: x**3 - r**3,
-        lambda x, r: math.exp(x) - math.exp(r),
-        lambda x, r: math.tanh(20.0 * (x / r - 1.0)),
-    ],
-    ids=["linear", "cubic", "exp", "tanh"],
-)
-def test_collapse_matches_reference_on_random_brackets(family):
-    rng = np.random.default_rng(23)
-    for _ in range(100):
-        r = rng.uniform(0.2, 0.8) * 10.0 ** rng.integers(-3, 2)
-        a, b = r * rng.uniform(0.1, 1.0), r * rng.uniform(1.0, 10.0)
-        sign = rng.choice([-1.0, 1.0])
-        _pin(lambda x: sign * family(x, r), a, b)
-
-
-@pytest.mark.parametrize(
-    "f,a,b",
-    [
-        (lambda x: (x - 1.0) * (x - 2.3), 1.0, 3.0),  # f < 0 just right of a: a is stepped over
-        (lambda x: x - 1.0, 0.0, 2.0),
-        (lambda x: x - 0.375, 0.0, 1.0),
-        (lambda x: x - 1.0, 0.0, 1.0),
-        (lambda x: x * x + 1.0, 0.0, 1.0),  # BracketError from both
-    ],
-    ids=["left-end", "first-midpoint", "later-midpoint", "right-end", "same-sign"],
-)
-def test_collapse_matches_reference_at_bracket_edge_cases(f, a, b):
-    _pin(f, a, b)
-
-
 def test_stream_brent_roots_match_brentq(monkeypatch):
     """Every interior search's root is within 4 ulp of brentq's on the same bracket.
 
@@ -309,25 +220,3 @@ def test_stream_interior_search_budget(monkeypatch):
             counts[op.kind].append(evals[0])
     for kind, n in counts.items():
         assert len(n) > STREAM_OPS // 10 and np.median(n) <= 10, kind
-
-
-def _gap(x):
-    return math.nan if 0.4 < x < 0.6 else x - 0.25
-
-
-def _slow_tail(x):
-    return -math.inf if 0.2 < x < 0.31 else x - 0.3
-
-
-@pytest.mark.parametrize(
-    "f",
-    [
-        _gap,  # NaN at the first midpoint
-        _slow_tail,  # -inf at the second midpoint
-        lambda x: np.float64(x * x - 0.09),  # numpy scalars
-    ],
-    ids=["nan-midpoint", "inf-midpoint", "numpy-values"],
-)
-def test_loop_checks_like_reference(f):
-    """NonFiniteError text and the float coercion of f's values, inside the loop."""
-    _pin(f, 0.0, 1.0)
