@@ -7,11 +7,16 @@ allowed is the float-error allowance of `ToleranceSet.gamma`, which can turn
 a failed verification into a passed one and never the reverse.  The interior
 searches' `rootfind.brent` is pinned to within 4 ulp of scipy's `brentq` on
 the same bracket, and its cost to a median of 10 root-function evaluations
-per interior solve.
+per interior solve.  The mp1t retry's back-solve runs `brent` where the
+earlier re-solve collapsed a bracket by halving: on the same brackets
+`brent` must find the root that collapse found, `references.reference_bisect`
+with its tolerance below one ulp of the bracket, to within 4 ulp or as an
+exact zero of f where both are, and raise what it raises.
 
 The inputs are the candidates of two seeds of the benchmark's `solve_stream`
-(its timed instances and its wide mp1t/mp1e probe draws) and
-hypothesis-drawn certificates over all five function families.
+(its timed instances and its wide mp1t/mp1e probe draws),
+hypothesis-drawn certificates over all five function families and, for the
+collapses, random and edge-case brackets of smooth functions.
 """
 
 import importlib.util
@@ -29,7 +34,7 @@ import momentbound
 from momentbound import core, exp_moment, power_moment, rootfind
 from momentbound.core import DiscreteDistribution, DualCertificate, GmpInstance, ToleranceSet
 from momentbound.errors import MomentBoundError
-from references import absolute_verdict, exact_residuals
+from references import absolute_verdict, exact_residuals, reference_bisect
 from test_core import _undecidable_cases
 
 # The reference adds its rows and values with sum(), which adds floats left
@@ -160,6 +165,60 @@ def test_drawn_certificates_bit_identical(data):
     _assert_pinned(inst, dist, cert)
 
 
+def _reference_collapse(f, a, b):
+    """reference_bisect as the earlier mp1t re-solve ran it: to collapse, below one ulp of (a, b)."""
+    return reference_bisect(f, a, b, (b - a) * 1e-18).root
+
+
+def _pin(f, a, b):
+    """brent, from float end values as the package passes them, against the collapse."""
+    expected = _outcome(lambda: _reference_collapse(f, a, b))
+    try:
+        root = rootfind.brent(f, a, b, float(f(a)), float(f(b)))[0]
+    except Exception as exc:
+        assert (type(exc).__name__, str(exc)) == expected
+        return
+    assert type(root) is float and not isinstance(expected, tuple), expected
+    ref = float(expected)
+    assert abs(root - ref) <= 4.0 * math.ulp(ref) or f(root) == 0.0 == f(ref), (a, b, root, ref)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        lambda x, r: x - r,
+        lambda x, r: x**3 - r**3,
+        lambda x, r: math.exp(x) - math.exp(r),
+        lambda x, r: math.tanh(20.0 * (x / r - 1.0)),
+    ],
+    ids=["linear", "cubic", "exp", "tanh"],
+)
+def test_collapse_matches_reference_on_random_brackets(family):
+    rng = np.random.default_rng(23)
+    for _ in range(100):
+        r = float(rng.uniform(0.2, 0.8) * 10.0 ** rng.integers(-3, 2))
+        a, b = r * float(rng.uniform(0.1, 1.0)), r * float(rng.uniform(1.0, 10.0))
+        sign = float(rng.choice([-1.0, 1.0]))
+        _pin(lambda x: sign * family(x, r), a, b)
+
+
+@pytest.mark.parametrize(
+    "f,a,b",
+    [
+        # f(a) = 0 with f < 0 just right of a: brent takes a, the collapse
+        # steps over it to 2.3, and both are exact zeros
+        (lambda x: (x - 1.0) * (x - 2.3), 1.0, 3.0),
+        (lambda x: x - 1.0, 0.0, 2.0),
+        (lambda x: x - 0.375, 0.0, 1.0),
+        (lambda x: x - 1.0, 0.0, 1.0),
+        (lambda x: x * x + 1.0, 0.0, 1.0),  # BracketError from both
+    ],
+    ids=["left-end", "first-midpoint", "later-midpoint", "right-end", "same-sign"],
+)
+def test_collapse_matches_reference_at_bracket_edge_cases(f, a, b):
+    _pin(f, a, b)
+
+
 def test_stream_brent_roots_match_brentq(monkeypatch):
     """Every interior search's root is within 4 ulp of brentq's on the same bracket.
 
@@ -220,3 +279,25 @@ def test_stream_interior_search_budget(monkeypatch):
             counts[op.kind].append(evals[0])
     for kind, n in counts.items():
         assert len(n) > STREAM_OPS // 10 and np.median(n) <= 10, kind
+
+
+def _gap(x):
+    return math.nan if 0.4 < x < 0.6 else x - 0.5
+
+
+def _slow_tail(x):
+    return -math.inf if 0.2 < x < 0.3 else x - 0.25
+
+
+@pytest.mark.parametrize(
+    "f",
+    [
+        _gap,  # NaN at brent's first step and the collapse's first midpoint
+        _slow_tail,  # -inf at brent's first step and the collapse's second midpoint
+        lambda x: np.float64(x * x - 0.09),  # numpy scalars
+    ],
+    ids=["nan-midpoint", "inf-midpoint", "numpy-values"],
+)
+def test_loop_checks_like_reference(f):
+    """NonFiniteError text and the float coercion of f's values, inside the loop."""
+    _pin(f, 0.0, 1.0)
