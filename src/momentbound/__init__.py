@@ -22,7 +22,6 @@ _EXPORTS = {
     "core": "DiscreteDistribution DualCertificate GmpInstance MomentFunction Report "
     "ToleranceSet VerificationReport verify_optimality",
     "exp_moment": "ExpMomentAmbiguity ExpMomentInstance compute_v1 phi solve_exp_moment",
-    "lambertw": "WValue lambert_w_minus1",
     "newsvendor": "NewsvendorInstance OrderDecision optimize_order",
     "oracle": "GridSpec OracleResult RefineOutcome oracle_solve refine_until",
     "partial_moment": "PartialMomentInstance enumerate_family kappa solve_partial_moment",

@@ -1,8 +1,9 @@
 """Worst-case E[(X - q)_+] given the mean and an exponential moment E[exp(t*X)].
 
 Rescaling X to t*X reduces everything to rate 1.  The boundary branch places
-mass on {0, v1} where v1 solves exp(v) = ((Me-1)/M1) * v + 1, obtained
-through the lower Lambert W branch.  Past the branch threshold the lower
+mass on {0, v1} where v1 > 0 solves exp(v) = ((Me-1)/M1) * v + 1, found by
+one ``brent`` search of that equation in a form that does not cancel as v1
+falls to 0.  Past the branch threshold the lower
 support point u is a root of a scalar equation on (0, min(M1, q)), searched
 for in its gap g = t*M1 - u, which keeps full relative precision where u
 rounds to t*M1; the upper point follows from g.  As with the power-moment
@@ -35,7 +36,6 @@ from .errors import (
     RangeError,
     RootBracketError,
 )
-from .lambertw import lambert_w_minus1
 from .rootfind import brent
 
 BOUNDARY = "boundary"
@@ -124,21 +124,40 @@ class ExpMomentInstance(ExpMomentAmbiguity):
         object.__setattr__(self, "q_scaled", self.t * self.q)
 
 
+def _exp_tail(v: float) -> float:
+    """e^v - 1 - v for v >= 0 at full relative precision: its series below 0.5, where expm1 cancels."""
+    if v >= 0.5:
+        return math.expm1(v) - v
+    k, term, tail = 2, 0.5 * v * v, 0.0
+    while tail + term != tail:
+        tail += term
+        k += 1
+        term *= v / k
+    return tail
+
+
 @functools.lru_cache(maxsize=1)
 def compute_v1(m1_scaled: float, Me: float) -> float:
-    """Boundary support point: the positive solution of exp(v) = ((Me-1)/m1)*v + 1.
+    """Boundary support point: the positive solution v1 of exp(v) = ((Me-1)/m1)*v + 1.
 
-    Expressed through the lower Lambert W branch; its argument lies strictly
-    inside (-1/e, 0) whenever Me > exp(m1_scaled).  Kept for the last set: a
-    newsvendor decision's closed-form order, its solves and the oracle grid of
-    one set share one Lambert W.
+    With a = (Me-1)/m1 and b = a - 1 = ((Me-1) - m1)/m1, which is > 0 on every
+    admissible set (a DomainError otherwise), v1 is the root of
+    log1p((e^v - 1 - v)/v) - log1p(b), a form that does not cancel as v1
+    falls to 0.  (e^v - 1)/v lies between e^(v/2) and e^v, so the root lies
+    in [log a, 2*log a], and one ``brent`` search finds it; a root above 700
+    is a RangeError.  Kept for the last set: a newsvendor decision's
+    closed-form order, its solves and the oracle grid of one set share one
+    search.
     """
-    r = m1_scaled / (Me - 1.0)
-    arg = -r * math.exp(-r)
-    v1 = -lambert_w_minus1(arg).w - r
-    if v1 > _EXP_ARG_LIMIT:
-        raise RangeError(f"boundary support point {v1:g} overflows exp()")
-    return v1
+    if not 0.0 < m1_scaled < Me - 1.0:
+        raise DomainError(f"v1 needs 0 < m1_scaled < Me - 1, got {m1_scaled} and Me={Me}")
+    log_a = math.log1p(((Me - 1.0) - m1_scaled) / m1_scaled)
+    f = lambda v: math.log1p(_exp_tail(v) / v) - log_a
+    hi = min(2.0 * log_a, _EXP_ARG_LIMIT)
+    f_hi = f(hi)  # before f(log_a), which is inf where b overflows
+    if f_hi < 0.0:
+        raise RangeError(f"boundary support point above {_EXP_ARG_LIMIT:g} overflows exp()")
+    return brent(f, log_a, hi, f(log_a), f_hi)[0]
 
 
 def phi(y: float, inst: ExpMomentInstance) -> float:
@@ -205,8 +224,14 @@ def _v1_and_threshold(m1: float, me: float) -> tuple[float, float]:
 
 
 def boundary_threshold(inst: ExpMomentInstance) -> float:
-    """Largest q (original units) for which the closed-form branch applies."""
-    return _v1_and_threshold(inst.m1_scaled, inst.Me)[1] / inst.t
+    """Largest q (original units) for which the closed-form branch applies: t*q <= threshold."""
+    t, threshold = inst.t, _v1_and_threshold(inst.m1_scaled, inst.Me)[1]
+    q = threshold / t  # its product with t can round to either side of threshold
+    while t * q > threshold:
+        q = math.nextafter(q, -math.inf)
+    while t * (up := math.nextafter(q, math.inf)) <= threshold:
+        q = up
+    return q
 
 
 def gmp_instance(inst: ExpMomentInstance) -> GmpInstance:
@@ -234,10 +259,15 @@ def _candidate(inst: ExpMomentInstance) -> dict:
         phi0 = phi(0.0, inst)
         if phi0 != 0.0 and not phi0 < 0.0 and qs > threshold * (1.0 + 1e-9) + 1e-12:
             raise RootBracketError(f"phi sign condition failed: phi(0)={phi0}")
-        # q sits at the branch threshold to float resolution, or phi(0)
-        # rounds to 0 and the interior root u = 0 is the boundary law
-        # {0, v1}: the boundary construction is the exact limit either way
-        use_boundary = not phi0 < 0.0
+        # g*phi in the gap g = m1 - u has no pole: it is positive at the
+        # lower end of g's range (at y = qs, or at g = 0 where it is
+        # (Me - e^m1)*(qs + 1 - m1)) and has phi(0)'s sign at g = m1
+        gphi = lambda g: _gap_times_phi(g, inst)
+        g_end = gphi(m1) if phi0 < 0.0 else 0.0
+        # q sits at the branch threshold to float resolution, or phi(0) or
+        # g*phi at g = m1 reads 0 or above, and the interior root u = 0 is the
+        # boundary law {0, v1}: the boundary construction is the exact limit
+        use_boundary = not g_end < 0.0
 
     if use_boundary:
         p_hi = m1 / v1
@@ -246,24 +276,15 @@ def _candidate(inst: ExpMomentInstance) -> dict:
         ev1 = math.exp(v1)
         if v1 < 0.5:
             # e^v1*(v1 - 1) + 1 cancels for small v1: take it as
-            # v1*(e^v1 - 1) - (e^v1 - 1 - v1), the last term as its series
-            k, term, tail = 2, 0.5 * v1 * v1, 0.0
-            while tail + term != tail:
-                tail += term
-                k += 1
-                term *= v1 / k
-            den = v1 * math.expm1(v1) - tail
+            # v1*(e^v1 - 1) - (e^v1 - 1 - v1)
+            den = v1 * math.expm1(v1) - _exp_tail(v1)
         else:
             den = ev1 * (v1 - 1.0) + 1.0
         cert = DualCertificate(z=(-qs / den / t, (den - qs * ev1) / den, qs / den / t))
         branch, root, iters = BOUNDARY, None, 0
     else:
-        # g*phi in the gap g = m1 - u has no pole: it is positive at the
-        # lower end of g's range (at y = qs, or at g = 0 where it is
-        # (Me - e^m1)*(qs + 1 - m1)) and has phi(0)'s sign at g = m1
-        gphi = lambda g: _gap_times_phi(g, inst)
         lo = m1 - min(m1, qs)
-        gap, iters = brent(gphi, lo, m1, gphi(lo), gphi(m1))
+        gap, iters = brent(gphi, lo, m1, gphi(lo), g_end)
         u = m1 - gap
         eu = math.exp(u)
         ratio = eu * gap / (me - eu)

@@ -8,7 +8,7 @@ with q.  The worst case at q* is the two-point law that matches the moments
 with upper mass 1 - eta, and the dual's tangency conditions at its two
 support points give q* in closed form (Scarf 1958 at t = 2).  The
 ambiguity's ``_order_at_mass`` solves for that law once, for mp1e with the
-v1 (one Lambert W) that the solves share through ``compute_v1``'s memo, and
+v1 (one root search) that the solves share through ``compute_v1``'s memo, and
 returns q*; it is 0 where the boundary branch's upper mass is already at most
 1 - eta.
 

@@ -32,6 +32,7 @@ from momentbound.errors import (
     RangeError,
 )
 from momentbound.oracle import _DEGENERATE_RUN, _PIVOT_TOL, _RC_TOL, OPTIMAL, UNBOUNDED
+from momentbound.rootfind import brent
 
 
 class NonDifferentiableError(MomentBoundError):
@@ -150,6 +151,20 @@ def exp_moment_value_50(M1: float, Me: float, t: float, q: float) -> float:
         eu = mp.exp(m1 - g)
         ratio = eu * g / (me - eu)
         return float((1 - ratio) * g / (((qs + 1 - m1) + g - ratio) * t_))
+
+
+def boundary_point_50(m1: float, Me: float) -> float:
+    """The mp1e boundary point v1 at 50 digits, from the rate-scaled float inputs taken as exact.
+
+    v1 > 0 solves (e^v - 1)/v = a = (Me - 1)/m1, which lies between e^(v/2)
+    and e^v, so log a <= v1 <= 2*log a; at 50 digits the equation is searched
+    in its plain form.
+    """
+    with mp.workdps(50):
+        m1_, me = mp.mpf(m1), mp.mpf(Me)
+        log_a = mp.log((me - 1) / m1_)
+        f = lambda v: mp.log(mp.expm1(v) / v) - log_a
+        return float(mp.findroot(f, (log_a, 2 * log_a), solver="anderson"))
 
 
 def verified_order_search(inst) -> tuple[float, float, int]:
@@ -609,3 +624,66 @@ def reference_bisect(
         else:
             a = c
 
+
+# The package's real Lambert W on its lower branch, the solution w <= -1 of
+# w * exp(w) = x on [-1/e, 0), as it gave the mp1e boundary point
+# v1 = -W_-1(-r*e^-r) - r, r = m1/(Me - 1), before v1 was searched in its own
+# equation.  An asymptotic initial guess is refined by Halley steps, with a
+# bracketed search as fallback.
+
+BRANCH_POINT = -math.exp(-1.0)  # -1/e, where the two real branches meet
+
+_BRANCH_WINDOW = 1e-12  # inputs this close to -1/e return w = -1 outright
+_REL_STEP_TOL = 1e-15
+_MAX_HALLEY = 100
+
+
+@dataclass(frozen=True)
+class WValue:
+    w: float
+    residual: float  # |w * exp(w) - x|
+
+
+def _residual(w: float, x: float) -> float:
+    return abs(w * math.exp(w) - x)
+
+
+def _halley(x: float, w: float) -> float:
+    """Iterate w <- w - f/(f' - f*f''/(2f')) for f(w) = w e^w - x."""
+    for _ in range(_MAX_HALLEY):
+        if w == -1.0:
+            break  # derivative vanishes at the branch point
+        e = math.exp(w)
+        fw = w * e - x
+        denom = e * (w + 1.0) - (w + 2.0) * fw / (2.0 * (w + 1.0))
+        if denom == 0.0:
+            break
+        step = fw / denom
+        w_next = w - step
+        if not math.isfinite(w_next):
+            break
+        if abs(step) <= _REL_STEP_TOL * max(abs(w_next), 1e-300):
+            return w_next
+        w = w_next
+    return w
+
+
+def lambert_w_minus1(x: float) -> WValue:
+    """Lower real branch: the solution w <= -1 of w * exp(w) = x, x in [-1/e, 0)."""
+    if not (BRANCH_POINT <= x < 0.0):
+        raise DomainError(f"W_-1 needs x in [-1/e, 0), got {x}")
+    if x <= BRANCH_POINT + _BRANCH_WINDOW:
+        return WValue(w=-1.0, residual=_residual(-1.0, x))
+
+    lx = math.log(-x)  # < -1 on this domain
+    w = lx - math.log(-lx)
+    w = _halley(x, w)
+    if not (w <= -1.0 and _residual(w, x) <= 1e-13 * max(1.0, abs(x))):
+        # Halley drifted toward the upper branch or stalled; fall back to a
+        # guaranteed bracket: g(-1) < 0, and g(lo) > 0 as lo is below the bound
+        # W_-1(x) > -1 - sqrt(2u) - u, u = -1 - lx (Chatzigeorgiou 2013).
+        lo = min(2.0 * (lx - math.log(-lx)), -2.0)
+        g = lambda v: v * math.exp(v) - x
+        w = _halley(x, brent(g, lo, -1.0, g(lo), g(-1.0))[0])
+        w = min(w, -1.0)
+    return WValue(w=w, residual=_residual(w, x))

@@ -23,7 +23,6 @@ from momentbound.exp_moment import (
     phi,
     solve_exp_moment,
 )
-from momentbound.lambertw import BRANCH_POINT, lambert_w_minus1
 from momentbound.newsvendor import NewsvendorInstance, optimize_order
 from momentbound.oracle import GridSpec, refine_until
 from momentbound.partial_moment import (
@@ -38,7 +37,14 @@ from momentbound.power_moment import (
     gmp_instance as power_gmp,
     solve_power_moment,
 )
-from references import ExponentialDemand, scarf_value, theta, worst_case_objective
+from references import (
+    BRANCH_POINT,
+    ExponentialDemand,
+    lambert_w_minus1,
+    scarf_value,
+    theta,
+    worst_case_objective,
+)
 
 T_VALUES = [1.5, 2.0, 2.5, 3.0, 5.0, math.pi]
 

@@ -35,13 +35,12 @@ GOLDEN_MP1T = (
 GOLDEN_MP1E_BOUNDARY = (
     '{"problem": "mp1e", "optimal_value": 0.6673247154461621, '
     '"distribution": [{"x": 0.0, "p": 0.6673247154461621}, '
-    '{"x": 3.0059341539036604, "p": 0.3326752845538378}], '
-    '"dual": [-0.02407894197689184, 0.5134830043529041, 0.02407894197689184], '
+    '{"x": 3.00593415390366, "p": 0.3326752845538379}], '
+    '"dual": [-0.024078941976891862, 0.513483004352904, 0.024078941976891862], '
     '"branch": "boundary", "root": null, "iterations": 0, '
-    '"verification": {"primal_residual": 8.881784197001252e-16, '
-    '"slack_residual": 1.6653345369377348e-16, '
-    '"tangent_residual": 5.551115123125783e-17, '
-    '"dual_min_on_grid": -1.6653345369377348e-16, "duality_gap": 0.0, '
+    '"verification": {"primal_residual": 2.6645352591003757e-15, '
+    '"slack_residual": 0.0, "tangent_residual": 0.0, '
+    '"dual_min_on_grid": 0.0, "duality_gap": 0.0, '
     '"passed": true}, "verified": true, "timing_ms": 0.0}'
 )
 

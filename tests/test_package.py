@@ -68,6 +68,17 @@ def test_library_solve_loads_its_modules_alone():
     assert _loaded_after(code) == SOLVE_MODULES
 
 
+def test_mp1e_library_solve_loads_its_modules_alone():
+    code = "import momentbound as mb; mb.solve_exp_moment(mb.ExpMomentInstance(M1=1, Me=7.5, t=1, q=1))"
+    assert _loaded_after(code) == ["core", "errors", "exp_moment", "rootfind"]
+
+
+def test_module_table_names_the_module_files():
+    # a stale entry would surface only as a ModuleNotFoundError on lookup
+    package = Path(momentbound.__file__).resolve().parent
+    assert momentbound._MODULES == {path.stem for path in package.glob("*.py")} - {"__init__"}
+
+
 def test_newsvendor_decision_loads_its_ambiguity_alone():
     code = (
         "import momentbound as mb; "
