@@ -16,10 +16,17 @@ Slackness and the sign condition pass within a float-error allowance
 proportional to S(x) = |g(x)| + sum |z_i h_i(x)|, the size of the terms
 that cancel in H(x) (see ``ToleranceSet``); the residuals are reported raw.
 One scalar pass evaluates every function once per support point and every
-term of H once per candidate minimum, with the family dispatch on a small
-integer code.  ``certify`` is the step every public solve ends with: it
-turns a solver's unverified candidate into a ``Report``, the one answer
-type of all three problems, which carries its verification.
+term of H once per candidate minimum.  The pass is compiled once per shape
+of an instance (the sense and the families of g and the h_i; ``_source``)
+into straight-line code, its terms unrolled in a fixed order, and cached
+(``_plan``).  The shape alone writes the code: the instance's parameters,
+duals and support arrive as arguments.  Each residual is the float that
+plain scalar code gives, signed zeros, NaN and -inf included; the tests pin
+this against ``tests/references.exact_residuals`` on every shape of up to
+three moment functions after h_0.  ``certify`` is the step every public
+solve ends with: it turns a solver's unverified candidate into a
+``Report``, the one answer type of all three problems, which carries its
+verification.
 
 The sign condition is decided exactly, not sampled.  Every function is one
 of the families built here (``constant``, ``monomial``, ``positive_part``,
@@ -38,6 +45,7 @@ with DomainError: a sampled scan could only pass it without proof.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Any
@@ -104,16 +112,25 @@ class DiscreteDistribution:
     def __post_init__(self) -> None:
         if not self.points:
             raise DomainError("distribution needs at least one support point")
-        xs = [x for x, _ in self.points]
-        ps = [p for _, p in self.points]
-        if any(x < 0.0 for x in xs):
+        negative = unsorted = nonpositive = False  # raised in this order
+        last = -math.inf
+        for x, p in self.points:
+            if x < 0.0:
+                negative = True
+            if x <= last:
+                unsorted = True
+            if p <= 0.0:
+                nonpositive = True
+            last = x
+        if negative:
             raise DomainError("support points must be nonnegative")
-        if any(b <= a for a, b in zip(xs, xs[1:])):
+        if unsorted:
             raise DomainError("support points must be strictly increasing")
-        if any(p <= 0.0 for p in ps):
+        if nonpositive:
             raise DomainError("probabilities must be strictly positive")
-        if abs(math.fsum(ps) - 1.0) > 1e-12:
-            raise DomainError(f"probabilities sum to {math.fsum(ps)!r}, not 1")
+        total = math.fsum([p for _, p in self.points])
+        if abs(total - 1.0) > 1e-12:
+            raise DomainError(f"probabilities sum to {total!r}, not 1")
 
     @property
     def xs(self) -> tuple[float, ...]:
@@ -207,79 +224,246 @@ def _power(x: float, p: float) -> float:
         return math.inf
 
 
-def _exp(y: float) -> float:
-    try:
-        return math.exp(y)
-    except OverflowError:
-        return math.inf
+# What each family contributes to a verification pass, indexed by family
+# code.  {k} is the function's index in its shape, 0 for g (coefficient c0 =
+# -1) and i for h_i (coefficient c{i} = z_i), and p{k} is its parameter.
+# _VALUE sets v{k} = f(x) (squared_positive_part keeps u{k} = (x - p)_+ for
+# its slope), _SLOPE is f'(x) at a tangent support point, _PIECE adds f's
+# share to H' = alpha + beta*x on the piece starting at a, and _CURVED says
+# when f is the nonlinear term psi of H' = alpha + beta*x + gamma*psi'(x).
+# A constant's slope term c*0.0 is a signed zero, c being finite, so it adds
+# nothing to a sum that starts at +0.0, and it is left out.
+_VALUE = (
+    ("v{k} = 1.0",),
+    (
+        "if p{k} == 1.0:",
+        "    v{k} = x",
+        "else:",
+        "    try:",
+        "        v{k} = x ** p{k}",
+        "    except OverflowError:",
+        "        v{k} = inf",
+    ),
+    ("v{k} = x - p{k}", "if v{k} < 0.0:  # max(x - p, 0.0), NaN and -0.0 kept", "    v{k} = 0.0"),
+    ("u{k} = x - p{k}", "if u{k} < 0.0:", "    u{k} = 0.0", "v{k} = u{k} ** 2"),
+    ("try:", "    v{k} = exp(p{k} * x)", "except OverflowError:", "    v{k} = inf"),
+)
+_SLOPE = (
+    None,
+    "1.0 if p{k} == 1.0 else p{k} * _power(x, p{k} - 1.0)",
+    "1.0 if x > p{k} else 0.0",
+    "2.0 * u{k}",
+    "p{k} * v{k}",
+)
+_PIECE = (
+    (),
+    ("if p{k} == 1.0:", "    alpha += c{k}", "elif p{k} == 2.0:", "    beta += 2.0 * c{k}"),
+    ("if a >= p{k}:", "    alpha += c{k}"),
+    ("if a >= p{k}:", "    alpha -= 2.0 * c{k} * p{k}", "    beta += 2.0 * c{k}"),
+    (),
+)
+_CURVED = (None, "p{k} != 1.0 and p{k} != 2.0", None, None, "p{k} > 0.0")
+# the refusals, as f-string literals of the pass
+_DECAYING = 'f"cannot decide H >= 0 with the decaying exponential e^({{p{k}:g}}x)"'
+_TWO_CURVES = '"cannot decide H >= 0: two nonlinear terms in H\'"'
+_TWO_CURVES_PAST = 'f"cannot decide H >= 0: two nonlinear terms in H\' past x = {a:g}"'
 
 
-def _largest(values) -> float:
-    """max |v| (0 when there are none), NaN as soon as any v is NaN."""
-    out = 0.0
-    for v in values:
-        a = abs(v)
-        if a != a:
-            return a
-        if a > out:
-            out = a
-    return out
+def _source(sense: str, g: str, *hs: str) -> str:
+    """The verification pass of one shape, as the source of a function ``run``.
 
-
-def _critical_points(
-    terms: list[tuple[float, int, float]], starts: list[float], sign: float
-) -> tuple[list[float], bool]:
-    """Where sign*H can reach its minimum over [0, inf), for H = sum of c*f over terms.
-
-    ``terms`` holds (c, family code, param) triples and ``starts`` the sorted
-    piece starts: 0 and every positive kink and knot.  Returns the piece
-    ends and the stationary point of every piece, plus whether sign*H falls
-    without bound as x -> inf or reaches its minimum beyond float range.
-    Raises DomainError when an exponential decays or when H' on some piece
-    has more than one nonlinear term: the stationary points then have no
-    closed form, and sampling H would prove nothing.
+    A shape is the sense and the families of g and of the h_i.  The text is
+    built from the family tables above alone: every parameter, dual, target
+    moment, support point and tolerance is an argument of ``run``, read
+    when it runs.  ``run`` evaluates the terms of H one by one in a fixed
+    order, g first, so each residual is the float that plain scalar code
+    gives (pinned against ``tests/references.exact_residuals``).
     """
-    nonlinear: dict[tuple[int, float], float] = {}
-    for c, code, p in terms:
-        if code == _EXPONENTIAL and p < 0.0:
-            raise DomainError(f"cannot decide H >= 0 with the decaying exponential e^({p:g}x)")
-        if code == _MONOMIAL and p != 1.0 and p != 2.0 or code == _EXPONENTIAL and p > 0.0:
-            nonlinear[code, p] = nonlinear.get((code, p), 0.0) + c
-    curved = [(key, gamma) for key, gamma in nonlinear.items() if gamma != 0.0]
-    if len(curved) > 1:
-        raise DomainError("cannot decide H >= 0: two nonlinear terms in H'")
+    codes = [_CODE[g], *(_CODE[h] for h in hs)]
+    ks = range(len(codes))
+    out: list[str] = []
 
-    points = list(starts)
-    for a, b in zip(starts, starts[1:] + [math.inf]):
-        # H' = alpha + beta*x + gamma*psi'(x) on (a, b)
-        alpha = beta = 0.0
-        for c, code, p in terms:
-            if code == _MONOMIAL and p == 1.0 or code == _KINK and a >= p:
-                alpha += c
-            elif code == _MONOMIAL and p == 2.0:
-                beta += 2.0 * c
-            elif code == _SQUARED and a >= p:
-                alpha -= 2.0 * c * p
-                beta += 2.0 * c
-        if curved:
-            if beta != 0.0:
-                raise DomainError(f"cannot decide H >= 0: two nonlinear terms in H' past x = {a:g}")
-            (code, p), gamma = curved[0]
-            ratio = -alpha / gamma / p  # x^(p-1) or e^(px) at the stationary point
-            if not ratio > 0.0:
-                continue
-            x = _power(ratio, 1.0 / (p - 1.0)) if code == _MONOMIAL else math.log(ratio) / p
-        elif beta != 0.0:
-            x = -alpha / beta
-        else:
-            continue
-        if x == math.inf == b:
-            return points, True
-        if a < x < b:
-            points.append(x)
+    def emit(depth: int, lines, k: int | None = None) -> None:
+        out.extend("    " * depth + (line if k is None else line.format(k=k)) for line in lines)
+
+    def term(depth: int, k: int, lines) -> None:
+        """lines for function k as a term of H: g always, h_k where z_k is not 0."""
+        if k:
+            emit(depth, ["if c{k} != 0.0:"], k)
+        emit(depth + bool(k), lines, k)
+
+    def largest(depth: int, name: str, value: str) -> None:
+        """name = max(name, |value|), NaN once any |value| is NaN."""
+        emit(depth, [f"r = abs({value})", f"if r > {name} or r != r:", f"    {name} = r"])
+
+    def signed(depth: int) -> None:
+        """sign*H into the minimum and the dual-feasibility verdict."""
+        emit(
+            depth,
+            (["h = -h"] if sense == "min" else [])
+            + [
+                "if h < dual_min:  # min(), first of equals kept; -inf once any is NaN",
+                "    dual_min = h",
+                "elif h != h:",
+                "    dual_min = -inf",
+                "if not h >= -(dual + allowance):",
+                "    fits = False",
+            ],
+        )
+
+    add = ["cv = c{k} * v{k}", "h += cv", "size += cv if cv > 0.0 else -cv"]
+    names = ", ".join("_" if codes[k] == _CONSTANT else f"h{k}" for k in ks[1:])
+    emit(0, ["def run(g, hs, ms, points, zs, tol):", "    c0 = -1.0", f"    ({names},) = hs"])
+    for k in ks:
+        if codes[k] != _CONSTANT:
+            emit(1, ["p{k} = " + ("g" if k == 0 else "h{k}") + ".param"], k)
+    emit(1, [f"({', '.join(f'm{k}' for k in ks[1:])},) = ms"])
+    emit(1, [f"({', '.join(f'c{k}' for k in ks[1:])},) = zs"])
+
+    # the candidate minima of sign*H: the piece starts, and the stationary
+    # point of each piece (see the module docstring)
+    curving = [k for k in ks if _CURVED[codes[k]]]
+    if curving:
+        emit(1, ["nonlinear = {}"])
+        for k in curving:
+            decays = ["if p{k} < 0.0:", "    raise DomainError(" + _DECAYING + ")"]
+            key = f"({codes[k]}, p{{k}})"
+            add_curve = [
+                f"if {_CURVED[codes[k]]}:",
+                f"    nonlinear[{key}] = nonlinear.get({key}, 0.0) + c{{k}}",
+            ]
+            term(1, k, (decays if codes[k] == _EXPONENTIAL else []) + add_curve)
+        emit(
+            1,
+            [
+                "curved = [(key, gamma) for key, gamma in nonlinear.items() if gamma != 0.0]",
+                "if len(curved) > 1:",
+                "    raise DomainError(" + _TWO_CURVES + ")",
+                "if curved:",
+                "    (code, pc), gamma = curved[0]",
+            ],
+        )
+    kinked = [f"p{k}" for k in ks if codes[k] in (_KINK, _SQUARED)]
+    if len(kinked) > 1:
+        emit(1, [f"starts = sorted({{0.0, *[p for p in ({', '.join(kinked)}) if p > 0.0]}})"])
+    elif kinked:
+        emit(1, [f"starts = [0.0, {kinked[0]}] if {kinked[0]} > 0.0 else [0.0]"])
+    else:
+        emit(1, ["starts = [0.0]"])
+    emit(
+        1,
+        [
+            "crit = list(starts)",
+            "unbounded = False",
+            "for a, b in zip(starts, starts[1:] + [inf]):",
+            "    alpha = beta = 0.0",
+        ],
+    )
+    for k in ks:
+        if _PIECE[codes[k]]:
+            term(2, k, _PIECE[codes[k]])
+    if curving:
+        emit(
+            2,
+            [
+                "if curved:",
+                "    if beta != 0.0:",
+                "        raise DomainError(" + _TWO_CURVES_PAST + ")",
+                "    ratio = -alpha / gamma / pc  # x^(p-1) or e^(px) at the stationary point",
+                "    if not ratio > 0.0:",
+                "        continue",
+                f"    if code == {_MONOMIAL}:",
+                "        x = _power(ratio, 1.0 / (pc - 1.0))",
+                "    else:",
+                "        x = log(ratio) / pc",
+                "elif beta != 0.0:",
+            ],
+        )
+    else:
+        emit(2, ["if beta != 0.0:"])
+    emit(
+        2,
+        [
+            "    x = -alpha / beta",
+            "else:",
+            "    continue",
+            "if x == inf == b:",
+            "    unbounded = True",
+            "    break",
+            "if a < x < b:",
+            "    crit.append(x)",
+        ],
+    )
     # the leading term of the last piece decides the limit at infinity
-    lead = curved[0][1] if curved else (beta or alpha)
-    return points, sign * lead < 0.0
+    lead = "(gamma if curved else beta or alpha)" if curving else "(beta or alpha)"
+    emit(1, ["else:", f"    unbounded = {lead} {'>' if sense == 'min' else '<'} 0.0"])
+
+    # the support: moment rows, slackness and tangency; then sign*H everywhere
+    emit(
+        1,
+        [
+            "slack, dual, rounding = tol.slack, tol.dual, tol.gamma",
+            " = ".join(f"e{k}" for k in ks) + " = 0.0  # E[g], then E[h_i]",
+            "slack_res = tangent_res = 0.0",
+            "dual_min = inf",
+            "fits = not unbounded",
+            "for x, pj in points:",
+            "    h = -0.0  # H starts from -g(x) on the support, 0 - g(x) elsewhere",
+            "    size = 0.0",
+        ],
+    )
+    for k in ks:
+        emit(2, [*_VALUE[codes[k]], "e{k} += v{k} * pj"], k)
+        term(2, k, add)
+    snaps = "".join(f" and abs(x - p{k}) > _NONDIFF_SNAP" for k in ks if codes[k] == _KINK)
+    emit(2, [f"if x > 0.0{snaps}:", "    d = 0.0"])
+    for k in ks:
+        if _SLOPE[codes[k]]:
+            term(3, k, ["d += c{k} * (" + _SLOPE[codes[k]] + ")"])
+    largest(3, "tangent_res", "d")
+    emit(2, ["allowance = rounding * size"])
+    largest(2, "slack_res", "h")
+    emit(2, ["if not r <= slack + allowance:", "    fits = False"])
+    signed(2)
+    emit(1, ["for x in crit:", "    h = 0.0", "    size = 0.0"])
+    for k in ks:
+        term(2, k, [*_VALUE[codes[k]], *add])
+    emit(2, ["allowance = rounding * size"])
+    signed(2)
+
+    emit(1, ["primal = 0.0"])
+    for k in ks[1:]:
+        largest(1, "primal", f"e{k} - m{k}")
+    emit(
+        1,
+        [
+            f"dual_value = sum(({', '.join(f'c{k} * m{k}' for k in ks[1:])},))",
+            "passed = (",
+            f"    primal <= tol.primal * max(1.0, {', '.join(f'abs(m{k})' for k in ks[1:])})",
+            "    and fits",
+            "    and tangent_res <= tol.tangent",
+            "    and abs(e0 - dual_value) <= tol.gap * max(1.0, abs(e0))",
+            ")",
+            "dual_min = -inf if unbounded else dual_min",
+            "return primal, slack_res, tangent_res, dual_min, e0, dual_value, passed",
+        ],
+    )
+    return "\n".join(out) + "\n"
+
+
+@functools.lru_cache(maxsize=64)
+def _plan(sense: str, g: str, *hs: str):
+    """The compiled verification pass of one shape; see ``_source``."""
+    namespace = {
+        "inf": math.inf,
+        "exp": math.exp,
+        "log": math.log,
+        "_power": _power,
+        "_NONDIFF_SNAP": _NONDIFF_SNAP,
+        "DomainError": DomainError,
+    }
+    exec(compile(_source(sense, g, *hs), "<momentbound verification pass>", "exec"), namespace)
+    return namespace["run"]
 
 
 def _exact_residuals(
@@ -290,75 +474,12 @@ def _exact_residuals(
     Each function is evaluated once per support point, and each term of H
     once per critical point; that pass yields the moment rows, H, H', S and
     E[g].  Returns the primal, slack and tangent residuals, the minimum of
-    sign*H, the primal and dual values, and whether H meets slackness and
-    dual feasibility within ``tol``'s float-error allowance.
+    sign*H, the primal and dual values, and whether the pair passes
+    ``tol`` (slackness and dual feasibility within its float-error
+    allowance).  The pass is compiled once per shape of ``inst`` (``_plan``).
     """
-    fs = [(-1.0, _CODE[inst.g.family], inst.g.param)]
-    fs += [(z, _CODE[h.family], h.param) for z, h in zip(cert.z, inst.hs)]
-    terms = [f for f in fs if f[0] != 0.0]
-    kinks = [p for _, code, p in fs if code == _KINK]
-    starts = sorted({0.0, *(p for _, code, p in fs if code in (_KINK, _SQUARED) and p > 0.0)})
-    sign = 1.0 if inst.sense == "max" else -1.0
-    points, unbounded = _critical_points(terms, starts, sign)
-
-    ps = [p for _, p in dist.points]
-    n = len(ps)
-    gamma, slack, dual = tol.gamma, tol.slack, tol.dual
-    sums = [0.0] * len(fs)  # E[g], then E[h_i]
-    h_xs, slopes = [], []
-    dual_min = math.inf
-    fits = not unbounded
-    for j, x in enumerate([x for x, _ in dist.points] + points):
-        support = j < n
-        tangent = support and x > 0.0 and all(abs(x - k) > _NONDIFF_SNAP for k in kinks)
-        h = -0.0 if support else 0.0  # H starts from -g(x) on the support, 0 - g(x) elsewhere
-        s = d = 0.0
-        for i, (c, code, p) in enumerate(fs if support else terms):
-            if code == _MONOMIAL:
-                if p == 1.0:
-                    v, slope = x, 1.0
-                else:
-                    v = _power(x, p)
-                    slope = p * _power(x, p - 1.0) if tangent else 0.0
-            elif code == _EXPONENTIAL:
-                v = _exp(p * x)
-                slope = p * v
-            elif code == _CONSTANT:
-                v, slope = 1.0, 0.0
-            else:
-                u = x - p
-                if u < 0.0:  # max(x - p, 0.0), NaN and -0.0 kept
-                    u = 0.0
-                v, slope = (u, 1.0 if x > p else 0.0) if code == _KINK else (u**2, 2.0 * u)
-            if support:
-                sums[i] += v * ps[j]
-            if c != 0.0:
-                cv = c * v
-                h += cv
-                s += cv if cv > 0.0 else -cv
-                d += c * slope
-        allowance = gamma * s
-        if support:
-            h_xs.append(h)
-            fits = fits and abs(h) <= slack + allowance
-            if tangent:
-                slopes.append(d)
-        h *= sign
-        if h < dual_min:  # min(), first of equals kept; -inf once any is NaN
-            dual_min = h
-        elif h != h:
-            dual_min = -math.inf
-        fits = fits and h >= -(dual + allowance)
-
-    return (
-        _largest([e - m for e, m in zip(sums[1:], inst.ms)]),
-        _largest(h_xs),
-        _largest(slopes),
-        -math.inf if unbounded else dual_min,
-        sums[0],
-        sum(z * m for z, m in zip(cert.z, inst.ms)),
-        fits,
-    )
+    run = _plan(inst.sense, inst.g.family, *[h.family for h in inst.hs])
+    return run(inst.g, inst.hs, inst.ms, dist.points, cert.z, tol)
 
 
 def verify_optimality(
@@ -381,25 +502,15 @@ def verify_optimality(
     if len(cert.z) != len(inst.hs):
         raise DimensionError(f"certificate length {len(cert.z)} vs {len(inst.hs)} functions")
 
-    primal_residual, slack_residual, tangent_residual, dual_min, primal_value, dual_value, fits = (
-        _exact_residuals(inst, dist, cert, tol)
-    )
-    duality_gap = abs(primal_value - dual_value)
-
-    m_scale = max(1.0, max(abs(m) for m in inst.ms))
-    v_scale = max(1.0, abs(primal_value))
-    passed = (
-        primal_residual <= tol.primal * m_scale
-        and fits
-        and tangent_residual <= tol.tangent
-        and duality_gap <= tol.gap * v_scale
+    primal, slack, tangent, dual_min, primal_value, dual_value, passed = _exact_residuals(
+        inst, dist, cert, tol
     )
     return VerificationReport(
-        primal_residual=primal_residual,
-        slack_residual=slack_residual,
-        tangent_residual=tangent_residual,
+        primal_residual=primal,
+        slack_residual=slack,
+        tangent_residual=tangent,
         dual_min_on_grid=dual_min,
-        duality_gap=duality_gap,
+        duality_gap=abs(primal_value - dual_value),
         passed=passed,
         primal_value=primal_value,
         dual_value=dual_value,

@@ -234,11 +234,14 @@ def boundary_threshold(inst: ExpMomentInstance) -> float:
     return q
 
 
+_MASS_AND_MEAN = (core.constant(), core.monomial(1.0))  # h_0 and h_1 of every instance
+
+
 def gmp_instance(inst: ExpMomentInstance) -> GmpInstance:
     """The generic moment problem this instance describes."""
     return GmpInstance(
         g=core.positive_part(inst.q),
-        hs=(core.constant(), core.monomial(1.0), core.exponential(inst.t)),
+        hs=(*_MASS_AND_MEAN, core.exponential(inst.t)),
         ms=(1.0, inst.M1, inst.Me),
         sense="max",
     )

@@ -92,6 +92,11 @@ def kappa(inst: PartialMomentInstance) -> float:
     return math.sqrt(radicand)
 
 
+# g and the h_i are the same for every instance; only the targets vary
+_OBJECTIVE = core.squared_positive_part(1.0)
+_MOMENTS = (core.constant(), core.monomial(1.0), core.monomial(2.0), core.positive_part(1.0))
+
+
 def gmp_instance(inst: PartialMomentInstance) -> GmpInstance:
     """The generic moment problem this instance describes.
 
@@ -99,13 +104,8 @@ def gmp_instance(inst: PartialMomentInstance) -> GmpInstance:
     is that expectation minus Mplus^2.
     """
     return GmpInstance(
-        g=core.squared_positive_part(1.0),
-        hs=(
-            core.constant(),
-            core.monomial(1.0),
-            core.monomial(2.0),
-            core.positive_part(1.0),
-        ),
+        g=_OBJECTIVE,
+        hs=_MOMENTS,
         ms=(1.0, inst.M1, inst.gamma * inst.M1**2, inst.Mplus),
         sense="min",
     )

@@ -142,8 +142,24 @@ def _upper_point_at_mass(p: float, inst: PowerMomentInstance, edge: float) -> fl
 
 def boundary_threshold(inst: PowerMomentInstance) -> float:
     """Largest q (original units) for which the closed-form branch applies."""
-    t = inst.t
-    return inst.M1 * (t - 1.0) / t * inst.edge_scaled
+    M1, t, edge = inst.M1, inst.t, inst.edge_scaled
+    q = M1 * (t - 1.0) / t * edge  # can round to either side of the branch's last order
+    while not _takes_boundary(q / M1, t, edge):
+        q = math.nextafter(q, -math.inf)
+    while (up := math.nextafter(q, math.inf)) < math.inf and _takes_boundary(up / M1, t, edge):
+        q = up
+    return q
+
+
+def _takes_boundary(qs: float, t: float, edge: float) -> bool:
+    """Whether ``_candidate`` answers with the closed form at the scaled order qs.
+
+    It does at or below the branch threshold (t-1)/t * edge, and where psi's
+    bracket (max(edge, qs), t*qs/(t-1)) is empty: there q sits at the
+    threshold to float resolution, and the boundary construction is the
+    exact limit.
+    """
+    return qs <= (t - 1.0) / t * edge or t * qs / (t - 1.0) <= max(edge, qs)
 
 
 def _stable_power_gap(v: float, inst: PowerMomentInstance, edge: float) -> float:
@@ -211,11 +227,14 @@ def _psi(y: float, inst: PowerMomentInstance, edge: float) -> float:
     return (y - c) + c * r * (((c / y) * gap / d) ** (t - 1.0) / d)
 
 
+_MASS_AND_MEAN = (core.constant(), core.monomial(1.0))  # h_0 and h_1 of every instance
+
+
 def gmp_instance(inst: PowerMomentInstance) -> GmpInstance:
     """The generic moment problem this instance describes."""
     return GmpInstance(
         g=core.positive_part(inst.q),
-        hs=(core.constant(), core.monomial(1.0), core.monomial(inst.t)),
+        hs=(*_MASS_AND_MEAN, core.monomial(inst.t)),
         ms=(1.0, inst.M1, inst.Mt),
         sense="max",
     )
@@ -251,12 +270,7 @@ def _candidate(inst: PowerMomentInstance) -> dict:
     M1, t = inst.M1, inst.t
     mt, qs = inst.mt_scaled, inst.q_scaled
     edge = inst.edge_scaled
-    # psi's root lies in (a, b) past the branch threshold; b <= a only where
-    # q sits at the threshold to float resolution, and there the boundary
-    # construction is the exact limit
-    a, b = max(edge, qs), t * qs / (t - 1.0)
-
-    if qs <= (t - 1.0) / t * edge or b <= a:
+    if _takes_boundary(qs, t, edge):
         p_hi = 1.0 / edge
         value = M1 * (1.0 - qs / edge)
         upper = M1 * edge
@@ -275,6 +289,7 @@ def _candidate(inst: PowerMomentInstance) -> dict:
         cert = DualCertificate(z=(0.0, z1, zt / M1 ** (t - 1.0)))
         return dict(value=value, dist=dist, cert=cert, branch=BOUNDARY, root=None, bisect_iters=0)
 
+    a, b = max(edge, qs), t * qs / (t - 1.0)  # psi's root lies in (a, b)
     psi = lambda y: _psi(y, inst, edge)
     try:
         fb = psi(b)

@@ -20,7 +20,6 @@ from momentbound.core import (
     GmpInstance,
     MomentFunction,
     VerificationReport,
-    _exp,
     _power,
 )
 from momentbound.errors import (
@@ -376,6 +375,13 @@ def nondiff_points(inst) -> tuple[float, ...]:
 # evaluated through a dispatch on its family name, the kinks rebuilt per
 # use, H summed once per kind of point.  The package's pass must return the
 # same residuals, bit for bit, signed zeros, NaN and -inf included.
+
+
+def _exp(y: float) -> float:
+    try:
+        return math.exp(y)
+    except OverflowError:
+        return math.inf
 
 
 def _value(f: MomentFunction, x: float) -> float:

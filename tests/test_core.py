@@ -1,11 +1,14 @@
 """Domain types and the generic optimality verifier."""
 
+import io
+import json
 import math
+import tokenize
 
 import numpy as np
 import pytest
 
-from momentbound import core
+from momentbound import cli, core
 from momentbound.core import (
     DiscreteDistribution,
     DualCertificate,
@@ -389,3 +392,47 @@ def test_every_answer_is_a_report_verified_once(answer, monkeypatch):
     assert len(verifications) == len(reports)
     assert all(r.verification is v for r, v in zip(reports, verifications))
     assert all(v.passed for v in verifications)
+
+
+def test_compiled_passes_are_one_per_shape(tmp_path, monkeypatch, capsys):
+    """The pass cache is bounded, holds one pass per shape, and its text holds no instance value."""
+    real, sources = core._source, []
+
+    def record(*shape):
+        sources.append(real(*shape))
+        return sources[-1]
+
+    monkeypatch.setattr(core, "_source", record)
+    core._plan.cache_clear()
+    for answer in ANSWERS[:6]:  # boundary and interior mp1t and mp1e, both upm branches
+        answer.values[0]()
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps({"problem": "mp1e", "params": {"M1": 1, "Me": E2, "t": 1, "q": 5}}))
+    assert cli.main(["check", str(path)]) == cli.EXIT_OK
+    capsys.readouterr()
+    info = core._plan.cache_info()
+    assert info.maxsize is not None and info.currsize == info.misses == len(sources) == 3
+
+    rng = np.random.default_rng(28)
+    for i in range(1000):
+        q = float(rng.uniform(0.5, 6.0))
+        if i % 3 == 0:
+            report = solve_power_moment(PowerMomentInstance(1.0, 4.0, 2.0, q))
+        elif i % 3 == 1:
+            report = solve_exp_moment(ExpMomentInstance(1.0, E2, 1.0, q))
+        else:
+            report = solve_partial_moment(PartialMomentInstance(0.5, 2.0 + (q - 0.5) / 2.75, 0.1))
+        assert report.verification.passed
+    assert core._plan.cache_info()[1:] == (info.misses, info.maxsize, info.currsize)
+
+    # numbers in the text are the family codes and the constants of H's
+    # arithmetic; every string is one of the refusals' messages
+    numbers, strings = set(), set()
+    for text in sources:
+        for token in tokenize.generate_tokens(io.StringIO(text).readline):
+            if token.type == tokenize.NUMBER:
+                numbers.add(token.string)
+            elif token.type == tokenize.STRING:
+                strings.add(token.string)
+    assert numbers <= {"0", "1", "2", "3", "4", "0.0", "1.0", "2.0"}
+    assert all(s.startswith(("f\"cannot decide H >= 0", "\"cannot decide H >= 0")) for s in strings)

@@ -106,6 +106,23 @@ class TestBoundaryThreshold:
             PowerMomentInstance(M1=2.0, Mt=32.0, t=2.0, q=1.0)
         ) == pytest.approx(8.0, abs=1e-12)
 
+    def test_threshold_is_the_largest_order_of_the_boundary_branch(self):
+        # M1*(t-1)/t*edge rounds to either side of the solver's own branch test
+        rng = np.random.default_rng(5)
+        for i in range(4000):
+            t = _T_VALUES[i % len(_T_VALUES)]
+            M1 = float(rng.uniform(0.5, 5.0))
+            probe = PowerMomentInstance(M1=M1, Mt=float(rng.uniform(1.05, 3.0)) * M1**t, t=t, q=M1)
+            q = boundary_threshold(probe)
+            at = solve_power_moment(PowerMomentInstance(M1=M1, Mt=probe.Mt, t=t, q=q))
+            up = math.nextafter(q, math.inf)
+            above = solve_power_moment(PowerMomentInstance(M1=M1, Mt=probe.Mt, t=t, q=up))
+            assert (at.branch, above.branch) == (power_moment.BOUNDARY, power_moment.INTERIOR), (
+                M1,
+                probe.Mt,
+                t,
+            )
+
 
 class TestSolve:
     def test_boundary_example(self):

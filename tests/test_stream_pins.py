@@ -1,10 +1,11 @@
 """The verifier's one pass and the interior root searches against references.
 
-`core._exact_residuals` evaluates every term once per point, and may not
-change a reported number: the residuals, signed zeros, NaN and -inf
-included, must be those of `references.exact_residuals`.  The only change
-allowed is the float-error allowance of `ToleranceSet.gamma`, which can turn
-a failed verification into a passed one and never the reverse.  The interior
+`core._exact_residuals` evaluates every term once per point, in a pass
+compiled per shape of the instance, and may not change a reported number:
+the residuals, signed zeros, NaN and -inf included, must be those of
+`references.exact_residuals`.  The only change allowed is the float-error
+allowance of `ToleranceSet.gamma`, which can turn a failed verification
+into a passed one and never the reverse.  The interior
 searches' `rootfind.brent` is pinned to within 4 ulp of scipy's `brentq` on
 the same bracket, and its cost to a median of 10 root-function evaluations
 per interior solve.  The mp1t retry's back-solve runs `brent` where the
@@ -14,14 +15,18 @@ with its tolerance below one ulp of the bracket, to within 4 ulp or as an
 exact zero of f where both are, and raise what it raises.
 
 The inputs are the candidates of two seeds of the benchmark's `solve_stream`
-(its timed instances and its wide mp1t/mp1e probe draws),
+(its timed instances and its wide mp1t/mp1e probe draws), of the first
+decisions of its `newsvendor` stream, one seeded draw for every shape the
+pass is compiled for with up to three moment functions after h_0,
 hypothesis-drawn certificates over all five function families and, for the
 collapses, random and edge-case brackets of smooth functions.
 """
 
 import importlib.util
+import itertools
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +49,7 @@ LEFT_TO_RIGHT_SUM = pytest.mark.skipif(
 )
 STREAM_SEEDS = (5, 6)
 STREAM_OPS = 1000  # timed-stream operations per seed, before the 400 wide probe draws
+NEWSVENDOR_SEED, NEWSVENDOR_DECISIONS = 5, 200
 
 
 def _workloads():
@@ -91,9 +97,8 @@ def _assert_pinned(inst, dist, cert, tol=ToleranceSet()) -> bool:
     return passed and not was_passed
 
 
-@pytest.fixture(scope="module")
-def stream_candidates():
-    """(instance, distribution, certificate) of every verification of both streams."""
+def _captured(run) -> list:
+    """(instance, distribution, certificate) of every verification that run() makes."""
     captured, real = [], core._exact_residuals
 
     def capture(inst, dist, cert, tol):
@@ -102,9 +107,23 @@ def stream_candidates():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(core, "_exact_residuals", capture)
-        for seed in STREAM_SEEDS:
-            _run_stream(seed)
+        run()
     return captured
+
+
+@pytest.fixture(scope="module")
+def stream_candidates():
+    """(instance, distribution, certificate) of every verification of both streams."""
+    return _captured(lambda: [_run_stream(seed) for seed in STREAM_SEEDS])
+
+
+def _run_newsvendor() -> None:
+    """Every solve of the first NEWSVENDOR_DECISIONS decisions of the newsvendor stream."""
+    workloads = _workloads()
+    stream = workloads.make_stream("newsvendor", NEWSVENDOR_SEED)
+    runner = workloads.Runner("newsvendor", momentbound, "")
+    for _ in range(NEWSVENDOR_DECISIONS):
+        runner.run(stream.next())
 
 
 @LEFT_TO_RIGHT_SUM
@@ -113,6 +132,18 @@ def test_stream_residuals_bit_identical(stream_candidates):
     assert len(stream_candidates) > 2 * STREAM_OPS
     # the wide probe draws hold answers that only the allowance certifies
     assert newly_passed > 0
+
+
+@LEFT_TO_RIGHT_SUM
+def test_newsvendor_residuals_bit_identical():
+    """The solves behind robust orders: bracket ends in deep tails, tiny duals, huge points."""
+    candidates = _captured(_run_newsvendor)
+    for candidate in candidates:
+        _assert_pinned(*candidate)
+    # at most 3 solves a decision: q* and each bracket end q* -+ eps that is not 0 or the cutoff
+    assert 2 * NEWSVENDOR_DECISIONS < len(candidates) <= 3 * NEWSVENDOR_DECISIONS
+    assert min(abs(z) for _, _, cert in candidates for z in cert.z if z != 0.0) < 1e-9
+    assert max(dist.points[-1][0] for _, dist, _ in candidates) > 1e4
 
 
 @pytest.mark.parametrize("inst, dist, cert", _undecidable_cases())
@@ -163,6 +194,69 @@ def test_drawn_certificates_bit_identical(data):
         return  # the normalized weights missed 1 by more than 1e-12
     cert = DualCertificate(z=tuple(draw(values) for _ in hs))
     _assert_pinned(inst, dist, cert)
+
+
+def _shape_draw(rng, i: int, g_family: str, h_families: tuple[str, ...]):
+    """One seeded (instance, distribution, certificate) of the shape, the i-th of the sweep.
+
+    Parameters include the values the pass branches on (powers 1 and 2, rates
+    0 and below, kinks at 0 and inf); the support includes, in turn, inf,
+    1e200, 0, 1e-13 and a kink; a quarter of the duals are +0.0 and a
+    quarter -0.0.
+    """
+    kinks = []
+
+    def build(family):
+        if family == "constant":
+            return core.constant()
+        if family == "monomial":
+            return core.monomial(float(rng.choice([1.0, 2.0, rng.uniform(1.0, 6.0)])))
+        if family == "exponential":
+            return core.exponential(float(rng.choice([0.0, 0.5, -1.0, rng.uniform(0.0, 2.0)])))
+        kinks.append(float(rng.choice([0.0, 1.0, math.inf, rng.uniform(0.0, 5.0)])))
+        kinked = core.positive_part if family == "positive_part" else core.squared_positive_part
+        return kinked(kinks[-1])
+
+    def value():
+        return float(rng.choice([0.0, -0.0, rng.uniform(-5.0, 5.0), rng.uniform(-5.0, 5.0)]))
+
+    g = build(g_family)
+    hs = (core.constant(), *map(build, h_families))
+    ms = (1.0, *(value() for _ in h_families))
+    inst = GmpInstance(g=g, hs=hs, ms=ms, sense=("max", "min")[i % 2])
+    special = (math.inf, 1e200, 0.0, 1e-13, *kinks)[i % (4 + bool(kinks))]
+    xs = sorted({special, *(float(x) for x in rng.uniform(0.0, 10.0, size=rng.integers(0, 3)))})
+    weights = rng.uniform(0.1, 1.0, size=len(xs))
+    ps = [float(w) / math.fsum(weights) for w in weights]
+    dist = DiscreteDistribution(points=tuple(zip(xs, ps)))
+    return inst, dist, DualCertificate(z=tuple(value() for _ in hs))
+
+
+SHAPES = [
+    (g, hs)
+    for g in core._FAMILIES
+    for n in (1, 2, 3)
+    for hs in itertools.product(core._FAMILIES, repeat=n)
+]
+
+
+@LEFT_TO_RIGHT_SUM
+def test_every_shape_bit_identical():
+    """One seeded draw per shape the pass is compiled for: g's family, 1-3 h families, a sense.
+
+    A refusal keeps its type and message (`_assert_pinned` compares them).
+    """
+    rng = np.random.default_rng(28)
+    outcomes = Counter()
+    for i, (g, hs) in enumerate(SHAPES):
+        inst, dist, cert = _shape_draw(rng, i, g, hs)
+        _assert_pinned(inst, dist, cert)
+        outcome = _outcome(lambda: exact_residuals(inst, dist, cert))
+        outcomes[outcome[1].split(":")[0] if isinstance(outcome, tuple) else "residuals"] += 1
+    assert len(SHAPES) == 775
+    assert outcomes["residuals"] > len(SHAPES) // 2
+    assert outcomes["cannot decide H >= 0"] > 0
+    assert outcomes["cannot decide H >= 0 with the decaying exponential e^(-1x)"] > 0
 
 
 def _reference_collapse(f, a, b):
