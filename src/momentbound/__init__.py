@@ -24,7 +24,7 @@ _EXPORTS = {
     "exp_moment": "ExpMomentAmbiguity ExpMomentInstance compute_v1 phi solve_exp_moment",
     "newsvendor": "NewsvendorInstance OrderDecision optimize_order",
     "oracle": "GridSpec OracleResult RefineOutcome oracle_solve refine_until",
-    "partial_moment": "PartialMomentInstance enumerate_family kappa solve_partial_moment",
+    "partial_moment": "PartialMomentInstance kappa solve_partial_moment",
     "power_moment": "PowerMomentAmbiguity PowerMomentInstance boundary_threshold "
     "solve_power_moment",
 }

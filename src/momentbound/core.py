@@ -71,9 +71,10 @@ class MomentFunction:
     family: str
     param: float = 0.0
 
-    def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
-            raise DomainError(f"unknown function family {self.family!r}")
+    def __init__(self, family: str, param: float = 0.0) -> None:
+        if family not in _FAMILIES:
+            raise DomainError(f"unknown function family {family!r}")
+        object.__setattr__(self, "__dict__", {"family": family, "param": param})
 
 
 def constant() -> MomentFunction:
@@ -109,12 +110,12 @@ class DiscreteDistribution:
 
     points: tuple[tuple[float, float], ...]
 
-    def __post_init__(self) -> None:
-        if not self.points:
+    def __init__(self, points: tuple[tuple[float, float], ...]) -> None:
+        if not points:
             raise DomainError("distribution needs at least one support point")
         negative = unsorted = nonpositive = False  # raised in this order
         last = -math.inf
-        for x, p in self.points:
+        for x, p in points:
             if x < 0.0:
                 negative = True
             if x <= last:
@@ -128,9 +129,10 @@ class DiscreteDistribution:
             raise DomainError("support points must be strictly increasing")
         if nonpositive:
             raise DomainError("probabilities must be strictly positive")
-        total = math.fsum([p for _, p in self.points])
+        total = math.fsum([p for _, p in points])
         if abs(total - 1.0) > 1e-12:
             raise DomainError(f"probabilities sum to {total!r}, not 1")
+        object.__setattr__(self, "points", points)  # one field: cheaper than a new __dict__
 
     @property
     def xs(self) -> tuple[float, ...]:
@@ -147,9 +149,10 @@ class DualCertificate:
 
     z: tuple[float, ...]
 
-    def __post_init__(self) -> None:
-        if not all(math.isfinite(v) for v in self.z):
+    def __init__(self, z: tuple[float, ...]) -> None:
+        if not all(math.isfinite(v) for v in z):
             raise DomainError("certificate entries must be finite")
+        object.__setattr__(self, "z", z)  # one field: cheaper than a new __dict__
 
 
 @dataclass(frozen=True)
@@ -161,13 +164,16 @@ class GmpInstance:
     ms: tuple[float, ...]
     sense: str  # "max" or "min"
 
-    def __post_init__(self) -> None:
-        if len(self.hs) != len(self.ms):
-            raise DimensionError(f"{len(self.hs)} moment functions vs {len(self.ms)} targets")
-        if self.ms[0] != 1.0:
+    def __init__(
+        self, g: MomentFunction, hs: tuple[MomentFunction, ...], ms: tuple[float, ...], sense: str
+    ) -> None:
+        if len(hs) != len(ms):
+            raise DimensionError(f"{len(hs)} moment functions vs {len(ms)} targets")
+        if ms[0] != 1.0:
             raise DomainError("first target moment must be 1 (normalization)")
-        if self.sense not in ("max", "min"):
-            raise DomainError(f"sense must be 'max' or 'min', got {self.sense!r}")
+        if sense not in ("max", "min"):
+            raise DomainError(f"sense must be 'max' or 'min', got {sense!r}")
+        object.__setattr__(self, "__dict__", {"g": g, "hs": hs, "ms": ms, "sense": sense})
 
 
 @dataclass(frozen=True)
@@ -216,6 +222,32 @@ class VerificationReport:
     primal_value: float
     dual_value: float
 
+    def __init__(
+        self,
+        primal_residual: float,
+        slack_residual: float,
+        tangent_residual: float,
+        dual_min_on_grid: float,
+        duality_gap: float,
+        passed: bool,
+        primal_value: float,
+        dual_value: float,
+    ) -> None:
+        object.__setattr__(
+            self,
+            "__dict__",
+            {
+                "primal_residual": primal_residual,
+                "slack_residual": slack_residual,
+                "tangent_residual": tangent_residual,
+                "dual_min_on_grid": dual_min_on_grid,
+                "duality_gap": duality_gap,
+                "passed": passed,
+                "primal_value": primal_value,
+                "dual_value": dual_value,
+            },
+        )
+
 
 def _power(x: float, p: float) -> float:
     try:
@@ -245,7 +277,15 @@ _VALUE = (
         "        v{k} = inf",
     ),
     ("v{k} = x - p{k}", "if v{k} < 0.0:  # max(x - p, 0.0), NaN and -0.0 kept", "    v{k} = 0.0"),
-    ("u{k} = x - p{k}", "if u{k} < 0.0:", "    u{k} = 0.0", "v{k} = u{k} ** 2"),
+    (
+        "u{k} = x - p{k}",
+        "if u{k} < 0.0:",
+        "    u{k} = 0.0",
+        "try:  # u**2, not u*u: the two round differently on some floats",
+        "    v{k} = u{k} ** 2",
+        "except OverflowError:",
+        "    v{k} = inf",
+    ),
     ("try:", "    v{k} = exp(p{k} * x)", "except OverflowError:", "    v{k} = inf"),
 )
 _SLOPE = (
@@ -539,6 +579,30 @@ class Report:
     root: float | None
     bisect_iters: int
     verification: VerificationReport
+
+    def __init__(
+        self,
+        value: float,
+        dist: DiscreteDistribution,
+        cert: DualCertificate,
+        branch: str,
+        root: float | None,
+        bisect_iters: int,
+        verification: VerificationReport,
+    ) -> None:
+        object.__setattr__(
+            self,
+            "__dict__",
+            {
+                "value": value,
+                "dist": dist,
+                "cert": cert,
+                "branch": branch,
+                "root": root,
+                "bisect_iters": bisect_iters,
+                "verification": verification,
+            },
+        )
 
 
 def certify(inst: GmpInstance, candidate: dict[str, Any]) -> Report:

@@ -11,7 +11,10 @@ solver, ``_candidate`` builds the unverified answer with its dual
 certificate, and ``solve_exp_moment`` passes it through ``core.certify``,
 which returns a ``core.Report`` (``root`` is u on the interior branch).  The
 boundary point v1 is ``compute_v1(inst.m1_scaled, inst.Me)``, which keeps
-its last result.
+its last result.  A solve searches for it only where the branch test needs
+it: where q is past ``_threshold_bound``, an upper bound on the branch
+threshold from v1's bracket alone, the answer is interior unless g*phi
+says it is the boundary law, and only that law searches for v1.
 
 RangeError is raised only where an exponent leaves float range (t*q, t*M1 or
 v1 above 700); the deep tail has no floor.  The search works on g*phi, which
@@ -26,6 +29,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from math import exp
+from typing import Callable
 
 from . import core
 from .core import DiscreteDistribution, DualCertificate, GmpInstance, Report
@@ -49,27 +54,18 @@ _ARG_RANGE = f"t*q and t*M1 must stay below {_EXP_ARG_LIMIT:g} to avoid overflow
 class ExpMomentAmbiguity:
     """Moment data (M1, Me, t) in original units: every law on X >= 0 with these moments.
 
-    The moments are checked here, and ``m1_scaled`` = t*M1 is set once: the
-    root function reads it on every evaluation.
+    The moments are checked here, and ``m1_scaled`` = t*M1 is set once, in
+    the same step as the fields.
     """
 
     M1: float
     Me: float
     t: float
 
-    def __post_init__(self) -> None:
-        if not self.M1 > 0.0:
-            raise InfeasibleError(f"M1 > 0 required, got {self.M1}")
-        if not self.t > 0.0:
-            raise InfeasibleError(f"t > 0 required, got {self.t}")
-        if self.t * self.M1 > _EXP_ARG_LIMIT:
-            raise RangeError(_ARG_RANGE)
-        if not self.Me > math.exp(self.t * self.M1):
-            raise InfeasibleError(
-                f"Me > exp(t*M1) required (single-point family otherwise): "
-                f"{self.Me} <= {math.exp(self.t * self.M1)}"
-            )
-        object.__setattr__(self, "m1_scaled", self.t * self.M1)
+    def __init__(self, M1: float, Me: float, t: float) -> None:
+        object.__setattr__(
+            self, "__dict__", {"M1": M1, "Me": Me, "t": t, "m1_scaled": _m1_scaled(M1, Me, t)}
+        )
 
     @classmethod
     def from_exponential_demand(cls, lam: float, t: float) -> "ExpMomentAmbiguity":
@@ -115,13 +111,33 @@ class ExpMomentInstance(ExpMomentAmbiguity):
 
     q: float
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not self.q > 0.0:
-            raise InfeasibleError(f"q > 0 required, got {self.q}")
-        if self.t * self.q > _EXP_ARG_LIMIT:
+    def __init__(self, M1: float, Me: float, t: float, q: float) -> None:
+        m1_scaled = _m1_scaled(M1, Me, t)
+        if not q > 0.0:
+            raise InfeasibleError(f"q > 0 required, got {q}")
+        if t * q > _EXP_ARG_LIMIT:
             raise RangeError(_ARG_RANGE)
-        object.__setattr__(self, "q_scaled", self.t * self.q)
+        object.__setattr__(
+            self,
+            "__dict__",
+            {"M1": M1, "Me": Me, "t": t, "q": q, "m1_scaled": m1_scaled, "q_scaled": t * q},
+        )
+
+
+def _m1_scaled(M1: float, Me: float, t: float) -> float:
+    """t*M1 once the moments (M1, Me, t) are checked."""
+    if not M1 > 0.0:
+        raise InfeasibleError(f"M1 > 0 required, got {M1}")
+    if not t > 0.0:
+        raise InfeasibleError(f"t > 0 required, got {t}")
+    if t * M1 > _EXP_ARG_LIMIT:
+        raise RangeError(_ARG_RANGE)
+    if not Me > math.exp(t * M1):
+        raise InfeasibleError(
+            f"Me > exp(t*M1) required (single-point family otherwise): "
+            f"{Me} <= {math.exp(t * M1)}"
+        )
+    return t * M1
 
 
 def _exp_tail(v: float) -> float:
@@ -145,10 +161,21 @@ def compute_v1(m1_scaled: float, Me: float) -> float:
     log1p((e^v - 1 - v)/v) - log1p(b), a form that does not cancel as v1
     falls to 0.  (e^v - 1)/v lies between e^(v/2) and e^v, so the root lies
     in [log a, 2*log a], and one ``brent`` search finds it; a root above 700
-    is a RangeError.  Kept for the last set: a newsvendor decision's
-    closed-form order, its solves and the oracle grid of one set share one
-    search.
+    is a RangeError.  It is searched only where an answer needs it: a solve
+    whose t*q is not past ``_threshold_bound`` (its branch test then reads
+    the threshold), a boundary answer, the closed-form newsvendor order and
+    the mp1e oracle grid's upper end.  The last result is kept, so a
+    newsvendor decision's order and its solves share one search; the grid
+    of a ``check`` whose solve was interior past the bound searches anew.
     """
+    log_a, hi, f, f_hi = _v1_bracket(m1_scaled, Me)
+    return brent(f, log_a, hi, f(log_a), f_hi)[0]
+
+
+def _v1_bracket(
+    m1_scaled: float, Me: float
+) -> tuple[float, float, Callable[[float], float], float]:
+    """compute_v1's bracket [log a, hi], its root function f and f(hi), with its refusals."""
     if not 0.0 < m1_scaled < Me - 1.0:
         raise DomainError(f"v1 needs 0 < m1_scaled < Me - 1, got {m1_scaled} and Me={Me}")
     log_a = math.log1p(((Me - 1.0) - m1_scaled) / m1_scaled)
@@ -157,7 +184,7 @@ def compute_v1(m1_scaled: float, Me: float) -> float:
     f_hi = f(hi)  # before f(log_a), which is inf where b overflows
     if f_hi < 0.0:
         raise RangeError(f"boundary support point above {_EXP_ARG_LIMIT:g} overflows exp()")
-    return brent(f, log_a, hi, f(log_a), f_hi)[0]
+    return log_a, hi, f, f_hi
 
 
 def phi(y: float, inst: ExpMomentInstance) -> float:
@@ -179,18 +206,6 @@ def phi(y: float, inst: ExpMomentInstance) -> float:
     ey = math.exp(y)
     ratio = ey * (m1 - y) / (me - ey)
     return (me - ey) / (m1 - y) * (qs + 1.0 - m1) - ey - math.exp(qs + 1.0 - ratio) + me
-
-
-def _gap_times_phi(g: float, inst: ExpMomentInstance) -> float:
-    """g * phi(m1 - g) with the division cleared: finite down to g = 0, nearly linear near it.
-
-    When the root sits within a few ulp of the scaled mean, g is the only
-    coordinate in which it is representable to full relative precision.
-    """
-    m1, me, qs = inst.m1_scaled, inst.Me, inst.q_scaled
-    eu = math.exp(m1 - g)
-    den = me - eu
-    return den * (qs + 1.0 - m1) - g * (eu + math.exp(qs + 1.0 - eu * g / den) - me)
 
 
 def _gap_at_mass(p: float, inst: ExpMomentInstance, v1: float) -> float:
@@ -221,6 +236,18 @@ def _v1_and_threshold(m1: float, me: float) -> tuple[float, float]:
     """The boundary support point v1 and the largest rate-scaled q of its branch."""
     v1 = compute_v1(m1, me)
     return v1, v1 + m1 / (me - 1.0) - 1.0
+
+
+def _threshold_bound(m1: float, me: float) -> float:
+    """At least the threshold of ``_v1_and_threshold``, without its search.
+
+    The searched v1 is at most its bracket's upper end hi, and float + and -
+    are monotone, so hi + m1/(Me - 1) - 1 is at least the float threshold.
+    compute_v1's refusals are raised here as they are there: its bracket's
+    checks are the same, and its search refuses nothing on an admissible set,
+    whose f(log a) is below 0.
+    """
+    return _v1_bracket(m1, me)[1] + m1 / (me - 1.0) - 1.0
 
 
 def boundary_threshold(inst: ExpMomentInstance) -> float:
@@ -256,16 +283,34 @@ def _candidate(inst: ExpMomentInstance) -> dict:
     """Every Report field but the verification, in original units."""
     t = inst.t
     m1, me, qs = inst.m1_scaled, inst.Me, inst.q_scaled
-    v1, threshold = _v1_and_threshold(m1, me)
+    # past the threshold's bound by more than its rounding, both tests below
+    # read as they do at the threshold itself, and v1 is not searched
+    threshold = _threshold_bound(m1, me)
+    if not qs > threshold * (1.0 + 1e-9) + 1e-12:
+        threshold = _v1_and_threshold(m1, me)[1]
     use_boundary = qs <= threshold
     if not use_boundary:
         phi0 = phi(0.0, inst)
         if phi0 != 0.0 and not phi0 < 0.0 and qs > threshold * (1.0 + 1e-9) + 1e-12:
             raise RootBracketError(f"phi sign condition failed: phi(0)={phi0}")
+        q1 = qs + 1.0
+        k = q1 - m1
+
+        def gphi(g: float) -> float:
+            """g * phi(m1 - g) with the division cleared.
+
+            It is finite down to g = 0 and nearly linear near it.  When the
+            root sits within a few ulp of the scaled mean, g is the only
+            coordinate in which it is representable to full relative
+            precision.
+            """
+            eu = exp(m1 - g)
+            den = me - eu
+            return den * k - g * (eu + exp(q1 - eu * g / den) - me)
+
         # g*phi in the gap g = m1 - u has no pole: it is positive at the
         # lower end of g's range (at y = qs, or at g = 0 where it is
         # (Me - e^m1)*(qs + 1 - m1)) and has phi(0)'s sign at g = m1
-        gphi = lambda g: _gap_times_phi(g, inst)
         g_end = gphi(m1) if phi0 < 0.0 else 0.0
         # q sits at the branch threshold to float resolution, or phi(0) or
         # g*phi at g = m1 reads 0 or above, and the interior root u = 0 is the
@@ -273,6 +318,7 @@ def _candidate(inst: ExpMomentInstance) -> dict:
         use_boundary = not g_end < 0.0
 
     if use_boundary:
+        v1 = compute_v1(m1, me)
         p_hi = m1 / v1
         value = inst.M1 * (1.0 - qs / v1)
         dist = DiscreteDistribution(points=((0.0, 1.0 - p_hi), (v1 / t, p_hi)))

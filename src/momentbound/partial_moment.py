@@ -7,7 +7,7 @@ as gamma * M1^2.  Two regimes:
     straddling 1, with a strictly concave-quadratic dual certificate.
   * M1 >  1/gamma + Mplus: every feasible support inside {0} union [1, inf)
     attains the same objective; the solver returns a representative
-    three-point member and can enumerate others.
+    three-point member, and ``v1_choice`` picks another.
 
 Everything here is closed form; no root-finding is needed.  ``_candidate``
 builds the answer, and ``solve_partial_moment`` passes it through
@@ -196,9 +196,3 @@ def _candidate(inst: PartialMomentInstance, v1_choice: float | None) -> dict:
 
     return dict(value=value, dist=dist, cert=cert, branch=branch, root=root, bisect_iters=0)
 
-
-def enumerate_family(inst: PartialMomentInstance, v1_list: list[float]) -> list[Report]:
-    """One report per requested v1 (the largest support point) of the degenerate family."""
-    if inst.is_two_point():
-        raise BranchError("instance is on the two-point branch; there is no family")
-    return [solve_partial_moment(inst, v1_choice=v1) for v1 in v1_list]

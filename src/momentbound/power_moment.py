@@ -3,8 +3,8 @@
 After normalizing the mean to 1 the answer is a two-point distribution.  When
 q is at most (t-1)/t * Mt^(1/(t-1)) the lower support point is 0 and
 everything is in closed form.  Above that threshold the upper support point v
-is the root of ``_psi`` on a known open bracket, found by one ``brent``
-search; the lower point u and the dual certificate follow from v.
+is the root of ``_candidate``'s psi on a known open bracket, found by one
+``brent`` search; the lower point u and the dual certificate follow from v.
 ``_candidate`` builds that unverified answer, and ``solve_power_moment``
 passes it through ``core.certify``, which checks it against the generic
 optimality conditions and returns a ``core.Report`` (``root`` is v on the
@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from math import expm1, log1p
 
 from . import core
 from .core import DiscreteDistribution, DualCertificate, GmpInstance, Report
@@ -34,33 +35,17 @@ class PowerMomentAmbiguity:
     """Moment data (M1, Mt, t) in original units: every law on X >= 0 with these moments.
 
     The moments are checked here, and ``mt_scaled`` = Mt/M1^t, the t-th
-    moment of X/M1 (always > 1), is set once: the root functions read it on
-    every evaluation.
+    moment of X/M1 (always > 1), is set once, in the same step as the fields.
     """
 
     M1: float
     Mt: float
     t: float
 
-    def __post_init__(self) -> None:
-        if not self.M1 > 0.0:
-            raise InfeasibleError(f"M1 > 0 required, got {self.M1}")
-        if not self.t > 1.0:
-            raise InfeasibleError(f"t > 1 required, got {self.t}")
-        try:
-            m1t = self.M1**self.t
-        except OverflowError:
-            raise RangeError(f"M1^t overflows at M1={self.M1:g}, t={self.t:g}") from None
-        if not self.Mt > m1t:
-            raise InfeasibleError(
-                f"Mt > M1^t required (single-point family otherwise): {self.Mt} <= {m1t}"
-            )
-        if m1t < sys.float_info.min:  # 0 or subnormal, with too few digits to divide by
-            raise RangeError(f"M1^t underflows to {m1t:g} at M1={self.M1:g}, t={self.t:g}")
-        mt_scaled = self.Mt / m1t
-        if not math.isfinite(mt_scaled):
-            raise RangeError(f"Mt/M1^t overflows at M1={self.M1:g}, Mt={self.Mt:g}, t={self.t:g}")
-        object.__setattr__(self, "mt_scaled", mt_scaled)
+    def __init__(self, M1: float, Mt: float, t: float) -> None:
+        object.__setattr__(
+            self, "__dict__", {"M1": M1, "Mt": Mt, "t": t, "mt_scaled": _mt_scaled(M1, Mt, t)}
+        )
 
     @property
     def edge_scaled(self) -> float:
@@ -106,11 +91,35 @@ class PowerMomentInstance(PowerMomentAmbiguity):
 
     q: float
 
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        if not self.q > 0.0:
-            raise InfeasibleError(f"q > 0 required, got {self.q}")
-        object.__setattr__(self, "q_scaled", self.q / self.M1)
+    def __init__(self, M1: float, Mt: float, t: float, q: float) -> None:
+        mt_scaled = _mt_scaled(M1, Mt, t)
+        if not q > 0.0:
+            raise InfeasibleError(f"q > 0 required, got {q}")
+        object.__setattr__(
+            self,
+            "__dict__",
+            {"M1": M1, "Mt": Mt, "t": t, "q": q, "mt_scaled": mt_scaled, "q_scaled": q / M1},
+        )
+
+
+def _mt_scaled(M1: float, Mt: float, t: float) -> float:
+    """Mt/M1^t once the moments (M1, Mt, t) are checked."""
+    if not M1 > 0.0:
+        raise InfeasibleError(f"M1 > 0 required, got {M1}")
+    if not t > 1.0:
+        raise InfeasibleError(f"t > 1 required, got {t}")
+    try:
+        m1t = M1**t
+    except OverflowError:
+        raise RangeError(f"M1^t overflows at M1={M1:g}, t={t:g}") from None
+    if not Mt > m1t:
+        raise InfeasibleError(f"Mt > M1^t required (single-point family otherwise): {Mt} <= {m1t}")
+    if m1t < sys.float_info.min:  # 0 or subnormal, with too few digits to divide by
+        raise RangeError(f"M1^t underflows to {m1t:g} at M1={M1:g}, t={t:g}")
+    mt_scaled = Mt / m1t
+    if not math.isfinite(mt_scaled):
+        raise RangeError(f"Mt/M1^t overflows at M1={M1:g}, Mt={Mt:g}, t={t:g}")
+    return mt_scaled
 
 
 def _upper_point_at_mass(p: float, inst: PowerMomentInstance, edge: float) -> float:
@@ -204,29 +213,6 @@ def _det_consistent_w(v: float, inst: PowerMomentInstance) -> float:
     return brent(g, 0.0, whi, -k, g_whi)[0]
 
 
-def _psi(y: float, inst: PowerMomentInstance, edge: float) -> float:
-    """theta(y) * (y - 1)/(y^(t-1) - mt): theta with its root at the edge divided out.
-
-    With c = t*qs/(t-1), G = y^(t-1) - mt and D = y*G + mt*(y - 1) = y^t - mt,
-    u = c*G/D and theta = G*(y - c)/(y - 1) + u^t, so
-
-      psi(y) = (y - c) + c*(y - 1)*u^(t-1)/D.
-
-    No term cancels: G comes from ``_stable_power_gap``, and mt, which theta
-    adds and subtracts, is gone.  The products are taken in ratios to y,
-    r = (y - 1)/y, D/y = G + mt*r and u = (c/y)*G/(D/y), so every
-    intermediate stays finite with G, up to y near the float maximum.  psi
-    has theta's sign right of the edge, psi(edge) = edge - c < 0 and
-    psi(c) > 0.
-    """
-    t, mt = inst.t, inst.mt_scaled
-    c = t * inst.q_scaled / (t - 1.0)
-    gap = _stable_power_gap(y, inst, edge)
-    r = (y - 1.0) / y
-    d = gap + mt * r
-    return (y - c) + c * r * (((c / y) * gap / d) ** (t - 1.0) / d)
-
-
 _MASS_AND_MEAN = (core.constant(), core.monomial(1.0))  # h_0 and h_1 of every instance
 
 
@@ -289,8 +275,30 @@ def _candidate(inst: PowerMomentInstance) -> dict:
         cert = DualCertificate(z=(0.0, z1, zt / M1 ** (t - 1.0)))
         return dict(value=value, dist=dist, cert=cert, branch=BOUNDARY, root=None, bisect_iters=0)
 
-    a, b = max(edge, qs), t * qs / (t - 1.0)  # psi's root lies in (a, b)
-    psi = lambda y: _psi(y, inst, edge)
+    tm1 = t - 1.0
+    c = t * qs / tm1
+
+    def psi(y: float) -> float:
+        """theta(y) * (y - 1)/(y^(t-1) - mt): theta with its root at the edge divided out.
+
+        With G = y^(t-1) - mt and D = y*G + mt*(y - 1) = y^t - mt, u = c*G/D
+        and theta = G*(y - c)/(y - 1) + u^t, so
+
+          psi(y) = (y - c) + c*(y - 1)*u^(t-1)/D.
+
+        No term cancels: G takes ``_stable_power_gap``'s expm1/log1p form,
+        and mt, which theta adds and subtracts, is gone.  The products are taken in ratios to y,
+        r = (y - 1)/y, D/y = G + mt*r and u = (c/y)*G/(D/y), so every
+        intermediate stays finite with G, up to y near the float maximum.
+        psi has theta's sign right of the edge, psi(edge) = edge - c < 0 and
+        psi(c) > 0.
+        """
+        gap = mt * expm1(tm1 * log1p((y - edge) / edge))
+        r = (y - 1.0) / y
+        d = gap + mt * r
+        return (y - c) + c * r * (((c / y) * gap / d) ** tm1 / d)
+
+    a, b = max(edge, qs), c  # psi's root lies in (a, b)
     try:
         fb = psi(b)
     except OverflowError:  # raised by expm1 in the power gap

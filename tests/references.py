@@ -24,6 +24,7 @@ from momentbound.core import (
 )
 from momentbound.errors import (
     BracketError,
+    BranchError,
     DimensionError,
     DomainError,
     MomentBoundError,
@@ -31,6 +32,7 @@ from momentbound.errors import (
     RangeError,
 )
 from momentbound.oracle import _DEGENERATE_RUN, _PIVOT_TOL, _RC_TOL, OPTIMAL, UNBOUNDED
+from momentbound.partial_moment import solve_partial_moment
 from momentbound.rootfind import brent
 
 
@@ -57,9 +59,9 @@ def theta(y: float, inst) -> float:
       u(y) = (t*qs/(t-1)) * (y^(t-1) - mt) / (y^t - mt).
 
     Defined for y > 1 away from the pole y^t = mt.  The solver searches
-    ``power_moment._psi``, which has theta's root right of the edge without
-    its cancelling terms; the sign conditions of the paper are stated on
-    theta.
+    psi (built in ``power_moment._candidate``), which has theta's root right
+    of the edge without its cancelling terms; the sign conditions of the
+    paper are stated on theta.
     """
     if y <= 1.0:
         raise DomainError(f"theta needs y > 1, got {y}")
@@ -392,7 +394,10 @@ def _value(f: MomentFunction, x: float) -> float:
     if family == "positive_part":
         return max(x - p, 0.0)
     if family == "squared_positive_part":
-        return max(x - p, 0.0) ** 2
+        try:
+            return max(x - p, 0.0) ** 2
+        except OverflowError:
+            return math.inf
     if family == "exponential":
         return _exp(p * x)
     return 1.0
@@ -545,9 +550,12 @@ def absolute_verdict(inst, residuals, tol) -> bool:
 
 
 # The package's bisection as it was before it became the mp1t re-solve's
-# collapse; the order search above reads it too.
+# collapse; the order search above reads it too.  And its Brent loop as it
+# was before its checks were inlined.
 
 _ZERO_FLOOR = 1e-300  # |f| at or below this counts as an exact zero
+_BRENT_EPS = 2.0**-52
+_BRENT_TINY = 5e-324
 EXACT_ZERO = "exact_zero"
 TOLERANCE_REACHED = "tolerance_reached"
 
@@ -567,6 +575,59 @@ def _checked(f: Callable[[float], float], x: float) -> float:
     if not math.isfinite(v):
         raise NonFiniteError(f"f({x}) = {v}")
     return float(v)
+
+
+def reference_brent(
+    f: Callable[[float], float], a: float, b: float, fa: float, fb: float
+) -> tuple[float, int]:
+    """The package's Brent loop before its checks were inlined and abs/min became expressions.
+
+    ``rootfind.brent`` must return the same (root, evals) or raise the same
+    exception type with the same message; ``_checked`` above is the helper
+    it called once per evaluation.
+    """
+    for x, v in ((a, fa), (b, fb)):
+        if not math.isfinite(v):
+            raise NonFiniteError(f"f({x}) = {v}")
+    if fa == 0.0 or fb == 0.0:
+        return (b if fb == 0.0 else a), 0
+    if (fa > 0.0) == (fb > 0.0):
+        raise BracketError(f"f({a}) and f({b}) do not bracket a root")
+    evals = 0
+    c, fc = a, fa  # b is the best point so far, a the previous one; c keeps the sign change
+    d = e = b - a
+    while True:
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = _BRENT_EPS * abs(b) + _BRENT_TINY
+        m = 0.5 * (c - b)
+        if abs(m) <= tol or fb == 0.0:
+            return b, evals
+        if abs(e) < tol or abs(fa) <= abs(fb):
+            d = e = m
+        else:
+            s = fb / fa
+            if a == c:  # secant
+                p, q = 2.0 * m * s, 1.0 - s
+            else:  # inverse quadratic interpolation
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = _checked(f, b)
+        evals += 1
 
 
 def reference_bisect(
@@ -693,3 +754,10 @@ def lambert_w_minus1(x: float) -> WValue:
         w = _halley(x, brent(g, lo, -1.0, g(lo), g(-1.0))[0])
         w = min(w, -1.0)
     return WValue(w=w, residual=_residual(w, x))
+
+
+def enumerate_family(inst, v1_list: list[float]) -> list:
+    """One report per requested v1 (the largest support point) of the degenerate family."""
+    if inst.is_two_point():
+        raise BranchError("instance is on the two-point branch; there is no family")
+    return [solve_partial_moment(inst, v1_choice=v1) for v1 in v1_list]

@@ -27,7 +27,6 @@ from momentbound.newsvendor import NewsvendorInstance, optimize_order
 from momentbound.oracle import GridSpec, refine_until
 from momentbound.partial_moment import (
     PartialMomentInstance,
-    enumerate_family,
     family_lower_bound,
     solve_partial_moment,
 )
@@ -40,6 +39,7 @@ from momentbound.power_moment import (
 from references import (
     BRANCH_POINT,
     ExponentialDemand,
+    enumerate_family,
     lambert_w_minus1,
     scarf_value,
     theta,

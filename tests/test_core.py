@@ -1,8 +1,11 @@
 """Domain types and the generic optimality verifier."""
 
+import dataclasses
+import inspect
 import io
 import json
 import math
+import pickle
 import tokenize
 
 import numpy as np
@@ -18,15 +21,12 @@ from momentbound.core import (
 )
 from momentbound.errors import DimensionError, DomainError
 from momentbound.exp_moment import ExpMomentAmbiguity, ExpMomentInstance, solve_exp_moment
-from momentbound.partial_moment import (
-    PartialMomentInstance,
-    enumerate_family,
-    solve_partial_moment,
-)
+from momentbound.partial_moment import PartialMomentInstance, solve_partial_moment
 from momentbound.power_moment import PowerMomentAmbiguity, PowerMomentInstance, solve_power_moment
 from momentbound.problems import PROBLEMS
 from references import (
     NonDifferentiableError,
+    enumerate_family,
     h_derivative,
     h_function,
     moments_of,
@@ -47,6 +47,42 @@ class TestMomentFunction:
     def test_unknown_family_is_rejected(self):
         with pytest.raises(DomainError, match="zero"):
             core.MomentFunction("zero")
+
+
+def _value_objects():
+    """One of each frozen value object whose __init__ fills its __dict__ in one step."""
+    rep = solve_power_moment(PowerMomentInstance(M1=1.0, Mt=2.0, t=2.5, q=3.0))
+    return [
+        rep,
+        rep.verification,
+        rep.dist,
+        rep.cert,
+        core.positive_part(3.0),
+        PROBLEMS["mp1t"].gmp(PowerMomentInstance(M1=1.0, Mt=2.0, t=2.5, q=3.0)),
+        PowerMomentAmbiguity(M1=1.0, Mt=2.0, t=2.5),
+        PowerMomentInstance(M1=1.0, Mt=2.0, t=2.5, q=3.0),
+        ExpMomentAmbiguity(M1=1.0, Me=math.e**2, t=1.0),
+        ExpMomentInstance(M1=1.0, Me=math.e**2, t=1.0, q=5.0),
+    ]
+
+
+@pytest.mark.parametrize("obj", _value_objects(), ids=lambda obj: type(obj).__name__)
+def test_value_objects_stay_frozen_dataclasses(obj):
+    """Each __init__ takes the fields in order, and the dataclass behaviour is kept."""
+    cls = type(obj)
+    names = [f.name for f in dataclasses.fields(cls)]
+    params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+    assert [p.name for p in params] == names
+    assert [p.default for p in params] == [
+        inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default
+        for f in dataclasses.fields(cls)
+    ]
+    copy = dataclasses.replace(obj)
+    assert copy == obj and hash(copy) == hash(obj) and repr(copy) == repr(obj)
+    assert pickle.loads(pickle.dumps(obj)) == obj
+    assert vars(copy) == vars(obj)  # the scaled fields too
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(obj, names[0], None)
 
 
 class TestDiscreteDistribution:
@@ -320,6 +356,17 @@ class TestExactDualFeasibility:
         dist = DiscreteDistribution(points=((10.0, 1.0),))
         rep = verify_optimality(inst, dist, DualCertificate(z=(1.0, 0.0)))
         assert rep.primal_residual == math.inf
+        assert not rep.passed
+
+    def test_squared_kink_beyond_float_range(self):
+        # (x - p)_+^2 past 1.3e154 reads inf, as a monomial does: a failed
+        # report, not a bare OverflowError
+        inst = GmpInstance(
+            g=core.squared_positive_part(1.0), hs=(core.constant(),), ms=(1.0,), sense="min"
+        )
+        dist = DiscreteDistribution(points=((1e200, 1.0),))
+        rep = verify_optimality(inst, dist, DualCertificate(z=(0.0,)))
+        assert rep.primal_value == rep.slack_residual == math.inf
         assert not rep.passed
 
 

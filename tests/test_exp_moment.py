@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from momentbound import exp_moment
+from momentbound.core import Report
 from momentbound.errors import (
     DomainError,
     InfeasibleError,
+    MomentBoundError,
     NonFiniteError,
     RangeError,
     RootBracketError,
@@ -29,6 +31,15 @@ from references import (
     exp_moment_value_50,
     lambert_w_minus1,
 )
+from test_stream_pins import STREAM_OPS, STREAM_SEEDS, stream_ops
+
+
+def _outcome(inst):
+    """The solve's Report, or the type and message of its refusal."""
+    try:
+        return solve_exp_moment(inst)
+    except MomentBoundError as exc:
+        return type(exc).__name__, str(exc)
 
 
 def _bisect_v1(m1: float, me: float) -> float:
@@ -79,6 +90,17 @@ def _wide_moment_sets(n):
         m1 = math.exp(rng.uniform(math.log(1e-9), math.log(690.0)))
         excess = math.exp(rng.uniform(math.log(1e-15), math.log(1e3)))
         out.append((m1, math.exp(m1) * (1.0 + excess)))
+    return out
+
+
+def _continuity_draws():
+    """test_branch_continuity_at_threshold's 20 moment sets (M1, Me, t)."""
+    rng = np.random.default_rng(109)
+    out = []
+    for _ in range(20):
+        t = float(rng.uniform(0.1, 1.5))
+        M1 = float(rng.uniform(0.2, 3.0) / t)
+        out.append((M1, float(rng.uniform(1.1, 2.5)) * math.exp(t * M1), t))
     return out
 
 
@@ -163,12 +185,24 @@ class TestComputeV1:
         with pytest.raises(DomainError):
             compute_v1(m1, Me)
 
-    def test_distinct_solves_run_one_v1_each(self):
-        # the memo keeps one set's v1 and never stands in for another's
+    def test_solves_search_v1_at_most_once_and_not_above_the_bound(self):
+        # the memo keeps one set's v1 and never stands in for another's; an
+        # interior solve past the threshold's bound searches for none
         compute_v1.cache_clear()
-        for k, inst in enumerate(_random_instances(np.random.default_rng(19), 12), 1):
-            solve_exp_moment(inst)
-            assert compute_v1.cache_info().misses == k
+        skipped = searched = 0
+        for inst in _random_instances(np.random.default_rng(19), 40):
+            misses = compute_v1.cache_info().misses
+            report = solve_exp_moment(inst)
+            ran = compute_v1.cache_info().misses - misses
+            bound = exp_moment._threshold_bound(inst.m1_scaled, inst.Me)
+            past = inst.q_scaled > bound * (1.0 + 1e-9) + 1e-12
+            if past and report.branch == exp_moment.INTERIOR:
+                assert ran == 0
+                skipped += 1
+            else:
+                assert ran == 1
+                searched += 1
+        assert skipped >= 10 and searched >= 10
 
 
 class TestPhi:
@@ -276,11 +310,7 @@ class TestSolve:
             assert rep.value == pytest.approx(dual, rel=1e-8, abs=1e-12)
 
     def test_branch_continuity_at_threshold(self):
-        rng = np.random.default_rng(109)
-        for _ in range(20):
-            t = float(rng.uniform(0.1, 1.5))
-            M1 = float(rng.uniform(0.2, 3.0) / t)
-            me = float(rng.uniform(1.1, 2.5)) * math.exp(t * M1)
+        for M1, me, t in _continuity_draws():
             probe = ExpMomentInstance(M1=M1, Me=me, t=t, q=M1)
             q_star = boundary_threshold(probe)
             if q_star <= 0.0:
@@ -367,8 +397,17 @@ class TestSolve:
         inst = ExpMomentInstance(M1=300.0, Me=1e160, t=1.0, q=400.0)
         with pytest.raises(OverflowError):
             (inst.Me - math.exp(299.0)) ** 2
-        assert math.isfinite(exp_moment._gap_times_phi(1e-12, inst))
-        _assert_deep_tail_answered(inst)
+        searched, real = [], exp_moment.brent
+
+        def brent(f, *args):
+            searched.append(f)
+            return real(f, *args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exp_moment, "brent", brent)
+            _assert_deep_tail_answered(inst)
+        (gphi,) = [f for f in searched if f.__name__ == "gphi"]
+        assert math.isfinite(gphi(1e-12))
 
     def test_phi_overflow_beside_the_pole_is_answered(self):
         # Me = 1e297 puts phi past float range within 1e-9 of the pole, where
@@ -425,3 +464,65 @@ class TestValueCurve:
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
         for i in range(1, len(vals) - 1):
             assert vals[i] <= 0.5 * (vals[i - 1] + vals[i + 1]) + 1e-9
+
+
+class TestV1OnlyWhereNeeded:
+    """Past the threshold's bound, a solve answers or refuses as one that searches v1 does."""
+
+    @staticmethod
+    def _as_if_searched(inst):
+        """The solve's outcome with the bound replaced by the searched threshold itself."""
+        with pytest.MonkeyPatch.context() as patch:
+            searched = lambda m1, me: exp_moment._v1_and_threshold(m1, me)[1]
+            patch.setattr(exp_moment, "_threshold_bound", searched)
+            return _outcome(inst)
+
+    def _check(self, instances) -> int:
+        """Asserts each instance's outcome; returns how many searched no v1."""
+        skipped = 0
+        for inst in instances:
+            m1, me, qs = inst.m1_scaled, inst.Me, inst.q_scaled
+            outcome = _outcome(inst)
+            assert repr(outcome) == repr(self._as_if_searched(inst)), inst
+            try:
+                threshold = exp_moment._v1_and_threshold(m1, me)[1]
+            except MomentBoundError:
+                continue  # a refusal, the same on both sides
+            if isinstance(outcome, Report):
+                assert qs > threshold or outcome.branch == exp_moment.BOUNDARY, inst
+            bound = exp_moment._threshold_bound(m1, me)
+            assert threshold <= bound
+            skipped += qs > bound * (1.0 + 1e-9) + 1e-12
+        return skipped
+
+    def test_stream_draws(self):
+        for seed in STREAM_SEEDS:
+            instances = [
+                ExpMomentInstance(**op.params) for op in stream_ops(seed) if op.kind == "mp1e"
+            ]
+            skipped = self._check(instances)
+            assert len(instances) > STREAM_OPS // 3 and skipped > len(instances) // 2
+
+    def test_boundary_point_past_float_range_is_refused_past_the_bound(self):
+        # v1 is about 702: compute_v1's bracket end 700 reads f(700) < 0, and a
+        # solve past the bound 699 that searches no v1 still raises it
+        inst = ExpMomentInstance(M1=1e-10, Me=1e292, t=1.0, q=699.5)
+        bound = 700.0 + inst.m1_scaled / (inst.Me - 1.0) - 1.0  # at hi = 700
+        assert inst.q_scaled > bound * (1.0 + 1e-9) + 1e-12
+        with pytest.raises(RangeError, match="boundary support point above 700"):
+            solve_exp_moment(inst)
+
+    def test_orders_within_ulps_of_the_threshold(self):
+        instances = []
+        for M1, me, t in _continuity_draws():
+            q = boundary_threshold(ExpMomentInstance(M1=M1, Me=me, t=t, q=M1))
+            if q <= 0.0:
+                continue
+            instances.append(ExpMomentInstance(M1=M1, Me=me, t=t, q=q * (1.0 + 1e-9)))
+            for _ in range(3):
+                q = math.nextafter(q, -math.inf)
+            for _ in range(7):
+                instances.append(ExpMomentInstance(M1=M1, Me=me, t=t, q=q))
+                q = math.nextafter(q, math.inf)
+        # all of them lie below the bound, and search v1 as every solve did
+        assert self._check(instances) == 0 and len(instances) > 100

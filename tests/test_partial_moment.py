@@ -12,12 +12,11 @@ from momentbound.core import DiscreteDistribution
 from momentbound.errors import BranchError, FamilyParamError, InfeasibleError
 from momentbound.partial_moment import (
     PartialMomentInstance,
-    enumerate_family,
     family_lower_bound,
     kappa,
     solve_partial_moment,
 )
-from references import moments_of
+from references import enumerate_family, moments_of
 
 
 def _upm_moments(dist: DiscreteDistribution):

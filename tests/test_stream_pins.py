@@ -12,14 +12,18 @@ per interior solve.  The mp1t retry's back-solve runs `brent` where the
 earlier re-solve collapsed a bracket by halving: on the same brackets
 `brent` must find the root that collapse found, `references.reference_bisect`
 with its tolerance below one ulp of the bracket, to within 4 ulp or as an
-exact zero of f where both are, and raise what it raises.
+exact zero of f where both are, and raise what it raises.  And `brent`
+itself must run the iterates of `references.reference_brent`, the loop
+before its checks were inlined and its abs/min calls became expressions:
+the same root and evaluation count, bit for bit, or the same exception.
 
 The inputs are the candidates of two seeds of the benchmark's `solve_stream`
 (its timed instances and its wide mp1t/mp1e probe draws), of the first
 decisions of its `newsvendor` stream, one seeded draw for every shape the
 pass is compiled for with up to three moment functions after h_0,
 hypothesis-drawn certificates over all five function families and, for the
-collapses, random and edge-case brackets of smooth functions.
+collapses and the Brent loop, random, hypothesis-drawn and edge-case
+brackets of smooth functions.
 """
 
 import importlib.util
@@ -39,7 +43,7 @@ import momentbound
 from momentbound import core, exp_moment, power_moment, rootfind
 from momentbound.core import DiscreteDistribution, DualCertificate, GmpInstance, ToleranceSet
 from momentbound.errors import MomentBoundError
-from references import absolute_verdict, exact_residuals, reference_bisect
+from references import absolute_verdict, exact_residuals, reference_bisect, reference_brent
 from test_core import _undecidable_cases
 
 # The reference adds its rows and values with sum(), which adds floats left
@@ -61,13 +65,18 @@ def _workloads():
     return module
 
 
-def _run_stream(seed: int) -> None:
-    """Every solve of the timed stream's first STREAM_OPS operations and its probe."""
+def stream_ops(seed: int) -> list:
+    """The timed stream's first STREAM_OPS operations and its probe's wide draws."""
     workloads = _workloads()
     stream = workloads.make_stream("solve_stream", seed)
-    runner = workloads.Runner("solve_stream", momentbound, "")
     ops = [stream.next() for _ in range(STREAM_OPS)]
-    for op in ops + stream.wide_solves(workloads.PROBE_WIDE_SOLVES):
+    return ops + stream.wide_solves(workloads.PROBE_WIDE_SOLVES)
+
+
+def _run_stream(seed: int) -> None:
+    """Every solve of the timed stream's first STREAM_OPS operations and its probe."""
+    runner = _workloads().Runner("solve_stream", momentbound, "")
+    for op in stream_ops(seed):
         try:
             runner.run(op)
         except MomentBoundError:
@@ -247,14 +256,17 @@ def test_every_shape_bit_identical():
     A refusal keeps its type and message (`_assert_pinned` compares them).
     """
     rng = np.random.default_rng(28)
-    outcomes = Counter()
+    outcomes, kinds = Counter(), Counter()
     for i, (g, hs) in enumerate(SHAPES):
         inst, dist, cert = _shape_draw(rng, i, g, hs)
         _assert_pinned(inst, dist, cert)
         outcome = _outcome(lambda: exact_residuals(inst, dist, cert))
         outcomes[outcome[1].split(":")[0] if isinstance(outcome, tuple) else "residuals"] += 1
+        kinds[outcome[0] if isinstance(outcome, tuple) else "residuals"] += 1
     assert len(SHAPES) == 775
-    assert outcomes["residuals"] > len(SHAPES) // 2
+    # a squared_positive_part past 1.3e154 reads inf, as a monomial does: no
+    # draw raises OverflowError
+    assert kinds == {"residuals": 564, "DomainError": 211}
     assert outcomes["cannot decide H >= 0"] > 0
     assert outcomes["cannot decide H >= 0 with the decaying exponential e^(-1x)"] > 0
 
@@ -340,29 +352,30 @@ def test_stream_brent_roots_match_brentq(monkeypatch):
 def test_stream_interior_search_budget(monkeypatch):
     """A median of at most 10 root-function evaluations per interior mp1t and mp1e solve.
 
-    The count includes the bracket ends' values, and the report's
-    `bisect_iters` counts the evaluations the search itself made.
+    The count is every evaluation of mp1e's phi and, for each search of
+    mp1t's psi or mp1e's g*phi, the evaluations it made plus its bracket
+    ends' values; the report's `bisect_iters` counts the evaluations the
+    search itself made.
     """
     evals = [0]
+    real_phi, real_brent = exp_moment.phi, rootfind.brent
 
-    def counted(module, name):
-        real = getattr(module, name)
+    def phi(*args):
+        evals[0] += 1
+        return real_phi(*args)
 
-        def f(*args):
-            evals[0] += 1
-            return real(*args)
+    def brent(f, a, b, fa, fb):
+        root, n = real_brent(f, a, b, fa, fb)
+        if f.__name__ in ("psi", "gphi"):  # the interior searches' root functions
+            evals[0] += n + 2
+        return root, n
 
-        monkeypatch.setattr(module, name, f)
-
-    counted(power_moment, "_psi")
-    counted(exp_moment, "phi")
-    counted(exp_moment, "_gap_times_phi")
-    workloads = _workloads()
-    stream = workloads.make_stream("solve_stream", STREAM_SEEDS[0])
-    runner = workloads.Runner("solve_stream", momentbound, "")
-    ops = [stream.next() for _ in range(STREAM_OPS)]
+    monkeypatch.setattr(exp_moment, "phi", phi)
+    for module in (power_moment, exp_moment):
+        monkeypatch.setattr(module, "brent", brent)
+    runner = _workloads().Runner("solve_stream", momentbound, "")
     counts = {"mp1t": [], "mp1e": []}
-    for op in ops + stream.wide_solves(workloads.PROBE_WIDE_SOLVES):
+    for op in stream_ops(STREAM_SEEDS[0]):
         evals[0] = 0
         try:
             rep = runner.run(op)
@@ -395,3 +408,84 @@ def _slow_tail(x):
 def test_loop_checks_like_reference(f):
     """NonFiniteError text and the float coercion of f's values, inside the loop."""
     _pin(f, 0.0, 1.0)
+
+
+def _same_as_reference(f, a, b, fa, fb):
+    """rootfind.brent's (root, evals) or exception, asserted equal to reference_brent's."""
+    try:
+        expected = reference_brent(f, a, b, fa, fb)
+    except Exception as exc:  # compared below, then raised again by brent
+        expected = exc
+    try:
+        out = rootfind.brent(f, a, b, fa, fb)
+    except Exception as exc:
+        assert (type(exc), str(exc)) == (type(expected), str(expected))
+        raise
+    assert repr(out) == repr(expected) and type(out[0]) is type(expected[0])
+    return out
+
+
+@pytest.mark.parametrize(
+    "f", [_gap, _slow_tail, lambda x: np.float64(x * x - 0.09)], ids=["nan", "inf", "numpy"]
+)
+def test_brent_loop_bit_identical_at_its_checks(f):
+    """The inlined finiteness check: NonFiniteError texts, end values first, float(f(x))."""
+    for fa, fb in ((f(0.0), f(1.0)), (math.nan, 1.0), (-1.0, -math.inf), (np.float64(-1.0), 1.0)):
+        try:
+            _same_as_reference(f, 0.0, 1.0, fa, fb)
+        except MomentBoundError:
+            pass
+
+
+_SMOOTH = [
+    lambda x, r: x - r,
+    lambda x, r: x**3 - r**3,
+    lambda x, r: math.exp(x) - math.exp(r),
+    lambda x, r: math.tanh(20.0 * (x - r)),
+    lambda x, r: (x - r) * (1.0 + 100.0 * (x - r) ** 2),
+    lambda x, r: math.atan(1e6 * (x - r)) + 1e-3 * (x - r),
+]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    st.sampled_from(range(len(_SMOOTH))),
+    st.floats(-1e3, 1e3),
+    st.floats(1e-300, 1e3),
+    st.floats(1e-300, 1e3),
+    st.sampled_from([1.0, -1.0]),
+)
+def test_brent_bit_identical_on_drawn_brackets(k, r, left, right, sign):
+    """Same iterates as the reference loop: the same root and evaluation count, bit for bit."""
+    a, b = r - left, r + right
+    f = lambda x: sign * _SMOOTH[k](x, r)
+    try:
+        fa, fb = f(a), f(b)
+    except OverflowError:
+        return
+    try:
+        _same_as_reference(f, a, b, fa, fb)
+    except MomentBoundError:
+        pass
+
+
+def test_stream_searches_bit_identical(monkeypatch):
+    """Every brent search of a solve_stream seed and of newsvendor decisions, against the reference.
+
+    Each module's `brent` runs both loops on the same arguments; the
+    package's result is returned, and the two must be equal.
+    """
+    searches = Counter()
+
+    def both(f, a, b, fa, fb):
+        searches[getattr(f, "__name__", "")] += 1
+        return _same_as_reference(f, a, b, fa, fb)
+
+    for module in (power_moment, exp_moment):
+        monkeypatch.setattr(module, "brent", both)
+    exp_moment.compute_v1.cache_clear()
+    _run_stream(STREAM_SEEDS[0])
+    _run_newsvendor()
+    # psi, g*phi, v1's f, the retry's g and the order's excess all ran
+    assert searches["psi"] > STREAM_OPS // 10 and searches["gphi"] > STREAM_OPS // 10
+    assert searches["<lambda>"] > 0 and searches["g"] > 0 and searches["excess"] > 0
