@@ -321,7 +321,12 @@ def _candidate(inst: ExpMomentInstance) -> dict:
         v1 = compute_v1(m1, me)
         p_hi = m1 / v1
         value = inst.M1 * (1.0 - qs / v1)
-        dist = DiscreteDistribution(points=((0.0, 1.0 - p_hi), (v1 / t, p_hi)))
+        if p_hi >= 1.0:
+            # v1 rounds to t*M1 (Me within rounding of e^(t*M1)): the law
+            # left is the point mass, and a mass of 0 at 0 is not a point
+            dist = DiscreteDistribution(points=((v1 / t, 1.0),))
+        else:
+            dist = DiscreteDistribution(points=((0.0, 1.0 - p_hi), (v1 / t, p_hi)))
         ev1 = math.exp(v1)
         if v1 < 0.5:
             # e^v1*(v1 - 1) + 1 cancels for small v1: take it as

@@ -16,14 +16,21 @@ results.  The oracle shares no root functions or closed forms with the
 analytic solvers, nor the verifier's scalar arithmetic: it evaluates the
 instance's g and h_i on the grid with its own numpy code.
 
-A pivot costs what its arithmetic costs.  Dividing the pivot row and
-subtracting a multiple of it from every row of the (m+1) x (n+1) tableau
-B^-1 [A | b] (reduced costs in the last row) takes about 20 us at 2001 grid
-points on a 2-vCPU x86-64 host; pricing is one argmin, and the ratio test and
+A pivot costs what its arithmetic costs.  It divides the pivot row and
+subtracts a multiple of it from each other row of the (m+1) x (n+1) tableau
+B^-1 [A | b] (reduced costs in the last row), one row at a time and in
+place, the pivot row itself last: bit for bit the whole-tableau update
+T -= f r^T, without its (m+1) x (n+1) temporary.  With m = 3 at 2001 grid
+points that takes 14-25 us on a shared 2-vCPU x86-64 host (the whole-tableau
+update took 18-27 us there); pricing is one argmin, and the ratio test and
 the rhs scrub run over the m <= 4 constraint rows in Python floats, about
-5 us more.  They make the comparisons and divisions of the array version of
-the loop (``simplex_run`` in the test suite's references), so the pivot
+5-10 us more.  They make the comparisons and divisions of the array version
+of the loop (``simplex_run`` in the test suite's references), so the pivot
 sequence, and with it every result, is the same bit for bit.
+
+Each solve evaluates g and the h_i on the grid straight into one buffer,
+[A | b] over [g | 0]; the cold tableau is built from it and the warm one is
+B^-1 times its first m rows.
 
 Refinement warm-starts.  A doubled grid keeps every point of the coarser one
 bit for bit, so the coarser round's optimal basis is a feasible basis of the
@@ -31,7 +38,13 @@ finer LP: phase 2 starts from its tableau B^-1 [A | b], with reduced costs
 c - c_B B^-1 A, phase 1 is skipped, and only the new points can price in.
 A start that is off the grid, short of one point per row (phase 1 dropped a
 redundant row), singular, or negative beyond roundoff falls back to the
-cold two-phase solve.  Only the oracle's own earlier basis is ever used as
+cold two-phase solve.  A warm round that makes no pivot ends on the start's
+points in the start's order.  Where their columns of [A | b] over [g | 0]
+are byte-equal to those of the round the start came from (its ``basis``
+keeps their bytes), B, b and c_B are too, and the round keeps that round's
+value, law and duals instead of solving B again.  Comparing the bytes means
+the reuse does not rest on numpy evaluating a point the same way in arrays
+of different lengths.  Only the oracle's own earlier basis is ever used as
 a start, never a solver's support or duals.
 """
 
@@ -120,41 +133,49 @@ class RefineOutcome:
     rounds: int
 
 
-def _evaluate(f: MomentFunction, xs: np.ndarray) -> np.ndarray:
-    """f on every grid point."""
+def _evaluate(f: MomentFunction, xs: np.ndarray, out: np.ndarray) -> None:
+    """f on every grid point, written into ``out``."""
     family, p = f.family, f.param
     if family == "monomial":
-        return xs + 0.0 if p == 1.0 else np.power(xs, p)
-    if family == "positive_part":
-        return np.maximum(xs - p, 0.0)
-    if family == "squared_positive_part":
-        return np.maximum(xs - p, 0.0) ** 2
-    if family == "exponential":
-        return np.exp(p * xs)
-    return np.ones_like(xs)
+        if p == 1.0:
+            np.add(xs, 0.0, out=out)
+        else:
+            np.power(xs, p, out=out)
+    elif family == "exponential":
+        np.multiply(p, xs, out=out)
+        np.exp(out, out=out)
+    elif family in ("positive_part", "squared_positive_part"):
+        np.subtract(xs, p, out=out)
+        np.maximum(out, 0.0, out=out)
+        if family == "squared_positive_part":
+            np.square(out, out=out)
+    else:
+        out.fill(1.0)
 
 
 def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    T[row] /= T[row, col]
-    factors = T[:, col].copy()
-    factors[row] = 0.0
-    T -= factors[:, None] * T[row]
+    r = T[row]
+    r /= r[col]
+    for i, f in enumerate(T[:, col].tolist()):
+        if i != row:
+            T[i] -= f * r
+    # the pivot row last, as r - 0*r: that is what T -= f r^T with f[row] = 0
+    # makes of it, signed zeros, inf and nan included, and every other row
+    # subtracts r as it was before this line
+    r -= 0.0 * r
     basis[row] = col
 
 
-def _scrub(T: np.ndarray) -> bool:
+def _scrub(T: np.ndarray) -> list[float]:
     """Zero the rhs entries of T that are negative by roundoff only (> -1e-11).
 
-    Returns False when an entry is left negative beyond roundoff.
+    Returns the rhs after the scrub, as Python floats.
     """
-    clean = True
-    for i, r in enumerate(T[:-1, -1].tolist()):
-        if r < 0.0:
-            if r > -1e-11:
-                T[i, -1] = 0.0
-            else:
-                clean = False
-    return clean
+    rhs = T[:-1, -1].tolist()
+    for i, r in enumerate(rhs):
+        if -1e-11 < r < 0.0:
+            T[i, -1] = rhs[i] = 0.0
+    return rhs
 
 
 def _run(T: np.ndarray, basis: list[int], n_enter: int) -> tuple[str, int]:
@@ -167,6 +188,7 @@ def _run(T: np.ndarray, basis: list[int], n_enter: int) -> tuple[str, int]:
     """
     pivots = 0
     stalled = 0
+    rhs = T[:-1, -1].tolist()
     while True:
         rc = T[-1, :n_enter]
         if stalled < _DEGENERATE_RUN:
@@ -181,7 +203,7 @@ def _run(T: np.ndarray, basis: list[int], n_enter: int) -> tuple[str, int]:
         # ratio test in Python floats: on m <= 4 rows numpy's per-call
         # overhead costs more than the divisions; lowest basis index on ties
         row, best = -1, 0.0
-        for i, (a, r) in enumerate(zip(T[:-1, j].tolist(), T[:-1, -1].tolist())):
+        for i, (a, r) in enumerate(zip(T[:-1, j].tolist(), rhs)):
             if a > _PIVOT_TOL:
                 ratio = r / a
                 if row < 0 or ratio < best or (ratio == best and basis[i] < basis[row]):
@@ -192,7 +214,7 @@ def _run(T: np.ndarray, basis: list[int], n_enter: int) -> tuple[str, int]:
         _pivot(T, basis, row, j)
         pivots += 1
         stalled = stalled + 1 if T[-1, -1] == objective else 0
-        _scrub(T)
+        rhs = _scrub(T)
 
 
 def _two_phase_simplex(
@@ -206,12 +228,13 @@ def _two_phase_simplex(
     counts = [] if pivots is None else pivots
     m, n = A.shape
     sign = np.where(b < 0.0, -1.0, 1.0)
-    A1 = A * sign[:, None]
     b1 = b * sign
 
-    T = np.zeros((m + 1, n + m + 1))
-    T[:m, :n] = A1
-    T[:m, n : n + m] = np.eye(m)
+    # basis labels n..n+m-1 are the artificials; their columns are never
+    # read, so the tableau has none
+    T = np.empty((m + 1, n + 1))
+    A1 = T[:m, :n]
+    np.multiply(A, sign[:, None], out=A1)
     T[:m, -1] = b1
     T[-1, :n] = -A1.sum(axis=0)
     T[-1, -1] = -b1.sum()
@@ -235,35 +258,39 @@ def _two_phase_simplex(
     rows = np.flatnonzero(keep)
     basis2 = [basis[i] for i in rows]
 
-    T2 = np.zeros((rows.size + 1, n + 1))
-    T2[:-1, :n] = T[rows, :n]
-    T2[:-1, -1] = T[rows, -1]
+    # phase 2 on the kept rows, under the reduced costs of c
+    T2 = T if rows.size == m else T[[*rows, m]]
     T2[-1, :n] = c
+    T2[-1, -1] = 0.0
     for i, bi in enumerate(basis2):
         T2[-1] -= T2[-1, bi] * T2[i]
-    return _phase_two(A, b, c, T2, basis2, rows, counts)
+    status, phase2 = _run(T2, basis2, n)
+    counts.append(phase2)
+    if status != OPTIMAL:
+        return status, None, basis2, None
+    x, y = _resolve(A, b, c, basis2, rows)
+    return OPTIMAL, x, basis2, y
 
 
-def _warm_tableau(
-    A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int]
-) -> np.ndarray | None:
+def _warm_tableau(Ab: np.ndarray, c: np.ndarray, basis: list[int]) -> np.ndarray | None:
     """The phase-2 tableau of a basis, or None if the basis cannot be trusted.
 
-    The tableau is B^-1 [A | b] with reduced costs c - c_B B^-1 A.  It is
-    None unless ``basis`` holds one distinct column per row of A, B is
-    nonsingular and the basic solution B^-1 b is nonnegative up to roundoff.
+    ``Ab`` is [A | b].  The tableau is B^-1 [A | b] with reduced costs
+    c - c_B B^-1 A.  It is None unless ``basis`` holds one distinct column
+    per row of A, B is nonsingular and the basic solution B^-1 b is
+    nonnegative up to roundoff.
     """
-    m, n = A.shape
+    m, n = Ab.shape[0], Ab.shape[1] - 1
     if len(basis) != m or len(set(basis)) != m:
         return None
     T = np.empty((m + 1, n + 1))
     try:
         # the m x m inverse times [A | b]: np.linalg.solve with thousands of
         # right-hand sides is over an order of magnitude slower
-        np.matmul(np.linalg.inv(A[:, basis]), np.column_stack([A, b]), out=T[:-1])
+        np.matmul(np.linalg.inv(Ab.take(basis, axis=1)), Ab, out=T[:-1])
     except np.linalg.LinAlgError:
         return None
-    if not (np.isfinite(T[:-1]).all() and _scrub(T)):
+    if not np.isfinite(T[:-1]).all() or any(r < 0.0 for r in _scrub(T)):
         return None
     T[:-1, basis] = np.eye(m)
     T[-1, :n] = c - c[basis] @ T[:-1, :n]
@@ -272,40 +299,44 @@ def _warm_tableau(
     return T
 
 
-def _phase_two(
-    A: np.ndarray,
-    b: np.ndarray,
-    c: np.ndarray,
-    T2: np.ndarray,
-    basis2: list[int],
-    rows: np.ndarray,
-    counts: list[int],
-) -> tuple[str, np.ndarray | None, list[int], np.ndarray | None]:
-    """Run phase 2 from a feasible tableau on ``rows`` of A, then re-solve."""
-    m, n = A.shape
-    status, phase2 = _run(T2, basis2, n)
-    counts.append(phase2)
-    if status != OPTIMAL:
-        return status, None, basis2, None
+def _resolve(
+    A: np.ndarray, b: np.ndarray, c: np.ndarray, basis: list[int], rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The masses x and duals y of an optimal basis on ``rows`` of A.
 
-    x = np.zeros(n)
-    B = A[np.ix_(rows, basis2)]
-    # re-solve on the final basis with one refinement step for clean residuals
-    xb = np.linalg.solve(B, b[rows])
-    xb += np.linalg.solve(B, b[rows] - B @ xb)
-    cols, Bc = np.asarray(basis2), B
+    B is solved again, with one refinement step for clean residuals, rather
+    than read off the tableau.
+    """
+    m, n = A.shape
+    B = A.take(basis, axis=1)[rows]
+    br = b[rows]
+    xb = np.linalg.solve(B, br)
+    xb += np.linalg.solve(B, br - B @ xb)
+    cols, Bc = np.asarray(basis), B
     while np.any(xb < 0.0):
         # a degenerate basic variable can come out a hair below zero; drop it
         # and refit the rest, so the masses left still meet every row
         pos = xb > 0.0
         cols, Bc = cols[pos], Bc[:, pos]
-        xb = np.linalg.lstsq(Bc, b[rows], rcond=None)[0]
-        xb += np.linalg.lstsq(Bc, b[rows] - Bc @ xb, rcond=None)[0]
+        xb = np.linalg.lstsq(Bc, br, rcond=None)[0]
+        xb += np.linalg.lstsq(Bc, br - Bc @ xb, rcond=None)[0]
+    x = np.zeros(n)
     x[cols] = xb
-
     y = np.zeros(m)
-    y[rows] = np.linalg.solve(B.T, c[basis2])
-    return OPTIMAL, x, basis2, y
+    y[rows] = np.linalg.solve(B.T, c[basis])
+    return x, y
+
+
+class _Basis(tuple):
+    """``OracleResult.basis``: the grid points of an optimal basis, one per row.
+
+    It also keeps what a later round needs to reuse the law solved on it:
+    ``key``, the sense and the bytes of the basis columns of [A | b] over
+    [g | 0], and ``law``, the value, distribution and duals.
+    """
+
+    key: tuple[str, bytes] = ("", b"")
+    law: tuple = ()
 
 
 def oracle_solve(
@@ -317,48 +348,64 @@ def oracle_solve(
     on this grid.  Phase 2 then starts from that basis and phase 1 is
     skipped (``pivots[0] == 0``).  A start that is off the grid, short of
     one point per constraint, singular or infeasible here is ignored, and
-    the LP is solved from the artificial basis as without one.
+    the LP is solved from the artificial basis as without one.  A start
+    that no pivot leaves, on columns byte-equal to those of the result it
+    came from, keeps that result's law.
     """
-    if grid.n_points < len(inst.hs) + 1:
-        raise DomainError(
-            f"grid needs at least {len(inst.hs) + 1} points for {len(inst.hs)} constraints"
-        )
+    m = len(inst.hs)
+    if grid.n_points < m + 1:
+        raise DomainError(f"grid needs at least {m + 1} points for {m} constraints")
     xs = grid.points()
+    n = xs.size
+    Ab = np.empty((m + 1, n + 1))  # [A | b] over [g | 0], the one array of the round
     with np.errstate(over="ignore"):  # an overflow is refused just below
-        Ag = np.vstack([_evaluate(f, xs) for f in (*inst.hs, inst.g)])
-    if not np.isfinite(Ag).all():
+        for f, row in zip((*inst.hs, inst.g), Ab):
+            _evaluate(f, xs, row[:n])
+    Ab[:, n] = 0.0  # the whole buffer is then one contiguous finiteness check
+    if not np.isfinite(Ab).all():
         raise DomainError("moment functions are not finite on the grid")
-    A, g = Ag[:-1], Ag[-1]
-    b = np.asarray(inst.ms, dtype=float)
+    Ab[:m, n] = inst.ms
+    A, g, b = Ab[:m, :n], Ab[m, :n], Ab[:m, n]
 
     c = -g if inst.sense == "max" else g
     basis = xs.searchsorted(start).tolist() if start else []
-    if not all(j < xs.size and xs[j] == p for j, p in zip(basis, start)):
+    if not all(j < n and xs[j] == p for j, p in zip(basis, start)):
         basis = []  # off the grid
-    T = _warm_tableau(A, b, c, basis)
-    if T is not None:
-        counts = [0]
-        status, x, basis, duals = _phase_two(A, b, c, T, basis, np.arange(b.size), counts)
-    else:
+    T = _warm_tableau(Ab[:m], c, basis)
+    if T is None:
         counts = []
         status, x, basis, duals = _two_phase_simplex(A, b, c, counts)
-    pivots = (counts[0], counts[1])
+        pivots = (counts[0], counts[1])
+    else:
+        status, phase2 = _run(T, basis, n)
+        pivots = (0, phase2)
     if status != OPTIMAL:
         return OracleResult(
             value=math.nan, dist=None, status=status, grid=grid, duals=None, pivots=pivots
         )
 
-    support = np.flatnonzero(x > 0.0)
-    dist = DiscreteDistribution(points=tuple(zip(xs[support].tolist(), x[support].tolist())))
-    value = float(g[support] @ x[support])
+    key = (inst.sense, Ab.take([*basis, n], axis=1).tobytes())
+    if T is not None and phase2 == 0 and isinstance(start, _Basis) and start.key == key:
+        # the same points in the same order, so B, b and c_B are the start's,
+        # and re-solving them would repeat its law
+        final = start
+    else:
+        if T is not None:
+            x, duals = _resolve(A, b, c, basis, np.arange(m))
+        support = np.flatnonzero(x > 0.0)
+        dist = DiscreteDistribution(points=tuple(zip(xs[support].tolist(), x[support].tolist())))
+        final = _Basis(xs[basis].tolist())
+        final.key = key
+        final.law = (float(g[support] @ x[support]), dist, tuple(duals.tolist()))
+    value, dist, duals = final.law
     return OracleResult(
         value=value,
         dist=dist,
         status=OPTIMAL,
         grid=grid,
-        duals=tuple(duals.tolist()),
+        duals=duals,
         pivots=pivots,
-        basis=tuple(xs[basis].tolist()),
+        basis=final,
     )
 
 
@@ -370,9 +417,10 @@ def refine_until(
     Density roughly doubles each round.  The doubled grid keeps every point
     of the last one, so each round after the first starts phase 2 from the
     last round's optimal basis (``oracle_solve``'s ``start``); only the new
-    points can price in, and a start that cannot be trusted falls back to
-    the full two-phase solve.  Hitting max_rounds without meeting
-    target_tol is reported through ``converged=False``, not an error.
+    points can price in, a round that makes no pivot keeps the last round's
+    law, and a start that cannot be trusted falls back to the full two-phase
+    solve.  Hitting max_rounds without meeting target_tol is reported
+    through ``converged=False``, not an error.
     """
     if not target_tol > 0.0:
         raise DomainError("target_tol must be positive")

@@ -281,6 +281,34 @@ class TestSolve:
         for ours, ref in zip(rep.cert.z, z):
             assert ours == pytest.approx(float(ref), rel=1e-14, abs=0.0)
 
+    def test_boundary_law_whose_upper_mass_rounds_to_one_is_the_point_mass(self):
+        # Me within rounding of e^(t*M1): v1 rounds to t*M1, so p_hi = m1/v1
+        # reads 1 (or a hair above), and the boundary law {0, v1} would put
+        # no mass at 0.  It is the point mass at v1/t, and it certifies.
+        inst = ExpMomentInstance(
+            M1=434.43430508996187, Me=5977.416403209715, t=0.02001624552230272, q=6.966941768885823
+        )
+        rep = solve_exp_moment(inst)
+        assert rep.branch == exp_moment.BOUNDARY and rep.verification.passed
+        assert rep.dist.points == ((compute_v1(inst.m1_scaled, inst.Me) / inst.t, 1.0),)
+        assert rep.value == pytest.approx(427.46736332107605, rel=1e-12, abs=0.0)
+        rng = random.Random(30)
+        point_masses = 0
+        for _ in range(300):
+            t = 10.0 ** rng.uniform(-3.0, 1.0)
+            tm1 = 10.0 ** rng.uniform(0.5, math.log10(700.0))
+            me = math.exp(tm1) * (1.0 + 10.0 ** rng.uniform(-15.0, -13.0))
+            try:
+                inst = ExpMomentInstance(M1=tm1 / t, Me=me, t=t, q=tm1 / t * rng.uniform(1e-3, 0.8))
+            except InfeasibleError:
+                continue  # Me rounds to e^(t*M1) or below it
+            rep = solve_exp_moment(inst)
+            assert rep.verification.passed, inst
+            if len(rep.dist.points) == 1:
+                assert rep.branch == exp_moment.BOUNDARY and rep.dist.points[0][1] == 1.0
+                point_masses += 1
+        assert point_masses > 50
+
     def test_boundary_threshold_reference(self):
         inst = ExpMomentInstance(M1=1.0, Me=math.e**2, t=1.0, q=1.0)
         assert boundary_threshold(inst) == pytest.approx(2.1624517966533261, abs=1e-10)

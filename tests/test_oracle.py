@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 import scipy.optimize
 
+import momentbound
+import references
 from momentbound import core, exp_moment, oracle, power_moment
 from momentbound.core import GmpInstance
 from momentbound.errors import DomainError
@@ -21,7 +23,17 @@ from momentbound.oracle import (
     refine_until,
 )
 from momentbound.problems import PROBLEMS
-from references import evaluate, grid_points, moments_of, simplex_pivot, simplex_run
+from references import (
+    evaluate,
+    grid_points,
+    moments_of,
+    reference_oracle_solve,
+    reference_refine_until,
+    reference_two_phase_simplex,
+    simplex_pivot,
+    simplex_run,
+)
+from test_stream_pins import _workloads
 
 
 def _mean_instance(mean: float, g=None) -> GmpInstance:
@@ -394,9 +406,35 @@ class TestWarmStart:
         assert oracle_solve(inst, fine, start=coarse.basis) == oracle_solve(inst, fine)
 
 
-def _lp_outcome(A, b, c):
+def _random_lps() -> list:
+    """150 small LPs (A, b, c) that end optimal, infeasible or unbounded.
+
+    A normalization row plus 1-4 random rows; b from a sparse mix of columns
+    (degenerate vertices), a dense mix, or at random (mostly infeasible).
+    Every fifth LP drops the normalization row, so its feasible set can be
+    unbounded.
+    """
+    rng = np.random.default_rng(1414)
+    lps = []
+    for k in range(150):
+        n = int(rng.integers(3, 60))
+        A = np.vstack([np.ones(n), rng.normal(size=(int(rng.integers(1, 5)), n))])
+        A = A[1:] if k % 5 == 4 else A
+        if k % 3 == 0:
+            p = np.zeros(n)
+            p[rng.choice(n, size=min(n, 2), replace=False)] = 0.5
+            b = A @ p
+        elif k % 3 == 1:
+            b = A @ rng.dirichlet(np.ones(n))
+        else:
+            b = rng.normal(size=A.shape[0])
+        lps.append((A, b, rng.normal(size=n)))
+    return lps
+
+
+def _lp_outcome(A, b, c, simplex=_two_phase_simplex):
     counts = []
-    status, x, basis, duals = _two_phase_simplex(A, b, c, counts)
+    status, x, basis, duals = simplex(A, b, c, counts)
     if x is None:
         return status, basis, counts
     return status, x.tobytes(), basis, duals.tobytes(), counts
@@ -428,29 +466,31 @@ class TestPivotPath:
         assert cold_then_warm() == ours
 
     def test_random_lps(self, monkeypatch):
-        # a normalization row plus 1-4 random rows; b from a sparse mix of
-        # columns (degenerate vertices), a dense mix, or at random (mostly
-        # infeasible).  Every fifth LP drops the normalization row, so its
-        # feasible set can be unbounded.
-        rng = np.random.default_rng(1414)
-        lps = []
-        for k in range(150):
-            n = int(rng.integers(3, 60))
-            A = np.vstack([np.ones(n), rng.normal(size=(int(rng.integers(1, 5)), n))])
-            A = A[1:] if k % 5 == 4 else A
-            if k % 3 == 0:
-                p = np.zeros(n)
-                p[rng.choice(n, size=min(n, 2), replace=False)] = 0.5
-                b = A @ p
-            elif k % 3 == 1:
-                b = A @ rng.dirichlet(np.ones(n))
-            else:
-                b = rng.normal(size=A.shape[0])
-            lps.append((A, b, rng.normal(size=n)))
+        lps = _random_lps()
         ours = [_lp_outcome(*lp) for lp in lps]
         assert {o[0] for o in ours} == {OPTIMAL, INFEASIBLE, UNBOUNDED}
         self._use_reference_loop(monkeypatch)
         assert [_lp_outcome(*lp) for lp in lps] == ours
+
+    def test_pivot_is_the_whole_tableau_update_bit_for_bit(self):
+        # T -= f r^T with f[row] = 0, the broadcast of references._ref_pivot,
+        # on tableaux full of signed zeros, infinities, nans and subnormals,
+        # pivoting on every row (a pivot row done before the rows below it
+        # flips the sign of zeros there)
+        rng = np.random.default_rng(30)
+        special = np.array([0.0, -0.0, 1.0, -2.5, np.inf, -np.inf, np.nan, 5e-324, -1e-300])
+        for _ in range(300):
+            shape = (int(rng.integers(2, 6)), int(rng.integers(2, 9)))
+            T = rng.normal(size=shape)
+            mask = rng.random(shape) < 0.4
+            T[mask] = rng.choice(special, size=int(mask.sum()))
+            row, col = int(rng.integers(shape[0])), int(rng.integers(shape[1]))
+            ours, ref = T.copy(), T.copy()
+            ours_basis, ref_basis = [0] * shape[0], [0] * shape[0]
+            with np.errstate(all="ignore"):
+                oracle._pivot(ours, ours_basis, row, col)
+                references._ref_pivot(ref, ref_basis, row, col)
+            assert ours.tobytes() == ref.tobytes() and ours_basis == ref_basis
 
     def test_bland_fallback_on_beale_lp(self):
         # the cycling LP of TestPricing, which needs the Bland branch
@@ -460,3 +500,151 @@ class TestPivotPath:
         assert _run(T, basis, 7) == ref_status
         assert basis == ref_basis
         assert T.tobytes() == ref_T.tobytes()
+
+
+def _same(fn, ref, *args, **kwargs):
+    """Asserts that fn and its reference return the same, bit for bit, and returns fn's result.
+
+    The same is the same ``repr`` and the same bytes of the duals and the
+    basis, or the same exception type and message.
+    """
+
+    def outcome(solve):
+        try:
+            res = solve(*args, **kwargs)
+        except Exception as exc:
+            return None, (type(exc), str(exc))
+        last = res.result if isinstance(res, oracle.RefineOutcome) else res
+        duals = np.asarray(last.duals or (), dtype=float).tobytes()
+        return res, (repr(res), duals, np.asarray(last.basis, dtype=float).tobytes())
+
+    ours, seen = outcome(fn)
+    assert seen == outcome(ref)[1], (args, kwargs)
+    return ours
+
+
+def _cold_warm_refined(gmp, grid):
+    """oracle_solve cold and warm and refine_until with max_rounds 0-3, each against the reference."""
+    cold = _same(oracle_solve, reference_oracle_solve, gmp, grid)
+    if cold is not None and cold.status == OPTIMAL:
+        _same(oracle_solve, reference_oracle_solve, gmp, grid.doubled(), start=cold.basis)
+    for rounds in range(4):
+        _same(refine_until, reference_refine_until, gmp, grid, 1e-9, rounds)
+
+
+class TestAgainstReference:
+    """The solve path returns what the previous one (references.reference_*) did, bit for bit."""
+
+    @pytest.mark.parametrize("problem, params", CHECK_INSTANCES, ids=CHECK_IDS)
+    def test_check_instances(self, problem, params):
+        for n_points in (501, 2001, 8001):
+            gmp, grid, _ = _seeded(problem, params, n_points)
+            _cold_warm_refined(gmp, grid)
+
+    def test_random_lps(self):
+        lps = _random_lps()
+        ours = [_lp_outcome(*lp) for lp in lps]
+        assert [_lp_outcome(*lp, simplex=reference_two_phase_simplex) for lp in lps] == ours
+
+    def test_check_envelopes(self, tmp_path, monkeypatch):
+        # the sampler checks of the benchmark's oracle_check probe and the
+        # wide draws of its solve_stream probe (seed 3): stdout, stderr and
+        # exit code of `check`, with the oracle's refine_until and with the
+        # reference's
+        workloads = _workloads()
+        ops = workloads.make_stream("oracle_check", 3).sampler_checks(100)
+        ops += workloads.make_stream("solve_stream", 3).wide_solves(100)
+        runner = workloads.Runner("oracle_check", momentbound, str(tmp_path))
+
+        def envelopes():
+            out = []
+            for op in ops:
+                runner.prepare(op)
+                out.append(runner.run(op))
+            return out
+
+        ours = envelopes()
+        monkeypatch.setattr(oracle, "refine_until", reference_refine_until)
+        assert envelopes() == ours
+        assert {code for code, _, _ in ours} == {0, 2, 3, 4, 6}
+
+    def test_grids_of_a_few_ulp_and_extras_on_the_grid(self):
+        # mean 1 on [1, 1 + k ulp]: 2001 points collapse to k + 1 distinct ones
+        inst = _mean_instance(1.0)
+        ulps = [1.0]
+        for _ in range(6):
+            ulps.append(math.nextafter(ulps[-1], math.inf))
+        for hi in ulps[1:4]:
+            for n_points in (3, 5, 2001):
+                for extra in ((), (1.0,), (hi,), (ulps[1], ulps[5]), (0.5, 1.0, 2.0)):
+                    grid = GridSpec(lo=1.0, hi=hi, n_points=n_points, refine_around=extra)
+                    _cold_warm_refined(inst, grid)
+        # seeded check grids with extras that are grid points already
+        for problem, params in CHECK_INSTANCES[::3]:
+            gmp, grid, _ = _seeded(problem, params, 2001)
+            xs = np.linspace(grid.lo, grid.hi, grid.n_points)
+            on_grid = (*grid.refine_around, float(xs[7]), float(xs[1000]), float(xs[-1]))
+            _cold_warm_refined(gmp, GridSpec(grid.lo, grid.hi, grid.n_points, on_grid))
+
+
+class TestWarmRoundReuse:
+    """A warm round without a pivot keeps the last law only on byte-equal basis columns."""
+
+    @staticmethod
+    def _count_solves(monkeypatch) -> list:
+        calls = []
+        solve = np.linalg.solve
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "solve", counting)
+        return calls
+
+    @pytest.mark.parametrize("problem, params", CHECK_INSTANCES, ids=CHECK_IDS)
+    def test_round_without_a_pivot_solves_nothing(self, monkeypatch, problem, params):
+        gmp, grid, _ = _seeded(problem, params, 2001)
+        cold = oracle_solve(gmp, grid)
+        calls = self._count_solves(monkeypatch)
+        warm = oracle_solve(gmp, grid.doubled(), start=cold.basis)
+        assert warm.pivots[0] == 0
+        if warm.pivots[1] == 0:
+            assert not calls
+            assert (warm.value, warm.dist, warm.duals) == (cold.value, cold.dist, cold.duals)
+        else:
+            assert calls
+        assert warm == reference_oracle_solve(gmp, grid.doubled(), start=cold.basis)
+
+    @pytest.mark.parametrize("row", [0, 1, 2, -1], ids=["h0", "h1", "h2", "g"])
+    def test_basis_column_one_ulp_off_is_resolved(self, monkeypatch, row):
+        # mp1t (50, 1.5 * 50^1.5, 1.5, 60): a check whose second round makes
+        # no pivot.  One entry of one basis column on the doubled grid is
+        # moved by one ulp, in the oracle's evaluation and the reference's.
+        gmp, grid, _ = _seeded(*CHECK_INSTANCES[0], 2001)
+        cold = oracle_solve(gmp, grid)
+        fine = grid.doubled()
+        xs = fine.points()
+        column = int(xs.searchsorted(cold.basis[1]))
+        target = (*gmp.hs, gmp.g)[row]
+        evaluate, ref_evaluate = oracle._evaluate, references._ref_evaluate
+
+        def nudge(f, xs, values):
+            if f is target and xs.size == fine.points().size:
+                values[column] = np.nextafter(values[column], np.inf)
+
+        def nudged(f, xs, out):
+            evaluate(f, xs, out)
+            nudge(f, xs, out)
+
+        def ref_nudged(f, xs):
+            values = ref_evaluate(f, xs)
+            nudge(f, xs, values)
+            return values
+
+        assert oracle_solve(gmp, fine, start=cold.basis).pivots == (0, 0)
+        monkeypatch.setattr(oracle, "_evaluate", nudged)
+        monkeypatch.setattr(references, "_ref_evaluate", ref_nudged)
+        calls = self._count_solves(monkeypatch)
+        warm = _same(oracle_solve, reference_oracle_solve, gmp, fine, start=cold.basis)
+        assert warm.pivots == (0, 0) and calls

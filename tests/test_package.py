@@ -234,9 +234,11 @@ def test_every_root_search_has_a_caller_in_the_package():
     searches = functions(package["rootfind.py"], private=False)
     outside = set().union(*(names for name, names in calls.items() if name != "rootfind.py"))
     assert searches and sorted(searches - outside) == []
-    for module in ("power_moment.py", "exp_moment.py", "rootfind.py"):
+    solvers = ("power_moment.py", "exp_moment.py", "partial_moment.py", "newsvendor.py")
+    for module in (*solvers, "rootfind.py", "oracle.py"):
         helpers = functions(package[module], private=True)
-        assert helpers and sorted(helpers - called) == [], module
+        # newsvendor.py has none today; a helper it gains must have a caller
+        assert (helpers or module == "newsvendor.py") and sorted(helpers - called) == [], module
     for amb in (power_moment.PowerMomentAmbiguity, exp_moment.ExpMomentAmbiguity):
         methods = {name for name in vars(amb) if not name.startswith("__")}
         assert {"instance_at", "solve", "tail_cutoff", "_order_at_mass"} <= methods
