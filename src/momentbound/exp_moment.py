@@ -348,7 +348,12 @@ def _candidate(inst: ExpMomentInstance) -> dict:
             raise RootBracketError(f"inconsistent support u={u}, v2={v2}")
         value = (1.0 - ratio) * gap / (span * t)
         p_hi = gap / span
-        dist = DiscreteDistribution(points=((u / t, 1.0 - p_hi), (v2 / t, p_hi)))
+        if p_hi >= 1.0:
+            # the lower mass rounds to 0 (Me within rounding of e^(t*M1)):
+            # the law left is the point mass at v2/t, as on the boundary
+            dist = DiscreteDistribution(points=((v2 / t, 1.0),))
+        else:
+            dist = DiscreteDistribution(points=((u / t, 1.0 - p_hi), (v2 / t, p_hi)))
         den = math.exp(v2) - eu
         cert = DualCertificate(z=((u - 1.0) * eu / den / t, -eu / den, 1.0 / den / t))
         branch, root = INTERIOR, u

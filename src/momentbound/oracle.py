@@ -20,13 +20,16 @@ A pivot costs what its arithmetic costs.  It divides the pivot row and
 subtracts a multiple of it from each other row of the (m+1) x (n+1) tableau
 B^-1 [A | b] (reduced costs in the last row), one row at a time and in
 place, the pivot row itself last: bit for bit the whole-tableau update
-T -= f r^T, without its (m+1) x (n+1) temporary.  With m = 3 at 2001 grid
-points that takes 14-25 us on a shared 2-vCPU x86-64 host (the whole-tableau
-update took 18-27 us there); pricing is one argmin, and the ratio test and
-the rhs scrub run over the m <= 4 constraint rows in Python floats, about
-5-10 us more.  They make the comparisons and divisions of the array version
-of the loop (``simplex_run`` in the test suite's references), so the pivot
-sequence, and with it every result, is the same bit for bit.
+T -= f r^T, without its (m+1) x (n+1) temporary.  The entering column is
+read once, as Python floats, for the ratio test and as the row multipliers,
+and the row views, the reduced-cost row and the rhs are sliced once per run.
+With m <= 3 at 2001 grid points a phase-1 pivot takes about 13 us of that
+arithmetic on a shared 2-vCPU x86-64 host, and pricing (one argmin), the
+ratio test and the rhs scrub over the m <= 4 constraint rows about 3 us
+more.  The ratio test and the scrub make the comparisons and divisions of
+the array version of the loop (``simplex_run`` in the test suite's
+references), so the pivot sequence, and with it every result, is the same
+bit for bit; a test runs both loops to termination and compares them.
 
 Each solve evaluates g and the h_i on the grid straight into one buffer,
 [A | b] over [g | 0]; the cold tableau is built from it and the warm one is
@@ -153,29 +156,34 @@ def _evaluate(f: MomentFunction, xs: np.ndarray, out: np.ndarray) -> None:
         out.fill(1.0)
 
 
-def _pivot(T: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    r = T[row]
-    r /= r[col]
-    for i, f in enumerate(T[:, col].tolist()):
-        if i != row:
-            T[i] -= f * r
+def _pivot(rows: list[np.ndarray], col: list[float], basis: list[int], row: int, j: int) -> None:
+    """Pivot the tableau whose row views are ``rows`` on entry (row, j).
+
+    ``col`` is column j read before the pivot: the pivot element and the
+    multiplier of every other row.
+    """
+    r = rows[row]
+    r /= col[row]
+    for Ti, f in zip(rows, col):
+        if Ti is not r:
+            Ti -= f * r
     # the pivot row last, as r - 0*r: that is what T -= f r^T with f[row] = 0
     # makes of it, signed zeros, inf and nan included, and every other row
     # subtracts r as it was before this line
     r -= 0.0 * r
-    basis[row] = col
+    basis[row] = j
 
 
-def _scrub(T: np.ndarray) -> list[float]:
-    """Zero the rhs entries of T that are negative by roundoff only (> -1e-11).
+def _scrub(rhs: np.ndarray) -> list[float]:
+    """Zero the entries of the rhs view that are negative by roundoff only (> -1e-11).
 
     Returns the rhs after the scrub, as Python floats.
     """
-    rhs = T[:-1, -1].tolist()
-    for i, r in enumerate(rhs):
+    values = rhs.tolist()
+    for i, r in enumerate(values):
         if -1e-11 < r < 0.0:
-            T[i, -1] = rhs[i] = 0.0
-    return rhs
+            rhs[i] = values[i] = 0.0
+    return values
 
 
 def _run(T: np.ndarray, basis: list[int], n_enter: int) -> tuple[str, int]:
@@ -188,33 +196,38 @@ def _run(T: np.ndarray, basis: list[int], n_enter: int) -> tuple[str, int]:
     """
     pivots = 0
     stalled = 0
-    rhs = T[:-1, -1].tolist()
+    rows = list(T)
+    rc = rows[-1][:n_enter]
+    rhs_view = T[:-1, -1]
+    rhs = rhs_view.tolist()
+    objective = T.item(-1, -1)
     while True:
-        rc = T[-1, :n_enter]
         if stalled < _DEGENERATE_RUN:
             j = int(rc.argmin())
-            if not rc[j] < -_RC_TOL:
-                return OPTIMAL, pivots
         else:
-            candidates = np.flatnonzero(rc < -_RC_TOL)
-            if candidates.size == 0:
+            eligible = np.flatnonzero(rc < -_RC_TOL)
+            if eligible.size == 0:
                 return OPTIMAL, pivots
-            j = int(candidates[0])
+            j = int(eligible[0])
+        col = T[:, j].tolist()  # the one read of the entering column
+        if not col[-1] < -_RC_TOL:
+            return OPTIMAL, pivots
         # ratio test in Python floats: on m <= 4 rows numpy's per-call
         # overhead costs more than the divisions; lowest basis index on ties
         row, best = -1, 0.0
-        for i, (a, r) in enumerate(zip(T[:-1, j].tolist(), rhs)):
+        for i, (a, r) in enumerate(zip(col, rhs)):
             if a > _PIVOT_TOL:
                 ratio = r / a
                 if row < 0 or ratio < best or (ratio == best and basis[i] < basis[row]):
                     row, best = i, ratio
         if row < 0:
             return UNBOUNDED, pivots
-        objective = T[-1, -1]
-        _pivot(T, basis, row, j)
+        _pivot(rows, col, basis, row, j)
         pivots += 1
-        stalled = stalled + 1 if T[-1, -1] == objective else 0
-        rhs = _scrub(T)
+        moved = T.item(-1, -1)
+        stalled = stalled + 1 if moved == objective else 0
+        objective = moved
+        rhs = _scrub(rhs_view)
 
 
 def _two_phase_simplex(
@@ -233,10 +246,11 @@ def _two_phase_simplex(
     # basis labels n..n+m-1 are the artificials; their columns are never
     # read, so the tableau has none
     T = np.empty((m + 1, n + 1))
-    A1 = T[:m, :n]
+    A1, obj = T[:m, :n], T[-1, :n]
     np.multiply(A, sign[:, None], out=A1)
     T[:m, -1] = b1
-    T[-1, :n] = -A1.sum(axis=0)
+    np.sum(A1, axis=0, out=obj)
+    np.negative(obj, out=obj)
     T[-1, -1] = -b1.sum()
     basis = list(range(n, n + m))
 
@@ -252,7 +266,8 @@ def _two_phase_simplex(
         if basis[i] >= n:
             real = np.flatnonzero(np.abs(T[i, :n]) > _PIVOT_TOL)
             if real.size:
-                _pivot(T, basis, i, int(real[0]))
+                j = int(real[0])
+                _pivot(list(T), T[:, j].tolist(), basis, i, j)
             else:
                 keep[i] = False
     rows = np.flatnonzero(keep)
@@ -260,10 +275,11 @@ def _two_phase_simplex(
 
     # phase 2 on the kept rows, under the reduced costs of c
     T2 = T if rows.size == m else T[[*rows, m]]
-    T2[-1, :n] = c
-    T2[-1, -1] = 0.0
+    obj = T2[-1]
+    obj[:n] = c
+    obj[-1] = 0.0
     for i, bi in enumerate(basis2):
-        T2[-1] -= T2[-1, bi] * T2[i]
+        obj -= obj[bi] * T2[i]
     status, phase2 = _run(T2, basis2, n)
     counts.append(phase2)
     if status != OPTIMAL:
@@ -284,18 +300,21 @@ def _warm_tableau(Ab: np.ndarray, c: np.ndarray, basis: list[int]) -> np.ndarray
     if len(basis) != m or len(set(basis)) != m:
         return None
     T = np.empty((m + 1, n + 1))
+    BiAb, rc = T[:-1], T[-1, :n]
     try:
         # the m x m inverse times [A | b]: np.linalg.solve with thousands of
         # right-hand sides is over an order of magnitude slower
-        np.matmul(np.linalg.inv(Ab.take(basis, axis=1)), Ab, out=T[:-1])
+        np.matmul(np.linalg.inv(Ab.take(basis, axis=1)), Ab, out=BiAb)
     except np.linalg.LinAlgError:
         return None
-    if not np.isfinite(T[:-1]).all() or any(r < 0.0 for r in _scrub(T)):
+    if not np.isfinite(BiAb).all() or any(r < 0.0 for r in _scrub(T[:-1, -1])):
         return None
-    T[:-1, basis] = np.eye(m)
-    T[-1, :n] = c - c[basis] @ T[:-1, :n]
-    T[-1, basis] = 0.0
-    T[-1, -1] = -c[basis] @ T[:-1, -1]
+    BiAb[:, basis] = np.eye(m)
+    cB = c.take(basis)
+    np.matmul(cB, BiAb[:, :n], out=rc)
+    np.subtract(c, rc, out=rc)
+    rc[basis] = 0.0
+    T[-1, -1] = -cB @ T[:-1, -1]
     return T
 
 

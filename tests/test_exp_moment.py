@@ -309,6 +309,36 @@ class TestSolve:
                 point_masses += 1
         assert point_masses > 50
 
+    def test_interior_law_whose_lower_mass_rounds_to_zero_is_the_point_mass(self):
+        # Me within rounding of e^(t*M1) and q past the branch threshold: the
+        # interior root leaves p_hi = gap/span a hair above 1, and the law
+        # {u, v2} would put no mass at u.  It is the point mass at v2/t.
+        inst = ExpMomentInstance(
+            M1=116.5738697915416, Me=1.3495327095821696, t=0.002571402939745268, q=111.71672614196096
+        )
+        rep = solve_exp_moment(inst)
+        assert rep.branch == exp_moment.INTERIOR and rep.verification.passed
+        assert len(rep.dist.points) == 1 and rep.dist.points[0][1] == 1.0
+        assert rep.value == pytest.approx(inst.M1 - inst.q, rel=1e-12, abs=0.0)
+        rng = random.Random(31)
+        interior = 0
+        for _ in range(400):
+            t = 10.0 ** rng.uniform(-3.0, 1.0)
+            tm1 = 10.0 ** rng.uniform(-2.0, math.log10(50.0))
+            me = math.exp(tm1) * (1.0 + 10.0 ** rng.uniform(-16.0, -13.0))
+            try:
+                inst = ExpMomentInstance(M1=tm1 / t, Me=me, t=t, q=tm1 / t * rng.uniform(0.85, 0.999))
+            except InfeasibleError:
+                continue  # Me rounds to e^(t*M1) or below it
+            try:
+                rep = solve_exp_moment(inst)
+            except MomentBoundError as exc:
+                assert not isinstance(exc, DomainError), (inst, exc)
+                continue
+            assert rep.verification.passed, inst
+            interior += rep.branch == exp_moment.INTERIOR
+        assert interior > 100
+
     def test_boundary_threshold_reference(self):
         inst = ExpMomentInstance(M1=1.0, Me=math.e**2, t=1.0, q=1.0)
         assert boundary_threshold(inst) == pytest.approx(2.1624517966533261, abs=1e-10)

@@ -450,8 +450,16 @@ class TestPivotPath:
 
     @staticmethod
     def _use_reference_loop(monkeypatch):
+        def reference_pivot(rows, col, basis, row, j):
+            # the oracle hands _pivot the row views of its tableau; the
+            # reference pivots a copy of that array, which is written back
+            T = np.array(rows)
+            simplex_pivot(T, basis, row, j)
+            for view, pivoted in zip(rows, T):
+                view[...] = pivoted
+
         monkeypatch.setattr(oracle, "_run", simplex_run)
-        monkeypatch.setattr(oracle, "_pivot", simplex_pivot)
+        monkeypatch.setattr(oracle, "_pivot", reference_pivot)
 
     @pytest.mark.parametrize("problem, params", CHECK_INSTANCES, ids=CHECK_IDS)
     def test_check_instances_cold_and_warm(self, monkeypatch, problem, params):
@@ -488,9 +496,85 @@ class TestPivotPath:
             ours, ref = T.copy(), T.copy()
             ours_basis, ref_basis = [0] * shape[0], [0] * shape[0]
             with np.errstate(all="ignore"):
-                oracle._pivot(ours, ours_basis, row, col)
+                oracle._pivot(list(ours), ours[:, col].tolist(), ours_basis, row, col)
                 references._ref_pivot(ref, ref_basis, row, col)
             assert ours.tobytes() == ref.tobytes() and ours_basis == ref_basis
+
+    def test_run_is_the_array_loop_bit_for_bit(self, monkeypatch):
+        # _run against references.simplex_run, each to termination, on
+        # tableaux whose columns that never enter hold signed zeros,
+        # infinities, nans and subnormals (the pivots carry them through),
+        # whose priced columns hold signed zeros and subnormals, and whose
+        # rhs holds zeros, subnormals and roundoff negatives for the scrub.
+        # An all-zero rhs makes every pivot degenerate, and Beale's LP (with
+        # never-entering columns spliced in) cycles under Dantzig's rule, so
+        # its runs go on past _DEGENERATE_RUN into Bland's branch.
+        class Runaway(Exception):
+            pass
+
+        def capped(pivot, objective):
+            def counted(*args):
+                calls.append(objective(*args))
+                if len(calls) > 400:
+                    raise Runaway
+                pivot(*args)
+
+            return counted
+
+        calls = []  # the objective before each pivot
+        monkeypatch.setattr(oracle, "_pivot", capped(oracle._pivot, lambda rows, *_: rows[-1][-1]))
+        monkeypatch.setattr(
+            references, "simplex_pivot", capped(references.simplex_pivot, lambda T, *_: T[-1, -1])
+        )
+        rng = np.random.default_rng(31)
+        special = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e-310, 2.5])
+        tiny = np.array([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-300])
+        beale = _beale_tableau()
+        cases = []
+        for k in range(400):
+            m, n_enter = int(rng.integers(1, 5)), int(rng.integers(2, 40 if k % 3 == 0 else 12))
+            T = rng.normal(size=(m + 1, n_enter + int(rng.integers(1, 6)) + 1))
+            if k % 25 == 0:  # Beale's LP with never-entering columns spliced in
+                m, n_enter = 3, 7
+                T = np.hstack([beale[:, :7], rng.normal(size=(4, 3)), beale[:, -1:]])
+            else:
+                priced = T[:, :n_enter]
+                mask = rng.random(priced.shape) < 0.3
+                priced[mask] = rng.choice(tiny, size=int(mask.sum()))
+            never = T[:, n_enter:-1]
+            mask = rng.random(never.shape) < 0.6
+            never[mask] = rng.choice(special, size=int(mask.sum()))
+            if k % 25:
+                rhs = T[:-1, -1]
+                rhs[:] = np.abs(rhs)
+                if k % 3 == 0:
+                    rhs[:] = 0.0
+                mask = rng.random(m) < 0.3
+                rhs[mask] = rng.choice([-0.0, 5e-324, -1e-13, -5e-12, 0.0], size=int(mask.sum()))
+            labels = [0, 1, 2] if k % 25 == 0 else rng.permutation(T.shape[1] + m)[:m].tolist()
+            cases.append((T, labels, n_enter))
+        compared = bland = 0
+        for T, basis, n_enter in cases:
+            ref_T, ref_basis = T.copy(), list(basis)
+            calls.clear()
+            with np.errstate(all="ignore"):
+                try:
+                    ref_status = simplex_run(ref_T, ref_basis, n_enter)
+                except Runaway:
+                    continue
+                # a pivot after _DEGENERATE_RUN that left the objective where it was is Bland's
+                objectives = [*calls, ref_T[-1, -1]]
+                stalled = [a == b for a, b in zip(objectives, objectives[1:])]
+                bland += any(
+                    all(stalled[p - _DEGENERATE_RUN : p])
+                    for p in range(_DEGENERATE_RUN, len(stalled))
+                )
+                calls.clear()
+                status = _run(T, basis, n_enter)
+            assert status == ref_status and basis == ref_basis
+            assert T.tobytes() == ref_T.tobytes()
+            compared += 1
+        assert compared > 350 and bland >= 16, (compared, bland)
 
     def test_bland_fallback_on_beale_lp(self):
         # the cycling LP of TestPricing, which needs the Bland branch

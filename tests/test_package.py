@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+import json
 import os
 import subprocess
 import sys
@@ -243,3 +244,23 @@ def test_every_root_search_has_a_caller_in_the_package():
         methods = {name for name in vars(amb) if not name.startswith("__")}
         assert {"instance_at", "solve", "tail_cutoff", "_order_at_mass"} <= methods
         assert sorted(methods - read) == [], amb.__name__
+
+
+def test_every_bench_record_names_its_change_and_a_declared_claim():
+    # each BENCH_*.json at the repository root parses and says what changed,
+    # how and where it was measured, and what it claims; a claim names a
+    # workload and an end-to-end metric that BENCHMARK.json declares
+    root = Path(__file__).resolve().parents[1]
+    declared = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
+    workloads = {w["name"] for w in declared["workloads"]}
+    metrics = {m["name"] for m in declared["end_to_end"]}
+    records = sorted(root.glob("BENCH_*.json"))
+    assert records
+    for path in records:
+        record = json.loads(path.read_text(encoding="utf-8"))
+        missing = {"change", "harness", "host", "method", "claim"} - set(record)
+        assert not missing, (path.name, missing)
+        claim = record["claim"]
+        if claim is not None:
+            assert claim.get("workload") in workloads, (path.name, claim)
+            assert claim.get("metric") in metrics, (path.name, claim)
