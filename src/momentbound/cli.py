@@ -133,7 +133,6 @@ def _verification_block(v: VerificationReport | None) -> dict | None:
     return {
         "primal_residual": v.primal_residual,
         "slack_residual": v.slack_residual,
-        "tangent_residual": v.tangent_residual,
         "dual_min_on_grid": v.dual_min_on_grid,
         "duality_gap": v.duality_gap,
         "passed": v.passed,

@@ -27,7 +27,7 @@ GOLDEN_MP1T = (
     '"distribution": [{"x": 0.0, "p": 0.75}, {"x": 4.0, "p": 0.25}], '
     '"dual": [0.0, 0.5, 0.0625], "branch": "boundary", "root": null, '
     '"iterations": 0, "verification": {"primal_residual": 0.0, '
-    '"slack_residual": 0.0, "tangent_residual": 0.0, "dual_min_on_grid": 0.0, '
+    '"slack_residual": 0.0, "dual_min_on_grid": 0.0, '
     '"duality_gap": 0.0, "passed": true}, "verified": true, "timing_ms": 0.0}'
 )
 
@@ -39,7 +39,7 @@ GOLDEN_MP1E_BOUNDARY = (
     '"dual": [-0.024078941976891862, 0.513483004352904, 0.024078941976891862], '
     '"branch": "boundary", "root": null, "iterations": 0, '
     '"verification": {"primal_residual": 2.6645352591003757e-15, '
-    '"slack_residual": 0.0, "tangent_residual": 0.0, '
+    '"slack_residual": 0.0, '
     '"dual_min_on_grid": 0.0, "duality_gap": 0.0, '
     '"passed": true}, "verified": true, "timing_ms": 0.0}'
 )
@@ -51,7 +51,7 @@ GOLDEN_MP1E_INTERIOR = (
     '"dual": [-0.0004130553481205896, -0.006584396049862852, '
     '0.002579086000682405], "branch": "interior", "root": 0.9372675420809182, '
     '"iterations": 6, "verification": {"primal_residual": 8.881784197001252e-16, '
-    '"slack_residual": 4.440892098500626e-16, "tangent_residual": 0.0, '
+    '"slack_residual": 4.440892098500626e-16, '
     '"dual_min_on_grid": 0.0, "duality_gap": 3.469446951953614e-18, '
     '"passed": true}, "verified": true, "timing_ms": 0.0}'
 )
@@ -64,7 +64,6 @@ GOLDEN_UPM_TWO_POINT = (
     '3.000000000000003], "branch": "two_point", "root": null, "iterations": 0, '
     '"verification": {"primal_residual": 0.0, '
     '"slack_residual": 8.881784197001252e-16, '
-    '"tangent_residual": 8.881784197001252e-16, '
     '"dual_min_on_grid": 6.245004513516506e-17, '
     '"duality_gap": 2.0122792321330962e-16, "passed": true}, "verified": true, '
     '"timing_ms": 0.0}'
@@ -76,7 +75,7 @@ GOLDEN_UPM_FAMILY = (
     '"p": 0.0425531914893617}], "dual": [0.0, -1.0, 1.0, -1.0], '
     '"branch": "degenerate_family", "root": 3.5, "iterations": 0, '
     '"verification": {"primal_residual": 2.220446049250313e-16, '
-    '"slack_residual": 0.0, "tangent_residual": 0.0, "dual_min_on_grid": -0.0, '
+    '"slack_residual": 0.0, "dual_min_on_grid": -0.0, '
     '"duality_gap": 5.551115123125783e-17, "passed": true}, "verified": true, '
     '"timing_ms": 0.0}'
 )
@@ -87,7 +86,7 @@ GOLDEN_UPM_FAMILY_V1 = (
     '"p": 0.07142857142857144}], "dual": [0.0, -1.0, 1.0, -1.0], '
     '"branch": "degenerate_family", "root": 3.0, "iterations": 0, '
     '"verification": {"primal_residual": 2.220446049250313e-16, '
-    '"slack_residual": 0.0, "tangent_residual": 0.0, "dual_min_on_grid": -0.0, '
+    '"slack_residual": 0.0, "dual_min_on_grid": -0.0, '
     '"duality_gap": 5.551115123125783e-17, "passed": true}, "verified": true, '
     '"timing_ms": 0.0}'
 )
@@ -99,7 +98,7 @@ GOLDEN_NEWSVENDOR = (
     '"dual": [0.015470053837925154, -0.07320508075688772, 0.08660254037844385], '
     '"branch": "closed_form", "root": 3.3094010767585034, "iterations": 0, '
     '"verification": {"primal_residual": 0.0, '
-    '"slack_residual": 4.440892098500626e-16, "tangent_residual": 0.0, '
+    '"slack_residual": 4.440892098500626e-16, '
     '"dual_min_on_grid": -1.734723475976807e-18, '
     '"duality_gap": 0.0, "passed": true}, "verified": true, '
     '"timing_ms": 0.0}'
@@ -110,7 +109,7 @@ GOLDEN_CHECK_MP1T_INTERIOR = (
     '"oracle_value": 0.3228756555322953, "difference": 5.551115123125783e-17, '
     '"oracle_status": "optimal", "oracle_rounds": 1, '
     '"verification": {"primal_residual": 4.440892098500626e-16, '
-    '"slack_residual": 4.440892098500626e-16, "tangent_residual": 1.3877787807814457e-17, '
+    '"slack_residual": 4.440892098500626e-16, '
     '"dual_min_on_grid": -4.440892098500626e-16, '
     '"duality_gap": 0.0, "passed": true}, "verified": true, '
     '"agree": true}'
@@ -121,7 +120,7 @@ GOLDEN_CHECK_MP1E_INTERIOR = (
     '"oracle_value": 0.012059559745025535, "difference": 6.938893903907228e-18, '
     '"oracle_status": "optimal", "oracle_rounds": 1, '
     '"verification": {"primal_residual": 8.881784197001252e-16, '
-    '"slack_residual": 4.440892098500626e-16, "tangent_residual": 0.0, '
+    '"slack_residual": 4.440892098500626e-16, '
     '"dual_min_on_grid": 0.0, "duality_gap": 3.469446951953614e-18, '
     '"passed": true}, "verified": true, "agree": true}'
 )
@@ -130,7 +129,7 @@ GOLDEN_CHECK_UPM_FAMILY = (
     '{"problem": "upm", "solver_value": 0.26, "oracle_value": 0.26, '
     '"difference": 0.0, "oracle_status": "optimal", "oracle_rounds": 1, '
     '"verification": {"primal_residual": 2.220446049250313e-16, '
-    '"slack_residual": 0.0, "tangent_residual": 0.0, "dual_min_on_grid": -0.0, '
+    '"slack_residual": 0.0, "dual_min_on_grid": -0.0, '
     '"duality_gap": 5.551115123125783e-17, "passed": true}, "verified": true, '
     '"agree": true}'
 )

@@ -25,9 +25,7 @@ from momentbound.partial_moment import PartialMomentInstance, solve_partial_mome
 from momentbound.power_moment import PowerMomentAmbiguity, PowerMomentInstance, solve_power_moment
 from momentbound.problems import PROBLEMS
 from references import (
-    NonDifferentiableError,
     enumerate_family,
-    h_derivative,
     h_function,
     moments_of,
     scan_verification,
@@ -185,14 +183,6 @@ class TestHFunction:
         with pytest.raises(DimensionError):
             h_function(DualCertificate(z=(0.0, 0.0)), inst, 1.0)
 
-    def test_derivative_and_kink(self):
-        inst = _mp1t_instance()
-        cert = DualCertificate(z=(0.0, 0.5, 1.0 / 16.0))
-        # H'(4) = 0.5 + 2*4/16 - 1 = 0
-        assert h_derivative(cert, inst, 4.0) == pytest.approx(0.0, abs=1e-14)
-        with pytest.raises(NonDifferentiableError):
-            h_derivative(cert, inst, 1.0)  # kink of (x-1)_+
-
 
 class TestVerifyOptimality:
     def test_certified_pair_passes(self):
@@ -218,7 +208,6 @@ class TestVerifyOptimality:
         assert rep.passed
         assert rep.primal_residual == 0.0
         assert rep.slack_residual == 0.0
-        assert rep.tangent_residual == 0.0
         assert rep.duality_gap == 0.0
 
     def test_wrong_mean_fails_on_primal(self):
@@ -230,21 +219,6 @@ class TestVerifyOptimality:
         mean_row = moments_of(dist, inst.hs)[1] - inst.ms[1]
         assert mean_row == pytest.approx(1.0, abs=1e-12)
         assert rep.primal_residual >= 1.0
-
-    def test_tangent_skipped_at_kink(self):
-        # support point exactly at the objective kink: the pair is optimal
-        # even though H is not differentiable there
-        inst = GmpInstance(
-            g=core.positive_part(1.0),
-            hs=(core.constant(), core.monomial(1.0)),
-            ms=(1.0, 0.5),
-            sense="max",
-        )
-        dist = DiscreteDistribution(points=((0.0, 0.5), (1.0, 0.5)))
-        cert = DualCertificate(z=(0.0, 0.0))
-        rep = verify_optimality(inst, dist, cert)
-        assert rep.tangent_residual == 0.0
-        assert rep.slack_residual == 0.0
 
     def test_min_sense_flips_dual_feasibility(self):
         # minimize E[x] with mean fixed: any H <= 0 certificate is feasible
@@ -258,7 +232,7 @@ class TestVerifyOptimality:
         cert = DualCertificate(z=(0.0, 1.0))  # H(x) = x - x = 0
         rep = verify_optimality(inst, dist, cert)
         assert rep.passed
-        loose = DualCertificate(z=(-1.0, 1.0))  # H(x) = -1 <= 0: feasible, slack fails
+        loose = DualCertificate(z=(-1.0, 1.0))  # H(x) = -1 <= 0: feasible, with a gap of 1
         rep2 = verify_optimality(inst, dist, loose)
         assert rep2.dual_min_on_grid >= 0.0
         assert not rep2.passed
@@ -272,19 +246,36 @@ class TestVerifyOptimality:
     def test_tolerances_are_explicit(self):
         inst = _mp1t_instance()
         dist = DiscreteDistribution(points=((0.0, 0.75), (4.0, 0.25)))
-        cert = DualCertificate(z=(0.0, 0.5, 1.0 / 16.0 + 1e-5))
-        strict = verify_optimality(inst, dist, cert)
+        # z_2 1e-5 high: H(4) = 1.6e-4 > 0 on mass 1/4, a gap of 4e-5
+        over = DualCertificate(z=(0.0, 0.5, 1.0 / 16.0 + 1e-5))
+        strict = verify_optimality(inst, dist, over)
         assert not strict.passed
-        lax = verify_optimality(
-            inst, dist, cert, ToleranceSet(slack=1.0, tangent=1.0, dual=1.0, gap=1.0)
-        )
-        assert lax.passed
-        # H(4) = 1.6e-4 against terms of size S(4) = 6: beyond 16u, within gamma = 1
+        assert strict.duality_gap == pytest.approx(4e-5)
+        assert strict.slack_residual == pytest.approx(1.6e-4)  # reported raw
+        assert verify_optimality(inst, dist, over, ToleranceSet(gap=1e-4)).passed
+        # z_2 1e-5 low: the same gap, and H(4) = -1.6e-4 against terms of
+        # size S(4) = 6: beyond dual + 16u*S, within dual = 1e-3 or gamma = 1
+        under = DualCertificate(z=(0.0, 0.5, 1.0 / 16.0 - 1e-5))
         assert ToleranceSet().gamma == 16 * 2.0**-53
-        assert not verify_optimality(inst, dist, cert, ToleranceSet(tangent=1.0, gap=1.0)).passed
-        wide = verify_optimality(inst, dist, cert, ToleranceSet(tangent=1.0, gap=1.0, gamma=1.0))
-        assert wide.passed
-        assert wide.slack_residual == pytest.approx(1.6e-4)  # reported raw
+        loose_gap = verify_optimality(inst, dist, under, ToleranceSet(gap=1e-4))
+        assert not loose_gap.passed
+        assert loose_gap.dual_min_on_grid == pytest.approx(-1.6e-4, rel=1e-3)
+        assert verify_optimality(inst, dist, under, ToleranceSet(gap=1e-4, dual=1e-3)).passed
+        assert verify_optimality(inst, dist, under, ToleranceSet(gap=1e-4, gamma=1.0)).passed
+
+    @pytest.mark.parametrize("mass, passed", [(2.0**-30, True), (2.0**-20, False)])
+    def test_slackness_counts_by_its_mass(self, mass, passed):
+        # H = (x/4 - 1)^2 on [1, inf) is 1/4 at a support point x = 2 of
+        # tiny mass, and E_P[g] = z.m - E_P[H] puts mass/4 in the gap: the
+        # pair certifies while that is within tol.gap, whatever |H(2)| is.
+        # The rows are the law's own moments, exact in floats.
+        inst = _mp1t_instance(M1=1.0 + 2.0 * mass, Mt=4.0 + 4.0 * mass)
+        dist = DiscreteDistribution(points=((0.0, 0.75 - mass), (2.0, mass), (4.0, 0.25)))
+        rep = verify_optimality(inst, dist, DualCertificate(z=(0.0, 0.5, 1.0 / 16.0)))
+        assert rep.primal_residual == 0.0 and rep.dual_min_on_grid == 0.0
+        assert rep.slack_residual == 0.25
+        assert rep.duality_gap == mass / 4.0
+        assert rep.passed is passed
 
 
 def _dip(x0, c, delta, kink=1.0):

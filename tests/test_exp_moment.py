@@ -486,6 +486,19 @@ class TestSolve:
         assert inst.Me * math.exp(-(inst.q_scaled + 1.0)) < 1e-10 * inst.m1_scaled
         _assert_deep_tail_answered(inst)
 
+    def test_deep_tail_with_a_tiny_rate_is_certified(self):
+        # H reads 1.3e-8 at the upper point 1.59e8 (t*x = 208, terms of H near
+        # 7.6e5), where the mass is 1.6e-90: the gap is 2.3e-98 of a value of
+        # 1.2e-84, and weak duality certifies the pair
+        inst = ExpMomentInstance(
+            M1=2433468.2932496467,
+            Me=28.022439911442532,
+            t=1.3109344756466119e-06,
+            q=157955895.46433008,
+        )
+        report = _assert_deep_tail_answered(inst)
+        assert report.verification.slack_residual > 1e-8
+
 
 class TestAmbiguity:
     def test_from_exponential_demand(self):

@@ -1,8 +1,10 @@
 """The public namespace, and what importing it costs."""
 
 import ast
+import dataclasses
 import inspect
 import json
+import math
 import os
 import subprocess
 import sys
@@ -11,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import momentbound
-from momentbound import exp_moment, partial_moment, power_moment, rootfind
+from momentbound import core, exp_moment, partial_moment, power_moment, rootfind
 from momentbound.problems import PROBLEMS
 
 
@@ -244,6 +246,31 @@ def test_every_root_search_has_a_caller_in_the_package():
         methods = {name for name in vars(amb) if not name.startswith("__")}
         assert {"instance_at", "solve", "tail_cutoff", "_order_at_mass"} <= methods
         assert sorted(methods - read) == [], amb.__name__
+
+
+@pytest.mark.parametrize(
+    "problem, params",
+    [
+        ("mp1t", {"M1": 1.0, "Mt": 4.0, "t": 2.0, "q": 3.0}),
+        ("mp1e", {"M1": 1.0, "Me": math.e**2, "t": 1.0, "q": 5.0}),
+        ("upm", {"M1": 0.5, "gamma": 4.0, "Mplus": 0.2}),
+    ],
+)
+def test_every_tolerance_is_read_by_the_verification_pass(problem, params):
+    # a ToleranceSet field that the compiled pass never reads is a dead knob;
+    # on a certified pair every check of the verdict runs and reads its own
+    entry = PROBLEMS[problem]
+    inst = entry.instance(**params)
+    report = entry.solve(inst)
+    default, read = core.ToleranceSet(), []
+
+    class Recording:
+        def __getattr__(self, name):
+            read.append(name)
+            return getattr(default, name)
+
+    assert core.verify_optimality(entry.gmp(inst), report.dist, report.cert, Recording()).passed
+    assert sorted(set(read)) == sorted(f.name for f in dataclasses.fields(core.ToleranceSet))
 
 
 def test_every_bench_record_names_its_change_and_a_declared_claim():

@@ -1,5 +1,6 @@
 """Mean plus t-th power moment solver."""
 
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -12,6 +13,7 @@ from momentbound import core, power_moment
 from momentbound.errors import (
     DomainError,
     InfeasibleError,
+    MomentBoundError,
     NonFiniteError,
     RangeError,
     RootBracketError,
@@ -24,6 +26,7 @@ from momentbound.power_moment import (
     solve_power_moment,
 )
 from references import scarf_value, theta
+from test_stream_pins import _workloads
 
 
 def _random_instances(rng, n, interior_only=False):
@@ -233,7 +236,7 @@ def _near_threshold_instances(rng, n, lo, hi, t_near_one=False):
     """mp1t instances with q a relative 10^lo to 10^hi above the branch threshold.
 
     t cycles through _T_VALUES, or with ``t_near_one`` t - 1 is log-uniform
-    on (0.01, 0.5), where about half of such solves take the re-solve.
+    on (0.01, 0.5).
     """
     out = []
     for i in range(n):
@@ -294,20 +297,12 @@ def _reference_value_at(inst, digits):
 class TestNearThreshold:
     """q from a few ulp to 1e-9 above the threshold, where theta is noise-flat.
 
-    One ``brent`` search of psi locates the upper point v.  Where the pair
-    built from it fails its certificate (about half of such solves with
-    t - 1 below 0.5, almost none past t = 1.5), the retry keeps v and
-    back-solves the tangency point w = u^(t-1) with one ``brent`` search of
-    the tangency equation over all of [0, qs^(t-1)].
+    One ``brent`` search of psi locates the upper point v, and the pair
+    built from it certifies with its 50-digit value.
     """
 
-    def test_values_match_high_precision(self, monkeypatch):
-        # the t-near-1 draws include retried answers, and draws whose
-        # reference needs more than 50 digits
-        retried, real = [], power_moment._det_consistent_w
-        monkeypatch.setattr(
-            power_moment, "_det_consistent_w", lambda v, inst: retried.append(v) or real(v, inst)
-        )
+    def test_values_match_high_precision(self):
+        # the t-near-1 draws include draws whose reference needs more than 50 digits
         rng = np.random.default_rng(2013)
         instances = _near_threshold_instances(rng, 60, -15.5, -9.0)
         instances += _near_threshold_instances(rng, 30, -15.5, -9.0, t_near_one=True)
@@ -316,7 +311,68 @@ class TestNearThreshold:
             assert rep.verification.passed, inst
             ref = _reference_value(inst)
             assert abs(rep.value - ref) <= 1e-12 * abs(ref), inst
-        assert len(retried) >= 5
+
+    def test_boundary_answer_at_the_threshold_certifies(self):
+        # q one ulp below the threshold with t near 1: the upper point is
+        # 1.77e14 and H reads 0.656 there, on a mass of 2.3e-14, which puts
+        # 1.4e-14 in the gap of a value of 3.85; the exact qs lies just past
+        # the exact threshold, so the reference bisects the interior root
+        inst = PowerMomentInstance(
+            M1=4.102361664473614, Mt=35.51533933036764, t=1.0657898696147712, q=10929705124735.963
+        )
+        assert inst.q < boundary_threshold(inst)
+        rep = solve_power_moment(inst)
+        assert rep.branch == power_moment.BOUNDARY and rep.verification.passed
+        assert rep.verification.slack_residual > 0.5
+        ref = _reference_value(inst)
+        assert abs(rep.value - ref) <= 1e-15 * abs(ref)
+
+    # wide draws of the benchmark's solve_stream probe (seeds 7, 13 and 53)
+    # with t near 1, where theta is float noise across hundreds of ulp
+    # around its root
+    @pytest.mark.parametrize(
+        "M1, Mt, t, q",
+        [
+            (9391.679532775262, 9796.238817434021, 1.0046094452875527, 6438.166973922991),
+            (6722.8281646879705, 15460.4119018824, 1.0944849176339675, 2374.0762855755065),
+            (7.666832829851819, 7.736555520965843, 1.0011860985611671, 140.14481439657436),
+        ],
+    )
+    def test_re_solve_threshold_follows_the_mean(self, M1, Mt, t, q):
+        assert solve_power_moment(PowerMomentInstance(M1=M1, Mt=Mt, t=t, q=q)).verification.passed
+
+
+@functools.lru_cache(maxsize=None)
+def _retried_draws() -> tuple:
+    """The wide mp1t probe draws of ``solve_stream``, seeds 1-60, whose first answer fails.
+
+    Each first answer is interior, and its dual misses the gap (most also
+    miss dual feasibility), with t below 1.15.  These are the draws that
+    ``solve_power_moment`` retries: 382 of the 6 000.
+    """
+    workloads = _workloads()
+    draws = []
+    for seed in range(1, 61):
+        for op in workloads.known_defect_ops("solve_stream", seed):
+            if op.kind != "mp1t":
+                continue
+            try:
+                inst = PowerMomentInstance(**op.params)
+                first = core.certify(power_moment.gmp_instance(inst), power_moment._candidate(inst))
+            except MomentBoundError:
+                continue  # the probe's known refusals
+            if not first.verification.passed:
+                draws.append((inst, first))
+    return tuple(draws)
+
+
+class TestRetry:
+    """A first answer that fails its certificate is retried once.
+
+    The retry keeps v and back-solves the tangency point w = u^(t-1) with
+    one ``brent`` search of the tangency equation over all of [0, qs^(t-1)].
+    The draws are ``_retried_draws``.
+    """
 
     def test_fallback_cost(self):
         # a retry builds a second interior pair from exactly one back-solve,
@@ -330,9 +386,9 @@ class TestNearThreshold:
                 if code.co_name in counts:
                     counts[code.co_name] += 1
 
-        rng = np.random.default_rng(5)
-        retries = 0
-        for inst in _near_threshold_instances(rng, 120, -12.0, -9.0, t_near_one=True):
+        draws = _retried_draws()
+        for inst, first in draws:
+            assert first.branch == power_moment.INTERIOR, inst
             for key in counts:
                 counts[key] = 0
             sys.setprofile(profile)
@@ -340,14 +396,10 @@ class TestNearThreshold:
                 rep = solve_power_moment(inst)
             finally:
                 sys.setprofile(None)
-            assert rep.verification.passed
-            if counts["_interior"] == 1:
-                assert counts["_det_consistent_w"] == 0, inst
-                continue
-            retries += 1
+            assert rep.verification.passed, inst
             assert counts["_interior"] == 2 and counts["_det_consistent_w"] == 1, inst
             assert counts["g"] <= 10, inst
-        assert retries >= 40
+        assert len(draws) >= 300
 
     def test_back_solved_w_matches_high_precision(self, monkeypatch):
         # every w of the retries against g's root at 50 digits with the float k
@@ -358,8 +410,7 @@ class TestNearThreshold:
             return calls[-1][2]
 
         monkeypatch.setattr(power_moment, "_det_consistent_w", w_solve)
-        rng = np.random.default_rng(5)
-        for inst in _near_threshold_instances(rng, 400, -12.0, -9.0, t_near_one=True):
+        for inst, _ in _retried_draws():
             solve_power_moment(inst)
         checked = 0
         for v, inst, w in calls:
@@ -375,22 +426,7 @@ class TestNearThreshold:
                 ulps = float(abs(w - root)) / math.ulp(float(root))
             assert ulps <= 4.0, (v, inst)
             checked += 1
-        assert checked >= 150, checked
-
-    # wide draws of the benchmark's solve_stream probe (seeds 7, 13 and 53)
-    # with t near 1, where theta is float noise across hundreds of ulp
-    # around its root and the verifier's absolute slack tolerance reads
-    # a mean-scaled residual M1 times larger
-    @pytest.mark.parametrize(
-        "M1, Mt, t, q",
-        [
-            (9391.679532775262, 9796.238817434021, 1.0046094452875527, 6438.166973922991),
-            (6722.8281646879705, 15460.4119018824, 1.0944849176339675, 2374.0762855755065),
-            (7.666832829851819, 7.736555520965843, 1.0011860985611671, 140.14481439657436),
-        ],
-    )
-    def test_re_solve_threshold_follows_the_mean(self, M1, Mt, t, q):
-        assert solve_power_moment(PowerMomentInstance(M1=M1, Mt=Mt, t=t, q=q)).verification.passed
+        assert checked >= 300, checked
 
 
 class TestRetryKeepsFirst:
@@ -398,18 +434,11 @@ class TestRetryKeepsFirst:
 
     @pytest.fixture
     def draw(self, monkeypatch):
-        """(instance, first report, reports built after) for a draw whose first answer fails.
+        """(instance, first report, reports built after) for the first of ``_retried_draws``.
 
-        The draw is near the threshold with t near 1, and every report
-        ``core.certify`` builds from then on is kept, in order.
+        Every report ``core.certify`` builds from then on is kept, in order.
         """
-        rng = np.random.default_rng(5)
-        for inst in _near_threshold_instances(rng, 120, -12.0, -9.0, t_near_one=True):
-            first = core.certify(power_moment.gmp_instance(inst), power_moment._candidate(inst))
-            if not first.verification.passed:
-                break
-        else:
-            raise AssertionError("no draw fails its first certificate")
+        inst, first = _retried_draws()[0]
         reports, real = [], core.certify
 
         def certify(gmp, candidate):
