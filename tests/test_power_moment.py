@@ -343,12 +343,11 @@ class TestNearThreshold:
 
 
 @functools.lru_cache(maxsize=None)
-def _retried_draws() -> tuple:
-    """The wide mp1t probe draws of ``solve_stream``, seeds 1-60, whose first answer fails.
+def _probe_draws() -> tuple:
+    """(instance, first report) for the wide mp1t probe draws of ``solve_stream``, seeds 1-60.
 
-    Each first answer is interior, and its dual misses the gap (most also
-    miss dual feasibility), with t below 1.15.  These are the draws that
-    ``solve_power_moment`` retries: 382 of the 6 000.
+    The first report is the certified first answer, before any retry; the
+    draws whose first answer the solver refuses are left out.
     """
     workloads = _workloads()
     draws = []
@@ -361,9 +360,18 @@ def _retried_draws() -> tuple:
                 first = core.certify(power_moment.gmp_instance(inst), power_moment._candidate(inst))
             except MomentBoundError:
                 continue  # the probe's known refusals
-            if not first.verification.passed:
-                draws.append((inst, first))
+            draws.append((inst, first))
     return tuple(draws)
+
+
+def _retried_draws() -> tuple:
+    """The ``_probe_draws`` whose first answer fails.
+
+    Each first answer is interior, and its dual misses the gap (most also
+    miss dual feasibility), with t below 1.15.  These are the draws that
+    ``solve_power_moment`` retries: 382 of the 11 366 that it does not refuse.
+    """
+    return tuple(draw for draw in _probe_draws() if not draw[1].verification.passed)
 
 
 class TestRetry:
@@ -377,7 +385,8 @@ class TestRetry:
     def test_fallback_cost(self):
         # a retry builds a second interior pair from exactly one back-solve,
         # a brent search of the tangency equation g; every evaluation of g
-        # counts, the search's right end included
+        # counts, the search's right end included.  A first answer that
+        # certifies, or a boundary one, is returned with no retry.
         counts = {"_interior": 0, "_det_consistent_w": 0, "g": 0}
 
         def profile(frame, event, arg):
@@ -386,9 +395,8 @@ class TestRetry:
                 if code.co_name in counts:
                     counts[code.co_name] += 1
 
-        draws = _retried_draws()
-        for inst, first in draws:
-            assert first.branch == power_moment.INTERIOR, inst
+        retries = kept = 0
+        for inst, first in _probe_draws():
             for key in counts:
                 counts[key] = 0
             sys.setprofile(profile)
@@ -396,10 +404,18 @@ class TestRetry:
                 rep = solve_power_moment(inst)
             finally:
                 sys.setprofile(None)
+            if first.verification.passed or first.branch == power_moment.BOUNDARY:
+                interior = int(first.branch == power_moment.INTERIOR)
+                assert counts["_interior"] == interior, inst
+                assert counts["_det_consistent_w"] == 0 and counts["g"] == 0, inst
+                assert repr(rep) == repr(first), inst
+                kept += interior
+                continue
+            retries += 1
             assert rep.verification.passed, inst
             assert counts["_interior"] == 2 and counts["_det_consistent_w"] == 1, inst
             assert counts["g"] <= 10, inst
-        assert len(draws) >= 300
+        assert retries >= 300 and kept >= 1000, (retries, kept)
 
     def test_back_solved_w_matches_high_precision(self, monkeypatch):
         # every w of the retries against g's root at 50 digits with the float k
