@@ -6,7 +6,8 @@ serialized with shortest round-trip precision); a human summary goes to
 stderr.  Exit codes: 0 success, 2 schema violation, 3 infeasible moments (or
 an oracle grid LP with no optimum, for `solve` and `check` alike), 4
 numeric-range rejection, 5 sweep row failure, 6 solver/oracle disagreement or
-failed verification.
+failed verification: a solver answer that fails its certificate is refused
+with ``UncertifiedError`` like any other refusal (a `sweep` row reads `nan`).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import fields, replace
 from typing import TYPE_CHECKING
 
 from .core import DualCertificate, Report, ToleranceSet, VerificationReport, verify_optimality
-from .errors import InfeasibleError, MomentBoundError, RangeError, SchemaError
+from .errors import InfeasibleError, MomentBoundError, RangeError, SchemaError, UncertifiedError
 from .problems import PROBLEMS, Problem
 
 if TYPE_CHECKING:
@@ -150,7 +151,7 @@ def _envelope(problem: str, report: Report, started: float) -> dict:
         "root": report.root,
         "iterations": report.bisect_iters,
         "verification": _verification_block(verification),
-        "verified": verification is not None and verification.passed,
+        "verified": verification is not None,  # every solver report is certified
         "timing_ms": (time.perf_counter() - started) * 1000.0,
     }
 
@@ -165,6 +166,8 @@ def _fail(exc: MomentBoundError) -> int:
         return EXIT_INFEASIBLE
     if isinstance(exc, RangeError):
         return EXIT_RANGE
+    if isinstance(exc, UncertifiedError):
+        return EXIT_DISAGREEMENT
     return EXIT_SCHEMA
 
 

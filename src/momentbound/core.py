@@ -33,7 +33,7 @@ this against ``tests/references.exact_residuals`` on every shape of up to
 three moment functions after h_0.  ``certify`` is the step every public
 solve ends with: it turns a solver's unverified candidate into a
 ``Report``, the one answer type of all three problems, which carries its
-verification.
+verification, or refuses it with ``UncertifiedError``: a ``Report`` is certified.
 
 The sign condition is decided exactly, not sampled.  Every function is one
 of the families built here (``constant``, ``monomial``, ``positive_part``,
@@ -57,7 +57,7 @@ import math
 from dataclasses import dataclass
 from typing import Any
 
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, UncertifiedError
 
 _FAMILIES = ("constant", "monomial", "positive_part", "squared_positive_part", "exponential")
 _CODE = {family: code for code, family in enumerate(_FAMILIES)}  # the verifier's dispatch key
@@ -545,7 +545,10 @@ def verify_optimality(
 
 @dataclass(frozen=True)
 class Report:
-    """A solver's answer: the optimal value, the primal-dual pair behind it, and its check.
+    """A solver's certified answer: the optimal value, its primal-dual pair, and their check.
+
+    ``certify`` builds it only for a pair that passes, so ``verification.passed``
+    holds on every solver's report; the CLI's oracle answer has no verification.
 
     ``branch`` names the regime the solver took.  ``root`` is the scalar that
     fixes the answer on that branch, in the solver's scaled units: the
@@ -595,7 +598,13 @@ def certify(inst: GmpInstance, candidate: dict[str, Any]) -> Report:
     """Verify a solver's candidate answer for ``inst`` and build its report, once.
 
     ``candidate`` holds every field of ``Report`` except ``verification``,
-    among them ``dist`` and ``cert``.
+    among them ``dist`` and ``cert``.  A pair that fails verification is
+    refused with ``UncertifiedError``, naming its branch, value and residuals.
     """
-    verification = verify_optimality(inst, candidate["dist"], candidate["cert"])
-    return Report(**candidate, verification=verification)
+    v = verify_optimality(inst, candidate["dist"], candidate["cert"])
+    if not v.passed:
+        raise UncertifiedError(
+            f"{candidate['branch']} answer {candidate['value']!r} fails its certificate: "
+            f"primal {v.primal_residual!r}, dual min {v.dual_min_on_grid!r}, gap {v.duality_gap!r}"
+        )
+    return Report(**candidate, verification=v)

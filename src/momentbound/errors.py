@@ -47,3 +47,7 @@ class RangeError(MomentBoundError):
 
 class SchemaError(MomentBoundError):
     """Raised when an instance file fails validation before solving."""
+
+
+class UncertifiedError(MomentBoundError):
+    """Raised when a solver's answer fails its certificate, or floats cannot resolve one."""

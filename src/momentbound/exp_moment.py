@@ -40,6 +40,7 @@ from .errors import (
     NonFiniteError,
     RangeError,
     RootBracketError,
+    UncertifiedError,
 )
 from .rootfind import brent
 
@@ -250,17 +251,6 @@ def _threshold_bound(m1: float, me: float) -> float:
     return _v1_bracket(m1, me)[1] + m1 / (me - 1.0) - 1.0
 
 
-def boundary_threshold(inst: ExpMomentInstance) -> float:
-    """Largest q (original units) for which the closed-form branch applies: t*q <= threshold."""
-    t, threshold = inst.t, _v1_and_threshold(inst.m1_scaled, inst.Me)[1]
-    q = threshold / t  # its product with t can round to either side of threshold
-    while t * q > threshold:
-        q = math.nextafter(q, -math.inf)
-    while t * (up := math.nextafter(q, math.inf)) <= threshold:
-        q = up
-    return q
-
-
 _MASS_AND_MEAN = (core.constant(), core.monomial(1.0))  # h_0 and h_1 of every instance
 
 
@@ -338,7 +328,13 @@ def _candidate(inst: ExpMomentInstance) -> dict:
         branch, root, iters = BOUNDARY, None, 0
     else:
         lo = m1 - min(m1, qs)
-        gap, iters = brent(gphi, lo, m1, gphi(lo), g_end)
+        g_lo = gphi(lo)
+        if g_lo < 0.0:  # positive in exact arithmetic: g*phi is all rounding here
+            raise UncertifiedError(
+                f"g*phi reads {g_lo!r} at the far end of its bracket: at Me - e^(t*M1) = "
+                f"{me - exp(m1)!r} the interior law is beyond double precision"
+            )
+        gap, iters = brent(gphi, lo, m1, g_lo, g_end)
         u = m1 - gap
         eu = math.exp(u)
         ratio = eu * gap / (me - eu)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 from . import core
 from .core import DiscreteDistribution, DualCertificate, GmpInstance, Report
-from .errors import BranchError, DomainError, FamilyParamError, InfeasibleError
+from .errors import BranchError, DomainError, FamilyParamError, InfeasibleError, UncertifiedError
 
 TWO_POINT = "two_point"
 DEGENERATE_FAMILY = "degenerate_family"
@@ -139,13 +139,10 @@ def solve_partial_moment(inst: PartialMomentInstance, v1_choice: float | None = 
     refusal.
     """
     try:
-        report = core.certify(gmp_instance(inst), _candidate(inst, v1_choice))
-    except DomainError:
+        return core.certify(gmp_instance(inst), _candidate(inst, v1_choice))
+    except (DomainError, UncertifiedError):
         if not _near_boundary(inst):
             raise
-    else:
-        if report.verification.passed or not _near_boundary(inst):
-            return report
     raise InfeasibleError(_ON_BOUNDARY)
 
 

@@ -8,9 +8,9 @@ is the root of ``_candidate``'s psi on a known open bracket, found by one
 ``_candidate`` builds that unverified answer, and ``solve_power_moment``
 passes it through ``core.certify``, which checks it against the generic
 optimality conditions and returns a ``core.Report`` (``root`` is v on the
-interior branch).  Only an interior answer whose certificate fails is
-retried; with t near 1 its dual can miss the duality gap.  v stays, and
-w = u^(t-1) is back-solved from the dual's tangency equation by
+interior branch) or refuses it.  Only an interior answer whose certificate
+fails is retried; with t near 1 its dual can miss the duality gap.  v
+stays, and w = u^(t-1) is back-solved from the dual's tangency equation by
 ``_det_consistent_w``; the retried pair is returned where it certifies.
 """
 
@@ -23,7 +23,7 @@ from math import expm1, log1p
 
 from . import core
 from .core import DiscreteDistribution, DualCertificate, GmpInstance, Report
-from .errors import InfeasibleError, MomentBoundError, RangeError, RootBracketError
+from .errors import InfeasibleError, MomentBoundError, RangeError, RootBracketError, UncertifiedError
 from .rootfind import brent
 
 BOUNDARY = "boundary"
@@ -149,17 +149,6 @@ def _upper_point_at_mass(p: float, inst: PowerMomentInstance, edge: float) -> fl
     return brent(excess, edge, hi, excess(edge), f_hi)[0]
 
 
-def boundary_threshold(inst: PowerMomentInstance) -> float:
-    """Largest q (original units) for which the closed-form branch applies."""
-    M1, t, edge = inst.M1, inst.t, inst.edge_scaled
-    q = M1 * (t - 1.0) / t * edge  # can round to either side of the branch's last order
-    while not _takes_boundary(q / M1, t, edge):
-        q = math.nextafter(q, -math.inf)
-    while (up := math.nextafter(q, math.inf)) < math.inf and _takes_boundary(up / M1, t, edge):
-        q = up
-    return q
-
-
 def _takes_boundary(qs: float, t: float, edge: float) -> bool:
     """Whether ``_candidate`` answers with the closed form at the scaled order qs.
 
@@ -238,22 +227,24 @@ def solve_power_moment(inst: PowerMomentInstance) -> Report:
     verifier allows (by up to 2.6% of max(1, value) on the benchmark's wide
     probe draws), often with H below 0 near u.  So an interior answer whose
     certificate fails is retried once at the same v, with w = u^(t-1)
-    back-solved from the tangency equation.  The retry replaces the first
-    answer only where it certifies; where it raises, the first answer
+    back-solved from the tangency equation.  The retry is returned where it
+    certifies; where it raises or is refused, the first answer's refusal
     stands.
     """
     gmp = gmp_instance(inst)
-    report = core.certify(gmp, _candidate(inst))
-    if report.verification.passed or report.branch == BOUNDARY:
-        return report
-    t, v = inst.t, report.root
+    first = _candidate(inst)
     try:
-        w = _det_consistent_w(v, inst)
-        u, ut = w ** (1.0 / (t - 1.0)), w ** (t / (t - 1.0))
-        retry = core.certify(gmp, _interior(inst, v, u, w, ut, report.bisect_iters))
-    except (MomentBoundError, ArithmeticError):
-        return report
-    return retry if retry.verification.passed else report
+        return core.certify(gmp, first)
+    except UncertifiedError as refusal:
+        if first["branch"] == BOUNDARY:
+            raise
+        t, v = inst.t, first["root"]
+        try:
+            w = _det_consistent_w(v, inst)
+            u, ut = w ** (1.0 / (t - 1.0)), w ** (t / (t - 1.0))
+            return core.certify(gmp, _interior(inst, v, u, w, ut, first["bisect_iters"]))
+        except (MomentBoundError, ArithmeticError):
+            raise refusal from None
 
 
 def _candidate(inst: PowerMomentInstance) -> dict:

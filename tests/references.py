@@ -29,6 +29,7 @@ from momentbound.errors import (
     NonFiniteError,
     RangeError,
 )
+from momentbound.exp_moment import _v1_and_threshold
 from momentbound.oracle import (
     _DEGENERATE_RUN,
     _PHASE1_TOL,
@@ -42,7 +43,30 @@ from momentbound.oracle import (
     RefineOutcome,
 )
 from momentbound.partial_moment import solve_partial_moment
+from momentbound.power_moment import _takes_boundary
 from momentbound.rootfind import brent
+
+
+def power_threshold(inst) -> float:
+    """Largest q (original units) for which the mp1t closed-form branch applies."""
+    M1, t, edge = inst.M1, inst.t, inst.edge_scaled
+    q = M1 * (t - 1.0) / t * edge  # can round to either side of the branch's last order
+    while not _takes_boundary(q / M1, t, edge):
+        q = math.nextafter(q, -math.inf)
+    while (up := math.nextafter(q, math.inf)) < math.inf and _takes_boundary(up / M1, t, edge):
+        q = up
+    return q
+
+
+def exp_threshold(inst) -> float:
+    """Largest q (original units) for which the mp1e closed-form branch applies: t*q <= threshold."""
+    t, threshold = inst.t, _v1_and_threshold(inst.m1_scaled, inst.Me)[1]
+    q = threshold / t  # its product with t can round to either side of threshold
+    while t * q > threshold:
+        q = math.nextafter(q, -math.inf)
+    while t * (up := math.nextafter(q, math.inf)) <= threshold:
+        q = up
+    return q
 
 
 def scarf_value(M1: float, M2: float, q: float) -> float:

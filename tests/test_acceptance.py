@@ -19,7 +19,6 @@ from momentbound.core import (
 from momentbound.exp_moment import (
     ExpMomentAmbiguity,
     ExpMomentInstance,
-    boundary_threshold as exp_threshold,
     phi,
     solve_exp_moment,
 )
@@ -32,7 +31,6 @@ from momentbound.partial_moment import (
 )
 from momentbound.power_moment import (
     PowerMomentInstance,
-    boundary_threshold as power_threshold,
     gmp_instance as power_gmp,
     solve_power_moment,
 )
@@ -40,7 +38,9 @@ from references import (
     BRANCH_POINT,
     ExponentialDemand,
     enumerate_family,
+    exp_threshold,
     lambert_w_minus1,
+    power_threshold,
     scarf_value,
     theta,
     worst_case_objective,

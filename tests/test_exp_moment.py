@@ -20,7 +20,6 @@ from momentbound.errors import (
 from momentbound.exp_moment import (
     ExpMomentAmbiguity,
     ExpMomentInstance,
-    boundary_threshold,
     compute_v1,
     phi,
     solve_exp_moment,
@@ -29,6 +28,7 @@ from references import (
     boundary_point_50,
     chernoff_tail_bound,
     exp_moment_value_50,
+    exp_threshold,
     lambert_w_minus1,
 )
 from test_stream_pins import STREAM_OPS, STREAM_SEEDS, stream_ops
@@ -210,7 +210,7 @@ class TestPhi:
         rng = np.random.default_rng(97)
         checked = 0
         for inst in _random_instances(rng, 200):
-            if inst.q > boundary_threshold(inst):
+            if inst.q > exp_threshold(inst):
                 assert phi(0.0, inst) < 0.0
                 checked += 1
         assert checked >= 40
@@ -224,7 +224,7 @@ class TestPhi:
             m1 = float(rng.uniform(1.5, 4.0))
             me = float(rng.uniform(1.01, 1.08)) * math.exp(m1)
             probe = ExpMomentInstance(M1=m1, Me=me, t=1.0, q=m1)
-            thr = boundary_threshold(probe)
+            thr = exp_threshold(probe)
             if not thr < m1:
                 continue
             q = 0.5 * (thr + m1)
@@ -238,7 +238,7 @@ class TestPhi:
         rng = np.random.default_rng(103)
         checked = 0
         for inst in _random_instances(rng, 200):
-            if inst.q > boundary_threshold(inst) and inst.m1_scaled <= inst.q_scaled:
+            if inst.q > exp_threshold(inst) and inst.m1_scaled <= inst.q_scaled:
                 near = inst.m1_scaled * (1.0 - 1e-9)
                 assert phi(near, inst) > 0.0
                 checked += 1
@@ -341,7 +341,7 @@ class TestSolve:
 
     def test_boundary_threshold_reference(self):
         inst = ExpMomentInstance(M1=1.0, Me=math.e**2, t=1.0, q=1.0)
-        assert boundary_threshold(inst) == pytest.approx(2.1624517966533261, abs=1e-10)
+        assert exp_threshold(inst) == pytest.approx(2.1624517966533261, abs=1e-10)
 
     def test_rate_scaling_identity(self):
         base = solve_exp_moment(ExpMomentInstance(M1=2.0, Me=math.e**2.5, t=0.5, q=3.0))
@@ -370,7 +370,7 @@ class TestSolve:
     def test_branch_continuity_at_threshold(self):
         for M1, me, t in _continuity_draws():
             probe = ExpMomentInstance(M1=M1, Me=me, t=t, q=M1)
-            q_star = boundary_threshold(probe)
+            q_star = exp_threshold(probe)
             if q_star <= 0.0:
                 continue
             at = solve_exp_moment(ExpMomentInstance(M1=M1, Me=me, t=t, q=q_star))
@@ -383,7 +383,7 @@ class TestSolve:
 
     def test_threshold_is_the_largest_order_of_the_boundary_branch(self):
         for M1, me, t in _threshold_draws(np.random.default_rng(5), 1000):
-            q = boundary_threshold(ExpMomentInstance(M1=M1, Me=me, t=t, q=M1))
+            q = exp_threshold(ExpMomentInstance(M1=M1, Me=me, t=t, q=M1))
             threshold = exp_moment._v1_and_threshold(t * M1, me)[1]
             assert t * q <= threshold < t * math.nextafter(q, math.inf)
 
@@ -397,7 +397,7 @@ class TestSolve:
         report = solve_exp_moment(inst)
         assert report.branch == exp_moment.BOUNDARY and report.verification.passed
         for M1, me, t in _threshold_draws(np.random.default_rng(5), 4000):
-            q = boundary_threshold(ExpMomentInstance(M1=M1, Me=me, t=t, q=M1))
+            q = exp_threshold(ExpMomentInstance(M1=M1, Me=me, t=t, q=M1))
             for _ in range(3):
                 q = math.nextafter(q, -math.inf)
             for _ in range(7):
@@ -412,7 +412,7 @@ class TestSolve:
         inst = ExpMomentInstance(
             M1=5.441104533302357, Me=1.0002286783569323, t=4.2023111705481786e-05, q=2.7279857228959643
         )
-        assert inst.q > boundary_threshold(inst) * (1.0 + 1e-9)
+        assert inst.q > exp_threshold(inst) * (1.0 + 1e-9)
         assert exp_moment.phi(0.0, inst) == 0.0
         report = solve_exp_moment(inst)
         assert report.branch == exp_moment.BOUNDARY and report.verification.passed
@@ -586,7 +586,7 @@ class TestV1OnlyWhereNeeded:
     def test_orders_within_ulps_of_the_threshold(self):
         instances = []
         for M1, me, t in _continuity_draws():
-            q = boundary_threshold(ExpMomentInstance(M1=M1, Me=me, t=t, q=M1))
+            q = exp_threshold(ExpMomentInstance(M1=M1, Me=me, t=t, q=M1))
             if q <= 0.0:
                 continue
             instances.append(ExpMomentInstance(M1=M1, Me=me, t=t, q=q * (1.0 + 1e-9)))

@@ -12,18 +12,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from momentbound.exp_moment import (
-    ExpMomentInstance,
-    boundary_threshold as exp_threshold,
-    solve_exp_moment,
-)
+from momentbound.exp_moment import ExpMomentInstance, solve_exp_moment
 from momentbound.partial_moment import PartialMomentInstance, solve_partial_moment
-from momentbound.power_moment import (
-    PowerMomentInstance,
-    boundary_threshold as power_threshold,
-    solve_power_moment,
-)
-from references import exp_moment_value_50
+from momentbound.power_moment import PowerMomentInstance, solve_power_moment
+from references import exp_moment_value_50, exp_threshold, power_threshold
 
 mp.mp.dps = 50
 

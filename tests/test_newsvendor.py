@@ -18,11 +18,12 @@ from momentbound.errors import (
     RangeError,
     RootBracketError,
 )
-from momentbound.exp_moment import ExpMomentAmbiguity, boundary_threshold
+from momentbound.exp_moment import ExpMomentAmbiguity
 from momentbound.newsvendor import NewsvendorInstance, optimize_order
 from momentbound.power_moment import PowerMomentAmbiguity
 from references import (
     ExponentialDemand,
+    exp_threshold,
     mean_variance_order,
     verified_order_search,
     worst_case_objective,
@@ -78,7 +79,7 @@ class TestEnvelopeIdentity:
             mt = amb.Mt / amb.M1**amb.t
             threshold = amb.M1 * (amb.t - 1.0) / amb.t * mt ** (1.0 / (amb.t - 1.0))
         else:
-            threshold = boundary_threshold(amb.instance_at(1.0))
+            threshold = exp_threshold(amb.instance_at(1.0))
         h = 1e-4
         branches = set()
         # the worst case is affine below the branch threshold and curved

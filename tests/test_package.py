@@ -175,6 +175,19 @@ def test_only_the_oracle_imports_numpy():
     assert sorted(set(importers)) == ["oracle.py"]
 
 
+def test_only_core_and_cli_read_a_verdict():
+    # core.certify refuses a pair that fails verification, so every Report
+    # is certified; no solver module decides again what a failed verdict means
+    package = Path(momentbound.__file__).resolve().parent
+    readers = {
+        path.name
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "passed"
+    }
+    assert readers - {"core.py", "cli.py"} == set()
+
+
 def test_newsvendor_imports_no_root_search():
     # the order comes in closed form: newsvendor.py searches for nothing
     path = Path(momentbound.__file__).resolve().parent / "newsvendor.py"

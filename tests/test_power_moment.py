@@ -17,15 +17,15 @@ from momentbound.errors import (
     NonFiniteError,
     RangeError,
     RootBracketError,
+    UncertifiedError,
 )
 from momentbound.problems import PROBLEMS
 from momentbound.power_moment import (
     PowerMomentAmbiguity,
     PowerMomentInstance,
-    boundary_threshold,
     solve_power_moment,
 )
-from references import scarf_value, theta
+from references import power_threshold, scarf_value, theta
 from test_stream_pins import _workloads
 
 
@@ -38,7 +38,7 @@ def _random_instances(rng, n, interior_only=False):
         ratio = float(rng.uniform(1.05, 3.0))
         qr = float(rng.uniform(0.1, 4.0))
         inst = PowerMomentInstance(M1=M1, Mt=ratio * M1**t, t=t, q=qr * M1)
-        if interior_only and inst.q <= boundary_threshold(inst):
+        if interior_only and inst.q <= power_threshold(inst):
             continue
         out.append(inst)
     return out
@@ -98,14 +98,14 @@ class TestTheta:
 
 class TestBoundaryThreshold:
     def test_examples(self):
-        assert boundary_threshold(
+        assert power_threshold(
             PowerMomentInstance(M1=1.0, Mt=4.0, t=2.0, q=1.0)
         ) == pytest.approx(2.0, abs=1e-14)
         delta = 1e-9
-        assert boundary_threshold(
+        assert power_threshold(
             PowerMomentInstance(M1=1.0, Mt=1.0 + delta, t=2.0, q=0.1)
         ) == pytest.approx((1.0 + delta) / 2.0, abs=1e-12)
-        assert boundary_threshold(
+        assert power_threshold(
             PowerMomentInstance(M1=2.0, Mt=32.0, t=2.0, q=1.0)
         ) == pytest.approx(8.0, abs=1e-12)
 
@@ -116,7 +116,7 @@ class TestBoundaryThreshold:
             t = _T_VALUES[i % len(_T_VALUES)]
             M1 = float(rng.uniform(0.5, 5.0))
             probe = PowerMomentInstance(M1=M1, Mt=float(rng.uniform(1.05, 3.0)) * M1**t, t=t, q=M1)
-            q = boundary_threshold(probe)
+            q = power_threshold(probe)
             at = solve_power_moment(PowerMomentInstance(M1=M1, Mt=probe.Mt, t=t, q=q))
             up = math.nextafter(q, math.inf)
             above = solve_power_moment(PowerMomentInstance(M1=M1, Mt=probe.Mt, t=t, q=up))
@@ -165,7 +165,7 @@ class TestSolve:
             ratio = float(rng.uniform(1.05, 3.0))
             qr = float(rng.uniform(0.1, 4.0))
             inst = PowerMomentInstance(M1=M1, Mt=ratio * M1**2, t=2.0, q=qr * M1)
-            if inst.q <= boundary_threshold(inst):
+            if inst.q <= power_threshold(inst):
                 continue
             rep = solve_power_moment(inst)
             ref = scarf_value(M1, inst.Mt, inst.q)
@@ -194,7 +194,7 @@ class TestSolve:
         checked = 0
         while checked < 30:
             inst = _random_instances(rng, 1)[0]
-            if inst.q > boundary_threshold(inst):
+            if inst.q > power_threshold(inst):
                 continue
             rep = solve_power_moment(inst)
             assert rep.branch == power_moment.BOUNDARY
@@ -216,7 +216,7 @@ class TestSolve:
             t = float(rng.choice([1.5, 2.0, 2.5, 3.0]))
             ratio = float(rng.uniform(1.1, 2.5))
             probe = PowerMomentInstance(M1=M1, Mt=ratio * M1**t, t=t, q=M1)
-            q_star = boundary_threshold(probe)
+            q_star = power_threshold(probe)
             below = solve_power_moment(
                 PowerMomentInstance(M1=M1, Mt=probe.Mt, t=t, q=q_star * (1.0 - 1e-9))
             )
@@ -246,7 +246,7 @@ def _near_threshold_instances(rng, n, lo, hi, t_near_one=False):
             t = _T_VALUES[i % len(_T_VALUES)]
         M1 = float(rng.uniform(0.5, 5.0))
         probe = PowerMomentInstance(M1=M1, Mt=float(rng.uniform(1.05, 3.0)) * M1**t, t=t, q=M1)
-        q = boundary_threshold(probe) * (1.0 + 10.0 ** float(rng.uniform(lo, hi)))
+        q = power_threshold(probe) * (1.0 + 10.0 ** float(rng.uniform(lo, hi)))
         out.append(PowerMomentInstance(M1=M1, Mt=probe.Mt, t=t, q=q))
     return out
 
@@ -320,7 +320,7 @@ class TestNearThreshold:
         inst = PowerMomentInstance(
             M1=4.102361664473614, Mt=35.51533933036764, t=1.0657898696147712, q=10929705124735.963
         )
-        assert inst.q < boundary_threshold(inst)
+        assert inst.q < power_threshold(inst)
         rep = solve_power_moment(inst)
         assert rep.branch == power_moment.BOUNDARY and rep.verification.passed
         assert rep.verification.slack_residual > 0.5
@@ -344,10 +344,12 @@ class TestNearThreshold:
 
 @functools.lru_cache(maxsize=None)
 def _probe_draws() -> tuple:
-    """(instance, first report) for the wide mp1t probe draws of ``solve_stream``, seeds 1-60.
+    """(instance, first candidate, its verification) for the wide mp1t probe draws, seeds 1-60.
 
-    The first report is the certified first answer, before any retry; the
-    draws whose first answer the solver refuses are left out.
+    The draws are ``solve_stream``'s.  The first candidate is the answer
+    before any retry, and its verification is ``verify_optimality``'s
+    verdict on it, passed or not; the draws whose first answer the solver
+    refuses before verification are left out.
     """
     workloads = _workloads()
     draws = []
@@ -357,10 +359,11 @@ def _probe_draws() -> tuple:
                 continue
             try:
                 inst = PowerMomentInstance(**op.params)
-                first = core.certify(power_moment.gmp_instance(inst), power_moment._candidate(inst))
+                c, gmp = power_moment._candidate(inst), power_moment.gmp_instance(inst)
+                first = core.verify_optimality(gmp, c["dist"], c["cert"])
             except MomentBoundError:
                 continue  # the probe's known refusals
-            draws.append((inst, first))
+            draws.append((inst, c, first))
     return tuple(draws)
 
 
@@ -371,7 +374,7 @@ def _retried_draws() -> tuple:
     miss dual feasibility), with t below 1.15.  These are the draws that
     ``solve_power_moment`` retries: 382 of the 11 366 that it does not refuse.
     """
-    return tuple(draw for draw in _probe_draws() if not draw[1].verification.passed)
+    return tuple(draw for draw in _probe_draws() if not draw[2].passed)
 
 
 class TestRetry:
@@ -386,7 +389,7 @@ class TestRetry:
         # a retry builds a second interior pair from exactly one back-solve,
         # a brent search of the tangency equation g; every evaluation of g
         # counts, the search's right end included.  A first answer that
-        # certifies, or a boundary one, is returned with no retry.
+        # certifies is returned with no retry.
         counts = {"_interior": 0, "_det_consistent_w": 0, "g": 0}
 
         def profile(frame, event, arg):
@@ -396,7 +399,7 @@ class TestRetry:
                     counts[code.co_name] += 1
 
         retries = kept = 0
-        for inst, first in _probe_draws():
+        for inst, c, first in _probe_draws():
             for key in counts:
                 counts[key] = 0
             sys.setprofile(profile)
@@ -404,11 +407,11 @@ class TestRetry:
                 rep = solve_power_moment(inst)
             finally:
                 sys.setprofile(None)
-            if first.verification.passed or first.branch == power_moment.BOUNDARY:
-                interior = int(first.branch == power_moment.INTERIOR)
+            if first.passed:
+                interior = int(c["branch"] == power_moment.INTERIOR)
                 assert counts["_interior"] == interior, inst
                 assert counts["_det_consistent_w"] == 0 and counts["g"] == 0, inst
-                assert repr(rep) == repr(first), inst
+                assert repr(rep) == repr(core.Report(**c, verification=first)), inst
                 kept += interior
                 continue
             retries += 1
@@ -426,7 +429,7 @@ class TestRetry:
             return calls[-1][2]
 
         monkeypatch.setattr(power_moment, "_det_consistent_w", w_solve)
-        for inst, _ in _retried_draws():
+        for inst, _, _ in _retried_draws():
             solve_power_moment(inst)
         checked = 0
         for v, inst, w in calls:
@@ -446,23 +449,27 @@ class TestRetry:
 
 
 class TestRetryKeepsFirst:
-    """A retry that raises or does not certify leaves the first answer standing."""
+    """A retry that raises or is refused leaves the first pair's refusal standing."""
 
     @pytest.fixture
     def draw(self, monkeypatch):
-        """(instance, first report, reports built after) for the first of ``_retried_draws``.
+        """(instance, refusals raised after) for the first of ``_retried_draws``.
 
-        Every report ``core.certify`` builds from then on is kept, in order.
+        Every ``UncertifiedError`` that ``core.certify`` raises from then on
+        is kept, in order.
         """
-        inst, first = _retried_draws()[0]
-        reports, real = [], core.certify
+        inst = _retried_draws()[0][0]
+        refusals, real = [], core.certify
 
         def certify(gmp, candidate):
-            reports.append(real(gmp, candidate))
-            return reports[-1]
+            try:
+                return real(gmp, candidate)
+            except UncertifiedError as refusal:
+                refusals.append(refusal)
+                raise
 
         monkeypatch.setattr(core, "certify", certify)
-        return inst, first, reports
+        return inst, refusals
 
     @pytest.mark.parametrize(
         "name, error",
@@ -472,8 +479,8 @@ class TestRetryKeepsFirst:
             ("_interior", RootBracketError("inconsistent support")),
         ],
     )
-    def test_raising_retry_returns_the_first_report(self, monkeypatch, draw, name, error):
-        inst, first, reports = draw
+    def test_raising_retry_raises_the_first_refusal(self, monkeypatch, draw, name, error):
+        inst, refusals = draw
         real, calls = getattr(power_moment, name), []
 
         def raising(*args):
@@ -483,22 +490,39 @@ class TestRetryKeepsFirst:
             raise error
 
         monkeypatch.setattr(power_moment, name, raising)
-        rep = solve_power_moment(inst)
-        assert rep is reports[0] and len(reports) == 1
-        assert rep == first and not rep.verification.passed
+        with pytest.raises(UncertifiedError) as refused:
+            solve_power_moment(inst)
+        assert len(refusals) == 1 and refused.value is refusals[0]
+        assert refused.value.__cause__ is None and refused.value.__suppress_context__
         assert len(calls) == (2 if name == "_interior" else 1)
 
-    def test_uncertified_retry_returns_the_first_report(self, monkeypatch, draw):
+    def test_refused_retry_raises_the_first_refusal(self, monkeypatch, draw):
         # the retry rebuilds the first answer's pair, w = u^(t-1) at _u_from_v's u
-        inst, first, reports = draw
+        inst, refusals = draw
 
         def first_w(v, inst):
             return power_moment._u_from_v(v, inst, inst.edge_scaled) ** (inst.t - 1.0)
 
         monkeypatch.setattr(power_moment, "_det_consistent_w", first_w)
-        rep = solve_power_moment(inst)
-        assert len(reports) == 2 and not reports[1].verification.passed
-        assert rep is reports[0] and rep == first
+        with pytest.raises(UncertifiedError) as refused:
+            solve_power_moment(inst)
+        assert len(refusals) == 2 and refused.value is refusals[0]
+
+    def test_refused_boundary_answer_is_not_retried(self, monkeypatch):
+        # the boundary pair has no back-solve: its refusal is raised as it is
+        real = power_moment._candidate
+
+        def doubled_dual(inst):
+            c = real(inst)
+            return {**c, "cert": core.DualCertificate(z=tuple(2.0 * z for z in c["cert"].z))}
+
+        def no_retry(v, inst):
+            raise AssertionError("a boundary answer was retried")
+
+        monkeypatch.setattr(power_moment, "_candidate", doubled_dual)
+        monkeypatch.setattr(power_moment, "_det_consistent_w", no_retry)
+        with pytest.raises(UncertifiedError, match="^boundary answer 0.75 "):
+            solve_power_moment(PowerMomentInstance(M1=1.0, Mt=4.0, t=2.0, q=1.0))
 
 
 class TestRange:
@@ -527,7 +551,7 @@ class TestRange:
 
     def test_upper_support_point_power_overflow_raises_range_error(self):
         inst = PowerMomentInstance(*self.BOUNDARY_POWER_OVERFLOW)
-        assert inst.q <= boundary_threshold(inst)
+        assert inst.q <= power_threshold(inst)
         assert math.isfinite(inst.M1 * inst.edge_scaled)
         with pytest.raises(RangeError, match="upper support point .* t-th power overflows"):
             solve_power_moment(inst)
@@ -546,13 +570,13 @@ class TestRange:
     @pytest.mark.parametrize("M1,Mt,t,q,match", INTERIOR_OUT_OF_RANGE)
     def test_interior_overflow_raises_range_error(self, M1, Mt, t, q, match):
         inst = PowerMomentInstance(M1=M1, Mt=Mt, t=t, q=q)
-        assert inst.q > boundary_threshold(inst)
+        assert inst.q > power_threshold(inst)
         with pytest.raises(RangeError, match=match):
             solve_power_moment(inst)
 
     def test_threshold_raises_range_error(self):
         with pytest.raises(RangeError):
-            boundary_threshold(self.INST)
+            power_threshold(self.INST)
 
     def test_oracle_grid_raises_range_error(self):
         with pytest.raises(RangeError):
@@ -674,7 +698,7 @@ class TestValueCurve:
 
     def test_monotone_and_continuous_across_threshold(self):
         amb = PowerMomentAmbiguity(M1=1.0, Mt=1.8, t=2.0)
-        thr = boundary_threshold(amb.instance_at(1.0))
+        thr = power_threshold(amb.instance_at(1.0))
         vals = _values(amb, np.linspace(0.4 * thr, 2.5 * thr, 41))
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
         # no jump bigger than the local slope allows near the threshold
