@@ -3,18 +3,15 @@
 Rescaling X to t*X reduces everything to rate 1.  The boundary branch places
 mass on {0, v1} where v1 > 0 solves exp(v) = ((Me-1)/M1) * v + 1, found by
 one ``brent`` search of that equation in a form that does not cancel as v1
-falls to 0.  Past the branch threshold the lower
-support point u is a root of a scalar equation on (0, min(M1, q)), searched
-for in its gap g = t*M1 - u, which keeps full relative precision where u
-rounds to t*M1; the upper point follows from g.  As with the power-moment
-solver, ``_candidate`` builds the unverified answer with its dual
-certificate, and ``solve_exp_moment`` passes it through ``core.certify``,
-which returns a ``core.Report`` (``root`` is u on the interior branch).  The
-boundary point v1 is ``compute_v1(inst.m1_scaled, inst.Me)``, which keeps
-its last result.  A solve searches for it only where the branch test needs
-it: where q is past ``_threshold_bound``, an upper bound on the branch
-threshold from v1's bracket alone, the answer is interior unless g*phi
-says it is the boundary law, and only that law searches for v1.
+falls to 0.  Past the branch threshold the lower support point u is a root
+of a scalar equation on (0, min(M1, q)), searched for in its gap
+g = t*M1 - u, which keeps full relative precision where u rounds to t*M1;
+the upper point follows from g.  As with the power-moment solver, ``_candidate``
+builds the unverified answer with its dual certificate, and
+``solve_exp_moment`` passes it through ``core.certify``, which returns a
+``core.Report`` (``root`` is u on the interior branch).  ``_takes_boundary``
+reads the branch from one evaluation of v1's equation, so only a boundary
+answer searches for v1 (``compute_v1``, which keeps its last result).
 
 RangeError is raised only where an exponent leaves float range (t*q, t*M1 or
 v1 above 700); the deep tail has no floor.  The search works on g*phi, which
@@ -162,12 +159,10 @@ def compute_v1(m1_scaled: float, Me: float) -> float:
     log1p((e^v - 1 - v)/v) - log1p(b), a form that does not cancel as v1
     falls to 0.  (e^v - 1)/v lies between e^(v/2) and e^v, so the root lies
     in [log a, 2*log a], and one ``brent`` search finds it; a root above 700
-    is a RangeError.  It is searched only where an answer needs it: a solve
-    whose t*q is not past ``_threshold_bound`` (its branch test then reads
-    the threshold), a boundary answer, the closed-form newsvendor order and
-    the mp1e oracle grid's upper end.  The last result is kept, so a
-    newsvendor decision's order and its solves share one search; the grid
-    of a ``check`` whose solve was interior past the bound searches anew.
+    is a RangeError.  It is searched only for a boundary answer, the
+    closed-form newsvendor order and the mp1e oracle grid's upper end; the
+    last result is kept, so a newsvendor decision's order and its solves
+    share one search.
     """
     log_a, hi, f, f_hi = _v1_bracket(m1_scaled, Me)
     return brent(f, log_a, hi, f(log_a), f_hi)[0]
@@ -233,22 +228,16 @@ def _gap_at_mass(p: float, inst: ExpMomentInstance, v1: float) -> float:
     return p * (v - m1) / (1.0 - p)
 
 
-def _v1_and_threshold(m1: float, me: float) -> tuple[float, float]:
-    """The boundary support point v1 and the largest rate-scaled q of its branch."""
-    v1 = compute_v1(m1, me)
-    return v1, v1 + m1 / (me - 1.0) - 1.0
+def _takes_boundary(qs: float, m1: float, me: float) -> bool:
+    """Whether ``_candidate`` answers with the boundary law {0, v1} at the rate-scaled order qs.
 
-
-def _threshold_bound(m1: float, me: float) -> float:
-    """At least the threshold of ``_v1_and_threshold``, without its search.
-
-    The searched v1 is at most its bracket's upper end hi, and float + and -
-    are monotone, so hi + m1/(Me - 1) - 1 is at least the float threshold.
-    compute_v1's refusals are raised here as they are there: its bracket's
-    checks are the same, and its search refuses nothing on an admissible set,
-    whose f(log a) is below 0.
+    It does at or below the branch threshold v1 + m1/(Me - 1) - 1, where
+    s = qs + ((Me - 1) - m1)/(Me - 1) is at most v1.  compute_v1's root
+    function f increases, so that is f(s) <= 0: one evaluation, no search,
+    and ``_v1_bracket``'s refusals.
     """
-    return _v1_bracket(m1, me)[1] + m1 / (me - 1.0) - 1.0
+    f = _v1_bracket(m1, me)[2]
+    return f(qs + ((me - 1.0) - m1) / (me - 1.0)) <= 0.0
 
 
 _MASS_AND_MEAN = (core.constant(), core.monomial(1.0))  # h_0 and h_1 of every instance
@@ -273,16 +262,9 @@ def _candidate(inst: ExpMomentInstance) -> dict:
     """Every Report field but the verification, in original units."""
     t = inst.t
     m1, me, qs = inst.m1_scaled, inst.Me, inst.q_scaled
-    # past the threshold's bound by more than its rounding, both tests below
-    # read as they do at the threshold itself, and v1 is not searched
-    threshold = _threshold_bound(m1, me)
-    if not qs > threshold * (1.0 + 1e-9) + 1e-12:
-        threshold = _v1_and_threshold(m1, me)[1]
-    use_boundary = qs <= threshold
+    use_boundary = _takes_boundary(qs, m1, me)
     if not use_boundary:
         phi0 = phi(0.0, inst)
-        if phi0 != 0.0 and not phi0 < 0.0 and qs > threshold * (1.0 + 1e-9) + 1e-12:
-            raise RootBracketError(f"phi sign condition failed: phi(0)={phi0}")
         q1 = qs + 1.0
         k = q1 - m1
 
@@ -302,9 +284,8 @@ def _candidate(inst: ExpMomentInstance) -> dict:
         # lower end of g's range (at y = qs, or at g = 0 where it is
         # (Me - e^m1)*(qs + 1 - m1)) and has phi(0)'s sign at g = m1
         g_end = gphi(m1) if phi0 < 0.0 else 0.0
-        # q sits at the branch threshold to float resolution, or phi(0) or
-        # g*phi at g = m1 reads 0 or above, and the interior root u = 0 is the
-        # boundary law {0, v1}: the boundary construction is the exact limit
+        # phi(0) or g*phi at g = m1 reads 0 or above: the interior root is
+        # u = 0 to float resolution, the boundary law {0, v1}
         use_boundary = not g_end < 0.0
 
     if use_boundary:
@@ -349,7 +330,8 @@ def _candidate(inst: ExpMomentInstance) -> dict:
             # the law left is the point mass at v2/t, as on the boundary
             dist = DiscreteDistribution(points=((v2 / t, 1.0),))
         else:
-            dist = DiscreteDistribution(points=((u / t, 1.0 - p_hi), (v2 / t, p_hi)))
+            # u <= t*M1, but u/t can round one ulp past M1
+            dist = DiscreteDistribution(points=((min(u / t, inst.M1), 1.0 - p_hi), (v2 / t, p_hi)))
         den = math.exp(v2) - eu
         cert = DualCertificate(z=((u - 1.0) * eu / den / t, -eu / den, 1.0 / den / t))
         branch, root = INTERIOR, u

@@ -166,7 +166,10 @@ def _candidate(inst: PartialMomentInstance, v1_choice: float | None) -> dict:
         if -1e-12 < u < 0.0:
             u = 0.0  # closed form guarantees u >= 0; absorb roundoff
         p_hi = (m1 - u) / (v - u)
-        dist = DiscreteDistribution(points=((u, 1.0 - p_hi), (v, p_hi)))
+        try:
+            dist = DiscreteDistribution(points=((u, 1.0 - p_hi), (v, p_hi)))
+        except DomainError as exc:  # v or u rounds to M1, and a mass to 0
+            raise UncertifiedError(f"two-point law on {u!r} and {v!r}: {exc}") from None
         cert = _two_point_cert(inst, k)
         value = 0.5 * (2.0 * mp * (m1 - 1.0) + m1 * ((g - 1.0) * m1 - k)) - mp * mp
         branch, root = TWO_POINT, None

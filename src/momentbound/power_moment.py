@@ -172,10 +172,10 @@ def _stable_power_gap(v: float, inst: PowerMomentInstance, edge: float) -> float
 
 
 def _u_from_v(v: float, inst: PowerMomentInstance, edge: float) -> float:
-    """Lower support point induced by v via the moment conditions."""
+    """Lower support point induced by v via the moment conditions, at most the scaled mean 1."""
     t, mt, qs = inst.t, inst.mt_scaled, inst.q_scaled
     num = _stable_power_gap(v, inst, edge)
-    return (t * qs / (t - 1.0)) * num / (v * num + mt * (v - 1.0))
+    return min((t * qs / (t - 1.0)) * num / (v * num + mt * (v - 1.0)), 1.0)
 
 
 def _det_consistent_w(v: float, inst: PowerMomentInstance) -> float:

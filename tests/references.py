@@ -29,7 +29,7 @@ from momentbound.errors import (
     NonFiniteError,
     RangeError,
 )
-from momentbound.exp_moment import _v1_and_threshold
+from momentbound import exp_moment
 from momentbound.oracle import (
     _DEGENERATE_RUN,
     _PHASE1_TOL,
@@ -59,12 +59,13 @@ def power_threshold(inst) -> float:
 
 
 def exp_threshold(inst) -> float:
-    """Largest q (original units) for which the mp1e closed-form branch applies: t*q <= threshold."""
-    t, threshold = inst.t, _v1_and_threshold(inst.m1_scaled, inst.Me)[1]
-    q = threshold / t  # its product with t can round to either side of threshold
-    while t * q > threshold:
+    """Largest q (original units) for which the mp1e closed-form branch applies."""
+    t, m1, me = inst.t, inst.m1_scaled, inst.Me
+    takes_boundary = lambda q: exp_moment._takes_boundary(t * q, m1, me)
+    q = (exp_moment.compute_v1(m1, me) + m1 / (me - 1.0) - 1.0) / t  # within ulps of the last order
+    while not takes_boundary(q):
         q = math.nextafter(q, -math.inf)
-    while t * (up := math.nextafter(q, math.inf)) <= threshold:
+    while takes_boundary(up := math.nextafter(q, math.inf)):
         q = up
     return q
 

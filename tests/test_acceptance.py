@@ -16,6 +16,7 @@ from momentbound.core import (
     ToleranceSet,
     verify_optimality,
 )
+from momentbound.errors import InfeasibleError
 from momentbound.exp_moment import (
     ExpMomentAmbiguity,
     ExpMomentInstance,
@@ -96,7 +97,7 @@ def _sample_upm_instances(rng, n):
             continue
         try:
             out.append(PartialMomentInstance(M1=M1, gamma=M2 / M1**2, Mplus=Mp))
-        except Exception:
+        except InfeasibleError:
             continue
     return out
 

@@ -30,6 +30,7 @@ from momentbound import cli
 from momentbound.cli import EXIT_DISAGREEMENT, EXIT_OK
 from momentbound.errors import MomentBoundError, UncertifiedError
 from momentbound.problems import PROBLEMS
+from test_stream_pins import _workloads
 
 _DRAWS = settings(max_examples=300, derandomize=True, database=None, deadline=None)
 
@@ -41,6 +42,9 @@ REFUSED_MP1E = [
     (1.6796908592003179e-07, 1.0000000003544678, 0.0021103147068632384, 8.536996777895465e-05),
     (2.5166806724617303e-07, 1.000000082717483, 0.3286768973086897, 1.6162634948596833e-07),
 ]
+# (M1, gamma, Mplus): the two-point law's upper point rounds to M1, and its
+# lower mass to 0
+REFUSED_UPM = (0.6298592134266, 1.4619698943643444, 1.655394454358121e-17)
 # (M1, Me, t, 1 - eta): a bracket end's worst case fails its certificate
 REFUSED_ORDER = (38819.25751950423, 2.1949631622519174e219, 0.013010354469930397, 0.7)
 
@@ -154,3 +158,33 @@ def test_uncertified_order_is_refused(tmp_path):
     path.write_text(json.dumps({"problem": "newsvendor", "params": params}))
     code, out, err = _run(["solve", str(path)])
     assert (code, out, json.loads(err)["error"]) == (EXIT_DISAGREEMENT, "", "UncertifiedError")
+
+
+def test_upm_law_with_a_mass_rounding_to_zero_is_refused(tmp_path):
+    # away from the feasibility boundary: the refusal of an uncertified
+    # answer, not the schema code
+    M1, gamma, Mplus = REFUSED_UPM
+    entry = PROBLEMS["upm"]
+    with pytest.raises(UncertifiedError, match="probabilities must be strictly positive"):
+        entry.solve(entry.instance(M1=M1, gamma=gamma, Mplus=Mplus))
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps({"problem": "upm", "params": {"M1": M1, "gamma": gamma, "Mplus": Mplus}}))
+    code, out, err = _run(["solve", str(path)])
+    assert (code, out, json.loads(err)["error"]) == (EXIT_DISAGREEMENT, "", "UncertifiedError")
+
+
+def test_two_point_laws_straddle_the_mean():
+    # u <= M1 <= v on every certified two-point answer of the benchmark's
+    # wide probe draws: a lower point that rounds one ulp past M1 is M1
+    workloads, answers = _workloads(), 0
+    for seed in range(1, 61):
+        for op in workloads.known_defect_ops("solve_stream", seed):
+            entry = PROBLEMS[op.kind]
+            try:
+                points = entry.solve(entry.instance(**op.params)).dist.points
+            except MomentBoundError:
+                continue
+            if len(points) == 2:
+                assert points[0][0] <= op.params["M1"] <= points[1][0], op.params
+                answers += 1
+    assert answers > 20_000

@@ -8,14 +8,12 @@ import numpy as np
 import pytest
 
 from momentbound import exp_moment
-from momentbound.core import Report
 from momentbound.errors import (
     DomainError,
     InfeasibleError,
     MomentBoundError,
     NonFiniteError,
     RangeError,
-    RootBracketError,
 )
 from momentbound.exp_moment import (
     ExpMomentAmbiguity,
@@ -32,14 +30,6 @@ from references import (
     lambert_w_minus1,
 )
 from test_stream_pins import STREAM_OPS, STREAM_SEEDS, stream_ops
-
-
-def _outcome(inst):
-    """The solve's Report, or the type and message of its refusal."""
-    try:
-        return solve_exp_moment(inst)
-    except MomentBoundError as exc:
-        return type(exc).__name__, str(exc)
 
 
 def _bisect_v1(m1: float, me: float) -> float:
@@ -185,24 +175,18 @@ class TestComputeV1:
         with pytest.raises(DomainError):
             compute_v1(m1, Me)
 
-    def test_solves_search_v1_at_most_once_and_not_above_the_bound(self):
-        # the memo keeps one set's v1 and never stands in for another's; an
-        # interior solve past the threshold's bound searches for none
+    def test_solves_search_v1_at_most_once_and_only_for_the_boundary_law(self):
+        # the memo keeps one set's v1 and never stands in for another's; the
+        # branch is read from v1's equation without a search, and only the
+        # boundary law searches for v1
         compute_v1.cache_clear()
-        skipped = searched = 0
+        branches = []
         for inst in _random_instances(np.random.default_rng(19), 40):
             misses = compute_v1.cache_info().misses
             report = solve_exp_moment(inst)
-            ran = compute_v1.cache_info().misses - misses
-            bound = exp_moment._threshold_bound(inst.m1_scaled, inst.Me)
-            past = inst.q_scaled > bound * (1.0 + 1e-9) + 1e-12
-            if past and report.branch == exp_moment.INTERIOR:
-                assert ran == 0
-                skipped += 1
-            else:
-                assert ran == 1
-                searched += 1
-        assert skipped >= 10 and searched >= 10
+            assert compute_v1.cache_info().misses - misses == (report.branch == exp_moment.BOUNDARY)
+            branches.append(report.branch)
+        assert min(branches.count(exp_moment.BOUNDARY), branches.count(exp_moment.INTERIOR)) >= 10
 
 
 class TestPhi:
@@ -382,10 +366,34 @@ class TestSolve:
             assert above.value == pytest.approx(at.value, rel=1e-6)
 
     def test_threshold_is_the_largest_order_of_the_boundary_branch(self):
+        # the predicate holds up to the threshold and fails one ulp above it,
+        # which lies within a few ulp of v1 + m1/(Me - 1) - 1
         for M1, me, t in _threshold_draws(np.random.default_rng(5), 1000):
-            q = exp_threshold(ExpMomentInstance(M1=M1, Me=me, t=t, q=M1))
-            threshold = exp_moment._v1_and_threshold(t * M1, me)[1]
-            assert t * q <= threshold < t * math.nextafter(q, math.inf)
+            amb = ExpMomentAmbiguity(M1=M1, Me=me, t=t)
+            q = exp_threshold(amb.instance_at(M1))
+            at, above = amb.instance_at(q), amb.instance_at(math.nextafter(q, math.inf))
+            m1 = at.m1_scaled
+            assert exp_moment._takes_boundary(at.q_scaled, m1, me)
+            assert not exp_moment._takes_boundary(above.q_scaled, m1, me)
+            threshold = compute_v1(m1, me) + m1 / (me - 1.0) - 1.0
+            assert abs(at.q_scaled - threshold) <= 4.0 * math.ulp(threshold)
+
+    def test_predicate_agrees_with_exact_arithmetic_off_the_threshold(self):
+        # 1e-13 to 1e-6 relative from the branch threshold, the one float
+        # evaluation of f decides as f at 50 digits does on the same floats
+        rng = random.Random(7)
+        for _ in range(1000):
+            m1 = rng.uniform(0.1, 4.5)
+            me = rng.uniform(1.05, 3.0) * math.exp(m1)
+            threshold = compute_v1(m1, me) + m1 / (me - 1.0) - 1.0
+            for side in (-1.0, 1.0):
+                qs = threshold * (1.0 + side * 10.0 ** rng.uniform(-13.0, -6.0))
+                with mp.workdps(50):
+                    a = (mp.mpf(me) - 1) / m1
+                    s = qs + (mp.mpf(me) - 1 - m1) / (mp.mpf(me) - 1)
+                    exact = mp.expm1(s) / s <= a
+                assert exact == (side < 0.0), (m1, me, qs)
+                assert exp_moment._takes_boundary(qs, m1, me) == exact, (m1, me, qs)
 
     def test_orders_within_ulps_of_the_threshold_are_answered(self):
         # g*phi at g = m1 can read 0 or above where phi(0) reads below 0;
@@ -406,9 +414,9 @@ class TestSolve:
                 q = math.nextafter(q, math.inf)
 
     def test_phi_at_zero_rounding_to_zero_is_the_boundary_law(self):
-        # Me within about 1e-9 of exp(t*M1): just above the branch threshold
-        # (farther than its 1e-9 allowance) phi(0) rounds to 0, so the interior
-        # root is u = 0 to float precision, and that law is the boundary's {0, v1}
+        # Me within about 1e-9 of exp(t*M1): 1e-9 relative above the branch
+        # threshold phi(0) rounds to 0, so the interior root is u = 0 to float
+        # precision, and that law is the boundary's {0, v1}
         inst = ExpMomentInstance(
             M1=5.441104533302357, Me=1.0002286783569323, t=4.2023111705481786e-05, q=2.7279857228959643
         )
@@ -419,10 +427,46 @@ class TestSolve:
         ref = exp_moment_value_50(inst.M1, inst.Me, inst.t, inst.q)  # 2.7204482480182524
         assert report.value == pytest.approx(ref, rel=1e-12, abs=0.0)
 
-    def test_positive_phi_at_zero_is_refused(self, monkeypatch):
-        inst = ExpMomentInstance(M1=1.0, Me=math.e**2, t=1.0, q=5.0)
+    def test_positive_phi_at_zero_past_the_predicate_is_the_boundary_law(self, monkeypatch):
+        # one ulp past the threshold the interior root is u = 0 to float
+        # resolution; phi(0) reading above 0 there gives the boundary law
+        probe = ExpMomentInstance(M1=1.0, Me=math.e**2, t=1.0, q=1.0)
+        inst = probe.instance_at(math.nextafter(exp_threshold(probe), math.inf))
+        assert not exp_moment._takes_boundary(inst.q_scaled, inst.m1_scaled, inst.Me)
         monkeypatch.setattr(exp_moment, "phi", lambda y, inst: 1e-300)
-        with pytest.raises(RootBracketError, match="phi sign condition failed"):
+        report = solve_exp_moment(inst)
+        assert report.branch == exp_moment.BOUNDARY and report.verification.passed
+        assert report.value == pytest.approx(inst.M1 * (1.0 - inst.q / compute_v1(1.0, inst.Me)), rel=1e-15)
+
+    def test_positive_phi_at_zero_past_the_predicate_is_answered(self):
+        # t*M1 = 1.2e-6 and Me - e^(t*M1) = 3.6e-12: 1e-6 relative past the
+        # threshold phi(0) reads 2^-52, and the boundary law certifies
+        inst = ExpMomentInstance(
+            M1=2.88463013278162e-06, Me=1.0000012094286557, t=0.4192658560262362, q=3.4191035597902524e-06
+        )
+        assert not exp_moment._takes_boundary(inst.q_scaled, inst.m1_scaled, inst.Me)
+        assert phi(0.0, inst) > 0.0
+        report = solve_exp_moment(inst)
+        assert report.branch == exp_moment.BOUNDARY and report.verification.passed
+        ref = exp_moment_value_50(inst.M1, inst.Me, inst.t, inst.q)
+        assert report.value == pytest.approx(ref, rel=1e-10, abs=0.0)
+
+    def test_order_at_the_predicate_is_the_boundary_law_whatever_g_phi_reads(self):
+        # g*phi at g = t*M1 reads below 0 here, which alone would send the
+        # order to an interior search that is refused; the predicate puts it
+        # on the boundary branch, and that law certifies
+        inst = ExpMomentInstance(
+            M1=1.7203217599789924e-08, Me=1.000000013039394, t=0.7579624984681685, q=1.9469748100420266e-09
+        )
+        assert exp_moment._takes_boundary(inst.q_scaled, inst.m1_scaled, inst.Me)
+        report = solve_exp_moment(inst)
+        assert report.branch == exp_moment.BOUNDARY and report.verification.passed
+
+    def test_boundary_point_past_float_range_is_refused(self):
+        # v1 is about 702: compute_v1's bracket end 700 reads f(700) < 0, and
+        # the branch test, which reads f from that bracket, raises its refusal
+        inst = ExpMomentInstance(M1=1e-10, Me=1e292, t=1.0, q=699.5)
+        with pytest.raises(RangeError, match="boundary support point above 700"):
             solve_exp_moment(inst)
 
     def test_infeasible(self):
@@ -537,63 +581,19 @@ class TestValueCurve:
             assert vals[i] <= 0.5 * (vals[i - 1] + vals[i + 1]) + 1e-9
 
 
-class TestV1OnlyWhereNeeded:
-    """Past the threshold's bound, a solve answers or refuses as one that searches v1 does."""
-
-    @staticmethod
-    def _as_if_searched(inst):
-        """The solve's outcome with the bound replaced by the searched threshold itself."""
-        with pytest.MonkeyPatch.context() as patch:
-            searched = lambda m1, me: exp_moment._v1_and_threshold(m1, me)[1]
-            patch.setattr(exp_moment, "_threshold_bound", searched)
-            return _outcome(inst)
-
-    def _check(self, instances) -> int:
-        """Asserts each instance's outcome; returns how many searched no v1."""
-        skipped = 0
-        for inst in instances:
-            m1, me, qs = inst.m1_scaled, inst.Me, inst.q_scaled
-            outcome = _outcome(inst)
-            assert repr(outcome) == repr(self._as_if_searched(inst)), inst
-            try:
-                threshold = exp_moment._v1_and_threshold(m1, me)[1]
-            except MomentBoundError:
-                continue  # a refusal, the same on both sides
-            if isinstance(outcome, Report):
-                assert qs > threshold or outcome.branch == exp_moment.BOUNDARY, inst
-            bound = exp_moment._threshold_bound(m1, me)
-            assert threshold <= bound
-            skipped += qs > bound * (1.0 + 1e-9) + 1e-12
-        return skipped
-
-    def test_stream_draws(self):
-        for seed in STREAM_SEEDS:
-            instances = [
-                ExpMomentInstance(**op.params) for op in stream_ops(seed) if op.kind == "mp1e"
-            ]
-            skipped = self._check(instances)
-            assert len(instances) > STREAM_OPS // 3 and skipped > len(instances) // 2
-
-    def test_boundary_point_past_float_range_is_refused_past_the_bound(self):
-        # v1 is about 702: compute_v1's bracket end 700 reads f(700) < 0, and a
-        # solve past the bound 699 that searches no v1 still raises it
-        inst = ExpMomentInstance(M1=1e-10, Me=1e292, t=1.0, q=699.5)
-        bound = 700.0 + inst.m1_scaled / (inst.Me - 1.0) - 1.0  # at hi = 700
-        assert inst.q_scaled > bound * (1.0 + 1e-9) + 1e-12
-        with pytest.raises(RangeError, match="boundary support point above 700"):
-            solve_exp_moment(inst)
-
-    def test_orders_within_ulps_of_the_threshold(self):
-        instances = []
-        for M1, me, t in _continuity_draws():
-            q = exp_threshold(ExpMomentInstance(M1=M1, Me=me, t=t, q=M1))
-            if q <= 0.0:
+def test_no_interior_answer_searches_v1(monkeypatch):
+    # the branch is one evaluation of v1's equation: on the stream draws no
+    # interior answer calls compute_v1
+    calls, real = [], exp_moment.compute_v1
+    monkeypatch.setattr(exp_moment, "compute_v1", lambda m1, me: calls.append(m1) or real(m1, me))
+    interior = 0
+    for seed in STREAM_SEEDS:
+        for op in stream_ops(seed):
+            if op.kind != "mp1e":
                 continue
-            instances.append(ExpMomentInstance(M1=M1, Me=me, t=t, q=q * (1.0 + 1e-9)))
-            for _ in range(3):
-                q = math.nextafter(q, -math.inf)
-            for _ in range(7):
-                instances.append(ExpMomentInstance(M1=M1, Me=me, t=t, q=q))
-                q = math.nextafter(q, math.inf)
-        # all of them lie below the bound, and search v1 as every solve did
-        assert self._check(instances) == 0 and len(instances) > 100
+            calls.clear()
+            report = solve_exp_moment(ExpMomentInstance(**op.params))
+            if report.branch == exp_moment.INTERIOR:
+                assert calls == [], op.params
+                interior += 1
+    assert interior > STREAM_OPS // 3

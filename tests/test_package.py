@@ -6,6 +6,7 @@ import inspect
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ import pytest
 import momentbound
 from momentbound import core, exp_moment, partial_moment, power_moment, rootfind
 from momentbound.problems import PROBLEMS
+from references import exp_threshold, power_threshold
 
 
 def _fresh_interpreter(code: str) -> str:
@@ -186,6 +188,39 @@ def test_only_core_and_cli_read_a_verdict():
         if isinstance(node, ast.Attribute) and node.attr == "passed"
     }
     assert readers - {"core.py", "cli.py"} == set()
+
+
+def test_one_branch_threshold_per_solver():
+    # a solver's branch is its ``_takes_boundary`` alone: no function of the
+    # package computes a threshold of its own, and the tests' thresholds are
+    # the last orders the predicate takes: one ulp up, the branch test flips
+    package = Path(momentbound.__file__).resolve().parent
+    named = [
+        node.name
+        for path in package.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef) and "threshold" in node.name
+    ]
+    assert named == []
+    rng = random.Random(35)
+    for _ in range(200):
+        t = rng.uniform(1.1, 4.0)
+        M1 = rng.uniform(0.5, 5.0)
+        amb = power_moment.PowerMomentAmbiguity(M1=M1, Mt=rng.uniform(1.05, 3.0) * M1**t, t=t)
+        q = power_threshold(amb.instance_at(M1))
+        at, above = amb.instance_at(q), amb.instance_at(math.nextafter(q, math.inf))
+        branches = power_moment._candidate(at)["branch"], power_moment._candidate(above)["branch"]
+        assert branches == (power_moment.BOUNDARY, power_moment.INTERIOR), amb
+    for _ in range(200):
+        t = rng.uniform(0.05, 2.0)
+        M1 = rng.uniform(0.1, 4.5) / t
+        amb = exp_moment.ExpMomentAmbiguity(M1=M1, Me=rng.uniform(1.05, 3.0) * math.exp(t * M1), t=t)
+        q = exp_threshold(amb.instance_at(M1))
+        at, above = amb.instance_at(q), amb.instance_at(math.nextafter(q, math.inf))
+        assert exp_moment._candidate(at)["branch"] == exp_moment.BOUNDARY, amb
+        # past the predicate the answer is interior, or the boundary law where
+        # the interior root is u = 0 to float resolution
+        assert not exp_moment._takes_boundary(above.q_scaled, above.m1_scaled, above.Me), amb
 
 
 def test_newsvendor_imports_no_root_search():

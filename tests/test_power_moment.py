@@ -658,7 +658,9 @@ class TestLowerPointNearOne:
     """Wide draws with t near 10, where the lower point u rounds to 1.
 
     theta's (1 - u) and u^t - mt terms cancel there, and its sign at q/M1
-    came out wrong, so these were refused; psi has neither term.
+    came out wrong, so these were refused; psi has neither term.  On the
+    last draw u rounds to 1 + 2^-52, and is taken as 1: the lower point
+    stays at the mean, and the value within 4e-11 of its 50-digit one.
     """
 
     @pytest.mark.parametrize(
@@ -667,12 +669,14 @@ class TestLowerPointNearOne:
             (0.05357099723947925, 3.235239133708779e-11, 9.631247302827017, 17.434022353438294),
             (0.7113063327656711, 0.08548061429891077, 10.90008673191663, 107.26603634865559),
             (0.5831344234918705, 0.00764993443363204, 9.041056317730689, 88.90684502597726),
+            (0.0010087197961654512, 1.211853684933705e-31, 10.318485552106779, 0.018984063745166802),
         ],
     )
     def test_certified_at_high_precision(self, M1, Mt, t, q):
         inst = PowerMomentInstance(M1=M1, Mt=Mt, t=t, q=q)
         rep = solve_power_moment(inst)
         assert rep.branch == power_moment.INTERIOR and rep.verification.passed
+        assert rep.dist.points[0][0] <= M1
         ref = _reference_value(inst)
         assert abs(rep.value - ref) <= 1e-9 * abs(ref)
 
