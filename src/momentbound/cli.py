@@ -18,7 +18,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import fields, replace
 from typing import TYPE_CHECKING
 
 from .core import DualCertificate, Report, ToleranceSet, VerificationReport, verify_optimality
@@ -116,7 +115,7 @@ def _newsvendor_decision(params: dict) -> OrderDecision:
     if from_demand is not None and "exponential_lambda" in params:
         keys, build = ("exponential_lambda", "t"), from_demand
     else:
-        keys, build = tuple(f.name for f in fields(amb_type)), amb_type
+        keys, build = amb_type.__match_args__, amb_type
     _check_keys(params, {"ambiguity", "eta", "eps", *keys}, "newsvendor")
     eta = _number(params, "eta")
     search = {"eps": _number(params, "eps")} if "eps" in params else {}
@@ -181,12 +180,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
             summary = f"{problem}: value {report.value:.12g} [{report.branch}]"
         elif problem == "newsvendor":
             decision = _newsvendor_decision(doc["params"])
-            report = replace(
-                decision.report,
-                value=decision.objective,
-                branch="closed_form",
+            worst = decision.report
+            report = Report(
+                decision.objective,
+                worst.dist,
+                worst.cert,
+                "closed_form",
                 root=decision.q_star,
                 bisect_iters=decision.iterations,
+                verification=worst.verification,
             )
             summary = (
                 f"newsvendor: order {decision.q_star:.12g}, "
@@ -246,7 +248,12 @@ def _grid_spec_from(overrides, problem: Problem, inst, report, args) -> GridSpec
     _check_keys(overrides, {"lo", "hi", "n_points", "refine_around"}, "oracle")
     lo = _number(overrides, "lo") if "lo" in overrides else 0.0
     hi = _number(overrides, "hi") if "hi" in overrides else problem.grid_hi(inst, report)
-    n = int(_number(overrides, "n_points")) if "n_points" in overrides else args.grid_points
+    n = args.grid_points
+    if "n_points" in overrides:
+        n = _number(overrides, "n_points")
+        if not n.is_integer():
+            raise SchemaError(f"'n_points' must be an integer, got {overrides['n_points']!r}")
+        n = int(n)
     seeded = report.dist.xs if getattr(args, "seed_support", True) else ()
     extra = overrides.get("refine_around", list(seeded))
     if not isinstance(extra, list) or any(

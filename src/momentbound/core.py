@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Any
 
 from .errors import DimensionError, DomainError, UncertifiedError
@@ -64,8 +63,47 @@ _CODE = {family: code for code, family in enumerate(_FAMILIES)}  # the verifier'
 _CONSTANT, _MONOMIAL, _KINK, _SQUARED, _EXPONENTIAL = range(len(_FAMILIES))
 
 
-@dataclass(frozen=True)
-class MomentFunction:
+class _Frozen:
+    """Frozen value semantics over a class's fields, with no generated code.
+
+    The fields are the annotated names, a base's first, and ``__match_args__``
+    holds them.  Equality (same class, equal field tuples), the hash and the
+    repr read the fields alone and match a frozen dataclass's; setting or
+    deleting an attribute raises ``AttributeError``.  Each subclass writes a
+    keyword ``__init__`` that checks its arguments and fills ``__dict__`` in
+    one step, any derived attributes with the fields.  A default is a class
+    attribute, and the ``__init__`` default reads it by name in the class
+    body.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls.__match_args__ = (*cls.__match_args__, *vars(cls).get("__annotations__", ()))
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._fields() == other._fields()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        shown = ", ".join([f"{name}={getattr(self, name)!r}" for name in self.__match_args__])
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class MomentFunction(_Frozen):
     """One of this module's function families on [0, inf), with its parameter.
 
     ``family`` names the family and ``param`` holds its power, kink or rate
@@ -77,7 +115,7 @@ class MomentFunction:
     family: str
     param: float = 0.0
 
-    def __init__(self, family: str, param: float = 0.0) -> None:
+    def __init__(self, family: str, param: float = param) -> None:
         if family not in _FAMILIES:
             raise DomainError(f"unknown function family {family!r}")
         object.__setattr__(self, "__dict__", {"family": family, "param": param})
@@ -110,8 +148,7 @@ def exponential(rate: float) -> MomentFunction:
     return MomentFunction("exponential", float(rate))
 
 
-@dataclass(frozen=True)
-class DiscreteDistribution:
+class DiscreteDistribution(_Frozen):
     """Finite support with strictly positive probabilities summing to one."""
 
     points: tuple[tuple[float, float], ...]
@@ -149,8 +186,7 @@ class DiscreteDistribution:
         return tuple(p for _, p in self.points)
 
 
-@dataclass(frozen=True)
-class DualCertificate:
+class DualCertificate(_Frozen):
     """Coefficients z aligned with (h_0, ..., h_n)."""
 
     z: tuple[float, ...]
@@ -161,8 +197,7 @@ class DualCertificate:
         object.__setattr__(self, "z", z)  # one field: cheaper than a new __dict__
 
 
-@dataclass(frozen=True)
-class GmpInstance:
+class GmpInstance(_Frozen):
     """One moment problem on [0, inf): optimize E[g(X)] subject to E[h_i(X)] = m_i."""
 
     g: MomentFunction
@@ -182,8 +217,7 @@ class GmpInstance:
         object.__setattr__(self, "__dict__", {"g": g, "hs": hs, "ms": ms, "sense": sense})
 
 
-@dataclass(frozen=True)
-class ToleranceSet:
+class ToleranceSet(_Frozen):
     """Residual tolerances for certification.
 
     ``primal`` is relative to max(1, |m|_inf) and ``gap`` to max(1, |E[g]|).
@@ -204,9 +238,15 @@ class ToleranceSet:
     gap: float = 1e-8
     gamma: float = 16 * 2**-53
 
+    def __init__(
+        self, primal: float = primal, dual: float = dual, gap: float = gap, gamma: float = gamma
+    ) -> None:
+        object.__setattr__(
+            self, "__dict__", {"primal": primal, "dual": dual, "gap": gap, "gamma": gamma}
+        )
 
-@dataclass(frozen=True)
-class VerificationReport:
+
+class VerificationReport(_Frozen):
     """Residuals of the three optimality conditions, plus the largest |H| on the support.
 
     ``dual_min_on_grid`` is the minimum of H for maximization instances and
@@ -543,8 +583,7 @@ def verify_optimality(
     )
 
 
-@dataclass(frozen=True)
-class Report:
+class Report(_Frozen):
     """A solver's certified answer: the optimal value, its primal-dual pair, and their check.
 
     ``certify`` builds it only for a pair that passes, so ``verification.passed``

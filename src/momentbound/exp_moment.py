@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from math import exp
 from typing import Callable
 
 from . import core
-from .core import DiscreteDistribution, DualCertificate, GmpInstance, Report
+from .core import DiscreteDistribution, DualCertificate, GmpInstance, Report, _Frozen
 from .errors import (
     DomainError,
     InfeasibleError,
@@ -48,8 +47,7 @@ _EXP_ARG_LIMIT = 700.0  # exp(t*q) and exp(t*M1) stay finite
 _ARG_RANGE = f"t*q and t*M1 must stay below {_EXP_ARG_LIMIT:g} to avoid overflow"
 
 
-@dataclass(frozen=True)
-class ExpMomentAmbiguity:
+class ExpMomentAmbiguity(_Frozen):
     """Moment data (M1, Me, t) in original units: every law on X >= 0 with these moments.
 
     The moments are checked here, and ``m1_scaled`` = t*M1 is set once, in
@@ -103,7 +101,6 @@ class ExpMomentAmbiguity:
         return (m1 + gap * (1.0 - mass) / mass - 1.0 + eu * gap / (me - eu)) / self.t
 
 
-@dataclass(frozen=True)
 class ExpMomentInstance(ExpMomentAmbiguity):
     """The ambiguity set at order quantity q; ``q_scaled`` = t*q is set once here."""
 

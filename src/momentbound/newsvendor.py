@@ -28,10 +28,9 @@ certified ``core.Report``; a solve's ``UncertifiedError`` refuses the decision.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .core import Report
+from .core import Report, _Frozen
 from .errors import DomainError, RangeError, RootBracketError
 
 if TYPE_CHECKING:  # annotations only: a decision loads its own ambiguity's module alone
@@ -41,23 +40,24 @@ if TYPE_CHECKING:  # annotations only: a decision loads its own ambiguity's modu
 _MAX_OFFSET = 1e-9  # times q*: how far a bracket end may step out from q* past eps
 
 
-@dataclass(frozen=True)
-class NewsvendorInstance:
+class NewsvendorInstance(_Frozen):
     """An ambiguity set, a critical ratio eta = 1 - c/p, and a bracket half-width."""
 
     ambiguity: PowerMomentAmbiguity | ExpMomentAmbiguity
     eta: float
     eps: float = 1e-6
 
-    def __post_init__(self) -> None:
-        if not 0.0 < self.eta < 1.0:
-            raise DomainError(f"eta must lie in (0, 1), got {self.eta}")
-        if not self.eps > 0.0:
+    def __init__(
+        self, ambiguity: PowerMomentAmbiguity | ExpMomentAmbiguity, eta: float, eps: float = eps
+    ) -> None:
+        if not 0.0 < eta < 1.0:
+            raise DomainError(f"eta must lie in (0, 1), got {eta}")
+        if not eps > 0.0:
             raise DomainError("eps must be positive")
+        object.__setattr__(self, "__dict__", {"ambiguity": ambiguity, "eta": eta, "eps": eps})
 
 
-@dataclass(frozen=True)
-class OrderDecision:
+class OrderDecision(_Frozen):
     """The robust order q_star, its worst-case cost, and what certifies them.
 
     ``report`` is the verified worst case at q_star, the distribution behind
@@ -81,6 +81,30 @@ class OrderDecision:
     report: Report  # the worst case at q_star
     bracket: tuple[float, float]
     bracket_reports: tuple[Report | None, Report | None]
+
+    def __init__(
+        self,
+        q_star: float,
+        objective: float,
+        iterations: int,
+        inner_solves: int,
+        report: Report,
+        bracket: tuple[float, float],
+        bracket_reports: tuple[Report | None, Report | None],
+    ) -> None:
+        object.__setattr__(
+            self,
+            "__dict__",
+            {
+                "q_star": q_star,
+                "objective": objective,
+                "iterations": iterations,
+                "inner_solves": inner_solves,
+                "report": report,
+                "bracket": bracket,
+                "bracket_reports": bracket_reports,
+            },
+        )
 
 
 def optimize_order(inst: NewsvendorInstance) -> OrderDecision:

@@ -54,12 +54,11 @@ a start, never a solver's support or duals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DiscreteDistribution, GmpInstance, MomentFunction
-from .errors import DomainError
+from .core import DiscreteDistribution, GmpInstance, MomentFunction, _Frozen
+from .errors import DomainError, RangeError
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -72,10 +71,10 @@ _PHASE1_TOL = 1e-9  # leftover artificial mass that still counts as feasible
 # that rounds away) before Bland's rule takes over; a simplex cycle is at
 # least six pivots long, so Bland takes over by its second round
 _DEGENERATE_RUN = 8
+_MAX_POINTS = np.iinfo(np.intp).max // 8  # numpy refuses larger arrays of 8-byte floats
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(_Frozen):
     """Uniform grid on [lo, hi] plus optional exact extra points."""
 
     lo: float
@@ -83,14 +82,27 @@ class GridSpec:
     n_points: int
     refine_around: tuple[float, ...] = ()
 
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.lo < self.hi):
-            raise DomainError(f"need 0 <= lo < hi, got [{self.lo}, {self.hi}]")
-        if self.n_points < 2:
+    def __init__(
+        self, lo: float, hi: float, n_points: int, refine_around: tuple[float, ...] = refine_around
+    ) -> None:
+        if not (0.0 <= lo < hi):
+            raise DomainError(f"need 0 <= lo < hi, got [{lo}, {hi}]")
+        if n_points < 2:
             raise DomainError("n_points must be at least 2")
+        object.__setattr__(
+            self,
+            "__dict__",
+            {"lo": lo, "hi": hi, "n_points": n_points, "refine_around": refine_around},
+        )
 
     def points(self) -> np.ndarray:
-        base = np.linspace(self.lo, self.hi, self.n_points)
+        n = self.n_points
+        try:
+            base = np.linspace(self.lo, self.hi, n) if n <= _MAX_POINTS else None
+        except MemoryError:
+            base = None
+        if base is None:
+            raise RangeError(f"a grid of {n} points is too large to build")
         if not self.refine_around:
             return base
         extra = sorted({p for p in self.refine_around if p >= self.lo})
@@ -115,8 +127,7 @@ class GridSpec:
         )
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(_Frozen):
     value: float
     dist: DiscreteDistribution | None
     status: str
@@ -125,15 +136,47 @@ class OracleResult:
     pivots: tuple[int, int]  # phase 1, phase 2
     basis: tuple[float, ...] = ()  # grid points of the final basis, one per row
 
+    def __init__(
+        self,
+        value: float,
+        dist: DiscreteDistribution | None,
+        status: str,
+        grid: GridSpec,
+        duals: tuple[float, ...] | None,
+        pivots: tuple[int, int],
+        basis: tuple[float, ...] = basis,
+    ) -> None:
+        object.__setattr__(
+            self,
+            "__dict__",
+            {
+                "value": value,
+                "dist": dist,
+                "status": status,
+                "grid": grid,
+                "duals": duals,
+                "pivots": pivots,
+                "basis": basis,
+            },
+        )
 
-@dataclass(frozen=True)
-class RefineOutcome:
+
+class RefineOutcome(_Frozen):
     """Last oracle result plus the observed value sequence across refinements."""
 
     result: OracleResult
     values: tuple[float, ...]
     converged: bool
     rounds: int
+
+    def __init__(
+        self, result: OracleResult, values: tuple[float, ...], converged: bool, rounds: int
+    ) -> None:
+        object.__setattr__(
+            self,
+            "__dict__",
+            {"result": result, "values": values, "converged": converged, "rounds": rounds},
+        )
 
 
 def _evaluate(f: MomentFunction, xs: np.ndarray, out: np.ndarray) -> None:

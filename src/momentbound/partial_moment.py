@@ -19,10 +19,9 @@ and None on the two-point branch, whose kappa is ``kappa(inst)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import core
-from .core import DiscreteDistribution, DualCertificate, GmpInstance, Report
+from .core import DiscreteDistribution, DualCertificate, GmpInstance, Report, _Frozen
 from .errors import BranchError, DomainError, FamilyParamError, InfeasibleError, UncertifiedError
 
 TWO_POINT = "two_point"
@@ -30,8 +29,7 @@ DEGENERATE_FAMILY = "degenerate_family"
 _ON_BOUNDARY = "moment vector sits on the feasibility boundary; the dual certificate is undefined"
 
 
-@dataclass(frozen=True)
-class PartialMomentInstance:
+class PartialMomentInstance(_Frozen):
     """Normalized data: mean M1, second moment gamma*M1^2, partial moment Mplus.
 
     Only necessary feasibility conditions are enforced here; a fully
@@ -43,19 +41,18 @@ class PartialMomentInstance:
     gamma: float
     Mplus: float
 
-    def __post_init__(self) -> None:
-        if not self.M1 > 0.0:
-            raise InfeasibleError(f"M1 > 0 required, got {self.M1}")
-        if not self.gamma > 1.0:
-            raise InfeasibleError(f"gamma > 1 required, got {self.gamma}")
-        if not self.Mplus > 0.0:
-            raise InfeasibleError(f"Mplus > 0 required, got {self.Mplus}")
-        if self.M1 > 2.0 / self.gamma:
-            raise InfeasibleError(f"feasibility requires M1 <= 2/gamma: {self.M1} > {2.0 / self.gamma}")
-        if not self.Mplus > self.M1 - 1.0:
-            raise InfeasibleError(
-                f"feasibility requires Mplus > M1 - 1: {self.Mplus} <= {self.M1 - 1.0}"
-            )
+    def __init__(self, M1: float, gamma: float, Mplus: float) -> None:
+        if not M1 > 0.0:
+            raise InfeasibleError(f"M1 > 0 required, got {M1}")
+        if not gamma > 1.0:
+            raise InfeasibleError(f"gamma > 1 required, got {gamma}")
+        if not Mplus > 0.0:
+            raise InfeasibleError(f"Mplus > 0 required, got {Mplus}")
+        if M1 > 2.0 / gamma:
+            raise InfeasibleError(f"feasibility requires M1 <= 2/gamma: {M1} > {2.0 / gamma}")
+        if not Mplus > M1 - 1.0:
+            raise InfeasibleError(f"feasibility requires Mplus > M1 - 1: {Mplus} <= {M1 - 1.0}")
+        object.__setattr__(self, "__dict__", {"M1": M1, "gamma": gamma, "Mplus": Mplus})
 
     def is_two_point(self) -> bool:
         return self.M1 <= 1.0 / self.gamma + self.Mplus

@@ -18,11 +18,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from math import expm1, log1p
 
 from . import core
-from .core import DiscreteDistribution, DualCertificate, GmpInstance, Report
+from .core import DiscreteDistribution, DualCertificate, GmpInstance, Report, _Frozen
 from .errors import InfeasibleError, MomentBoundError, RangeError, RootBracketError, UncertifiedError
 from .rootfind import brent
 
@@ -30,8 +29,7 @@ BOUNDARY = "boundary"
 INTERIOR = "interior"
 
 
-@dataclass(frozen=True)
-class PowerMomentAmbiguity:
+class PowerMomentAmbiguity(_Frozen):
     """Moment data (M1, Mt, t) in original units: every law on X >= 0 with these moments.
 
     The moments are checked here, and ``mt_scaled`` = Mt/M1^t, the t-th
@@ -85,7 +83,6 @@ class PowerMomentAmbiguity:
         return self.M1 * (t - 1.0) / t * v * (1.0 - r**t) / (1.0 - r ** (t - 1.0))
 
 
-@dataclass(frozen=True)
 class PowerMomentInstance(PowerMomentAmbiguity):
     """The ambiguity set at order quantity q; ``q_scaled`` = q/M1 is set once here."""
 

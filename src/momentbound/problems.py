@@ -14,15 +14,18 @@ from __future__ import annotations
 
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import Any, Callable
 
+from .core import _Frozen
 from .errors import SchemaError
 
 
-@dataclass(frozen=True)
-class Problem:
+def _no_offset(inst) -> float:
+    return 0.0
+
+
+class Problem(_Frozen):
     instance: type
     solve: Callable[..., Any]  # (instance, **optional) -> report
     gmp: Callable[[Any], Any]  # instance -> GmpInstance
@@ -30,12 +33,36 @@ class Problem:
     ambiguity: type | None = None  # newsvendor ambiguity set over the same moments
     optional: tuple[str, ...] = ()  # extra solve arguments, passed by keyword
     # LP objective value minus the reported value
-    oracle_offset: Callable[[Any], float] = lambda inst: 0.0
+    oracle_offset: Callable[[Any], float] = _no_offset
+
+    def __init__(
+        self,
+        instance: type,
+        solve: Callable[..., Any],
+        gmp: Callable[[Any], Any],
+        grid_hi: Callable[[Any, Any], float],
+        ambiguity: type | None = ambiguity,
+        optional: tuple[str, ...] = optional,
+        oracle_offset: Callable[[Any], float] = oracle_offset,
+    ) -> None:
+        object.__setattr__(
+            self,
+            "__dict__",
+            {
+                "instance": instance,
+                "solve": solve,
+                "gmp": gmp,
+                "grid_hi": grid_hi,
+                "ambiguity": ambiguity,
+                "optional": optional,
+                "oracle_offset": oracle_offset,
+            },
+        )
 
     @cached_property
     def keys(self) -> tuple[str, ...]:
         """The instance's parameters, in the order they are checked; all sweepable."""
-        return tuple(f.name for f in fields(self.instance))
+        return self.instance.__match_args__
 
 
 def _power_grid_hi(inst, report) -> float:

@@ -807,6 +807,52 @@ class TestSchemaGuards:
         assert code == EXIT_SCHEMA
         assert err == {"error": "SchemaError", "message": "n_points must be at least 2"}
 
+    @pytest.mark.parametrize("command", ["solve", "check"])
+    def test_non_integral_n_points_is_a_schema_error(self, tmp_path, capsys, command):
+        # 2.9 is refused, not truncated to a 2-point grid; 2001.0 is 2001
+        params = {"M1": 1, "Mt": 4, "t": 2, "q": 1}
+        doc = {"problem": "mp1t", "params": params}
+        if command == "solve":
+            doc = {"problem": "oracle", "params": dict(params, base="mp1t")}
+        code = main([command, _write(tmp_path, dict(doc, oracle={"n_points": 2.9}))])
+        err = json.loads(capsys.readouterr().err.splitlines()[0])
+        assert code == EXIT_SCHEMA
+        assert err == {"error": "SchemaError", "message": "'n_points' must be an integer, got 2.9"}
+        assert main([command, _write(tmp_path, dict(doc, oracle={"n_points": 2001.0}))]) == EXIT_OK
+        integral = json.loads(capsys.readouterr().out)
+        assert main([command, _write(tmp_path, doc)]) == EXIT_OK  # 2001 points by default
+        default = json.loads(capsys.readouterr().out)
+        integral.pop("timing_ms", None)
+        default.pop("timing_ms", None)
+        assert integral == default
+
+    @pytest.mark.parametrize(
+        "command,size,via",
+        [
+            ("check", "100000000000000000000", "option"),
+            ("check", 1e20, "document"),
+            ("solve", 1e20, "document"),
+            ("check", str(2**63), "option"),
+        ],
+    )
+    def test_grid_too_large_to_build_is_a_range_error(self, tmp_path, capsys, command, size, via):
+        # numpy refuses these sizes before it allocates; the refusal is typed
+        params = {"M1": 1, "Mt": 4, "t": 2, "q": 1}
+        doc = {"problem": "mp1t", "params": params}
+        if command == "solve":
+            doc = {"problem": "oracle", "params": dict(params, base="mp1t")}
+        if via == "option":
+            code = main([command, _write(tmp_path, doc), "--grid-points", size])
+        else:
+            code = main([command, _write(tmp_path, dict(doc, oracle={"n_points": size}))])
+        out, err = capsys.readouterr()
+        assert code == EXIT_RANGE and out == ""
+        assert json.loads(err) == {
+            "error": "RangeError",
+            "message": f"a grid of {int(float(size)) if via == 'document' else size} points "
+            "is too large to build",
+        }
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -1,6 +1,7 @@
 """Domain types and the generic optimality verifier."""
 
 import dataclasses
+import functools
 import inspect
 import io
 import json
@@ -11,7 +12,7 @@ import tokenize
 import numpy as np
 import pytest
 
-from momentbound import cli, core
+from momentbound import cli, core, oracle, power_moment, problems
 from momentbound.core import (
     DiscreteDistribution,
     DualCertificate,
@@ -21,9 +22,10 @@ from momentbound.core import (
 )
 from momentbound.errors import DimensionError, DomainError
 from momentbound.exp_moment import ExpMomentAmbiguity, ExpMomentInstance, solve_exp_moment
+from momentbound.newsvendor import NewsvendorInstance, optimize_order
 from momentbound.partial_moment import PartialMomentInstance, solve_partial_moment
 from momentbound.power_moment import PowerMomentAmbiguity, PowerMomentInstance, solve_power_moment
-from momentbound.problems import PROBLEMS
+from momentbound.problems import PROBLEMS, Problem
 from references import (
     enumerate_family,
     h_function,
@@ -47,40 +49,111 @@ class TestMomentFunction:
             core.MomentFunction("zero")
 
 
-def _value_objects():
-    """One of each frozen value object whose __init__ fills its __dict__ in one step."""
-    rep = solve_power_moment(PowerMomentInstance(M1=1.0, Mt=2.0, t=2.5, q=3.0))
+def _value_objects(t: float, q: float, eta: float, optional: tuple[str, ...]) -> list:
+    """One of each frozen value type of the package, built the way its callers build it."""
+    amb = PowerMomentAmbiguity(M1=1.0, Mt=2.0, t=t)
+    inst = amb.instance_at(q)
+    rep = solve_power_moment(inst)
+    gmp = power_moment.gmp_instance(inst)
+    exp_amb = ExpMomentAmbiguity(M1=1.0, Me=math.e**2, t=t - 1.0)
+    decision = NewsvendorInstance(ambiguity=amb, eta=eta)
+    grid = oracle.GridSpec(lo=0.0, hi=4.0 * q, n_points=41, refine_around=rep.dist.xs)
+    outcome = oracle.refine_until(gmp, grid, target_tol=1e-9, max_rounds=1)
     return [
         rep,
         rep.verification,
         rep.dist,
         rep.cert,
-        core.positive_part(3.0),
-        PROBLEMS["mp1t"].gmp(PowerMomentInstance(M1=1.0, Mt=2.0, t=2.5, q=3.0)),
-        PowerMomentAmbiguity(M1=1.0, Mt=2.0, t=2.5),
-        PowerMomentInstance(M1=1.0, Mt=2.0, t=2.5, q=3.0),
-        ExpMomentAmbiguity(M1=1.0, Me=math.e**2, t=1.0),
-        ExpMomentInstance(M1=1.0, Me=math.e**2, t=1.0, q=5.0),
+        core.positive_part(q),
+        gmp,
+        ToleranceSet(gap=q * 1e-8),
+        amb,
+        inst,
+        exp_amb,
+        exp_amb.instance_at(q),
+        PartialMomentInstance(M1=0.5, gamma=4.0, Mplus=0.1 * t),
+        decision,
+        optimize_order(decision),
+        outcome.result.grid,
+        outcome.result,
+        outcome,
+        # module-level functions only, so that it pickles
+        Problem(
+            instance=PowerMomentInstance,
+            solve=solve_power_moment,
+            gmp=power_moment.gmp_instance,
+            grid_hi=problems._power_grid_hi,
+            ambiguity=PowerMomentAmbiguity,
+            optional=optional,
+        ),
     ]
 
 
-@pytest.mark.parametrize("obj", _value_objects(), ids=lambda obj: type(obj).__name__)
-def test_value_objects_stay_frozen_dataclasses(obj):
-    """Each __init__ takes the fields in order, and the dataclass behaviour is kept."""
-    cls = type(obj)
-    names = [f.name for f in dataclasses.fields(cls)]
+VALUE_PAIRS = list(zip(_value_objects(2.5, 3.0, 0.9, ()), _value_objects(2.0, 0.5, 0.5, ("v1",))))
+
+
+def _frozen_types(cls: type) -> set[type]:
+    return {cls, *(sub for direct in cls.__subclasses__() for sub in _frozen_types(direct))}
+
+
+@functools.cache
+def _twin(cls: type) -> type:
+    """A frozen dataclass with cls's name and fields, each field's default its class attribute."""
+    spec = [
+        (name, object, dataclasses.field(default=getattr(cls, name)))
+        if hasattr(cls, name)
+        else (name, object)
+        for name in cls.__match_args__
+    ]
+    return dataclasses.make_dataclass(cls.__qualname__, spec, frozen=True)
+
+
+def test_value_samples_cover_every_frozen_type():
+    types = [type(a) for a, _ in VALUE_PAIRS]
+    assert [type(b) for _, b in VALUE_PAIRS] == types
+    assert set(types) == _frozen_types(core._Frozen) - {core._Frozen}
+    assert len(set(types)) == len(types) == 18
+
+
+@pytest.mark.parametrize("pair", VALUE_PAIRS, ids=lambda pair: type(pair[0]).__name__)
+def test_value_objects_keep_frozen_dataclass_semantics(pair):
+    """Each __init__ takes the fields in order, and the objects behave as frozen dataclasses."""
+    cls = type(pair[0])
+    twin = _twin(cls)
+    names = list(cls.__match_args__)
+    assert [f.name for f in dataclasses.fields(twin)] == names
+    # the signature: names, kinds and defaults, as a dataclass would generate it
     params = list(inspect.signature(cls.__init__).parameters.values())[1:]
-    assert [p.name for p in params] == names
-    assert [p.default for p in params] == [
-        inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default
-        for f in dataclasses.fields(cls)
+    expected = list(inspect.signature(twin.__init__).parameters.values())[1:]
+    assert [(p.name, p.kind, p.default) for p in params] == [
+        (p.name, p.kind, p.default) for p in expected
     ]
-    copy = dataclasses.replace(obj)
-    assert copy == obj and hash(copy) == hash(obj) and repr(copy) == repr(obj)
-    assert pickle.loads(pickle.dumps(obj)) == obj
-    assert vars(copy) == vars(obj)  # the scaled fields too
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        setattr(obj, names[0], None)
+    twins = []
+    for obj in pair:
+        fields = {name: getattr(obj, name) for name in names}
+        copy = cls(**fields)
+        assert copy == obj and hash(copy) == hash(obj) and repr(copy) == repr(obj)
+        unpickled = pickle.loads(pickle.dumps(obj))
+        assert unpickled == obj and vars(unpickled) == vars(obj)
+        assert vars(copy) == vars(obj)  # the scaled fields too
+        same = twin(**fields)
+        assert repr(same) == repr(obj) and hash(same) == hash(obj)
+        assert (obj == same) is (same == obj) is False  # another class
+        twins.append(same)
+        for change in (
+            lambda o: setattr(o, names[0], None),
+            lambda o: delattr(o, names[-1]),
+            lambda o: setattr(o, "extra", None),
+        ):
+            with pytest.raises(dataclasses.FrozenInstanceError) as expected_error:
+                change(same)
+            with pytest.raises(AttributeError) as error:
+                change(obj)
+            assert str(error.value) == str(expected_error.value)
+        assert vars(copy) == vars(obj)  # nothing was assigned
+    a, b = pair
+    assert a != b and (a == b) == (twins[0] == twins[1])
+    assert (a != b) == (twins[0] != twins[1])
 
 
 class TestDiscreteDistribution:

@@ -3,7 +3,6 @@
 import json
 import math
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -323,7 +322,8 @@ class TestCertifiedOrder:
 
 def _fresh(kind: str):
     """A new copy of a cell's ambiguity, with nothing computed on it yet."""
-    return replace(AMBIGUITIES[kind])
+    amb = AMBIGUITIES[kind]
+    return type(amb)(**{name: getattr(amb, name) for name in amb.__match_args__})
 
 
 class TestDecisionCost:

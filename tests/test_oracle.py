@@ -10,7 +10,7 @@ import momentbound
 import references
 from momentbound import core, exp_moment, oracle, power_moment
 from momentbound.core import GmpInstance
-from momentbound.errors import DomainError
+from momentbound.errors import DomainError, RangeError
 from momentbound.oracle import (
     _DEGENERATE_RUN,
     INFEASIBLE,
@@ -86,6 +86,24 @@ class TestGridSpec:
                     extra.append(float(rng.uniform(lo, hi)))
             spec = GridSpec(lo=lo, hi=hi, n_points=n, refine_around=tuple(extra))
             assert spec.points().tobytes() == grid_points(spec).tobytes(), spec
+
+    @pytest.mark.parametrize("n", [2**60, 10**20])
+    def test_grid_past_numpys_size_limit_is_a_range_error(self, n):
+        # 2**60 eight-byte points pass numpy's index range; numpy refuses
+        # them, before it allocates, as it refuses 10**20
+        grid = GridSpec(lo=0.0, hi=1.0, n_points=n)
+        with pytest.raises(RangeError, match=f"a grid of {n} points is too large to build"):
+            oracle_solve(_mean_instance(0.4), grid)
+        with pytest.raises(ValueError):
+            np.empty(n)
+
+    def test_grid_numpy_cannot_allocate_is_a_range_error(self, monkeypatch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(np, "linspace", out_of_memory)
+        with pytest.raises(RangeError, match="a grid of 2001 points is too large to build"):
+            GridSpec(lo=0.0, hi=1.0, n_points=2001).points()
 
     def test_doubled_keeps_old_points(self):
         spec = GridSpec(lo=0.0, hi=1.0, n_points=5)

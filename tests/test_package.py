@@ -1,7 +1,6 @@
 """The public namespace, and what importing it costs."""
 
 import ast
-import dataclasses
 import inspect
 import json
 import math
@@ -161,10 +160,11 @@ def test_oracle_names_load_on_first_use():
     assert _fresh_interpreter(code) == "False True True True"
 
 
-def test_only_the_oracle_imports_numpy():
-    package = Path(momentbound.__file__).resolve().parent
-    importers = []
-    for path in sorted(package.glob("*.py")):
+def _importers(module: str) -> list[str]:
+    """The files under src/ whose source imports `module`, by path from src/."""
+    src = Path(momentbound.__file__).resolve().parents[1]
+    importers = set()
+    for path in sorted(src.rglob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
@@ -172,9 +172,40 @@ def test_only_the_oracle_imports_numpy():
                 names = [node.module or ""]
             else:
                 continue
-            if any(name.split(".")[0] == "numpy" for name in names):
-                importers.append(path.name)
-    assert sorted(set(importers)) == ["oracle.py"]
+            if any(name.split(".")[0] == module for name in names):
+                importers.add(path.relative_to(src).as_posix())
+    return sorted(importers)
+
+
+def test_only_the_oracle_imports_numpy():
+    assert _importers("numpy") == ["momentbound/oracle.py"]
+
+
+def test_no_module_imports_dataclasses():
+    # each dataclass compiles its generated methods when its module loads;
+    # the value types share core._Frozen instead
+    assert _importers("dataclasses") == []
+
+
+def test_runs_without_the_oracle_load_no_dataclasses(tmp_path):
+    # every module but the oracle (whose numpy is its own cost), one solve of
+    # each problem, a newsvendor decision and a CLI solve, in one interpreter
+    path = tmp_path / "mp1t.json"
+    path.write_text('{"problem": "mp1t", "params": {"M1": 1, "Mt": 4, "t": 2, "q": 1.5}}')
+    code = (
+        "import importlib, sys, momentbound as mb; "  # pkgutil would load inspect
+        "names = sorted(mb._MODULES - {'oracle'}); "
+        "[importlib.import_module(f'momentbound.{name}') for name in names]; "
+        "mb.solve_power_moment(mb.PowerMomentInstance(M1=1, Mt=4, t=2, q=1.5)); "
+        "mb.solve_exp_moment(mb.ExpMomentInstance(M1=1, Me=7.5, t=1, q=1)); "
+        "mb.solve_partial_moment(mb.PartialMomentInstance(M1=0.5, gamma=4.0, Mplus=0.2)); "
+        "amb = mb.PowerMomentAmbiguity(M1=1, Mt=4, t=2); "
+        "mb.optimize_order(mb.NewsvendorInstance(ambiguity=amb, eta=0.9)); "
+        f"assert mb.cli.main(['solve', {str(path)!r}]) == 0; "
+        "print(len(names), 'momentbound.oracle' in sys.modules, "
+        "sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))"
+    )
+    assert _fresh_interpreter(code) == f"{len(momentbound._MODULES) - 1} False []"
 
 
 def test_only_core_and_cli_read_a_verdict():
@@ -318,7 +349,7 @@ def test_every_tolerance_is_read_by_the_verification_pass(problem, params):
             return getattr(default, name)
 
     assert core.verify_optimality(entry.gmp(inst), report.dist, report.cert, Recording()).passed
-    assert sorted(set(read)) == sorted(f.name for f in dataclasses.fields(core.ToleranceSet))
+    assert sorted(set(read)) == sorted(core.ToleranceSet.__match_args__)
 
 
 def test_every_bench_record_names_its_change_and_a_declared_claim():
