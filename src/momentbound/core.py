@@ -597,7 +597,10 @@ class Report(_Frozen):
     the root-function evaluations of the interior search behind ``root``
     (psi for mp1t, whose retried answers keep that search's count;
     phi in the mean gap for mp1e), beyond the bracket ends' values, and is 0
-    where nothing was searched.
+    where nothing was searched.  An mp1t newsvendor report at q* > 0 is the
+    law q* came from: ``root`` is its scaled upper point, and
+    ``bisect_iters`` counts the evaluations of ``_upper_point_at_mass``'s
+    search, 0 where that point is the search's right end.
     """
 
     value: float

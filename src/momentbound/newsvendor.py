@@ -9,8 +9,11 @@ with upper mass 1 - eta, and the dual's tangency conditions at its two
 support points give q* in closed form (Scarf 1958 at t = 2).  The
 ambiguity's ``_order_at_mass`` solves for that law once, for mp1e with the
 v1 (one root search) that the solves share through ``compute_v1``'s memo, and
-returns q*; it is 0 where the boundary branch's upper mass is already at most
-1 - eta.
+returns q* with the worst case's certifier; q* is 0 where the boundary
+branch's upper mass is already at most 1 - eta.  For mp1t the certifier
+builds that law at q* with the solver's own constructor and passes it
+through ``core.certify``, so no root search runs at q*; for mp1e it solves
+at q*.
 
 What is returned is certified by the subgradient condition on a bracket
 a <= q* <= b: p_hi(a) >= 1 - eta >= p_hi(b) from verified worst cases at both
@@ -61,8 +64,10 @@ class OrderDecision(_Frozen):
     """The robust order q_star, its worst-case cost, and what certifies them.
 
     ``report`` is the verified worst case at q_star, the distribution behind
-    ``objective``; at q_star = 0 it is the worst case at b, which is a worst
-    case at 0 too (every feasible law is: E[X] = M1 there).
+    ``objective``: for mp1t the law q_star was solved from, certified at
+    q_star, and for mp1e a solve at q_star.  At q_star = 0 it is the worst
+    case at b, which is a worst case at 0 too (every feasible law is:
+    E[X] = M1 there).
     ``bracket`` is (a, b), a <= q_star <= b, and ``bracket_reports`` the
     verified worst cases at its ends.  Together they certify
     p_hi(a) >= 1 - eta >= p_hi(b), so a minimizer of the worst-case cost lies
@@ -75,8 +80,9 @@ class OrderDecision(_Frozen):
     q_star: float
     objective: float
     iterations: int  # doublings of an end's offset from q_star, both ends together
-    # worst-case solves made: one per end tried inside (0, tail cutoff),
-    # plus the one behind ``report`` unless it is b's
+    # certified worst cases: one per end tried inside (0, tail cutoff), plus
+    # the one behind ``report`` unless it is b's; an mp1t one at q_star > 0
+    # is certified from its law without a root search
     inner_solves: int
     report: Report  # the worst case at q_star
     bracket: tuple[float, float]
@@ -108,13 +114,17 @@ class OrderDecision(_Frozen):
 
 
 def optimize_order(inst: NewsvendorInstance) -> OrderDecision:
-    """q* in closed form, bracketed by verified worst cases within eps of it."""
+    """q* in closed form, bracketed by verified worst cases within eps of it.
+
+    The worst case at q* is certified after both ends, so an end's
+    ``RootBracketError`` comes before a refusal at q*.
+    """
     amb = inst.ambiguity
     mass = 1.0 - inst.eta
     hi = amb.tail_cutoff(mass)
     if not math.isfinite(hi):
         raise RangeError(f"no finite q brings the moment bound on P(X > q) down to {mass:g}")
-    q = amb._order_at_mass(mass)
+    q, worst_case = amb._order_at_mass(mass)
     if not 0.0 <= q < hi:
         raise RootBracketError(f"closed-form order {q:g} lies outside [0, tail cutoff {hi:g})")
     cap = max(inst.eps, _MAX_OFFSET * q)
@@ -146,7 +156,7 @@ def optimize_order(inst: NewsvendorInstance) -> OrderDecision:
         report = up  # at q = 0 every feasible law is a worst case, so b's serves
     else:
         solves += 1
-        report = amb.solve(q or b)
+        report = worst_case(q or b)
     return OrderDecision(
         q_star=q,
         objective=report.value + mass * q if q > 0.0 else amb.M1,

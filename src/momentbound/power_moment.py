@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import sys
 from math import expm1, log1p
+from typing import Callable
 
 from . import core
 from .core import DiscreteDistribution, DualCertificate, GmpInstance, Report, _Frozen
@@ -65,22 +66,35 @@ class PowerMomentAmbiguity(_Frozen):
         """The q at which Markov's bound Mt/q^t on every feasible P(X > q) falls to mass."""
         return (self.Mt / mass) ** (1.0 / self.t)
 
-    def _order_at_mass(self, mass: float) -> float:
-        """The order q whose worst case has upper mass `mass`; 0 where the boundary's is no more.
+    def _order_at_mass(self, mass: float) -> tuple[float, Callable[[float], Report]]:
+        """The order q whose worst case has upper mass `mass`, and that worst case's certifier.
 
         The worst case at q is the two-point law {u, v} (mean-scaled) with
         upper mass p_hi(q), and p_hi falls as q rises past the branch
         threshold.  So the q with p_hi(q) = mass takes the law with that
         mass, and the dual's tangency at u and at v gives it:
         q/M1 = (t-1)/t * (v^t - u^t)/(v^(t-1) - u^(t-1)), here with r = u/v
-        so no power of v overflows.
+        so no power of v overflows.  The certifier builds that same law at
+        q with ``_interior`` (``root`` v, ``bisect_iters`` the evaluations
+        of v's search) and passes it through ``core.certify``, so psi is
+        not searched again.  Where the boundary law's upper mass is already
+        at most `mass`, q is 0 and the certifier is ``solve``: the caller
+        takes the worst case at 0 from a solve at an order of its choosing.
         """
         t, edge = self.t, self.edge_scaled
         if mass >= 1.0 / edge:  # the boundary law's upper mass
-            return 0.0
-        v = _upper_point_at_mass(mass, self, edge)
-        r = max((1.0 - mass * v) / (1.0 - mass), 0.0) / v
-        return self.M1 * (t - 1.0) / t * v * (1.0 - r**t) / (1.0 - r ** (t - 1.0))
+            return 0.0, self.solve
+        v, evals = _upper_point_at_mass(mass, self, edge)
+        u = max((1.0 - mass * v) / (1.0 - mass), 0.0)
+        r = u / v
+        q = self.M1 * (t - 1.0) / t * v * (1.0 - r**t) / (1.0 - r ** (t - 1.0))
+
+        def worst_case(order: float) -> Report:
+            inst = self.instance_at(order)
+            law = _interior(inst, v, u, u ** (t - 1.0), u**t, evals)
+            return core.certify(gmp_instance(inst), law)
+
+        return q, worst_case
 
 
 class PowerMomentInstance(PowerMomentAmbiguity):
@@ -119,7 +133,7 @@ def _mt_scaled(M1: float, Mt: float, t: float) -> float:
     return mt_scaled
 
 
-def _upper_point_at_mass(p: float, inst: PowerMomentInstance, edge: float) -> float:
+def _upper_point_at_mass(p: float, inst: PowerMomentInstance, edge: float) -> tuple[float, int]:
     """The upper point v of the two-point law with mean 1, t-th moment mt and mass p at v.
 
     Its lower point is u = (1 - p*v)/(1 - p), so the mean is 1 for every v,
@@ -128,7 +142,8 @@ def _upper_point_at_mass(p: float, inst: PowerMomentInstance, edge: float) -> fl
     mt by the point where u falls to 0 or p*v^t alone reaches mt.  Requires
     p < 1/edge, the boundary branch's upper mass.  Where (1 - p)*u^t is below
     the rounding of p*v^t - mt at that point, the excess reads <= 0 there, and
-    the root lies within a few ulp of it.
+    the root lies within a few ulp of it.  Returns v and the evaluations of
+    the search for it, 0 where v is that right end.
     """
     t, mt = inst.t, inst.mt_scaled
     scale = p ** (1.0 / t)  # p*v^t as (scale*v)^t, finite wherever p*v^t <= mt is
@@ -142,8 +157,8 @@ def _upper_point_at_mass(p: float, inst: PowerMomentInstance, edge: float) -> fl
     hi = min(1.0 / p, mt ** (1.0 / t) / scale)
     f_hi = excess(hi)
     if not f_hi > 0.0:
-        return hi
-    return brent(excess, edge, hi, excess(edge), f_hi)[0]
+        return hi, 0
+    return brent(excess, edge, hi, excess(edge), f_hi)
 
 
 def _takes_boundary(qs: float, t: float, edge: float) -> bool:

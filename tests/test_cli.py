@@ -91,16 +91,17 @@ GOLDEN_UPM_FAMILY_V1 = (
     '"timing_ms": 0.0}'
 )
 
+# the worst case at q* is the law the order was solved from, certified
 GOLDEN_NEWSVENDOR = (
     '{"problem": "newsvendor", "optimal_value": 0.6196152422706631, '
-    '"distribution": [{"x": 0.42264973081037427, "p": 0.9000000000000001}, '
+    '"distribution": [{"x": 0.4226497308103743, "p": 0.9000000000000001}, '
     '{"x": 6.196152422706633, "p": 0.09999999999999998}], '
-    '"dual": [0.015470053837925154, -0.07320508075688772, 0.08660254037844385], '
+    '"dual": [0.015470053837925157, -0.07320508075688774, 0.08660254037844385], '
     '"branch": "closed_form", "root": 3.3094010767585034, "iterations": 0, '
-    '"verification": {"primal_residual": 0.0, '
+    '"verification": {"primal_residual": 8.881784197001252e-16, '
     '"slack_residual": 4.440892098500626e-16, '
     '"dual_min_on_grid": -1.734723475976807e-18, '
-    '"duality_gap": 0.0, "passed": true}, "verified": true, '
+    '"duality_gap": 5.551115123125783e-17, "passed": true}, "verified": true, '
     '"timing_ms": 0.0}'
 )
 
