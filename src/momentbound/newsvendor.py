@@ -17,15 +17,21 @@ at q*.
 
 What is returned is certified by the subgradient condition on a bracket
 a <= q* <= b: p_hi(a) >= 1 - eta >= p_hi(b) from verified worst cases at both
-ends puts a minimizer of f in [a, b].  The ends are q* - eps and q* + eps,
-clipped to 0 and to the tail cutoff, where the moment bound on P(X > q)
-(Markov for a power moment, Chernoff for an exponential one) gives
-p_hi <= 1 - eta without a solve.  An end that rounds to q* itself or whose
+ends puts a minimizer of f in [a, b].  The worst case at q* is certified
+first, and q* is one end: the right one where its p_hi is at most 1 - eta,
+the left one where it is at least 1 - eta (both at a tie).  An end that
+is not q* is solved, at q* -+ eps, clipped to 0 and to the tail cutoff,
+where the moment bound on P(X > q) (Markov for a power moment, Chernoff for
+an exponential one) gives p_hi <= 1 - eta without a solve.  A left end at q*
+also needs the duality gap there within p_hi*cap, cap = max(eps, 1e-9*q*):
+mp1t's law carries a dual that does not depend on q, so it certifies right
+of the law's own order too, with a gap of p_hi times the distance, and only
+a right end holds there.  A solved end that rounds to q* itself or whose
 p_hi reads on the wrong side of 1 - eta (eps near the float resolution of
-q*) steps outward, its offset doubling, while the offset stays within
-max(eps, 1e-9*q*); past that, as for a wrong closed form, the decision is a
-RootBracketError.  Every report here, at q* and at the bracket ends, is a
-certified ``core.Report``; a solve's ``UncertifiedError`` refuses the decision.
+q*) steps outward, its offset doubling, up to cap; past that, as for a
+wrong closed form, the decision is a RootBracketError.  Every report here,
+at q* and at the bracket ends, is a certified ``core.Report``; a solve's
+``UncertifiedError`` refuses the decision.
 """
 
 from __future__ import annotations
@@ -71,18 +77,21 @@ class OrderDecision(_Frozen):
     ``bracket`` is (a, b), a <= q_star <= b, and ``bracket_reports`` the
     verified worst cases at its ends.  Together they certify
     p_hi(a) >= 1 - eta >= p_hi(b), so a minimizer of the worst-case cost lies
-    in [a, b].  An end's report is None where no solve is needed: a = 0 is
-    the domain boundary, and at b = the tail cutoff the moment bound gives
-    p_hi(b) <= 1 - eta.  Each end lies eps from q_star unless it is clipped
-    there, or its p_hi rounded to the wrong side and it stepped out.
+    in [a, b].  At q_star > 0 an end may be q_star itself, or both at a tie
+    (module docstring), with ``report`` as its report; the others are solved.
+    An end's report is None where no solve is needed: a = 0 is the
+    domain boundary, and at b = the tail cutoff the moment bound gives
+    p_hi(b) <= 1 - eta.  A solved end lies eps from q_star unless it is
+    clipped there, or its p_hi rounded to the wrong side and it stepped out.
     """
 
     q_star: float
     objective: float
-    iterations: int  # doublings of an end's offset from q_star, both ends together
-    # certified worst cases: one per end tried inside (0, tail cutoff), plus
-    # the one behind ``report`` unless it is b's; an mp1t one at q_star > 0
-    # is certified from its law without a root search
+    iterations: int  # doublings of a solved end's offset from q_star
+    # certified worst cases: the one behind ``report``, plus one per solved
+    # end tried inside (0, tail cutoff), less one at q_star = 0, where b's
+    # serves as ``report``; an mp1t one at q_star > 0 is certified from its
+    # law without a root search
     inner_solves: int
     report: Report  # the worst case at q_star
     bracket: tuple[float, float]
@@ -114,10 +123,10 @@ class OrderDecision(_Frozen):
 
 
 def optimize_order(inst: NewsvendorInstance) -> OrderDecision:
-    """q* in closed form, bracketed by verified worst cases within eps of it.
+    """q* in closed form, bracketed by itself and a verified worst case within eps of it.
 
-    The worst case at q* is certified after both ends, so an end's
-    ``RootBracketError`` comes before a refusal at q*.
+    The worst case at q* is certified before the end is solved, so a refusal
+    at q* comes before the end's ``RootBracketError``.
     """
     amb = inst.ambiguity
     mass = 1.0 - inst.eta
@@ -151,12 +160,20 @@ def optimize_order(inst: NewsvendorInstance) -> OrderDecision:
             f"closed-form order {q:g} is on the wrong side of 1 - eta = {mass:g}"
         )
 
-    (a, lo), (b, up) = end(-1.0), end(1.0)
-    if q == 0.0 and up is not None:
-        report = up  # at q = 0 every feasible law is a worst case, so b's serves
-    else:
+    if q > 0.0:
         solves += 1
-        report = worst_case(q or b)
+        report = worst_case(q)
+        p = report.dist.points[-1][1]
+        left = p >= mass and report.verification.duality_gap <= p * cap
+        a, lo = (q, report) if left else end(-1.0)
+        b, up = (q, report) if p <= mass else end(1.0)
+    else:
+        (a, lo), (b, up) = end(-1.0), end(1.0)
+        if up is not None:
+            report = up  # at q = 0 every feasible law is a worst case, so b's serves
+        else:
+            solves += 1
+            report = worst_case(b)
     return OrderDecision(
         q_star=q,
         objective=report.value + mass * q if q > 0.0 else amb.M1,

@@ -28,8 +28,10 @@ from momentbound.errors import (
     DomainError,
     NonFiniteError,
     RangeError,
+    RootBracketError,
 )
 from momentbound import exp_moment
+from momentbound.newsvendor import _MAX_OFFSET, OrderDecision
 from momentbound.oracle import (
     _DEGENERATE_RUN,
     _PHASE1_TOL,
@@ -216,6 +218,61 @@ def verified_order_search(inst) -> tuple[float, float, int]:
     res = reference_bisect(excess, 0.0, hi, inst.eps, assume_left_root=True)
     value = amb.solve(res.root).value
     return res.root, value + mass * res.root, res.iterations
+
+
+def reference_optimize_order(inst) -> OrderDecision:
+    """The two-end `optimize_order`: verified worst cases at q* - eps and q* + eps.
+
+    Both ends are solved, stepping out as the package's solved end does, and
+    then the worst case at q* is certified.  The package certifies q* first
+    and takes it as the end on its own side of 1 - eta, so it solves the
+    other end alone (both where q*'s gap is too wide for a left end).
+    """
+    amb = inst.ambiguity
+    mass = 1.0 - inst.eta
+    hi = amb.tail_cutoff(mass)
+    if not math.isfinite(hi):
+        raise RangeError(f"no finite q brings the moment bound on P(X > q) down to {mass:g}")
+    q, worst_case = amb._order_at_mass(mass)
+    if not 0.0 <= q < hi:
+        raise RootBracketError(f"closed-form order {q:g} lies outside [0, tail cutoff {hi:g})")
+    cap = max(inst.eps, _MAX_OFFSET * q)
+    solves = doublings = 0
+
+    def end(side: float):
+        nonlocal solves, doublings
+        offset = inst.eps
+        while offset <= cap:
+            x = min(max(q + side * offset, 0.0), hi)
+            if x in (0.0, hi):
+                return x, None
+            if x != q:
+                solves += 1
+                report = amb.solve(x)
+                if side * (report.dist.points[-1][1] - mass) <= 0.0:
+                    return x, report
+            offset *= 2.0
+            doublings += 1
+        raise RootBracketError(
+            f"p_hi within {cap:g} on the {'left' if side < 0.0 else 'right'} of the "
+            f"closed-form order {q:g} is on the wrong side of 1 - eta = {mass:g}"
+        )
+
+    (a, lo), (b, up) = end(-1.0), end(1.0)
+    if q == 0.0 and up is not None:
+        report = up
+    else:
+        solves += 1
+        report = worst_case(q or b)
+    return OrderDecision(
+        q_star=q,
+        objective=report.value + mass * q if q > 0.0 else amb.M1,
+        iterations=doublings,
+        inner_solves=solves,
+        report=report,
+        bracket=(a, b),
+        bracket_reports=(lo, up),
+    )
 
 
 def evaluate(f: MomentFunction, x):

@@ -29,7 +29,10 @@ from hypothesis import strategies as st
 from momentbound import cli
 from momentbound.cli import EXIT_DISAGREEMENT, EXIT_OK
 from momentbound.errors import MomentBoundError, UncertifiedError
+from momentbound.exp_moment import ExpMomentAmbiguity
+from momentbound.newsvendor import NewsvendorInstance, optimize_order
 from momentbound.problems import PROBLEMS
+from references import reference_optimize_order
 from test_stream_pins import _workloads
 
 _DRAWS = settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -45,8 +48,13 @@ REFUSED_MP1E = [
 # (M1, gamma, Mplus): the two-point law's upper point rounds to M1, and its
 # lower mass to 0
 REFUSED_UPM = (0.6298592134266, 1.4619698943643444, 1.655394454358121e-17)
-# (M1, Me, t, 1 - eta): a bracket end's worst case fails its certificate
-REFUSED_ORDER = (38819.25751950423, 2.1949631622519174e219, 0.013010354469930397, 0.7)
+# (M1, Me, t, 1 - eta) of a wide mp1e decision: the solve at q* fails its
+# certificate
+REFUSED_ORDER = (2.8199324951700167, 1.0058282245080463, 0.0020607961787627144, 0.07176858527005486)
+# (M1, Me, t, 1 - eta): the worst case at q* + eps fails its certificate, but
+# q*'s own has p_hi at most 1 - eta, so q* is the right end and that end is
+# not solved
+DECIDED_ORDER = (38819.25751950423, 2.1949631622519174e219, 0.013010354469930397, 0.7)
 
 
 def _log_uniform(lo: float, hi: float):
@@ -151,13 +159,33 @@ def test_uncertified_mp1e_is_refused(tmp_path, M1, Me, t, q):
     assert (code, out, json.loads(err)["error"]) == (EXIT_DISAGREEMENT, "", "UncertifiedError")
 
 
-def test_uncertified_order_is_refused(tmp_path):
-    M1, Me, t, mass = REFUSED_ORDER
+def _order_file(tmp_path, order) -> str:
+    M1, Me, t, mass = order
     params = {"ambiguity": "mp1e", "M1": M1, "Me": Me, "t": t, "eta": 1.0 - mass}
     path = tmp_path / "instance.json"
     path.write_text(json.dumps({"problem": "newsvendor", "params": params}))
-    code, out, err = _run(["solve", str(path)])
+    return str(path)
+
+
+def test_uncertified_order_is_refused(tmp_path):
+    M1, Me, t, mass = REFUSED_ORDER
+    amb, eta = ExpMomentAmbiguity(M1=M1, Me=Me, t=t), 1.0 - mass
+    with pytest.raises(UncertifiedError):  # at q* itself, which every decision certifies
+        amb.solve(amb._order_at_mass(1.0 - eta)[0])
+    code, out, err = _run(["solve", _order_file(tmp_path, REFUSED_ORDER)])
     assert (code, out, json.loads(err)["error"]) == (EXIT_DISAGREEMENT, "", "UncertifiedError")
+
+
+def test_order_whose_failing_end_is_not_needed_decides(tmp_path):
+    M1, Me, t, mass = DECIDED_ORDER
+    inst = NewsvendorInstance(ambiguity=ExpMomentAmbiguity(M1=M1, Me=Me, t=t), eta=1.0 - mass)
+    with pytest.raises(UncertifiedError):
+        reference_optimize_order(inst)
+    d = optimize_order(inst)
+    assert d.bracket[1] == d.q_star and d.bracket_reports[1] is d.report
+    code, out, err = _run(["solve", _order_file(tmp_path, DECIDED_ORDER)])
+    assert code == EXIT_OK
+    assert (json.loads(out)["root"], json.loads(out)["verified"]) == (d.q_star, True)
 
 
 def test_upm_law_with_a_mass_rounding_to_zero_is_refused(tmp_path):

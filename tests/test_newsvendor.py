@@ -16,6 +16,7 @@ from momentbound.errors import (
     MomentBoundError,
     RangeError,
     RootBracketError,
+    UncertifiedError,
 )
 from momentbound.exp_moment import ExpMomentAmbiguity
 from momentbound.newsvendor import NewsvendorInstance, optimize_order
@@ -24,6 +25,7 @@ from references import (
     ExponentialDemand,
     exp_threshold,
     mean_variance_order,
+    reference_optimize_order,
     verified_order_search,
     worst_case_objective,
 )
@@ -149,13 +151,17 @@ def _decision(kind: str, eta: float, eps: float = 1e-6):
 
 
 def _check_certificate(inst: NewsvendorInstance, d) -> None:
-    """Verified ends a <= q* <= b with p_hi(a) >= 1 - eta >= p_hi(b), each within its offset of q*."""
+    """Verified ends a <= q* <= b with p_hi(a) >= 1 - eta >= p_hi(b), each within its offset of q*.
+
+    At q* > 0, q* is itself the end on the side of 1 - eta its own upper mass
+    is on (both ends at a tie), with ``d.report`` as that end's report; a
+    left end also needs the gap at q* within p_hi times the largest offset.
+    """
     (a, b), (lo, up) = d.bracket, d.bracket_reports
     mass = 1.0 - inst.eta
     hi = inst.ambiguity.tail_cutoff(mass)
     q = d.q_star
-    assert 0.0 <= a <= q < b <= hi
-    assert a < q or a == 0.0  # q* itself is never an end, but 0 may be
+    assert 0.0 <= a <= q <= b <= hi
     assert (lo is None) == (a == 0.0)
     assert (up is None) == (b == hi)
     if lo is not None:
@@ -164,9 +170,17 @@ def _check_certificate(inst: NewsvendorInstance, d) -> None:
     if up is not None:
         assert up.verification.passed
         assert up.dist.points[-1][1] <= mass
-    if d.iterations == 0:
-        assert (a, b) == (max(q - inst.eps, 0.0), min(q + inst.eps, hi))
     cap = max(inst.eps, 1e-9 * q)  # the largest offset an end may take
+    if q > 0.0:  # an end equal to q* carries d.report
+        p = d.report.dist.points[-1][1]
+        own = (p >= mass and d.report.verification.duality_gap <= p * cap, p <= mass)
+        assert (a == q, b == q) == own
+        assert (lo is d.report, up is d.report) == own
+        left, right = (q if own[0] else q - inst.eps), (q if own[1] else q + inst.eps)
+    else:
+        left, right = 0.0, inst.eps
+    if d.iterations == 0:
+        assert (a, b) == (max(left, 0.0), min(right, hi))
     assert q - a <= cap + math.ulp(q) and b - q <= cap + math.ulp(q)
     assert d.report.verification.passed
 
@@ -176,8 +190,9 @@ class TestCertifiedOrder:
 
     @pytest.mark.parametrize("kind,eta", CELLS + DEEP_CELLS)
     def test_solve_budget(self, kind, eta, monkeypatch):
-        # 3 worst cases, each verified once: 2 where an end is 0 or the tail
-        # cutoff, 1 at q* = 0, whose report is the one at b.  Each is solved,
+        # The worst case at q*, then the end on the other side of 1 - eta from
+        # its upper mass, each verified once: 1 at a tie, where q* is both
+        # ends, and at q* = 0, whose report is the one at b.  Each is solved,
         # but an mp1t one at q* > 0: that is the law q* came from, certified.
         # One v1 search per mp1e set.
         exp_moment.compute_v1.cache_clear()  # an earlier test's last v1 would be a free hit
@@ -194,11 +209,12 @@ class TestCertifiedOrder:
         monkeypatch.setattr(core, "verify_optimality", counted("verify", core.verify_optimality))
         monkeypatch.setattr(module, "_candidate", counted("solves", module._candidate))
         d = optimize_order(NewsvendorInstance(ambiguity=_fresh(kind), eta=eta))
-        ends = sum(r is not None for r in d.bracket_reports)
-        assert counts["verify"] == d.inner_solves == ends + (d.q_star > 0.0)
+        ends = sum(r is not None and r is not d.report for r in d.bracket_reports)
+        assert counts["verify"] == d.inner_solves == 1 + ends
         from_law = kind.startswith("mp1t") and d.q_star > 0.0
         assert counts["solves"] == (ends if from_law else d.inner_solves)
-        assert d.inner_solves == (3 if 0.0 < d.bracket[0] else 2 if d.q_star > 0.0 else 1)
+        a, b = d.bracket
+        assert d.inner_solves == (2 if 0.0 < d.q_star and a < b else 1)
         assert d.iterations == 0
         assert exp_moment.compute_v1.cache_info().misses == (1 if kind.startswith("mp1e") else 0)
 
@@ -254,9 +270,9 @@ class TestCertifiedOrder:
 
     @pytest.mark.parametrize("eps", [1e-9, 1e-11, 1e-13, 1e-15])
     def test_eps_near_float_resolution(self, eps):
-        # an end at q* -+ eps that rounds to q* itself, or whose p_hi rounds to
-        # the wrong side of 1 - eta, steps outward; on these cells that takes
-        # an eps below 1e-14*q*, a few dozen ulp of q*
+        # the end solved at q* -+ eps steps outward where it rounds to q*
+        # itself or its p_hi rounds to the wrong side of 1 - eta; on these
+        # cells that takes an eps below 1e-14*q*, a few dozen ulp of q*
         widened = []
         for kind, eta in CELLS + DEEP_CELLS:
             inst = NewsvendorInstance(ambiguity=AMBIGUITIES[kind], eta=eta, eps=eps)
@@ -272,9 +288,25 @@ class TestCertifiedOrder:
     @pytest.mark.parametrize("factor", [1.0 - 1e-6, 1.0 + 1e-6])
     @pytest.mark.parametrize("kind,eta", [c for c in CELLS + DEEP_CELLS if c[1] > 0.5])
     def test_wrong_closed_form_is_refused(self, kind, eta, factor, eps, monkeypatch):
-        cls = type(AMBIGUITIES[kind])
+        # q* is certified first.  An mp1t law built at a wrong order fails its
+        # own certificate where the verifier sees it: its dual does not depend
+        # on q, so left of the law's order H < 0 at the upper point, and right
+        # of it the gap is p_hi*(q - q_law).  In the deepest cells that gap,
+        # 1e-6*q*(1 - eta), is within the verifier's absolute floor and the law
+        # certifies; the gap over p_hi exceeds the largest end offset, so q*
+        # is no left end, and the end solved left of it reads p_hi on the
+        # wrong side.  mp1e solves at q*, and the end it then solves reads
+        # p_hi on q*'s side of 1 - eta out to the largest offset.
+        amb = AMBIGUITIES[kind]
+        q, worst_case = amb._order_at_mass(1.0 - eta)
+        certified_at_q = isinstance(amb, ExpMomentAmbiguity) or _certifies(worst_case, q * factor)
+        cls = type(amb)
         monkeypatch.setattr(cls, "_order_at_mass", _scaled_order(cls, factor))
-        with pytest.raises(RootBracketError, match="wrong side of 1 - eta"):
+        if certified_at_q:
+            refusal = pytest.raises(RootBracketError, match="wrong side of 1 - eta")
+        else:
+            refusal = pytest.raises(UncertifiedError, match="fails its certificate")
+        with refusal:
             _decision(kind, eta, eps)
 
     def test_cli_refuses_a_wrong_closed_form(self, monkeypatch, tmp_path, capsys):
@@ -305,7 +337,7 @@ class TestCertifiedOrder:
         inst = NewsvendorInstance(ambiguity=amb, eta=1.0 - mass)
         d = optimize_order(inst)
         assert abs(d.q_star - verified_order_search(inst)[0]) <= inst.eps
-        assert d.inner_solves == 3
+        assert d.inner_solves == 2  # q* and the end across 1 - eta from it
         _check_certificate(inst, d)
         if isinstance(amb, PowerMomentAmbiguity):  # q*'s law, whose point took no search
             assert d.report.bisect_iters == 0
@@ -318,7 +350,7 @@ class TestCertifiedOrder:
         assert exp_moment._gap_at_mass(1e-10, amb, v1) < 1e-5 * amb.m1_scaled
         inst = NewsvendorInstance(ambiguity=amb, eta=1.0 - 1e-10)
         d = optimize_order(inst)
-        assert d.inner_solves == 3
+        assert d.inner_solves == 2  # q* and the end across 1 - eta from it
         assert abs(d.q_star - verified_order_search(inst)[0]) <= inst.eps
         _check_certificate(inst, d)
 
@@ -334,27 +366,79 @@ def _scaled_order(cls, factor: float):
     return scaled
 
 
+def _certifies(worst_case, order: float) -> bool:
+    try:
+        worst_case(order)
+    except UncertifiedError:
+        return False
+    return True
+
+
 def _fresh(kind: str):
     """A new copy of a cell's ambiguity, with nothing computed on it yet."""
     amb = AMBIGUITIES[kind]
     return type(amb)(**{name: getattr(amb, name) for name in amb.__match_args__})
 
 
-def _mp1t_decisions():
-    """mp1t cells, then the mp1t decisions among the first of stream seed 5, as (amb, eta)."""
-    cases = [(AMBIGUITIES[k], eta) for k, eta in CELLS + DEEP_CELLS if k.startswith("mp1t")]
+def _decisions():
+    """The cells, then the first STREAM_DECISIONS decisions of stream seed 5, as (amb, eta)."""
+    cases = [(AMBIGUITIES[k], eta) for k, eta in CELLS + DEEP_CELLS]
     workloads = _workloads()
     stream = workloads.make_stream("newsvendor", STREAM_SEEDS[0])
     runner = workloads.Runner("newsvendor", momentbound, "")
     for _ in range(STREAM_DECISIONS):
         op = stream.next()
-        if op.kind.startswith("mp1t"):
-            cases.append((runner.ambiguity(op), op.eta))
+        cases.append((runner.ambiguity(op), op.eta))
     return cases
+
+
+def _mp1t_decisions():
+    """The mp1t decisions among ``_decisions()``."""
+    return [(amb, eta) for amb, eta in _decisions() if isinstance(amb, PowerMomentAmbiguity)]
 
 
 def _close(a: float, b: float) -> bool:
     return abs(a - b) <= 1e-12 * abs(b)
+
+
+# (M1, Mt, t, 1 - eta) of a harsh mp1t draw near the degenerate law: solves
+# right of q* read p_hi above 1 - eta out to the largest offset, while the
+# law at q* has p_hi at most 1 - eta.  So q* is its own right end, and the end
+# that fails is the one no longer solved.
+HARSH_MP1T_ORDER = (1119.162613419641, 1837.5575869148968, 1.0706314549359526, 8.561707541902185e-07)
+
+
+class TestOneEndSolved:
+    """q* is one end of its own bracket; the two-end reference decides the same order."""
+
+    def test_same_decision_as_both_ends(self):
+        ties = 0
+        for amb, eta in _decisions():
+            inst = NewsvendorInstance(ambiguity=amb, eta=eta)
+            d, ref = optimize_order(inst), reference_optimize_order(inst)
+            assert (d.q_star, d.objective, d.report) == (ref.q_star, ref.objective, ref.report)
+            solved = 0
+            for x, r, x_ref, r_ref in zip(d.bracket, d.bracket_reports, ref.bracket, ref.bracket_reports):
+                if x == d.q_star > 0.0:  # the end equal to q* carries the worst case at q*
+                    assert r is d.report
+                else:  # the end solved is the reference's end on that side
+                    assert (x, r) == (x_ref, r_ref)
+                    solved += r is not None and r is not d.report
+            assert solved <= 1
+            assert d.inner_solves == 1 + solved
+            assert d.inner_solves < ref.inner_solves or d.q_star == 0.0
+            ties += d.bracket == (d.q_star, d.q_star)
+        assert ties > 0
+
+    def test_harsh_mp1t_order_is_its_own_right_end(self):
+        M1, Mt, t, mass = HARSH_MP1T_ORDER
+        inst = NewsvendorInstance(ambiguity=PowerMomentAmbiguity(M1=M1, Mt=Mt, t=t), eta=1.0 - mass)
+        with pytest.raises(RootBracketError, match="on the right of the closed-form order"):
+            reference_optimize_order(inst)
+        d = optimize_order(inst)
+        assert d.bracket[1] == d.q_star and d.bracket_reports[1] is d.report
+        assert (d.inner_solves, d.iterations) == (2, 0)
+        _check_certificate(inst, d)
 
 
 class TestWorstCaseAtTheOrder:
@@ -527,8 +611,9 @@ class TestOptimizeOrder:
         inst = NewsvendorInstance(ambiguity=amb, eta=0.9, eps=1e-6)
         d = optimize_order(inst)
         assert d.q_star > 0.0
-        # the two bracket ends and q*, and no end stepped out
-        assert (d.inner_solves, d.iterations) == (3, 0)
+        # q* and the one end across 1 - eta from it, and no end stepped out
+        assert (d.inner_solves, d.iterations) == (2, 0)
+        assert d.report in d.bracket_reports
 
     def test_exponential_ground_truth_shape(self):
         # the moment data comes from an exponential demand with rate 1/50

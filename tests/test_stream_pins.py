@@ -149,8 +149,9 @@ def test_newsvendor_residuals_bit_identical():
     candidates = _captured(_run_newsvendor)
     for candidate in candidates:
         _assert_pinned(*candidate)
-    # at most 3 solves a decision: q* and each bracket end q* -+ eps that is not 0 or the cutoff
-    assert 2 * NEWSVENDOR_DECISIONS < len(candidates) <= 3 * NEWSVENDOR_DECISIONS
+    # at most 2 solves a decision: q* and the bracket end across 1 - eta from it,
+    # where that end is not 0 or the cutoff and q* is no tie
+    assert NEWSVENDOR_DECISIONS < len(candidates) <= 2 * NEWSVENDOR_DECISIONS
     assert min(abs(z) for _, _, cert in candidates for z in cert.z if z != 0.0) < 1e-9
     assert max(dist.points[-1][0] for _, dist, _ in candidates) > 1e4
 
