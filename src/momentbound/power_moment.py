@@ -9,9 +9,10 @@ is the root of ``_candidate``'s psi on a known open bracket, found by one
 passes it through ``core.certify``, which checks it against the generic
 optimality conditions and returns a ``core.Report`` (``root`` is v on the
 interior branch) or refuses it.  Only an interior answer whose certificate
-fails is retried; with t near 1 its dual can miss the duality gap.  v
-stays, and w = u^(t-1) is back-solved from the dual's tangency equation by
-``_det_consistent_w``; the retried pair is returned where it certifies.
+fails is retried; with t near 1 its tangency dual can miss the duality gap
+though its law is right.  The law stays, and ``_support_dual`` solves a
+new dual in closed form from complementary slackness on that law's support;
+the retried answer is returned where it certifies.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ class PowerMomentAmbiguity(_Frozen):
 
         def worst_case(order: float) -> Report:
             inst = self.instance_at(order)
-            law = _interior(inst, v, u, u ** (t - 1.0), u**t, evals)
+            law = _interior(inst, v, u, evals)
             return core.certify(gmp_instance(inst), law)
 
         return q, worst_case
@@ -190,33 +191,6 @@ def _u_from_v(v: float, inst: PowerMomentInstance, edge: float) -> float:
     return min((t * qs / (t - 1.0)) * num / (v * num + mt * (v - 1.0)), 1.0)
 
 
-def _det_consistent_w(v: float, inst: PowerMomentInstance) -> float:
-    """Solve the dual tangency system for w = u^(t-1) at a given v.
-
-    This is the retry's lower point: with t near 1, the u that
-    ``_u_from_v`` builds from psi's root can leave a dual that misses the
-    duality gap, and the w solved here gives one that meets it.  The system
-    reads t*qs*w - (t-1)*w^(t/(t-1)) = v^(t-1) * (t*qs - (t-1)*v)
-    and has exactly one root with u < qs; the left side is increasing there.
-    Parametrizing by w rather than u keeps the equation solvable even when u
-    itself is many orders of magnitude below ulp(v).
-    """
-    t, qs = inst.t, inst.q_scaled
-    k = v ** (t - 1.0) * (t * qs - (t - 1.0) * v)
-    if k <= 0.0:
-        return 0.0  # roundoff at the far end of the bracket, where u -> 0
-    whi = qs ** (t - 1.0)
-    expo = t / (t - 1.0)
-
-    def g(w: float) -> float:
-        return t * qs * w - (t - 1.0) * w**expo - k
-
-    g_whi = g(whi)
-    if g_whi <= 0.0:
-        return whi
-    return brent(g, 0.0, whi, -k, g_whi)[0]
-
-
 _MASS_AND_MEAN = (core.constant(), core.monomial(1.0))  # h_0 and h_1 of every instance
 
 
@@ -233,15 +207,14 @@ def gmp_instance(inst: PowerMomentInstance) -> GmpInstance:
 def solve_power_moment(inst: PowerMomentInstance) -> Report:
     """Solve the scaled problem, rescale, and certify the result.
 
-    With t near 1, the lower point that ``_u_from_v`` builds from psi's
-    root can miss the dual's tangency at u, though v itself is right.  The
-    dual built from that pair then misses the duality gap by more than the
-    verifier allows (by up to 2.6% of max(1, value) on the benchmark's wide
-    probe draws), often with H below 0 near u.  So an interior answer whose
-    certificate fails is retried once at the same v, with w = u^(t-1)
-    back-solved from the tangency equation.  The retry is returned where it
-    certifies; where it raises or is refused, the first answer's refusal
-    stands.
+    With t near 1, ``_interior``'s tangency dual can miss the duality gap
+    by more than the verifier allows (by up to 2.6% of max(1, value) on the
+    benchmark's wide probe draws), often with H below 0 near u, though the
+    law meets its rows.  So an interior answer whose certificate fails is
+    retried once: the first candidate stays whole but for its dual, which
+    ``_support_dual`` solves on that law's own support, with no search.
+    The retry is returned where it certifies; where it raises or is
+    refused, the first answer's refusal stands.
     """
     gmp = gmp_instance(inst)
     first = _candidate(inst)
@@ -250,11 +223,10 @@ def solve_power_moment(inst: PowerMomentInstance) -> Report:
     except UncertifiedError as refusal:
         if first["branch"] == BOUNDARY:
             raise
-        t, v = inst.t, first["root"]
+        v = first["root"]
         try:
-            w = _det_consistent_w(v, inst)
-            u, ut = w ** (1.0 / (t - 1.0)), w ** (t / (t - 1.0))
-            return core.certify(gmp, _interior(inst, v, u, w, ut, first["bisect_iters"]))
+            cert = _support_dual(inst, _u_from_v(v, inst, inst.edge_scaled), v)
+            return core.certify(gmp, {**first, "cert": cert})
         except (MomentBoundError, ArithmeticError):
             raise refusal from None
 
@@ -315,13 +287,11 @@ def _candidate(inst: PowerMomentInstance) -> dict:
         raise RangeError(f"y^(t-1) overflows at the search's right end y={b:g}, t={t:g}")
     v, iters = brent(psi, a, b, psi(a), fb)
     u = _u_from_v(v, inst, edge)
-    return _interior(inst, v, u, u ** (t - 1.0), u**t, iters)
+    return _interior(inst, v, u, iters)
 
 
-def _interior(
-    inst: PowerMomentInstance, v: float, u: float, w: float, ut: float, iters: int
-) -> dict:
-    """The interior answer on the scaled support pair {u, v}, with w = u^(t-1) and ut = u^t."""
+def _interior(inst: PowerMomentInstance, v: float, u: float, iters: int) -> dict:
+    """The interior answer on the scaled support pair {u, v}."""
     M1, t, mt, qs = inst.M1, inst.t, inst.mt_scaled, inst.q_scaled
     try:
         vt = v**t
@@ -333,6 +303,7 @@ def _interior(
         )
     if not 0.0 <= u < v:
         raise RootBracketError(f"inconsistent support u={u}, v={v}")
+    w, ut = u ** (t - 1.0), u**t
     denom = v ** (t - 1.0) - w
     if u > 0.5:
         # 1 - u cancels as u -> 1 in the deep tail; the t-th moment row
@@ -352,3 +323,22 @@ def _interior(
         )
     )
     return dict(value=value, dist=dist, cert=cert, branch=INTERIOR, root=v, bisect_iters=iters)
+
+
+def _support_dual(inst: PowerMomentInstance, u: float, v: float) -> DualCertificate:
+    """The dual with H(u) = H(v) = 0 and H'(v) = 0 on the scaled support pair {u, v}.
+
+    Complementary slackness on the support (Bertsimas & Popescu 2005), in
+    scaled units, where H(x) = a0 + a1*x + a2*x^t - (x - qs)_+.  H'(v) = 0
+    gives a1 = 1 - t*a2*v^(t-1), and then H(v) - H(u) = 0 gives
+    a2*d*v^t = qs - u, where d*v^t = t*v^(t-1)*(v - u) - (v^t - u^t) and,
+    with r = u/v, d = (t-1)*(1 - r) + r*(r^(t-1) - 1), which expm1 keeps
+    from cancelling as r -> 1.  H(u) = 0 gives a0.
+    """
+    M1, t, qs = inst.M1, inst.t, inst.q_scaled
+    r = u / v
+    d = t - 1.0 if r == 0.0 else (t - 1.0) * (1.0 - r) + r * expm1((t - 1.0) * math.log(r))
+    a2 = (qs - u) / (d * v**t)
+    a1 = 1.0 - t * a2 * v ** (t - 1.0)
+    a0 = -a1 * u - a2 * u**t
+    return DualCertificate(z=(M1 * a0, a1, a2 / M1 ** (t - 1.0)))

@@ -186,6 +186,37 @@ def exp_moment_value_50(M1: float, Me: float, t: float, q: float) -> float:
         return float((1 - ratio) * g / (((qs + 1 - m1) + g - ratio) * t_))
 
 
+def power_moment_value_50(M1: float, Mt: float, t: float, q: float) -> float:
+    """The interior mp1t worst case at 50 digits, from psi's root bisected, float inputs exact.
+
+    In mean-scaled units, with c = t*qs/(t-1), G = y^(t-1) - mt and
+    D = y^t - mt, the lower point is u(y) = c*G/D and psi(y) =
+    (y - c) + c*(y - 1)*u^(t-1)/D (``power_moment._candidate``) is negative
+    at max(edge, qs) and positive at c.  The value is
+    M1*(v - qs)*(1 - u)/(v - u) at psi's root v.
+    """
+    with mp.workdps(50):
+        m1, tt = mp.mpf(M1), mp.mpf(t)
+        mt, qs = mp.mpf(Mt) / m1**tt, mp.mpf(q) / m1
+        c = tt * qs / (tt - 1)
+
+        def lower(y):
+            return c * (y ** (tt - 1) - mt) / (y**tt - mt)
+
+        def psi(y):
+            return (y - c) + c * (y - 1) * lower(y) ** (tt - 1) / (y**tt - mt)
+
+        lo, hi = max(mt ** (1 / (tt - 1)), qs), c
+        for _ in range(400):
+            mid = (lo + hi) / 2
+            if psi(mid) < 0:
+                lo = mid
+            else:
+                hi = mid
+        u = lower(hi)
+        return float(m1 * (hi - qs) * (1 - u) / (hi - u))
+
+
 def boundary_point_50(m1: float, Me: float) -> float:
     """The mp1e boundary point v1 at 50 digits, from the rate-scaled float inputs taken as exact.
 

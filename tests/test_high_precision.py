@@ -15,7 +15,7 @@ import pytest
 from momentbound.exp_moment import ExpMomentInstance, solve_exp_moment
 from momentbound.partial_moment import PartialMomentInstance, solve_partial_moment
 from momentbound.power_moment import PowerMomentInstance, solve_power_moment
-from references import exp_moment_value_50, exp_threshold, power_threshold
+from references import exp_moment_value_50, exp_threshold, power_moment_value_50, power_threshold
 
 mp.mp.dps = 50
 
@@ -107,6 +107,14 @@ def test_exp_moment_deep_and_near_pole_values_match_high_precision(M1, Me, t, q,
     rep = solve_exp_moment(ExpMomentInstance(M1=M1, Me=Me, t=t, q=q))
     assert rep.verification.passed
     assert rep.value == pytest.approx(exp_moment_value_50(M1, Me, t, q), rel=rel, abs=0.0)
+
+
+def test_power_moment_50_digit_reference():
+    # at t = 2 the worst case is Scarf's bound (sqrt(s2 + (q - M1)^2) - (q - M1))/2
+    for M1, Mt, q in ((1.0, 2.0, 6.0), (3.0, 10.0, 4.5), (1.0, 2.0, 1e5)):
+        d = mp.mpf(q) - M1
+        scarf = (mp.sqrt(mp.mpf(Mt) - M1 * M1 + d * d) - d) / 2
+        assert power_moment_value_50(M1, Mt, 2.0, q) == pytest.approx(float(scarf), rel=1e-15, abs=0.0)
 
 
 def test_exp_moment_50_digit_reference():

@@ -25,6 +25,7 @@ from references import (
     ExponentialDemand,
     exp_threshold,
     mean_variance_order,
+    power_moment_value_50,
     reference_optimize_order,
     verified_order_search,
     worst_case_objective,
@@ -439,6 +440,23 @@ class TestOneEndSolved:
         assert d.bracket[1] == d.q_star and d.bracket_reports[1] is d.report
         assert (d.inner_solves, d.iterations) == (2, 0)
         _check_certificate(inst, d)
+
+
+# (M1, Mt, t, eta) of a harsh draw near the degenerate law whose right end's
+# first pair fails its certificate; the retry's support dual certifies it
+HARSH_RETRIED_END = (408.0758896540931, 409.4718267174778, 1.0005680698794241, 0.5111364076061596)
+
+
+def test_harsh_order_decides_on_a_retried_end():
+    M1, Mt, t, eta = HARSH_RETRIED_END
+    inst = NewsvendorInstance(ambiguity=PowerMomentAmbiguity(M1=M1, Mt=Mt, t=t), eta=eta)
+    d = optimize_order(inst)
+    assert d.q_star == 408.13487856244507 and d.bracket == (d.q_star, 408.13487956244506)
+    assert d.bracket_reports[0] is d.report and (d.inner_solves, d.iterations) == (2, 0)
+    _check_certificate(inst, d)
+    # the mass law's value is 5.1e-9 from its 50-digit value, 3.7e-11 of the objective
+    ref = power_moment_value_50(M1, Mt, t, d.q_star) + (1.0 - eta) * d.q_star
+    assert d.objective == pytest.approx(ref, rel=1e-10, abs=0.0)
 
 
 class TestWorstCaseAtTheOrder:

@@ -16,7 +16,6 @@ from momentbound.errors import (
     MomentBoundError,
     NonFiniteError,
     RangeError,
-    RootBracketError,
     UncertifiedError,
 )
 from momentbound.problems import PROBLEMS
@@ -25,7 +24,7 @@ from momentbound.power_moment import (
     PowerMomentInstance,
     solve_power_moment,
 )
-from references import power_threshold, scarf_value, theta
+from references import power_moment_value_50, power_threshold, scarf_value, theta
 from test_stream_pins import _workloads
 
 
@@ -370,27 +369,51 @@ def _probe_draws() -> tuple:
 def _retried_draws() -> tuple:
     """The ``_probe_draws`` whose first answer fails.
 
-    Each first answer is interior, and its dual misses the gap (most also
-    miss dual feasibility), with t below 1.15.  These are the draws that
-    ``solve_power_moment`` retries: 382 of the 11 366 that it does not refuse.
+    Each first answer is interior, and its tangency dual misses the gap
+    (most also miss dual feasibility), with t below 1.15.  These are the
+    draws that ``solve_power_moment`` retries: 382 of the 11 366 that it
+    does not refuse.
     """
     return tuple(draw for draw in _probe_draws() if not draw[2].passed)
+
+
+def _support_residuals_50(inst, u: float, v: float, z: tuple) -> list:
+    """|H(x)|/S(x) at x = u and v for the dual z against the 50-digit dual of the same system.
+
+    In scaled units, (a0, a1, a2) solves H(u) = H(v) = H'(v) = 0 at 50 digits
+    for the float u, v and qs taken as exact, so its H is 0 at both points.
+    z maps back to scaled units exactly.  H is then evaluated with the
+    difference of the two duals, and S(x) = |x - qs|_+ + sum |a_i h_i(x)|.
+    """
+    with mp.workdps(50):
+        t, qs, M1 = mp.mpf(inst.t), mp.mpf(inst.q_scaled), mp.mpf(inst.M1)
+        mu, mv = mp.mpf(u), mp.mpf(v)
+        rows = mp.matrix([[1, mu, mu**t], [1, mv, mv**t], [0, 1, t * mv ** (t - 1)]])
+        exact = mp.lu_solve(rows, mp.matrix([0, mv - qs, 1]))
+        a = (mp.mpf(z[0]) / M1, mp.mpf(z[1]), mp.mpf(z[2]) * M1 ** (t - 1))
+        out = []
+        for x in (mu, mv):
+            hs = (1, x, x**t)
+            diff = sum((a[i] - exact[i]) * hs[i] for i in range(3))
+            size = max(x - qs, 0) + sum(abs(a[i] * hs[i]) for i in range(3))
+            out.append(float(abs(diff) / size) if diff else 0.0)  # H(0) = a0 = 0 at u = 0
+        return out
 
 
 class TestRetry:
     """A first answer that fails its certificate is retried once.
 
-    The retry keeps v and back-solves the tangency point w = u^(t-1) with
-    one ``brent`` search of the tangency equation over all of [0, qs^(t-1)].
-    The draws are ``_retried_draws``.
+    The retry keeps the first answer's law, value, root and count, and
+    replaces its tangency dual with ``_support_dual``'s, solved in closed
+    form from H(u) = H(v) = H'(v) = 0.  The draws are ``_retried_draws``.
     """
 
-    def test_fallback_cost(self):
-        # a retry builds a second interior pair from exactly one back-solve,
-        # a brent search of the tangency equation g; every evaluation of g
-        # counts, the search's right end included.  A first answer that
-        # certifies is returned with no retry.
-        counts = {"_interior": 0, "_det_consistent_w": 0, "g": 0}
+    def test_fallback_cost(self, monkeypatch):
+        # an interior answer makes one brent search (psi's) and one
+        # _interior pair; a retry adds one _support_dual and nothing else,
+        # and returns the first candidate with only its cert changed.  A
+        # first answer that certifies is returned with no retry.
+        counts = {"_interior": 0, "_support_dual": 0, "brent": 0}
 
         def profile(frame, event, arg):
             code = frame.f_code
@@ -398,6 +421,13 @@ class TestRetry:
                 if code.co_name in counts:
                     counts[code.co_name] += 1
 
+        real = power_moment.brent
+
+        def brent(*args):
+            counts["brent"] += 1
+            return real(*args)
+
+        monkeypatch.setattr(power_moment, "brent", brent)
         retries = kept = 0
         for inst, c, first in _probe_draws():
             for key in counts:
@@ -407,49 +437,57 @@ class TestRetry:
                 rep = solve_power_moment(inst)
             finally:
                 sys.setprofile(None)
+            interior = int(c["branch"] == power_moment.INTERIOR)
+            assert (counts["_interior"], counts["brent"]) == (interior, interior), inst
             if first.passed:
-                interior = int(c["branch"] == power_moment.INTERIOR)
-                assert counts["_interior"] == interior, inst
-                assert counts["_det_consistent_w"] == 0 and counts["g"] == 0, inst
+                assert counts["_support_dual"] == 0, inst
                 assert repr(rep) == repr(core.Report(**c, verification=first)), inst
                 kept += interior
                 continue
             retries += 1
-            assert rep.verification.passed, inst
-            assert counts["_interior"] == 2 and counts["_det_consistent_w"] == 1, inst
-            assert counts["g"] <= 10, inst
+            assert rep.verification.passed and counts["_support_dual"] == 1, inst
+            assert rep.cert != c["cert"], inst
+            retried = core.Report(**{**c, "cert": rep.cert}, verification=rep.verification)
+            assert repr(rep) == repr(retried), inst
         assert retries >= 300 and kept >= 1000, (retries, kept)
 
-    def test_back_solved_w_matches_high_precision(self, monkeypatch):
-        # every w of the retries against g's root at 50 digits with the float k
-        calls, real = [], power_moment._det_consistent_w
+    def test_support_dual_matches_high_precision(self):
+        # H of every retry's dual at u and at v against the 50-digit
+        # solution of the same 3x3 system, relative to the size of H's terms
+        worst = 0.0
+        for inst, c, _ in _retried_draws():
+            v = c["root"]
+            u = power_moment._u_from_v(v, inst, inst.edge_scaled)
+            # the first pair's u, bit for bit
+            assert repr(power_moment._interior(inst, v, u, c["bisect_iters"])) == repr(c), inst
+            z = power_moment._support_dual(inst, u, v).z
+            worst = max(worst, *_support_residuals_50(inst, u, v, z))
+        assert worst <= 1e-15, worst
 
-        def w_solve(v, inst):
-            calls.append((v, inst, real(v, inst)))
-            return calls[-1][2]
 
-        monkeypatch.setattr(power_moment, "_det_consistent_w", w_solve)
-        for inst, _, _ in _retried_draws():
-            solve_power_moment(inst)
-        checked = 0
-        for v, inst, w in calls:
-            t, qs = inst.t, inst.q_scaled
-            k = v ** (t - 1.0) * (t * qs - (t - 1.0) * v)
-            if k <= 0.0:
-                continue  # w = 0 without a search
-            with mp.workdps(50):
-                mt, mq, mk, root = mp.mpf(t), mp.mpf(qs), mp.mpf(k), mp.mpf(w)
-                for _ in range(8):  # Newton from w converges quadratically
-                    g = mt * mq * root - (mt - 1) * root ** (mt / (mt - 1)) - mk
-                    root -= g / (mt * (mq - root ** (1 / (mt - 1))))
-                ulps = float(abs(w - root)) / math.ulp(float(root))
-            assert ulps <= 4.0, (v, inst)
-            checked += 1
-        assert checked >= 300, checked
+# (M1, Mt, t) of a harsh newsvendor draw near the degenerate law, and the
+# right end of its decision's bracket: the first pair there fails its
+# certificate, and the retry's support dual certifies it
+HARSH_MP1T = (408.0758896540931, 409.4718267174778, 1.0005680698794241)
+HARSH_RIGHT_END = 408.13487956244506
+
+
+def test_harsh_right_end_is_retried_and_certifies():
+    inst = PowerMomentInstance(*HARSH_MP1T, q=HARSH_RIGHT_END)
+    c = power_moment._candidate(inst)
+    assert not core.verify_optimality(power_moment.gmp_instance(inst), c["dist"], c["cert"]).passed
+    rep = solve_power_moment(inst)
+    assert rep.verification.passed and (rep.value, rep.dist) == (c["value"], c["dist"])
+    # mt - 1 = 1.5e-8 carries the rounding of Mt/M1^t, 7e-9 of it: the value
+    # is 6.6e-10 from the 50-digit value of the float (M1, Mt, t, q) and
+    # 4.1e-11 from that of the solver's own (mt, qs)
+    assert rep.value == pytest.approx(power_moment_value_50(*HARSH_MP1T, HARSH_RIGHT_END), rel=1e-9, abs=0.0)
+    scaled = power_moment_value_50(1.0, inst.mt_scaled, inst.t, inst.q_scaled) * inst.M1
+    assert rep.value == pytest.approx(scaled, rel=1e-10, abs=0.0)
 
 
 class TestRetryKeepsFirst:
-    """A retry that raises or is refused leaves the first pair's refusal standing."""
+    """A retry that raises or is refused leaves the first answer's refusal standing."""
 
     @pytest.fixture
     def draw(self, monkeypatch):
@@ -472,55 +510,53 @@ class TestRetryKeepsFirst:
         return inst, refusals
 
     @pytest.mark.parametrize(
-        "name, error",
+        "error",
         [
-            ("_det_consistent_w", NonFiniteError("f(0.5) = nan")),
-            ("_det_consistent_w", ZeroDivisionError("float division by zero")),
-            ("_interior", RootBracketError("inconsistent support")),
+            ZeroDivisionError("float division by zero"),
+            OverflowError("math range error"),
+            RangeError("out of range"),
         ],
     )
-    def test_raising_retry_raises_the_first_refusal(self, monkeypatch, draw, name, error):
+    def test_raising_retry_raises_the_first_refusal(self, monkeypatch, draw, error):
         inst, refusals = draw
-        real, calls = getattr(power_moment, name), []
+        calls = []
 
         def raising(*args):
             calls.append(args)
-            if name == "_interior" and len(calls) == 1:
-                return real(*args)  # the first answer's pair
             raise error
 
-        monkeypatch.setattr(power_moment, name, raising)
+        monkeypatch.setattr(power_moment, "_support_dual", raising)
         with pytest.raises(UncertifiedError) as refused:
             solve_power_moment(inst)
         assert len(refusals) == 1 and refused.value is refusals[0]
         assert refused.value.__cause__ is None and refused.value.__suppress_context__
-        assert len(calls) == (2 if name == "_interior" else 1)
+        assert len(calls) == 1
 
     def test_refused_retry_raises_the_first_refusal(self, monkeypatch, draw):
-        # the retry rebuilds the first answer's pair, w = u^(t-1) at _u_from_v's u
+        # the retry certifies the first answer's own tangency dual again
         inst, refusals = draw
 
-        def first_w(v, inst):
-            return power_moment._u_from_v(v, inst, inst.edge_scaled) ** (inst.t - 1.0)
+        def tangency_dual(inst, u, v):
+            return power_moment._interior(inst, v, u, 0)["cert"]
 
-        monkeypatch.setattr(power_moment, "_det_consistent_w", first_w)
+        monkeypatch.setattr(power_moment, "_support_dual", tangency_dual)
         with pytest.raises(UncertifiedError) as refused:
             solve_power_moment(inst)
         assert len(refusals) == 2 and refused.value is refusals[0]
 
     def test_refused_boundary_answer_is_not_retried(self, monkeypatch):
-        # the boundary pair has no back-solve: its refusal is raised as it is
+        # the boundary pair has no support dual: its refusal is raised as it is
         real = power_moment._candidate
 
         def doubled_dual(inst):
             c = real(inst)
             return {**c, "cert": core.DualCertificate(z=tuple(2.0 * z for z in c["cert"].z))}
 
-        def no_retry(v, inst):
+        def no_retry(inst, u, v):
             raise AssertionError("a boundary answer was retried")
 
         monkeypatch.setattr(power_moment, "_candidate", doubled_dual)
-        monkeypatch.setattr(power_moment, "_det_consistent_w", no_retry)
+        monkeypatch.setattr(power_moment, "_support_dual", no_retry)
         with pytest.raises(UncertifiedError, match="^boundary answer 0.75 "):
             solve_power_moment(PowerMomentInstance(M1=1.0, Mt=4.0, t=2.0, q=1.0))
 

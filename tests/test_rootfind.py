@@ -1,13 +1,12 @@
-"""Brent's bracketed search, and the mp1t retry's back-solve that collapses a bracket with it."""
+"""Brent's bracketed search on known brackets."""
 
 import math
 
 import numpy as np
 import pytest
 
-from momentbound import power_moment
 from momentbound.errors import BracketError, NonFiniteError
-from momentbound.power_moment import PowerMomentInstance, _det_consistent_w
+from momentbound.power_moment import PowerMomentInstance
 from momentbound.rootfind import brent
 from references import theta
 
@@ -18,95 +17,6 @@ def _iteration_cap(width: float, eps: float) -> int:
 
 def _brent(f, a, b):
     return brent(f, a, b, f(a), f(b))
-
-
-def _tangency(v, inst):
-    """k and g of the back-solve at v: g(w) = t*qs*w - (t-1)*w^(t/(t-1)) - k."""
-    t, qs = inst.t, inst.q_scaled
-    k = v ** (t - 1.0) * (t * qs - (t - 1.0) * v)
-    return k, lambda w: t * qs * w - (t - 1.0) * w ** (t / (t - 1.0)) - k
-
-
-class TestCollapse:
-    """The mp1t retry's back-solve: one brent search collapses [0, qs^(t-1)] onto w = u^(t-1)."""
-
-    def test_linear(self):
-        # t near 1 and v below c = t*qs/(t-1): the w^(t/(t-1)) term is 1e-20
-        # of k at the root, so g is linear there and w = k/(t*qs) to the ulp
-        inst = PowerMomentInstance(M1=1.0, Mt=2.0, t=1.1, q=3.0)
-        v = 0.99 * inst.t * inst.q_scaled / (inst.t - 1.0)
-        k, _ = _tangency(v, inst)
-        w = _det_consistent_w(v, inst)
-        assert abs(w - k / (inst.t * inst.q_scaled)) <= math.ulp(w)
-
-    def test_theta_bracket_recovers_mean_variance_bound(self):
-        # scaled instance with t = 2 has the classical closed form as oracle:
-        # w = u there, the lower point the moment conditions give at theta's root
-        inst = PowerMomentInstance(M1=1.0, Mt=2.0, t=2.0, q=6.0)
-        v, _ = _brent(lambda y: theta(y, inst), 6.0, 12.0)
-        u = _det_consistent_w(v, inst)
-        assert u == pytest.approx((2.0 * 6.0 / 1.0) * (v - 2.0) / (v * v - 2.0), rel=1e-14)
-        value = (v - 6.0) * (1.0 - u) / (v - u)
-        assert value == pytest.approx((math.sqrt(26.0) - 5.0) / 2.0, rel=1e-14)
-
-    def test_left_endpoint_root_converges_interior(self):
-        # 1 to 8 ulp below c, g(0) = -k is about -1e-15: the search returns
-        # the root, not the left end, though u = w^(1/(t-1)) lies far below
-        # ulp(v)
-        inst = PowerMomentInstance(M1=1.0, Mt=2.0, t=1.5, q=2.0)
-        v = inst.t * inst.q_scaled / (inst.t - 1.0)
-        for _ in range(8):
-            v = math.nextafter(v, 0.0)
-            k, _ = _tangency(v, inst)
-            w = _det_consistent_w(v, inst)
-            assert 0.0 < w and abs(w - k / (inst.t * inst.q_scaled)) <= 2.0 * math.ulp(w), v
-            assert w ** (1.0 / (inst.t - 1.0)) < 1e-10 * math.ulp(v)
-
-    def test_bracket_error(self, monkeypatch):
-        # where g's ends bracket nothing, no search runs: k <= 0 at and past c,
-        # where roundoff can leave v, gives w = 0, and at v = qs, g's double
-        # root, g(qs^(t-1)) <= 0 gives the right end
-        def no_search(*args):
-            raise BracketError("searched")
-
-        monkeypatch.setattr(power_moment, "brent", no_search)
-        for t in (1.01, 1.5, 2.0, 5.0):
-            inst = PowerMomentInstance(M1=1.0, Mt=1.5 * 2.0**t, t=t, q=2.0)
-            qs = inst.q_scaled
-            c = t * qs / (t - 1.0)
-            for v in (c, math.nextafter(c, math.inf), 2.0 * c):
-                assert _det_consistent_w(v, inst) == 0.0, (t, v)
-            assert _det_consistent_w(qs, inst) == qs ** (t - 1.0), t
-
-    def test_non_finite(self):
-        # both are errors the retry catches, keeping the first answer
-        inst = PowerMomentInstance(M1=1.0, Mt=2.0, t=3.0, q=2.0)
-        with pytest.raises(NonFiniteError, match=r"^f\(0\.0\) = nan$"):
-            _det_consistent_w(math.nan, inst)
-        with pytest.raises(OverflowError):
-            _det_consistent_w(1e300, inst)  # v^(t-1)
-
-    def test_resolution_stall_terminates(self, monkeypatch):
-        # v just above qs, by g's double root at w = qs^(t-1): g is float
-        # noise over many ulp around its root, and the search still ends
-        # there within twice bisection's count
-        evals, real = [], power_moment.brent
-
-        def counted(*args):
-            root, n = real(*args)
-            evals.append(n)
-            return root, n
-
-        monkeypatch.setattr(power_moment, "brent", counted)
-        for t in (1.01, 1.1, 1.5):
-            inst = PowerMomentInstance(M1=1.0, Mt=2.0, t=t, q=1.5)
-            qs, whi = inst.q_scaled, inst.q_scaled ** (t - 1.0)
-            for rel in (1e-7, 1e-9, 1e-12):
-                v = qs * (1.0 + rel)
-                k, g = _tangency(v, inst)
-                w = _det_consistent_w(v, inst)
-                assert 0.0 <= w <= whi and abs(g(w)) <= 4.0 * 2.0**-52 * k, (t, rel)
-            assert evals and max(evals) <= 2 * _iteration_cap(whi, math.ulp(whi)), t
 
 
 class TestBracketedSearch:
@@ -156,6 +66,16 @@ class TestBracketedSearch:
         assert evals <= 2 * _iteration_cap(1.0, math.ulp(r))
         root, _ = _brent(lambda x: x - 1e-310, 0.0, 1.0)  # subnormal root
         assert abs(root - 1e-310) <= 4.0 * math.ulp(1e-310)
+
+    @pytest.mark.parametrize("delta", [1e-14, 1e-18, 1e-24])
+    def test_noisy_root_terminates(self, delta):
+        # delta - (x - 1)^2, its square expanded, has a near-double root at
+        # 1 - sqrt(delta), where the computed f is float noise over millions
+        # of ulp: the search still ends there within twice bisection's count
+        f = lambda x: delta - (x * x - 2.0 * x + 1.0)
+        root, evals = _brent(f, 0.0, 1.0)
+        assert 0.0 <= root <= 1.0 and abs(f(root)) <= 4.0 * 2.0**-52, root
+        assert evals <= 2 * _iteration_cap(1.0, math.ulp(1.0))
 
     def test_random_brackets_within_bisection_bound(self):
         rng = np.random.default_rng(11)
